@@ -57,7 +57,9 @@ _NUMLIST = {"type": "array", "items": {"type": "number"}}
 _SAMPLER = {"type": "object", "additionalProperties": False,
             "properties": {"seed": {"type": "integer"},
                            "count": {"type": "integer", "minimum": 1},
-                           "size_range": _NUMLIST,
+                           "size_range": {"type": "array", "minItems": 2, "maxItems": 2,
+                                          "items": {"type": "number",
+                                                    "exclusiveMinimum": 0}},
                            "center_radius": {"type": "number"},
                            "degree2_fraction": {"type": "number"},
                            "interior_points": {"type": "integer", "minimum": 1}}}
@@ -146,6 +148,13 @@ def _as_point(spec, n: Optional[int] = None) -> np.ndarray:
     return z
 
 
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+_PARAM_VALIDATORS = {
+    kind: jsonschema.Draft202012Validator(
+        {"type": "object", "additionalProperties": False, "properties": props})
+    for kind, props in CHECK_PARAM_SCHEMAS.items()}
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -154,18 +163,19 @@ def load_config(path: str) -> dict:
         raise ConfigError(str(e)) from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
+    e = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    if e is not None:
         path_str = "/".join(str(p) for p in e.absolute_path) or "<root>"
         raise ConfigError(f"{path}: at {path_str}: {e.message}") from e
-    for sc in cfg["scenarios"]:
+    for i, sc in enumerate(cfg["scenarios"]):
+        size_range = sc.get("sampler", {}).get("size_range")
+        if size_range and size_range[0] >= size_range[1]:
+            raise ConfigError(f"{path}: at scenarios/{i}/sampler/size_range: lower end "
+                              f"{size_range[0]!r} is not below upper end {size_range[1]!r}")
         for ch in sc["checks"]:
-            schema = {"type": "object", "additionalProperties": False,
-                      "properties": CHECK_PARAM_SCHEMAS[ch["check"]]}
-            try:
-                jsonschema.validate(ch.get("params", {}), schema)
-            except jsonschema.ValidationError as e:
+            e = jsonschema.exceptions.best_match(
+                _PARAM_VALIDATORS[ch["check"]].iter_errors(ch.get("params", {})))
+            if e is not None:
                 raise ConfigError(
                     f"{path}: scenario {sc['id']!r} check {ch['check']!r}: "
                     f"{e.message}") from e

@@ -15,6 +15,8 @@ __all__ = [
     "gradient",
     "hessian",
     "laplacian_2d",
+    "laplacian_2d_combine",
+    "laplacian_2d_nodes",
     "wirtinger_dd",
     "wirtinger_d",
 ]
@@ -97,8 +99,8 @@ def hessian(f, x, h):
     return np.moveaxis(H, 2, 0)
 
 
-def laplacian_2d(f, x, h):
-    """Fourth-order Laplacian of a function on R^2; (P, ...)."""
+def laplacian_2d_nodes(x, h):
+    """The 9 stencil nodes of ``laplacian_2d`` around each point; (9, P, 2)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     offsets = [np.zeros(2)]
     for a in range(2):
@@ -106,7 +108,11 @@ def laplacian_2d(f, x, h):
             e = np.zeros(2)
             e[a] = s
             offsets.append(e)
-    vals = _eval_at_offsets(f, x, offsets)
+    return x[None, :, :] + np.asarray(offsets)[:, None, :]
+
+
+def laplacian_2d_combine(vals, h):
+    """Combine values (9, P, ...) at ``laplacian_2d_nodes`` into (P, ...)."""
     c = vals[0]
 
     def lap(vpx, vmx, vpy, vmy, step):
@@ -115,6 +121,13 @@ def laplacian_2d(f, x, h):
     l_h = lap(vals[1], vals[2], vals[5], vals[6], h)
     l_h2 = lap(vals[3], vals[4], vals[7], vals[8], h / 2)
     return (4 * l_h2 - l_h) / 3
+
+
+def laplacian_2d(f, x, h):
+    """Fourth-order Laplacian of a function on R^2; (P, ...)."""
+    nodes = laplacian_2d_nodes(x, h)
+    vals = np.asarray(f(nodes.reshape(-1, 2)))
+    return laplacian_2d_combine(vals.reshape(nodes.shape[:2] + vals.shape[1:]), h)
 
 
 def _split_wirtinger(H, n):

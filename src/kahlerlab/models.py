@@ -129,13 +129,37 @@ class ModelSpace:
         return float(2.0 / math.sqrt(-c) * math.acosh(ratio))
 
     def distance_field(self, p) -> ScalarField:
-        """d(p, .) as a batched scalar field on the chart."""
+        """d(p, .) as a batched scalar field; ``distance`` step for step,
+        so the two agree bit for bit."""
         p = np.asarray(p, dtype=complex).reshape(self.n)
+        c, p_sq = self.c, np.sum(np.abs(p) ** 2)
 
         def fn(zs):
-            return np.array([self.distance(p, z) for z in zs])
+            if c == 0:
+                d = p[None] - zs            # the row dot products of np.linalg.norm
+                return np.sqrt(np.vecdot(d.real, d.real) + np.vecdot(d.imag, d.imag))
+            num = _cabs(1.0 + (c / 4.0) * np.sum(p[None] * np.conj(zs), axis=1))
+            den_sq = (1.0 + (c / 4.0) * p_sq) \
+                * (1.0 + (c / 4.0) * np.sum(np.abs(zs) ** 2, axis=1))
+            if c > 0:
+                ratio = np.minimum(np.maximum(num / np.sqrt(den_sq), -1.0), 1.0)
+                return 2.0 / math.sqrt(c) * _libm(math.acos, ratio)
+            if np.any(den_sq <= 0):
+                raise DomainExceeded("point outside the negative-curvature chart")
+            ratio = np.maximum(num / np.sqrt(den_sq), 1.0)
+            return 2.0 / math.sqrt(-c) * _libm(math.acosh, ratio)
 
         return ScalarField(fn=fn, n=self.n, name=f"model distance from {p}")
+
+
+# Python's abs of a complex scalar is hypot, and the math module is libm;
+# numpy's SIMD abs, acos, acosh and atan2 can differ from them in the last bit.
+def _cabs(z: np.ndarray) -> np.ndarray:
+    return np.hypot(z.real, z.imag)
+
+
+def _libm(fn, *args: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, *args), dtype=float, count=args[0].size)
 
 
 def model_distance(K: float, z1, z2, n: Optional[int] = None) -> float:
@@ -188,15 +212,21 @@ class ConeSurface:
                                     name=f"cone metric, alpha = {a:g}")
 
     def distance_field(self, p) -> ScalarField:
-        """d(p, .) in the chart coordinate, p complex (apex allowed)."""
-        c = self
+        """d(p, .) in the chart coordinate, p complex (apex allowed);
+        ``cone_distance`` step for step, so the two agree bit for bit."""
         p = complex(np.asarray(p, dtype=complex).reshape(1)[0])
-        pp = (abs(p), math.atan2(p.imag, p.real))
+        rho_p = float(self.geodesic_radius(abs(p))) if abs(p) > 0 else 0.0
+        t_p, b = math.atan2(p.imag, p.real), 1.0 - self.alpha
 
         def fn(zs):
-            z = zs[:, 0]
-            return np.array([cone_distance(c, pp, (abs(w), math.atan2(w.imag, w.real)))
-                             for w in z])
+            r = _cabs(zs[:, 0])
+            rho = self.geodesic_radius(r)             # 0 at the apex, as b > 0
+            dt = np.abs((t_p - _libm(math.atan2, zs[:, 0].imag, zs[:, 0].real) + math.pi)
+                        % (2.0 * math.pi) - math.pi)
+            cos_psi = _libm(math.cos, np.minimum(b * dt, math.pi))
+            val = rho_p * rho_p + rho * rho - 2.0 * rho_p * rho * cos_psi
+            return np.where((rho_p == 0.0) | (rho == 0.0), rho_p + rho,   # the apex
+                            np.sqrt(np.maximum(val, 0.0)))
 
         return ScalarField(fn=fn, n=1, name=f"cone distance from {p}")
 

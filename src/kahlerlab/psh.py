@@ -11,15 +11,16 @@ gradient vanishes on the boundary of the disk.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import fd
 from .disks import DiskEmbedding, area_density
-from .errors import Unsupported
+from .errors import KahlerLabError, Unsupported
 from .fields import ComplexChart, ScalarField
 from .models import ConeSurface, ModelSpace, QuotientData, dK_transform, model_distance
 
@@ -77,15 +78,19 @@ def disk_laplacian(f, disk, w, h: float = 1e-3):
     a scalar for scalar w, else an array.
     """
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    if np.any(np.abs(w) + 2 * h >= 1.0):
-        raise ValueError("stencil leaves the unit disk; reduce h or |w|")
-    x = np.stack([w.real, w.imag], axis=1)
 
     def g(xs):
         return np.asarray(f(disk(xs[:, 0] + 1j * xs[:, 1])), dtype=float)
 
-    out = fd.laplacian_2d(g, x, h)
+    out = fd.laplacian_2d(g, _stencil_centres(w, h), h)
     return float(out[0]) if out.size == 1 else out
+
+
+def _stencil_centres(w: np.ndarray, h: float) -> np.ndarray:
+    """Interior points w as (P, 2) real stencil centres."""
+    if np.any(np.abs(w) + 2 * h >= 1.0):
+        raise ValueError("stencil leaves the unit disk; reduce h or |w|")
+    return np.stack([w.real, w.imag], axis=1)
 
 
 def _sample_disks(chart: ComplexChart, center, sampler: DiskSampler, rng,
@@ -132,14 +137,6 @@ def _interior_points(sampler: DiskSampler, rng) -> np.ndarray:
     return r * np.exp(1j * th)
 
 
-def _space_chart(space) -> ComplexChart:
-    return space.chart
-
-
-def _space_distance_field(space, p) -> ScalarField:
-    return space.distance_field(p)
-
-
 def _bump_laplacian(w: np.ndarray) -> np.ndarray:
     """Laplacian of (1 - |w|^2)^3, which is C^2 with flat boundary contact."""
     r2 = np.abs(w) ** 2
@@ -150,12 +147,10 @@ def _bump(w: np.ndarray) -> np.ndarray:
     return (1.0 - np.abs(w) ** 2) ** 3
 
 
-def distributional_pairing(u, disk, n_r: int = 48, n_theta: int = 64) -> float:
-    """int u(i(w)) Lap bump dA normalized by int bump dA.
-
-    Nonnegative whenever u restricts subharmonically to the disk in the
-    distributional sense; u only needs to be continuous.
-    """
+@functools.lru_cache(maxsize=None)
+def _pairing_rule(n_r: int = 48, n_theta: int = 64):
+    """Polar Gauss rule on the unit disk: (nodes, weights, bump Laplacian
+    at the nodes, bump mass)."""
     x, wgl = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * wgl * r
@@ -163,10 +158,75 @@ def distributional_pairing(u, disk, n_r: int = 48, n_theta: int = 64) -> float:
     nodes = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
     weights = np.broadcast_to((wr * 2 * math.pi / n_theta)[:, None],
                               (n_r, n_theta)).ravel()
+    return nodes, weights, _bump_laplacian(nodes), float(np.sum(weights * _bump(nodes)))
+
+
+def distributional_pairing(u, disk, n_r: int = 48, n_theta: int = 64) -> float:
+    """int u(i(w)) Lap bump dA normalized by int bump dA.
+
+    Nonnegative whenever u restricts subharmonically to the disk in the
+    distributional sense; u only needs to be continuous.
+    """
+    nodes, weights, bump_lap, mass = _pairing_rule(n_r, n_theta)
     vals = np.asarray(u(disk(nodes)), dtype=float)
-    num = float(np.sum(weights * vals * _bump_laplacian(nodes)))
-    den = float(np.sum(weights * _bump(nodes)))
-    return num / den
+    return float(np.sum(weights * vals * bump_lap)) / mass
+
+
+def disk_evaluator(chart: ComplexChart, potential: ScalarField, distance, center,
+                   sampler: DiskSampler, h: float = 1e-3, crossing_tests: int = 0):
+    """Verdicts for potential - d_K^2/2 on one fixed set of sampled disks.
+
+    Draws the disks near ``center``, clear of the potential's first
+    singular point, then the interior points of each disk in disk order,
+    then ``crossing_tests`` disks straddling the singular point.  The
+    potential and ``distance`` (chart points -> d(p, .)) are evaluated
+    once, in one batched call each, at every Laplacian stencil node and
+    pairing node.  Returns ``verdict(K, tol)``, which costs one
+    dK_transform, the stencil combination and one argmin; the first
+    minimum, pointwise before distributional, is the witness of a FAIL.
+    """
+    rng = np.random.default_rng(sampler.seed)
+    singular = potential.singular_points[0] if potential.singular_points else None
+    margin = max(potential.smoothness_radius * 4.0, 0.02) if singular is not None else 0.0
+    disks = _sample_disks(chart, center, sampler, rng, min_singular=margin,
+                          singular_at=singular)
+    ws = np.reshape([_interior_points(sampler, rng) for _ in disks],
+                    (len(disks), sampler.interior_points))
+    cross, notes = [], ()
+    if crossing_tests > 0 and singular is not None:
+        cross = _sample_disks(chart, singular, DiskSampler(
+            count=crossing_tests, size_range=(0.05, 0.3), center_radius=0.05), rng)
+        notes = (f"distributional pairings: {len(cross)}",)
+    x = fd.laplacian_2d_nodes(_stencil_centres(ws.ravel(), h), h)
+    nodes = (x[..., 0] + 1j * x[..., 1]).reshape((9,) + ws.shape)
+    pts = [d(nodes[:, j].ravel()).reshape(9, -1, chart.n) for j, d in enumerate(disks)]
+    pts = np.concatenate(pts, axis=1).reshape(-1, chart.n) if disks else np.zeros((0, chart.n))
+    pair_nodes, weights, bump_lap, mass = _pairing_rule()
+    pts = np.concatenate([pts] + [d(pair_nodes) for d in cross])
+    phi = potential(pts)
+    dist = np.asarray(distance(pts), dtype=float)
+    P = ws.size
+
+    def verdict(K: float, tol: float) -> PshVerdict:
+        u = phi - 0.5 * dK_transform(dist, K)
+        lap = fd.laplacian_2d_combine(u[:9 * P].reshape(9, P), h)
+        pair = np.sum(weights * u[9 * P:].reshape(len(cross), weights.size) * bump_lap,
+                      axis=1)
+        vals = np.concatenate([lap, pair / mass])
+        i = int(np.argmin(vals)) if vals.size else None
+        best = math.inf if i is None else float(vals[i])
+        witness = None
+        if best < -tol and i < P:
+            witness = {"coeffs": disks[i // ws.shape[1]].coeffs.tolist(),
+                       "w": complex(ws.flat[i]), "kind": "pointwise", "value": best}
+        elif best < -tol:
+            witness = {"coeffs": cross[i - P].coeffs.tolist(),
+                       "kind": "distributional", "value": best}
+        return PshVerdict(min_laplacian=best, verdict="PASS" if best >= -tol else "FAIL",
+                          tol=tol, samples=vals.size, seed=sampler.seed,
+                          witness=witness, notes=notes)
+
+    return verdict
 
 
 def check_bk_lower(space, potential: ScalarField, p, K: float,
@@ -178,52 +238,12 @@ def check_bk_lower(space, potential: ScalarField, p, K: float,
     Pointwise finite differences run on disks that keep clear of singular
     loci; ``crossing_tests`` additional disks straddling the singular
     point are paired distributionally.  ``center`` moves the sampling
-    region away from the base point (default: around p itself).
+    region away from the base point (default: around p itself).  The
+    witness is given on FAIL only.
     """
-    sampler = sampler or DiskSampler()
-    rng = np.random.default_rng(sampler.seed)
-    chart = _space_chart(space)
-    dist = _space_distance_field(space, p)
-
-    def u(zs):
-        return potential(zs) - 0.5 * dK_transform(dist(zs), K)
-
-    singular = potential.singular_points[0] if potential.singular_points else None
-    margin = max(potential.smoothness_radius * 4.0, 0.02) if singular is not None else 0.0
-    disks = _sample_disks(chart, p if center is None else center, sampler, rng,
-                          min_singular=margin, singular_at=singular)
-    best = math.inf
-    witness = None
-    count = 0
-    for d in disks:
-        ws = _interior_points(sampler, rng)
-        vals = disk_laplacian(u, d, ws, h=fd_step)
-        vals = np.atleast_1d(vals)
-        count += vals.size
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best = float(vals[i])
-            witness = {"coeffs": d.coeffs.tolist(), "w": complex(ws[i]),
-                       "kind": "pointwise", "value": best}
-    notes = []
-    if crossing_tests > 0 and singular is not None:
-        cross_sampler = DiskSampler(seed=sampler.seed + 1, count=crossing_tests,
-                                    size_range=(0.05, 0.3), center_radius=0.05)
-        cross = _sample_disks(chart, singular, cross_sampler, rng)
-        made = 0
-        for d in cross:
-            val = distributional_pairing(u, d)
-            made += 1
-            count += 1
-            if val < best:
-                best = float(val)
-                witness = {"coeffs": d.coeffs.tolist(), "kind": "distributional",
-                           "value": best}
-        notes.append(f"distributional pairings: {made}")
-    verdict = "PASS" if best >= -tol else "FAIL"
-    return PshVerdict(min_laplacian=best, verdict=verdict, tol=tol, samples=count,
-                      seed=sampler.seed, witness=witness if verdict == "FAIL" else witness,
-                      notes=tuple(notes))
+    return disk_evaluator(space.chart, potential, space.distance_field(p),
+                          p if center is None else center, sampler or DiskSampler(),
+                          fd_step, crossing_tests)(K, tol)
 
 
 def check_bk_lower_set(space, potential: ScalarField, S, K: float,
@@ -234,9 +254,6 @@ def check_bk_lower_set(space, potential: ScalarField, S, K: float,
     S is a finite point array (m, n) or a ComplexLine (flat spaces only
     for the closed-form line distance).
     """
-    sampler = sampler or DiskSampler()
-    rng = np.random.default_rng(sampler.seed)
-    chart = _space_chart(space)
     if isinstance(S, ComplexLine):
         if not (isinstance(space, ModelSpace) and space.K == 0):
             raise Unsupported("closed-form line distance requires the flat model")
@@ -244,32 +261,14 @@ def check_bk_lower_set(space, potential: ScalarField, S, K: float,
         center = S.a
     else:
         S = np.atleast_2d(np.asarray(S, dtype=complex))
-        fields = [_space_distance_field(space, pt) for pt in S]
+        fields = [space.distance_field(pt) for pt in S]
 
         def d_S(zs):
             return np.min(np.stack([f(zs) for f in fields]), axis=0)
 
         center = S[0]
-
-    def u(zs):
-        return potential(zs) - 0.5 * dK_transform(d_S(zs), K)
-
-    disks = _sample_disks(chart, center, sampler, rng)
-    best = math.inf
-    witness = None
-    count = 0
-    for d in disks:
-        ws = _interior_points(sampler, rng)
-        vals = np.atleast_1d(disk_laplacian(u, d, ws, h=fd_step))
-        count += vals.size
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best = float(vals[i])
-            witness = {"coeffs": d.coeffs.tolist(), "w": complex(ws[i]),
-                       "kind": "pointwise", "value": best}
-    verdict = "PASS" if best >= -tol else "FAIL"
-    return PshVerdict(min_laplacian=best, verdict=verdict, tol=tol,
-                      samples=count, seed=sampler.seed, witness=witness)
+    return disk_evaluator(space.chart, potential, d_S, center,
+                          sampler or DiskSampler(), fd_step)(K, tol)
 
 
 @dataclass
@@ -418,18 +417,21 @@ def k_threshold(space, potential: ScalarField, p, lo: float, hi: float,
     """Largest K (to the given resolution) at which the sampled
     subharmonicity test still passes, by bisection on a fixed disk set.
 
-    ``trace``, if given, collects (K, min_laplacian, verdict) triples.
+    The disks are sampled and evaluated once; each step only re-weighs
+    the distance at its K.  ``trace``, if given, collects
+    (K, min_laplacian, verdict) triples.
     """
     sampler = sampler or DiskSampler(count=60, size_range=(0.05, 0.3))
+    verdict = disk_evaluator(space.chart, potential, space.distance_field(p), p, sampler)
 
     def passes(K):
-        v = check_bk_lower(space, potential, p, K, sampler=sampler, tol=tol)
+        v = verdict(K, tol)
         if trace is not None:
             trace.append((K, v.min_laplacian, v.verdict))
         return v.passed
 
     if not passes(lo):
-        raise ValueError("test already fails at the lower endpoint")
+        raise KahlerLabError(f"test already fails at the lower endpoint K={lo:g}")
     if passes(hi):
         return hi
     while hi - lo > resolution:

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from jsonschema import Draft202012Validator
 
-from kahlerlab.cli import (CSV_COLUMNS, bundled_scenario_path, load_config,
-                           main, scan_disks)
+from kahlerlab.cli import (CHECK_PARAM_SCHEMAS, CONFIG_SCHEMA, CSV_COLUMNS,
+                           bundled_scenario_path, load_config, main, scan_disks)
 from kahlerlab.errors import ConfigError
 from kahlerlab.models import ModelSpace
 from kahlerlab.psh import DiskSampler
@@ -65,6 +66,39 @@ def test_unknown_keys_rejected(tmp_path):
     cfg["scenarios"][0]["surprise"] = True
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, cfg))
+
+
+def test_schemas_are_valid_draft_2020_12():
+    Draft202012Validator.check_schema(CONFIG_SCHEMA)
+    for props in CHECK_PARAM_SCHEMAS.values():
+        Draft202012Validator.check_schema({"type": "object", "properties": props})
+
+
+@pytest.mark.parametrize("size_range", [[0.1], [0.3, 0.05], [0.0, 0.1]])
+def test_bad_size_range_exits_three(tmp_path, size_range):
+    cfg = _minimal_cfg(check="psh", params={"K": 0.0})
+    cfg["scenarios"][0]["sampler"]["size_range"] = size_range
+    res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3
+    assert isinstance(res.exception, SystemExit)
+    assert "size_range" in res.output
+
+
+def test_k_threshold_failing_lower_endpoint_is_an_error_row(tmp_path):
+    cfg = {"version": 1, "scenarios": [{
+        "id": "s", "space": {"kind": "model", "K": 1.0, "n": 1},
+        "sampler": {"seed": 2, "count": 10, "interior_points": 4,
+                    "size_range": [0.05, 0.3]},
+        "checks": [
+            {"check": "psh", "id": "psh", "params": {"K": 1.0, "p": [[0.1, 0.05]]}},
+            {"check": "k-threshold", "id": "thr",
+             "params": {"p": [[0.1, 0.05]], "lo": 1.5, "hi": 2.0}}]}]}
+    res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    rows = list(csv.DictReader(open(tmp_path / "o" / "results.csv")))
+    assert [(r["check_id"], r["verdict"]) for r in rows] \
+        == [("psh", "PASS"), ("thr", "ERROR")]
 
 
 def test_unexpected_verdict_exits_one(tmp_path):

@@ -179,6 +179,61 @@ def test_cone_distance_field_matches_pointwise():
     assert f(np.array([[z]]))[0] == pytest.approx(direct)
 
 
+@pytest.mark.parametrize("K", [-1.0, 0.0, 1.0, 2.0])
+@pytest.mark.parametrize("n", [1, 2])
+def test_model_distance_field_is_bitwise_distance(K, n):
+    space = ModelSpace(K=K, n=n)
+    rng = np.random.default_rng(4)
+    p = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    zs = [p, p + 1e-9]
+    zs += list(0.4 * (rng.standard_normal((40, n)) + 1j * rng.standard_normal((40, n))))
+    if K > 0:
+        # the point orthogonal to p sits at the diameter, the d_K cap
+        far = -(4.0 / space.c) * p / np.sum(np.abs(p) ** 2)
+        zs += [far, 0.999 * far]
+    if K < 0:
+        # just inside the Poincare ball |z| < 2/sqrt(|c|)
+        edge = 2.0 / math.sqrt(-space.c)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        zs += [edge * (1 - t) * u / np.linalg.norm(u) for t in (1e-3, 1e-6)]
+    zs = np.array(zs)
+    field = space.distance_field(p)(zs)
+    assert np.array_equal(field, [space.distance(p, z) for z in zs])
+    if K > 0:
+        assert field[-2] == pytest.approx(space.diameter)
+
+
+def test_model_distance_field_outside_ball_raises():
+    space = ModelSpace(K=-1.0, n=1)
+    outside = np.array([[2.0 / math.sqrt(2.0) * 1.01]], dtype=complex)
+    with pytest.raises(DomainExceeded):
+        space.distance(np.zeros(1), outside[0])
+    with pytest.raises(DomainExceeded):
+        space.distance_field(np.zeros(1))(outside)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 2.0 / 3.0])
+@pytest.mark.parametrize("p", [0.7 + 0.1j, 0.0, -0.3j])
+def test_cone_distance_field_is_bitwise_cone_distance(alpha, p):
+    cone = ConeSurface(alpha=alpha)
+    rng = np.random.default_rng(5)
+    z = np.concatenate([[0.0, p, -p, 1e-12, 0.9 * np.exp(1j * (np.angle(p) + 2.5))],
+                        rng.uniform(-1.4, 1.4, 40) + 1j * rng.uniform(-1.4, 1.4, 40)])
+    pp = (abs(p), math.atan2(p.imag, p.real))
+    direct = [cone_distance(cone, pp, (abs(w), math.atan2(w.imag, w.real))) for w in z]
+    assert np.array_equal(cone.distance_field(p)(z[:, None]), direct)
+
+
+def test_cone_distance_field_apex_and_through_apex():
+    wide = ConeSurface(alpha=-0.5)
+    # angle 2.5 > 2 pi / 3, so psi = 1.5 * 2.5 >= pi: the path runs through the apex
+    z = np.array([[0.0], [0.8 * np.exp(2.5j)]])
+    d = wide.distance_field(0.6)(z)
+    rho = wide.geodesic_radius(np.array([0.6, 0.8]))
+    assert d[0] == rho[0]
+    assert d[1] == pytest.approx(rho[0] + rho[1])
+
+
 def test_quotient_round_distances():
     q = QuotientData()
     assert link_quotient_distance(q, 0.0, 0.0) == pytest.approx(0.0)

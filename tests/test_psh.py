@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kahlerlab.disks import DiskEmbedding
-from kahlerlab.errors import Unsupported
+from kahlerlab.errors import KahlerLabError, Unsupported
 from kahlerlab.fields import ComplexChart, ScalarField
 from kahlerlab.models import ConeSurface, ModelSpace, QuotientData
 from kahlerlab.psh import (ComplexLine, DiskSampler, check_bk_lower,
@@ -109,6 +109,49 @@ def test_k_threshold_bisection():
     thr = k_threshold(m, m.potential(), p, 0.5, 2.0, resolution=1e-3,
                       sampler=s, tol=1e-7)
     assert thr == pytest.approx(1.0, abs=1e-3)
+
+
+def test_pass_has_no_witness():
+    m = ModelSpace(K=1.0, n=1)
+    v = check_bk_lower(m, m.potential(), np.array([0.1 + 0.05j]), 1.0,
+                       sampler=DiskSampler(count=20, interior_points=5,
+                                           size_range=(0.05, 0.3)), tol=1e-7)
+    assert v.verdict == "PASS"
+    assert v.witness is None
+
+
+def test_k_threshold_trace_matches_separate_checks():
+    m = ModelSpace(K=1.0, n=1)
+    p = np.array([0.1 + 0.05j])
+    s = DiskSampler(seed=3, count=15, interior_points=4, size_range=(0.05, 0.3))
+    trace = []
+    k_threshold(m, m.potential(), p, 0.5, 2.0, resolution=1e-2, sampler=s,
+                tol=1e-7, trace=trace)
+    assert {v for _, _, v in trace} == {"PASS", "FAIL"}
+    for K, min_lap, verdict in trace:
+        v = check_bk_lower(m, m.potential(), p, K, sampler=s, tol=1e-7)
+        assert v.min_laplacian == min_lap
+        assert v.verdict == verdict
+
+
+def test_k_threshold_cone_trace_matches_separate_checks():
+    cone = ConeSurface(alpha=0.5)
+    s = DiskSampler(seed=1, count=15, interior_points=4)
+    trace = []
+    k_threshold(cone, cone.potential(), 0.7 + 0.1j, -0.5, 0.5, resolution=0.05,
+                sampler=s, tol=1e-7, trace=trace)
+    assert {v for _, _, v in trace} == {"PASS", "FAIL"}
+    for K, min_lap, verdict in trace:
+        v = check_bk_lower(cone, cone.potential(), 0.7 + 0.1j, K, sampler=s, tol=1e-7)
+        assert (v.min_laplacian, v.verdict) == (min_lap, verdict)
+
+
+def test_k_threshold_failing_lower_endpoint_is_a_lab_error():
+    m = ModelSpace(K=1.0, n=1)
+    with pytest.raises(KahlerLabError):
+        k_threshold(m, m.potential(), np.array([0.1 + 0.05j]), 1.5, 2.0,
+                    sampler=DiskSampler(count=10, interior_points=4,
+                                        size_range=(0.05, 0.3)))
 
 
 def test_cones_pass_and_wide_cone_fails():
