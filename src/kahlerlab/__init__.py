@@ -21,14 +21,15 @@ from .geodesy import (DiscretePath, DiskObstacle, DistanceSolution,
                       PlanarDomain, RectObstacle, chord_lower_bound,
                       domain_length_metric, geodesic_distance,
                       geodesic_distance_many, path_energy)
-from .disks import (ComparisonReport, DiskEmbedding, QuadratureGrid,
-                    annulus_defect, annulus_tail, area_density,
-                    asymptotic_defect, comparison_defect, log_moment,
-                    rprime_value, torsion_contraction, torsion_expected_defect,
+from .disks import (ComparisonReport, DiskEmbedding, DiskSampler, QuadratureGrid,
+                    ScanResult, TorsionSpace, annulus_defect, annulus_tail,
+                    area_density, asymptotic_defect, comparison_defect,
+                    log_moment, rprime_value, sample_disks, scan_disks,
+                    torsion_contraction, torsion_expected_defect,
                     torsion_metric, violation_disk)
-from .psh import (ComplexLine, DiskSampler, PshVerdict, check_bk_lower,
-                  check_bk_lower_set, disk_laplacian, k_threshold,
-                  quotient_bk2_check, radial_potential_check)
-from .cli import ScanResult, emit_plot_data, scan_disks
+from .psh import (ComplexLine, PshVerdict, check_bk_lower, check_bk_lower_set,
+                  disk_laplacian, k_threshold, quotient_bk2_check,
+                  radial_potential_check)
+from .cli import emit_plot_data
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -31,17 +31,16 @@ import click
 import jsonschema
 import numpy as np
 
-from .curvature import curvature_tensor, min_bk_defect
-from .disks import (DiskEmbedding, annulus_defect, asymptotic_defect,
-                    comparison_defect, rprime_value,
-                    torsion_expected_defect, torsion_metric, violation_disk)
+from .curvature import TangentPair, curvature_tensor, min_bk_defect
+from .disks import (DiskEmbedding, DiskSampler, TorsionSpace, annulus_defect,
+                    asymptotic_defect, comparison_defect, rprime_value, sample_disks,
+                    scan_disks, torsion_expected_defect, violation_disk)
 from .errors import ConfigError, KahlerLabError
-from .fields import ComplexChart, HermitianMetricField, ScalarField, flat_potential
-from .geodesy import (DiskObstacle, PlanarDomain, RectObstacle,
-                      _visibility_length, domain_length_metric)
-from .models import (ConeSurface, ModelSpace, QuotientData, orbifold_cone)
-from .psh import (ComplexLine, DiskSampler, check_bk_lower, check_bk_lower_set,
-                  k_threshold, quotient_bk2_check, radial_potential_check)
+from .fields import ComplexChart
+from .geodesy import DiskObstacle, PlanarDomain, RectObstacle, domain_length_metric
+from .models import ConeSurface, ModelSpace, QuotientData, orbifold_cone
+from .psh import (ComplexLine, check_bk_lower, check_bk_lower_set, k_threshold,
+                  quotient_bk2_check, radial_potential_check)
 
 log = logging.getLogger("kahlerlab")
 
@@ -53,10 +52,12 @@ _POINT = {"type": "array",
                               {"type": "array", "items": {"type": "number"},
                                "minItems": 2, "maxItems": 2}]}}
 _NUMLIST = {"type": "array", "items": {"type": "number"}}
+_COUNT = {"type": "integer", "minimum": 1}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
 _SAMPLER = {"type": "object", "additionalProperties": False,
             "properties": {"seed": {"type": "integer"},
-                           "count": {"type": "integer", "minimum": 1},
+                           "count": _COUNT,
                            "size_range": {"type": "array", "minItems": 2, "maxItems": 2,
                                           "items": {"type": "number",
                                                     "exclusiveMinimum": 0}},
@@ -90,10 +91,11 @@ CHECK_PARAM_SCHEMAS = {
     "min-bk-defect": {"K": {"type": "number"}, "z": _POINT,
                       "tol": {"type": "number"}, "samples": {"type": "integer"}},
     "comparison-scan": {"K": {"type": "number"}, "p": _POINT,
-                        "count": {"type": "integer"}, "tol": {"type": "number"}},
+                        "count": _COUNT, "tol": {"type": "number"}},
     "violation-study": {"K": {"type": "number"}, "eps2_list": _NUMLIST,
                         "band": _NUMLIST},
-    "annulus": {"K": {"type": "number"}, "p": _POINT, "eps_list": _NUMLIST,
+    "annulus": {"K": {"type": "number"}, "p": _POINT,
+                "eps_list": {"type": "array", "items": dict(_POSITIVE, exclusiveMaximum=0.1)},
                 "tol": {"type": "number"}},
     "psh": {"K": {"type": "number"}, "p": _POINT, "tol": {"type": "number"},
             "crossing": {"type": "integer"}, "center": _POINT},
@@ -102,12 +104,12 @@ CHECK_PARAM_SCHEMAS = {
     "radial-potential": {"tol": {"type": "number"}},
     "quotient-bk2": {"zprime": _POINT, "perturb": {"type": "boolean"}},
     "k-threshold": {"p": _POINT, "lo": {"type": "number"}, "hi": {"type": "number"},
-                    "resolution": {"type": "number"}, "expected": {"type": "number"},
+                    "resolution": _POSITIVE, "expected": {"type": "number"},
                     "band": {"type": "number"}, "tol": {"type": "number"}},
     "torsion-disk": {"a": _POINT, "b": _POINT, "eps1": {"type": "number"},
                      "eps2": {"type": "number"}, "factor": {"type": "number"}},
-    "domain-compare": {"p": _NUMLIST, "q": _NUMLIST, "eps": {"type": "number"},
-                       "count": {"type": "integer"}, "tol": {"type": "number"},
+    "domain-compare": {"p": _NUMLIST, "q": _NUMLIST, "eps": _POSITIVE,
+                       "count": _COUNT, "tol": {"type": "number"},
                        "min_ratio": {"type": "number"}},
 }
 
@@ -183,34 +185,34 @@ def load_config(path: str) -> dict:
 
 
 def build_space(spec: dict):
+    """The space a config declares; every kind has a ``chart``, and
+    ``metric()``, ``potential()`` and ``distance_field(p)`` where it has them."""
     kind = spec["kind"]
-    if kind == "model":
-        return ModelSpace(K=spec.get("K", 0.0), n=spec.get("n", 1))
-    if kind == "cone":
-        return ConeSurface(alpha=spec["alpha"])
-    if kind == "orbifold":
-        return orbifold_cone(spec["k"])
-    if kind == "quotient":
-        return QuotientData(delta=spec.get("delta", 1.0))
-    if kind == "torsion":
-        n = spec.get("n", 2)
-        chart = ComplexChart(n=n, radii=spec.get("radius", 1.5))
-        try:
-            T = np.array(spec["T"], dtype=float)
-            return TorsionSpace(T=T, metric=torsion_metric(T, chart))
-        except (KeyError, ValueError) as e:
-            raise ConfigError(f"bad torsion space: {e}") from e
-    if kind == "domain":
-        obstacles = []
-        for ob in spec.get("obstacles", ()):
-            if ob["type"] == "rect":
-                obstacles.append(RectObstacle(center=np.array(ob["center"]),
-                                              half_widths=np.array(ob["half_widths"])))
-            else:
-                obstacles.append(DiskObstacle(center=np.array(ob["center"]),
-                                              radius=ob["radius"]))
-        chart = ComplexChart(n=1, radii=spec.get("radius", 2.0))
-        return PlanarDomain(chart=chart, obstacles=tuple(obstacles))
+    try:
+        if kind == "model":
+            return ModelSpace(K=spec.get("K", 0.0), n=spec.get("n", 1))
+        if kind == "cone":
+            return ConeSurface(alpha=spec["alpha"])
+        if kind == "orbifold":
+            return orbifold_cone(spec["k"])
+        if kind == "quotient":
+            return QuotientData(delta=spec.get("delta", 1.0))
+        if kind == "torsion":
+            chart = ComplexChart(n=spec.get("n", 2), radii=spec.get("radius", 1.5))
+            return TorsionSpace(T=np.array(spec["T"], dtype=float), chart=chart)
+        if kind == "domain":
+            obstacles = []
+            for ob in spec.get("obstacles", ()):
+                if ob["type"] == "rect":
+                    obstacles.append(RectObstacle(center=np.array(ob["center"]),
+                                                  half_widths=np.array(ob["half_widths"])))
+                else:
+                    obstacles.append(DiskObstacle(center=np.array(ob["center"]),
+                                                  radius=ob["radius"]))
+            chart = ComplexChart(n=1, radii=spec.get("radius", 2.0))
+            return PlanarDomain(chart=chart, obstacles=tuple(obstacles))
+    except (KeyError, ValueError) as e:
+        raise ConfigError(f"bad {kind} space: {e}") from e
     raise ConfigError(f"unknown space kind {kind!r}")
 
 
@@ -221,98 +223,6 @@ def build_sampler(spec: Optional[dict], seed_override: Optional[int]) -> DiskSam
     if seed_override is not None:
         spec["seed"] = seed_override
     return DiskSampler(**spec)
-
-
-def _flat_metric(chart: ComplexChart) -> HermitianMetricField:
-    n = chart.n
-
-    def gram(zs):
-        return np.broadcast_to(0.5 * np.eye(n), (zs.shape[0], n, n)).astype(complex)
-
-    return HermitianMetricField(chart, potential=flat_potential(n),
-                                exact_gram=gram, name="flat")
-
-
-def _domain_distance_field(domain: PlanarDomain, p: complex) -> ScalarField:
-    p2 = np.array([p.real, p.imag])
-    rects = all(isinstance(ob, RectObstacle) for ob in domain.obstacles)
-
-    def fn(zs):
-        out = np.empty(zs.shape[0])
-        for i, z in enumerate(zs[:, 0]):
-            q2 = np.array([z.real, z.imag])
-            L = _visibility_length(domain, p2, q2) if rects else None
-            if L is None:
-                L = domain_length_metric(domain, p2, q2)
-            out[i] = L
-        return out
-
-    return ScalarField(fn=fn, n=1, name="domain length metric")
-
-
-@dataclass
-class TorsionSpace:
-    """A direct-form metric together with its defining torsion tensor."""
-
-    T: np.ndarray
-    metric: HermitianMetricField
-
-
-@dataclass
-class ScanResult:
-    """Worst comparison report over a sampled disk family."""
-
-    report: object
-    disk: DiskEmbedding
-    scanned: int
-    directed: bool
-
-
-def scan_disks(space, p, K: float, sampler: DiskSampler,
-               distance=None, metric=None, tol: Optional[float] = None,
-               directed_eps=(0.06, 0.25)) -> ScanResult:
-    """Worst comparison defect over seeded affine and degree-2 disks.
-
-    Disk sizes are log-uniform in the sampler's range.  When the
-    curvature certifies a negative bound defect at p, the directed
-    violation construction runs first so the scan cannot miss it.
-    """
-    from .psh import _sample_disks
-
-    if metric is None:
-        metric = space if isinstance(space, HermitianMetricField) else space.metric()
-    if distance is None:
-        distance = space.distance_field(p) if hasattr(space, "distance_field") \
-            else "numeric"
-    p = np.asarray(p, dtype=complex).reshape(-1)
-    rng = np.random.default_rng(sampler.seed)
-    worst = None
-    worst_disk = None
-    directed = False
-    scanned = 0
-
-    if metric.is_potential_form:
-        data = curvature_tensor(metric, p)
-        val, pair = min_bk_defect(data, K, samples=400, seed=sampler.seed)
-        if val < -1e-7:
-            disk = violation_disk(metric, p, K, pair, *directed_eps)
-            rep = comparison_defect(metric, disk, p, K, distance=distance, tol=tol)
-            worst, worst_disk, directed = rep, disk, True
-            scanned += 1
-
-    disks = _sample_disks(metric.chart, p, sampler, rng)
-    for d in disks:
-        try:
-            rep = comparison_defect(metric, d, p, K, distance=distance, tol=tol)
-        except KahlerLabError:
-            continue
-        scanned += 1
-        if worst is None or rep.defect < worst.defect:
-            worst, worst_disk = rep, d
-    if worst is None:
-        raise KahlerLabError("no admissible disk in the scan")
-    return ScanResult(report=worst, disk=worst_disk, scanned=scanned,
-                      directed=directed)
 
 
 def _run_curvature_match(space, params, sampler, tol):
@@ -340,7 +250,8 @@ def _run_curvature_match(space, params, sampler, tol):
 
 def _run_min_bk_defect(space, params, sampler, tol):
     tol = params.get("tol", tol or 1e-6)
-    z = _as_point(params.get("z", [0.0] * space.n), space.n)
+    n = space.chart.n
+    z = _as_point(params.get("z", [0.0] * n), n)
     data = curvature_tensor(space.metric(), z)
     val, pair = min_bk_defect(data, params["K"], seed=sampler.seed,
                               samples=params.get("samples", 1500))
@@ -354,11 +265,10 @@ def _run_min_bk_defect(space, params, sampler, tol):
 
 def _run_comparison_scan(space, params, sampler, tol):
     tol = params.get("tol", tol or 1e-6)
-    p = _as_point(params.get("p", [0.0] * space.n), space.n)
+    n = space.chart.n
+    p = _as_point(params.get("p", [0.0] * n), n)
     if "count" in params:
-        sampler = DiskSampler(seed=sampler.seed, count=params["count"],
-                              size_range=sampler.size_range,
-                              center_radius=sampler.center_radius)
+        sampler = replace(sampler, count=params["count"])
     res = scan_disks(space, p, params["K"], sampler, tol=tol)
     rep = res.report
     verdict = "PASS" if rep.defect >= -tol else "FAIL"
@@ -385,7 +295,6 @@ def _run_violation_study(space, params, sampler, tol):
     Y = np.zeros(space.n, dtype=complex)
     X[0] = 1.0
     Y[-1] = 1.0
-    from .curvature import TangentPair
     pair = TangentPair(X=X, Y=Y, G=data.G)
     rp = rprime_value(data, K, pair)
     dist = space.distance_field(p)
@@ -408,14 +317,12 @@ def _run_violation_study(space, params, sampler, tol):
 
 
 def _run_annulus(space, params, sampler, tol):
-    from .psh import _sample_disks
-
     tol = params.get("tol", tol or 1e-6)
-    p = _as_point(params.get("p", [0.0] * space.n), space.n)
+    n = space.chart.n
+    p = _as_point(params.get("p", [0.0] * n), n)
     metric = space.metric()
     dist = space.distance_field(p)
-    rng = np.random.default_rng(sampler.seed)
-    disks = _sample_disks(metric.chart, p, sampler, rng)
+    disks = sample_disks(metric.chart, p, sampler, np.random.default_rng(sampler.seed))
     worst = math.inf
     wit = None
     for d in disks:
@@ -431,8 +338,7 @@ def _run_annulus(space, params, sampler, tol):
 
 def _run_psh(space, params, sampler, tol):
     tol = params.get("tol", tol or 1e-6)
-    n = space.n if isinstance(space, ModelSpace) else 1
-    p = _as_point(params.get("p", [0.0] * n))
+    p = _as_point(params.get("p", [0.0] * space.chart.n), space.chart.n)
     center = _as_point(params["center"]) if "center" in params else None
     pot = space.potential()
     v = check_bk_lower(space, pot, p if p.size > 1 else complex(p[0]),
@@ -448,7 +354,7 @@ def _run_psh_set(space, params, sampler, tol):
         S = ComplexLine(a=_as_point(params["line"]["a"]),
                         v=_as_point(params["line"]["v"]))
     else:
-        S = np.stack([_as_point(pt, space.n) for pt in params["S"]])
+        S = np.stack([_as_point(pt, space.chart.n) for pt in params["S"]])
     v = check_bk_lower_set(space, space.potential(), S, params["K"],
                            sampler=sampler, tol=tol)
     return dict(verdict=v.verdict, value=v.min_laplacian, error_est=0.0,
@@ -478,8 +384,8 @@ def _run_quotient_bk2(space, params, sampler, tol):
 
 
 def _run_k_threshold(space, params, sampler, tol):
-    p = _as_point(params.get("p", [0.1, 0.05]), space.n) \
-        if isinstance(space, ModelSpace) else _as_point(params.get("p", [0.1]))
+    n = space.chart.n
+    p = _as_point(params.get("p", [0.1, 0.05][:n] + [0.0] * (n - 2)), n)
     trace = []
     thr = k_threshold(space, space.potential(), p,
                       params.get("lo", 0.5), params.get("hi", 2.0),
@@ -499,10 +405,9 @@ def _run_torsion_disk(space, params, sampler, tol):
     a = _as_point(params["a"])
     b = _as_point(params["b"])
     e1, e2 = params.get("eps1", 5e-3), params.get("eps2", 5e-2)
-    metric = space.metric
-    disk = DiskEmbedding.affine(e2 * b, e1 * a, metric.chart)
-    p = np.zeros(metric.chart.n, dtype=complex)
-    rep = comparison_defect(metric, disk, p, 0.0, distance="numeric",
+    disk = DiskEmbedding.affine(e2 * b, e1 * a, space.chart)
+    p = np.zeros(space.chart.n, dtype=complex)
+    rep = comparison_defect(space.metric(), disk, p, 0.0, distance="numeric",
                             solver_opts=dict(N=24, gtol=1e-8, max_iters=120))
     expected = torsion_expected_defect(space.T, a, b, e1, e2)
     factor = params.get("factor", 2.0)
@@ -521,15 +426,13 @@ def _run_domain_compare(space, params, sampler, tol):
     tol = params.get("tol", tol or 1e-6)
     p = complex(params["p"][0], params["p"][1])
     q = complex(params["q"][0], params["q"][1])
-    p2 = np.array([p.real, p.imag])
-    q2 = np.array([q.real, q.imag])
-    L = domain_length_metric(space, p2, q2)
-    ratio = L / abs(q - p)
-    metric = _flat_metric(space.chart)
-    dist = _domain_distance_field(space, p)
+    ratio = domain_length_metric(space, [p.real, p.imag], [q.real, q.imag]) / abs(q - p)
+    if ratio < params.get("min_ratio", -math.inf):
+        raise KahlerLabError(f"length ratio {ratio:.6g} is below min_ratio "
+                             f"{params['min_ratio']:g}")
+    metric = space.metric()
+    dist = space.distance_field(p)
     eps = params.get("eps", 0.15)
-    worst = None
-    worst_disk = None
     candidates = [DiskEmbedding.affine(np.array([q]), np.array([eps]), space.chart)]
     rng = np.random.default_rng(sampler.seed)
     for _ in range(params.get("count", 10)):
@@ -544,17 +447,14 @@ def _run_domain_compare(space, params, sampler, tol):
                                                    space.chart))
         except ValueError:
             continue
-    for d in candidates:
-        rep = comparison_defect(metric, d, np.array([p]), 0.0, distance=dist)
-        if worst is None or rep.defect < worst.defect:
-            worst, worst_disk = rep, d
+    worst, worst_disk = min(
+        ((comparison_defect(metric, d, np.array([p]), 0.0, distance=dist), d)
+         for d in candidates), key=lambda rd: rd[0].defect)
     verdict = "PASS" if worst.defect >= -tol else "FAIL"
     witness = None
     if verdict == "FAIL":
         witness = {"coeffs": _jsonify(worst_disk.coeffs), "p": [p.real, p.imag],
                    "ratio": ratio, "defect": worst.defect}
-    if "min_ratio" in params and ratio < params["min_ratio"]:
-        verdict = "ERROR"
     return dict(verdict=verdict, value=worst.defect,
                 error_est=worst.error_estimate, witness=witness,
                 extra={"length_ratio": ratio})
@@ -609,12 +509,9 @@ def run_scenario(scenario: dict, seed_override: Optional[int],
         try:
             out = CHECK_RUNNERS[name](space, check.get("params", {}),
                                       sampler, tol_override)
-        except KahlerLabError as e:
-            log.error("%s/%s: %s", scenario["id"], check_id, e)
-            out = dict(verdict="ERROR", value=math.nan, error_est=math.nan,
-                       witness={"error": str(e)})
-        except (FloatingPointError, np.linalg.LinAlgError) as e:
-            log.error("%s/%s: %s", scenario["id"], check_id, e)
+        except Exception as e:
+            log.error("%s/%s: %s", scenario["id"], check_id, e,
+                      exc_info=not isinstance(e, KahlerLabError))
             out = dict(verdict="ERROR", value=math.nan, error_est=math.nan,
                        witness={"error": str(e)})
         wall_ms = int(1000 * (time.perf_counter() - t0))
@@ -658,14 +555,11 @@ def execute(cfg: dict, out_dir: Path, seed: Optional[int], jobs: int,
         w.writerow(CSV_COLUMNS)
         w.writerows(csv_rows)
 
-    summary = {"rows": [_jsonify({k: v for k, v in r.items()}) for r in rows]}
-    errors = sum(1 for r in rows if r["verdict"] == "ERROR")
-    mismatches = sum(1 for r in rows
-                     if r["verdict"] != "ERROR" and r["verdict"] != r["expect"])
-    summary["errors"] = errors
-    summary["mismatches"] = mismatches
+    errors = sum(r["verdict"] == "ERROR" for r in rows)
+    mismatches = sum(r["verdict"] not in ("ERROR", r["expect"]) for r in rows)
     with open(out_dir / "summary.json", "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+        json.dump({"rows": [_jsonify(r) for r in rows], "errors": errors,
+                   "mismatches": mismatches}, f, indent=2, sort_keys=True)
 
     for r in rows:
         mark = "ok" if (r["verdict"] == r["expect"]) else "UNEXPECTED"

@@ -108,7 +108,8 @@ def curvature_tensor(metric: HermitianMetricField, z: np.ndarray,
         return fd.wirtinger_dd(lambda u: phi(real_to_z(u)), z_to_real(zs), h_inner, n)
 
     x0 = z_to_real(z[None, :])
-    G = 0.5 * (gram_raw(x0)[0] + np.conj(gram_raw(x0)[0].T))
+    G0 = gram_raw(x0)[0]
+    G = 0.5 * (G0 + np.conj(G0.T))
     DD = fd.wirtinger_dd(gram_raw, x0, h_outer, n)[0]    # [k, l, i, j]
     dG = fd.wirtinger_d(gram_raw, x0, h_outer, n)[0]     # [k, i, j] = d_k g_{i jbar}
     Ginv = np.linalg.inv(G)

@@ -9,7 +9,9 @@ level K, and an embedded holomorphic disk i with image Sigma,
 with dA the two dimensional Hausdorff measure of Sigma.  The defect is
 LHS minus RHS; it is nonnegative for every disk exactly when the
 bisectional lower bound at level K holds, and the violation constructions
-below produce disks with negative defect when it fails.
+below produce disks with negative defect when it fails.  ``sample_disks``
+draws the seeded disk families and ``scan_disks`` takes the worst defect
+over one.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .curvature import CurvatureData, TangentPair, bk_defect
-from .errors import NonPositiveDefinite, Unsupported
+from .curvature import (CurvatureData, TangentPair, bk_defect, curvature_tensor,
+                        min_bk_defect)
+from .errors import KahlerLabError
 from .fields import ComplexChart, HermitianMetricField, ScalarField
 from .geodesy import geodesic_distance_many
 from .models import dK_transform
@@ -59,6 +62,8 @@ class DiskEmbedding:
         dv = np.linalg.norm(self.deriv(grid), axis=1)
         if np.min(dv) <= 1e-12 * np.max(dv):
             raise ValueError("disk derivative vanishes on the sample grid")
+        if c.shape[0] == 2:
+            return                  # a + b w with b != 0 is injective
         bnd = self(np.exp(1j * th))
         diff = np.linalg.norm(bnd[:, None, :] - bnd[None, :, :], axis=2)
         np.fill_diagonal(diff, np.inf)
@@ -93,6 +98,64 @@ class DiskEmbedding:
     def affine(cls, a, b, chart: ComplexChart) -> "DiskEmbedding":
         return cls(coeffs=np.stack([np.asarray(a, dtype=complex),
                                     np.asarray(b, dtype=complex)]), chart=chart)
+
+
+@dataclass(frozen=True)
+class DiskSampler:
+    """Seeded configuration for random disk families."""
+
+    seed: int = 0
+    count: int = 200
+    size_range: tuple = (1e-3, 0.3)
+    center_radius: float = 0.45
+    degree2_fraction: float = 0.3
+    interior_points: int = 12
+
+
+def sample_disks(chart: ComplexChart, center, sampler: DiskSampler, rng,
+                 min_singular: float = 0.0, singular_at=None) -> list:
+    """Random affine and degree-2 disks near a center point.
+
+    Disk sizes are log-uniform in the sampler's range.  With
+    ``min_singular`` > 0, rejects disks whose image comes closer than
+    that to ``singular_at``; with 0 no rejection happens.
+    """
+    n = chart.n
+    center = np.asarray(center, dtype=complex).reshape(n)
+    lo, hi = sampler.size_range
+    disks = []
+    attempts = 0
+    while len(disks) < sampler.count and attempts < 50 * sampler.count:
+        attempts += 1
+        size = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        a = center + (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
+            * sampler.center_radius / math.sqrt(2 * n)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = b / np.linalg.norm(b) * size
+        coeffs = [a, b]
+        if rng.uniform() < sampler.degree2_fraction:
+            c2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            coeffs.append(c2 / np.linalg.norm(c2) * size * rng.uniform(0.1, 0.4))
+        try:
+            d = DiskEmbedding(coeffs=np.stack(coeffs), chart=chart)
+        except ValueError:
+            continue
+        if min_singular > 0.0 and singular_at is not None:
+            th = np.linspace(0, 2 * math.pi, 64, endpoint=False)
+            grid = np.concatenate([np.exp(1j * th) * r for r in (1.0, 0.6, 0.25)]
+                                  + [np.zeros(1)])
+            pts = d(grid)
+            if np.min(np.linalg.norm(pts - np.asarray(singular_at)[None], axis=1)) < min_singular:
+                continue
+        disks.append(d)
+    return disks
+
+
+def sample_interior_points(sampler: DiskSampler, rng) -> np.ndarray:
+    """``sampler.interior_points`` points of the disk |w| < 0.7."""
+    r = np.sqrt(rng.uniform(0.0, 0.49, sampler.interior_points))
+    th = rng.uniform(0.0, 2 * math.pi, sampler.interior_points)
+    return r * np.exp(1j * th)
 
 
 @dataclass(frozen=True)
@@ -297,6 +360,57 @@ def violation_disk(metric: HermitianMetricField, p, K: float, pair: TangentPair,
     return DiskEmbedding.affine(p + eps2 * pair.Y, eps1 * pair.X, metric.chart)
 
 
+@dataclass
+class ScanResult:
+    """Worst comparison report over a sampled disk family."""
+
+    report: ComparisonReport
+    disk: DiskEmbedding
+    scanned: int
+    directed: bool
+
+
+def scan_disks(space, p, K: float, sampler: DiskSampler,
+               tol: Optional[float] = None) -> ScanResult:
+    """Worst comparison defect over seeded affine and degree-2 disks.
+
+    Distances come from ``space.distance_field(p)`` where the space has
+    one, else from the geodesic solver.  When the curvature certifies a
+    negative bound defect at p, the directed violation construction runs
+    first so the scan cannot miss it.
+    """
+    metric = space.metric()
+    distance = space.distance_field(p) if hasattr(space, "distance_field") else "numeric"
+    p = np.asarray(p, dtype=complex).reshape(-1)
+    worst = None
+    worst_disk = None
+    directed = False
+    scanned = 0
+
+    if metric.is_potential_form:
+        data = curvature_tensor(metric, p)
+        val, pair = min_bk_defect(data, K, samples=400, seed=sampler.seed)
+        if val < -1e-7:
+            disk = violation_disk(metric, p, K, pair, 0.06, 0.25)
+            rep = comparison_defect(metric, disk, p, K, distance=distance, tol=tol)
+            worst, worst_disk, directed = rep, disk, True
+            scanned += 1
+
+    rng = np.random.default_rng(sampler.seed)
+    for d in sample_disks(metric.chart, p, sampler, rng):
+        try:
+            rep = comparison_defect(metric, d, p, K, distance=distance, tol=tol)
+        except KahlerLabError:
+            continue
+        scanned += 1
+        if worst is None or rep.defect < worst.defect:
+            worst, worst_disk = rep, d
+    if worst is None:
+        raise KahlerLabError("no admissible disk in the scan")
+    return ScanResult(report=worst, disk=worst_disk, scanned=scanned,
+                      directed=directed)
+
+
 def rprime_value(data: CurvatureData, K: float, pair: TangentPair) -> float:
     """Contracted defect tensor entering the small-disk asymptotics.
 
@@ -340,6 +454,20 @@ def torsion_metric(T: np.ndarray, chart: ComplexChart) -> HermitianMetricField:
         return 0.5 * (base + lin + np.conj(np.swapaxes(lin, 1, 2)))
 
     return HermitianMetricField(chart, gram_fn=gram, name="torsion metric")
+
+
+@dataclass(frozen=True)
+class TorsionSpace:
+    """The chart with the torsion metric of T; T is checked at construction."""
+
+    T: np.ndarray
+    chart: ComplexChart
+
+    def __post_init__(self):
+        self.metric()
+
+    def metric(self) -> HermitianMetricField:
+        return torsion_metric(self.T, self.chart)
 
 
 def torsion_contraction(T: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:

@@ -24,7 +24,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import Disconnected, NonConvergence
-from .fields import ComplexChart, HermitianMetricField
+from .fields import ComplexChart, HermitianMetricField, ScalarField
+from .models import ModelSpace
 
 
 @dataclass
@@ -326,6 +327,28 @@ class PlanarDomain:
             if ob.blocks_segment(a, b):
                 return False
         return True
+
+    def metric(self) -> HermitianMetricField:
+        """The flat metric of the chart; obstacles only change distances."""
+        return ModelSpace(0.0, 1, chart=self.chart).metric()
+
+    def distance_field(self, p) -> ScalarField:
+        """Length-metric distance d(p, .) inside the domain; the corner
+        visibility graph where every obstacle is a rectangle, else
+        ``domain_length_metric``."""
+        p = complex(np.asarray(p, dtype=complex).reshape(1)[0])
+        p2 = np.array([p.real, p.imag])
+        rects = all(isinstance(ob, RectObstacle) for ob in self.obstacles)
+
+        def fn(zs):
+            out = np.empty(zs.shape[0])
+            for i, z in enumerate(zs[:, 0]):
+                q2 = np.array([z.real, z.imag])
+                L = _visibility_length(self, p2, q2) if rects else None
+                out[i] = domain_length_metric(self, p2, q2) if L is None else L
+            return out
+
+        return ScalarField(fn=fn, n=1, name="domain length metric")
 
 
 def _shortcut(domain: PlanarDomain, pts: np.ndarray) -> np.ndarray:

@@ -277,6 +277,11 @@ class QuotientData:
             raise ValueError("delta must be positive")
 
     @property
+    def chart(self) -> ComplexChart:
+        """The affine chart zeta of the projective line."""
+        return ComplexChart(n=1, radii=1.2)
+
+    @property
     def is_round(self) -> bool:
         return self.H is None and self.delta == 1.0
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fd
-from .disks import DiskEmbedding, area_density
+from .disks import DiskSampler, area_density, sample_disks, sample_interior_points
 from .errors import KahlerLabError, Unsupported
 from .fields import ComplexChart, ScalarField
 from .models import ConeSurface, ModelSpace, QuotientData, dK_transform, model_distance
@@ -41,18 +41,6 @@ class PshVerdict:
     @property
     def passed(self) -> bool:
         return self.verdict == "PASS"
-
-
-@dataclass(frozen=True)
-class DiskSampler:
-    """Seeded configuration for random disk families."""
-
-    seed: int = 0
-    count: int = 200
-    size_range: tuple = (1e-3, 0.3)
-    center_radius: float = 0.45
-    degree2_fraction: float = 0.3
-    interior_points: int = 12
 
 
 @dataclass(frozen=True)
@@ -91,50 +79,6 @@ def _stencil_centres(w: np.ndarray, h: float) -> np.ndarray:
     if np.any(np.abs(w) + 2 * h >= 1.0):
         raise ValueError("stencil leaves the unit disk; reduce h or |w|")
     return np.stack([w.real, w.imag], axis=1)
-
-
-def _sample_disks(chart: ComplexChart, center, sampler: DiskSampler, rng,
-                  min_singular: float = 0.0, singular_at=None):
-    """Random affine and degree-2 disks near a center point.
-
-    With ``min_singular`` > 0, rejects disks whose image comes closer
-    than that to ``singular_at``; with 0 no rejection happens.
-    """
-    n = chart.n
-    center = np.asarray(center, dtype=complex).reshape(n)
-    lo, hi = sampler.size_range
-    disks = []
-    attempts = 0
-    while len(disks) < sampler.count and attempts < 50 * sampler.count:
-        attempts += 1
-        size = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-        a = center + (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
-            * sampler.center_radius / math.sqrt(2 * n)
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        b = b / np.linalg.norm(b) * size
-        coeffs = [a, b]
-        if rng.uniform() < sampler.degree2_fraction:
-            c2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            coeffs.append(c2 / np.linalg.norm(c2) * size * rng.uniform(0.1, 0.4))
-        try:
-            d = DiskEmbedding(coeffs=np.stack(coeffs), chart=chart)
-        except ValueError:
-            continue
-        if min_singular > 0.0 and singular_at is not None:
-            th = np.linspace(0, 2 * math.pi, 64, endpoint=False)
-            grid = np.concatenate([np.exp(1j * th) * r for r in (1.0, 0.6, 0.25)]
-                                  + [np.zeros(1)])
-            pts = d(grid)
-            if np.min(np.linalg.norm(pts - np.asarray(singular_at)[None], axis=1)) < min_singular:
-                continue
-        disks.append(d)
-    return disks
-
-
-def _interior_points(sampler: DiskSampler, rng) -> np.ndarray:
-    r = np.sqrt(rng.uniform(0.0, 0.49, sampler.interior_points))
-    th = rng.uniform(0.0, 2 * math.pi, sampler.interior_points)
-    return r * np.exp(1j * th)
 
 
 def _bump_laplacian(w: np.ndarray) -> np.ndarray:
@@ -188,13 +132,13 @@ def disk_evaluator(chart: ComplexChart, potential: ScalarField, distance, center
     rng = np.random.default_rng(sampler.seed)
     singular = potential.singular_points[0] if potential.singular_points else None
     margin = max(potential.smoothness_radius * 4.0, 0.02) if singular is not None else 0.0
-    disks = _sample_disks(chart, center, sampler, rng, min_singular=margin,
+    disks = sample_disks(chart, center, sampler, rng, min_singular=margin,
                           singular_at=singular)
-    ws = np.reshape([_interior_points(sampler, rng) for _ in disks],
+    ws = np.reshape([sample_interior_points(sampler, rng) for _ in disks],
                     (len(disks), sampler.interior_points))
     cross, notes = [], ()
     if crossing_tests > 0 and singular is not None:
-        cross = _sample_disks(chart, singular, DiskSampler(
+        cross = sample_disks(chart, singular, DiskSampler(
             count=crossing_tests, size_range=(0.05, 0.3), center_radius=0.05), rng)
         notes = (f"distributional pairings: {len(cross)}",)
     x = fd.laplacian_2d_nodes(_stencil_centres(ws.ravel(), h), h)
@@ -291,12 +235,12 @@ def radial_potential_check(cone: ConeSurface, sampler: Optional[DiskSampler] = N
     rng = np.random.default_rng(sampler.seed)
     metric = cone.metric()
     phi = cone.potential()
-    disks = _sample_disks(metric.chart, np.array([0.7 + 0.1j]), sampler, rng,
+    disks = sample_disks(metric.chart, np.array([0.7 + 0.1j]), sampler, rng,
                           min_singular=0.05, singular_at=np.zeros(1, dtype=complex))
     worst = 0.0
     count = 0
     for d in disks:
-        ws = _interior_points(sampler, rng)
+        ws = sample_interior_points(sampler, rng)
         # a large step keeps round-off below truncation; the composed
         # potential is smooth at disk scale so truncation stays h^4 small
         lap = np.atleast_1d(disk_laplacian(phi, d, ws, h=1e-2))
@@ -357,7 +301,6 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
     sampler = sampler or DiskSampler(count=60, size_range=(0.01, 0.25),
                                      center_radius=0.4)
     rng = np.random.default_rng(sampler.seed)
-    chart = ComplexChart(n=1, radii=1.2)
 
     def pot(zs):
         z = zs[:, 0]
@@ -370,14 +313,14 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
         C = _fs_cos_distance(zs[:, 0], zprime)
         return pot(zs) + np.log(np.maximum(C, 1e-300))
 
-    disks = _sample_disks(chart, np.zeros(1), sampler, rng)
+    disks = sample_disks(q.chart, np.zeros(1), sampler, rng)
     best = math.inf
     witness = None
     consistency = 0.0
     count = 0
     saturated = False
     for d in disks:
-        ws = _interior_points(sampler, rng)
+        ws = sample_interior_points(sampler, rng)
         pts = d(ws)
         # keep clear of the zero of cos d (the cut point of zprime)
         if np.min(_fs_cos_distance(pts[:, 0], zprime)) < 0.2:

@@ -23,7 +23,6 @@ from kahlerlab.models import ConeSurface, ModelSpace, QuotientData, dK_transform
 from kahlerlab.psh import (DiskSampler, check_bk_lower, disk_laplacian,
                            k_threshold, quotient_bk2_check,
                            radial_potential_check)
-from kahlerlab.cli import _domain_distance_field, _flat_metric
 
 
 def _report(num, ok, detail):
@@ -160,15 +159,15 @@ def test_acceptance_07_domain_criterion():
     p, q = -1.2 + 0.0j, 1.2 + 0.0j
     L = domain_length_metric(dom, [p.real, p.imag], [q.real, q.imag])
     ratio = L / abs(q - p)
-    metric = _flat_metric(chart)
-    dist = _domain_distance_field(dom, p)
+    metric = dom.metric()
+    dist = dom.distance_field(p)
     # off the symmetry axis the shadow-region distance is corner-centered
     # and the comparison fails; on the axis the cut locus masks it
     disk = DiskEmbedding.affine(np.array([q + 0.4j]), np.array([0.15]), chart)
     rep = comparison_defect(metric, disk, np.array([p]), 0.0, distance=dist)
 
     convex = PlanarDomain(chart=chart, obstacles=())
-    dist0 = _domain_distance_field(convex, p)
+    dist0 = convex.distance_field(p)
     rng = np.random.default_rng(13)
     worst0 = math.inf
     for _ in range(10):

@@ -7,8 +7,10 @@ import pytest
 from click.testing import CliRunner
 from jsonschema import Draft202012Validator
 
+from kahlerlab import disks
 from kahlerlab.cli import (CHECK_PARAM_SCHEMAS, CONFIG_SCHEMA, CSV_COLUMNS,
-                           bundled_scenario_path, load_config, main, scan_disks)
+                           bundled_scenario_path, load_config, main)
+from kahlerlab.disks import scan_disks
 from kahlerlab.errors import ConfigError
 from kahlerlab.models import ModelSpace
 from kahlerlab.psh import DiskSampler
@@ -99,6 +101,81 @@ def test_k_threshold_failing_lower_endpoint_is_an_error_row(tmp_path):
     rows = list(csv.DictReader(open(tmp_path / "o" / "results.csv")))
     assert [(r["check_id"], r["verdict"]) for r in rows] \
         == [("psh", "PASS"), ("thr", "ERROR")]
+
+
+# T[0, 1, 0] = 1/2, antisymmetric in the last two slots (acceptance 06)
+_TORSION = {"kind": "torsion", "T": [[[0.0, -0.5], [0.5, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+
+
+@pytest.mark.parametrize("space, check, outcome", [
+    (_TORSION, {"check": "comparison-scan", "params": {"K": 0.0, "count": 1}}, "row"),
+    (_TORSION, {"check": "torsion-disk", "params": {"a": [1, 1], "b": [30, 0]}}, "ERROR"),
+    (_TORSION, {"check": "psh", "params": {"K": 0.0}}, "ERROR"),
+    ({"kind": "quotient"}, {"check": "psh", "params": {"K": 0.0}}, "ERROR"),
+    ({"kind": "cone", "alpha": 0.5}, {"check": "min-bk-defect", "params": {"K": 0.0}}, "row"),
+    ({"kind": "cone", "alpha": 0.5}, {"check": "annulus", "params": {"K": 0.0}}, "row"),
+    ({"kind": "cone", "alpha": 1.5}, {"check": "psh", "params": {"K": 0.0}}, 3),
+    ({"kind": "quotient", "delta": -1}, {"check": "quotient-bk2"}, 3),
+], ids=["torsion-scan", "torsion-disk-off-chart", "torsion-psh", "quotient-psh",
+        "cone-min-bk-defect", "cone-annulus", "cone-alpha", "quotient-delta"])
+def test_any_space_gives_a_row_or_a_config_error(tmp_path, space, check, outcome):
+    cfg = _minimal_cfg(check="psh", id="ok", params={"K": 0.0})
+    cfg["scenarios"].append({"id": "t", "space": space,
+                             "sampler": {"seed": 1, "count": 8, "interior_points": 4},
+                             "checks": [dict(check, id="t")]})
+    res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.output
+    if outcome == 3:
+        assert res.exit_code == 3 and "config error" in res.output
+        return
+    rows = {r["check_id"]: r["verdict"]
+            for r in csv.DictReader(open(tmp_path / "o" / "results.csv"))}
+    assert rows["ok"] == "PASS" and "t" in rows
+    if outcome == "ERROR":
+        assert rows["t"] == "ERROR" and res.exit_code == 2
+
+
+@pytest.mark.parametrize("check", [
+    {"check": "k-threshold", "params": {"resolution": 0}},
+    {"check": "comparison-scan", "params": {"K": 0.0, "count": 0}},
+    {"check": "domain-compare", "params": {"p": [-1, 0], "q": [1, 0], "count": 0}},
+    {"check": "domain-compare", "params": {"p": [-1, 0], "q": [1, 0], "eps": 0}},
+    {"check": "annulus", "params": {"K": 0.0, "eps_list": [0.05, 0]}},
+], ids=["resolution", "scan-count", "domain-count", "domain-eps", "annulus-eps"])
+def test_out_of_range_params_exit_three(tmp_path, check):
+    res = _run(["run", _write(tmp_path, _minimal_cfg(**check)), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+    assert "config error" in res.output
+
+
+def test_scan_count_keeps_the_scenario_sampler(tmp_path, monkeypatch):
+    scanned = []
+
+    def spy(*args, **kwargs):
+        out = sample_disks(*args, **kwargs)
+        scanned.extend(out)
+        return out
+
+    sample_disks = disks.sample_disks
+    monkeypatch.setattr(disks, "sample_disks", spy)
+    cfg = _minimal_cfg(check="comparison-scan", params={"K": 0.0, "count": 10})
+    cfg["scenarios"][0]["sampler"]["degree2_fraction"] = 0.0
+    res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    assert len(scanned) == 10 and all(d.degree == 1 for d in scanned)
+
+
+def test_k_threshold_default_point_fits_the_dimension(tmp_path):
+    cfg = {"version": 1, "scenarios": [{
+        "id": "s", "space": {"kind": "model", "K": 1.0, "n": 1},
+        "sampler": {"seed": 2, "count": 10, "interior_points": 4,
+                    "size_range": [0.05, 0.3]},
+        "checks": [{"check": "k-threshold",
+                    "params": {"lo": 0.5, "hi": 2.0, "expected": 1.0, "band": 1e-3}}]}]}
+    res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    rows = list(csv.DictReader(open(tmp_path / "o" / "results.csv")))
+    assert [r["verdict"] for r in rows] == ["PASS"]
 
 
 def test_unexpected_verdict_exits_one(tmp_path):
