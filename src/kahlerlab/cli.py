@@ -340,12 +340,10 @@ def _run_psh(space, params, sampler, tol):
     tol = params.get("tol", tol or 1e-6)
     p = _as_point(params.get("p", [0.0] * space.chart.n), space.chart.n)
     center = _as_point(params["center"]) if "center" in params else None
-    pot = space.potential()
-    v = check_bk_lower(space, pot, p if p.size > 1 else complex(p[0]),
-                       params["K"], sampler=sampler, tol=tol,
-                       crossing_tests=params.get("crossing", 0), center=center)
+    v = check_bk_lower(space, space.potential(), p, params["K"], sampler=sampler,
+                       tol=tol, crossing_tests=params.get("crossing", 0), center=center)
     return dict(verdict=v.verdict, value=v.min_laplacian, error_est=0.0,
-                witness=_jsonify(v.witness) if v.verdict == "FAIL" else None)
+                witness=_jsonify(v.witness))
 
 
 def _run_psh_set(space, params, sampler, tol):
@@ -358,7 +356,7 @@ def _run_psh_set(space, params, sampler, tol):
     v = check_bk_lower_set(space, space.potential(), S, params["K"],
                            sampler=sampler, tol=tol)
     return dict(verdict=v.verdict, value=v.min_laplacian, error_est=0.0,
-                witness=_jsonify(v.witness) if v.verdict == "FAIL" else None)
+                witness=_jsonify(v.witness))
 
 
 def _run_radial_potential(space, params, sampler, tol):
@@ -373,13 +371,12 @@ def _run_quotient_bk2(space, params, sampler, tol):
     if not isinstance(space, QuotientData):
         raise ConfigError("quotient-bk2 needs a quotient space")
     zp = _as_point(params.get("zprime", [0.0]))
-    zp = complex(zp[0]) if zp.size == 1 else zp
     h_extra = None
     if params.get("perturb", False):
         h_extra = lambda z: 1.0 + 0.5 * np.abs(z) ** 4
     v = quotient_bk2_check(space, zp, h_extra=h_extra, sampler=sampler)
     return dict(verdict=v.verdict, value=v.min_laplacian, error_est=0.0,
-                witness=_jsonify(v.witness) if v.verdict == "FAIL" else None,
+                witness=_jsonify(v.witness),
                 extra={"saturated": v.saturated, "notes": list(v.notes)})
 
 

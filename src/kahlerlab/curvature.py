@@ -13,14 +13,15 @@ unit pair (X, Y) is -R(X, Xbar, Y, Ybar); note the minus sign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import fd
-from .errors import NonConvergence
-from .fields import HermitianMetricField, metric_from_potential, real_to_z, z_to_real
+from .errors import NonConvergence, SingularityTooClose
+from .fields import HermitianMetricField, real_to_z, z_to_real
 
 CURV_OUTER_H = 0.015
 CURV_INNER_H = 8e-3
@@ -94,7 +95,9 @@ def curvature_tensor(metric: HermitianMetricField, z: np.ndarray,
 
     The outer step differentiates the metric matrices; the inner gram
     evaluations use a step chosen to keep round-off noise below the
-    truncation error of the outer stencil.
+    truncation error of the outer stencil.  Raises SingularityTooClose if
+    the nested stencil, which reaches sqrt(2) (h_outer + h_inner) from z,
+    comes within the smoothness radius of a singular point.
     """
     if not metric.is_potential_form:
         raise ValueError("curvature requires a potential-form metric")
@@ -102,6 +105,10 @@ def curvature_tensor(metric: HermitianMetricField, z: np.ndarray,
     n = phi.n
     z = np.asarray(z, dtype=complex).reshape(n)
     h_inner = max(metric.h, CURV_INNER_H)
+    reach = phi.smoothness_radius + math.sqrt(2.0) * (h_outer + h_inner)
+    if phi.singular_distance(z[None])[0] < reach:
+        raise SingularityTooClose(f"curvature stencil at z={z} comes within "
+                                  f"{reach:.3e} of a singular point of {phi.name!r}")
 
     def gram_raw(xs):
         zs = real_to_z(xs)

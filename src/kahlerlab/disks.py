@@ -24,7 +24,7 @@ import numpy as np
 
 from .curvature import (CurvatureData, TangentPair, bk_defect, curvature_tensor,
                         min_bk_defect)
-from .errors import KahlerLabError
+from .errors import KahlerLabError, SingularityTooClose
 from .fields import ComplexChart, HermitianMetricField, ScalarField
 from .geodesy import geodesic_distance_many
 from .models import dK_transform
@@ -250,11 +250,8 @@ def _distance_values(metric, p, targets, strategy, solver_opts):
     if strategy == "numeric" or strategy is None:
         opts = dict(N=24, gtol=1e-6, max_iters=60)
         opts.update(solver_opts or {})
-        d, derr = geodesic_distance_many(metric, p, targets, **opts)
-        return d, derr
-    if isinstance(strategy, ScalarField):
-        return strategy(targets), np.zeros(len(targets))
-    # plain callable: zs -> distances
+        return geodesic_distance_many(metric, p, targets, **opts)
+    # a closed-form distance field or plain callable: zs -> distances
     return np.asarray(strategy(targets), dtype=float), np.zeros(len(targets))
 
 
@@ -377,7 +374,8 @@ def scan_disks(space, p, K: float, sampler: DiskSampler,
     Distances come from ``space.distance_field(p)`` where the space has
     one, else from the geodesic solver.  When the curvature certifies a
     negative bound defect at p, the directed violation construction runs
-    first so the scan cannot miss it.
+    first so the scan cannot miss it; next to a singular point there is no
+    curvature and no directed disk.
     """
     metric = space.metric()
     distance = space.distance_field(p) if hasattr(space, "distance_field") else "numeric"
@@ -387,8 +385,11 @@ def scan_disks(space, p, K: float, sampler: DiskSampler,
     directed = False
     scanned = 0
 
-    if metric.is_potential_form:
-        data = curvature_tensor(metric, p)
+    try:
+        data = curvature_tensor(metric, p) if metric.is_potential_form else None
+    except SingularityTooClose:         # no curvature at a singular point
+        data = None
+    if data is not None:
         val, pair = min_bk_defect(data, K, samples=400, seed=sampler.seed)
         if val < -1e-7:
             disk = violation_disk(metric, p, K, pair, 0.06, 0.25)

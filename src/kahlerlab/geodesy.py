@@ -15,7 +15,7 @@ extrapolation of the energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from scipy.linalg import solveh_banded
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import Disconnected, NonConvergence
+from .errors import Disconnected
 from .fields import ComplexChart, HermitianMetricField, ScalarField
 from .models import ModelSpace
 
@@ -121,7 +121,7 @@ def _chords(p: np.ndarray, qs: np.ndarray, N: int) -> np.ndarray:
     return p[None, None, :] + t[None, :, None] * (qs[:, None, :] - p[None, None, :])
 
 
-def _minimize(metric, paths, max_iters, gtol, seed_note=""):
+def _minimize(metric, paths, max_iters, gtol):
     """Preconditioned descent with per-path backtracking; in-place safe."""
     Q, M, n = paths.shape
     E = _segment_energies(metric, paths)
@@ -169,9 +169,22 @@ def _refine(paths: np.ndarray) -> np.ndarray:
     return out
 
 
+def _solve_refined(metric, paths, max_iters, gtol):
+    """Minimize, refine the mesh, minimize again.  Returns the Richardson
+    energies E, the refined energies E2, paths and gradient norms, and the
+    distances sqrt(E) with their error estimates."""
+    E1, _ = _minimize(metric, paths, max_iters, gtol)
+    paths2 = _refine(paths)
+    E2, gnorm = _minimize(metric, paths2, max_iters, gtol)
+    E = np.maximum(E2 + (E2 - E1) / 3.0, 0.0)
+    err = np.abs(E2 - E1) / 3.0
+    d = np.sqrt(E)
+    derr = np.where(d > 0, err / np.maximum(2 * d, 1e-12), np.sqrt(err))
+    return E, E2, paths2, gnorm, d, derr
+
+
 def geodesic_distance_many(metric: HermitianMetricField, p, qs,
-                           N: int = 48, max_iters: int
-                           = 300, gtol: float = 1e-9):
+                           N: int = 48, max_iters: int = 300, gtol: float = 1e-9):
     """Distances from one base point to many targets, solved in batch.
 
     Starts every path on the straight chord; suitable when chords are
@@ -180,15 +193,7 @@ def geodesic_distance_many(metric: HermitianMetricField, p, qs,
     """
     p = np.asarray(p, dtype=complex).reshape(-1)
     qs = np.atleast_2d(np.asarray(qs, dtype=complex))
-    paths = _chords(p, qs, N)
-    E1, _ = _minimize(metric, paths, max_iters, gtol)
-    paths2 = _refine(paths)
-    E2, _ = _minimize(metric, paths2, max_iters, gtol)
-    E = E2 + (E2 - E1) / 3.0
-    E = np.maximum(E, 0.0)
-    err = np.abs(E2 - E1) / 3.0
-    d = np.sqrt(E)
-    derr = np.where(d > 0, err / np.maximum(2 * d, 1e-12), np.sqrt(err))
+    *_, d, derr = _solve_refined(metric, _chords(p, qs, N), max_iters, gtol)
     return d, derr
 
 
@@ -223,25 +228,18 @@ def geodesic_distance(metric: HermitianMetricField, p, q,
     for _ in range(max(multistarts - 1, 0)):
         amp = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
         starts.append(starts[0] + bump * amp[None, :])
-    paths = np.stack(starts)
-    E1, _ = _minimize(metric, paths, max_iters, gtol)
-    paths2 = _refine(paths)
-    E2, gn = _minimize(metric, paths2, max_iters, gtol)
-    E = np.maximum(E2 + (E2 - E1) / 3.0, 0.0)
+    E, E2, paths2, gn, d, derr = _solve_refined(metric, np.stack(starts), max_iters, gtol)
     best = int(np.argmin(E))          # ties resolved by start index
-    err = float(abs(E2[best] - E1[best]) / 3.0)
-    d = float(math.sqrt(E[best]))
-    sol = DistanceSolution(
-        distance=d,
+    return DistanceSolution(
+        distance=float(d[best]),
         path=DiscretePath(points=paths2[best], energy=float(E2[best]),
                           grad_norm=float(gn[best])),
         multistarts=len(starts),
         converged=bool(gn[best] <= max(gtol, 1e-6)),
-        error_estimate=err / max(2 * d, 1e-12) if d > 0 else math.sqrt(err),
+        error_estimate=float(derr[best]),
         start_energies=tuple(float(x) for x in E),
         chord_lower_bound=chord_lower_bound(metric, p, q),
     )
-    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from . import fd
 from .disks import DiskSampler, area_density, sample_disks, sample_interior_points
 from .errors import KahlerLabError, Unsupported
 from .fields import ComplexChart, ScalarField
-from .models import ConeSurface, ModelSpace, QuotientData, dK_transform, model_distance
+from .models import ConeSurface, ModelSpace, QuotientData, dK_transform
 
 DEFAULT_TOL = 1e-6
 
@@ -81,20 +81,11 @@ def _stencil_centres(w: np.ndarray, h: float) -> np.ndarray:
     return np.stack([w.real, w.imag], axis=1)
 
 
-def _bump_laplacian(w: np.ndarray) -> np.ndarray:
-    """Laplacian of (1 - |w|^2)^3, which is C^2 with flat boundary contact."""
-    r2 = np.abs(w) ** 2
-    return 12.0 * (1.0 - r2) * (3.0 * r2 - 1.0)
-
-
-def _bump(w: np.ndarray) -> np.ndarray:
-    return (1.0 - np.abs(w) ** 2) ** 3
-
-
 @functools.lru_cache(maxsize=None)
 def _pairing_rule(n_r: int = 48, n_theta: int = 64):
-    """Polar Gauss rule on the unit disk: (nodes, weights, bump Laplacian
-    at the nodes, bump mass)."""
+    """Polar Gauss rule on the unit disk: (nodes, weights, Laplacian of the
+    bump (1 - |w|^2)^3 at the nodes, bump mass).  The bump is C^2 with flat
+    boundary contact."""
     x, wgl = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * wgl * r
@@ -102,7 +93,9 @@ def _pairing_rule(n_r: int = 48, n_theta: int = 64):
     nodes = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
     weights = np.broadcast_to((wr * 2 * math.pi / n_theta)[:, None],
                               (n_r, n_theta)).ravel()
-    return nodes, weights, _bump_laplacian(nodes), float(np.sum(weights * _bump(nodes)))
+    r2 = np.abs(nodes) ** 2
+    return (nodes, weights, 12.0 * (1.0 - r2) * (3.0 * r2 - 1.0),
+            float(np.sum(weights * (1.0 - r2) ** 3)))
 
 
 def distributional_pairing(u, disk, n_r: int = 48, n_theta: int = 64) -> float:
@@ -114,6 +107,27 @@ def distributional_pairing(u, disk, n_r: int = 48, n_theta: int = 64) -> float:
     nodes, weights, bump_lap, mass = _pairing_rule(n_r, n_theta)
     vals = np.asarray(u(disk(nodes)), dtype=float)
     return float(np.sum(weights * vals * bump_lap)) / mass
+
+
+def _disk_stencils(chart: ComplexChart, center, sampler: DiskSampler, rng, h: float,
+                   min_singular: float = 0.0, singular_at=None):
+    """Sampled disks, their interior points and the stencil nodes around them.
+
+    Draws the disks, then the interior points of each disk in disk order,
+    from ``rng``.  Returns (disks, ws, pts): ws is (disks, points per
+    disk) and pts the chart images of the 9-point Laplacian stencil nodes,
+    ordered so that values at pts reshape to (9, ws.size) for
+    ``fd.laplacian_2d_combine``.
+    """
+    disks = sample_disks(chart, center, sampler, rng, min_singular=min_singular,
+                         singular_at=singular_at)
+    ws = np.reshape([sample_interior_points(sampler, rng) for _ in disks],
+                    (len(disks), sampler.interior_points))
+    x = fd.laplacian_2d_nodes(_stencil_centres(ws.ravel(), h), h)
+    nodes = (x[..., 0] + 1j * x[..., 1]).reshape((9,) + ws.shape)
+    pts = [d(nodes[:, j].ravel()).reshape(9, -1, chart.n) for j, d in enumerate(disks)]
+    pts = np.concatenate(pts, axis=1).reshape(-1, chart.n) if disks else np.zeros((0, chart.n))
+    return disks, ws, pts
 
 
 def disk_evaluator(chart: ComplexChart, potential: ScalarField, distance, center,
@@ -132,19 +146,12 @@ def disk_evaluator(chart: ComplexChart, potential: ScalarField, distance, center
     rng = np.random.default_rng(sampler.seed)
     singular = potential.singular_points[0] if potential.singular_points else None
     margin = max(potential.smoothness_radius * 4.0, 0.02) if singular is not None else 0.0
-    disks = sample_disks(chart, center, sampler, rng, min_singular=margin,
-                          singular_at=singular)
-    ws = np.reshape([sample_interior_points(sampler, rng) for _ in disks],
-                    (len(disks), sampler.interior_points))
+    disks, ws, pts = _disk_stencils(chart, center, sampler, rng, h, margin, singular)
     cross, notes = [], ()
     if crossing_tests > 0 and singular is not None:
         cross = sample_disks(chart, singular, DiskSampler(
             count=crossing_tests, size_range=(0.05, 0.3), center_radius=0.05), rng)
         notes = (f"distributional pairings: {len(cross)}",)
-    x = fd.laplacian_2d_nodes(_stencil_centres(ws.ravel(), h), h)
-    nodes = (x[..., 0] + 1j * x[..., 1]).reshape((9,) + ws.shape)
-    pts = [d(nodes[:, j].ravel()).reshape(9, -1, chart.n) for j, d in enumerate(disks)]
-    pts = np.concatenate(pts, axis=1).reshape(-1, chart.n) if disks else np.zeros((0, chart.n))
     pair_nodes, weights, bump_lap, mass = _pairing_rule()
     pts = np.concatenate([pts] + [d(pair_nodes) for d in cross])
     phi = potential(pts)
@@ -232,24 +239,20 @@ def radial_potential_check(cone: ConeSurface, sampler: Optional[DiskSampler] = N
     """
     sampler = sampler or DiskSampler(count=40, size_range=(0.01, 0.2),
                                      center_radius=0.3)
-    rng = np.random.default_rng(sampler.seed)
     metric = cone.metric()
-    phi = cone.potential()
-    disks = sample_disks(metric.chart, np.array([0.7 + 0.1j]), sampler, rng,
-                          min_singular=0.05, singular_at=np.zeros(1, dtype=complex))
-    worst = 0.0
-    count = 0
-    for d in disks:
-        ws = sample_interior_points(sampler, rng)
-        # a large step keeps round-off below truncation; the composed
-        # potential is smooth at disk scale so truncation stays h^4 small
-        lap = np.atleast_1d(disk_laplacian(phi, d, ws, h=1e-2))
-        dens = area_density(metric, d, ws)
-        worst = max(worst, float(np.max(np.abs(lap - 2.0 * dens) / np.maximum(2.0 * dens, 1e-12))))
-        count += ws.size
+    # a large step keeps round-off below truncation; the composed
+    # potential is smooth at disk scale so truncation stays h^4 small
+    h = 1e-2
+    disks, ws, pts = _disk_stencils(metric.chart, np.array([0.7 + 0.1j]), sampler,
+                                    np.random.default_rng(sampler.seed), h,
+                                    min_singular=0.05, singular_at=np.zeros(1, dtype=complex))
+    lap = fd.laplacian_2d_combine(cone.potential()(pts).reshape(9, -1), h).reshape(ws.shape)
+    dens = np.reshape([area_density(metric, d, w) for d, w in zip(disks, ws)], ws.shape)
+    worst = float(np.max(np.abs(lap - 2.0 * dens) / np.maximum(2.0 * dens, 1e-12),
+                         initial=0.0))
     return RadialPotentialReport(max_mismatch=worst,
                                  verdict="PASS" if worst <= tol else "FAIL",
-                                 tol=tol, samples=count)
+                                 tol=tol, samples=ws.size)
 
 
 def _fs_cos_distance(zeta: np.ndarray, zprime) -> np.ndarray:
@@ -272,11 +275,11 @@ def _round_density_from_distance(zs: np.ndarray, h: float = 1e-3) -> np.ndarray:
     Half the Hessian of z -> d^2(z0, z)/2 at z = z0, by central FD of the
     closed-form distance; independent of the potential under test.
     """
+    model = ModelSpace(K=2.0, n=1)
     out = np.empty(zs.shape[0])
     for k, z0 in enumerate(zs):
         def dsq(dx, dy):
-            return model_distance(2.0, np.atleast_1d(z0),
-                                  np.atleast_1d(z0 + dx + 1j * dy)) ** 2
+            return model.distance(z0, z0 + dx + 1j * dy) ** 2
         gxx = (dsq(h, 0) + dsq(-h, 0)) / (2 * h * h)
         gyy = (dsq(0, h) + dsq(0, -h)) / (2 * h * h)
         out[k] = 0.25 * (gxx + gyy)
@@ -292,7 +295,9 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
     subharmonically to sampled disks in the projective chart; (b) the
     Laplacian of the potential reproduces twice the Hausdorff density of
     the round distance (the declared metric datum).  ``h_extra`` is an
-    optional positive multiplier on h, used to probe broken data.
+    optional positive multiplier on h, used to probe broken data.  A FAIL
+    carries the worst pointwise witness if (a) fails, else the disk of
+    the worst mismatch; a PASS carries none.
     """
     if not q.is_round:
         raise Unsupported("only the round quotient datum is supported")
@@ -300,7 +305,6 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
         raise Unsupported("projective chart checks are implemented for n = 2")
     sampler = sampler or DiskSampler(count=60, size_range=(0.01, 0.25),
                                      center_radius=0.4)
-    rng = np.random.default_rng(sampler.seed)
 
     def pot(zs):
         z = zs[:, 0]
@@ -313,45 +317,37 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
         C = _fs_cos_distance(zs[:, 0], zprime)
         return pot(zs) + np.log(np.maximum(C, 1e-300))
 
-    disks = sample_disks(q.chart, np.zeros(1), sampler, rng)
-    best = math.inf
+    h = 5e-4
+    disks, ws, pts = _disk_stencils(q.chart, np.zeros(1), sampler,
+                                    np.random.default_rng(sampler.seed), h)
+    imgs = np.reshape([d(w)[:, 0] for d, w in zip(disks, ws)], ws.shape)
+    # keep clear of the zero of cos d (the cut point of zprime)
+    keep = np.min(_fs_cos_distance(imgs.ravel(), zprime).reshape(ws.shape), axis=1) >= 0.2
+    kept = [d for d, k in zip(disks, keep) if k]
+    pts = pts.reshape((9,) + ws.shape + (1,))[:, keep].reshape(-1, 1)
+
+    def lap(f):
+        return fd.laplacian_2d_combine(f(pts).reshape(9, -1), h).reshape(-1, ws.shape[1])
+
+    vals, lap_pot = lap(u), lap(pot)
+    dv = np.reshape([np.abs(d.deriv(w)[:, 0]) ** 2 for d, w in zip(disks, ws)], ws.shape)
+    dens = 4.0 * _round_density_from_distance(imgs[keep].ravel()).reshape(vals.shape)
+    dens = dens * dv[keep]
+    mism = np.max(np.abs(lap_pot - dens) / np.maximum(dens, 1e-12), axis=1)
+    best = float(np.min(vals, initial=math.inf))
+    consistency = float(np.max(mism, initial=0.0))
     witness = None
-    consistency = 0.0
-    count = 0
-    saturated = False
-    for d in disks:
-        ws = sample_interior_points(sampler, rng)
-        pts = d(ws)
-        # keep clear of the zero of cos d (the cut point of zprime)
-        if np.min(_fs_cos_distance(pts[:, 0], zprime)) < 0.2:
-            continue
-        vals = np.atleast_1d(disk_laplacian(u, d, ws, h=5e-4))
-        count += vals.size
-        if np.min(np.abs(vals)) <= 1e-3:
-            saturated = True
+    if best < -tol:
         i = int(np.argmin(vals))
-        if vals[i] < best:
-            best = float(vals[i])
-            witness = {"coeffs": d.coeffs.tolist(), "w": complex(ws[i]),
-                       "kind": "pointwise", "value": best}
-        lap_pot = np.atleast_1d(disk_laplacian(pot, d, ws, h=5e-4))
-        dens = _round_density_from_distance(pts[:, 0])
-        dv = np.abs(d.deriv(ws)[:, 0]) ** 2
-        mism = float(np.max(np.abs(lap_pot - 4.0 * dens * dv)
-                            / np.maximum(4.0 * dens * dv, 1e-12)))
-        if mism > consistency:
-            consistency = mism
-            if mism > 1e-3:
-                witness = {"coeffs": d.coeffs.tolist(), "kind": "consistency",
-                           "value": mism}
-    rel_consistency = consistency
-    psh_ok = best >= -tol
-    cons_ok = rel_consistency <= 1e-3
-    verdict = "PASS" if (psh_ok and cons_ok) else "FAIL"
-    notes = (f"measure mismatch {rel_consistency:.3e}",)
-    return PshVerdict(min_laplacian=best, verdict=verdict, tol=tol, samples=count,
-                      seed=sampler.seed, witness=witness, notes=notes,
-                      saturated=saturated)
+        witness = {"coeffs": kept[i // ws.shape[1]].coeffs.tolist(),
+                   "w": complex(ws[keep].flat[i]), "kind": "pointwise", "value": best}
+    elif consistency > 1e-3:
+        witness = {"coeffs": kept[int(np.argmax(mism))].coeffs.tolist(),
+                   "kind": "consistency", "value": consistency}
+    return PshVerdict(min_laplacian=best, verdict="FAIL" if witness else "PASS", tol=tol,
+                      samples=vals.size, seed=sampler.seed, witness=witness,
+                      notes=(f"measure mismatch {consistency:.3e}",),
+                      saturated=bool(np.any(np.abs(vals) <= 1e-3)))
 
 
 def k_threshold(space, potential: ScalarField, p, lo: float, hi: float,

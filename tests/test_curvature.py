@@ -4,7 +4,8 @@ import pytest
 from kahlerlab.curvature import (TangentPair, bianchi_check, bisectional,
                                  bk_defect, curvature_tensor, hermitian_inner,
                                  min_bk_defect)
-from kahlerlab.models import ModelSpace
+from kahlerlab.errors import SingularityTooClose
+from kahlerlab.models import ConeSurface, ModelSpace
 
 
 def _model_curvature_closed_form(c, G):
@@ -110,3 +111,17 @@ def test_ricci_and_scalar_of_model():
     data = curvature_tensor(space.metric(), np.array([0.1, 0.05j]))
     assert np.max(np.abs(data.ricci + 3.0 * data.G)) < 1e-5
     assert data.scalar == pytest.approx(-6.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("z", [0.0, 0.01, 0.03])
+def test_curvature_refuses_a_stencil_across_the_cone_apex(z):
+    # the nested stencil reaches sqrt(2) (0.015 + 0.008) ~ 0.0325 from z
+    with pytest.raises(SingularityTooClose):
+        curvature_tensor(ConeSurface(alpha=0.5).metric(), np.array([z + 0j]))
+
+
+def test_curvature_away_from_singular_points_is_computed():
+    curvature_tensor(ConeSurface(alpha=0.5).metric(), np.array([0.1 + 0j]))
+    for K in (-1.0, 0.0, 1.0):
+        for n in (1, 2):
+            curvature_tensor(ModelSpace(K=K, n=n).metric(), np.zeros(n, dtype=complex))

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from kahlerlab.disks import DiskEmbedding
+from kahlerlab.disks import (DiskEmbedding, area_density, sample_disks,
+                             sample_interior_points)
 from kahlerlab.errors import KahlerLabError, Unsupported
 from kahlerlab.fields import ComplexChart, ScalarField
-from kahlerlab.models import ConeSurface, ModelSpace, QuotientData
+from kahlerlab.models import ConeSurface, ModelSpace, QuotientData, model_distance
 from kahlerlab.psh import (ComplexLine, DiskSampler, check_bk_lower,
                            check_bk_lower_set, disk_laplacian,
                            distributional_pairing, k_threshold,
@@ -259,3 +260,112 @@ def test_quotient_perturbed_h_fails_consistency():
 def test_quotient_non_round_unsupported():
     with pytest.raises(Unsupported):
         quotient_bk2_check(QuotientData(delta=0.5), 0.0)
+
+
+
+def _perturb(z):
+    return 1.0 + 0.5 * np.abs(z) ** 4
+
+
+def _quotient_sampler(seed, count=60):
+    return DiskSampler(seed=seed, count=count, size_range=(0.01, 0.25), center_radius=0.4)
+
+
+def test_quotient_witness_names_the_failed_obligation():
+    q = QuotientData()
+    for seed in range(30):
+        v = quotient_bk2_check(q, 0.3 + 0.2j, h_extra=_perturb,
+                               sampler=_quotient_sampler(seed))
+        if v.passed:
+            assert v.witness is None
+        elif v.min_laplacian >= -v.tol:
+            assert v.witness["kind"] == "consistency"
+            assert v.witness["value"] > 1e-3
+        else:
+            assert v.witness["kind"] == "pointwise"
+            assert v.witness["value"] == v.min_laplacian
+
+
+# Reference loops for the batched disk checks: one disk at a time, drawing
+# each disk's interior points after all disks, with disk_laplacian.
+
+def _replay_radial(cone, sampler):
+    rng = np.random.default_rng(sampler.seed)
+    metric = cone.metric()
+    disks = sample_disks(metric.chart, np.array([0.7 + 0.1j]), sampler, rng,
+                         min_singular=0.05, singular_at=np.zeros(1, dtype=complex))
+    worst, count = 0.0, 0
+    for d in disks:
+        ws = sample_interior_points(sampler, rng)
+        lap = np.atleast_1d(disk_laplacian(cone.potential(), d, ws, h=1e-2))
+        dens = area_density(metric, d, ws)
+        worst = max(worst, float(np.max(np.abs(lap - 2.0 * dens)
+                                        / np.maximum(2.0 * dens, 1e-12))))
+        count += ws.size
+    return worst, count
+
+
+def _cos_distance(zeta, zprime):
+    zp = np.asarray(zprime, dtype=complex)
+    v = np.array([1.0, complex(zp.reshape(()))]) if zp.size == 1 else zp.reshape(2)
+    v = v / np.linalg.norm(v)
+    s = np.stack([np.ones_like(zeta), zeta], axis=1)
+    s = s / np.linalg.norm(s, axis=1)[:, None]
+    return np.clip(np.abs(np.einsum("pi,i->p", s, np.conj(v))), 0.0, 1.0)
+
+
+def _round_density(z0, h=1e-3):
+    def dsq(dx, dy):
+        return model_distance(2.0, np.atleast_1d(z0), np.atleast_1d(z0 + dx + 1j * dy)) ** 2
+    return 0.25 * ((dsq(h, 0) + dsq(-h, 0)) / (2 * h * h)
+                   + (dsq(0, h) + dsq(0, -h)) / (2 * h * h))
+
+
+def _replay_quotient(q, zprime, h_extra, sampler):
+    def pot(zs):
+        base = 0.5 * np.log1p(np.abs(zs[:, 0]) ** 2)
+        if h_extra is not None:
+            base = base + 0.5 * np.log(np.asarray(h_extra(zs[:, 0]), dtype=float))
+        return base
+
+    def u(zs):
+        return pot(zs) + np.log(np.maximum(_cos_distance(zs[:, 0], zprime), 1e-300))
+
+    rng = np.random.default_rng(sampler.seed)
+    disks = sample_disks(q.chart, np.zeros(1), sampler, rng)
+    best, consistency, count = math.inf, 0.0, 0
+    for d in disks:
+        ws = sample_interior_points(sampler, rng)
+        zs = d(ws)[:, 0]
+        if np.min(_cos_distance(zs, zprime)) < 0.2:
+            continue
+        vals = np.atleast_1d(disk_laplacian(u, d, ws, h=5e-4))
+        best = min(best, float(np.min(vals)))
+        count += vals.size
+        lap_pot = np.atleast_1d(disk_laplacian(pot, d, ws, h=5e-4))
+        dens = 4.0 * np.array([_round_density(z) for z in zs]) \
+            * np.abs(d.deriv(ws)[:, 0]) ** 2
+        consistency = max(consistency, float(np.max(np.abs(lap_pot - dens)
+                                                    / np.maximum(dens, 1e-12))))
+    return best, consistency, count
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_batched_disk_checks_match_a_per_disk_replay(seed):
+    sampler = DiskSampler(seed=seed, count=40, size_range=(0.01, 0.2), center_radius=0.3)
+    for alpha in (0.5, -0.5):
+        cone = ConeSurface(alpha=alpha)
+        r = radial_potential_check(cone, sampler=sampler)
+        assert (r.max_mismatch, r.samples) == _replay_radial(cone, sampler)
+    sampler = _quotient_sampler(seed, count=30)
+    q = QuotientData()
+    for zprime, h_extra in ((0.3 + 0.2j, None), (0.3 + 0.2j, _perturb),
+                            (np.array([0.0, 1.0]), None)):
+        v = quotient_bk2_check(q, zprime, h_extra=h_extra, sampler=sampler)
+        best, consistency, count = _replay_quotient(q, zprime, h_extra, sampler)
+        assert (v.min_laplacian, v.samples) == (best, count)
+        assert v.notes == (f"measure mismatch {consistency:.3e}",)
+        if h_extra is not None:
+            assert (v.witness["kind"], v.witness["value"]) == ("consistency", consistency)
+        if isinstance(zprime, np.ndarray):
+            assert count < sampler.count * sampler.interior_points   # disks skipped
