@@ -26,7 +26,7 @@ from .disks import (ComparisonReport, DiskEmbedding, DiskSampler, QuadratureGrid
                     area_density, asymptotic_defect, comparison_defect,
                     log_moment, rprime_value, sample_disks, scan_disks,
                     torsion_contraction, torsion_expected_defect,
-                    torsion_metric, violation_disk)
+                    torsion_metric, violation_disk, worst_defect)
 from .psh import (ComplexLine, PshVerdict, check_bk_lower, check_bk_lower_set,
                   disk_laplacian, k_threshold, quotient_bk2_check,
                   radial_potential_check)

@@ -34,7 +34,7 @@ import numpy as np
 from .curvature import TangentPair, curvature_tensor, min_bk_defect
 from .disks import (DiskEmbedding, DiskSampler, TorsionSpace, annulus_defect,
                     asymptotic_defect, comparison_defect, rprime_value, sample_disks,
-                    scan_disks, torsion_expected_defect, violation_disk)
+                    scan_disks, torsion_expected_defect, violation_disk, worst_defect)
 from .errors import ConfigError, KahlerLabError
 from .fields import ComplexChart
 from .geodesy import DiskObstacle, PlanarDomain, RectObstacle, domain_length_metric
@@ -270,15 +270,18 @@ def _run_comparison_scan(space, params, sampler, tol):
     if "count" in params:
         sampler = replace(sampler, count=params["count"])
     res = scan_disks(space, p, params["K"], sampler, tol=tol)
+    return _scan_row(res, tol, p=_jsonify(p), K=params["K"], directed=res.directed)
+
+
+def _scan_row(res, tol, **witness) -> dict:
+    """The row of a disk scan; on FAIL the witness names the worst disk."""
     rep = res.report
-    verdict = "PASS" if rep.defect >= -tol else "FAIL"
-    witness = None
-    if verdict == "FAIL":
-        witness = {"coeffs": _jsonify(res.disk.coeffs), "p": _jsonify(p),
-                   "K": params["K"], "defect": rep.defect,
-                   "directed": res.directed}
-    return dict(verdict=verdict, value=rep.defect,
-                error_est=rep.error_estimate, witness=witness)
+    if rep.defect >= -tol:
+        return dict(verdict="PASS", value=rep.defect, error_est=rep.error_estimate,
+                    witness=None)
+    witness.update(coeffs=_jsonify(res.disk.coeffs), defect=rep.defect)
+    return dict(verdict="FAIL", value=rep.defect, error_est=rep.error_estimate,
+                witness=witness)
 
 
 def _run_violation_study(space, params, sampler, tol):
@@ -444,16 +447,8 @@ def _run_domain_compare(space, params, sampler, tol):
                                                    space.chart))
         except ValueError:
             continue
-    worst, worst_disk = min(
-        ((comparison_defect(metric, d, np.array([p]), 0.0, distance=dist), d)
-         for d in candidates), key=lambda rd: rd[0].defect)
-    verdict = "PASS" if worst.defect >= -tol else "FAIL"
-    witness = None
-    if verdict == "FAIL":
-        witness = {"coeffs": _jsonify(worst_disk.coeffs), "p": [p.real, p.imag],
-                   "ratio": ratio, "defect": worst.defect}
-    return dict(verdict=verdict, value=worst.defect,
-                error_est=worst.error_estimate, witness=witness,
+    res = worst_defect(metric, np.array([p]), 0.0, dist, candidates, tol=tol)
+    return dict(_scan_row(res, tol, p=[p.real, p.imag], ratio=ratio),
                 extra={"length_ratio": ratio})
 
 

@@ -10,8 +10,8 @@ with dA the two dimensional Hausdorff measure of Sigma.  The defect is
 LHS minus RHS; it is nonnegative for every disk exactly when the
 bisectional lower bound at level K holds, and the violation constructions
 below produce disks with negative defect when it fails.  ``sample_disks``
-draws the seeded disk families and ``scan_disks`` takes the worst defect
-over one.
+draws the seeded disk families and ``worst_defect`` takes the worst defect
+over one, for ``scan_disks`` and the CLI's domain comparison.
 """
 
 from __future__ import annotations
@@ -234,20 +234,24 @@ def area_density(metric: HermitianMetricField, disk: DiskEmbedding, w) -> np.nda
     return 2.0 * np.einsum("pij,pi,pj->p", G, dv, np.conj(dv)).real
 
 
+def _area_integral(metric: HermitianMetricField, disk: DiskEmbedding,
+                   grid: Optional[QuadratureGrid], f: Callable) -> float:
+    """iint f(|w|) dA over the disk image on the interior rule of ``grid``."""
+    nodes, weights = (grid or QuadratureGrid()).interior()
+    dens = area_density(metric, disk, nodes)
+    return float(np.sum(weights * f(np.abs(nodes)) * dens))
+
+
 def log_moment(metric: HermitianMetricField, disk: DiskEmbedding,
                grid: Optional[QuadratureGrid] = None) -> float:
     """(2/pi) iint log|w| dA over the disk image; always <= 0."""
-    grid = grid or QuadratureGrid()
-    nodes, weights = grid.interior()
-    dens = area_density(metric, disk, nodes)
-    logs = np.log(np.abs(nodes))
-    return float((2.0 / math.pi) * np.sum(weights * logs * dens))
+    return (2.0 / math.pi) * _area_integral(metric, disk, grid, np.log)
 
 
 def _distance_values(metric, p, targets, strategy, solver_opts):
     """Distances from p to an array of chart points under a strategy."""
     p = np.asarray(p, dtype=complex).reshape(-1)
-    if strategy == "numeric" or strategy is None:
+    if strategy == "numeric":
         opts = dict(N=24, gtol=1e-6, max_iters=60)
         opts.update(solver_opts or {})
         return geodesic_distance_many(metric, p, targets, **opts)
@@ -263,39 +267,38 @@ def comparison_defect(metric: HermitianMetricField, disk: DiskEmbedding, p, K: f
     """Both sides of the disk comparison inequality and their difference.
 
     ``distance`` is "numeric" (geodesy solver) or a closed-form distance
-    field d(p, .).  The error estimate is the change of the defect under
-    one grid doubling.
+    field d(p, .).  The report is that of the doubled grid.  Each level
+    doubles its boundary rule once more when the disk comes within
+    ``NEAR_DISK_CUTOFF`` of p, so the base rule is every s-th node of the
+    doubled one (s = 1, 2 or 4) and one distance evaluation, at the centre
+    and on the doubled boundary, serves both.  The error estimate is the
+    change of the defect between the two rules plus 4x the distance error.
     """
-    numeric = distance == "numeric" or distance is None
+    numeric = distance == "numeric"
     if tol is None:
         tol = 5e-3 if numeric else 1e-6
     grid = grid or QuadratureGrid()
+    levels = (grid, grid.doubled())
     p = np.asarray(p, dtype=complex).reshape(-1)
-
-    def assemble(g: QuadratureGrid) -> tuple:
-        bw, _ = g.boundary()
-        bpts = disk(bw)
-        gap = np.min(np.linalg.norm(bpts - p[None], axis=1))
-        if gap < NEAR_DISK_CUTOFF and g.n_boundary < 4 * 64:
-            g = QuadratureGrid(g.n_r, g.n_theta, 2 * g.n_boundary)
-            bw, _ = g.boundary()
-            bpts = disk(bw)
-        center = disk(np.zeros(1))
-        targets = np.vstack([center, bpts])
-        dvals, derr = _distance_values(metric, p, targets, distance, solver_opts)
-        dk = dK_transform(dvals, K)
-        lhs = float(dk[0])
-        boundary_avg = float(np.mean(dk[1:]))
+    bpts = disk(levels[1].boundary()[0])
+    sizes = []
+    for g, pts in zip(levels, (bpts[::2], bpts)):
+        near = np.min(np.linalg.norm(pts - p[None], axis=1)) < NEAR_DISK_CUTOFF
+        sizes.append(2 * g.n_boundary if near and g.n_boundary < 4 * 64 else g.n_boundary)
+    if sizes[1] > levels[1].n_boundary:
+        bpts = disk(QuadratureGrid(n_boundary=sizes[1]).boundary()[0])
+    targets = np.vstack([disk(np.zeros(1)), bpts])
+    dvals, derr = _distance_values(metric, p, targets, distance, solver_opts)
+    dk = dK_transform(dvals, K)
+    lhs = float(dk[0])
+    defects = []
+    for g, nb in zip(levels, sizes):     # the doubled level last: the report keeps it
+        boundary_avg = float(np.mean(dk[1::sizes[1] // nb]))
         lm = log_moment(metric, disk, g)
-        return lhs, lm, boundary_avg, float(np.max(derr, initial=0.0))
-
-    lhs1, lm1, ba1, de1 = assemble(grid)
-    lhs2, lm2, ba2, de2 = assemble(grid.doubled())
-    defect1 = lhs1 - lm1 - ba1
-    defect2 = lhs2 - lm2 - ba2
-    err = abs(defect2 - defect1) + 4.0 * max(de1, de2)
-    return ComparisonReport(lhs=lhs2, log_moment=lm2, boundary_avg=ba2,
-                            defect=defect2, error_estimate=err, tol=tol,
+        defects.append(lhs - lm - boundary_avg)
+    err = abs(defects[1] - defects[0]) + 4.0 * float(np.max(derr, initial=0.0))
+    return ComparisonReport(lhs=lhs, log_moment=lm, boundary_avg=boundary_avg,
+                            defect=defects[1], error_estimate=err, tol=tol,
                             strategy="numeric" if numeric else "closed-form")
 
 
@@ -330,21 +333,14 @@ def annulus_defect(metric: HermitianMetricField, disk: DiskEmbedding, p, K: floa
     dk = dK_transform(dvals, K)
     nb = len(bw)
     ring = 0.25 * (2.0 * math.pi / nb) * float(np.sum(dk[:nb] - dk[nb:]))
-    nodes, weights = grid.interior()
-    dens = area_density(metric, disk, nodes)
-    bulk = float(np.sum(weights * _f_eps(np.abs(nodes), eps) * dens))
-    return ring - bulk
+    return ring - _area_integral(metric, disk, grid, lambda r: _f_eps(r, eps))
 
 
 def annulus_tail(metric: HermitianMetricField, disk: DiskEmbedding, eps: float,
                  grid: Optional[QuadratureGrid] = None) -> float:
     """iint (f_eps - log|w|) dA; the gap between the estimator's bulk term
     and the log moment, vanishing as eps -> 0."""
-    grid = grid or QuadratureGrid()
-    nodes, weights = grid.interior()
-    dens = area_density(metric, disk, nodes)
-    r = np.abs(nodes)
-    return float(np.sum(weights * (_f_eps(r, eps) - np.log(r)) * dens))
+    return _area_integral(metric, disk, grid, lambda r: _f_eps(r, eps) - np.log(r))
 
 
 def violation_disk(metric: HermitianMetricField, p, K: float, pair: TangentPair,
@@ -367,6 +363,28 @@ class ScanResult:
     directed: bool
 
 
+def worst_defect(metric: HermitianMetricField, p, K: float, distance: DistanceStrategy,
+                 disks, directed: Optional[DiskEmbedding] = None,
+                 tol: Optional[float] = None) -> ScanResult:
+    """Worst comparison report over ``disks``, the ``directed`` disk first.
+
+    Disks are evaluated one at a time, so a disk whose evaluation raises a
+    ``KahlerLabError`` (a distance beyond the d_K^2 cap, say) is skipped
+    without costing the others; the first minimum wins.
+    """
+    scored = []
+    for d in ([] if directed is None else [directed]) + list(disks):
+        try:
+            scored.append((comparison_defect(metric, d, p, K, distance=distance, tol=tol), d))
+        except KahlerLabError:
+            continue
+    if not scored:
+        raise KahlerLabError("no admissible disk in the scan")
+    worst, disk = min(scored, key=lambda rd: rd[0].defect)
+    return ScanResult(report=worst, disk=disk, scanned=len(scored),
+                      directed=scored[0][1] is directed)
+
+
 def scan_disks(space, p, K: float, sampler: DiskSampler,
                tol: Optional[float] = None) -> ScanResult:
     """Worst comparison defect over seeded affine and degree-2 disks.
@@ -380,11 +398,7 @@ def scan_disks(space, p, K: float, sampler: DiskSampler,
     metric = space.metric()
     distance = space.distance_field(p) if hasattr(space, "distance_field") else "numeric"
     p = np.asarray(p, dtype=complex).reshape(-1)
-    worst = None
-    worst_disk = None
-    directed = False
-    scanned = 0
-
+    directed = None
     try:
         data = curvature_tensor(metric, p) if metric.is_potential_form else None
     except SingularityTooClose:         # no curvature at a singular point
@@ -392,24 +406,9 @@ def scan_disks(space, p, K: float, sampler: DiskSampler,
     if data is not None:
         val, pair = min_bk_defect(data, K, samples=400, seed=sampler.seed)
         if val < -1e-7:
-            disk = violation_disk(metric, p, K, pair, 0.06, 0.25)
-            rep = comparison_defect(metric, disk, p, K, distance=distance, tol=tol)
-            worst, worst_disk, directed = rep, disk, True
-            scanned += 1
-
-    rng = np.random.default_rng(sampler.seed)
-    for d in sample_disks(metric.chart, p, sampler, rng):
-        try:
-            rep = comparison_defect(metric, d, p, K, distance=distance, tol=tol)
-        except KahlerLabError:
-            continue
-        scanned += 1
-        if worst is None or rep.defect < worst.defect:
-            worst, worst_disk = rep, d
-    if worst is None:
-        raise KahlerLabError("no admissible disk in the scan")
-    return ScanResult(report=worst, disk=worst_disk, scanned=scanned,
-                      directed=directed)
+            directed = violation_disk(metric, p, K, pair, 0.06, 0.25)
+    disks = sample_disks(metric.chart, p, sampler, np.random.default_rng(sampler.seed))
+    return worst_defect(metric, p, K, distance, disks, directed=directed, tol=tol)
 
 
 def rprime_value(data: CurvatureData, K: float, pair: TangentPair) -> float:

@@ -31,7 +31,9 @@ def dK_transform(d, K: float, margin: float = DK_MARGIN):
     d_K^2 = -(4/K) log cos(d sqrt(K/2)) for K > 0 (domain d < pi/sqrt(2K)),
     d^2 for K = 0, and (4/|K|) log cosh(d sqrt(|K|/2)) for K < 0.  Small
     |K| d^2 is routed through the shared Taylor series, which makes the
-    map continuous in K at 0.
+    map continuous in K at 0.  With x = d sqrt(|K|/2), log1p(2 sinh^2(x/2))
+    and, while cos x >= 1/2, log1p(-2 sin^2(x/2)) keep the small-x digits
+    that log(cos x) loses; nearer the cap log(cos x) is the more accurate.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d < 0):
@@ -48,10 +50,13 @@ def dK_transform(d, K: float, margin: float = DK_MARGIN):
     out[small] = d2[small] * (1.0 + K * d2[small] / 12.0 + (K * d2[small]) ** 2 / 90.0)
     big = ~small
     if np.any(big):
+        x = d[big] * math.sqrt(abs(K) / 2.0)
         if K > 0:
-            out[big] = -(4.0 / K) * np.log(np.cos(d[big] * math.sqrt(K / 2.0)))
+            cos = np.cos(x)
+            out[big] = -(4.0 / K) * np.where(
+                cos >= 0.5, np.log1p(-2.0 * np.sin(x / 2.0) ** 2), np.log(cos))
         else:
-            out[big] = (4.0 / -K) * np.log(np.cosh(d[big] * math.sqrt(-K / 2.0)))
+            out[big] = (4.0 / -K) * np.log1p(2.0 * np.sinh(x / 2.0) ** 2)
     return out if out.ndim else float(out)
 
 

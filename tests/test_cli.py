@@ -9,7 +9,7 @@ from jsonschema import Draft202012Validator
 
 from kahlerlab import disks
 from kahlerlab.cli import (CHECK_PARAM_SCHEMAS, CONFIG_SCHEMA, CSV_COLUMNS,
-                           bundled_scenario_path, load_config, main)
+                           bundled_scenario_path, execute, load_config, main)
 from kahlerlab.disks import scan_disks
 from kahlerlab.errors import ConfigError
 from kahlerlab.models import ModelSpace
@@ -196,6 +196,20 @@ def test_csv_determinism_excluding_wall_ms(tmp_path):
 
     assert stripped(tmp_path / "a" / "results.csv") \
         == stripped(tmp_path / "b" / "results.csv")
+
+
+def test_jobs_do_not_change_the_reports(tmp_path):
+    cfg = load_config(str(bundled_scenario_path("models.json")))
+    reports = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs-{jobs}"
+        assert execute(cfg, out, None, jobs, None) == 0
+        rows = [r[:-1] for r in csv.reader(open(out / "results.csv"))]
+        summary = json.loads((out / "summary.json").read_text())
+        for r in summary["rows"]:
+            del r["wall_ms"]
+        reports.append((rows, summary))
+    assert reports[0] == reports[1]
 
 
 def test_seed_override_changes_rows(tmp_path):

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from kahlerlab import disks
 from kahlerlab.curvature import TangentPair, curvature_tensor
-from kahlerlab.disks import (DiskEmbedding, QuadratureGrid, annulus_defect,
-                             annulus_tail, area_density, asymptotic_defect,
-                             comparison_defect, log_moment, rprime_value,
+from kahlerlab.disks import (NEAR_DISK_CUTOFF, DiskEmbedding, DiskSampler,
+                             QuadratureGrid, annulus_defect, annulus_tail,
+                             area_density, asymptotic_defect, comparison_defect,
+                             log_moment, rprime_value, sample_disks,
                              torsion_contraction, torsion_expected_defect,
-                             torsion_metric, violation_disk)
+                             torsion_metric, violation_disk, worst_defect)
+from kahlerlab.errors import KahlerLabError
 from kahlerlab.fields import ComplexChart
-from kahlerlab.models import ModelSpace
+from kahlerlab.geodesy import geodesic_distance_many
+from kahlerlab.models import ConeSurface, ModelSpace, dK_transform
 
 
 def _flat(n=2):
@@ -188,3 +192,163 @@ def test_torsion_disk_defect_matches_prediction():
                             solver_opts=dict(N=24, gtol=1e-8, max_iters=120))
     assert rep.defect < 0
     assert expected / 2.0 >= rep.defect >= expected * 2.0
+
+
+REPORT_FIELDS = ("lhs", "log_moment", "boundary_avg", "defect", "error_estimate")
+
+
+def _two_pass_rule(metric, disk, p, K, distance, grid=None, solver_opts=None):
+    """The comparison defect with each grid level evaluating its own centre
+    and boundary distances; returns the report fields and the two boundary
+    sizes."""
+    grid = grid or QuadratureGrid()
+    p = np.asarray(p, dtype=complex).reshape(-1)
+
+    def distances(targets):
+        if distance == "numeric":
+            opts = dict(N=24, gtol=1e-6, max_iters=60)
+            opts.update(solver_opts or {})
+            return geodesic_distance_many(metric, p, targets, **opts)
+        return np.asarray(distance(targets), dtype=float), np.zeros(len(targets))
+
+    def assemble(g):
+        bpts = disk(g.boundary()[0])
+        gap = np.min(np.linalg.norm(bpts - p[None], axis=1))
+        if gap < NEAR_DISK_CUTOFF and g.n_boundary < 4 * 64:
+            g = QuadratureGrid(g.n_r, g.n_theta, 2 * g.n_boundary)
+            bpts = disk(g.boundary()[0])
+        dvals, derr = distances(np.vstack([disk(np.zeros(1)), bpts]))
+        dk = dK_transform(dvals, K)
+        lhs, ba = float(dk[0]), float(np.mean(dk[1:]))
+        lm = log_moment(metric, disk, g)
+        return lhs, lm, ba, lhs - lm - ba, float(np.max(derr, initial=0.0)), g.n_boundary
+
+    lhs1, lm1, ba1, defect1, de1, nb1 = assemble(grid)
+    lhs2, lm2, ba2, defect2, de2, nb2 = assemble(grid.doubled())
+    err = abs(defect2 - defect1) + 4.0 * max(de1, de2)
+    return dict(lhs=lhs2, log_moment=lm2, boundary_avg=ba2, defect=defect2,
+                error_estimate=err), (nb1, nb2)
+
+
+def _fields(rep):
+    return {f: getattr(rep, f) for f in REPORT_FIELDS}
+
+
+def _doubled_boundary_only_disk(metric):
+    """The disk 0.35 + 0.3 w with a point p 0.049 off its boundary, at an
+    angle that is a node of the doubled boundary rule only: every node of
+    the base rule is 0.0515 from p, so only the doubled rule comes within
+    NEAR_DISK_CUTOFF; returns (disk, p)."""
+    a, r, gap = 0.35, 0.3, 0.049
+    p = np.array([a + (r + gap) * np.exp(1j * math.pi * 33 / 64)])
+    return DiskEmbedding.affine(np.array([a]), np.array([r]), metric.chart), p
+
+
+@pytest.mark.parametrize("k", [64, 96, 128])
+@pytest.mark.parametrize("s", [1, 2, 4])
+def test_boundary_rule_nests_in_its_multiples(k, s):
+    w, th = QuadratureGrid(n_boundary=k).boundary()
+    ws, ths = QuadratureGrid(n_boundary=k * s).boundary()
+    assert np.array_equal(w, ws[::s])
+    assert np.array_equal(th, ths[::s])
+
+
+def test_comparison_defect_equals_two_pass_rule_closed_form():
+    cases = []
+    for K, n, seed in [(1.0, 2, 3), (-1.0, 2, 4), (0.0, 2, 5), (1.0, 1, 6),
+                       (-1.0, 1, 7), (0.0, 1, 8)]:
+        space = ModelSpace(K=K, n=n)
+        metric = space.metric()
+        p = np.full(n, 0.05 + 0.02j)
+        sampler = DiskSampler(seed=seed, count=20, size_range=(0.02, 0.3),
+                              center_radius=0.2)
+        for d in sample_disks(metric.chart, p, sampler, np.random.default_rng(seed)):
+            cases.append((metric, d, p, K, space.distance_field(p), QuadratureGrid()))
+    # on the cone the apex, 0.05 from the disk, keeps the boundary
+    # average of the base rule off that of the doubled rule
+    for space, K in [(ModelSpace(K=1.0, n=1), 1.0), (ConeSurface(alpha=0.5), 0.0)]:
+        metric = space.metric()
+        disk, p = _doubled_boundary_only_disk(metric)
+        for k in (64, 96, 128):
+            cases.append((metric, disk, p, K, space.distance_field(p),
+                          QuadratureGrid(n_boundary=k)))
+    sizes = []
+    for metric, disk, p, K, dist, grid in cases:
+        ref, nb = _two_pass_rule(metric, disk, p, K, dist, grid=grid)
+        rep = comparison_defect(metric, disk, p, K, distance=dist, grid=grid)
+        assert _fields(rep) == ref
+        sizes.append((grid.n_boundary,) + nb)
+    assert len(cases) >= 100
+    ratios = {nb2 // nb1 for _, nb1, nb2 in sizes}
+    assert ratios == {1, 2, 4}
+    assert sum(nb1 > k for k, nb1, _ in sizes) >= 5        # near-p upgrades
+    assert (64, 64, 256) in sizes                           # the 4:1 case
+
+
+def test_comparison_defect_equals_two_pass_rule_numeric():
+    space = ModelSpace(K=1.0, n=2)
+    metric = space.metric()
+    p = np.array([0.05, 0.0])
+    opts = dict(N=12, max_iters=30)
+    for a, b in [([0.15, 0.0], [0.1, 0.06j]), ([0.04, 0.03j], [0.05, 0.02])]:
+        disk = DiskEmbedding.affine(np.array(a), np.array(b), metric.chart)
+        ref, _ = _two_pass_rule(metric, disk, p, 1.0, "numeric", solver_opts=opts)
+        rep = comparison_defect(metric, disk, p, 1.0, distance="numeric",
+                                solver_opts=opts)
+        got = _fields(rep)
+        # the doubled level solves the same batch as before, so its values
+        # are bit-identical; the base level now reads its distances from
+        # that batch, and a path's last bit depends on its batch
+        for f in ("lhs", "log_moment", "boundary_avg", "defect"):
+            assert got[f] == ref[f], f
+        assert got["error_estimate"] == pytest.approx(ref["error_estimate"], rel=1e-10)
+
+
+def test_comparison_defect_makes_one_distance_call_per_disk(monkeypatch):
+    space = ModelSpace(K=1.0, n=1)
+    metric = space.metric()
+    far = DiskEmbedding.affine(np.array([0.5]), np.array([0.2]), metric.chart)
+    near, p_near = _doubled_boundary_only_disk(metric)
+    calls = []
+    for disk, p, nodes in [(far, np.array([0.05 + 0.02j]), 128), (near, p_near, 256)]:
+        field = space.distance_field(p)
+
+        def counting(zs):
+            calls.append(len(zs))
+            return field(zs)
+
+        def fake_solver(metric, p, qs, **opts):
+            calls.append(len(qs))
+            return field(qs), np.zeros(len(qs))
+
+        monkeypatch.setattr(disks, "geodesic_distance_many", fake_solver)
+        for distance in (counting, "numeric"):
+            calls.clear()
+            comparison_defect(metric, disk, p, 1.0, distance=distance)
+            assert calls == [1 + nodes]
+
+
+def test_worst_defect_skips_disks_that_raise():
+    space = ModelSpace(K=0.0, n=1)
+    metric = space.metric()
+    p = np.array([0.0j])
+    field = space.distance_field(p)
+
+    def distance(zs):
+        if np.max(zs.real) > 0.6:
+            raise KahlerLabError("out of range")
+        return field(zs)
+
+    def disk(a, b):
+        return DiskEmbedding.affine(np.array([a]), np.array([b]), metric.chart)
+
+    bad, small, large = disk(0.6, 0.2), disk(0.1, 0.05), disk(-0.1, 0.3)
+    res = worst_defect(metric, p, 1.0, distance, [small, bad, large], directed=bad)
+    assert res.scanned == 2 and not res.directed
+    assert res.disk is large
+    ref = comparison_defect(metric, large, p, 1.0, distance=field)
+    assert res.report.defect == ref.defect
+    res = worst_defect(metric, p, 1.0, distance, [small], directed=large)
+    assert res.scanned == 2 and res.directed and res.disk is large
+    with pytest.raises(KahlerLabError, match="no admissible disk"):
+        worst_defect(metric, p, 1.0, distance, [bad, bad])

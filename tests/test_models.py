@@ -29,6 +29,25 @@ def test_dk_transform_taylor_matches_closed_form():
         assert dK_transform(d, K) == pytest.approx(exact, abs=1e-10)
 
 
+@pytest.mark.parametrize("K", [2.0, 0.5, -2.0, -0.5])
+def test_dk_transform_logarithms_against_40_digits(K):
+    # sqrt(|K|/2) is exact for these K, so x = d sqrt(|K|/2) carries no
+    # rounding of its own and the error measured is that of the formula
+    import mpmath
+    mpmath.mp.dps = 40
+    lo = 1.01 * math.sqrt(1e-4 / abs(K))          # above the series cut
+    hi = 0.999 * math.pi / math.sqrt(2.0 * K) if K > 0 else 3.0
+    ds = np.geomspace(lo, hi, 200)
+    if K > 0:                                       # both sides of cos x = 1/2
+        ds = np.append(ds, (math.pi / 3 + np.array([-1e-3, 1e-3])) / math.sqrt(K / 2.0))
+    vals = dK_transform(ds, K)
+    for d, v in zip(ds, vals):
+        x = mpmath.mpf(d) * mpmath.sqrt(mpmath.mpf(abs(K)) / 2)
+        ref = (-(4 / mpmath.mpf(K)) * mpmath.log(mpmath.cos(x)) if K > 0
+               else (4 / mpmath.mpf(-K)) * mpmath.log(mpmath.cosh(x)))
+        assert abs(v - float(ref)) <= 1e-15 * float(ref), d
+
+
 def test_dk_transform_cap():
     K = 2.0
     cap = math.pi / math.sqrt(2.0 * K)
