@@ -9,7 +9,7 @@ and subharmonicity certificates, with a scenario-runner CLI on top.
 from .errors import (ConfigError, DomainExceeded, Disconnected, KahlerLabError,
                      NonConvergence, NonPositiveDefinite, SingularityTooClose,
                      Unsupported)
-from .fields import (Ball, ComplexChart, HermitianMetricField, ScalarField,
+from .fields import (ComplexChart, HermitianMetricField, ScalarField,
                      flat_potential, metric_from_potential, real_to_z, z_to_real)
 from .curvature import (CurvatureData, TangentPair, bianchi_check, bisectional,
                         bk_defect, curvature_tensor, hermitian_inner,

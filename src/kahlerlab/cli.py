@@ -433,14 +433,14 @@ def _run_domain_compare(space, params, sampler, tol):
     metric = space.metric()
     dist = space.distance_field(p)
     eps = params.get("eps", 0.15)
-    candidates = [DiskEmbedding.affine(np.array([q]), np.array([eps]), space.chart)]
+    # built first, so that a fixed disk leaving the chart is an ERROR row
+    fixed = DiskEmbedding.affine(np.array([q]), np.array([eps]), space.chart)
+    candidates = [fixed] if space.disk_free(q, eps) else []
     rng = np.random.default_rng(sampler.seed)
     for _ in range(params.get("count", 10)):
         c = q + 0.3 * (rng.standard_normal() + 1j * rng.standard_normal())
         r = eps * rng.uniform(0.5, 1.0)
-        ring = c + r * np.exp(1j * np.linspace(0, 2 * math.pi, 32))
-        pts = np.stack([ring.real, ring.imag], axis=1)
-        if not np.all(space.free(pts)):
+        if not space.disk_free(c, r):
             continue
         try:
             candidates.append(DiskEmbedding.affine(np.array([c]), np.array([r]),

@@ -89,14 +89,13 @@ class CurvatureData:
         return float(max(r1, r2, r3))
 
 
-def curvature_tensor(metric: HermitianMetricField, z: np.ndarray,
-                     h_outer: float = CURV_OUTER_H) -> CurvatureData:
+def curvature_tensor(metric: HermitianMetricField, z: np.ndarray) -> CurvatureData:
     """Full curvature tensor of a potential-form metric at a chart point.
 
     The outer step differentiates the metric matrices; the inner gram
     evaluations use a step chosen to keep round-off noise below the
     truncation error of the outer stencil.  Raises SingularityTooClose if
-    the nested stencil, which reaches sqrt(2) (h_outer + h_inner) from z,
+    the nested stencil, which reaches sqrt(2) (outer + inner step) from z,
     comes within the smoothness radius of a singular point.
     """
     if not metric.is_potential_form:
@@ -105,7 +104,7 @@ def curvature_tensor(metric: HermitianMetricField, z: np.ndarray,
     n = phi.n
     z = np.asarray(z, dtype=complex).reshape(n)
     h_inner = max(metric.h, CURV_INNER_H)
-    reach = phi.smoothness_radius + math.sqrt(2.0) * (h_outer + h_inner)
+    reach = phi.smoothness_radius + math.sqrt(2.0) * (CURV_OUTER_H + h_inner)
     if phi.singular_distance(z[None])[0] < reach:
         raise SingularityTooClose(f"curvature stencil at z={z} comes within "
                                   f"{reach:.3e} of a singular point of {phi.name!r}")
@@ -117,8 +116,8 @@ def curvature_tensor(metric: HermitianMetricField, z: np.ndarray,
     x0 = z_to_real(z[None, :])
     G0 = gram_raw(x0)[0]
     G = 0.5 * (G0 + np.conj(G0.T))
-    DD = fd.wirtinger_dd(gram_raw, x0, h_outer, n)[0]    # [k, l, i, j]
-    dG = fd.wirtinger_d(gram_raw, x0, h_outer, n)[0]     # [k, i, j] = d_k g_{i jbar}
+    DD = fd.wirtinger_dd(gram_raw, x0, CURV_OUTER_H, n)[0]    # [k, l, i, j]
+    dG = fd.wirtinger_d(gram_raw, x0, CURV_OUTER_H, n)[0]     # [k, i, j] = d_k g_{i jbar}
     Ginv = np.linalg.inv(G)
 
     second = DD.transpose(2, 3, 0, 1)                    # [i, j, k, l]

@@ -34,24 +34,17 @@ def real_to_z(xs: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Ball:
-    center: np.ndarray
-    radius: float = 0.0
-
-
-@dataclass(frozen=True)
 class ComplexChart:
-    """Axis-aligned box or ball in C^n with an optional excluded set.
+    """Axis-aligned box or ball in C^n, both convex.
 
-    Radii are in chart units; the excluded set is a finite union of
-    points/balls (cone apexes and the like) strictly inside the domain.
+    The box bounds Re and Im of each coordinate by its radius, the ball
+    bounds |z - center| by the first radius; radii are in chart units.
     """
 
     n: int
     center: np.ndarray = None
     radii: np.ndarray = None
     kind: str = "box"
-    excluded: Sequence[Ball] = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.n < 1:
@@ -64,27 +57,15 @@ class ComplexChart:
         object.__setattr__(self, "radii", r)
         if self.kind not in ("box", "ball"):
             raise ValueError(f"unknown chart kind {self.kind!r}")
-        for b in self.excluded:
-            if not self.contains(np.asarray(b.center, dtype=complex)[None, :]).all():
-                raise ValueError("excluded set must lie strictly inside the domain")
 
-    def contains(self, zs: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    def contains(self, zs: np.ndarray) -> np.ndarray:
         zs = np.atleast_2d(np.asarray(zs, dtype=complex))
         d = zs - self.center
         if self.kind == "box":
-            ok = np.all(np.abs(d.real) <= self.radii - margin, axis=1)
-            ok &= np.all(np.abs(d.imag) <= self.radii - margin, axis=1)
+            ok = np.all(np.abs(d.real) <= self.radii, axis=1)
+            ok &= np.all(np.abs(d.imag) <= self.radii, axis=1)
             return ok
-        return np.linalg.norm(d, axis=1) <= self.radii[0] - margin
-
-    def excluded_distance(self, zs: np.ndarray) -> np.ndarray:
-        """Distance from each point to the excluded set (inf if empty)."""
-        zs = np.atleast_2d(np.asarray(zs, dtype=complex))
-        if not self.excluded:
-            return np.full(zs.shape[0], np.inf)
-        dists = [np.linalg.norm(zs - np.asarray(b.center, dtype=complex), axis=1) - b.radius
-                 for b in self.excluded]
-        return np.maximum(np.min(dists, axis=0), 0.0)
+        return np.linalg.norm(d, axis=1) <= self.radii[0]
 
 
 @dataclass(frozen=True)

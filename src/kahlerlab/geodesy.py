@@ -285,6 +285,11 @@ class RectObstacle:
                     return False
         return True
 
+    def blocks_disk(self, c: np.ndarray, r: float) -> bool:
+        """Whether the closed round disk |x - c| <= r meets the rectangle."""
+        gap = np.abs(c - np.asarray(self.center)) - np.asarray(self.half_widths)
+        return float(np.linalg.norm(np.maximum(gap, 0.0))) <= r
+
 
 @dataclass(frozen=True)
 class DiskObstacle:
@@ -302,6 +307,10 @@ class DiskObstacle:
         L2 = float(d @ d)
         t = 0.0 if L2 == 0 else float(np.clip((c - a) @ d / L2, 0.0, 1.0))
         return float(np.linalg.norm(a + t * d - c)) < self.radius - 1e-12
+
+    def blocks_disk(self, c: np.ndarray, r: float) -> bool:
+        """Whether the closed round disk |x - c| <= r meets this one."""
+        return float(np.linalg.norm(c - np.asarray(self.center))) <= r + self.radius
 
 
 @dataclass(frozen=True)
@@ -325,6 +334,11 @@ class PlanarDomain:
             if ob.blocks_segment(a, b):
                 return False
         return True
+
+    def disk_free(self, c: complex, r: float) -> bool:
+        """Whether the closed round disk |z - c| <= r misses every obstacle."""
+        c2 = np.array([c.real, c.imag])
+        return not any(ob.blocks_disk(c2, r) for ob in self.obstacles)
 
     def metric(self) -> HermitianMetricField:
         """The flat metric of the chart; obstacles only change distances."""

@@ -19,13 +19,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainExceeded, Unsupported
-from .fields import Ball, ComplexChart, HermitianMetricField, ScalarField, flat_potential
+from .fields import ComplexChart, HermitianMetricField, ScalarField, flat_potential
 
 DK_MARGIN = 1e-9
 _SERIES_CUT = 1e-4
 
 
-def dK_transform(d, K: float, margin: float = DK_MARGIN):
+def dK_transform(d, K: float):
     """Modified squared distance d_K^2.
 
     d_K^2 = -(4/K) log cos(d sqrt(K/2)) for K > 0 (domain d < pi/sqrt(2K)),
@@ -40,14 +40,16 @@ def dK_transform(d, K: float, margin: float = DK_MARGIN):
         raise ValueError("distance must be nonnegative")
     if K > 0:
         cap = math.pi / math.sqrt(2.0 * K)
-        if np.any(d > cap - margin):
+        if np.any(d > cap - DK_MARGIN):
             raise DomainExceeded(
                 f"d={float(np.max(d)):.6g} exceeds cap {cap:.6g} for K={K}")
     small = np.abs(K) * d * d < _SERIES_CUT
     out = np.empty_like(d)
     d2 = d * d
-    # shared expansion d^2 + K d^4/12 + K^2 d^6/90
-    out[small] = d2[small] * (1.0 + K * d2[small] / 12.0 + (K * d2[small]) ** 2 / 90.0)
+    # shared expansion d^2 (1 + y/12 + y^2/90 + 17 y^3/10080), y = K d^2
+    y = K * d2[small]
+    out[small] = d2[small] * (1.0 + y * (1.0 / 12.0
+                                         + y * (1.0 / 90.0 + y * (17.0 / 10080.0))))
     big = ~small
     if np.any(big):
         x = d[big] * math.sqrt(abs(K) / 2.0)
@@ -105,11 +107,11 @@ class ModelSpace:
             fn=lambda zs: (2.0 / c) * np.log1p((c / 4.0) * np.sum(np.abs(zs) ** 2, axis=1)),
             n=n, name=f"model potential, c = {c:g}")
 
-    def metric(self, exact: bool = True) -> HermitianMetricField:
+    def metric(self) -> HermitianMetricField:
         c = self.c
         return HermitianMetricField(
             self.chart, potential=self.potential(),
-            exact_gram=(lambda zs: _model_gram(c, zs)) if exact else None,
+            exact_gram=lambda zs: _model_gram(c, zs),
             name=f"model metric, c = {c:g}")
 
     def distance(self, z1, z2) -> float:
@@ -188,8 +190,7 @@ class ConeSurface:
 
     @property
     def chart(self) -> ComplexChart:
-        return ComplexChart(n=1, radii=1.5, kind="box",
-                            excluded=(Ball(center=np.zeros(1, dtype=complex)),))
+        return ComplexChart(n=1, radii=1.5)
 
     def geodesic_radius(self, r) -> np.ndarray:
         b = 1.0 - self.alpha

@@ -25,6 +25,7 @@ from .fields import ComplexChart, ScalarField
 from .models import ConeSurface, ModelSpace, QuotientData, dK_transform
 
 DEFAULT_TOL = 1e-6
+FD_STEP = 1e-3          # Laplacian stencil step of the sampled verdicts
 
 
 @dataclass
@@ -131,7 +132,7 @@ def _disk_stencils(chart: ComplexChart, center, sampler: DiskSampler, rng, h: fl
 
 
 def disk_evaluator(chart: ComplexChart, potential: ScalarField, distance, center,
-                   sampler: DiskSampler, h: float = 1e-3, crossing_tests: int = 0):
+                   sampler: DiskSampler, crossing_tests: int = 0):
     """Verdicts for potential - d_K^2/2 on one fixed set of sampled disks.
 
     Draws the disks near ``center``, clear of the potential's first
@@ -146,7 +147,7 @@ def disk_evaluator(chart: ComplexChart, potential: ScalarField, distance, center
     rng = np.random.default_rng(sampler.seed)
     singular = potential.singular_points[0] if potential.singular_points else None
     margin = max(potential.smoothness_radius * 4.0, 0.02) if singular is not None else 0.0
-    disks, ws, pts = _disk_stencils(chart, center, sampler, rng, h, margin, singular)
+    disks, ws, pts = _disk_stencils(chart, center, sampler, rng, FD_STEP, margin, singular)
     cross, notes = [], ()
     if crossing_tests > 0 and singular is not None:
         cross = sample_disks(chart, singular, DiskSampler(
@@ -160,7 +161,7 @@ def disk_evaluator(chart: ComplexChart, potential: ScalarField, distance, center
 
     def verdict(K: float, tol: float) -> PshVerdict:
         u = phi - 0.5 * dK_transform(dist, K)
-        lap = fd.laplacian_2d_combine(u[:9 * P].reshape(9, P), h)
+        lap = fd.laplacian_2d_combine(u[:9 * P].reshape(9, P), FD_STEP)
         pair = np.sum(weights * u[9 * P:].reshape(len(cross), weights.size) * bump_lap,
                       axis=1)
         vals = np.concatenate([lap, pair / mass])
@@ -182,8 +183,7 @@ def disk_evaluator(chart: ComplexChart, potential: ScalarField, distance, center
 
 def check_bk_lower(space, potential: ScalarField, p, K: float,
                    sampler: Optional[DiskSampler] = None, tol: float = DEFAULT_TOL,
-                   crossing_tests: int = 0, fd_step: float = 1e-3,
-                   center=None) -> PshVerdict:
+                   crossing_tests: int = 0, center=None) -> PshVerdict:
     """Sampled subharmonicity verdict for potential - d_K^2(p, .)/2.
 
     Pointwise finite differences run on disks that keep clear of singular
@@ -194,12 +194,12 @@ def check_bk_lower(space, potential: ScalarField, p, K: float,
     """
     return disk_evaluator(space.chart, potential, space.distance_field(p),
                           p if center is None else center, sampler or DiskSampler(),
-                          fd_step, crossing_tests)(K, tol)
+                          crossing_tests)(K, tol)
 
 
 def check_bk_lower_set(space, potential: ScalarField, S, K: float,
                        sampler: Optional[DiskSampler] = None,
-                       tol: float = DEFAULT_TOL, fd_step: float = 1e-3) -> PshVerdict:
+                       tol: float = DEFAULT_TOL) -> PshVerdict:
     """Same test with the set distance d_S = inf over p in S of d_p.
 
     S is a finite point array (m, n) or a ComplexLine (flat spaces only
@@ -219,7 +219,7 @@ def check_bk_lower_set(space, potential: ScalarField, S, K: float,
 
         center = S[0]
     return disk_evaluator(space.chart, potential, d_S, center,
-                          sampler or DiskSampler(), fd_step)(K, tol)
+                          sampler or DiskSampler())(K, tol)
 
 
 @dataclass

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 from jsonschema import Draft202012Validator
 
-from kahlerlab import disks
+from kahlerlab import cli, disks
 from kahlerlab.cli import (CHECK_PARAM_SCHEMAS, CONFIG_SCHEMA, CSV_COLUMNS,
                            bundled_scenario_path, execute, load_config, main)
 from kahlerlab.disks import scan_disks
@@ -289,3 +289,35 @@ def test_scan_disks_negative_model_is_clean():
                      DiskSampler(seed=0, count=10, size_range=(0.02, 0.25),
                                  center_radius=0.2))
     assert res.report.defect >= -5e-3
+
+
+def test_domain_compare_drops_candidates_that_cover_an_obstacle(tmp_path, monkeypatch):
+    # a small rect inside the fixed candidate affine(q, eps), off its centre
+    # and clear of its boundary; one seeded candidate has its centre in it
+    cfg = {"version": 1, "scenarios": [{
+        "id": "pinhole",
+        "space": {"kind": "domain", "radius": 2.0,
+                  "obstacles": [{"type": "rect", "center": [1.08, 0.0],
+                                 "half_widths": [0.02, 0.02]}]},
+        "sampler": {"seed": 1},
+        "checks": [{"check": "domain-compare",
+                    "params": {"p": [-1.0, 0.0], "q": [1.0, 0.0], "eps": 0.15,
+                               "count": 10}}]}]}
+    scanned = []
+
+    def spy(metric, p, K, distance, candidates, **kw):
+        scanned.extend(candidates)
+        return worst_defect(metric, p, K, distance, candidates, **kw)
+
+    worst_defect = cli.worst_defect
+    monkeypatch.setattr(cli, "worst_defect", spy)
+    res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    rows = list(csv.DictReader(open(tmp_path / "o" / "results.csv")))
+    assert rows[0]["verdict"] == "PASS"
+    assert 0 < len(scanned) < 10
+    for d in scanned:
+        c, r = d.coeffs[0, 0], abs(d.coeffs[1, 0])
+        gap = np.maximum(np.abs([c.real - 1.08, c.imag]) - 0.02, 0.0)
+        assert np.linalg.norm(gap) > r
+    assert not any(d.coeffs[0, 0] == 1.0 for d in scanned)

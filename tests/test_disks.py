@@ -14,7 +14,7 @@ from kahlerlab.disks import (NEAR_DISK_CUTOFF, DiskEmbedding, DiskSampler,
 from kahlerlab.errors import KahlerLabError
 from kahlerlab.fields import ComplexChart
 from kahlerlab.geodesy import geodesic_distance_many
-from kahlerlab.models import ConeSurface, ModelSpace, dK_transform
+from kahlerlab.models import ConeSurface, ModelSpace, QuotientData, dK_transform
 
 
 def _flat(n=2):
@@ -25,11 +25,16 @@ def test_disk_embedding_rejects_bad_maps():
     chart = ComplexChart(n=1, radii=1.0)
     with pytest.raises(ValueError):
         DiskEmbedding(coeffs=np.array([[0.0], [2.0]]), chart=chart)  # leaves chart
-    with pytest.raises(ValueError):
-        DiskEmbedding(coeffs=np.array([[0.1]]), chart=chart)  # constant
+    with pytest.raises(ValueError, match="disk map is constant"):
+        DiskEmbedding(coeffs=np.array([[0.1]]), chart=chart)
     with pytest.raises(ValueError):
         # w -> w^2 is 2:1 on the boundary
         DiskEmbedding(coeffs=np.array([[0.0], [0.0], [0.5]]), chart=chart)
+    with pytest.raises(ValueError, match="degree 3 exceeds 2"):
+        DiskEmbedding(coeffs=np.array([[0.0], [0.1], [0.0], [0.01]]), chart=chart)
+    with pytest.raises(ValueError, match="not an embedding"):
+        # |c1| = 1.9 |c2|: i' vanishes at w = -0.95
+        DiskEmbedding(coeffs=np.array([[0.0], [0.19], [0.1]]), chart=chart)
 
 
 def test_disk_embedding_evaluation():
@@ -352,3 +357,97 @@ def test_worst_defect_skips_disks_that_raise():
     assert res.scanned == 2 and res.directed and res.disk is large
     with pytest.raises(KahlerLabError, match="no admissible disk"):
         worst_defect(metric, p, 1.0, distance, [bad, bad])
+
+
+_TH = np.linspace(0, 2 * math.pi, 128, endpoint=False)
+_GRID = np.concatenate([np.exp(1j * _TH) * r for r in (1.0, 0.7, 0.4, 0.1)])
+_WDIFF = np.abs(np.exp(1j * _TH)[:, None] - np.exp(1j * _TH)[None, :])
+np.fill_diagonal(_WDIFF, 1.0)
+
+
+def _grid_validity(coeffs, chart) -> bool:
+    """The sampled validity check that preceded the exact one: containment
+    on four circles, the derivative on the same grid, and a 128 x 128
+    boundary distance matrix for degree-2 maps.  True when it accepts."""
+    c = np.asarray(coeffs, dtype=complex)
+
+    def image(w):
+        return (w[:, None] ** np.arange(c.shape[0])[None, :]) @ c
+
+    if not np.all(chart.contains(image(_GRID))):
+        return False
+    dv = np.linalg.norm((_GRID[:, None] ** np.arange(c.shape[0] - 1)[None, :])
+                        @ (np.arange(1, c.shape[0])[:, None] * c[1:]), axis=1)
+    if np.min(dv) <= 1e-12 * np.max(dv):
+        return False
+    if c.shape[0] == 2:
+        return True
+    bnd = image(_GRID[:128])
+    diff = np.linalg.norm(bnd[:, None, :] - bnd[None, :, :], axis=2)
+    np.fill_diagonal(diff, np.inf)
+    return bool(np.min(diff / _WDIFF) > 1e-9 * np.max(np.abs(c[1:])))
+
+
+def _exact_validity(coeffs, chart) -> bool:
+    try:
+        DiskEmbedding(coeffs=coeffs, chart=chart)
+    except ValueError:
+        return False
+    return True
+
+
+VALIDITY_CHARTS = ([ModelSpace(K=K, n=n).chart for K in (1.0, -1.0, 0.0) for n in (1, 2)]
+                   + [ConeSurface(alpha=0.5).chart, QuotientData().chart,
+                      ComplexChart(n=2, radii=1.5)])
+
+
+def _random_disks(chart, rng, count, max_ratio, degree2_fraction):
+    """Disks spread over the chart, some leaving it, with log-uniform
+    |c1| and |c2| / |c1| uniform in (0, max_ratio) for degree 2."""
+    n, R = chart.n, float(chart.radii[0])
+
+    def gauss():
+        return rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+
+    def unit():
+        v = gauss()
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    a = chart.center + gauss() * R * rng.uniform(0.0, 1.2, (count, 1)) / math.sqrt(2 * n)
+    size = R * np.exp(rng.uniform(math.log(1e-3), math.log(0.5), (count, 1)))
+    b = unit() * size
+    c2 = unit() * size * rng.uniform(0.0, max_ratio, (count, 1))
+    deg2 = rng.uniform(size=count) < degree2_fraction
+    return [np.stack([a[k], b[k], c2[k]][:2 + deg2[k]]) for k in range(count)]
+
+
+def test_exact_validity_matches_the_grid_on_sampler_shaped_disks():
+    rng = np.random.default_rng(20)
+    decisions = []
+    for chart in VALIDITY_CHARTS:
+        for c in _random_disks(chart, rng, 1150, 0.4, 0.3):
+            decisions.append((_exact_validity(c, chart), _grid_validity(c, chart)))
+    decisions = np.array(decisions)
+    assert len(decisions) >= 10_000
+    assert np.array_equal(decisions[:, 0], decisions[:, 1])
+    assert 0.05 < np.mean(decisions[:, 0]) < 0.95        # both outcomes occur
+
+
+def test_exact_validity_rejects_only_non_embeddings_the_grid_missed():
+    rng = np.random.default_rng(21)
+    missed = 0
+    for chart in VALIDITY_CHARTS:
+        for c in _random_disks(chart, rng, 200, 1.5, 1.0):
+            exact, grid = _exact_validity(c, chart), _grid_validity(c, chart)
+            if exact == grid:
+                continue
+            assert grid and not exact and chart.n == 1
+            # c1 + s c2 = 0 at |s| <= 2, so the boundary points w1, w2 with
+            # w1 + w2 = s have the same image
+            s = -c[1, 0] / c[2, 0]
+            w1, w2 = s / 2 + np.array([1j, -1j]) * s / abs(s) * math.sqrt(1 - abs(s) ** 2 / 4)
+            img = (np.array([1, w1, w1 * w1]) - np.array([1, w2, w2 * w2])) @ c
+            assert abs(w1 - w2) > 1e-6 and abs(abs(w1) - 1) < 1e-12
+            assert abs(img[0]) <= 1e-15 * np.sum(np.abs(c)) * 8, (c, w1, w2)
+            missed += 1
+    assert missed >= 100

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kahlerlab.errors import NonPositiveDefinite, SingularityTooClose
-from kahlerlab.fields import (Ball, ComplexChart, HermitianMetricField,
+from kahlerlab.fields import (ComplexChart, HermitianMetricField,
                               ScalarField, flat_potential, metric_from_potential,
                               real_to_z, z_to_real)
 
@@ -21,13 +21,6 @@ def test_chart_contains_box_and_ball():
     ball = ComplexChart(n=1, radii=1.0, kind="ball")
     assert ball.contains(np.array([[0.9j]]))[0]
     assert not ball.contains(np.array([[0.8 + 0.8j]]))[0]
-
-
-def test_excluded_distance():
-    chart = ComplexChart(n=1, radii=1.0,
-                         excluded=(Ball(center=np.zeros(1, dtype=complex)),))
-    d = chart.excluded_distance(np.array([[0.3 + 0.4j]]))
-    assert d[0] == pytest.approx(0.5)
 
 
 def test_flat_potential_gram():

@@ -48,6 +48,21 @@ def test_dk_transform_logarithms_against_40_digits(K):
         assert abs(v - float(ref)) <= 1e-15 * float(ref), d
 
 
+@pytest.mark.parametrize("K", [2.0, 1.0, 0.5, -1.0, -3.0])
+def test_dk_transform_series_against_40_digits(K):
+    # just below the cut |K| d^2 = 1e-4, where the truncated series is
+    # least accurate
+    import mpmath
+    mpmath.mp.dps = 40
+    ds = math.sqrt(1e-4 / abs(K)) * np.linspace(0.7, 0.99999, 200)
+    vals = dK_transform(ds, K)
+    for d, v in zip(ds, vals):
+        x = mpmath.mpf(d) * mpmath.sqrt(mpmath.mpf(abs(K)) / 2)
+        ref = (-(4 / mpmath.mpf(K)) * mpmath.log(mpmath.cos(x)) if K > 0
+               else (4 / mpmath.mpf(-K)) * mpmath.log(mpmath.cosh(x)))
+        assert abs(v - float(ref)) <= 5e-16 * float(ref), d
+
+
 def test_dk_transform_cap():
     K = 2.0
     cap = math.pi / math.sqrt(2.0 * K)
