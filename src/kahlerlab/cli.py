@@ -32,9 +32,10 @@ import jsonschema
 import numpy as np
 
 from .curvature import TangentPair, curvature_tensor, min_bk_defect
-from .disks import (DiskEmbedding, DiskSampler, TorsionSpace, annulus_defect,
-                    asymptotic_defect, comparison_defect, rprime_value, sample_disks,
-                    scan_disks, torsion_expected_defect, violation_disk, worst_defect)
+from .disks import (DiskEmbedding, DiskSampler, QuadratureGrid, TorsionSpace,
+                    annulus_defect, asymptotic_defect, comparison_defect, rprime_value,
+                    sample_disks, scan_disks, torsion_expected_defect, violation_disk,
+                    worst_defect)
 from .errors import ConfigError, KahlerLabError
 from .fields import ComplexChart
 from .geodesy import DiskObstacle, PlanarDomain, RectObstacle, domain_length_metric
@@ -326,16 +327,17 @@ def _run_annulus(space, params, sampler, tol):
     metric = space.metric()
     dist = space.distance_field(p)
     disks = sample_disks(metric.chart, p, sampler, np.random.default_rng(sampler.seed))
-    worst = math.inf
-    wit = None
-    for d in disks:
-        for eps in params.get("eps_list", [0.05, 0.02]):
-            val = annulus_defect(metric, d, p, params["K"], eps, distance=dist)
-            if val < worst:
-                worst = val
-                wit = {"coeffs": _jsonify(d.coeffs), "eps": eps, "value": val}
+    scored = [(annulus_defect(metric, d, p, params["K"], eps, distance=dist), d, eps)
+              for d in disks for eps in params.get("eps_list", [0.05, 0.02])]
+    if not scored:
+        raise KahlerLabError("no admissible disk in the scan")
+    worst, d, eps = min(scored, key=lambda s: s[0])       # the first minimum
+    # error estimate: the worst value's change under the doubled rule
+    err = abs(annulus_defect(metric, d, p, params["K"], eps, distance=dist,
+                             grid=QuadratureGrid().doubled()) - worst)
     verdict = "PASS" if worst >= -tol else "FAIL"
-    return dict(verdict=verdict, value=worst, error_est=0.0,
+    wit = {"coeffs": _jsonify(d.coeffs), "eps": eps, "value": worst}
+    return dict(verdict=verdict, value=worst, error_est=err,
                 witness=wit if verdict == "FAIL" else None)
 
 

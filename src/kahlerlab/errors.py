@@ -18,7 +18,8 @@ class NonConvergence(KahlerLabError):
 
 
 class DomainExceeded(KahlerLabError):
-    """Distance argument beyond the admissible range (positive-curvature cap)."""
+    """A point or distance outside the admissible domain: beyond the
+    positive-curvature cap, outside a model chart, or inside an obstacle."""
 
 
 class Disconnected(KahlerLabError):

@@ -99,8 +99,19 @@ def flat_potential(n: int) -> ScalarField:
                        name="flat |z|^2/2")
 
 
-def _hermitize(G: np.ndarray) -> np.ndarray:
-    return 0.5 * (G + np.conj(np.swapaxes(G, -1, -2)))
+def hermitize(G: np.ndarray) -> np.ndarray:
+    """0.5 (G + G^H) over the last two axes, written into G and returned.
+
+    Entry for entry the sums of the out-of-place form, so the two agree
+    bit for bit; the diagonal keeps its real part.
+    """
+    n = G.shape[-1]
+    for i in range(n):
+        G[..., i, i].imag = 0.0
+        for j in range(i + 1, n):
+            gij, gji = G[..., i, j], G[..., j, i]
+            G[..., i, j], G[..., j, i] = 0.5 * (gij + np.conj(gji)), 0.5 * (gji + np.conj(gij))
+    return G
 
 
 def _check_pd(G: np.ndarray, zs: np.ndarray) -> None:
@@ -130,7 +141,7 @@ def metric_from_potential(phi: ScalarField, z: np.ndarray, h: float = 1e-3) -> n
             f"z={zs[i]} at distance {guard[i]:.3e} < smoothness radius "
             f"{phi.smoothness_radius:.3e} of field {phi.name!r}")
     G = fd.wirtinger_dd(lambda xs: phi(real_to_z(xs)), z_to_real(zs), h, phi.n)
-    G = _hermitize(G)
+    G = hermitize(G)
     _check_pd(G, zs)
     return G[0] if single else G
 
@@ -142,7 +153,8 @@ class HermitianMetricField:
     form (an explicit Hermitian evaluator, e.g. the torsion metrics).  A
     potential-form field may carry an ``exact_gram`` fast path used for
     evaluation-heavy work (geodesic solves); tests pin it against the
-    finite-difference route.
+    finite-difference route.  Exact grams must be Hermitian by
+    construction: unlike direct-form ones they are not symmetrized.
     """
 
     def __init__(self, chart: ComplexChart, potential: Optional[ScalarField] = None,
@@ -168,12 +180,13 @@ class HermitianMetricField:
         """(P, n, n) Hermitian positive matrices g_{i jbar}(z)."""
         zs = np.atleast_2d(np.asarray(zs, dtype=complex))
         if self.is_potential_form and self._exact is None:
-            G = metric_from_potential(self.potential, zs, self.h)
+            return metric_from_potential(self.potential, zs, self.h)
+        if self._exact is not None:          # Hermitian by construction
+            G = np.asarray(self._exact(zs))
         else:
-            fn = self._exact if self._exact is not None else self._gram_fn
-            G = _hermitize(np.asarray(fn(zs)))
-            if check:
-                _check_pd(G, zs)
+            G = hermitize(np.array(self._gram_fn(zs), dtype=complex))
+        if check:
+            _check_pd(G, zs)
         return G
 
     def gram_fd(self, zs: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from scipy.linalg import solveh_banded
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import Disconnected
+from .errors import Disconnected, DomainExceeded
 from .fields import ComplexChart, HermitianMetricField, ScalarField
 from .models import ModelSpace
 
@@ -454,7 +454,7 @@ def domain_length_metric(domain: PlanarDomain, p, q, grid: int = 256) -> float:
     p = np.asarray(p, dtype=float).reshape(2)
     q = np.asarray(q, dtype=float).reshape(2)
     if not (domain.free(p[None])[0] and domain.free(q[None])[0]):
-        raise ValueError("endpoints must lie in the open domain")
+        raise DomainExceeded("endpoints must lie in the open domain")
     c = domain.chart.center[0]
     r = float(domain.chart.radii[0])
     xs = np.linspace(c.real - r, c.real + r, grid)

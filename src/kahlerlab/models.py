@@ -19,7 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainExceeded, Unsupported
-from .fields import ComplexChart, HermitianMetricField, ScalarField, flat_potential
+from .fields import (ComplexChart, HermitianMetricField, ScalarField, flat_potential,
+                     hermitize)
 
 DK_MARGIN = 1e-9
 _SERIES_CUT = 1e-4
@@ -63,12 +64,16 @@ def dK_transform(d, K: float):
 
 
 def _model_gram(c: float, zs: np.ndarray) -> np.ndarray:
-    """Exact g_{i jbar} of the model potential, batched (P, n, n)."""
-    P, n = zs.shape
-    u = 1.0 + (c / 4.0) * np.sum(np.abs(zs) ** 2, axis=1)
-    eye = np.eye(n)[None]
-    outer = np.conj(zs)[:, :, None] * zs[:, None, :]
-    return eye / (2.0 * u[:, None, None]) - (c / 4.0) * outer / (2.0 * u[:, None, None] ** 2)
+    """Exact g_{i jbar} of the model potential, batched (P, n, n).
+
+    I/(2u) - (c/4) zbar z^T/(2u^2), built in place; the vectorized complex
+    product leaves zbar_i z_j and conj(zbar_j z_i) a last bit apart, so the
+    result is symmetrized (in place) to be Hermitian bit for bit."""
+    u = (1.0 + (c / 4.0) * np.sum(np.abs(zs) ** 2, axis=1))[:, None, None]
+    G = np.conj(zs)[:, :, None] * zs[:, None, :]
+    G *= c / 4.0
+    G /= 2.0 * u ** 2
+    return hermitize(np.subtract(np.eye(zs.shape[1]) / (2.0 * u), G, out=G))
 
 
 @dataclass(frozen=True)

@@ -321,3 +321,45 @@ def test_domain_compare_drops_candidates_that_cover_an_obstacle(tmp_path, monkey
         gap = np.maximum(np.abs([c.real - 1.08, c.imag]) - 0.02, 0.0)
         assert np.linalg.norm(gap) > r
     assert not any(d.coeffs[0, 0] == 1.0 for d in scanned)
+
+
+def test_domain_compare_with_q_in_an_obstacle_is_an_error_row(tmp_path, caplog):
+    cfg = {"version": 1, "scenarios": [{
+        "id": "blocked",
+        "space": {"kind": "domain", "radius": 2.0,
+                  "obstacles": [{"type": "rect", "center": [1.0, 0.0],
+                                 "half_widths": [0.1, 0.1]}]},
+        "checks": [{"check": "domain-compare",
+                    "params": {"p": [-1.0, 0.0], "q": [1.0, 0.0]}}]}]}
+    res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    rows = list(csv.DictReader(open(tmp_path / "o" / "results.csv")))
+    assert [r["verdict"] for r in rows] == ["ERROR"]
+    wit = json.loads((tmp_path / "o" / rows[0]["witness_ref"]).read_text())
+    assert wit["error"] == "endpoints must lie in the open domain"
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and not errors[0].exc_info
+    assert "Traceback" not in caplog.text + res.output
+
+
+def test_annulus_row_reports_the_change_under_the_doubled_rule(tmp_path):
+    cfg = {"version": 1, "scenarios": [{
+        "id": "a", "space": {"kind": "model", "K": 1.0, "n": 2},
+        "sampler": {"seed": 3, "count": 4},
+        "checks": [{"check": "annulus", "params": {"K": 1.0, "p": [[0.05, 0.02], [0, 0]]}}]}]}
+    res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    row = next(csv.DictReader(open(tmp_path / "o" / "results.csv")))
+    space = ModelSpace(K=1.0, n=2)
+    p = np.array([0.05 + 0.02j, 0.0])
+    sampler = DiskSampler(seed=3, count=4)
+    vals = [(disks.annulus_defect(space.metric(), d, p, 1.0, eps,
+                                  distance=space.distance_field(p)), d, eps)
+            for d in disks.sample_disks(space.chart, p, sampler, np.random.default_rng(3))
+            for eps in (0.05, 0.02)]
+    worst, d, eps = min(vals, key=lambda v: v[0])
+    doubled = disks.annulus_defect(space.metric(), d, p, 1.0, eps,
+                                   distance=space.distance_field(p),
+                                   grid=disks.QuadratureGrid().doubled())
+    assert float(row["value"]) == worst
+    assert float(row["error_est"]) == abs(doubled - worst) < 1e-12

@@ -230,7 +230,8 @@ def _two_pass_rule(metric, disk, p, K, distance, grid=None, solver_opts=None):
 
     lhs1, lm1, ba1, defect1, de1, nb1 = assemble(grid)
     lhs2, lm2, ba2, defect2, de2, nb2 = assemble(grid.doubled())
-    err = abs(defect2 - defect1) + 4.0 * max(de1, de2)
+    err = abs(defect2 - defect1) + 4.0 * max(de1, de2) \
+        + disks.ROUNDING_FLOOR * (abs(lhs2) + abs(lm2) + abs(ba2))
     return dict(lhs=lhs2, log_moment=lm2, boundary_avg=ba2, defect=defect2,
                 error_estimate=err), (nb1, nb2)
 
@@ -451,3 +452,171 @@ def test_exact_validity_rejects_only_non_embeddings_the_grid_missed():
             assert abs(img[0]) <= 1e-15 * np.sum(np.abs(c)) * 8, (c, w1, w2)
             missed += 1
     assert missed >= 100
+
+
+# --- the interior rule against dense references -----------------------------
+
+
+def _dyadic_interior(n_r, n_theta, lo=0.0, hi=1.0):
+    """Reference rule: Gauss-Legendre on 24 dyadic panels below ``hi``
+    (one plain panel on [lo, hi] when lo > 0) times uniform angles;
+    returns (nodes, weights) for flat dA."""
+    x, wgl = np.polynomial.legendre.leggauss(n_r)
+    rs, ws = [], []
+    for _ in range(24 if lo == 0.0 else 1):
+        a = hi / 2.0 if lo == 0.0 else lo
+        rs.append(a + (hi - a) * 0.5 * (x + 1.0))
+        ws.append(0.5 * (hi - a) * wgl)
+        hi = a
+    r = np.concatenate(rs)
+    wr = np.concatenate(ws) * r * (2.0 * math.pi / n_theta)
+    th = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    return (r[:, None] * np.exp(1j * th)[None, :]).ravel(), np.repeat(wr, n_theta)
+
+
+def _dense_area_integral(metric, disk, f, kinks=()):
+    """iint f(|w|) dA on 64 x 128 dyadic panels below the first kink and
+    plain Gauss panels between the kinks of f.  The dyadic panels leave out
+    |w| < 2^-24 times the first kink: for the annulus integrands that is
+    below 1e-20; ``_dense_log_moment`` adds it back."""
+    edges = (0.0, *kinks, 1.0)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        nodes, w = _dyadic_interior(64, 128, lo, hi)
+        total += float(np.sum(w * f(np.abs(nodes)) * area_density(metric, disk, nodes)))
+    return total
+
+
+def _dense_log_moment(metric, disk):
+    c = 2.0 ** -24               # rho(0) times 2 pi int_0^c r log r dr
+    core = area_density(metric, disk, np.zeros(1))[0] * math.pi * c * c * (math.log(c) - 0.5)
+    return (2.0 / math.pi) * (_dense_area_integral(metric, disk, np.log) + core)
+
+
+def _acceptance06_torsion_disk():
+    T = np.zeros((2, 2, 2))
+    T[0, 0, 1], T[0, 1, 0] = -0.5, 0.5
+    chart = ComplexChart(n=2, radii=1.5)
+    disk = DiskEmbedding.affine(5e-2 * np.array([1.0, 0.0]),
+                                5e-3 * np.array([1.0, 1.0]), chart)
+    return torsion_metric(T, chart), disk
+
+
+def _model_disks():
+    """(space, metric, disk, p) on sampled disks of the model spaces."""
+    cases = []
+    for K, n in [(1.0, 1), (1.0, 2), (-1.0, 1), (-1.0, 2), (2.0, 1), (2.0, 2),
+                 (0.0, 1), (0.0, 2)]:
+        space = ModelSpace(K=K, n=n)
+        metric = space.metric()
+        p = np.full(n, 0.05 + 0.02j)
+        seed = 30 + len(cases)
+        for d in sample_disks(metric.chart, p, DiskSampler(seed=seed, count=8),
+                              np.random.default_rng(seed)):
+            cases.append((space, metric, d, p))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def dense_cases():
+    """(space, metric, disk, p, dense log moment): the model disks, a cone
+    disk clear of the apex and one near it, and a wide disk of the K = -1
+    plane on which the base rule is 3.5e-13 off."""
+    cases = _model_disks()
+    cone = ConeSurface(alpha=0.5)
+    for c in (0.8 + 0.1j, 0.3 + 0.1j):
+        cases.append((cone, cone.metric(), DiskEmbedding.affine([c], [0.25], cone.chart),
+                      np.array([0.6 + 0.0j])))
+    wide = ModelSpace(K=-1.0, n=1)
+    coeffs = [[0.20985503 + 0.26138107j], [0.13090486 - 0.23961661j],
+              [-0.03813202 + 0.06528822j]]
+    cases.append((wide, wide.metric(), DiskEmbedding(coeffs=np.array(coeffs), chart=wide.chart),
+                  np.array([0.05 + 0.02j])))
+    return [case + (_dense_log_moment(case[1], case[2]),) for case in cases]
+
+
+def test_dense_reference_is_exact_on_flat_disks(dense_cases):
+    # flat C^n: the log moment of a polynomial disk is -sum_{m>=1} |c_m|^2
+    flat = [(d, ref) for space, _, d, _, ref in dense_cases
+            if isinstance(space, ModelSpace) and space.K == 0.0]
+    assert len(flat) >= 10
+    for d, ref in flat:
+        assert abs(ref + float(np.sum(np.abs(d.coeffs[1:]) ** 2))) <= 1e-16
+
+
+def test_log_moment_matches_the_dyadic_reference(dense_cases):
+    # all but the disk near the cone's apex and the wide disk
+    cases = [(metric, d, ref) for _, metric, d, _, ref in dense_cases[:-2]]
+    metric, d = _acceptance06_torsion_disk()
+    cases.append((metric, d, _dense_log_moment(metric, d)))
+    assert len(cases) >= 60
+    for metric, d, ref in cases:
+        assert abs(log_moment(metric, d) - ref) <= 1e-13
+        assert abs(log_moment(metric, d, QuadratureGrid().doubled()) - ref) <= 1e-13
+
+
+def test_interior_rule_counts_and_weights():
+    for grid, breaks, rows in [(QuadratureGrid(), (), 16), (QuadratureGrid().doubled(), (), 32),
+                               (QuadratureGrid(), (0.05, math.exp(-0.05)), 48)]:
+        nodes, w = grid.interior(breaks)
+        assert len(nodes) == len(w) == rows * grid.n_theta
+        assert np.all(np.abs(nodes) < 1.0) and np.all(w > 0)
+        assert np.sum(w) == pytest.approx(math.pi, rel=1e-14)          # area of D^2
+        r = np.abs(nodes)
+        for b in breaks:                   # every panel lies on one side of a break
+            assert np.min(np.abs(r - b)) > 0 and np.sum(r < b) % (16 * grid.n_theta) == 0
+
+
+def _f_eps(r, eps):
+    return np.where(r <= eps, math.log(eps) + eps,
+                    np.where(r <= math.exp(-eps), np.log(r) + eps, 0.0))
+
+
+def test_annulus_rule_matches_a_dense_kink_aligned_reference(dense_cases):
+    space = ModelSpace(K=1.0, n=2)
+    disk = DiskEmbedding.affine(np.array([0.1, 0.05]), np.array([0.12, 0.08j]), space.chart)
+    cases = [(space, disk, np.array([0.05 + 0.02j, 0.0]))]
+    cases += [(s, d, p) for s, _, d, p, _ in dense_cases[:-3:16]]
+    bw, _ = QuadratureGrid().boundary()
+    for space, disk, p in cases:
+        metric, K, dist = space.metric(), space.K, space.distance_field(p)
+        for eps in (0.05, 0.02):
+            kinks = (eps, math.exp(-eps))
+            bulk = _dense_area_integral(metric, disk, lambda r: _f_eps(r, eps), kinks)
+            ring = 0.25 * (2.0 * math.pi / len(bw)) * float(np.sum(
+                dK_transform(dist(disk(eps * bw)), K)
+                - dK_transform(dist(disk(math.exp(-eps) * bw)), K)))
+            val = annulus_defect(metric, disk, p, K, eps, distance=dist)
+            assert abs(val - (ring - bulk)) <= 1e-12
+            tail = _dense_area_integral(metric, disk, lambda r: _f_eps(r, eps) - np.log(r),
+                                        kinks)
+            assert abs(annulus_tail(metric, disk, eps) - tail) <= 1e-12
+
+
+def test_error_estimate_bounds_the_distance_to_a_dense_rule(dense_cases):
+    dense_bw, _ = QuadratureGrid(n_boundary=1024).boundary()
+    for space, metric, d, p, dense_lm in dense_cases:
+        K = getattr(space, "K", 0.0)
+        dist = space.distance_field(p)
+        rep = comparison_defect(metric, d, p, K, distance=dist)
+        ref = rep.lhs - dense_lm - float(np.mean(dK_transform(dist(d(dense_bw)), K)))
+        assert abs(rep.defect - ref) <= rep.error_estimate
+    # numeric distances: the dense rule replaces the log moment only
+    metric, d = _acceptance06_torsion_disk()
+    rep = comparison_defect(metric, d, np.zeros(2, dtype=complex), 0.0, distance="numeric",
+                            solver_opts=dict(N=24, gtol=1e-8, max_iters=120))
+    ref = rep.lhs - _dense_log_moment(metric, d) - rep.boundary_avg
+    assert abs(rep.defect - ref) <= rep.error_estimate
+
+
+def test_torsion_gram_is_hermitian_and_matches_the_einsum_form():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3):
+        T = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+        T = 0.3 * (T - T.transpose(0, 2, 1))
+        zs = 0.4 * (rng.standard_normal((500, n)) + 1j * rng.standard_normal((500, n)))
+        G = torsion_metric(T, ComplexChart(n=n, radii=1.5)).gram(zs, check=False)
+        lin = np.einsum("bja,pj->pab", T, zs)
+        ref = 0.5 * (np.eye(n) + lin + np.conj(np.swapaxes(lin, 1, 2)))
+        assert np.array_equal(G, np.conj(np.swapaxes(G, 1, 2)))
+        assert np.max(np.abs(G - ref)) <= 1e-15

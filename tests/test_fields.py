@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from kahlerlab.errors import NonPositiveDefinite, SingularityTooClose
 from kahlerlab.fields import (ComplexChart, HermitianMetricField,
-                              ScalarField, flat_potential, metric_from_potential,
-                              real_to_z, z_to_real)
+                              ScalarField, flat_potential, hermitize,
+                              metric_from_potential, real_to_z, z_to_real)
 
 
 def test_real_complex_roundtrip():
@@ -71,3 +71,12 @@ def test_flat_potential_phase_invariance(x, y):
     z = complex(x, y)
     vals = phi(np.array([[z], [z * np.exp(0.7j)]]))
     assert abs(vals[0] - vals[1]) < 1e-12
+
+
+def test_hermitize_in_place_equals_the_out_of_place_mean():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        G = rng.standard_normal((200, n, n)) + 1j * rng.standard_normal((200, n, n))
+        ref = 0.5 * (G + np.conj(np.swapaxes(G, -1, -2)))
+        out = hermitize(G)
+        assert out is G and out.tobytes() == ref.tobytes()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kahlerlab.errors import Disconnected
+from kahlerlab.errors import Disconnected, DomainExceeded
 from kahlerlab.geodesy import (DiscretePath, DiskObstacle, PlanarDomain,
                                RectObstacle, chord_lower_bound,
                                domain_length_metric, geodesic_distance,
@@ -120,5 +120,5 @@ def test_domain_disk_obstacle_upper_bound():
 def test_domain_endpoints_must_be_free():
     disk = DiskObstacle(center=np.array([0.0, 0.0]), radius=0.5)
     dom = _square_domain(obstacles=[disk])
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainExceeded, match="open domain"):
         domain_length_metric(dom, [0.0, 0.0], [1.0, 0.0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kahlerlab import models
 from kahlerlab.errors import DomainExceeded, Unsupported
 from kahlerlab.fields import metric_from_potential
 from kahlerlab.models import (ConeSurface, ModelSpace, QuotientData,
@@ -292,3 +293,32 @@ def test_quotient_non_round_unsupported():
     q = QuotientData(delta=0.7)
     with pytest.raises(Unsupported):
         link_quotient_distance(q, 0.1, 0.2)
+
+
+def _zs(rng, n, count=5000):
+    zs = 0.4 * (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n)))
+    zs[:100, 0] = 0.0
+    return zs
+
+
+def test_model_gram_equals_the_out_of_place_formula_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        zs = _zs(rng, n)
+        for c in (2.0, -2.0, 4.0, 0.0):
+            u = 1.0 + (c / 4.0) * np.sum(np.abs(zs) ** 2, axis=1)
+            outer = np.conj(zs)[:, :, None] * zs[:, None, :]
+            G = np.eye(n)[None] / (2.0 * u[:, None, None]) \
+                - (c / 4.0) * outer / (2.0 * u[:, None, None] ** 2)
+            ref = 0.5 * (G + np.conj(np.swapaxes(G, 1, 2)))
+            assert models._model_gram(c, zs).tobytes() == ref.tobytes()
+
+
+def test_exact_grams_are_hermitian_bit_for_bit():
+    rng = np.random.default_rng(6)
+    metrics = [(ModelSpace(K=K, n=n).metric(), n) for K in (1.0, -1.0, 2.0, 0.0)
+               for n in (1, 2, 3)]
+    metrics.append((ConeSurface(alpha=0.5).metric(), 1))
+    for metric, n in metrics:
+        G = metric.gram(_zs(rng, n)[100:], check=False)
+        assert np.array_equal(G, np.conj(np.swapaxes(G, 1, 2)))
