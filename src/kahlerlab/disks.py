@@ -464,7 +464,12 @@ def torsion_metric(T: np.ndarray, chart: ComplexChart) -> HermitianMetricField:
         lin = np.tensordot(zs, T, axes=([1], [1])).transpose(0, 2, 1)   # [p, a, b]
         return 0.5 * (np.eye(n) + (lin + np.conj(lin.transpose(0, 2, 1))))
 
-    return HermitianMetricField(chart, gram_fn=gram, name="torsion metric")
+    dG = 0.5 * T.transpose(1, 2, 0)                  # [k, a, b] = T[b, k, a] / 2
+
+    def dgram(zs):
+        return np.broadcast_to(dG, (zs.shape[0], n, n, n))
+
+    return HermitianMetricField(chart, gram_fn=gram, exact_dgram=dgram, name="torsion metric")
 
 
 @dataclass(frozen=True)

@@ -155,11 +155,15 @@ class HermitianMetricField:
     evaluation-heavy work (geodesic solves); tests pin it against the
     finite-difference route.  Exact grams must be Hermitian by
     construction: unlike direct-form ones they are not symmetrized.
+    Either form may carry ``exact_dgram``, the closed-form holomorphic
+    derivative returned by ``dgram``; without it ``dgram`` differentiates
+    ``gram`` by finite differences.
     """
 
     def __init__(self, chart: ComplexChart, potential: Optional[ScalarField] = None,
                  gram_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  exact_gram: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+                 exact_dgram: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  h: float = 1e-3, name: str = ""):
         if (potential is None) == (gram_fn is None):
             raise ValueError("provide exactly one of potential or gram_fn")
@@ -169,6 +173,7 @@ class HermitianMetricField:
         self.potential = potential
         self._gram_fn = gram_fn
         self._exact = exact_gram
+        self._exact_d = exact_dgram
         self.h = h
         self.name = name or (potential.name if potential else "direct metric")
 
@@ -195,11 +200,19 @@ class HermitianMetricField:
             raise ValueError("no potential to differentiate")
         return metric_from_potential(self.potential, np.atleast_2d(np.asarray(zs, dtype=complex)), self.h)
 
+    def dgram(self, zs: np.ndarray) -> np.ndarray:
+        """(P, n, n, n) holomorphic derivatives, [p, k, i, j] = d_k g_{i jbar}.
+
+        Closed form where the field carries one, else the fourth-order
+        central difference of ``gram`` with the field's step."""
+        zs = np.atleast_2d(np.asarray(zs, dtype=complex))
+        if self._exact_d is not None:
+            return np.asarray(self._exact_d(zs))
+        return fd.wirtinger_d(lambda xs: self.gram(real_to_z(xs), check=False),
+                              z_to_real(zs), self.h, self.chart.n)
+
     def kahler_symmetry_residual(self, z: np.ndarray) -> float:
-        """max_| d_k g_{i jbar} - d_i g_{k jbar} | at z (potential form)."""
-        zs = np.atleast_2d(np.asarray(z, dtype=complex))
-        n = self.chart.n
-        dG = fd.wirtinger_d(lambda xs: self.gram(real_to_z(xs), check=False),
-                            z_to_real(zs), self.h, n)
-        # dG[p, k, i, j] = d_k g_{i jbar}
+        """max_| d_k g_{i jbar} - d_i g_{k jbar} | at z; 0 exactly when
+        the metric is Kahler there."""
+        dG = self.dgram(z)
         return float(np.max(np.abs(dG - np.swapaxes(dG, 1, 2))))

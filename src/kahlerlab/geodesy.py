@@ -14,6 +14,7 @@ extrapolation of the energy.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -26,6 +27,8 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import Disconnected, DomainExceeded
 from .fields import ComplexChart, HermitianMetricField, ScalarField
 from .models import ModelSpace
+
+log = logging.getLogger("kahlerlab")
 
 
 @dataclass
@@ -68,12 +71,14 @@ def path_energy(metric: HermitianMetricField, path: DiscretePath) -> float:
     return float(_segment_energies(metric, path.points[None])[0])
 
 
-def _energy_gradient(metric: HermitianMetricField, paths: np.ndarray,
-                     h: float = 1e-5) -> np.ndarray:
+def _energy_gradient(metric: HermitianMetricField, paths: np.ndarray) -> np.ndarray:
     """Real gradient of the energy wrt interior nodes, (Q, N-1, 2n).
 
-    The velocity part is analytic; the metric-position part is a central
-    difference of the local two-segment energy, batched over nodes.
+    Node z_m enters the two adjacent velocity terms and, with weight 1/2,
+    the averaged metric of segments m-1 and m, so its metric part is the
+    derivative of l(z) = N tr(G(z) M^T) with M = dm dm^H + dp dp^H.  With
+    A_k = d_k l = N sum_ij dgram[k, i, j] M_ij and l real, the x-part is
+    2 Re A and the y-part -2 Im A.
     """
     Q, M, n = paths.shape
     N = M - 1
@@ -84,25 +89,18 @@ def _energy_gradient(metric: HermitianMetricField, paths: np.ndarray,
     # dE/dzbar_m^j through the two adjacent velocity terms
     flux = np.einsum("qkij,qki->qkj", Gavg, dz)  # (Q, N, n)
     dEdzbar = 2.0 * N * (flux[:, :-1] - flux[:, 1:])
-    grad = np.concatenate([2.0 * dEdzbar.real, 2.0 * dEdzbar.imag], axis=2)
 
-    # metric variation: node z_m enters Gavg of segments m-1 and m with
-    # weight 1/2 each; local energy l(z) = N (|dz_-|^2_{G(z)} + |dz_+|^2_{G(z)})
-    inner = paths[:, 1:-1]                       # (Q, N-1, n)
-    dm = dz[:, :-1]
-    dp = dz[:, 1:]
-
-    def local(zpert):
-        Gp = metric.gram(zpert.reshape(-1, n), check=False).reshape(Q, N - 1, n, n)
-        lm = np.einsum("qkij,qki,qkj->qk", Gp, dm, np.conj(dm)).real
-        lp = np.einsum("qkij,qki,qkj->qk", Gp, dp, np.conj(dp)).real
-        return N * (lm + lp)
-
-    for a in range(2 * n):
-        e = np.zeros(n, dtype=complex)
-        e[a % n] = h if a < n else 1j * h
-        grad[:, :, a] += (local(inner + e) - local(inner - e)) / (2.0 * h)
-    return grad
+    # metric variation at the interior nodes, summed with the nodes on the
+    # last axes so that every product runs over all of them at once
+    dG = metric.dgram(paths[:, 1:-1].reshape(-1, n)).reshape(Q, N - 1, n, n, n)
+    dG = np.moveaxis(dG, (0, 1), (3, 4))          # [k, i, j, q, m]
+    dzT = np.moveaxis(dz, 2, 0).copy()            # [i, q, segment]
+    dm, dp = dzT[..., :-1], dzT[..., 1:]
+    A = sum(dG[:, i, j] * (dm[i] * np.conj(dm[j]) + dp[i] * np.conj(dp[j]))
+            for i in range(n) for j in range(n))
+    A = N * np.moveaxis(A, 0, 2)                  # (Q, N-1, n)
+    return np.concatenate([2.0 * (dEdzbar.real + A.real),
+                           2.0 * (dEdzbar.imag - A.imag)], axis=2)
 
 
 def _precondition(grad: np.ndarray) -> np.ndarray:
@@ -122,40 +120,44 @@ def _chords(p: np.ndarray, qs: np.ndarray, N: int) -> np.ndarray:
 
 
 def _minimize(metric, paths, max_iters, gtol):
-    """Preconditioned descent with per-path backtracking; in-place safe."""
+    """Preconditioned descent with per-path backtracking; in-place safe.
+
+    Only the paths still descending are priced.  A path stops when its
+    gradient norm reaches gtol, or when a full backtrack (25 halvings)
+    finds no lower energy.  Returns the energies and each path's last
+    gradient norm."""
     Q, M, n = paths.shape
     E = _segment_energies(metric, paths)
     step = np.full(Q, 0.5)
-    stalled = np.zeros(Q, dtype=int)
     active = np.ones(Q, dtype=bool)
     gnorm = np.full(Q, np.inf)
     for _ in range(max_iters):
-        if not active.any():
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
             break
-        grad = _energy_gradient(metric, paths)
-        u = _precondition(grad)
-        gnorm = np.sqrt(np.sum(grad * grad, axis=(1, 2)))
-        active &= gnorm > gtol
-        if not active.any():
+        grad = _energy_gradient(metric, paths[idx])
+        gnorm[idx] = np.sqrt(np.sum(grad * grad, axis=(1, 2)))
+        keep = gnorm[idx] > gtol
+        active[idx[~keep]] = False
+        idx = idx[keep]
+        if idx.size == 0:
             break
-        du = (u[:, :, :n] + 1j * u[:, :, n:])
-        ok_any = np.zeros(Q, dtype=bool)
+        u = _precondition(grad[keep])
+        du = u[:, :, :n] + 1j * u[:, :, n:]
         for _bt in range(25):
-            trial = paths.copy()
-            mask = active & ~ok_any
-            if not mask.any():
-                break
-            trial[mask, 1:-1] -= step[mask, None, None] * du[mask]
+            trial = paths[idx]
+            trial[:, 1:-1] -= step[idx, None, None] * du
             Et = _segment_energies(metric, trial)
-            better = mask & (Et < E - 1e-15)
-            paths[better] = trial[better]
-            E[better] = Et[better]
-            ok_any |= better
-            step[mask & ~better] *= 0.5
-        step[ok_any] = np.minimum(step[ok_any] * 1.6, 1.0)
-        stalled[active & ~ok_any] += 1
-        stalled[ok_any] = 0
-        active &= stalled < 8
+            better = Et < E[idx] - 1e-15
+            acc = idx[better]
+            paths[acc] = trial[better]
+            E[acc] = Et[better]
+            step[acc] = np.minimum(step[acc] * 1.6, 1.0)
+            step[idx[~better]] *= 0.5
+            idx, du = idx[~better], du[~better]
+            if idx.size == 0:
+                break
+        active[idx] = False                      # a full backtrack found no descent
     return E, gnorm
 
 
@@ -171,16 +173,18 @@ def _refine(paths: np.ndarray) -> np.ndarray:
 
 def _solve_refined(metric, paths, max_iters, gtol):
     """Minimize, refine the mesh, minimize again.  Returns the Richardson
-    energies E, the refined energies E2, paths and gradient norms, and the
-    distances sqrt(E) with their error estimates."""
-    E1, _ = _minimize(metric, paths, max_iters, gtol)
+    energies E, the refined energies E2, paths and gradient norms, the
+    distances sqrt(E) with their error estimates, and a per-path mask of
+    the paths whose two solves both ended at gradient norm <= gtol."""
+    E1, gnorm1 = _minimize(metric, paths, max_iters, gtol)
     paths2 = _refine(paths)
     E2, gnorm = _minimize(metric, paths2, max_iters, gtol)
     E = np.maximum(E2 + (E2 - E1) / 3.0, 0.0)
     err = np.abs(E2 - E1) / 3.0
     d = np.sqrt(E)
     derr = np.where(d > 0, err / np.maximum(2 * d, 1e-12), np.sqrt(err))
-    return E, E2, paths2, gnorm, d, derr
+    converged = (gnorm1 <= gtol) & (gnorm <= gtol)
+    return E, E2, paths2, gnorm, d, derr, converged
 
 
 def geodesic_distance_many(metric: HermitianMetricField, p, qs,
@@ -189,11 +193,15 @@ def geodesic_distance_many(metric: HermitianMetricField, p, qs,
 
     Starts every path on the straight chord; suitable when chords are
     feasible initializers (convex charts, moderate curvature).  Returns
-    (distances, error_estimates).
+    (distances, error_estimates) and logs at INFO how many paths stopped
+    above gtol.
     """
     p = np.asarray(p, dtype=complex).reshape(-1)
     qs = np.atleast_2d(np.asarray(qs, dtype=complex))
-    *_, d, derr = _solve_refined(metric, _chords(p, qs, N), max_iters, gtol)
+    *_, d, derr, converged = _solve_refined(metric, _chords(p, qs, N), max_iters, gtol)
+    if not converged.all():
+        log.info("geodesic solve: %d of %d paths stopped above gtol %.1e",
+                 int(np.count_nonzero(~converged)), converged.size, gtol)
     return d, derr
 
 
@@ -228,14 +236,15 @@ def geodesic_distance(metric: HermitianMetricField, p, q,
     for _ in range(max(multistarts - 1, 0)):
         amp = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
         starts.append(starts[0] + bump * amp[None, :])
-    E, E2, paths2, gn, d, derr = _solve_refined(metric, np.stack(starts), max_iters, gtol)
+    E, E2, paths2, gn, d, derr, converged = _solve_refined(metric, np.stack(starts),
+                                                           max_iters, gtol)
     best = int(np.argmin(E))          # ties resolved by start index
     return DistanceSolution(
         distance=float(d[best]),
         path=DiscretePath(points=paths2[best], energy=float(E2[best]),
                           grad_norm=float(gn[best])),
         multistarts=len(starts),
-        converged=bool(gn[best] <= max(gtol, 1e-6)),
+        converged=bool(converged[best]),
         error_estimate=float(derr[best]),
         start_energies=tuple(float(x) for x in E),
         chord_lower_bound=chord_lower_bound(metric, p, q),

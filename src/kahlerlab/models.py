@@ -76,6 +76,29 @@ def _model_gram(c: float, zs: np.ndarray) -> np.ndarray:
     return hermitize(np.subtract(np.eye(zs.shape[1]) / (2.0 * u), G, out=G))
 
 
+def _model_dgram(c: float, zs: np.ndarray) -> np.ndarray:
+    """Exact d_k g_{i jbar} of the model potential, batched (P, n, n, n):
+
+        -(c/8) (delta_ij zbar_k + zbar_i delta_jk) / u^2
+            + (c^2/16) zbar_i z_j zbar_k / u^3.
+
+    Built with the points on the last axis, where every product runs
+    over P contiguous entries, and returned as a (P, n, n, n) view."""
+    n = zs.shape[1]
+    zt = np.ascontiguousarray(zs.T)                          # (n, P)
+    zb = np.conj(zt)
+    u = 1.0 + (c / 4.0) * np.sum(np.abs(zs) ** 2, axis=1)
+    a = (c / 8.0) / u ** 2
+    X = zb[:, None] * (((c * c / 16.0) / u ** 3) * zt)[None]   # [i, j]
+    for i in range(n):
+        X[i, i] -= a
+    dG = zb[:, None, None] * X[None]                         # [k, i, j]
+    az = a * zb
+    for k in range(n):
+        dG[k, :, k] -= az
+    return np.moveaxis(dG, -1, 0)
+
+
 @dataclass(frozen=True)
 class ModelSpace:
     """Constant holomorphic sectional curvature 2K on its natural chart."""
@@ -117,6 +140,7 @@ class ModelSpace:
         return HermitianMetricField(
             self.chart, potential=self.potential(),
             exact_gram=lambda zs: _model_gram(c, zs),
+            exact_dgram=lambda zs: _model_dgram(c, zs),
             name=f"model metric, c = {c:g}")
 
     def distance(self, z1, z2) -> float:
@@ -219,8 +243,11 @@ class ConeSurface:
         def gram(zs):
             return (0.5 * np.abs(zs[:, 0]) ** (-2 * a))[:, None, None].astype(complex)
 
+        def dgram(zs):                    # d_z |z|^(-2a) = -a |z|^(-2a) / z
+            return (-a * gram(zs)[:, 0, 0] / zs[:, 0])[:, None, None, None]
+
         return HermitianMetricField(chart, potential=self.potential(), exact_gram=gram,
-                                    name=f"cone metric, alpha = {a:g}")
+                                    exact_dgram=dgram, name=f"cone metric, alpha = {a:g}")
 
     def distance_field(self, p) -> ScalarField:
         """d(p, .) in the chart coordinate, p complex (apex allowed);

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kahlerlab.disks import torsion_metric
 from kahlerlab.errors import NonPositiveDefinite, SingularityTooClose
 from kahlerlab.fields import (ComplexChart, HermitianMetricField,
                               ScalarField, flat_potential, hermitize,
                               metric_from_potential, real_to_z, z_to_real)
+from kahlerlab.models import ConeSurface, ModelSpace
 
 
 def test_real_complex_roundtrip():
@@ -62,6 +64,60 @@ def test_kahler_symmetry_residual_small_for_potential_metric():
     phi = flat_potential(2)
     m = HermitianMetricField(chart, potential=phi)
     assert m.kahler_symmetry_residual(np.array([0.1 + 0.1j, 0.2])) < 1e-8
+
+
+def _torsion():
+    T = np.zeros((2, 2, 2), dtype=complex)
+    T[0, 0, 1], T[0, 1, 0] = -0.5 + 0.2j, 0.5 - 0.2j
+    T[1, 0, 1], T[1, 1, 0] = 0.3, -0.3
+    return T, torsion_metric(T, ComplexChart(n=2, radii=1.5))
+
+
+def _fd_route(m):
+    """The same field without its closed-form derivative: dgram then
+    differentiates gram by finite differences."""
+    if m.is_potential_form:
+        return HermitianMetricField(m.chart, potential=m.potential, exact_gram=m.gram)
+    return HermitianMetricField(m.chart, gram_fn=m.gram)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("K", [1.0, -1.0, 2.0, 0.0])
+def test_model_dgram_matches_the_fd_route(K, n):
+    m = ModelSpace(K=K, n=n).metric()
+    rng = np.random.default_rng(n)
+    zs = 0.3 * (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n)))
+    dG = m.dgram(zs)
+    assert dG.shape == (6, n, n, n)
+    assert np.max(np.abs(dG - _fd_route(m).dgram(zs))) < 1e-8
+
+
+@pytest.mark.parametrize("alpha", [1 / 3, 0.5, 2 / 3, -0.5])
+def test_cone_dgram_matches_the_fd_route(alpha):
+    m = ConeSurface(alpha).metric()
+    zs = np.array([[0.1], [-0.1j], [0.3 + 0.4j], [-0.7j], [1.0]])
+    dG = m.dgram(zs)
+    # at |z| = 0.1 the fourth-order FD of |z|^(-2 alpha) itself errs by up to
+    # 3e-7 (alpha = 2/3), so the comparison is relative to the derivative
+    err = np.abs(dG - _fd_route(m).dgram(zs))[:, 0, 0, 0]
+    assert np.all(err <= 1e-8 * np.maximum(np.abs(dG[:, 0, 0, 0]), 1.0))
+
+
+def test_torsion_dgram_matches_the_fd_route():
+    T, m = _torsion()
+    rng = np.random.default_rng(3)
+    zs = 0.3 * (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
+    assert np.max(np.abs(m.dgram(zs) - _fd_route(m).dgram(zs))) < 1e-8
+
+
+def test_kahler_symmetry_residual_reads_the_closed_form():
+    rng = np.random.default_rng(5)
+    for K, n in [(1.0, 2), (-1.0, 3), (2.0, 2)]:
+        z = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        assert ModelSpace(K=K, n=n).metric().kahler_symmetry_residual(z) <= 1e-12
+    # d_k g_{a bbar} - d_a g_{k bbar} = (T[b, k, a] - T[b, a, k]) / 2 = T[b, k, a]
+    T, m = _torsion()
+    assert m.kahler_symmetry_residual(np.array([0.1 + 0.2j, -0.3])) == np.max(np.abs(T))
 
 
 @given(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))

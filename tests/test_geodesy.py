@@ -1,8 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from kahlerlab import geodesy
+from kahlerlab.disks import DiskEmbedding, comparison_defect, torsion_metric
 from kahlerlab.errors import Disconnected, DomainExceeded
 from kahlerlab.geodesy import (DiscretePath, DiskObstacle, PlanarDomain,
                                RectObstacle, chord_lower_bound,
@@ -66,6 +69,78 @@ def test_multistart_determinism():
     s1 = geodesic_distance(metric, p, q, seed=7)
     s2 = geodesic_distance(metric, p, q, seed=7)
     assert s1.distance == s2.distance
+
+
+def _torsion_metric():
+    T = np.zeros((2, 2, 2))
+    T[0, 0, 1], T[0, 1, 0] = -0.5, 0.5
+    return torsion_metric(T, ComplexChart(n=2, radii=1.5))
+
+
+@pytest.mark.parametrize("metric", [ModelSpace(K=1.0, n=2).metric(),
+                                    ModelSpace(K=-1.0, n=2).metric(),
+                                    _torsion_metric()], ids=["K=1", "K=-1", "torsion"])
+def test_energy_gradient_matches_a_central_difference(metric):
+    rng = np.random.default_rng(2)
+    Q, N, n, h = 2, 6, 2, 1e-6
+    paths = 0.2 * (rng.standard_normal((Q, N + 1, n)) + 1j * rng.standard_normal((Q, N + 1, n)))
+    grad = geodesy._energy_gradient(metric, paths)
+    # every interior real coordinate moved by +h and by -h, in one batch
+    trials = np.repeat(paths[:, None, None], 2 * (N - 1) * 2 * n, axis=1).reshape(Q, N - 1, 2 * n, 2, N + 1, n)
+    for m in range(N - 1):
+        for a in range(2 * n):
+            e = h if a < n else 1j * h
+            trials[:, m, a, 0, m + 1, a % n] += e
+            trials[:, m, a, 1, m + 1, a % n] -= e
+    E = geodesy._segment_energies(metric, trials.reshape(-1, N + 1, n)).reshape(Q, N - 1, 2 * n, 2)
+    fd = (E[..., 0] - E[..., 1]) / (2 * h)
+    assert np.max(np.abs(grad - fd)) < 1e-7 * np.max(np.abs(grad))
+
+
+def _acceptance_06_defect(monkeypatch):
+    calls = []
+    energies = geodesy._segment_energies
+
+    def counting(metric, paths):
+        calls.append(len(paths))
+        return energies(metric, paths)
+
+    monkeypatch.setattr(geodesy, "_segment_energies", counting)
+    metric = _torsion_metric()
+    a, b = np.array([1.0, 1.0], dtype=complex), np.array([1.0, 0.0], dtype=complex)
+    disk = DiskEmbedding.affine(5e-2 * b, 5e-3 * a, metric.chart)
+    rep = comparison_defect(metric, disk, np.zeros(2, dtype=complex), 0.0, distance="numeric",
+                            solver_opts=dict(N=24, gtol=1e-8, max_iters=120))
+    return rep, calls
+
+
+def test_stall_rule_prices_fewer_trials_and_keeps_the_defect(monkeypatch):
+    rep, calls = _acceptance_06_defect(monkeypatch)
+    # with every path priced on every backtrack and a path dropped after
+    # eight stalled iterations, this disk took 466 energy calls and gave
+    # the defect below
+    assert len(calls) < 466
+    assert abs(rep.defect - -1.2241075950480788e-06) <= rep.error_estimate
+
+
+def test_stalled_paths_are_reported(monkeypatch, caplog):
+    with caplog.at_level(logging.INFO, logger="kahlerlab"):
+        _acceptance_06_defect(monkeypatch)
+    assert any("stopped above gtol" in r.getMessage() for r in caplog.records)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="kahlerlab"):
+        geodesic_distance_many(ModelSpace(K=0.0, n=1).metric(), np.zeros(1),
+                               np.array([[0.3], [0.2j]]))
+    assert caplog.records == []
+
+
+def test_converged_reads_the_solver_mask():
+    metric = _torsion_metric()
+    p, q = np.zeros(2, dtype=complex), np.array([0.05, 0.004 + 0.004j])
+    loose = geodesic_distance(metric, p, q, N=24, gtol=1e-8, max_iters=120)
+    assert not loose.converged and loose.path.grad_norm > 1e-8
+    tight = geodesic_distance(metric, p, q, N=24, gtol=1e-6, max_iters=120)
+    assert tight.converged and tight.path.grad_norm <= 1e-6
 
 
 def _square_domain(radius=2.0, obstacles=()):
