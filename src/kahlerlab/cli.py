@@ -514,6 +514,9 @@ def run_scenario(scenario: dict, seed_override: Optional[int],
                          error_est=out["error_est"], seed=sampler.seed,
                          witness=out.get("witness"), extra=out.get("extra"),
                          expect=expect, wall_ms=wall_ms, check=name))
+        log.info("%s/%s: %s (expected %s) value=%g [%s]", scenario["id"], check_id,
+                 out["verdict"], expect, out["value"],
+                 "ok" if out["verdict"] == expect else "UNEXPECTED")
     return rows
 
 
@@ -555,10 +558,6 @@ def execute(cfg: dict, out_dir: Path, seed: Optional[int], jobs: int,
         json.dump({"rows": [_jsonify(r) for r in rows], "errors": errors,
                    "mismatches": mismatches}, f, indent=2, sort_keys=True)
 
-    for r in rows:
-        mark = "ok" if (r["verdict"] == r["expect"]) else "UNEXPECTED"
-        log.info("%s/%s: %s (expected %s) value=%g [%s]", r["scenario_id"],
-                 r["check_id"], r["verdict"], r["expect"], r["value"], mark)
     if errors:
         return 2
     if mismatches:

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,11 @@ from kahlerlab.disks import scan_disks
 from kahlerlab.errors import ConfigError
 from kahlerlab.models import ModelSpace
 from kahlerlab.psh import DiskSampler
+
+
+def _read_csv(path, reader=csv.DictReader) -> list:
+    with open(path, newline="") as f:
+        return list(reader(f))
 
 
 def _run(args):
@@ -37,7 +43,7 @@ def test_bundled_models_scenario_passes(tmp_path):
     res = _run(["run", str(bundled_scenario_path("models.json")),
                 "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
-    rows = list(csv.DictReader(open(tmp_path / "results.csv")))
+    rows = _read_csv(tmp_path / "results.csv")
     assert rows and all(r["verdict"] == "PASS" for r in rows)
 
 
@@ -45,7 +51,7 @@ def test_bundled_violation_scenario_exits_zero_with_witness(tmp_path):
     res = _run(["run", str(bundled_scenario_path("flat-K1-violation.json")),
                 "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
-    rows = list(csv.DictReader(open(tmp_path / "results.csv")))
+    rows = _read_csv(tmp_path / "results.csv")
     fail = [r for r in rows if r["verdict"] == "FAIL"]
     assert fail and fail[0]["witness_ref"]
     wit = json.loads((tmp_path / fail[0]["witness_ref"]).read_text())
@@ -98,7 +104,7 @@ def test_k_threshold_failing_lower_endpoint_is_an_error_row(tmp_path):
     res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
-    rows = list(csv.DictReader(open(tmp_path / "o" / "results.csv")))
+    rows = _read_csv(tmp_path / "o" / "results.csv")
     assert [(r["check_id"], r["verdict"]) for r in rows] \
         == [("psh", "PASS"), ("thr", "ERROR")]
 
@@ -129,7 +135,7 @@ def test_any_space_gives_a_row_or_a_config_error(tmp_path, space, check, outcome
         assert res.exit_code == 3 and "config error" in res.output
         return
     rows = {r["check_id"]: r["verdict"]
-            for r in csv.DictReader(open(tmp_path / "o" / "results.csv"))}
+            for r in _read_csv(tmp_path / "o" / "results.csv")}
     assert rows["ok"] == "PASS" and "t" in rows
     if outcome == "ERROR":
         assert rows["t"] == "ERROR" and res.exit_code == 2
@@ -174,7 +180,7 @@ def test_k_threshold_default_point_fits_the_dimension(tmp_path):
                     "params": {"lo": 0.5, "hi": 2.0, "expected": 1.0, "band": 1e-3}}]}]}
     res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert res.exit_code == 0, res.output
-    rows = list(csv.DictReader(open(tmp_path / "o" / "results.csv")))
+    rows = _read_csv(tmp_path / "o" / "results.csv")
     assert [r["verdict"] for r in rows] == ["PASS"]
 
 
@@ -191,7 +197,7 @@ def test_csv_determinism_excluding_wall_ms(tmp_path):
         assert _run(["run", path, "--out", str(tmp_path / sub)]).exit_code == 0
 
     def stripped(p):
-        rows = list(csv.reader(open(p)))
+        rows = _read_csv(p, csv.reader)
         return [r[:-1] for r in rows]
 
     assert stripped(tmp_path / "a" / "results.csv") \
@@ -204,7 +210,7 @@ def test_jobs_do_not_change_the_reports(tmp_path):
     for jobs in (1, 2):
         out = tmp_path / f"jobs-{jobs}"
         assert execute(cfg, out, None, jobs, None) == 0
-        rows = [r[:-1] for r in csv.reader(open(out / "results.csv"))]
+        rows = [r[:-1] for r in _read_csv(out / "results.csv", csv.reader)]
         summary = json.loads((out / "summary.json").read_text())
         for r in summary["rows"]:
             del r["wall_ms"]
@@ -216,14 +222,14 @@ def test_seed_override_changes_rows(tmp_path):
     cfg = _minimal_cfg(check="psh", params={"K": 0.0})
     path = _write(tmp_path, cfg)
     _run(["run", path, "--out", str(tmp_path / "a"), "--seed", "99"])
-    rows = list(csv.DictReader(open(tmp_path / "a" / "results.csv")))
+    rows = _read_csv(tmp_path / "a" / "results.csv")
     assert rows[0]["seed"] == "99"
 
 
 def test_csv_columns_fixed(tmp_path):
     cfg = _minimal_cfg(check="psh", params={"K": 0.0})
     _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
-    header = next(csv.reader(open(tmp_path / "o" / "results.csv")))
+    header = _read_csv(tmp_path / "o" / "results.csv", csv.reader)[0]
     assert header == CSV_COLUMNS
 
 
@@ -240,10 +246,10 @@ def test_scan_and_threshold_filters(tmp_path):
     path = _write(tmp_path, cfg)
     res = _run(["threshold", path, "--out", str(tmp_path / "t")])
     assert res.exit_code == 0
-    rows = list(csv.DictReader(open(tmp_path / "t" / "results.csv")))
+    rows = _read_csv(tmp_path / "t" / "results.csv")
     assert len(rows) == 1 and rows[0]["check_id"].startswith("k-threshold")
     res = _run(["scan", path, "--out", str(tmp_path / "s")])
-    rows = list(csv.DictReader(open(tmp_path / "s" / "results.csv")))
+    rows = _read_csv(tmp_path / "s" / "results.csv")
     assert res.exit_code == 0 and rows == []
 
 
@@ -255,7 +261,7 @@ def test_plotdata_emits_columnar_files(tmp_path):
     out = tmp_path / "o"
     _run(["run", _write(tmp_path, cfg), "--out", str(out)])
     assert _run(["plotdata", str(out)]).exit_code == 0
-    curves = list(csv.DictReader(open(out / "ratio_curves.csv")))
+    curves = _read_csv(out / "ratio_curves.csv")
     assert len(curves) == 2
     assert float(curves[0]["ratio"]) == pytest.approx(1.0, abs=0.2)
 
@@ -313,7 +319,7 @@ def test_domain_compare_drops_candidates_that_cover_an_obstacle(tmp_path, monkey
     monkeypatch.setattr(cli, "worst_defect", spy)
     res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert res.exit_code == 0, res.output
-    rows = list(csv.DictReader(open(tmp_path / "o" / "results.csv")))
+    rows = _read_csv(tmp_path / "o" / "results.csv")
     assert rows[0]["verdict"] == "PASS"
     assert 0 < len(scanned) < 10
     for d in scanned:
@@ -333,7 +339,7 @@ def test_domain_compare_with_q_in_an_obstacle_is_an_error_row(tmp_path, caplog):
                     "params": {"p": [-1.0, 0.0], "q": [1.0, 0.0]}}]}]}
     res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert res.exit_code == 2
-    rows = list(csv.DictReader(open(tmp_path / "o" / "results.csv")))
+    rows = _read_csv(tmp_path / "o" / "results.csv")
     assert [r["verdict"] for r in rows] == ["ERROR"]
     wit = json.loads((tmp_path / "o" / rows[0]["witness_ref"]).read_text())
     assert wit["error"] == "endpoints must lie in the open domain"
@@ -349,7 +355,7 @@ def test_annulus_row_reports_the_change_under_the_doubled_rule(tmp_path):
         "checks": [{"check": "annulus", "params": {"K": 1.0, "p": [[0.05, 0.02], [0, 0]]}}]}]}
     res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert res.exit_code == 0, res.output
-    row = next(csv.DictReader(open(tmp_path / "o" / "results.csv")))
+    row = _read_csv(tmp_path / "o" / "results.csv")[0]
     space = ModelSpace(K=1.0, n=2)
     p = np.array([0.05 + 0.02j, 0.0])
     sampler = DiskSampler(seed=3, count=4)
@@ -363,3 +369,24 @@ def test_annulus_row_reports_the_change_under_the_doubled_rule(tmp_path):
                                    grid=disks.QuadratureGrid().doubled())
     assert float(row["value"]) == worst
     assert float(row["error_est"]) == abs(doubled - worst) < 1e-12
+
+
+def test_each_row_is_logged_before_the_next_check_runs(monkeypatch, caplog):
+    logged_before_second = []
+
+    def first(space, params, sampler, tol):
+        return dict(verdict="PASS", value=0.0, error_est=0.0)
+
+    def second(space, params, sampler, tol):
+        logged_before_second.extend(r.getMessage() for r in caplog.records)
+        return dict(verdict="PASS", value=0.0, error_est=0.0)
+
+    monkeypatch.setitem(cli.CHECK_RUNNERS, "curvature-match", first)
+    monkeypatch.setitem(cli.CHECK_RUNNERS, "min-bk-defect", second)
+    scenario = _minimal_cfg(check="curvature-match", id="one")["scenarios"][0]
+    scenario["checks"].append({"check": "min-bk-defect", "id": "two"})
+    with caplog.at_level(logging.INFO, logger="kahlerlab"):
+        rows = cli.run_scenario(scenario, None, None)
+    assert [r["check_id"] for r in rows] == ["one", "two"]
+    assert logged_before_second == ["s/one: PASS (expected PASS) value=0 [ok]"]
+    assert caplog.messages[-1] == "s/two: PASS (expected PASS) value=0 [ok]"

@@ -5,6 +5,7 @@ from kahlerlab.curvature import (TangentPair, bianchi_check, bisectional,
                                  bk_defect, curvature_tensor, hermitian_inner,
                                  min_bk_defect)
 from kahlerlab.errors import SingularityTooClose
+from kahlerlab.fields import ComplexChart, HermitianMetricField, ScalarField
 from kahlerlab.models import ConeSurface, ModelSpace
 
 
@@ -90,6 +91,107 @@ def test_min_bk_defect_deterministic():
     v1, _ = min_bk_defect(data, 1.0, seed=5)
     v2, _ = min_bk_defect(data, 1.0, seed=5)
     assert v1 == v2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("K", [1.0, -1.0, 2.0, 0.0])
+@pytest.mark.parametrize("shift", [-0.5, 0.5])
+def test_min_bk_defect_on_models_off_the_equality_level(K, n, shift):
+    # defect = (K - K')(1 + |<X, Y>|^2): orthogonal pairs win when K' < K,
+    # parallel ones when K' > K
+    Kp = K + shift
+    data = curvature_tensor(ModelSpace(K=K, n=n).metric(),
+                            np.full(n, 0.1 + 0.05j) / n)
+    val, pair = min_bk_defect(data, Kp)
+    expected = K - Kp if Kp < K else 2.0 * (K - Kp)
+    assert val == pytest.approx(expected, abs=1e-6)
+    assert bk_defect(data, Kp, pair) == val
+
+
+def _normalize(G, V):
+    return V / np.sqrt(np.einsum("ij,pi,pj->p", G, V, np.conj(V)).real)[:, None]
+
+
+def _defect(data, K, X, Y):
+    b = -np.einsum("ijkl,pi,pj,pk,pl->p", data.R, X, np.conj(X), Y, np.conj(Y)).real
+    xy = np.einsum("ij,pi,pj->p", data.G, X, np.conj(Y))
+    return b - K * (1.0 + np.abs(xy) ** 2)
+
+
+def _fd_descent_min(data, K, samples=1500, seed=0):
+    """Reference: the seeded sampled start refined by finite-difference
+    projected gradient descent with halving steps."""
+    n = data.n
+    rng = np.random.default_rng(seed)
+    X = _normalize(data.G, rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n)))
+    Y = _normalize(data.G, rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n)))
+    best = int(np.argmin(_defect(data, K, X, Y)))
+
+    def value(u):
+        x = _normalize(data.G, (u[:n] + 1j * u[n:2 * n])[None])
+        y = _normalize(data.G, (u[2 * n:3 * n] + 1j * u[3 * n:])[None])
+        return _defect(data, K, x, y)[0]
+
+    u = np.concatenate([X[best].real, X[best].imag, Y[best].real, Y[best].imag])
+    f, step, fails = value(u), 0.1, 0
+    for _ in range(400):
+        grad = np.array([(value(u + e) - value(u - e)) / 2e-6
+                         for e in 1e-6 * np.eye(u.size)])
+        gn = np.linalg.norm(grad)
+        if gn < 1e-10:
+            break
+        s = step
+        for _ in range(30):
+            u_try = u - s * grad / gn
+            f_try = value(u_try)
+            if f_try < f - 1e-14:
+                u, f, step, fails = u_try, f_try, min(2.0 * s, 1.0), 0
+                break
+            s *= 0.5
+        else:
+            fails += 1
+            if fails >= 3 or gn < 1e-8:
+                break
+    return f
+
+
+def _quartic_metric(n, seed):
+    """|z|^2/2 plus seeded quartic terms: a Kahler potential with
+    non-constant curvature near the origin."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    def fn(zs):
+        q = np.einsum("ij,pi,pj->p", a, zs, np.conj(zs)).real
+        return (0.5 * np.sum(np.abs(zs) ** 2, axis=1) + 0.1 * q ** 2
+                + 0.05 * np.abs(zs @ b) ** 4
+                + 0.02 * (zs[:, 0] ** 2 * np.conj(zs[:, -1]) ** 2).real)
+
+    phi = ScalarField(fn=fn, n=n, name=f"quartic-{seed}")
+    return HermitianMetricField(ComplexChart(n), potential=phi)
+
+
+@pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_min_bk_defect_on_non_constant_potentials(seed, K):
+    n = 2 + seed % 2
+    metric = _quartic_metric(n, seed)
+    rng = np.random.default_rng(100 + seed)
+    for z in (np.zeros(n, dtype=complex), 0.1 * np.exp(1j * np.arange(n))):
+        data = curvature_tensor(metric, z)
+        val, pair = min_bk_defect(data, K)
+        assert val == pytest.approx(_fd_descent_min(data, K), abs=1e-8)
+        X = _normalize(data.G, rng.standard_normal((200_000, n)) + 1j * rng.standard_normal((200_000, n)))
+        Y = _normalize(data.G, rng.standard_normal((200_000, n)) + 1j * rng.standard_normal((200_000, n)))
+        assert val <= _defect(data, K, X, Y).min()
+
+
+def test_min_bk_defect_on_a_cone():
+    # the finite-difference descent read -1.567164913305191e-06 here
+    data = curvature_tensor(ConeSurface(alpha=0.5).metric(), np.array([0.3 + 0j]))
+    val, _ = min_bk_defect(data, 0.0)
+    assert val == pytest.approx(-1.567164913305191e-06, abs=1e-10)
 
 
 @pytest.mark.parametrize("K", [0.0, 1.0, -1.0])
