@@ -6,10 +6,10 @@ The energy of a path gamma in a Hermitian metric field is
     E(gamma) = int_0^1 2 g(gamma'(t), conj(gamma'(t))) dt
 
 so that sqrt(min E) over fixed-endpoint paths is the distance (the real
-metric is ds^2 = 2 g_{i jbar} dz^i dzbar^j).  The minimizer uses descent
-preconditioned by the path Laplacian, which removes the N^2 stiffness of
-plain gradient descent, then one mesh refinement with Richardson
-extrapolation of the energy.
+metric is ds^2 = 2 g_{i jbar} dz^i dzbar^j).  The minimizer takes Newton
+steps on the energy's velocity part with the grams frozen, a metric-weighted
+path Laplacian, trying the unit step first; each priced trial evaluates the
+metric once.  One mesh refinement with Richardson extrapolation follows.
 """
 
 from __future__ import annotations
@@ -55,15 +55,20 @@ class DistanceSolution:
     chord_lower_bound: float = 0.0
 
 
-def _segment_energies(metric: HermitianMetricField, paths: np.ndarray) -> np.ndarray:
-    """(Q,) energies of (Q, N+1, n) node arrays, trapezoid in the metric."""
+def _price(metric: HermitianMetricField, paths: np.ndarray):
+    """(Q,) energies of (Q, N+1, n) node arrays, trapezoid in the metric,
+    and the (Q, N, n, n) segment-averaged grams they were priced with."""
     Q, M, n = paths.shape
-    N = M - 1
     G = metric.gram(paths.reshape(Q * M, n), check=False).reshape(Q, M, n, n)
     Gavg = 0.5 * (G[:, :-1] + G[:, 1:])
     dz = paths[:, 1:] - paths[:, :-1]
     e = np.einsum("qkij,qki,qkj->qk", Gavg, dz, np.conj(dz)).real
-    return 2.0 * N * np.sum(e, axis=1)
+    return 2.0 * (M - 1) * np.sum(e, axis=1), Gavg
+
+
+def _segment_energies(metric: HermitianMetricField, paths: np.ndarray) -> np.ndarray:
+    """(Q,) energies of (Q, N+1, n) node arrays, trapezoid in the metric."""
+    return _price(metric, paths)[0]
 
 
 def path_energy(metric: HermitianMetricField, path: DiscretePath) -> float:
@@ -71,8 +76,10 @@ def path_energy(metric: HermitianMetricField, path: DiscretePath) -> float:
     return float(_segment_energies(metric, path.points[None])[0])
 
 
-def _energy_gradient(metric: HermitianMetricField, paths: np.ndarray) -> np.ndarray:
-    """Real gradient of the energy wrt interior nodes, (Q, N-1, 2n).
+def _energy_gradient(metric: HermitianMetricField, paths: np.ndarray,
+                     Gavg: Optional[np.ndarray] = None) -> np.ndarray:
+    """Real gradient of the energy wrt interior nodes, (Q, N-1, 2n); the
+    segment grams ``Gavg`` of a priced path are reused when given.
 
     Node z_m enters the two adjacent velocity terms and, with weight 1/2,
     the averaged metric of segments m-1 and m, so its metric part is the
@@ -82,8 +89,8 @@ def _energy_gradient(metric: HermitianMetricField, paths: np.ndarray) -> np.ndar
     """
     Q, M, n = paths.shape
     N = M - 1
-    G = metric.gram(paths.reshape(Q * M, n), check=False).reshape(Q, M, n, n)
-    Gavg = 0.5 * (G[:, :-1] + G[:, 1:])          # (Q, N, n, n)
+    if Gavg is None:
+        Gavg = _price(metric, paths)[1]          # (Q, N, n, n)
     dz = paths[:, 1:] - paths[:, :-1]            # (Q, N, n)
 
     # dE/dzbar_m^j through the two adjacent velocity terms
@@ -103,15 +110,22 @@ def _energy_gradient(metric: HermitianMetricField, paths: np.ndarray) -> np.ndar
                            2.0 * (dEdzbar.imag - A.imag)], axis=2)
 
 
-def _precondition(grad: np.ndarray) -> np.ndarray:
-    """Solve L u = grad with L the Dirichlet path Laplacian (per path)."""
-    Q, Ni, m = grad.shape
-    ab = np.zeros((2, Ni))
-    ab[0, 1:] = -1.0
-    ab[1, :] = 2.0
-    flat = grad.transpose(1, 0, 2).reshape(Ni, Q * m)
-    sol = solveh_banded(ab, flat)
-    return sol.reshape(Ni, Q, m).transpose(1, 0, 2)
+def _precondition(grad: np.ndarray, Gavg: np.ndarray) -> np.ndarray:
+    """Complex Newton step of the energy's velocity part with the grams frozen.
+
+    That part is 2N sum_k dz_k^H conj(G_k) dz_k, so the step solves
+    4N L u = grad_x + i grad_y, L the Dirichlet path Laplacian of n x n
+    blocks conj(Gavg_k): 4N L_w for grams w_k I, the exact Hessian on a
+    constant metric.  The paths do not couple: one banded Hermitian solve."""
+    Q, Ni, n = grad.shape[0], grad.shape[1], Gavg.shape[-1]
+    W = 4.0 * (Ni + 1) * np.conj(Gavg)
+    ab = np.zeros((2 * n, Q, Ni, n), dtype=complex)   # ab[2n - 1 + i - j, j] = 4N L[i, j]
+    r, c = np.triu_indices(n)
+    ab[2 * n - 1 + r - c, :, :, c] = np.moveaxis(W[:, :-1, r, c] + W[:, 1:, r, c], 2, 0)
+    r, c = np.indices((n, n)).reshape(2, -1)
+    ab[n - 1 + r - c, :, 1:, c] = -np.moveaxis(W[:, 1:-1, r, c], 2, 0)
+    u = solveh_banded(ab.reshape(2 * n, -1), (grad[..., :n] + 1j * grad[..., n:]).reshape(-1))
+    return u.reshape(Q, Ni, n)
 
 
 def _chords(p: np.ndarray, qs: np.ndarray, N: int) -> np.ndarray:
@@ -120,43 +134,42 @@ def _chords(p: np.ndarray, qs: np.ndarray, N: int) -> np.ndarray:
 
 
 def _minimize(metric, paths, max_iters, gtol):
-    """Preconditioned descent with per-path backtracking; in-place safe.
+    """Newton descent with per-path backtracking; in-place safe.
 
-    Only the paths still descending are priced.  A path stops when its
-    gradient norm reaches gtol, or when a full backtrack (25 halvings)
-    finds no lower energy.  Returns the energies and each path's last
-    gradient norm."""
+    Each iteration tries the unit step of ``_precondition`` and halves it
+    while the energy does not fall.  Only the paths still descending are
+    priced, with one gram evaluation per trial; the accepted trial's grams
+    serve the next gradient.  A path stops at gradient norm gtol, or when a
+    full backtrack (25 halvings) finds no lower energy.  Returns the
+    energies and each path's last gradient norm."""
     Q, M, n = paths.shape
-    E = _segment_energies(metric, paths)
-    step = np.full(Q, 0.5)
+    E, Gavg = _price(metric, paths)
     active = np.ones(Q, dtype=bool)
     gnorm = np.full(Q, np.inf)
     for _ in range(max_iters):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        grad = _energy_gradient(metric, paths[idx])
+        grad = _energy_gradient(metric, paths[idx], Gavg[idx])
         gnorm[idx] = np.sqrt(np.sum(grad * grad, axis=(1, 2)))
         keep = gnorm[idx] > gtol
         active[idx[~keep]] = False
         idx = idx[keep]
         if idx.size == 0:
             break
-        u = _precondition(grad[keep])
-        du = u[:, :, :n] + 1j * u[:, :, n:]
+        du = _precondition(grad[keep], Gavg[idx])
+        step = 1.0
         for _bt in range(25):
             trial = paths[idx]
-            trial[:, 1:-1] -= step[idx, None, None] * du
-            Et = _segment_energies(metric, trial)
+            trial[:, 1:-1] -= step * du
+            Et, Gt = _price(metric, trial)
             better = Et < E[idx] - 1e-15
             acc = idx[better]
-            paths[acc] = trial[better]
-            E[acc] = Et[better]
-            step[acc] = np.minimum(step[acc] * 1.6, 1.0)
-            step[idx[~better]] *= 0.5
+            paths[acc], E[acc], Gavg[acc] = trial[better], Et[better], Gt[better]
             idx, du = idx[~better], du[~better]
             if idx.size == 0:
                 break
+            step *= 0.5
         active[idx] = False                      # a full backtrack found no descent
     return E, gnorm
 
@@ -194,14 +207,15 @@ def geodesic_distance_many(metric: HermitianMetricField, p, qs,
     Starts every path on the straight chord; suitable when chords are
     feasible initializers (convex charts, moderate curvature).  Returns
     (distances, error_estimates) and logs at INFO how many paths stopped
-    above gtol.
+    above gtol, with the largest final gradient norm among them.
     """
     p = np.asarray(p, dtype=complex).reshape(-1)
     qs = np.atleast_2d(np.asarray(qs, dtype=complex))
-    *_, d, derr, converged = _solve_refined(metric, _chords(p, qs, N), max_iters, gtol)
+    *_, gnorm, d, derr, converged = _solve_refined(metric, _chords(p, qs, N), max_iters, gtol)
     if not converged.all():
-        log.info("geodesic solve: %d of %d paths stopped above gtol %.1e",
-                 int(np.count_nonzero(~converged)), converged.size, gtol)
+        log.info("geodesic solve: %d of %d paths stopped above gtol %.1e, "
+                 "largest final gradient norm %.1e", int(np.count_nonzero(~converged)),
+                 converged.size, gtol, float(np.max(gnorm[~converged])))
     return d, derr
 
 
