@@ -38,7 +38,7 @@ from .disks import (DiskEmbedding, DiskSampler, QuadratureGrid, TorsionSpace,
                     worst_defect)
 from .errors import ConfigError, KahlerLabError
 from .fields import ComplexChart
-from .geodesy import DiskObstacle, PlanarDomain, RectObstacle, domain_length_metric
+from .geodesy import DiskObstacle, PlanarDomain, RectObstacle
 from .models import ConeSurface, ModelSpace, QuotientData, orbifold_cone
 from .psh import (ComplexLine, check_bk_lower, check_bk_lower_set, k_threshold,
                   quotient_bk2_check, radial_potential_check)
@@ -55,6 +55,7 @@ _POINT = {"type": "array",
 _NUMLIST = {"type": "array", "items": {"type": "number"}}
 _COUNT = {"type": "integer", "minimum": 1}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
 
 _SAMPLER = {"type": "object", "additionalProperties": False,
             "properties": {"seed": {"type": "integer"},
@@ -68,9 +69,9 @@ _SAMPLER = {"type": "object", "additionalProperties": False,
 
 _OBSTACLE = {"type": "object", "additionalProperties": False,
              "properties": {"type": {"enum": ["rect", "disk"]},
-                            "center": _NUMLIST,
-                            "half_widths": _NUMLIST,
-                            "radius": {"type": "number"}},
+                            "center": _PAIR,
+                            "half_widths": dict(_PAIR, items=_POSITIVE),
+                            "radius": _POSITIVE},
              "required": ["type", "center"]}
 
 _SPACE = {"type": "object", "additionalProperties": False,
@@ -109,7 +110,7 @@ CHECK_PARAM_SCHEMAS = {
                     "band": {"type": "number"}, "tol": {"type": "number"}},
     "torsion-disk": {"a": _POINT, "b": _POINT, "eps1": {"type": "number"},
                      "eps2": {"type": "number"}, "factor": {"type": "number"}},
-    "domain-compare": {"p": _NUMLIST, "q": _NUMLIST, "eps": _POSITIVE,
+    "domain-compare": {"p": _PAIR, "q": _PAIR, "eps": _POSITIVE,
                        "count": _COUNT, "tol": {"type": "number"},
                        "min_ratio": {"type": "number"}},
 }
@@ -428,12 +429,12 @@ def _run_domain_compare(space, params, sampler, tol):
     tol = params.get("tol", tol or 1e-6)
     p = complex(params["p"][0], params["p"][1])
     q = complex(params["q"][0], params["q"][1])
-    ratio = domain_length_metric(space, [p.real, p.imag], [q.real, q.imag]) / abs(q - p)
+    dist = space.distance_field(p)
+    ratio = float(dist(np.array([[q]]))[0]) / abs(q - p)
     if ratio < params.get("min_ratio", -math.inf):
         raise KahlerLabError(f"length ratio {ratio:.6g} is below min_ratio "
                              f"{params['min_ratio']:g}")
     metric = space.metric()
-    dist = space.distance_field(p)
     eps = params.get("eps", 0.15)
     # built first, so that a fixed disk leaving the chart is an ERROR row
     fixed = DiskEmbedding.affine(np.array([q]), np.array([eps]), space.chart)

@@ -1,5 +1,5 @@
-"""Geodesic distance by discrete energy minimization, and length metrics
-of planar domains with obstacles.
+"""Geodesic distance by discrete energy minimization, and exact length
+metrics of planar domains with obstacles from one visibility graph.
 
 The energy of a path gamma in a Hermitian metric field is
 
@@ -21,8 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solveh_banded
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import csgraph_from_dense, dijkstra
 
 from .errors import Disconnected, DomainExceeded
 from .fields import ComplexChart, HermitianMetricField, ScalarField
@@ -186,17 +185,18 @@ def _refine(paths: np.ndarray) -> np.ndarray:
 
 def _solve_refined(metric, paths, max_iters, gtol):
     """Minimize, refine the mesh, minimize again.  Returns the Richardson
-    energies E, the refined energies E2, paths and gradient norms, the
-    distances sqrt(E) with their error estimates, and a per-path mask of
-    the paths whose two solves both ended at gradient norm <= gtol."""
+    energies E, the refined energies E2 and paths, the larger of each path's
+    two final gradient norms, the distances sqrt(E) with their error
+    estimates, and a per-path mask of the paths whose norm is <= gtol."""
     E1, gnorm1 = _minimize(metric, paths, max_iters, gtol)
     paths2 = _refine(paths)
-    E2, gnorm = _minimize(metric, paths2, max_iters, gtol)
+    E2, gnorm2 = _minimize(metric, paths2, max_iters, gtol)
+    gnorm = np.maximum(gnorm1, gnorm2)
     E = np.maximum(E2 + (E2 - E1) / 3.0, 0.0)
     err = np.abs(E2 - E1) / 3.0
     d = np.sqrt(E)
     derr = np.where(d > 0, err / np.maximum(2 * d, 1e-12), np.sqrt(err))
-    converged = (gnorm1 <= gtol) & (gnorm <= gtol)
+    converged = gnorm <= gtol
     return E, E2, paths2, gnorm, d, derr, converged
 
 
@@ -267,6 +267,28 @@ def geodesic_distance(metric: HermitianMetricField, p, q,
 
 # ---------------------------------------------------------------------------
 # length metrics of planar domains with obstacles
+#
+# A chart box minus closed rects and disks has an exact length metric.  A
+# taut path is straight off the obstacles, bends only at rect corners and
+# runs along disk arcs between tangent points.  So one visibility graph per
+# base point p carries every distance from p.  Its nodes are p, the rect
+# corners, and on each disk the touch points of the tangents from p and from
+# each corner and of the outer and inner common tangents with every other
+# disk; a node outside the box or inside an obstacle is dropped.  Its edges
+# are the free segments between nodes, and the arcs between neighbouring
+# nodes of a disk that no other obstacle boundary or box edge crosses; the
+# box is convex, so a segment between two nodes stays inside it.  One
+# Dijkstra run from p gives every node's distance.  A target q takes the
+# smaller of min dist(v) + |v - q| over the nodes v it sees, and dist(v) +
+# arc + tangent over its own tangent points on each disk, entered from the
+# neighbouring node v on either side.
+
+_OPEN = 1e-12     # obstacles are open by this margin: a grazing segment passes
+
+
+def _norm(d: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the (..., 2) vectors d, rounded as np.linalg.norm."""
+    return np.sqrt(np.vecdot(d, d))
 
 
 @dataclass(frozen=True)
@@ -285,28 +307,24 @@ class RectObstacle:
         h = np.asarray(self.half_widths, dtype=float)
         return c[None] + h[None] * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
 
-    def blocks_segment(self, a: np.ndarray, b: np.ndarray) -> bool:
-        """Segment vs open rectangle intersection (slab clipping).
-
-        Grazing the boundary does not block; taut paths touch corners.
-        """
-        eps = 1e-12
-        lo = np.asarray(self.center) - np.asarray(self.half_widths) + eps
-        hi = np.asarray(self.center) + np.asarray(self.half_widths) - eps
+    def blocks_segments(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(S,) whether the segments a -> b, (S, 2) each, meet the open
+        rectangle (slab clipping).  Grazing the boundary does not block;
+        taut paths touch corners.  A point segment blocks inside."""
+        lo = np.asarray(self.center) - np.asarray(self.half_widths) + _OPEN
+        hi = np.asarray(self.center) + np.asarray(self.half_widths) - _OPEN
         d = b - a
-        t0, t1 = 0.0, 1.0
+        t0, t1 = np.zeros(len(a)), np.ones(len(a))
         for i in range(2):
-            if abs(d[i]) < 1e-300:
-                if a[i] < lo[i] or a[i] > hi[i]:
-                    return False
-            else:
-                ta = (lo[i] - a[i]) / d[i]
-                tb = (hi[i] - a[i]) / d[i]
-                ta, tb = min(ta, tb), max(ta, tb)
-                t0, t1 = max(t0, ta), min(t1, tb)
-                if t0 > t1:
-                    return False
-        return True
+            flat = np.abs(d[:, i]) < 1e-300
+            with np.errstate(all="ignore"):
+                ta = (lo[i] - a[:, i]) / d[:, i]
+                tb = (hi[i] - a[:, i]) / d[:, i]
+            inside = (a[:, i] >= lo[i]) & (a[:, i] <= hi[i])
+            t0 = np.maximum(t0, np.where(flat, np.where(inside, -np.inf, np.inf),
+                                         np.minimum(ta, tb)))
+            t1 = np.minimum(t1, np.where(flat, np.inf, np.maximum(ta, tb)))
+        return t0 <= t1
 
     def blocks_disk(self, c: np.ndarray, r: float) -> bool:
         """Whether the closed round disk |x - c| <= r meets the rectangle."""
@@ -324,16 +342,61 @@ class DiskObstacle:
     def contains(self, pts: np.ndarray) -> np.ndarray:
         return np.linalg.norm(pts - np.asarray(self.center)[None], axis=1) <= self.radius
 
-    def blocks_segment(self, a: np.ndarray, b: np.ndarray) -> bool:
-        c = np.asarray(self.center)
+    def blocks_segments(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(S,) whether the segments a -> b come closer to the centre than
+        the radius less the open margin; tangents pass."""
+        c = np.asarray(self.center, dtype=float)
         d = b - a
-        L2 = float(d @ d)
-        t = 0.0 if L2 == 0 else float(np.clip((c - a) @ d / L2, 0.0, 1.0))
-        return float(np.linalg.norm(a + t * d - c)) < self.radius - 1e-12
+        L2 = np.vecdot(d, d)
+        t = np.clip(np.vecdot(c - a, d) / np.where(L2 > 0, L2, 1.0), 0.0, 1.0)
+        return _norm(a + t[:, None] * d - c) < self.radius - _OPEN
 
     def blocks_disk(self, c: np.ndarray, r: float) -> bool:
         """Whether the closed round disk |x - c| <= r meets this one."""
         return float(np.linalg.norm(c - np.asarray(self.center))) <= r + self.radius
+
+
+def _touch_angles(c: np.ndarray, r: float, src: np.ndarray, rho) -> np.ndarray:
+    """(S, 2) angles on the circle |x - c| = r of the touch points of its
+    common tangents with the circles |x - src_s| = rho_s; rho = 0 gives the
+    tangents from a point, rho < 0 the inner common tangents.  The normal at
+    a touch point makes the angle acos((r - rho) / d) with the direction to
+    src.  nan where there is no such tangent."""
+    v = src - c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.arccos((r - rho) / _norm(v))
+    phi = np.arctan2(v[:, 1], v[:, 0])
+    return np.stack([phi - a, phi + a], axis=1)
+
+
+def _crossings(c: np.ndarray, r: float, disks, boxes) -> np.ndarray:
+    """Angles in [0, 2 pi) where the circle |x - c| = r crosses the other
+    disks' circles and the boundaries of the (lo, hi) boxes."""
+    out = []
+    for ob in disks:
+        v = np.asarray(ob.center, dtype=float) - c
+        d = math.hypot(v[0], v[1])
+        if abs(r - ob.radius) < d < r + ob.radius:
+            a = math.acos((r * r + d * d - ob.radius ** 2) / (2.0 * r * d))
+            out += [math.atan2(v[1], v[0]) + s * a for s in (-1, 1)]
+    for lo, hi in boxes:
+        for i in range(2):              # the edges x_i = lo_i and x_i = hi_i
+            for e in (lo[i], hi[i]):
+                h = r * r - (e - c[i]) ** 2
+                if h <= 0:
+                    continue
+                for y in (c[1 - i] - math.sqrt(h), c[1 - i] + math.sqrt(h)):
+                    if lo[1 - i] <= y <= hi[1 - i]:
+                        x = (e, y) if i == 0 else (y, e)
+                        out.append(math.atan2(x[1] - c[1], x[0] - c[0]))
+    return np.mod(out, 2 * math.pi)
+
+
+def _arcs_free(start: np.ndarray, span: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Whether the counterclockwise arcs from angle start over span miss
+    every crossing angle."""
+    m = np.mod(cross - start[..., None], 2 * math.pi)
+    return ~np.any(m < span[..., None], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -343,6 +406,10 @@ class PlanarDomain:
     chart: ComplexChart
     obstacles: Sequence = ()
 
+    def __post_init__(self):
+        if self.chart.n != 1 or self.chart.kind != "box":
+            raise ValueError("a planar domain lives in a one-dimensional chart box")
+
     def free(self, pts: np.ndarray) -> np.ndarray:
         zs = (pts[:, 0] + 1j * pts[:, 1])[:, None]
         inside = self.chart.contains(zs)
@@ -350,13 +417,13 @@ class PlanarDomain:
             inside &= ~ob.contains(pts)
         return inside
 
-    def segment_free(self, a, b) -> bool:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
+    def segments_free(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(S,) whether the segments a -> b, (S, 2) each, miss every open
+        obstacle; a point segment is free where it is not inside one."""
+        ok = np.ones(len(a), dtype=bool)
         for ob in self.obstacles:
-            if ob.blocks_segment(a, b):
-                return False
-        return True
+            ok &= ~ob.blocks_segments(a, b)
+        return ok
 
     def disk_free(self, c: complex, r: float) -> bool:
         """Whether the closed round disk |z - c| <= r misses every obstacle."""
@@ -367,168 +434,92 @@ class PlanarDomain:
         """The flat metric of the chart; obstacles only change distances."""
         return ModelSpace(0.0, 1, chart=self.chart).metric()
 
+    def _keep(self, pts: np.ndarray) -> np.ndarray:
+        """Graph nodes in the chart box and inside no open obstacle."""
+        return (self.chart.contains((pts[:, 0] + 1j * pts[:, 1])[:, None])
+                & self.segments_free(pts, pts))
+
     def distance_field(self, p) -> ScalarField:
-        """Length-metric distance d(p, .) inside the domain; the corner
-        visibility graph where every obstacle is a rectangle, else
-        ``domain_length_metric``."""
+        """Exact length-metric distance d(p, .) inside the domain, from one
+        visibility graph (see the section comment).  An endpoint outside
+        the open domain raises ``DomainExceeded``, a target with no path
+        ``Disconnected``."""
         p = complex(np.asarray(p, dtype=complex).reshape(1)[0])
-        p2 = np.array([p.real, p.imag])
-        rects = all(isinstance(ob, RectObstacle) for ob in self.obstacles)
+        nodes = np.array([[p.real, p.imag]])
+        if not self.free(nodes)[0]:
+            raise DomainExceeded("endpoints must lie in the open domain")
+        disks = [ob for ob in self.obstacles if isinstance(ob, DiskObstacle)]
+        rects = [ob for ob in self.obstacles if isinstance(ob, RectObstacle)]
+        nodes = np.concatenate([nodes] + [ob.corners() for ob in rects])
+        nodes = nodes[self._keep(nodes)]                     # p stays first
+        c0, h0 = self.chart.center[0], self.chart.radii[0]
+        boxes = [(np.array([c0.real - h0, c0.imag - h0]), np.array([c0.real + h0, c0.imag + h0]))]
+        boxes += [(np.asarray(ob.center) - ob.half_widths, np.asarray(ob.center) + ob.half_widths)
+                  for ob in rects]
+
+        # per disk: centre, radius, sorted node angles, their node ids, crossings
+        rims, points = [], [nodes]
+        V = len(nodes)
+        for k, ob in enumerate(disks):
+            c, r = np.asarray(ob.center, dtype=float), float(ob.radius)
+            others = disks[:k] + disks[k + 1:]
+            oc = np.array([o.center for o in others], dtype=float).reshape(-1, 2)
+            orad = np.array([o.radius for o in others], dtype=float)
+            th = np.concatenate([_touch_angles(c, r, nodes, 0.0).ravel(),
+                                 _touch_angles(c, r, oc, orad).ravel(),
+                                 _touch_angles(c, r, oc, -orad).ravel()])
+            th = np.sort(np.mod(th[np.isfinite(th)], 2 * math.pi))
+            pts = c + r * np.stack([np.cos(th), np.sin(th)], axis=1)
+            keep = self._keep(pts)
+            rims.append((c, r, th[keep], V + np.arange(keep.sum()), _crossings(c, r, others, boxes)))
+            points.append(pts[keep])
+            V += int(keep.sum())
+        nodes = np.concatenate(points)
+
+        W = np.full((V, V), np.inf)
+        i, j = np.triu_indices(V, 1)
+        ok = self.segments_free(nodes[i], nodes[j])
+        W[i[ok], j[ok]] = _norm(nodes[i[ok]] - nodes[j[ok]])
+        for c, r, th, ids, cross in rims:
+            if len(th) > 1:     # each arc to the next node counterclockwise
+                span = np.diff(th, append=th[0] + 2 * math.pi)
+                ok = _arcs_free(th, span, cross)
+                np.minimum.at(W, (ids[ok], np.roll(ids, -1)[ok]), r * span[ok])
+        dist = dijkstra(csgraph_from_dense(W, null_value=np.inf), directed=False, indices=0)
 
         def fn(zs):
-            out = np.empty(zs.shape[0])
-            for i, z in enumerate(zs[:, 0]):
-                q2 = np.array([z.real, z.imag])
-                L = _visibility_length(self, p2, q2) if rects else None
-                out[i] = domain_length_metric(self, p2, q2) if L is None else L
-            return out
+            q = np.stack([zs[:, 0].real, zs[:, 0].imag], axis=1)
+            if not self.free(q).all():
+                raise DomainExceeded("endpoints must lie in the open domain")
+            P = len(q)
+            a, b = np.repeat(q, V, axis=0), np.tile(nodes, (P, 1))
+            seen = self.segments_free(a, b).reshape(P, V)
+            best = np.min(np.where(seen, dist[None] + _norm(a - b).reshape(P, V), np.inf), axis=1)
+            for c, r, th, ids, cross in rims:
+                if len(th) == 0:
+                    continue
+                t = np.mod(_touch_angles(c, r, q, 0.0), 2 * math.pi)      # (P, 2)
+                tp = c + r * np.stack([np.cos(t), np.sin(t)], axis=-1)
+                leg = np.where(self.segments_free(np.repeat(q, 2, axis=0), tp.reshape(-1, 2))
+                               .reshape(P, 2), _norm(tp - q[:, None]), np.inf)
+                s = np.searchsorted(th, t)
+                nxt = th[s % len(th)] + 2 * math.pi * (s == len(th))
+                prv = th[s - 1] - 2 * math.pi * (s == 0)
+                for start, span, v in ((prv, t - prv, ids[s - 1]),
+                                       (t, nxt - t, ids[s % len(th)])):
+                    arc = np.where(_arcs_free(start, span, cross), r * span, np.inf)
+                    best = np.minimum(best, np.min(dist[v] + arc + leg, axis=1))
+            if not np.isfinite(best).all():
+                raise Disconnected("no path between the endpoints")
+            return best
 
         return ScalarField(fn=fn, n=1, name="domain length metric")
 
 
-def _shortcut(domain: PlanarDomain, pts: np.ndarray) -> np.ndarray:
-    """Greedy string pulling: replace runs by free straight segments."""
-    pts = [np.asarray(q, dtype=float) for q in pts]
-    changed = True
-    while changed:
-        changed = False
-        out = [pts[0]]
-        i = 0
-        while i < len(pts) - 1:
-            j = len(pts) - 1
-            while j > i + 1:
-                if domain.segment_free(pts[i], pts[j]):
-                    break
-                j -= 1
-            if j > i + 1:
-                changed = True
-            out.append(pts[j])
-            i = j
-        pts = out
-    return np.array(pts)
-
-
-def _corner_refine(domain: PlanarDomain, pts: np.ndarray, iters: int = 60) -> np.ndarray:
-    """Slide interior vertices to locally shorten the polyline.
-
-    Coordinate descent with shrinking step; keeps every segment free.
-    """
-    pts = pts.copy()
-    if len(pts) <= 2:
-        return pts
-    step = 0.05
-    for _ in range(iters):
-        improved = False
-        for k in range(1, len(pts) - 1):
-            base = pts[k].copy()
-            best = np.linalg.norm(pts[k] - pts[k - 1]) + np.linalg.norm(pts[k + 1] - pts[k])
-            for dx in ((step, 0), (-step, 0), (0, step), (0, -step),
-                       (step, step), (step, -step), (-step, step), (-step, -step)):
-                cand = base + np.asarray(dx)
-                if not domain.free(cand[None])[0]:
-                    continue
-                if not (domain.segment_free(pts[k - 1], cand)
-                        and domain.segment_free(cand, pts[k + 1])):
-                    continue
-                ln = np.linalg.norm(cand - pts[k - 1]) + np.linalg.norm(pts[k + 1] - cand)
-                if ln < best - 1e-14:
-                    pts[k] = cand
-                    best = ln
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-10:
-                break
-    return pts
-
-
-def _visibility_length(domain: PlanarDomain, p: np.ndarray, q: np.ndarray) -> Optional[float]:
-    """Exact taut length through a visibility graph of rectangle corners.
-
-    Returns None when some obstacle is not a rectangle or when the graph
-    is disconnected (caller falls back to the grid path).
-    """
-    verts = [p, q]
-    for ob in domain.obstacles:
-        if not isinstance(ob, RectObstacle):
-            return None
-        verts.extend(ob.corners())
-    verts = np.array(verts)
-    m = len(verts)
-    rows, cols, ws = [], [], []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if domain.segment_free(verts[i], verts[j]):
-                rows.append(i)
-                cols.append(j)
-                ws.append(float(np.linalg.norm(verts[i] - verts[j])))
-    Gm = csr_matrix((ws, (rows, cols)), shape=(m, m))
-    dist = dijkstra(Gm, directed=False, indices=0)
-    return float(dist[1]) if np.isfinite(dist[1]) else None
-
-
-def domain_length_metric(domain: PlanarDomain, p, q, grid: int = 256) -> float:
-    """Length-metric distance inside a planar domain with obstacles.
-
-    Grid-graph shortest path (8 neighbors) establishes connectivity and an
-    upper bound; string pulling plus a corner visibility graph then
-    recover the exact taut polyline length for rectangular obstacle sets.
-    """
+def domain_length_metric(domain: PlanarDomain, p, q) -> float:
+    """Length-metric distance between two points of a planar domain: the
+    one-target call of ``PlanarDomain.distance_field``."""
     p = np.asarray(p, dtype=float).reshape(2)
     q = np.asarray(q, dtype=float).reshape(2)
-    if not (domain.free(p[None])[0] and domain.free(q[None])[0]):
-        raise DomainExceeded("endpoints must lie in the open domain")
-    c = domain.chart.center[0]
-    r = float(domain.chart.radii[0])
-    xs = np.linspace(c.real - r, c.real + r, grid)
-    ys = np.linspace(c.imag - r, c.imag + r, grid)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
-    free = domain.free(nodes)
-
-    def node_id(pt):
-        i = int(np.clip(round((pt[0] - xs[0]) / (xs[1] - xs[0])), 0, grid - 1))
-        j = int(np.clip(round((pt[1] - ys[0]) / (ys[1] - ys[0])), 0, grid - 1))
-        return i * grid + j
-
-    # snap endpoints to nearest free nodes
-    for pt in (p, q):
-        if not free[node_id(pt)]:
-            d2 = np.sum((nodes - pt) ** 2, axis=1)
-            d2[~free] = np.inf
-            free[int(np.argmin(d2))] = True
-
-    rows, cols, ws = [], [], []
-    idx = np.arange(grid * grid).reshape(grid, grid)
-    for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
-        si = slice(max(0, -di), grid - max(0, di))
-        sj = slice(max(0, -dj), grid - max(0, dj))
-        ti = slice(max(0, di), grid + min(0, di) or None)
-        tj = slice(max(0, dj), grid + min(0, dj) or None)
-        a = idx[si, sj].ravel()
-        b = idx[ti, tj].ravel()
-        ok = free[a] & free[b]
-        w = math.hypot(di * (xs[1] - xs[0]), dj * (ys[1] - ys[0]))
-        rows.append(a[ok])
-        cols.append(b[ok])
-        ws.append(np.full(ok.sum(), w))
-    Gm = csr_matrix((np.concatenate(ws), (np.concatenate(rows), np.concatenate(cols))),
-                    shape=(grid * grid, grid * grid))
-    src, dst = node_id(p), node_id(q)
-    dist, pred = dijkstra(Gm, directed=False, indices=src, return_predecessors=True)
-    if not np.isfinite(dist[dst]):
-        raise Disconnected("no grid path between the endpoints")
-    chain = [dst]
-    while chain[-1] != src:
-        chain.append(int(pred[chain[-1]]))
-    pts = nodes[np.array(chain[::-1])]
-    pts[0] = p if np.allclose(nodes[src], p, atol=2 * (xs[1] - xs[0])) else pts[0]
-    pts = np.vstack([p, pts[1:-1], q])
-    pts = _shortcut(domain, pts)
-    pts = _corner_refine(domain, pts)
-    pts = _shortcut(domain, pts)
-    length = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-    vis = _visibility_length(domain, p, q)
-    if vis is not None:
-        length = min(length, vis)
-    return length
+    field = domain.distance_field(complex(p[0], p[1]))
+    return float(field(np.array([[complex(q[0], q[1])]]))[0])

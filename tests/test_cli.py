@@ -146,12 +146,28 @@ def test_any_space_gives_a_row_or_a_config_error(tmp_path, space, check, outcome
     {"check": "comparison-scan", "params": {"K": 0.0, "count": 0}},
     {"check": "domain-compare", "params": {"p": [-1, 0], "q": [1, 0], "count": 0}},
     {"check": "domain-compare", "params": {"p": [-1, 0], "q": [1, 0], "eps": 0}},
+    {"check": "domain-compare", "params": {"p": [-1.2], "q": [1, 0]}},
     {"check": "annulus", "params": {"K": 0.0, "eps_list": [0.05, 0]}},
-], ids=["resolution", "scan-count", "domain-count", "domain-eps", "annulus-eps"])
+], ids=["resolution", "scan-count", "domain-count", "domain-eps", "domain-short-p",
+        "annulus-eps"])
 def test_out_of_range_params_exit_three(tmp_path, check):
     res = _run(["run", _write(tmp_path, _minimal_cfg(**check)), "--out", str(tmp_path / "o")])
     assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
     assert "config error" in res.output
+
+
+@pytest.mark.parametrize("obstacle", [
+    {"type": "rect", "center": [0], "half_widths": [0.15, 1.2]},
+    {"type": "disk", "center": [0, 0], "radius": -0.3},
+    {"type": "rect", "center": [0, 0], "half_widths": [0.15, 0]},
+], ids=["short-center", "negative-radius", "zero-half-width"])
+def test_malformed_obstacles_exit_three(tmp_path, obstacle):
+    cfg = {"version": 1, "scenarios": [{
+        "id": "d", "space": {"kind": "domain", "radius": 2.0, "obstacles": [obstacle]},
+        "checks": [{"check": "domain-compare", "params": {"p": [-1.2, 0], "q": [1, 0]}}]}]}
+    res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+    assert "config error" in res.output and not (tmp_path / "o" / "results.csv").exists()
 
 
 def test_scan_count_keeps_the_scenario_sampler(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 
@@ -216,6 +217,13 @@ def test_converged_reads_the_solver_mask():
     assert tight.converged and tight.path.grad_norm <= 1e-6
 
 
+def test_grad_norm_agrees_with_the_converged_mask():
+    # the refined solve of this path ends at 2.6e-10, the coarse one above gtol
+    sol = geodesic_distance(_torsion_metric(), np.zeros(2, dtype=complex),
+                            np.array([0.05, 0.004 + 0.004j]), N=24, gtol=1e-8, max_iters=120)
+    assert not sol.converged and sol.path.grad_norm > 1e-8
+
+
 def _square_domain(radius=2.0, obstacles=()):
     return PlanarDomain(chart=ComplexChart(n=1, radii=radius),
                         obstacles=tuple(obstacles))
@@ -263,6 +271,165 @@ def test_domain_disk_obstacle_upper_bound():
     exact = 2.0 * math.sqrt(1.0 - 0.25) + 0.5 * (math.pi - 2.0 * math.acos(0.5))
     assert d >= exact - 1e-9
     assert d <= exact * 1.1
+    assert abs(d - exact) <= 1e-12
+
+
+def test_domain_path_along_an_outer_common_tangent():
+    # p -> tangent to A -> arc over A -> outer common tangent -> arc over B
+    # -> tangent to q; the normal of the common tangent makes the angle
+    # acos((rA - rB) / |cA - cB|) with the x axis
+    a = DiskObstacle(center=np.array([-0.5, 0.0]), radius=0.3)
+    b = DiskObstacle(center=np.array([0.5, 0.0]), radius=0.2)
+    dom = _square_domain(obstacles=[a, b])
+    d = domain_length_metric(dom, [-1.2, 0.0], [1.1, 0.0])
+    n = math.acos(0.1)
+    exact = (math.sqrt(0.7 ** 2 - 0.3 ** 2) + 0.3 * (math.pi - math.acos(0.3 / 0.7) - n)
+             + math.sqrt(1.0 - 0.1 ** 2)
+             + 0.2 * (n - math.acos(0.2 / 0.6)) + math.sqrt(0.6 ** 2 - 0.2 ** 2))
+    assert abs(d - exact) <= 1e-12
+
+
+def test_domain_path_along_an_inner_common_tangent():
+    # p below A and q above B: around A's lower right, across between the
+    # disks, around B's upper left; the inner tangent's normal makes the
+    # angle acos((rA + rB) / |cA - cB|) = acos(0.8) with the x axis
+    a = DiskObstacle(center=np.array([-0.5, 0.0]), radius=0.4)
+    b = DiskObstacle(center=np.array([0.5, 0.0]), radius=0.4)
+    dom = _square_domain(obstacles=[a, b])
+    d = domain_length_metric(dom, [-0.5, -0.5], [0.5, 0.5])
+    exact = 2.0 * (0.3 + 0.4 * (0.5 * math.pi - 2.0 * math.acos(0.8))) + 0.6
+    assert abs(d - exact) <= 1e-12
+
+
+_DISK = DiskObstacle(center=np.array([0.0, 0.0]), radius=0.5)
+
+
+@pytest.mark.parametrize("obstacles, y, h", [
+    ([_DISK, RectObstacle(center=np.array([0.0, 1.25]), half_widths=np.array([0.1, 0.85]))],
+     0.0, 0.2),
+    ([_DISK, DiskObstacle(center=np.array([0.0, 1.27]), radius=0.78)], 0.0, 0.2),
+    ([DiskObstacle(center=np.array([0.0, 1.52]), radius=0.5)], 1.52, 0.1),
+], ids=["rect", "disk", "chart-edge"])
+def test_domain_arcs_stop_at_crossings(obstacles, y, h):
+    # p and q sit h above the centre of a radius-0.5 disk at height y; the
+    # shorter way over its top is cut by an obstacle that reaches past the
+    # chart edge, or by the edge itself, while both top tangent points stay
+    # free, so the path goes round the bottom
+    dom = _square_domain(obstacles=obstacles)
+    d = domain_length_metric(dom, [-1.0, y + h], [1.0, y + h])
+    alpha = math.acos(0.5 / math.sqrt(1.0 + h * h))
+    exact = 2.0 * math.sqrt(0.75 + h * h) + 0.5 * (math.pi + 2.0 * math.atan(h) - 2.0 * alpha)
+    assert abs(d - exact) <= 1e-12
+
+
+def test_domain_graph_arcs_stop_at_crossings():
+    # p -> round the bottom of the cut disk -> common tangent -> round a
+    # second disk -> q: the cut arc is a graph arc from p and a target arc
+    # from q; circumscribed 2000-gons around the disks give 3.3607108
+    dom = _square_domain(obstacles=[
+        _DISK, RectObstacle(center=np.array([0.0, 1.25]), half_widths=np.array([0.1, 0.85])),
+        DiskObstacle(center=np.array([1.3, 0.0]), radius=0.3)])
+    d = domain_length_metric(dom, [-1.0, 0.2], [1.9, 0.2])
+    assert abs(d - 3.3607102383535707) <= 1e-12
+    assert abs(domain_length_metric(dom, [1.9, 0.2], [-1.0, 0.2]) - d) <= 1e-12
+
+
+def test_domain_single_rect_corner_path():
+    # the taut path turns once, at the corner (0.575, 0.405)
+    rect = RectObstacle(center=np.array([0.765, -0.045]), half_widths=np.array([0.19, 0.45]))
+    dom = _square_domain(obstacles=[rect])
+    d = domain_length_metric(dom, [-0.89, -1.88], [0.84, 0.67])
+    assert d == pytest.approx(3.0890712932105964, abs=1e-15)
+
+
+def _blocks_reference(ob, a, b) -> bool:
+    """The scalar segment tests that ``blocks_segments`` vectorises."""
+    d = b - a
+    if isinstance(ob, DiskObstacle):
+        L2 = float(d @ d)
+        t = 0.0 if L2 == 0 else float(np.clip((ob.center - a) @ d / L2, 0.0, 1.0))
+        return float(np.linalg.norm(a + t * d - ob.center)) < ob.radius - 1e-12
+    lo, hi = ob.center - ob.half_widths + 1e-12, ob.center + ob.half_widths - 1e-12
+    t0, t1 = 0.0, 1.0
+    for i in range(2):
+        if abs(d[i]) < 1e-300:
+            if a[i] < lo[i] or a[i] > hi[i]:
+                return False
+        else:
+            ta, tb = sorted(((lo[i] - a[i]) / d[i], (hi[i] - a[i]) / d[i]))
+            t0, t1 = max(t0, ta), min(t1, tb)
+            if t0 > t1:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("ob", [
+    RectObstacle(center=np.array([0.25, -0.5]), half_widths=np.array([0.5, 0.25])),
+    DiskObstacle(center=np.array([0.25, -0.5]), radius=0.5)], ids=["rect", "disk"])
+def test_blocks_segments_matches_the_scalar_test(ob):
+    # endpoints on a 0.25 grid give axis-parallel, grazing and point segments
+    rng = np.random.default_rng(2)
+    a, b = (0.25 * rng.integers(-6, 6, (2000, 2)) for _ in range(2))
+    b[:100] = a[:100]
+    expected = [_blocks_reference(ob, x, y) for x, y in zip(a, b)]
+    assert ob.blocks_segments(a, b).tolist() == expected
+
+
+def _half_extent(ob):
+    return ob.half_widths if isinstance(ob, RectObstacle) else np.full(2, ob.radius)
+
+
+def _overlap(a, b) -> bool:
+    if isinstance(b, DiskObstacle):
+        return a.blocks_disk(b.center, b.radius)
+    if isinstance(a, DiskObstacle):
+        return b.blocks_disk(a.center, a.radius)
+    return bool(np.all(np.abs(a.center - b.center) <= a.half_widths + b.half_widths))
+
+
+def test_domain_random_domains_are_symmetric():
+    # overlapping rects and disks, some crossing the chart edge
+    rng = np.random.default_rng(5)
+    overlaps = crossings = paths = 0
+    for _ in range(120):
+        obstacles = []
+        for _ in range(rng.integers(2, 5)):
+            c = rng.uniform(-2.2, 2.2, 2)
+            obstacles.append(RectObstacle(center=c, half_widths=rng.uniform(0.05, 0.8, 2))
+                             if rng.uniform() < 0.5 else
+                             DiskObstacle(center=c, radius=rng.uniform(0.05, 0.8)))
+        dom = _square_domain(obstacles=obstacles)
+        crossings += any(np.any(np.abs(o.center) + _half_extent(o) > 2.0) for o in obstacles)
+        overlaps += any(_overlap(a, b) for a, b in itertools.combinations(obstacles, 2))
+        pts = rng.uniform(-2.0, 2.0, (40, 2))
+        p, q = pts[dom.free(pts)][:2]
+        try:
+            d = domain_length_metric(dom, p, q)
+        except Disconnected:
+            with pytest.raises(Disconnected):
+                domain_length_metric(dom, q, p)
+            continue
+        paths += 1
+        assert abs(domain_length_metric(dom, q, p) - d) <= 1e-12 * d
+    assert paths >= 100 and overlaps >= 20 and crossings >= 20
+
+
+def test_domain_field_runs_one_dijkstra_per_base_point(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dijkstra(*args, **kwargs)
+
+    dijkstra = geodesy.dijkstra
+    monkeypatch.setattr(geodesy, "dijkstra", counting)
+    dom = _square_domain(obstacles=[
+        RectObstacle(center=np.array([0.0, 0.8]), half_widths=np.array([0.2, 0.5])),
+        DiskObstacle(center=np.array([0.0, -0.5]), radius=0.4)])
+    field = dom.distance_field(-1.2 + 0.0j)
+    t = np.linspace(-1.0, 1.0, 257)
+    d = field((1.2 + 0.3j * t)[:, None])
+    assert len(calls) == 1 and d.shape == (257,) and np.all(d >= 2.4)
 
 
 def test_domain_endpoints_must_be_free():
