@@ -236,7 +236,7 @@ def _run_curvature_match(space, params, sampler, tol):
     rng = np.random.default_rng(sampler.seed)
     metric = space.metric()
     c = space.c
-    worst = 0.0
+    worst = err = 0.0
     for _ in range(count):
         z = rng.standard_normal(space.n) + 1j * rng.standard_normal(space.n)
         z = z * radius * rng.uniform() / np.linalg.norm(z)
@@ -244,10 +244,11 @@ def _run_curvature_match(space, params, sampler, tol):
         G = data.G
         closed = -(c / 2.0) * (np.einsum("ij,kl->ijkl", G, G)
                                + np.einsum("il,kj->ijkl", G, G))
-        rel = np.max(np.abs(data.R - closed)) / np.max(np.abs(closed))
-        worst = max(worst, float(rel))
+        scale = np.max(np.abs(closed))
+        worst = max(worst, float(np.max(np.abs(data.R - closed)) / scale))
+        err = max(err, data.error / float(scale))
     verdict = "PASS" if worst <= tol else "FAIL"
-    return dict(verdict=verdict, value=worst, error_est=0.0, witness=None)
+    return dict(verdict=verdict, value=worst, error_est=err, witness=None)
 
 
 def _run_min_bk_defect(space, params, sampler, tol):
@@ -255,14 +256,14 @@ def _run_min_bk_defect(space, params, sampler, tol):
     n = space.chart.n
     z = _as_point(params.get("z", [0.0] * n), n)
     data = curvature_tensor(space.metric(), z)
-    val, pair = min_bk_defect(data, params["K"], seed=sampler.seed,
-                              samples=params.get("samples", 1500))
+    val, pair, err = min_bk_defect(data, params["K"], seed=sampler.seed,
+                                   samples=params.get("samples", 1500))
     verdict = "PASS" if val >= -tol else "FAIL"
     witness = None
     if verdict == "FAIL":
         witness = {"z": _jsonify(z), "X": _jsonify(pair.X), "Y": _jsonify(pair.Y),
                    "value": val}
-    return dict(verdict=verdict, value=val, error_est=0.0, witness=witness)
+    return dict(verdict=verdict, value=val, error_est=err, witness=witness)
 
 
 def _run_comparison_scan(space, params, sampler, tol):

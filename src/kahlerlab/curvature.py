@@ -1,7 +1,6 @@
 """Curvature tensors on complex charts and the bisectional lower bound.
 
-The tensor R_{i jbar k lbar} is computed from a potential-form metric by
-nested finite differences:
+The tensor R_{i jbar k lbar} of a potential-form metric is
 
     R_{i jbar k lbar} = d_k dbar_l g_{i jbar}
                         - sum_{p,q} (d_k g_{i qbar}) g^{qbar p} (dbar_l g_{p jbar})
@@ -9,6 +8,14 @@ nested finite differences:
 with the sign fixed so that the constant-curvature model potentials
 reproduce R = -(c/2)(g g + g g) entrywise.  Bisectional curvature of a
 unit pair (X, Y) is -R(X, Xbar, Y, Ybar); note the minus sign.
+
+When the field carries a closed-form ``dgram`` (the models, cones and
+orbifolds), the correction term uses the exact g and d g, and
+d_k dbar_l g is one fourth-order central difference of the exact d g.
+Otherwise g comes from the potential by finite differences, and
+d_k dbar_l g differentiates that a second time: two nested levels.
+Either way R carries a Richardson error, its change when every step is
+doubled.
 """
 
 from __future__ import annotations
@@ -24,6 +31,12 @@ from . import fd
 from .errors import NonConvergence, SingularityTooClose
 from .fields import HermitianMetricField, real_to_z, z_to_real
 
+# one-level step on an exact dgram, times min(1, distance to a singular point)
+CURV_STEP = 1e-3
+# rounding of its difference quotients, per unit of max|dgram| / step
+CURV_ROUNDING = 32.0 * 2.0 ** -52
+# nested steps on a potential: the metric matrices come from FD with the
+# inner step, chosen to keep round-off below the outer stencil's truncation
 CURV_OUTER_H = 0.015
 CURV_INNER_H = 8e-3
 MAX_SWEEPS = 500
@@ -57,11 +70,17 @@ class TangentPair:
 
 @dataclass
 class CurvatureData:
-    """R_{i jbar k lbar} at a point, indexed [i, j, k, l], plus the metric."""
+    """R_{i jbar k lbar} at a point, indexed [i, j, k, l], plus the metric.
+
+    ``error`` bounds the entrywise error of R: its largest entrywise change
+    when the finite-difference steps are doubled (plus the rounding of the
+    difference quotients on the one-level route).
+    """
 
     z: np.ndarray
     R: np.ndarray
     G: np.ndarray
+    error: float
     _ricci: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -94,39 +113,78 @@ class CurvatureData:
 def curvature_tensor(metric: HermitianMetricField, z: np.ndarray) -> CurvatureData:
     """Full curvature tensor of a potential-form metric at a chart point.
 
-    The outer step differentiates the metric matrices; the inner gram
-    evaluations use a step chosen to keep round-off noise below the
-    truncation error of the outer stencil.  Raises SingularityTooClose if
-    the nested stencil, which reaches sqrt(2) (outer + inner step) from z,
+    With a closed-form ``dgram`` the step is h = CURV_STEP min(1, distance
+    to the nearest singular point), and one batched ``dgram`` call at z and
+    at the nodes +-h/2, +-h, +-2h along each real axis gives R at steps h
+    and 2h.  Without one, the nested potential stencil is taken at its
+    steps and at twice them.  Raises SingularityTooClose if the stencil
     comes within the smoothness radius of a singular point.
     """
     if not metric.is_potential_form:
         raise ValueError("curvature requires a potential-form metric")
     phi = metric.potential
-    n = phi.n
-    z = np.asarray(z, dtype=complex).reshape(n)
-    h_inner = max(metric.h, CURV_INNER_H)
-    reach = phi.smoothness_radius + math.sqrt(2.0) * (CURV_OUTER_H + h_inner)
-    if phi.singular_distance(z[None])[0] < reach:
+    z = np.asarray(z, dtype=complex).reshape(phi.n)
+    dist = phi.singular_distance(z[None])[0]
+    if metric.has_exact_dgram:
+        h = CURV_STEP * min(1.0, dist)
+        reach = 2.0 * h
+    else:
+        h_inner = max(metric.h, CURV_INNER_H)
+        reach = 2.0 * math.sqrt(2.0) * (CURV_OUTER_H + h_inner)
+    if not dist - reach >= phi.smoothness_radius:
         raise SingularityTooClose(f"curvature stencil at z={z} comes within "
-                                  f"{reach:.3e} of a singular point of {phi.name!r}")
-
-    def gram_raw(xs):
-        zs = real_to_z(xs)
-        return fd.wirtinger_dd(lambda u: phi(real_to_z(u)), z_to_real(zs), h_inner, n)
-
-    x0 = z_to_real(z[None, :])
-    G0 = gram_raw(x0)[0]
-    G = 0.5 * (G0 + np.conj(G0.T))
-    DD = fd.wirtinger_dd(gram_raw, x0, CURV_OUTER_H, n)[0]    # [k, l, i, j]
-    dG = fd.wirtinger_d(gram_raw, x0, CURV_OUTER_H, n)[0]     # [k, i, j] = d_k g_{i jbar}
+                                  f"{max(dist - reach, 0.0):.3e} of a singular point "
+                                  f"of {phi.name!r}")
+    if metric.has_exact_dgram:
+        G, dG, second, error = _second_exact(metric, z, h)
+    else:
+        G, dG, second, error = _second_nested(phi, z, h_inner)
     Ginv = np.linalg.inv(G)
-
-    second = DD.transpose(2, 3, 0, 1)                    # [i, j, k, l]
     # dbar_l g_{p jbar} = conj(d_l g_{j pbar})
     dbarG = np.conj(dG.transpose(0, 2, 1))               # [l, p, j]
     corr = np.einsum("kiq,qp,lpj->ijkl", dG, Ginv, dbarG)
-    return CurvatureData(z=z, R=second - corr, G=G)
+    return CurvatureData(z=z, R=second - corr, G=G, error=error)
+
+
+def _second_exact(metric: HermitianMetricField, z: np.ndarray, h: float):
+    """Exact g and d g at z, and d_k dbar_l g_{i jbar} as [i, j, k, l] with
+    its Richardson error, from one ``dgram`` call.
+
+    dbar_l d_k g = (1/2)(d/dx_l + i d/dy_l) dgram[k]; the fourth-order
+    central difference at step s is (4 D(s/2) - D(s)) / 3, so steps h and
+    2h share the +-h nodes.
+    """
+    n = z.size
+    steps = np.array([h / 2, -h / 2, h, -h, 2 * h, -2 * h])
+    offsets = np.eye(2 * n)[:, None, :] * steps[:, None]  # [axis, step, coordinate]
+    nodes = z_to_real(z[None]) + offsets.reshape(-1, 2 * n)
+    D = metric.dgram(np.concatenate([z[None], real_to_z(nodes)]))
+    Ds = D[1:].reshape(2 * n, 3, 2, n, n, n)             # [axis, step, sign, k, i, j]
+    central = (Ds[:, :, 0] - Ds[:, :, 1]) / (2.0 * steps[::2, None, None, None])
+    grad = (4.0 * central[:, :2] - central[:, 1:]) / 3.0  # [axis, (h, 2h), k, i, j]
+    dd = 0.5 * (grad[:n] + 1j * grad[n:])                # [l, (h, 2h), k, i, j]
+    second = dd.transpose(1, 3, 4, 2, 0)                 # [(h, 2h), i, j, k, l]
+    error = float(np.max(np.abs(second[0] - second[1]))
+                  + CURV_ROUNDING * np.max(np.abs(D)) / h)
+    return metric.gram(z[None])[0], D[0], second[0], error
+
+
+def _second_nested(phi, z: np.ndarray, h_inner: float):
+    """FD g and d g at z, and d_k dbar_l g_{i jbar} as [i, j, k, l] with its
+    change when both nested steps double."""
+    def level(outer, inner):
+        def gram_raw(xs):
+            return fd.wirtinger_dd(lambda u: phi(real_to_z(u)), xs, inner, phi.n)
+
+        x0 = z_to_real(z[None, :])
+        G0 = gram_raw(x0)[0]
+        DD = fd.wirtinger_dd(gram_raw, x0, outer, phi.n)[0]    # [k, l, i, j]
+        dG = fd.wirtinger_d(gram_raw, x0, outer, phi.n)[0]     # [k, i, j] = d_k g_{i jbar}
+        return 0.5 * (G0 + np.conj(G0.T)), dG, DD.transpose(2, 3, 0, 1)
+
+    G, dG, second = level(CURV_OUTER_H, h_inner)
+    _, _, doubled = level(2.0 * CURV_OUTER_H, 2.0 * h_inner)
+    return G, dG, second, float(np.max(np.abs(second - doubled)))
 
 
 def bisectional(data: CurvatureData, pair: TangentPair) -> float:
@@ -172,7 +230,7 @@ def _eigen_step(R: np.ndarray, G: np.ndarray, K: float, Y: np.ndarray):
 
 
 def min_bk_defect(data: CurvatureData, K: float, samples: int = 1500, seed: int = 0):
-    """Global minimum of bk_defect over unit pairs; returns (value, pair).
+    """Global minimum of bk_defect over unit pairs: (value, pair, error).
 
     Starts from the best of ``samples`` seeded random pairs, then
     alternates exact half-steps: X <- argmin f(., Y) and Y <- argmin f(X, .),
@@ -180,6 +238,11 @@ def min_bk_defect(data: CurvatureData, K: float, samples: int = 1500, seed: int 
     with the metric, so f never increases.  Stops when a sweep lowers f by
     no more than 1e-12 max(1, |f|); raises NonConvergence if that has not
     happened after MAX_SWEEPS sweeps.  Deterministic for a fixed seed.
+
+    ``error`` bounds the distance to the minimum for the exact tensor.  An
+    entrywise error e of R moves the defect of a g-unit pair by at most
+    e (sum_i |X^i|)^2 (sum_k |Y^k|)^2 <= e n^2 / lambda_min(G)^2, and the
+    last sweep's gain stands for the descent left undone.
     """
     n = data.n
     rng = np.random.default_rng(seed)
@@ -194,9 +257,12 @@ def min_bk_defect(data: CurvatureData, K: float, samples: int = 1500, seed: int 
     for _ in range(MAX_SWEEPS):
         _, x = _eigen_step(data.R, data.G, K, y)
         f_new, y = _eigen_step(R_swapped, data.G, K, x)
-        if f - f_new <= 1e-12 * max(1.0, abs(f_new)):
+        gain = f - f_new
+        if gain <= 1e-12 * max(1.0, abs(f_new)):
             pair = TangentPair(X=x, Y=y, G=data.G)
-            return bk_defect(data, K, pair), pair
+            lam = np.linalg.eigvalsh(data.G)[0]
+            error = data.error * n * n / lam ** 2 + max(gain, 0.0)
+            return bk_defect(data, K, pair), pair, float(error)
         f = f_new
     raise NonConvergence(f"bk-defect minimisation still descending after {MAX_SWEEPS} sweeps")
 

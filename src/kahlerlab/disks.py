@@ -404,9 +404,9 @@ def scan_disks(space, p, K: float, sampler: DiskSampler,
 
     Distances come from ``space.distance_field(p)`` where the space has
     one, else from the geodesic solver.  When the curvature certifies a
-    negative bound defect at p, the directed violation construction runs
-    first so the scan cannot miss it; next to a singular point there is no
-    curvature and no directed disk.
+    negative bound defect at p, below minus its error bound, the directed
+    violation construction runs first so the scan cannot miss it; at a
+    singular point there is no curvature and no directed disk.
     """
     metric = space.metric()
     distance = space.distance_field(p) if hasattr(space, "distance_field") else "numeric"
@@ -417,8 +417,8 @@ def scan_disks(space, p, K: float, sampler: DiskSampler,
     except SingularityTooClose:         # no curvature at a singular point
         data = None
     if data is not None:
-        val, pair = min_bk_defect(data, K, samples=400, seed=sampler.seed)
-        if val < -1e-7:
+        val, pair, err = min_bk_defect(data, K, samples=400, seed=sampler.seed)
+        if val < -err:
             directed = violation_disk(metric, p, K, pair, 0.06, 0.25)
     disks = sample_disks(metric.chart, p, sampler, np.random.default_rng(sampler.seed))
     return worst_defect(metric, p, K, distance, disks, directed=directed, tol=tol)

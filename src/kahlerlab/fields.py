@@ -181,6 +181,11 @@ class HermitianMetricField:
     def is_potential_form(self) -> bool:
         return self.potential is not None
 
+    @property
+    def has_exact_dgram(self) -> bool:
+        """True when ``dgram`` is in closed form, not a finite difference."""
+        return self._exact_d is not None
+
     def gram(self, zs: np.ndarray, check: bool = True) -> np.ndarray:
         """(P, n, n) Hermitian positive matrices g_{i jbar}(z)."""
         zs = np.atleast_2d(np.asarray(zs, dtype=complex))

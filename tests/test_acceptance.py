@@ -58,7 +58,7 @@ def test_acceptance_02_sharp_bound_certification():
         space = ModelSpace(K=K, n=2)
         data = curvature_tensor(space.metric(),
                                 np.array([0.1 + 0.05j, -0.02 + 0.1j]))
-        vals[K], _ = min_bk_defect(data, K)
+        vals[K], _, _ = min_bk_defect(data, K)
     m1 = ModelSpace(K=1.0, n=1)
     thr = k_threshold(m1, m1.potential(), np.array([0.1 + 0.05j]), 0.5, 2.0,
                       resolution=1e-3,
@@ -279,8 +279,8 @@ def test_acceptance_11_invariant_suites():
                 sp.distance(tri[0], tri[1]) + sp.distance(tri[1], tri[2]) + 1e-12
 
     # determinism of seeded searches
-    v1, _ = min_bk_defect(data, 1.0, seed=3)
-    v2, _ = min_bk_defect(data, 1.0, seed=3)
+    v1, _, _ = min_bk_defect(data, 1.0, seed=3)
+    v2, _, _ = min_bk_defect(data, 1.0, seed=3)
     ok &= v1 == v2
 
     dt = time.time() - t0

@@ -45,6 +45,10 @@ def test_bundled_models_scenario_passes(tmp_path):
     assert res.exit_code == 0, res.output
     rows = _read_csv(tmp_path / "results.csv")
     assert rows and all(r["verdict"] == "PASS" for r in rows)
+    est = {r["check_id"]: float(r["error_est"])
+           for r in rows if r["scenario_id"] == "model-positive"}
+    assert 0.0 < est["curvature-match-0"] < 1e-10
+    assert 0.0 < est["min-bk-defect-1"] < 1e-10
 
 
 def test_bundled_violation_scenario_exits_zero_with_witness(tmp_path):
@@ -311,6 +315,26 @@ def test_scan_disks_negative_model_is_clean():
                      DiskSampler(seed=0, count=10, size_range=(0.02, 0.25),
                                  center_radius=0.2))
     assert res.report.defect >= -5e-3
+
+
+@pytest.mark.parametrize("p", [[0.0, 0.0], [0.05, 0.0], [0.1, 0.05j]])
+def test_scan_disks_builds_no_directed_disk_at_the_equality_level(p):
+    # min_bk_defect reads about -1e-11 here, inside its own error bound
+    res = scan_disks(ModelSpace(2.0, 2), np.array(p, dtype=complex), 2.0,
+                     DiskSampler(seed=1, count=5))
+    assert not res.directed
+
+
+def test_min_bk_defect_on_a_cone_off_the_apex_passes(tmp_path):
+    cfg = {"version": 1, "scenarios": [{
+        "id": "cone", "space": {"kind": "cone", "alpha": 0.5}, "sampler": {"seed": 1},
+        "checks": [{"check": "min-bk-defect", "id": "bk",
+                    "params": {"K": 0.0, "z": [[0.3, 0.0]], "tol": 1e-6}}]}]}
+    res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    [row] = _read_csv(tmp_path / "o" / "results.csv")
+    assert row["verdict"] == "PASS"
+    assert abs(float(row["value"])) <= float(row["error_est"]) < 1e-9
 
 
 def test_domain_compare_drops_candidates_that_cover_an_obstacle(tmp_path, monkeypatch):
