@@ -63,8 +63,9 @@ _SAMPLER = {"type": "object", "additionalProperties": False,
                            "size_range": {"type": "array", "minItems": 2, "maxItems": 2,
                                           "items": {"type": "number",
                                                     "exclusiveMinimum": 0}},
-                           "center_radius": {"type": "number"},
-                           "degree2_fraction": {"type": "number"},
+                           "center_radius": {"type": "number", "minimum": 0},
+                           "degree2_fraction": {"type": "number", "minimum": 0,
+                                                "maximum": 1},
                            "interior_points": {"type": "integer", "minimum": 1}}}
 
 _OBSTACLE = {"type": "object", "additionalProperties": False,

@@ -17,6 +17,7 @@ over one, for ``scan_disks`` and the CLI's domain comparison.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -37,18 +38,80 @@ NEAR_DISK_CUTOFF = 0.05
 # 512 boundary nodes lose a few ulps per level
 ROUNDING_FLOOR = 32.0 * 2.0 ** -52
 
+log = logging.getLogger("kahlerlab")
+
+
+def _powers(w: np.ndarray, degree: int) -> np.ndarray:
+    """w^0 .. w^degree along a new last axis."""
+    return w[..., None] ** np.arange(degree + 1)
+
+
+# the unit-circle nodes of the containment test and the sampler's
+# singular-clearance grid (three circles and the centre), as their powers
+# w^0 .. w^M for M = 1 and 2
+_BOUNDARY_NODES = np.exp(1j * np.linspace(0, 2 * math.pi, 128, endpoint=False))
+_CLEARANCE_NODES = np.concatenate(
+    [np.exp(1j * np.linspace(0, 2 * math.pi, 64, endpoint=False)) * r
+     for r in (1.0, 0.6, 0.25)] + [np.zeros(1)])
+_BOUNDARY_POWERS = {M: _powers(_BOUNDARY_NODES, M) for M in range(1, MAX_DEGREE + 1)}
+_CLEARANCE_POWERS = {M: _powers(_CLEARANCE_NODES, M) for M in range(1, MAX_DEGREE + 1)}
+
+DISK_FAULTS = ("", "disk map is constant", "disk image leaves the chart",
+               "disk map is not an embedding",
+               "disk image comes too close to a singular point")
+
+
+def disk_faults(coeffs: np.ndarray, chart: ComplexChart, min_singular: float = 0.0,
+                singular_at=None) -> np.ndarray:
+    """The validity rule of polynomial disks, over a (D, M+1, n) stack.
+
+    Returns, per disk, the index into ``DISK_FAULTS`` of the first rule
+    it breaks, 0 when it breaks none.  The rules, in order:
+
+    - the map is not constant;
+    - containment: box and ball charts are convex, so by the maximum
+      principle the image stays inside when its boundary does, which is
+      checked at 128 boundary nodes;
+    - embedding: as i(w1) - i(w2) = (w1 - w2)(c1 + (w1 + w2) c2) and
+      i'(w) = c1 + 2 w c2, the closed disk embeds exactly when
+      c1 + s c2 != 0 for |s| <= 2;
+    - with ``min_singular`` > 0 and a ``singular_at`` point, the image
+      keeps that distance from it at 193 nodes (three circles and the
+      centre).
+    """
+    C = np.asarray(coeffs, dtype=complex)
+    M = C.shape[1] - 1
+    if M == 0:
+        return np.ones(len(C), dtype=int)
+    scale = np.max(np.abs(C[:, 1:]), axis=(1, 2))
+    bnd = np.matmul(_BOUNDARY_POWERS[M], C)
+    inside = chart.contains(bnd.reshape(-1, chart.n)).reshape(bnd.shape[:2]).all(axis=1)
+    embeds = np.ones(len(C), dtype=bool)         # a nonconstant affine map embeds
+    if M == 2:
+        # min over |s| <= 2 of |c1 + s c2|: the free minimiser clipped radially
+        c1, c2 = C[:, 1], C[:, 2]
+        c2_sq = np.sum((c2.conj() * c2).real, axis=1)
+        s = -np.sum(c2.conj() * c1, axis=1) / np.where(c2_sq > 0, c2_sq, 1.0)
+        s *= 2.0 / np.maximum(np.abs(s), 2.0)
+        embeds = np.linalg.norm(c1 + s[:, None] * c2, axis=1) > 1e-9 * scale
+    too_close = np.zeros(len(C), dtype=bool)
+    if min_singular > 0.0 and singular_at is not None:
+        pts = np.matmul(_CLEARANCE_POWERS[M], C) - np.asarray(singular_at)
+        too_close = np.min(np.linalg.norm(pts, axis=2), axis=1) < min_singular
+    faults = np.zeros(len(C), dtype=int)
+    for fault, broken in ((4, too_close), (3, ~embeds), (2, ~inside), (1, scale == 0)):
+        faults[broken] = fault              # the last assignment, the first rule, wins
+    return faults
+
 
 @dataclass(frozen=True)
 class DiskEmbedding:
     """Polynomial holomorphic map of the closed unit disk into a chart.
 
     i(w) = c0 + c1 w + c2 w^2 with coeffs of shape (M+1, n), M = 1 or 2.
-    Validity is decided exactly at construction.  Embedding: as
-    i(w1) - i(w2) = (w1 - w2)(c1 + (w1 + w2) c2) and i'(w) = c1 + 2 w c2,
-    the closed disk embeds exactly when c1 + s c2 != 0 for |s| <= 2.
-    Containment: box and ball charts are convex, so by the maximum
-    principle the image stays inside when its boundary does, which is
-    checked at 128 boundary nodes.
+    Validity is decided exactly at construction, by ``disk_faults`` on a
+    stack of one: the rule ``sample_disks`` applies to a batch of draws at
+    once.
     """
 
     coeffs: np.ndarray
@@ -61,19 +124,17 @@ class DiskEmbedding:
             raise ValueError(f"disk degree {c.shape[0] - 1} exceeds {MAX_DEGREE}")
         if c.shape[1] != self.chart.n:
             raise ValueError("coefficient dimension does not match the chart")
-        if c.shape[0] == 1 or np.max(np.abs(c[1:])) == 0:
-            raise ValueError("disk map is constant")
-        th = np.linspace(0, 2 * math.pi, 128, endpoint=False)
-        if not np.all(self.chart.contains(self(np.exp(1j * th)))):
-            raise ValueError("disk image leaves the chart")
-        # min over |s| <= 2 of |c1 + s c2|: the free minimiser clipped radially
-        c1, c2 = np.concatenate([c[1:], np.zeros_like(c[:1])])[:2]   # c2 = 0 if affine
-        c2_sq = np.vdot(c2, c2).real
-        s = -np.vdot(c2, c1) / c2_sq if c2_sq > 0 else 0.0
-        if abs(s) > 2.0:
-            s *= 2.0 / abs(s)
-        if np.linalg.norm(c1 + s * c2) <= 1e-9 * np.max(np.abs(c[1:])):
-            raise ValueError("disk map is not an embedding")
+        fault = disk_faults(c[None], self.chart)[0]
+        if fault:
+            raise ValueError(DISK_FAULTS[fault])
+
+    @classmethod
+    def _valid(cls, coeffs: np.ndarray, chart: ComplexChart) -> "DiskEmbedding":
+        """A disk from complex (M+1, n) coeffs that ``disk_faults`` passed."""
+        disk = object.__new__(cls)
+        object.__setattr__(disk, "coeffs", coeffs)
+        object.__setattr__(disk, "chart", chart)
+        return disk
 
     @property
     def degree(self) -> int:
@@ -81,8 +142,7 @@ class DiskEmbedding:
 
     def __call__(self, w) -> np.ndarray:
         w = np.atleast_1d(np.asarray(w, dtype=complex))
-        powers = w[:, None] ** np.arange(self.coeffs.shape[0])[None, :]
-        return powers @ self.coeffs
+        return _powers(w, self.degree) @ self.coeffs
 
     def deriv(self, w) -> np.ndarray:
         w = np.atleast_1d(np.asarray(w, dtype=complex))
@@ -101,6 +161,25 @@ class DiskEmbedding:
                                     np.asarray(b, dtype=complex)]), chart=chart)
 
 
+def _degree_stacks(coeffs: list):
+    """(indices, (D, M+1, n) stack) for each degree M among a list of
+    coefficient arrays."""
+    for M in sorted({len(c) - 1 for c in coeffs}):
+        idx = [i for i, c in enumerate(coeffs) if len(c) == M + 1]
+        yield idx, np.stack([coeffs[i] for i in idx])
+
+
+def disk_images(disks, w, n: int) -> np.ndarray:
+    """Images of points w under every disk, shape (D, P, n), with one
+    matmul per degree: w is (P,), shared by all disks, or (D, P), one row
+    per disk."""
+    w = np.asarray(w, dtype=complex)
+    out = np.empty((len(disks), w.shape[-1], n), dtype=complex)
+    for idx, C in _degree_stacks([d.coeffs for d in disks]):
+        out[idx] = np.matmul(_powers(w if w.ndim == 1 else w[idx], C.shape[1] - 1), C)
+    return out
+
+
 @dataclass(frozen=True)
 class DiskSampler:
     """Seeded configuration for random disk families."""
@@ -113,50 +192,49 @@ class DiskSampler:
     interior_points: int = 12
 
 
+def _draw_coeffs(rng, center: np.ndarray, sampler: DiskSampler) -> np.ndarray:
+    """One attempt's coefficients: an affine disk, degree 2 with
+    probability ``sampler.degree2_fraction``."""
+    n = center.size
+    lo, hi = sampler.size_range
+    size = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    g = rng.standard_normal(4 * n)
+    a = center + (g[:n] + 1j * g[n:2 * n]) * sampler.center_radius / math.sqrt(2 * n)
+    b = g[2 * n:3 * n] + 1j * g[3 * n:]
+    coeffs = [a, b / np.linalg.norm(b) * size]
+    if rng.random() < sampler.degree2_fraction:       # the doubles of uniform(0, 1)
+        g = rng.standard_normal(2 * n)
+        c2 = g[:n] + 1j * g[n:]
+        coeffs.append(c2 / np.linalg.norm(c2) * size * rng.uniform(0.1, 0.4))
+    return np.array(coeffs)
+
+
 def sample_disks(chart: ComplexChart, center, sampler: DiskSampler, rng,
                  min_singular: float = 0.0, singular_at=None) -> list:
     """Random affine and degree-2 disks near a center point.
 
     Disk sizes are log-uniform in the sampler's range.  With
     ``min_singular`` > 0, rejects disks whose image comes closer than
-    that to ``singular_at``; with 0 no rejection happens.
+    that to ``singular_at``; with 0 no rejection happens.  Draws at most
+    ``50 * sampler.count`` attempts, in chunks of as many as are still
+    missing, each chunk validated by one ``disk_faults`` call per degree;
+    logs at INFO when fewer disks than requested come out.
     """
-    n = chart.n
-    center = np.asarray(center, dtype=complex).reshape(n)
-    lo, hi = sampler.size_range
-    disks = []
-    attempts = 0
-    while len(disks) < sampler.count and attempts < 50 * sampler.count:
-        attempts += 1
-        size = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-        a = center + (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
-            * sampler.center_radius / math.sqrt(2 * n)
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        b = b / np.linalg.norm(b) * size
-        coeffs = [a, b]
-        if rng.uniform() < sampler.degree2_fraction:
-            c2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            coeffs.append(c2 / np.linalg.norm(c2) * size * rng.uniform(0.1, 0.4))
-        try:
-            d = DiskEmbedding(coeffs=np.stack(coeffs), chart=chart)
-        except ValueError:
-            continue
-        if min_singular > 0.0 and singular_at is not None:
-            th = np.linspace(0, 2 * math.pi, 64, endpoint=False)
-            grid = np.concatenate([np.exp(1j * th) * r for r in (1.0, 0.6, 0.25)]
-                                  + [np.zeros(1)])
-            pts = d(grid)
-            if np.min(np.linalg.norm(pts - np.asarray(singular_at)[None], axis=1)) < min_singular:
-                continue
-        disks.append(d)
+    center = np.asarray(center, dtype=complex).reshape(chart.n)
+    cap = 50 * sampler.count
+    disks, attempts = [], 0
+    while len(disks) < sampler.count and attempts < cap:
+        chunk = [_draw_coeffs(rng, center, sampler)
+                 for _ in range(min(sampler.count - len(disks), cap - attempts))]
+        attempts += len(chunk)
+        ok = np.empty(len(chunk), dtype=bool)
+        for idx, C in _degree_stacks(chunk):
+            ok[idx] = disk_faults(C, chart, min_singular, singular_at) == 0
+        disks += [DiskEmbedding._valid(c, chart) for c, good in zip(chunk, ok) if good]
+    if len(disks) < sampler.count:
+        log.info("sampled %d of %d disks in %d attempts, %d rejected", len(disks),
+                 sampler.count, attempts, attempts - len(disks))
     return disks
-
-
-def sample_interior_points(sampler: DiskSampler, rng) -> np.ndarray:
-    """``sampler.interior_points`` points of the disk |w| < 0.7."""
-    r = np.sqrt(rng.uniform(0.0, 0.49, sampler.interior_points))
-    th = rng.uniform(0.0, 2 * math.pi, sampler.interior_points)
-    return r * np.exp(1j * th)
 
 
 @functools.lru_cache(maxsize=8)

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fd
-from .disks import DiskSampler, area_density, sample_disks, sample_interior_points
+from .disks import DiskSampler, area_density, disk_images, sample_disks
 from .errors import KahlerLabError, Unsupported
 from .fields import ComplexChart, ScalarField
 from .models import ConeSurface, ModelSpace, QuotientData, dK_transform
@@ -114,21 +114,29 @@ def _disk_stencils(chart: ComplexChart, center, sampler: DiskSampler, rng, h: fl
                    min_singular: float = 0.0, singular_at=None):
     """Sampled disks, their interior points and the stencil nodes around them.
 
-    Draws the disks, then the interior points of each disk in disk order,
-    from ``rng``.  Returns (disks, ws, pts): ws is (disks, points per
-    disk) and pts the chart images of the 9-point Laplacian stencil nodes,
-    ordered so that values at pts reshape to (9, ws.size) for
-    ``fd.laplacian_2d_combine``.
+    Draws the disks, then ``sampler.interior_points`` = k points of
+    |w| < 0.7 for each disk in disk order, from ``rng``: one
+    ``random((D, 2, k))`` call, the same doubles as D draws of
+    (uniform(0, 0.49, k), uniform(0, 2 pi, k)) for the squared radii and
+    the angles.  Returns (disks, ws, pts): ws is (D, k) and pts the chart
+    images of the 9-point Laplacian stencil nodes, ordered so that values
+    at pts reshape to (9, ws.size) for ``fd.laplacian_2d_combine``.
     """
     disks = sample_disks(chart, center, sampler, rng, min_singular=min_singular,
                          singular_at=singular_at)
-    ws = np.reshape([sample_interior_points(sampler, rng) for _ in disks],
-                    (len(disks), sampler.interior_points))
+    u = rng.random((len(disks), 2, sampler.interior_points))
+    ws = np.sqrt(0.49 * u[:, 0]) * np.exp(1j * (2 * math.pi * u[:, 1]))
     x = fd.laplacian_2d_nodes(_stencil_centres(ws.ravel(), h), h)
-    nodes = (x[..., 0] + 1j * x[..., 1]).reshape((9,) + ws.shape)
-    pts = [d(nodes[:, j].ravel()).reshape(9, -1, chart.n) for j, d in enumerate(disks)]
-    pts = np.concatenate(pts, axis=1).reshape(-1, chart.n) if disks else np.zeros((0, chart.n))
-    return disks, ws, pts
+    D, k = ws.shape
+    nodes = (x[..., 0] + 1j * x[..., 1]).reshape(9, D, k).transpose(1, 0, 2)
+    pts = disk_images(disks, nodes.reshape(D, 9 * k), chart.n).reshape(D, 9, k, chart.n)
+    return disks, ws, pts.transpose(1, 0, 2, 3).reshape(-1, chart.n)
+
+
+def _require_samples(count: int, sampler: DiskSampler):
+    """No vacuous verdict: a check left with no sample point raises."""
+    if count == 0:
+        raise KahlerLabError(f"no admissible disk among {sampler.count} requested")
 
 
 def disk_evaluator(chart: ComplexChart, potential: ScalarField, distance, center,
@@ -143,6 +151,8 @@ def disk_evaluator(chart: ComplexChart, potential: ScalarField, distance, center
     pairing node.  Returns ``verdict(K, tol)``, which costs one
     dK_transform, the stencil combination and one argmin; the first
     minimum, pointwise before distributional, is the witness of a FAIL.
+    Raises ``KahlerLabError`` when no disk is admissible, so that there
+    is no vacuous PASS.
     """
     rng = np.random.default_rng(sampler.seed)
     singular = potential.singular_points[0] if potential.singular_points else None
@@ -153,8 +163,9 @@ def disk_evaluator(chart: ComplexChart, potential: ScalarField, distance, center
         cross = sample_disks(chart, singular, DiskSampler(
             count=crossing_tests, size_range=(0.05, 0.3), center_radius=0.05), rng)
         notes = (f"distributional pairings: {len(cross)}",)
+    _require_samples(ws.size + len(cross), sampler)
     pair_nodes, weights, bump_lap, mass = _pairing_rule()
-    pts = np.concatenate([pts] + [d(pair_nodes) for d in cross])
+    pts = np.concatenate([pts, disk_images(cross, pair_nodes, chart.n).reshape(-1, chart.n)])
     phi = potential(pts)
     dist = np.asarray(distance(pts), dtype=float)
     P = ws.size
@@ -165,8 +176,8 @@ def disk_evaluator(chart: ComplexChart, potential: ScalarField, distance, center
         pair = np.sum(weights * u[9 * P:].reshape(len(cross), weights.size) * bump_lap,
                       axis=1)
         vals = np.concatenate([lap, pair / mass])
-        i = int(np.argmin(vals)) if vals.size else None
-        best = math.inf if i is None else float(vals[i])
+        i = int(np.argmin(vals))
+        best = float(vals[i])
         witness = None
         if best < -tol and i < P:
             witness = {"coeffs": disks[i // ws.shape[1]].coeffs.tolist(),
@@ -235,7 +246,8 @@ def radial_potential_check(cone: ConeSurface, sampler: Optional[DiskSampler] = N
     """Verify that the squared geodesic radius over two is a potential.
 
     On apex-avoiding disks, the disk Laplacian of rho^2/2 must equal
-    twice the Hausdorff area density of the cone metric.
+    twice the Hausdorff area density of the cone metric.  Raises
+    ``KahlerLabError`` when no disk is admissible.
     """
     sampler = sampler or DiskSampler(count=40, size_range=(0.01, 0.2),
                                      center_radius=0.3)
@@ -246,10 +258,10 @@ def radial_potential_check(cone: ConeSurface, sampler: Optional[DiskSampler] = N
     disks, ws, pts = _disk_stencils(metric.chart, np.array([0.7 + 0.1j]), sampler,
                                     np.random.default_rng(sampler.seed), h,
                                     min_singular=0.05, singular_at=np.zeros(1, dtype=complex))
+    _require_samples(ws.size, sampler)
     lap = fd.laplacian_2d_combine(cone.potential()(pts).reshape(9, -1), h).reshape(ws.shape)
     dens = np.reshape([area_density(metric, d, w) for d, w in zip(disks, ws)], ws.shape)
-    worst = float(np.max(np.abs(lap - 2.0 * dens) / np.maximum(2.0 * dens, 1e-12),
-                         initial=0.0))
+    worst = float(np.max(np.abs(lap - 2.0 * dens) / np.maximum(2.0 * dens, 1e-12)))
     return RadialPotentialReport(max_mismatch=worst,
                                  verdict="PASS" if worst <= tol else "FAIL",
                                  tol=tol, samples=ws.size)
@@ -297,7 +309,8 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
     the round distance (the declared metric datum).  ``h_extra`` is an
     optional positive multiplier on h, used to probe broken data.  A FAIL
     carries the worst pointwise witness if (a) fails, else the disk of
-    the worst mismatch; a PASS carries none.
+    the worst mismatch; a PASS carries none.  Raises ``KahlerLabError``
+    when no admissible disk keeps clear of the cut point of zprime.
     """
     if not q.is_round:
         raise Unsupported("only the round quotient datum is supported")
@@ -320,11 +333,12 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
     h = 5e-4
     disks, ws, pts = _disk_stencils(q.chart, np.zeros(1), sampler,
                                     np.random.default_rng(sampler.seed), h)
-    imgs = np.reshape([d(w)[:, 0] for d, w in zip(disks, ws)], ws.shape)
+    imgs = disk_images(disks, ws, 1)[..., 0]
     # keep clear of the zero of cos d (the cut point of zprime)
     keep = np.min(_fs_cos_distance(imgs.ravel(), zprime).reshape(ws.shape), axis=1) >= 0.2
     kept = [d for d, k in zip(disks, keep) if k]
     pts = pts.reshape((9,) + ws.shape + (1,))[:, keep].reshape(-1, 1)
+    _require_samples(pts.size, sampler)
 
     def lap(f):
         return fd.laplacian_2d_combine(f(pts).reshape(9, -1), h).reshape(-1, ws.shape[1])
@@ -334,8 +348,7 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
     dens = 4.0 * _round_density_from_distance(imgs[keep].ravel()).reshape(vals.shape)
     dens = dens * dv[keep]
     mism = np.max(np.abs(lap_pot - dens) / np.maximum(dens, 1e-12), axis=1)
-    best = float(np.min(vals, initial=math.inf))
-    consistency = float(np.max(mism, initial=0.0))
+    best, consistency = float(np.min(vals)), float(np.max(mism))
     witness = None
     if best < -tol:
         i = int(np.argmin(vals))

@@ -96,6 +96,32 @@ def test_bad_size_range_exits_three(tmp_path, size_range):
     assert "size_range" in res.output
 
 
+@pytest.mark.parametrize("key, value", [("degree2_fraction", 5), ("degree2_fraction", -1),
+                                        ("center_radius", -2)])
+def test_out_of_range_sampler_exits_three(tmp_path, key, value):
+    cfg = _minimal_cfg(check="psh", params={"K": 0.0})
+    cfg["scenarios"][0]["sampler"][key] = value
+    res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+    assert key in res.output and not (tmp_path / "o" / "results.csv").exists()
+
+
+def test_psh_without_an_admissible_disk_is_an_error_row(tmp_path):
+    # every disk of size 1.2 to 1.4 leaves the unit chart
+    cfg = {"version": 1, "scenarios": [{
+        "id": "s", "space": {"kind": "model", "K": -1.0, "n": 1},
+        "sampler": {"seed": 0, "count": 20, "size_range": [1.2, 1.4]},
+        "checks": [{"check": "psh", "id": "psh", "params": {"K": 3.0}},
+                   {"check": "k-threshold", "id": "thr", "params": {"lo": -1.5, "hi": 1.0}}]}]}
+    res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    rows = _read_csv(tmp_path / "o" / "results.csv")
+    assert [(r["check_id"], r["verdict"]) for r in rows] == [("psh", "ERROR"), ("thr", "ERROR")]
+    for r in rows:
+        wit = json.loads((tmp_path / "o" / r["witness_ref"]).read_text())
+        assert wit["error"] == "no admissible disk among 20 requested"
+
+
 def test_k_threshold_failing_lower_endpoint_is_an_error_row(tmp_path):
     cfg = {"version": 1, "scenarios": [{
         "id": "s", "space": {"kind": "model", "K": 1.0, "n": 1},

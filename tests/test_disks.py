@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -5,10 +7,10 @@ import pytest
 
 from kahlerlab import disks
 from kahlerlab.curvature import TangentPair, curvature_tensor
-from kahlerlab.disks import (NEAR_DISK_CUTOFF, DiskEmbedding, DiskSampler,
+from kahlerlab.disks import (DISK_FAULTS, NEAR_DISK_CUTOFF, DiskEmbedding, DiskSampler,
                              QuadratureGrid, annulus_defect, annulus_tail,
                              area_density, asymptotic_defect, comparison_defect,
-                             log_moment, rprime_value, sample_disks,
+                             disk_faults, log_moment, rprime_value, sample_disks,
                              torsion_contraction, torsion_expected_defect,
                              torsion_metric, violation_disk, worst_defect)
 from kahlerlab.errors import KahlerLabError
@@ -452,6 +454,169 @@ def test_exact_validity_rejects_only_non_embeddings_the_grid_missed():
             assert abs(img[0]) <= 1e-15 * np.sum(np.abs(c)) * 8, (c, w1, w2)
             missed += 1
     assert missed >= 100
+
+
+# --- the batch rule and the chunked sampler against one disk at a time -----
+
+
+def _one_disk_fault(c, chart) -> str:
+    """The validity rule as DiskEmbedding applied it to one disk before the
+    batch rule: the message of the first rule broken, "" if none."""
+    if c.shape[0] == 1 or np.max(np.abs(c[1:])) == 0:
+        return "disk map is constant"
+    th = np.linspace(0, 2 * math.pi, 128, endpoint=False)
+    w = np.exp(1j * th)
+    if not np.all(chart.contains((w[:, None] ** np.arange(c.shape[0])[None, :]) @ c)):
+        return "disk image leaves the chart"
+    c1, c2 = np.concatenate([c[1:], np.zeros_like(c[:1])])[:2]
+    c2_sq = np.vdot(c2, c2).real
+    s = -np.vdot(c2, c1) / c2_sq if c2_sq > 0 else 0.0
+    if abs(s) > 2.0:
+        s *= 2.0 / abs(s)
+    if np.linalg.norm(c1 + s * c2) <= 1e-9 * np.max(np.abs(c[1:])):
+        return "disk map is not an embedding"
+    return ""
+
+
+def _edge_cases(chart):
+    """Coefficient stacks on the edges of each rule, of degrees 1 and 2."""
+    n, R = chart.n, float(chart.radii[0])
+    u = np.zeros(n, dtype=complex)
+    u[0] = 1.0
+    v = np.full(n, 1.0 + 0.5j) / np.linalg.norm(np.full(n, 1.0 + 0.5j))
+    rot = np.exp(0.7j)
+    cases = [
+        [0.1 * u, 0 * u], [0.1 * u, 0 * u, 0 * u],            # constant maps
+        [0 * u, 0.1 * v, 0 * u],                               # degree 2, affine map
+        [0 * u, 0.2 * v, -0.1 * v], [0 * u, 0.2 * v, -0.1 * rot * v],   # c1 + s c2 = 0, |s| = 2
+        [0 * u, 0.2 * v, -0.0999 * v], [0 * u, 0.2 * v, -0.1001 * v],   # just outside, inside
+        [0 * u, 0.2 * v, 0.1 * v], [0 * u, 0.19 * v, 0.1 * v],          # s = -2, s = -1.9
+        [0 * u, 0.0 * u, 0.1 * v],                             # w -> w^2
+        [0.5 * R * u, 0.5 * R * u], [0.5 * R * u, 0.5000001 * R * u],   # touch, leave
+        [0.4 * R * u, 0.5 * R * u, 0.1 * R * u],               # touches at w = 1
+        [0.4 * R * u, 0.5 * R * u, 0.1000001 * R * u],         # leaves at w = 1
+        [0 * u, 2 * R * u], [0 * u, 0.3 * u, 0.01 * v],
+    ]
+    out = [np.array(c) for c in cases]
+    for c in out:
+        c[0] += chart.center
+    return out
+
+
+def test_batch_rule_matches_the_one_disk_rule():
+    rng = np.random.default_rng(23)
+    for chart in VALIDITY_CHARTS + [ComplexChart(n=2, radii=0.8, kind="ball")]:
+        coeffs = _edge_cases(chart) + _random_disks(chart, rng, 300, 1.5, 0.5)
+        expected = [_one_disk_fault(c, chart) for c in coeffs]
+        for c, msg in zip(coeffs, expected):
+            try:
+                DiskEmbedding(coeffs=c, chart=chart)
+                assert msg == ""
+            except ValueError as e:
+                assert str(e) == msg, (c, msg)
+        for M in (1, 2):                 # one stack per degree, the sampler's calls
+            idx = [i for i, c in enumerate(coeffs) if len(c) == M + 1]
+            faults = disk_faults(np.stack([coeffs[i] for i in idx]), chart)
+            assert [DISK_FAULTS[f] for f in faults] == [expected[i] for i in idx]
+        assert {"", *DISK_FAULTS[1:4]} <= set(expected)   # every rule is exercised
+
+
+def test_batch_rule_checks_singular_clearance():
+    chart = ComplexChart(n=1, radii=1.5)
+    coeffs = np.array([[[0.3], [0.1]], [[0.5], [0.1]], [[0.0], [0.1]]], dtype=complex)
+    sing = np.zeros(1, dtype=complex)
+    assert list(disk_faults(coeffs, chart, 0.25, sing)) == [4, 0, 4]
+    assert list(disk_faults(coeffs, chart, 0.25, None)) == [0, 0, 0]
+    assert list(disk_faults(coeffs, chart)) == [0, 0, 0]
+    assert DISK_FAULTS[4] == "disk image comes too close to a singular point"
+
+
+def _sample_one_at_a_time(chart, center, sampler, rng, min_singular=0.0, singular_at=None):
+    """The sampler before chunking: one attempt, then its validation, up to
+    50 * count attempts.  Returns (coefficient arrays, attempts)."""
+    n = chart.n
+    center = np.asarray(center, dtype=complex).reshape(n)
+    lo, hi = sampler.size_range
+    out, attempts = [], 0
+    while len(out) < sampler.count and attempts < 50 * sampler.count:
+        attempts += 1
+        size = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        a = center + (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
+            * sampler.center_radius / math.sqrt(2 * n)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = b / np.linalg.norm(b) * size
+        coeffs = [a, b]
+        if rng.uniform() < sampler.degree2_fraction:
+            c2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            coeffs.append(c2 / np.linalg.norm(c2) * size * rng.uniform(0.1, 0.4))
+        c = np.stack(coeffs)
+        if _one_disk_fault(c, chart):
+            continue
+        if min_singular > 0.0 and singular_at is not None:
+            th = np.linspace(0, 2 * math.pi, 64, endpoint=False)
+            grid = np.concatenate([np.exp(1j * th) * r for r in (1.0, 0.6, 0.25)]
+                                  + [np.zeros(1)])
+            pts = (grid[:, None] ** np.arange(c.shape[0])[None, :]) @ c
+            if np.min(np.linalg.norm(pts - np.asarray(singular_at)[None], axis=1)) \
+                    < min_singular:
+                continue
+        out.append(c)
+    return out, attempts
+
+
+# (chart, sampler, min_singular, least share of attempts rejected over the seeds)
+SAMPLER_CASES = {
+    "box-1": (ComplexChart(n=1, radii=1.0), DiskSampler(count=12), 0.0, 0.0),
+    "box-2": (ComplexChart(n=2, radii=1.0), DiskSampler(count=12, degree2_fraction=0.6), 0.0, 0.0),
+    "ball-1": (ComplexChart(n=1, radii=0.8, kind="ball"),
+               DiskSampler(count=10, size_range=(0.05, 0.5)), 0.0, 0.0),
+    "ball-2": (ComplexChart(n=2, radii=1.2, kind="ball"), DiskSampler(count=10), 0.0, 0.0),
+    "box-2-rejecting": (ComplexChart(n=2, radii=1.0),
+                        DiskSampler(count=10, center_radius=0.95, size_range=(0.3, 0.7)),
+                        0.0, 0.5),
+    "ball-1-rejecting": (ComplexChart(n=1, radii=1.0, kind="ball"),
+                         DiskSampler(count=10, center_radius=0.9, size_range=(0.3, 0.6),
+                                     degree2_fraction=0.8), 0.0, 0.5),
+    "box-1-singular": (ComplexChart(n=1, radii=1.5),
+                       DiskSampler(count=12, center_radius=0.3, size_range=(0.01, 0.4)),
+                       0.15, 0.1),
+    "ball-2-singular": (ComplexChart(n=2, radii=1.0, kind="ball"), DiskSampler(count=8),
+                        0.3, 0.1),
+    "box-1-short": (ComplexChart(n=1, radii=1.0), DiskSampler(count=2, size_range=(1.2, 1.4)),
+                    0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", SAMPLER_CASES)
+def test_chunked_sampler_matches_the_one_disk_loop(case):
+    chart, sampler, min_singular, rejected_share = SAMPLER_CASES[case]
+    center = np.full(chart.n, 0.05 + 0.02j)
+    singular = np.full(chart.n, 0.1j) if min_singular else None
+    accepted = attempted = 0
+    for seed in range(50):
+        smp = dataclasses.replace(sampler, seed=seed)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref, attempts = _sample_one_at_a_time(chart, center, smp, ref_rng, min_singular,
+                                              singular)
+        got = sample_disks(chart, center, smp, rng, min_singular, singular)
+        assert [(d.coeffs.shape, d.coeffs.tobytes()) for d in got] \
+            == [(c.shape, c.tobytes()) for c in ref]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert all(d.chart is chart for d in got)
+        accepted, attempted = accepted + len(ref), attempted + attempts
+    assert 1.0 - accepted / attempted >= rejected_share
+
+
+def test_short_sample_is_logged(caplog):
+    chart = ComplexChart(n=1, radii=1.0)
+    with caplog.at_level(logging.INFO, logger="kahlerlab"):
+        assert sample_disks(chart, np.zeros(1), DiskSampler(count=4), np.random.default_rng(0))
+        assert not caplog.records
+        short = sample_disks(chart, np.zeros(1), DiskSampler(count=4, size_range=(1.2, 1.4)),
+                             np.random.default_rng(0))
+    assert short == []
+    assert [r.getMessage() for r in caplog.records] \
+        == ["sampled 0 of 4 disks in 200 attempts, 200 rejected"]
 
 
 # --- the interior rule against dense references -----------------------------

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kahlerlab.disks import (DiskEmbedding, area_density, sample_disks,
-                             sample_interior_points)
+from kahlerlab import fd, psh
+from kahlerlab.disks import DiskEmbedding, area_density, disk_images, sample_disks
 from kahlerlab.errors import KahlerLabError, Unsupported
 from kahlerlab.fields import ComplexChart, ScalarField
 from kahlerlab.models import ConeSurface, ModelSpace, QuotientData, model_distance
@@ -12,6 +12,14 @@ from kahlerlab.psh import (ComplexLine, DiskSampler, check_bk_lower,
                            check_bk_lower_set, disk_laplacian,
                            distributional_pairing, k_threshold,
                            quotient_bk2_check, radial_potential_check)
+
+
+def sample_interior_points(sampler, rng):
+    """One disk's interior points, drawn as the checks drew them one disk
+    at a time: ``sampler.interior_points`` points of |w| < 0.7."""
+    r = np.sqrt(rng.uniform(0.0, 0.49, sampler.interior_points))
+    th = rng.uniform(0.0, 2 * math.pi, sampler.interior_points)
+    return r * np.exp(1j * th)
 
 
 def _chart(n=2):
@@ -153,6 +161,45 @@ def test_k_threshold_failing_lower_endpoint_is_a_lab_error():
         k_threshold(m, m.potential(), np.array([0.1 + 0.05j]), 1.5, 2.0,
                     sampler=DiskSampler(count=10, interior_points=4,
                                         size_range=(0.05, 0.3)))
+
+
+def test_no_admissible_disk_is_a_lab_error():
+    # every sampled disk leaves its chart: no vacuous PASS
+    m = ModelSpace(K=-1.0, n=1)
+    sampler = DiskSampler(seed=0, count=20, size_range=(1.2, 1.4))
+    p = np.zeros(1, dtype=complex)
+    with pytest.raises(KahlerLabError, match="no admissible disk among 20 requested"):
+        check_bk_lower(m, m.potential(), p, 3.0, sampler=sampler)
+    with pytest.raises(KahlerLabError, match="no admissible disk"):
+        k_threshold(m, m.potential(), p, -1.5, 1.0, sampler=sampler)
+    with pytest.raises(KahlerLabError, match="no admissible disk among 20 requested"):
+        radial_potential_check(ConeSurface(alpha=0.5),
+                               sampler=DiskSampler(count=20, size_range=(2.0, 3.0)))
+    with pytest.raises(KahlerLabError, match="no admissible disk among 20 requested"):
+        quotient_bk2_check(QuotientData(), 0.3 + 0.2j,
+                           sampler=DiskSampler(count=20, size_range=(1.5, 2.0)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stencil_nodes_match_the_per_disk_maps(n):
+    chart = _chart(n)
+    sampler = DiskSampler(seed=4, count=30, interior_points=5, degree2_fraction=0.5)
+    disks, ws, pts = psh._disk_stencils(chart, np.full(n, 0.1 + 0.05j), sampler,
+                                        np.random.default_rng(4), 1e-3)
+    rng = np.random.default_rng(4)
+    ref = sample_disks(chart, np.full(n, 0.1 + 0.05j), sampler, rng)
+    assert {d.degree for d in disks} == {1, 2}
+    assert [d.coeffs.tobytes() for d in disks] == [d.coeffs.tobytes() for d in ref]
+    ref_ws = np.array([sample_interior_points(sampler, rng) for _ in ref])
+    assert ws.tobytes() == ref_ws.tobytes()
+    x = fd.laplacian_2d_nodes(np.stack([ws.ravel().real, ws.ravel().imag], axis=1), 1e-3)
+    nodes = (x[..., 0] + 1j * x[..., 1]).reshape((9,) + ws.shape)
+    ref_pts = np.concatenate([d(nodes[:, j].ravel()).reshape(9, -1, n)
+                              for j, d in enumerate(ref)], axis=1).reshape(-1, n)
+    assert pts.tobytes() == ref_pts.tobytes()
+    w = np.exp(0.3j) * np.linspace(0.0, 0.9, 17)
+    assert disk_images(ref, w, n).tobytes() == np.stack([d(w) for d in ref]).tobytes()
+    assert disk_images([], w, n).shape == (0, 17, n)
 
 
 def test_cones_pass_and_wide_cone_fails():
