@@ -105,7 +105,8 @@ CHECK_PARAM_SCHEMAS = {
     "psh-set": {"K": {"type": "number"}, "S": {"type": "array"},
                 "line": {"type": "object"}, "tol": {"type": "number"}},
     "radial-potential": {"tol": {"type": "number"}},
-    "quotient-bk2": {"zprime": _POINT, "perturb": {"type": "boolean"}},
+    "quotient-bk2": {"zprime": dict(_POINT, minItems=1, maxItems=2),
+                     "perturb": {"type": "boolean"}},
     "k-threshold": {"p": _POINT, "lo": {"type": "number"}, "hi": {"type": "number"},
                     "resolution": _POSITIVE, "expected": {"type": "number"},
                     "band": {"type": "number"}, "tol": {"type": "number"}},

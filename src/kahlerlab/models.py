@@ -8,10 +8,20 @@ the normalization of ``fields`` (flat potential |z|^2/2) its potential is
 which expands as |z|^2/2 + O(|z|^4) at the origin.  Cone surfaces carry
 the metric ds^2 = r^{-2 alpha} (dr^2 + r^2 dtheta^2); their geodesic
 radius is rho = r^{1-alpha}/(1-alpha) and rho^2/2 is a potential.
+
+Each geometry writes its distance once, as one batched kernel:
+``model_distance`` (atan2 and asinh forms that stay accurate for close
+points and next to the K > 0 cap), ``cone_distance`` (the law of
+cosines on polar coordinates, in a sin^2 form that keeps close points
+accurate) and ``QuotientData.distance_field`` (the round link quotient
+in homogeneous coordinates).  The scalar entry points are one-row calls
+of these kernels and the ``distance_field`` methods call them on stacks,
+so scalar and field values agree bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -145,62 +155,64 @@ class ModelSpace:
 
     def distance(self, z1, z2) -> float:
         """Exact geodesic distance between chart points."""
-        z1 = np.asarray(z1, dtype=complex).reshape(self.n)
-        z2 = np.asarray(z2, dtype=complex).reshape(self.n)
-        c = self.c
-        if self.K == 0:
-            return float(np.linalg.norm(z1 - z2))
-        ip = np.sum(z1 * np.conj(z2))
-        if c > 0:
-            num = abs(1.0 + (c / 4.0) * ip)
-            den = math.sqrt((1.0 + (c / 4.0) * np.sum(np.abs(z1) ** 2))
-                            * (1.0 + (c / 4.0) * np.sum(np.abs(z2) ** 2)))
-            ratio = min(max(num / den, -1.0), 1.0)
-            return float(2.0 / math.sqrt(c) * math.acos(ratio))
-        a = -c / 4.0
-        den_sq = (1.0 - a * np.sum(np.abs(z1) ** 2)) * (1.0 - a * np.sum(np.abs(z2) ** 2))
-        if den_sq <= 0:
-            raise DomainExceeded("point outside the negative-curvature chart")
-        ratio = max(abs(1.0 - a * ip) / math.sqrt(den_sq), 1.0)
-        return float(2.0 / math.sqrt(-c) * math.acosh(ratio))
+        return model_distance(self.K, np.reshape(z1, self.n), np.reshape(z2, self.n))
 
     def distance_field(self, p) -> ScalarField:
-        """d(p, .) as a batched scalar field; ``distance`` step for step,
-        so the two agree bit for bit."""
+        """d(p, .) as a batched scalar field; ``distance`` is its one-row
+        call, so the two agree bit for bit."""
         p = np.asarray(p, dtype=complex).reshape(self.n)
-        c, p_sq = self.c, np.sum(np.abs(p) ** 2)
+        return ScalarField(fn=lambda zs: model_distance(self.K, p, zs), n=self.n,
+                           name=f"model distance from {p}")
 
-        def fn(zs):
-            if c == 0:
-                d = p[None] - zs            # the row dot products of np.linalg.norm
-                return np.sqrt(np.vecdot(d.real, d.real) + np.vecdot(d.imag, d.imag))
-            num = _cabs(1.0 + (c / 4.0) * np.sum(p[None] * np.conj(zs), axis=1))
-            den_sq = (1.0 + (c / 4.0) * p_sq) \
-                * (1.0 + (c / 4.0) * np.sum(np.abs(zs) ** 2, axis=1))
-            if c > 0:
-                ratio = np.minimum(np.maximum(num / np.sqrt(den_sq), -1.0), 1.0)
-                return 2.0 / math.sqrt(c) * _libm(math.acos, ratio)
-            if np.any(den_sq <= 0):
+
+def _sq(z: np.ndarray) -> np.ndarray:
+    """Row-wise squared norms of a (P, m) complex stack."""
+    return np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag)
+
+
+def model_distance(K: float, z, w):
+    """Geodesic distance of the model M_K between chart points, row by row.
+
+    ``z`` and ``w`` are (P, n) stacks or single (n,) points (a scalar is a
+    point of C^1) and broadcast against each other; the result is (P,),
+    or a float for two points.
+    With c = 2K, a = c/4 and N = a|z - w|^2 + a^2 |z ^ w|^2, where
+    |z ^ w|^2 = sum_{i<j} |z_i w_j - z_j w_i|^2 (Lagrange's identity gives
+    N = (1 + a|z|^2)(1 + a|w|^2) - |1 + a<z, w>|^2 without its cancellation),
+
+        c > 0:  d = (2/sqrt c) atan2(sqrt N, |1 + a<z, w>|),
+        c < 0:  d = (2/sqrt -c) asinh(sqrt(-N / ((1 + a|z|^2)(1 + a|w|^2)))),
+        c = 0:  d = |z - w|.
+
+    No step divides a nearly equal pair, so d keeps its relative accuracy
+    for close points and next to the K > 0 cap.  A point outside the
+    negative-curvature chart raises ``DomainExceeded``.
+    """
+    z, w = (np.atleast_1d(np.asarray(x, dtype=complex)) for x in (z, w))
+    single = z.ndim == 1 and w.ndim == 1
+    if z.shape[-1] != w.shape[-1]:
+        raise ValueError(f"points of dimensions {z.shape[-1]} and {w.shape[-1]}")
+    z, w = np.atleast_2d(z, w)
+    diff = z - w
+    dd = _sq(diff)
+    if K == 0:
+        out = np.sqrt(dd)
+    else:
+        c = 2.0 * K
+        a = c / 4.0
+        # |z ^ w| = |z ^ (z - w)|, whose products cancel less for close points
+        wedge = sum(np.abs(z[:, i] * diff[:, j] - z[:, j] * diff[:, i]) ** 2
+                    for i, j in itertools.combinations(range(z.shape[1]), 2))
+        N = a * (dd + a * wedge)
+        if c > 0:
+            out = (2.0 / math.sqrt(c)) * np.arctan2(np.sqrt(N),
+                                                    np.abs(1.0 + a * np.vecdot(w, z)))
+        else:
+            den = (1.0 + a * _sq(z)) * (1.0 + a * _sq(w))
+            if np.any(den <= 0):
                 raise DomainExceeded("point outside the negative-curvature chart")
-            ratio = np.maximum(num / np.sqrt(den_sq), 1.0)
-            return 2.0 / math.sqrt(-c) * _libm(math.acosh, ratio)
-
-        return ScalarField(fn=fn, n=self.n, name=f"model distance from {p}")
-
-
-# Python's abs of a complex scalar is hypot, and the math module is libm;
-# numpy's SIMD abs, acos, acosh and atan2 can differ from them in the last bit.
-def _cabs(z: np.ndarray) -> np.ndarray:
-    return np.hypot(z.real, z.imag)
-
-
-def _libm(fn, *args: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(fn, *args), dtype=float, count=args[0].size)
-
-
-def model_distance(K: float, z1, z2, n: Optional[int] = None) -> float:
-    z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
-    return ModelSpace(K=K, n=n or z1.size).distance(z1, z2)
+            out = (2.0 / math.sqrt(-c)) * np.arcsinh(np.sqrt(-N / den))
+    return float(out[0]) if single else out
 
 
 @dataclass(frozen=True)
@@ -250,45 +262,40 @@ class ConeSurface:
                                     exact_dgram=dgram, name=f"cone metric, alpha = {a:g}")
 
     def distance_field(self, p) -> ScalarField:
-        """d(p, .) in the chart coordinate, p complex (apex allowed);
-        ``cone_distance`` step for step, so the two agree bit for bit."""
-        p = complex(np.asarray(p, dtype=complex).reshape(1)[0])
-        rho_p = float(self.geodesic_radius(abs(p))) if abs(p) > 0 else 0.0
-        t_p, b = math.atan2(p.imag, p.real), 1.0 - self.alpha
+        """d(p, .) in the chart coordinate, p complex (apex allowed):
+        ``cone_distance`` of the polar coordinates ``np.abs`` and
+        ``np.arctan2`` of p and of the points."""
+        p = np.asarray(p, dtype=complex).reshape(1)
+        polar_p = (np.abs(p), np.arctan2(p.imag, p.real))
 
         def fn(zs):
-            r = _cabs(zs[:, 0])
-            rho = self.geodesic_radius(r)             # 0 at the apex, as b > 0
-            dt = np.abs((t_p - _libm(math.atan2, zs[:, 0].imag, zs[:, 0].real) + math.pi)
-                        % (2.0 * math.pi) - math.pi)
-            cos_psi = _libm(math.cos, np.minimum(b * dt, math.pi))
-            val = rho_p * rho_p + rho * rho - 2.0 * rho_p * rho * cos_psi
-            return np.where((rho_p == 0.0) | (rho == 0.0), rho_p + rho,   # the apex
-                            np.sqrt(np.maximum(val, 0.0)))
+            z = zs[:, 0]
+            return cone_distance(self, polar_p, (np.abs(z), np.arctan2(z.imag, z.real)))
 
-        return ScalarField(fn=fn, n=1, name=f"cone distance from {p}")
+        return ScalarField(fn=fn, n=1, name=f"cone distance from {p[0]}")
 
 
-def cone_distance(cone: ConeSurface, p1, p2) -> float:
+def cone_distance(cone: ConeSurface, p1, p2):
     """Length-metric distance between (r, theta) points; apex is r = 0.
 
     Law of cosines on the cone: with rho the geodesic radii and
     psi = min((1-alpha) |dtheta|_circ, pi), the distance is
-    sqrt(rho1^2 + rho2^2 - 2 rho1 rho2 cos psi); psi >= pi means the
-    minimizing path passes through the apex.
+    sqrt((rho1 - rho2)^2 + 4 rho1 rho2 sin^2(psi/2)), the form of
+    sqrt(rho1^2 + rho2^2 - 2 rho1 rho2 cos psi) that keeps the relative
+    accuracy of close points; psi >= pi means the minimizing path passes
+    through the apex, and rho = 0 is the apex itself.  The radii and
+    angles may be arrays that broadcast together; the result is a float
+    for scalars.
     """
-    r1, t1 = float(p1[0]), float(p1[1])
-    r2, t2 = float(p2[0]), float(p2[1])
-    if r1 < 0 or r2 < 0:
+    r1, t1, r2, t2 = (np.asarray(x, dtype=float) for x in (*p1, *p2))
+    if np.any(r1 < 0) or np.any(r2 < 0):
         raise ValueError("radius must be nonnegative")
-    rho1 = float(cone.geodesic_radius(r1)) if r1 > 0 else 0.0
-    rho2 = float(cone.geodesic_radius(r2)) if r2 > 0 else 0.0
-    if rho1 == 0.0 or rho2 == 0.0:
-        return rho1 + rho2
-    dt = abs((t1 - t2 + math.pi) % (2.0 * math.pi) - math.pi)
-    psi = min((1.0 - cone.alpha) * dt, math.pi)
-    val = rho1 * rho1 + rho2 * rho2 - 2.0 * rho1 * rho2 * math.cos(psi)
-    return math.sqrt(max(val, 0.0))
+    rho1, rho2 = cone.geodesic_radius(r1), cone.geodesic_radius(r2)
+    dt = np.abs(t1 - t2) % (2.0 * math.pi)
+    dt = np.minimum(dt, 2.0 * math.pi - dt)
+    half = np.sin(0.5 * np.minimum((1.0 - cone.alpha) * dt, math.pi))
+    out = np.sqrt((rho1 - rho2) ** 2 + 4.0 * rho1 * rho2 * half * half)
+    return float(out) if out.ndim == 0 else out
 
 
 def orbifold_cone(k: int) -> ConeSurface:
@@ -323,36 +330,38 @@ class QuotientData:
     def is_round(self) -> bool:
         return self.H is None and self.delta == 1.0
 
+    def distance_field(self, zprime) -> ScalarField:
+        """d(zprime, .) on the affine chart, for the round datum: the c = 4
+        model distance in homogeneous coordinates, atan2(|s ^ s'|, |<s, s'>|)
+        with s = (1, zeta).  ``zprime`` is an affine chart point or a
+        homogeneous 2-vector, which also reaches the point at chart infinity.
+        """
+        if not self.is_round:
+            raise Unsupported("only the round link quotient has closed-form distances")
+        v = np.asarray(zprime, dtype=complex).reshape(-1)
+        if v.size == 1:
+            v = np.array([1.0, v[0]])
+        if v.size != 2 or not np.any(v):
+            raise ValueError("zprime must be a chart point or a nonzero homogeneous 2-vector")
+
+        def fn(zs):
+            z = zs[:, 0]
+            return np.arctan2(np.abs(v[1] - z * v[0]),
+                              np.abs(np.conj(v[0]) + z * np.conj(v[1])))
+
+        return ScalarField(fn=fn, n=1, name=f"link quotient distance from {v}")
+
     def h(self, zeta) -> np.ndarray:
         """h(zeta) = (1 + |zeta|^2)^delta in the affine chart."""
         zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
         return (1.0 + np.abs(zeta) ** 2) ** self.delta
 
 
-def _homogeneous(z) -> np.ndarray:
-    """Chart scalar zeta -> unit vector (1, zeta); 2-vectors pass through."""
-    z = np.asarray(z, dtype=complex)
-    if z.ndim == 0 or z.size == 1:
-        v = np.array([1.0, complex(z.reshape(()))])
-    else:
-        v = z.reshape(2)
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
-        raise ValueError("zero homogeneous vector")
-    return v / nrm
-
-
 def link_quotient_distance(q: QuotientData, z, zp) -> float:
-    """Fubini-Study distance arccos |<s, s'>| between projective points.
-
-    Arguments are affine chart scalars or homogeneous 2-vectors (the
-    latter reach the point at chart infinity).
-    """
-    if not q.is_round:
-        raise Unsupported("only the round link quotient has closed-form distances")
-    s, sp = _homogeneous(z), _homogeneous(zp)
-    ip = abs(np.sum(s * np.conj(sp)))
-    return float(math.acos(min(ip, 1.0)))
+    """Fubini-Study distance between an affine chart point z and zp, an
+    affine chart point or a homogeneous 2-vector: the one-point value of
+    ``QuotientData.distance_field``."""
+    return float(q.distance_field(zp)(np.reshape(z, (1, 1)))[0])
 
 
 def quotient_potential(q: QuotientData, zeta) -> float:

@@ -22,7 +22,7 @@ from . import fd
 from .disks import DiskSampler, area_density, disk_images, sample_disks
 from .errors import KahlerLabError, Unsupported
 from .fields import ComplexChart, ScalarField
-from .models import ConeSurface, ModelSpace, QuotientData, dK_transform
+from .models import ConeSurface, ModelSpace, QuotientData, dK_transform, model_distance
 
 DEFAULT_TOL = 1e-6
 FD_STEP = 1e-3          # Laplacian stencil step of the sampled verdicts
@@ -267,35 +267,19 @@ def radial_potential_check(cone: ConeSurface, sampler: Optional[DiskSampler] = N
                                  tol=tol, samples=ws.size)
 
 
-def _fs_cos_distance(zeta: np.ndarray, zprime) -> np.ndarray:
-    """cos of the projective distance to zprime; zprime may be a scalar
-    chart point or a homogeneous 2-vector (chart infinity)."""
-    zp = np.asarray(zprime, dtype=complex)
-    if zp.ndim == 0 or zp.size == 1:
-        v = np.array([1.0, complex(zp.reshape(()))])
-    else:
-        v = zp.reshape(2)
-    v = v / np.linalg.norm(v)
-    s = np.stack([np.ones_like(zeta), zeta], axis=1)
-    s = s / np.linalg.norm(s, axis=1)[:, None]
-    return np.clip(np.abs(np.einsum("pi,i->p", s, np.conj(v))), 0.0, 1.0)
-
-
 def _round_density_from_distance(zs: np.ndarray, h: float = 1e-3) -> np.ndarray:
     """Metric matrix of the round link quotient reconstructed from d^2.
 
     Half the Hessian of z -> d^2(z0, z)/2 at z = z0, by central FD of the
-    closed-form distance; independent of the potential under test.
+    closed-form distance (one kernel call for every point and offset);
+    independent of the potential under test.
     """
-    model = ModelSpace(K=2.0, n=1)
-    out = np.empty(zs.shape[0])
-    for k, z0 in enumerate(zs):
-        def dsq(dx, dy):
-            return model.distance(z0, z0 + dx + 1j * dy) ** 2
-        gxx = (dsq(h, 0) + dsq(-h, 0)) / (2 * h * h)
-        gyy = (dsq(0, h) + dsq(0, -h)) / (2 * h * h)
-        out[k] = 0.25 * (gxx + gyy)
-    return out
+    step = np.array([h, -h, 1j * h, -1j * h])[:, None]
+    dsq = model_distance(2.0, np.tile(zs, 4)[:, None],
+                         (zs[None] + step).reshape(-1, 1)).reshape(4, -1) ** 2
+    gxx = (dsq[0] + dsq[1]) / (2 * h * h)
+    gyy = (dsq[2] + dsq[3]) / (2 * h * h)
+    return 0.25 * (gxx + gyy)
 
 
 def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = None,
@@ -305,12 +289,15 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
 
     Two obligations: (a) (1/2) log h + log cos d(., zprime) restricts
     subharmonically to sampled disks in the projective chart; (b) the
-    Laplacian of the potential reproduces twice the Hausdorff density of
-    the round distance (the declared metric datum).  ``h_extra`` is an
-    optional positive multiplier on h, used to probe broken data.  A FAIL
-    carries the worst pointwise witness if (a) fails, else the disk of
-    the worst mismatch; a PASS carries none.  Raises ``KahlerLabError``
-    when no admissible disk keeps clear of the cut point of zprime.
+    chart Laplacian of the potential, at the images of the interior
+    points, reproduces twice the Hausdorff density of the round distance
+    (the declared metric datum).  (b) is checked in chart units, as
+    Lap_w (pot o i) = |i'|^2 Lap_z pot on this 1-D chart.  ``h_extra`` is
+    an optional positive multiplier on h, used to probe broken data.  A
+    FAIL carries the worst pointwise witness if (a) fails, else the disk
+    of the worst mismatch; a PASS carries none.  Raises
+    ``KahlerLabError`` when no admissible disk keeps clear of the cut
+    point of zprime.
     """
     if not q.is_round:
         raise Unsupported("only the round quotient datum is supported")
@@ -318,6 +305,7 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
         raise Unsupported("projective chart checks are implemented for n = 2")
     sampler = sampler or DiskSampler(count=60, size_range=(0.01, 0.25),
                                      center_radius=0.4)
+    dist = q.distance_field(zprime)
 
     def pot(zs):
         z = zs[:, 0]
@@ -326,28 +314,23 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
             base = base + 0.5 * np.log(np.asarray(h_extra(z), dtype=float))
         return base
 
-    def u(zs):
-        C = _fs_cos_distance(zs[:, 0], zprime)
-        return pot(zs) + np.log(np.maximum(C, 1e-300))
-
     h = 5e-4
     disks, ws, pts = _disk_stencils(q.chart, np.zeros(1), sampler,
                                     np.random.default_rng(sampler.seed), h)
-    imgs = disk_images(disks, ws, 1)[..., 0]
+    imgs = disk_images(disks, ws, 1)
     # keep clear of the zero of cos d (the cut point of zprime)
-    keep = np.min(_fs_cos_distance(imgs.ravel(), zprime).reshape(ws.shape), axis=1) >= 0.2
+    keep = np.min(np.cos(dist(imgs.reshape(-1, 1))).reshape(ws.shape), axis=1) >= 0.2
     kept = [d for d, k in zip(disks, keep) if k]
     pts = pts.reshape((9,) + ws.shape + (1,))[:, keep].reshape(-1, 1)
     _require_samples(pts.size, sampler)
-
-    def lap(f):
-        return fd.laplacian_2d_combine(f(pts).reshape(9, -1), h).reshape(-1, ws.shape[1])
-
-    vals, lap_pot = lap(u), lap(pot)
-    dv = np.reshape([np.abs(d.deriv(w)[:, 0]) ** 2 for d, w in zip(disks, ws)], ws.shape)
-    dens = 4.0 * _round_density_from_distance(imgs[keep].ravel()).reshape(vals.shape)
-    dens = dens * dv[keep]
-    mism = np.max(np.abs(lap_pot - dens) / np.maximum(dens, 1e-12), axis=1)
+    u = pot(pts) + np.log(np.cos(dist(pts)))
+    vals = fd.laplacian_2d_combine(u.reshape(9, -1), h).reshape(-1, ws.shape[1])
+    zs = imgs[keep].ravel()
+    lap_pot = fd.laplacian_2d(lambda xs: pot((xs[:, 0] + 1j * xs[:, 1])[:, None]),
+                              np.stack([zs.real, zs.imag], axis=1), FD_STEP)
+    dens = 4.0 * _round_density_from_distance(zs)
+    mism = np.max((np.abs(lap_pot - dens) / np.maximum(dens, 1e-12)).reshape(vals.shape),
+                  axis=1)
     best, consistency = float(np.min(vals)), float(np.max(mism))
     witness = None
     if best < -tol:

@@ -178,8 +178,9 @@ def test_any_space_gives_a_row_or_a_config_error(tmp_path, space, check, outcome
     {"check": "domain-compare", "params": {"p": [-1, 0], "q": [1, 0], "eps": 0}},
     {"check": "domain-compare", "params": {"p": [-1.2], "q": [1, 0]}},
     {"check": "annulus", "params": {"K": 0.0, "eps_list": [0.05, 0]}},
+    {"check": "quotient-bk2", "params": {"zprime": [0.1, 0.2, 0.3]}},
 ], ids=["resolution", "scan-count", "domain-count", "domain-eps", "domain-short-p",
-        "annulus-eps"])
+        "annulus-eps", "quotient-zprime"])
 def test_out_of_range_params_exit_three(tmp_path, check):
     res = _run(["run", _write(tmp_path, _minimal_cfg(**check)), "--out", str(tmp_path / "o")])
     assert res.exit_code == 3 and isinstance(res.exception, SystemExit)

@@ -103,6 +103,24 @@ def test_model_equality_closed_form_distance():
         assert abs(rep.defect) < 1e-6
 
 
+@pytest.mark.parametrize("K", [1.0, -1.0])
+@pytest.mark.parametrize("n", [1, 2])
+def test_model_equality_defect_within_its_error_estimate(K, n):
+    # phi_K - d_K^2/2 is pluriharmonic on the model at level K, so every
+    # disk's exact defect is 0 and what is left is rounding, which the
+    # estimate must cover: closed-form distances are taken as exact
+    space = ModelSpace(K=K, n=n)
+    metric = space.metric()
+    rng = np.random.default_rng(3)
+    for seed in range(10):
+        p = 0.04 * rng.random() * np.exp(2j * math.pi * rng.random(n)) / math.sqrt(n)
+        dist = space.distance_field(p)
+        sampler = DiskSampler(seed=seed, count=10, size_range=(0.02, 0.25))
+        for disk in sample_disks(metric.chart, p, sampler, rng):
+            rep = comparison_defect(metric, disk, p, K, distance=dist)
+            assert abs(rep.defect) <= rep.error_estimate, (seed, disk.coeffs)
+
+
 def test_model_equality_numeric_distance():
     space = ModelSpace(K=1.0, n=2)
     metric = space.metric()

@@ -118,6 +118,55 @@ def test_model_distance_symmetry_and_zero():
     assert space.distance(z1, z2) == pytest.approx(space.distance(z2, z1))
 
 
+def _mp_distance(c, s, v):
+    """40-digit distance of constant holomorphic sectional curvature c
+    between homogeneous points s and v (a chart point z is (1, z)):
+    (2/sqrt|c|) acos (c > 0) or acosh (c < 0) of the ratio
+    |<s, v>| / sqrt(<s, s> <v, v>), <x, y> = x_0 ybar_0 + (c/4) sum_{i>0} x_i ybar_i."""
+    import mpmath
+    mpmath.mp.dps = 40
+    c = mpmath.mpf(c)
+    s, v = ([mpmath.mpc(complex(x)) for x in u] for u in (s, v))
+
+    def ip(x, y):
+        return x[0] * mpmath.conj(y[0]) + c / 4 * sum(
+            a * mpmath.conj(b) for a, b in zip(x[1:], y[1:]))
+
+    ratio = abs(ip(s, v)) / mpmath.sqrt(ip(s, s).real * ip(v, v).real)
+    return 2 / mpmath.sqrt(abs(c)) * (mpmath.acos(ratio) if c > 0 else mpmath.acosh(ratio))
+
+
+def _close_pairs(rng, n, count=200):
+    """Point pairs 0.02 to 0.2 apart in the chart."""
+    z = 0.3 * (rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n)))
+    u = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    u *= rng.uniform(0.02, 0.2, (count, 1)) / np.linalg.norm(u, axis=1, keepdims=True)
+    return z, z + u
+
+
+@pytest.mark.parametrize("K", [1.0, -1.0])
+@pytest.mark.parametrize("n", [1, 2])
+def test_model_distance_against_40_digits(K, n):
+    # close pairs, where acos or acosh of a ratio next to 1 loses digits,
+    # and for K > 0 pairs within 1e-2 of the cap (the diameter)
+    space = ModelSpace(K=K, n=n)
+    rng = np.random.default_rng(7)
+    z, w = _close_pairs(rng, n)
+    if K > 0:
+        zc = 0.5 * (rng.standard_normal((100, n)) + 1j * rng.standard_normal((100, n)))
+        far = -(4.0 / space.c) * zc / np.sum(np.abs(zc) ** 2, axis=1, keepdims=True)
+        u = rng.standard_normal((100, n)) + 1j * rng.standard_normal((100, n))
+        u *= rng.uniform(0.0, 1e-2, (100, 1)) / np.linalg.norm(u, axis=1, keepdims=True)
+        z, w = np.vstack([z, zc]), np.vstack([w, far + u])
+    vals = model_distance(K, z, w)
+    for a, b, v in zip(z, w, vals):
+        ref = _mp_distance(space.c, np.r_[1.0, a], np.r_[1.0, b])
+        assert abs(v - float(ref)) <= 1e-15 * float(ref), (a, b)
+        assert v == space.distance(a, b)
+    if K > 0:
+        assert np.all(vals[-100:] >= space.diameter - 1e-2)
+
+
 def test_model_distance_small_chords_are_flat():
     for K in (1.0, -1.0):
         space = ModelSpace(K=K, n=1)
@@ -198,6 +247,25 @@ def test_cone_deck_transformation_oracle():
         assert cone_distance(cone, p1, p2) == pytest.approx(flat_d, abs=1e-10)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 2.0 / 3.0, -0.5])
+def test_cone_distance_against_40_digits(alpha):
+    # close points, where rho1^2 + rho2^2 - 2 rho1 rho2 cos psi cancels; what
+    # is left is the rounding of rho - rho', about rho / d ulps of d
+    import mpmath
+    mpmath.mp.dps = 40
+    cone = ConeSurface(alpha=alpha)
+    b = mpmath.mpf(1.0 - alpha)
+    rng = np.random.default_rng(9)
+    r1, t1 = rng.uniform(0.3, 1.2, 200), rng.uniform(-3.0, 3.0, 200)
+    r2, t2 = r1 * (1.0 + rng.uniform(-0.05, 0.05, 200)), t1 + rng.uniform(-0.05, 0.05, 200)
+    vals = cone_distance(cone, (r1, t1), (r2, t2))
+    for v, *pts in zip(vals, r1, t1, r2, t2):
+        rho1, rho2 = (mpmath.mpf(r) ** b / b for r in pts[::2])
+        psi = b * abs(mpmath.mpf(pts[1]) - mpmath.mpf(pts[3]))
+        ref = mpmath.sqrt(rho1 ** 2 + rho2 ** 2 - 2 * rho1 * rho2 * mpmath.cos(psi))
+        assert abs(v - float(ref)) <= 1e-13 * float(ref), pts
+
+
 def test_cone_exact_gram_matches_fd():
     cone = ConeSurface(alpha=0.5)
     m = cone.metric()
@@ -254,8 +322,8 @@ def test_cone_distance_field_is_bitwise_cone_distance(alpha, p):
     rng = np.random.default_rng(5)
     z = np.concatenate([[0.0, p, -p, 1e-12, 0.9 * np.exp(1j * (np.angle(p) + 2.5))],
                         rng.uniform(-1.4, 1.4, 40) + 1j * rng.uniform(-1.4, 1.4, 40)])
-    pp = (abs(p), math.atan2(p.imag, p.real))
-    direct = [cone_distance(cone, pp, (abs(w), math.atan2(w.imag, w.real))) for w in z]
+    pp = (np.abs(p), np.arctan2(p.imag, p.real))
+    direct = [cone_distance(cone, pp, (np.abs(w), np.arctan2(w.imag, w.real))) for w in z]
     assert np.array_equal(cone.distance_field(p)(z[:, None]), direct)
 
 
@@ -281,6 +349,22 @@ def test_quotient_round_distances():
         z1, z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         assert link_quotient_distance(q, z1, z2) == pytest.approx(
             model_distance(2.0, np.array([z1]), np.array([z2])), abs=1e-10)
+
+
+def test_quotient_distance_against_40_digits():
+    # close pairs, then pairs next to the cut point, given homogeneously
+    q = QuotientData()
+    rng = np.random.default_rng(8)
+    z, w = (x[:, 0] for x in _close_pairs(rng, 1))
+    zc = 0.5 * (rng.standard_normal(100) + 1j * rng.standard_normal(100))
+    cut = np.stack([-np.conj(zc), np.ones(100)], axis=1) + 1e-2 * rng.random((100, 1)) \
+        * (rng.standard_normal((100, 2)) + 1j * rng.standard_normal((100, 2)))
+    for a, b in zip(np.concatenate([z, zc]), list(w) + list(cut)):
+        v = link_quotient_distance(q, a, b)
+        ref = _mp_distance(4.0, [1.0, a], b if np.size(b) == 2 else [1.0, b])
+        assert abs(v - float(ref)) <= 1e-15 * float(ref), (a, b)
+    assert np.array_equal(q.distance_field(w[0])(z[:, None]),
+                          [link_quotient_distance(q, a, w[0]) for a in z])
 
 
 def test_quotient_potential_round():
