@@ -17,6 +17,7 @@ over one, for ``scan_disks`` and the CLI's domain comparison.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -44,6 +45,26 @@ log = logging.getLogger("kahlerlab")
 def _powers(w: np.ndarray, degree: int) -> np.ndarray:
     """w^0 .. w^degree along a new last axis."""
     return w[..., None] ** np.arange(degree + 1)
+
+
+def _horner(coeffs: np.ndarray, w: np.ndarray):
+    """(i(w), i'(w)) from one Horner pass, with no complex powers.
+
+    ``coeffs`` is (..., M+1, n) and the points ``w`` (..., P) broadcast
+    against its leading axes; both results are (..., n, P), the points on
+    the last axis.  Elementwise, so one disk's values are the same bits
+    alone and in a stack."""
+    C = coeffs[..., None]
+    w = np.atleast_1d(np.asarray(w, dtype=complex))[..., None, :]
+    val = C[..., -1, :, :] * w
+    val += C[..., -2, :, :]
+    der = np.broadcast_to(C[..., -1, :, :], val.shape).copy()
+    for m in range(C.shape[-3] - 3, -1, -1):
+        der *= w
+        der += val
+        val *= w
+        val += C[..., m, :, :]
+    return val, der
 
 
 # the unit-circle nodes of the containment test and the sampler's
@@ -141,14 +162,10 @@ class DiskEmbedding:
         return self.coeffs.shape[0] - 1
 
     def __call__(self, w) -> np.ndarray:
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
-        return _powers(w, self.degree) @ self.coeffs
+        return _horner(self.coeffs, w)[0].T
 
     def deriv(self, w) -> np.ndarray:
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
-        M = self.coeffs.shape[0]
-        powers = w[:, None] ** np.arange(M - 1)[None, :]
-        return powers @ (np.arange(1, M)[:, None] * self.coeffs[1:])
+        return _horner(self.coeffs, w)[1].T
 
     def rotated(self, theta: float) -> "DiskEmbedding":
         """Precompose with w -> e^{i theta} w."""
@@ -171,12 +188,12 @@ def _degree_stacks(coeffs: list):
 
 def disk_images(disks, w, n: int) -> np.ndarray:
     """Images of points w under every disk, shape (D, P, n), with one
-    matmul per degree: w is (P,), shared by all disks, or (D, P), one row
-    per disk."""
+    Horner pass per degree: w is (P,), shared by all disks, or (D, P), one
+    row per disk.  Each row has the bits of that disk's own map."""
     w = np.asarray(w, dtype=complex)
     out = np.empty((len(disks), w.shape[-1], n), dtype=complex)
     for idx, C in _degree_stacks([d.coeffs for d in disks]):
-        out[idx] = np.matmul(_powers(w if w.ndim == 1 else w[idx], C.shape[1] - 1), C)
+        out[idx] = np.swapaxes(_horner(C, w if w.ndim == 1 else w[idx])[0], 1, 2)
     return out
 
 
@@ -237,21 +254,26 @@ def sample_disks(chart: ComplexChart, center, sampler: DiskSampler, rng,
     return disks
 
 
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre01(n: int):
     """n-node Gauss-Legendre rule on [0, 1], read-only: numpy's leggauss
     costs more than the rest of a disk's quadrature."""
     x, w = np.polynomial.legendre.leggauss(n)
-    t, w = 0.5 * (x + 1.0), 0.5 * w
-    t.flags.writeable = w.flags.writeable = False
-    return t, w
+    return _read_only(0.5 * (x + 1.0), 0.5 * w)
 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Polar interior grid (graded Gauss-Legendre radius x uniform angle)
     plus a uniform boundary grid; the radial grading tames the log
-    singularity at the centre."""
+    singularity at the centre.  Both rules are cached per grid and
+    returned read-only."""
 
     n_r: int = 16
     n_theta: int = 32
@@ -261,6 +283,7 @@ class QuadratureGrid:
         if self.n_r < 16 or self.n_theta < 32 or self.n_boundary < 64:
             raise ValueError("grid below minimum resolution")
 
+    @functools.lru_cache(maxsize=32)
     def interior(self, breaks=()):
         """(nodes, weights): complex nodes in D^2, weights for flat dA.
 
@@ -268,6 +291,7 @@ class QuadratureGrid:
         1: graded, r = b t^4, on the first, where log r r dr becomes
         t^7 log t dt, and log-uniform, r = lo (hi/lo)^t, on the others, so
         integrands kinked only at the breaks are smooth on every panel.
+        ``breaks`` is a tuple.
         """
         t, wgl = _gauss_legendre01(self.n_r)
         edges = (0.0, *breaks, 1.0)
@@ -278,12 +302,13 @@ class QuadratureGrid:
         r = np.concatenate(rs)
         wr = np.concatenate(ws) * r * (2.0 * math.pi / self.n_theta)
         th = np.linspace(0.0, 2.0 * math.pi, self.n_theta, endpoint=False)
-        nodes = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
-        return nodes, np.repeat(wr, self.n_theta)
+        return _read_only((r[:, None] * np.exp(1j * th)[None, :]).ravel(),
+                          np.repeat(wr, self.n_theta))
 
+    @functools.lru_cache(maxsize=32)
     def boundary(self):
         th = np.linspace(0.0, 2.0 * math.pi, self.n_boundary, endpoint=False)
-        return np.exp(1j * th), th
+        return _read_only(np.exp(1j * th), th)
 
     def doubled(self) -> "QuadratureGrid":
         return QuadratureGrid(2 * self.n_r, 2 * self.n_theta, 2 * self.n_boundary)
@@ -310,14 +335,16 @@ DistanceStrategy = Union[str, ScalarField, Callable]
 def area_density(metric: HermitianMetricField, disk: DiskEmbedding, w) -> np.ndarray:
     """Hausdorff area density of the disk image wrt flat dA on D^2.
 
-    2 g(i(w))(i'(w), conj i'(w)); for direct-form Hermitian metrics the
-    same contraction applies.
+    2 g(i(w))(i'(w), conj i'(w)) with i and i' from one Horner pass.  Every
+    gram route returns Hermitian matrices, so the form is contracted as
+    sum_i G_ii |v_i|^2 + 2 sum_{i<j} Re(G_ij v_i conj v_j), v = i'(w).
     """
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    pts = disk(w)
-    dv = disk.deriv(w)
-    G = metric.gram(pts, check=False)
-    return 2.0 * np.einsum("pij,pi,pj->p", G, dv, np.conj(dv)).real
+    pts, dv = _horner(disk.coeffs, w)
+    G = metric.gram(pts.T, check=False)
+    q = sum(G[:, i, i].real * (v.real ** 2 + v.imag ** 2) for i, v in enumerate(dv))
+    for i, j in itertools.combinations(range(len(dv)), 2):
+        q += 2.0 * (G[:, i, j] * (dv[i] * np.conj(dv[j]))).real
+    return 2.0 * q
 
 
 def _area_integral(metric: HermitianMetricField, disk: DiskEmbedding,

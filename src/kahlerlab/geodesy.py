@@ -65,14 +65,9 @@ def _price(metric: HermitianMetricField, paths: np.ndarray):
     return 2.0 * (M - 1) * np.sum(e, axis=1), Gavg
 
 
-def _segment_energies(metric: HermitianMetricField, paths: np.ndarray) -> np.ndarray:
-    """(Q,) energies of (Q, N+1, n) node arrays, trapezoid in the metric."""
-    return _price(metric, paths)[0]
-
-
 def path_energy(metric: HermitianMetricField, path: DiscretePath) -> float:
     """Discrete energy of a single path."""
-    return float(_segment_energies(metric, path.points[None])[0])
+    return float(_price(metric, path.points[None])[0][0])
 
 
 def _energy_gradient(metric: HermitianMetricField, paths: np.ndarray,

@@ -29,8 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainExceeded, Unsupported
-from .fields import (ComplexChart, HermitianMetricField, ScalarField, flat_potential,
-                     hermitize)
+from .fields import ComplexChart, HermitianMetricField, ScalarField, flat_potential
 
 DK_MARGIN = 1e-9
 _SERIES_CUT = 1e-4
@@ -74,16 +73,26 @@ def dK_transform(d, K: float):
 
 
 def _model_gram(c: float, zs: np.ndarray) -> np.ndarray:
-    """Exact g_{i jbar} of the model potential, batched (P, n, n).
+    """Exact g_{i jbar} of the model potential, batched (P, n, n):
 
-    I/(2u) - (c/4) zbar z^T/(2u^2), built in place; the vectorized complex
-    product leaves zbar_i z_j and conj(zbar_j z_i) a last bit apart, so the
-    result is symmetrized (in place) to be Hermitian bit for bit."""
-    u = (1.0 + (c / 4.0) * np.sum(np.abs(zs) ** 2, axis=1))[:, None, None]
-    G = np.conj(zs)[:, :, None] * zs[:, None, :]
-    G *= c / 4.0
-    G /= 2.0 * u ** 2
-    return hermitize(np.subtract(np.eye(zs.shape[1]) / (2.0 * u), G, out=G))
+        I/(2u) - (c/8) zbar_i z_j / u^2,   u = 1 + (c/4) |z|^2.
+
+    Hermitian by construction: the diagonal is written from real
+    squares and each entry above it once, the one below as its conj.
+    Built with the points on the last axis, where every product runs
+    over P contiguous entries, and returned as a (P, n, n) view."""
+    n = zs.shape[1]
+    zt = zs.T
+    sq = zt.real ** 2 + zt.imag ** 2                         # (n, P)
+    u = 1.0 + (c / 4.0) * np.sum(sq, axis=0)
+    ms = -(c / 8.0) / (u * u)
+    G = np.empty((n, n, len(zs)), dtype=complex)
+    for i in range(n):
+        G[i, i] = 0.5 / u + ms * sq[i]
+        for j in range(i + 1, n):
+            np.multiply(ms * np.conj(zt[i]), zt[j], out=G[i, j])
+            np.conj(G[i, j], out=G[j, i])
+    return np.moveaxis(G, -1, 0)
 
 
 def _model_dgram(c: float, zs: np.ndarray) -> np.ndarray:

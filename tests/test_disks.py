@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from kahlerlab.disks import (DISK_FAULTS, NEAR_DISK_CUTOFF, DiskEmbedding, DiskS
                              torsion_contraction, torsion_expected_defect,
                              torsion_metric, violation_disk, worst_defect)
 from kahlerlab.errors import KahlerLabError
-from kahlerlab.fields import ComplexChart
+from kahlerlab.fields import ComplexChart, HermitianMetricField
 from kahlerlab.geodesy import geodesic_distance_many
 from kahlerlab.models import ConeSurface, ModelSpace, QuotientData, dK_transform
 
@@ -803,3 +804,100 @@ def test_torsion_gram_is_hermitian_and_matches_the_einsum_form():
         ref = 0.5 * (np.eye(n) + lin + np.conj(np.swapaxes(lin, 1, 2)))
         assert np.array_equal(G, np.conj(np.swapaxes(G, 1, 2)))
         assert np.max(np.abs(G - ref)) <= 1e-15
+
+
+def _density_cases():
+    """(name, metric, disks) with degree-1 and degree-2 disks: models with
+    n = 1, 2, 3, a cone clear of its apex, the torsion metric (direct form)
+    and a potential-form field without an exact gram (the FD route)."""
+    rng = np.random.default_rng(12)
+    T = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+    model = ModelSpace(K=1.0, n=2)
+    cone = ConeSurface(alpha=0.5)
+    fields = [(f"model K={K} n={n}", ModelSpace(K=K, n=n).metric(), np.full(n, 0.1 + 0.05j))
+              for n in (1, 2, 3) for K in (1.0, -1.0)]
+    fields += [("cone", cone.metric(), np.array([0.7 + 0.1j])),
+               ("torsion", torsion_metric(0.3 * (T - T.transpose(0, 2, 1)),
+                                          ComplexChart(n=3, radii=1.0)), np.full(3, 0.1)),
+               ("fd", HermitianMetricField(model.chart, potential=model.potential()),
+                np.full(2, 0.1 + 0.05j))]
+    sampler = DiskSampler(seed=1, count=10, degree2_fraction=0.5, size_range=(1e-3, 0.2),
+                          center_radius=0.1)
+    for name, metric, center in fields:
+        clear = dict(min_singular=0.05, singular_at=np.zeros(1)) if name == "cone" else {}
+        ds = sample_disks(metric.chart, center, sampler, rng, **clear)
+        assert {d.degree for d in ds} == {1, 2}, name
+        yield name, metric, ds
+
+
+def _exact_contraction(G, v) -> np.ndarray:
+    """2 sum_ij Re(G_ij v_i conj v_j) of float G and v, rounded once from
+    exact rational arithmetic."""
+    out = []
+    for g, x in zip(G, v):
+        xr, xi = [Fraction(float(a)) for a in x.real], [Fraction(float(a)) for a in x.imag]
+        q = sum(Fraction(float(g[i, j].real)) * (xr[i] * xr[j] + xi[i] * xi[j])
+                - Fraction(float(g[i, j].imag)) * (xi[i] * xr[j] - xr[i] * xi[j])
+                for i in range(len(x)) for j in range(len(x)))
+        out.append(float(2 * q))
+    return np.array(out)
+
+
+def test_area_density_matches_the_einsum_form():
+    w = QuadratureGrid().interior()[0]
+    for name, metric, ds in _density_cases():
+        for d in ds:
+            dens = area_density(metric, d, w)
+            pts, dv = d(w), d.deriv(w)
+            G = metric.gram(pts, check=False)
+            ref = 2.0 * np.einsum("pij,pi,pj->p", G, dv, np.conj(dv)).real
+            # both forms are within 4 ulp of the exact contraction
+            assert np.all(np.abs(dens - ref) <= 8 * np.spacing(ref)), name
+            sub = slice(None, None, 16)
+            exact = _exact_contraction(G[sub], dv[sub])
+            assert np.all(np.abs(dens[sub] - exact) <= 4 * np.spacing(exact)), name
+
+
+def _power_sums(disk, w):
+    """i(w), i'(w) and their error scales sum_m |c_m| |w|^m and
+    sum_m m |c_m| |w|^(m-1), from explicit powers of w."""
+    m = np.arange(disk.degree + 1)
+    c, aw = disk.coeffs, np.abs(w)[:, None]
+    return (w[:, None] ** m @ c, w[:, None] ** m[:-1] @ (m[1:, None] * c[1:]),
+            aw ** m @ np.abs(c), aw ** m[:-1] @ (m[1:, None] * np.abs(c[1:])))
+
+
+def test_disk_map_is_one_horner_pass():
+    rng = np.random.default_rng(11)
+    w = np.concatenate([np.sqrt(rng.uniform(0, 1, 300)) * np.exp(2j * np.pi * rng.uniform(0, 1, 300)),
+                        np.exp(2j * np.pi * np.arange(64) / 64), np.zeros(1)])
+    for n in (1, 2, 3):
+        chart = ComplexChart(n=n, radii=1.5)
+        ds = sample_disks(chart, np.full(n, 0.1 + 0.05j),
+                          DiskSampler(seed=n, count=60, degree2_fraction=0.5), rng)
+        assert {d.degree for d in ds} == {1, 2}
+        for d in ds:
+            val, der, val_scale, der_scale = _power_sums(d, w)
+            for got, ref, scale in ((d(w), val, val_scale), (d.deriv(w), der, der_scale)):
+                assert got.shape == (len(w), n)
+                for part in (np.real, np.imag):
+                    assert np.all(np.abs(part(got) - part(ref)) <= 4 * np.spacing(scale))
+        # the batched images are each disk's own map, bit for bit
+        assert disks.disk_images(ds, w, n).tobytes() == np.stack([d(w) for d in ds]).tobytes()
+        rows = w[rng.integers(0, len(w), (len(ds), 17))]
+        assert disks.disk_images(ds, rows, n).tobytes() == \
+            np.stack([d(r) for d, r in zip(ds, rows)]).tobytes()
+
+
+def test_quadrature_rules_are_cached_and_read_only():
+    grid = QuadratureGrid()
+    for rule in (grid.interior, grid.doubled().interior, grid.boundary,
+                 lambda: grid.interior((0.05, math.exp(-0.05)))):
+        arrays = rule()
+        assert all(a is b for a, b in zip(arrays, rule()))
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0

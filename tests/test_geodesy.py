@@ -93,7 +93,7 @@ def test_energy_gradient_matches_a_central_difference(metric):
             e = h if a < n else 1j * h
             trials[:, m, a, 0, m + 1, a % n] += e
             trials[:, m, a, 1, m + 1, a % n] -= e
-    E = geodesy._segment_energies(metric, trials.reshape(-1, N + 1, n)).reshape(Q, N - 1, 2 * n, 2)
+    E = geodesy._price(metric, trials.reshape(-1, N + 1, n))[0].reshape(Q, N - 1, 2 * n, 2)
     fd = (E[..., 0] - E[..., 1]) / (2 * h)
     assert np.max(np.abs(grad - fd)) < 1e-7 * np.max(np.abs(grad))
 

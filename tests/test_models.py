@@ -389,13 +389,36 @@ def test_model_gram_equals_the_out_of_place_formula_bit_for_bit():
     rng = np.random.default_rng(5)
     for n in (1, 2, 3):
         zs = _zs(rng, n)
+        upper = np.triu(np.ones((n, n), dtype=bool))
         for c in (2.0, -2.0, 4.0, 0.0):
-            u = 1.0 + (c / 4.0) * np.sum(np.abs(zs) ** 2, axis=1)
-            outer = np.conj(zs)[:, :, None] * zs[:, None, :]
-            G = np.eye(n)[None] / (2.0 * u[:, None, None]) \
-                - (c / 4.0) * outer / (2.0 * u[:, None, None] ** 2)
-            ref = 0.5 * (G + np.conj(np.swapaxes(G, 1, 2)))
+            sq = zs.real ** 2 + zs.imag ** 2
+            u = 1.0 + (c / 4.0) * np.sum(sq, axis=1)
+            ms = -(c / 8.0) / (u * u)
+            G = (ms[:, None] * np.conj(zs))[:, :, None] * zs[:, None, :]
+            ref = np.where(upper, G, np.conj(np.swapaxes(G, 1, 2)))
+            ref[:, np.arange(n), np.arange(n)] = 0.5 / u[:, None] + ms[:, None] * sq
             assert models._model_gram(c, zs).tobytes() == ref.tobytes()
+
+
+def test_model_gram_against_40_digits():
+    import mpmath
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3):
+        # points inside every model chart: |z| <= 0.9 keeps u >= 0.59 at c = -2
+        zs = rng.standard_normal((60, n)) + 1j * rng.standard_normal((60, n))
+        zs *= 0.9 * rng.uniform(0.0, 1.0, (60, 1)) / np.linalg.norm(zs, axis=1, keepdims=True)
+        zs[:3] = 0.0
+        for c in (2.0, -2.0, 4.0, 0.0):
+            G = models._model_gram(c, zs)
+            with mpmath.workdps(40):
+                for z, g in zip(zs, G):
+                    z = [mpmath.mpc(complex(x)) for x in z]
+                    u = 1 + mpmath.mpf(c) / 4 * sum(abs(x) ** 2 for x in z)
+                    ref = [[(i == j) / (2 * u) - mpmath.mpf(c) / 8 * mpmath.conj(z[i]) * z[j] / u ** 2
+                            for j in range(n)] for i in range(n)]
+                    err = max(abs(complex(g[i, j]) - ref[i][j]) for i in range(n) for j in range(n))
+                    largest = float(max(abs(x) for row in ref for x in row))
+                    assert float(err) <= 4 * np.spacing(largest), (n, c)
 
 
 def test_exact_grams_are_hermitian_bit_for_bit():
