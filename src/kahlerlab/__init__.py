@@ -1,9 +1,11 @@
 """Numerical laboratory for bisectional-curvature comparison geometry.
 
 Potential-form Hermitian metrics on complex charts, curvature tensors by
-nested finite differences, closed-form model spaces and cones, geodesic
-distances by energy minimization, holomorphic-disk comparison reports,
-and subharmonicity certificates, with a scenario-runner CLI on top.
+one finite-difference level of the closed-form metric derivative (two
+nested levels of the potential where a metric has none), closed-form
+model spaces and cones, geodesic distances by energy minimization,
+holomorphic-disk comparison reports, and subharmonicity certificates,
+with a scenario-runner CLI on top.
 """
 
 from .errors import (ConfigError, DomainExceeded, Disconnected, KahlerLabError,
@@ -16,7 +18,7 @@ from .curvature import (CurvatureData, TangentPair, bianchi_check, bisectional,
                         min_bk_defect)
 from .models import (ConeSurface, ModelSpace, QuotientData, cone_distance,
                      dK_transform, link_quotient_distance, model_distance,
-                     orbifold_cone, quotient_potential)
+                     orbifold_cone)
 from .geodesy import (DiscretePath, DiskObstacle, DistanceSolution,
                       PlanarDomain, RectObstacle, chord_lower_bound,
                       domain_length_metric, geodesic_distance,

@@ -82,39 +82,44 @@ _SPACE = {"type": "object", "additionalProperties": False,
                          "n": {"type": "integer", "minimum": 1},
                          "alpha": {"type": "number"},
                          "k": {"type": "integer", "minimum": 2},
-                         "delta": {"type": "number"},
                          "T": {"type": "array"},
                          "radius": {"type": "number"},
                          "obstacles": {"type": "array", "items": _OBSTACLE}},
           "required": ["kind"]}
 
+_NUM = {"type": "number"}
+_INT = {"type": "integer"}
+
+
+def _params(*required: str, **props) -> dict:
+    """The schema of a check's params: the keys ``props`` and no others,
+    with ``required`` among them."""
+    return {"type": "object", "additionalProperties": False, "properties": props,
+            "required": list(required)}
+
+
 CHECK_PARAM_SCHEMAS = {
-    "curvature-match": {"points": {"type": "integer"}, "radius": {"type": "number"},
-                        "tol": {"type": "number"}},
-    "min-bk-defect": {"K": {"type": "number"}, "z": _POINT,
-                      "tol": {"type": "number"}, "samples": {"type": "integer"}},
-    "comparison-scan": {"K": {"type": "number"}, "p": _POINT,
-                        "count": _COUNT, "tol": {"type": "number"}},
-    "violation-study": {"K": {"type": "number"}, "eps2_list": _NUMLIST,
-                        "band": _NUMLIST},
-    "annulus": {"K": {"type": "number"}, "p": _POINT,
-                "eps_list": {"type": "array", "items": dict(_POSITIVE, exclusiveMaximum=0.1)},
-                "tol": {"type": "number"}},
-    "psh": {"K": {"type": "number"}, "p": _POINT, "tol": {"type": "number"},
-            "crossing": {"type": "integer"}, "center": _POINT},
-    "psh-set": {"K": {"type": "number"}, "S": {"type": "array"},
-                "line": {"type": "object"}, "tol": {"type": "number"}},
-    "radial-potential": {"tol": {"type": "number"}},
-    "quotient-bk2": {"zprime": dict(_POINT, minItems=1, maxItems=2),
-                     "perturb": {"type": "boolean"}},
-    "k-threshold": {"p": _POINT, "lo": {"type": "number"}, "hi": {"type": "number"},
-                    "resolution": _POSITIVE, "expected": {"type": "number"},
-                    "band": {"type": "number"}, "tol": {"type": "number"}},
-    "torsion-disk": {"a": _POINT, "b": _POINT, "eps1": {"type": "number"},
-                     "eps2": {"type": "number"}, "factor": {"type": "number"}},
-    "domain-compare": {"p": _PAIR, "q": _PAIR, "eps": _POSITIVE,
-                       "count": _COUNT, "tol": {"type": "number"},
-                       "min_ratio": {"type": "number"}},
+    "curvature-match": _params(points=_INT, radius=_NUM, tol=_NUM),
+    "min-bk-defect": _params("K", K=_NUM, z=_POINT, tol=_NUM, samples=_INT),
+    "comparison-scan": _params("K", K=_NUM, p=_POINT, count=_COUNT, tol=_NUM),
+    "violation-study": _params("K", K=_NUM, eps2_list=_NUMLIST, band=_NUMLIST),
+    "annulus": _params("K", K=_NUM, p=_POINT, tol=_NUM, eps_list={
+        "type": "array", "items": dict(_POSITIVE, exclusiveMaximum=0.1)}),
+    "psh": _params("K", K=_NUM, p=_POINT, tol=_NUM, crossing=_INT, center=_POINT),
+    # exactly one of a point set S and a complex line {a + t v}
+    "psh-set": dict(_params("K", K=_NUM, tol=_NUM,
+                            S={"type": "array", "items": _POINT, "minItems": 1},
+                            line=_params("a", "v", a=_POINT, v=_POINT)),
+                    oneOf=[{"required": ["S"]}, {"required": ["line"]}]),
+    "radial-potential": _params(tol=_NUM),
+    "quotient-bk2": _params(zprime=dict(_POINT, minItems=1, maxItems=2),
+                            perturb={"type": "boolean"}),
+    "k-threshold": _params(p=_POINT, lo=_NUM, hi=_NUM, resolution=_POSITIVE,
+                           expected=_NUM, band=_NUM, tol=_NUM),
+    "torsion-disk": _params("a", "b", a=_POINT, b=_POINT, eps1=_NUM, eps2=_NUM,
+                            factor=_NUM),
+    "domain-compare": _params("p", "q", p=_PAIR, q=_PAIR, eps=_POSITIVE, count=_COUNT,
+                              tol=_NUM, min_ratio=_NUM),
 }
 
 _CHECK = {"type": "object", "additionalProperties": False,
@@ -155,10 +160,8 @@ def _as_point(spec, n: Optional[int] = None) -> np.ndarray:
 
 
 _CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-_PARAM_VALIDATORS = {
-    kind: jsonschema.Draft202012Validator(
-        {"type": "object", "additionalProperties": False, "properties": props})
-    for kind, props in CHECK_PARAM_SCHEMAS.items()}
+_PARAM_VALIDATORS = {kind: jsonschema.Draft202012Validator(schema)
+                     for kind, schema in CHECK_PARAM_SCHEMAS.items()}
 
 
 def load_config(path: str) -> dict:
@@ -200,7 +203,7 @@ def build_space(spec: dict):
         if kind == "orbifold":
             return orbifold_cone(spec["k"])
         if kind == "quotient":
-            return QuotientData(delta=spec.get("delta", 1.0))
+            return QuotientData()
         if kind == "torsion":
             chart = ComplexChart(n=spec.get("n", 2), radii=spec.get("radius", 1.5))
             return TorsionSpace(T=np.array(spec["T"], dtype=float), chart=chart)
@@ -232,7 +235,7 @@ def build_sampler(spec: Optional[dict], seed_override: Optional[int]) -> DiskSam
 def _run_curvature_match(space, params, sampler, tol):
     if not isinstance(space, ModelSpace) or space.K == 0:
         raise ConfigError("curvature-match needs a curved model space")
-    tol = params.get("tol", tol or 1e-5)
+    tol = params.get("tol", 1e-5 if tol is None else tol)
     count = params.get("points", 20)
     radius = params.get("radius", 0.5)
     rng = np.random.default_rng(sampler.seed)
@@ -254,7 +257,7 @@ def _run_curvature_match(space, params, sampler, tol):
 
 
 def _run_min_bk_defect(space, params, sampler, tol):
-    tol = params.get("tol", tol or 1e-6)
+    tol = params.get("tol", 1e-6 if tol is None else tol)
     n = space.chart.n
     z = _as_point(params.get("z", [0.0] * n), n)
     data = curvature_tensor(space.metric(), z)
@@ -269,12 +272,12 @@ def _run_min_bk_defect(space, params, sampler, tol):
 
 
 def _run_comparison_scan(space, params, sampler, tol):
-    tol = params.get("tol", tol or 1e-6)
+    tol = params.get("tol", 1e-6 if tol is None else tol)
     n = space.chart.n
     p = _as_point(params.get("p", [0.0] * n), n)
     if "count" in params:
         sampler = replace(sampler, count=params["count"])
-    res = scan_disks(space, p, params["K"], sampler, tol=tol)
+    res = scan_disks(space, p, params["K"], sampler)
     return _scan_row(res, tol, p=_jsonify(p), K=params["K"], directed=res.directed)
 
 
@@ -325,7 +328,7 @@ def _run_violation_study(space, params, sampler, tol):
 
 
 def _run_annulus(space, params, sampler, tol):
-    tol = params.get("tol", tol or 1e-6)
+    tol = params.get("tol", 1e-6 if tol is None else tol)
     n = space.chart.n
     p = _as_point(params.get("p", [0.0] * n), n)
     metric = space.metric()
@@ -346,7 +349,7 @@ def _run_annulus(space, params, sampler, tol):
 
 
 def _run_psh(space, params, sampler, tol):
-    tol = params.get("tol", tol or 1e-6)
+    tol = params.get("tol", 1e-6 if tol is None else tol)
     p = _as_point(params.get("p", [0.0] * space.chart.n), space.chart.n)
     center = _as_point(params["center"]) if "center" in params else None
     v = check_bk_lower(space, space.potential(), p, params["K"], sampler=sampler,
@@ -356,7 +359,7 @@ def _run_psh(space, params, sampler, tol):
 
 
 def _run_psh_set(space, params, sampler, tol):
-    tol = params.get("tol", tol or 1e-6)
+    tol = params.get("tol", 1e-6 if tol is None else tol)
     if "line" in params:
         S = ComplexLine(a=_as_point(params["line"]["a"]),
                         v=_as_point(params["line"]["v"]))
@@ -371,7 +374,7 @@ def _run_psh_set(space, params, sampler, tol):
 def _run_radial_potential(space, params, sampler, tol):
     if not isinstance(space, ConeSurface):
         raise ConfigError("radial-potential needs a cone space")
-    r = radial_potential_check(space, tol=params.get("tol", tol or 1e-4))
+    r = radial_potential_check(space, tol=params.get("tol", 1e-4 if tol is None else tol))
     return dict(verdict=r.verdict, value=r.max_mismatch, error_est=0.0,
                 witness=None)
 
@@ -429,14 +432,14 @@ def _run_torsion_disk(space, params, sampler, tol):
 def _run_domain_compare(space, params, sampler, tol):
     if not isinstance(space, PlanarDomain):
         raise ConfigError("domain-compare needs a domain space")
-    tol = params.get("tol", tol or 1e-6)
+    tol = params.get("tol", 1e-6 if tol is None else tol)
     p = complex(params["p"][0], params["p"][1])
     q = complex(params["q"][0], params["q"][1])
     dist = space.distance_field(p)
     ratio = float(dist(np.array([[q]]))[0]) / abs(q - p)
-    if ratio < params.get("min_ratio", -math.inf):
-        raise KahlerLabError(f"length ratio {ratio:.6g} is below min_ratio "
-                             f"{params['min_ratio']:g}")
+    min_ratio = params.get("min_ratio", -math.inf)
+    if ratio < min_ratio:
+        raise KahlerLabError(f"length ratio {ratio:.6g} is below min_ratio {min_ratio:g}")
     metric = space.metric()
     eps = params.get("eps", 0.15)
     # built first, so that a fixed disk leaving the chart is an ERROR row
@@ -453,7 +456,7 @@ def _run_domain_compare(space, params, sampler, tol):
                                                    space.chart))
         except ValueError:
             continue
-    res = worst_defect(metric, np.array([p]), 0.0, dist, candidates, tol=tol)
+    res = worst_defect(metric, np.array([p]), 0.0, dist, candidates)
     return dict(_scan_row(res, tol, p=[p.real, p.imag], ratio=ratio),
                 extra={"length_ratio": ratio})
 

@@ -129,8 +129,7 @@ def curvature_tensor(metric: HermitianMetricField, z: np.ndarray) -> CurvatureDa
         h = CURV_STEP * min(1.0, dist)
         reach = 2.0 * h
     else:
-        h_inner = max(metric.h, CURV_INNER_H)
-        reach = 2.0 * math.sqrt(2.0) * (CURV_OUTER_H + h_inner)
+        reach = 2.0 * math.sqrt(2.0) * (CURV_OUTER_H + CURV_INNER_H)
     if not dist - reach >= phi.smoothness_radius:
         raise SingularityTooClose(f"curvature stencil at z={z} comes within "
                                   f"{max(dist - reach, 0.0):.3e} of a singular point "
@@ -138,7 +137,7 @@ def curvature_tensor(metric: HermitianMetricField, z: np.ndarray) -> CurvatureDa
     if metric.has_exact_dgram:
         G, dG, second, error = _second_exact(metric, z, h)
     else:
-        G, dG, second, error = _second_nested(phi, z, h_inner)
+        G, dG, second, error = _second_nested(phi, z)
     Ginv = np.linalg.inv(G)
     # dbar_l g_{p jbar} = conj(d_l g_{j pbar})
     dbarG = np.conj(dG.transpose(0, 2, 1))               # [l, p, j]
@@ -169,7 +168,7 @@ def _second_exact(metric: HermitianMetricField, z: np.ndarray, h: float):
     return metric.gram(z[None])[0], D[0], second[0], error
 
 
-def _second_nested(phi, z: np.ndarray, h_inner: float):
+def _second_nested(phi, z: np.ndarray):
     """FD g and d g at z, and d_k dbar_l g_{i jbar} as [i, j, k, l] with its
     change when both nested steps double."""
     def level(outer, inner):
@@ -182,8 +181,8 @@ def _second_nested(phi, z: np.ndarray, h_inner: float):
         dG = fd.wirtinger_d(gram_raw, x0, outer, phi.n)[0]     # [k, i, j] = d_k g_{i jbar}
         return 0.5 * (G0 + np.conj(G0.T)), dG, DD.transpose(2, 3, 0, 1)
 
-    G, dG, second = level(CURV_OUTER_H, h_inner)
-    _, _, doubled = level(2.0 * CURV_OUTER_H, 2.0 * h_inner)
+    G, dG, second = level(CURV_OUTER_H, CURV_INNER_H)
+    _, _, doubled = level(2.0 * CURV_OUTER_H, 2.0 * CURV_INNER_H)
     return G, dG, second, float(np.max(np.abs(second - doubled)))
 
 

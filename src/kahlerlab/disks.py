@@ -20,7 +20,7 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -316,17 +316,14 @@ class QuadratureGrid:
 
 @dataclass
 class ComparisonReport:
+    """Both sides of the comparison inequality, the defect and its error
+    estimate; the verdict is the caller's."""
+
     lhs: float
     log_moment: float
     boundary_avg: float
     defect: float
     error_estimate: float
-    tol: float
-    strategy: str
-    verdict: str = field(init=False)
-
-    def __post_init__(self):
-        self.verdict = "PASS" if self.defect >= -self.tol else "FAIL"
 
 
 DistanceStrategy = Union[str, ScalarField, Callable]
@@ -376,7 +373,6 @@ def _distance_values(metric, p, targets, strategy, solver_opts):
 def comparison_defect(metric: HermitianMetricField, disk: DiskEmbedding, p, K: float,
                       distance: DistanceStrategy = "numeric",
                       grid: Optional[QuadratureGrid] = None,
-                      tol: Optional[float] = None,
                       solver_opts: Optional[dict] = None) -> ComparisonReport:
     """Both sides of the disk comparison inequality and their difference.
 
@@ -389,9 +385,6 @@ def comparison_defect(metric: HermitianMetricField, disk: DiskEmbedding, p, K: f
     change of the defect between the two rules plus 4x the distance error
     plus ``ROUNDING_FLOOR`` times the sizes of the terms.
     """
-    numeric = distance == "numeric"
-    if tol is None:
-        tol = 5e-3 if numeric else 1e-6
     grid = grid or QuadratureGrid()
     levels = (grid, grid.doubled())
     p = np.asarray(p, dtype=complex).reshape(-1)
@@ -414,8 +407,7 @@ def comparison_defect(metric: HermitianMetricField, disk: DiskEmbedding, p, K: f
     err = abs(defects[1] - defects[0]) + 4.0 * float(np.max(derr, initial=0.0)) \
         + ROUNDING_FLOOR * (abs(lhs) + abs(lm) + abs(boundary_avg))
     return ComparisonReport(lhs=lhs, log_moment=lm, boundary_avg=boundary_avg,
-                            defect=defects[1], error_estimate=err, tol=tol,
-                            strategy="numeric" if numeric else "closed-form")
+                            defect=defects[1], error_estimate=err)
 
 
 def _f_eps(r: np.ndarray, eps: float) -> np.ndarray:
@@ -482,8 +474,7 @@ class ScanResult:
 
 
 def worst_defect(metric: HermitianMetricField, p, K: float, distance: DistanceStrategy,
-                 disks, directed: Optional[DiskEmbedding] = None,
-                 tol: Optional[float] = None) -> ScanResult:
+                 disks, directed: Optional[DiskEmbedding] = None) -> ScanResult:
     """Worst comparison report over ``disks``, the ``directed`` disk first.
 
     Disks are evaluated one at a time, so a disk whose evaluation raises a
@@ -493,7 +484,7 @@ def worst_defect(metric: HermitianMetricField, p, K: float, distance: DistanceSt
     scored = []
     for d in ([] if directed is None else [directed]) + list(disks):
         try:
-            scored.append((comparison_defect(metric, d, p, K, distance=distance, tol=tol), d))
+            scored.append((comparison_defect(metric, d, p, K, distance=distance), d))
         except KahlerLabError:
             continue
     if not scored:
@@ -503,8 +494,7 @@ def worst_defect(metric: HermitianMetricField, p, K: float, distance: DistanceSt
                       directed=scored[0][1] is directed)
 
 
-def scan_disks(space, p, K: float, sampler: DiskSampler,
-               tol: Optional[float] = None) -> ScanResult:
+def scan_disks(space, p, K: float, sampler: DiskSampler) -> ScanResult:
     """Worst comparison defect over seeded affine and degree-2 disks.
 
     Distances come from ``space.distance_field(p)`` where the space has
@@ -526,7 +516,7 @@ def scan_disks(space, p, K: float, sampler: DiskSampler,
         if val < -err:
             directed = violation_disk(metric, p, K, pair, 0.06, 0.25)
     disks = sample_disks(metric.chart, p, sampler, np.random.default_rng(sampler.seed))
-    return worst_defect(metric, p, K, distance, disks, directed=directed, tol=tol)
+    return worst_defect(metric, p, K, distance, disks, directed=directed)
 
 
 def rprime_value(data: CurvatureData, K: float, pair: TangentPair) -> float:

@@ -18,7 +18,7 @@ from . import fd
 from .errors import NonPositiveDefinite, SingularityTooClose
 
 EIGENVALUE_FLOOR = 1e-10
-H_MIN, H_MAX = 1e-6, 1e-2
+GRAM_STEP = 1e-3        # FD step of grams from a potential and of dgrams from grams
 
 
 def z_to_real(zs: np.ndarray) -> np.ndarray:
@@ -123,14 +123,13 @@ def _check_pd(G: np.ndarray, zs: np.ndarray) -> None:
             f"metric eigenvalue {ev[i, 0]:.3e} at z={np.asarray(zs)[i]}")
 
 
-def metric_from_potential(phi: ScalarField, z: np.ndarray, h: float = 1e-3) -> np.ndarray:
-    """g_{i jbar}(z) = d_i dbar_j phi by Richardson-extrapolated central FD.
+def metric_from_potential(phi: ScalarField, z: np.ndarray) -> np.ndarray:
+    """g_{i jbar}(z) = d_i dbar_j phi by Richardson-extrapolated central FD
+    at step ``GRAM_STEP``.
 
     Accepts a single point (n,) or a batch (P, n); returns the matching
     (n, n) or (P, n, n) Hermitian matrices.
     """
-    if not (H_MIN <= h <= H_MAX):
-        raise ValueError(f"step h={h} outside [{H_MIN}, {H_MAX}]")
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
     zs = np.atleast_2d(z)
@@ -140,7 +139,7 @@ def metric_from_potential(phi: ScalarField, z: np.ndarray, h: float = 1e-3) -> n
         raise SingularityTooClose(
             f"z={zs[i]} at distance {guard[i]:.3e} < smoothness radius "
             f"{phi.smoothness_radius:.3e} of field {phi.name!r}")
-    G = fd.wirtinger_dd(lambda xs: phi(real_to_z(xs)), z_to_real(zs), h, phi.n)
+    G = fd.wirtinger_dd(lambda xs: phi(real_to_z(xs)), z_to_real(zs), GRAM_STEP, phi.n)
     G = hermitize(G)
     _check_pd(G, zs)
     return G[0] if single else G
@@ -164,17 +163,14 @@ class HermitianMetricField:
                  gram_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  exact_gram: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  exact_dgram: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 h: float = 1e-3, name: str = ""):
+                 name: str = ""):
         if (potential is None) == (gram_fn is None):
             raise ValueError("provide exactly one of potential or gram_fn")
-        if not (H_MIN <= h <= H_MAX):
-            raise ValueError(f"step h={h} outside [{H_MIN}, {H_MAX}]")
         self.chart = chart
         self.potential = potential
         self._gram_fn = gram_fn
         self._exact = exact_gram
         self._exact_d = exact_dgram
-        self.h = h
         self.name = name or (potential.name if potential else "direct metric")
 
     @property
@@ -190,7 +186,7 @@ class HermitianMetricField:
         """(P, n, n) Hermitian positive matrices g_{i jbar}(z)."""
         zs = np.atleast_2d(np.asarray(zs, dtype=complex))
         if self.is_potential_form and self._exact is None:
-            return metric_from_potential(self.potential, zs, self.h)
+            return metric_from_potential(self.potential, zs)
         if self._exact is not None:          # Hermitian by construction
             G = np.asarray(self._exact(zs))
         else:
@@ -203,18 +199,18 @@ class HermitianMetricField:
         """Always take the finite-difference route (potential form only)."""
         if not self.is_potential_form:
             raise ValueError("no potential to differentiate")
-        return metric_from_potential(self.potential, np.atleast_2d(np.asarray(zs, dtype=complex)), self.h)
+        return metric_from_potential(self.potential, np.atleast_2d(np.asarray(zs, dtype=complex)))
 
     def dgram(self, zs: np.ndarray) -> np.ndarray:
         """(P, n, n, n) holomorphic derivatives, [p, k, i, j] = d_k g_{i jbar}.
 
         Closed form where the field carries one, else the fourth-order
-        central difference of ``gram`` with the field's step."""
+        central difference of ``gram`` at step ``GRAM_STEP``."""
         zs = np.atleast_2d(np.asarray(zs, dtype=complex))
         if self._exact_d is not None:
             return np.asarray(self._exact_d(zs))
         return fd.wirtinger_d(lambda xs: self.gram(real_to_z(xs), check=False),
-                              z_to_real(zs), self.h, self.chart.n)
+                              z_to_real(zs), GRAM_STEP, self.chart.n)
 
     def kahler_symmetry_residual(self, z: np.ndarray) -> float:
         """max_| d_k g_{i jbar} - d_i g_{k jbar} | at z; 0 exactly when

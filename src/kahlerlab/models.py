@@ -24,11 +24,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
-
 import numpy as np
 
-from .errors import DomainExceeded, Unsupported
+from .errors import DomainExceeded
 from .fields import ComplexChart, HermitianMetricField, ScalarField, flat_potential
 
 DK_MARGIN = 1e-9
@@ -316,37 +314,21 @@ def orbifold_cone(k: int) -> ConeSurface:
 
 @dataclass(frozen=True)
 class QuotientData:
-    """Link-quotient datum: d_0 = |z|^delta H on the projective chart.
-
-    Only the round case (delta = 1, H identically 1) has closed-form
-    distances; anything else is out of the supported surface.
-    """
-
-    delta: float = 1.0
-    H: Optional[Callable] = None
-    n: int = 2
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+    """Round link-quotient datum: d_0 = |z|^delta H on the projective chart
+    with delta = 1 and H identically 1, the one case with closed-form
+    distances."""
 
     @property
     def chart(self) -> ComplexChart:
         """The affine chart zeta of the projective line."""
         return ComplexChart(n=1, radii=1.2)
 
-    @property
-    def is_round(self) -> bool:
-        return self.H is None and self.delta == 1.0
-
     def distance_field(self, zprime) -> ScalarField:
-        """d(zprime, .) on the affine chart, for the round datum: the c = 4
-        model distance in homogeneous coordinates, atan2(|s ^ s'|, |<s, s'>|)
-        with s = (1, zeta).  ``zprime`` is an affine chart point or a
+        """d(zprime, .) on the affine chart: the c = 4 model distance in
+        homogeneous coordinates, atan2(|s ^ s'|, |<s, s'>|) with
+        s = (1, zeta).  ``zprime`` is an affine chart point or a
         homogeneous 2-vector, which also reaches the point at chart infinity.
         """
-        if not self.is_round:
-            raise Unsupported("only the round link quotient has closed-form distances")
         v = np.asarray(zprime, dtype=complex).reshape(-1)
         if v.size == 1:
             v = np.array([1.0, v[0]])
@@ -360,11 +342,6 @@ class QuotientData:
 
         return ScalarField(fn=fn, n=1, name=f"link quotient distance from {v}")
 
-    def h(self, zeta) -> np.ndarray:
-        """h(zeta) = (1 + |zeta|^2)^delta in the affine chart."""
-        zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
-        return (1.0 + np.abs(zeta) ** 2) ** self.delta
-
 
 def link_quotient_distance(q: QuotientData, z, zp) -> float:
     """Fubini-Study distance between an affine chart point z and zp, an
@@ -372,7 +349,3 @@ def link_quotient_distance(q: QuotientData, z, zp) -> float:
     ``QuotientData.distance_field``."""
     return float(q.distance_field(zp)(np.reshape(z, (1, 1)))[0])
 
-
-def quotient_potential(q: QuotientData, zeta) -> float:
-    """(1/2) log h; the local potential of the quotient metric."""
-    return float(0.5 * np.log(q.h(zeta)[0]))

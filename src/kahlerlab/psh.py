@@ -26,6 +26,7 @@ from .models import ConeSurface, ModelSpace, QuotientData, dK_transform, model_d
 
 DEFAULT_TOL = 1e-6
 FD_STEP = 1e-3          # Laplacian stencil step of the sampled verdicts
+QUOTIENT_TOL = 1e-5     # pointwise tolerance of the link-quotient check
 
 
 @dataclass
@@ -283,8 +284,7 @@ def _round_density_from_distance(zs: np.ndarray, h: float = 1e-3) -> np.ndarray:
 
 
 def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = None,
-                       sampler: Optional[DiskSampler] = None,
-                       tol: float = 1e-5) -> PshVerdict:
+                       sampler: Optional[DiskSampler] = None) -> PshVerdict:
     """Level-2 bound and measure consistency for the link quotient datum.
 
     Two obligations: (a) (1/2) log h + log cos d(., zprime) restricts
@@ -299,10 +299,6 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
     ``KahlerLabError`` when no admissible disk keeps clear of the cut
     point of zprime.
     """
-    if not q.is_round:
-        raise Unsupported("only the round quotient datum is supported")
-    if q.n != 2:
-        raise Unsupported("projective chart checks are implemented for n = 2")
     sampler = sampler or DiskSampler(count=60, size_range=(0.01, 0.25),
                                      center_radius=0.4)
     dist = q.distance_field(zprime)
@@ -333,15 +329,15 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
                   axis=1)
     best, consistency = float(np.min(vals)), float(np.max(mism))
     witness = None
-    if best < -tol:
+    if best < -QUOTIENT_TOL:
         i = int(np.argmin(vals))
         witness = {"coeffs": kept[i // ws.shape[1]].coeffs.tolist(),
                    "w": complex(ws[keep].flat[i]), "kind": "pointwise", "value": best}
     elif consistency > 1e-3:
         witness = {"coeffs": kept[int(np.argmax(mism))].coeffs.tolist(),
                    "kind": "consistency", "value": consistency}
-    return PshVerdict(min_laplacian=best, verdict="FAIL" if witness else "PASS", tol=tol,
-                      samples=vals.size, seed=sampler.seed, witness=witness,
+    return PshVerdict(min_laplacian=best, verdict="FAIL" if witness else "PASS",
+                      tol=QUOTIENT_TOL, samples=vals.size, seed=sampler.seed, witness=witness,
                       notes=(f"measure mismatch {consistency:.3e}",),
                       saturated=bool(np.any(np.abs(vals) <= 1e-3)))
 

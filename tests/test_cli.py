@@ -1,6 +1,8 @@
 import csv
+import inspect
 import json
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -82,8 +84,8 @@ def test_unknown_keys_rejected(tmp_path):
 
 def test_schemas_are_valid_draft_2020_12():
     Draft202012Validator.check_schema(CONFIG_SCHEMA)
-    for props in CHECK_PARAM_SCHEMAS.values():
-        Draft202012Validator.check_schema({"type": "object", "properties": props})
+    for schema in CHECK_PARAM_SCHEMAS.values():
+        Draft202012Validator.check_schema(schema)
 
 
 @pytest.mark.parametrize("size_range", [[0.1], [0.3, 0.05], [0.0, 0.1]])
@@ -152,8 +154,10 @@ _TORSION = {"kind": "torsion", "T": [[[0.0, -0.5], [0.5, 0.0]], [[0.0, 0.0], [0.
     ({"kind": "cone", "alpha": 0.5}, {"check": "annulus", "params": {"K": 0.0}}, "row"),
     ({"kind": "cone", "alpha": 1.5}, {"check": "psh", "params": {"K": 0.0}}, 3),
     ({"kind": "quotient", "delta": -1}, {"check": "quotient-bk2"}, 3),
+    ({"kind": "quotient", "delta": 0.5}, {"check": "quotient-bk2"}, 3),
 ], ids=["torsion-scan", "torsion-disk-off-chart", "torsion-psh", "quotient-psh",
-        "cone-min-bk-defect", "cone-annulus", "cone-alpha", "quotient-delta"])
+        "cone-min-bk-defect", "cone-annulus", "cone-alpha", "quotient-delta",
+        "quotient-non-round"])
 def test_any_space_gives_a_row_or_a_config_error(tmp_path, space, check, outcome):
     cfg = _minimal_cfg(check="psh", id="ok", params={"K": 0.0})
     cfg["scenarios"].append({"id": "t", "space": space,
@@ -179,12 +183,63 @@ def test_any_space_gives_a_row_or_a_config_error(tmp_path, space, check, outcome
     {"check": "domain-compare", "params": {"p": [-1.2], "q": [1, 0]}},
     {"check": "annulus", "params": {"K": 0.0, "eps_list": [0.05, 0]}},
     {"check": "quotient-bk2", "params": {"zprime": [0.1, 0.2, 0.3]}},
+    # params a runner cannot run without
+    {"check": "comparison-scan", "params": {}},
+    {"check": "min-bk-defect", "params": {"z": [0, 0]}},
+    {"check": "violation-study", "params": {}},
+    {"check": "annulus", "params": {"p": [0, 0]}},
+    {"check": "psh", "params": {"p": [0.1, 0]}},
+    {"check": "psh-set", "params": {"S": [[0, 0]]}},
+    {"check": "psh-set", "params": {"K": 0.0, "line": {"a": [0, 0]}}},
+    {"check": "psh-set", "params": {"K": 0.0, "line": {"v": [1, 0]}}},
+    {"check": "psh-set", "params": {"K": 0.0}},
+    {"check": "psh-set", "params": {"K": 0.0, "S": [[0, 0]],
+                                    "line": {"a": [0, 0], "v": [1, 0]}}},
+    {"check": "psh-set", "params": {"K": 0.0, "S": []}},
+    {"check": "psh-set", "params": {"K": 0.0, "S": [0, 0]}},
+    {"check": "torsion-disk", "params": {"a": [1, 0]}},
+    {"check": "domain-compare", "params": {"p": [-1, 0]}},
 ], ids=["resolution", "scan-count", "domain-count", "domain-eps", "domain-short-p",
-        "annulus-eps", "quotient-zprime"])
+        "annulus-eps", "quotient-zprime", "scan-no-K", "min-bk-defect-no-K",
+        "violation-no-K", "annulus-no-K", "psh-no-K", "psh-set-no-K", "line-no-v",
+        "line-no-a", "psh-set-no-set", "psh-set-both", "psh-set-empty-S",
+        "psh-set-S-of-numbers", "torsion-no-b", "domain-no-q"])
 def test_out_of_range_params_exit_three(tmp_path, check):
     res = _run(["run", _write(tmp_path, _minimal_cfg(**check)), "--out", str(tmp_path / "o")])
     assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
     assert "config error" in res.output
+
+
+def test_runners_read_only_required_or_tested_params():
+    # a runner reads params["key"] only when its schema requires the key,
+    # when it tests "key" in params first, or when the key is one of an
+    # exactly-one-of group whose other keys it tests
+    for name, runner in cli.CHECK_RUNNERS.items():
+        src = inspect.getsource(runner)
+        schema = CHECK_PARAM_SCHEMAS[name]
+        tested = set(re.findall(r"""["'](\w+)["'] in params""", src))
+        safe = set(schema["required"]) | tested
+        group = {branch["required"][0] for branch in schema.get("oneOf", ())}
+        safe |= {key for key in group if group - {key} <= tested}
+        read = set(re.findall(r"""params\[\s*["'](\w+)["']\s*\]""", src))
+        assert read <= safe, (name, read - safe)
+
+
+def test_cli_tol_zero_is_a_tolerance(tmp_path):
+    # the sampled minimum here is about -5.2e-9: below 0, above -1e-6
+    cfg = {"version": 1, "scenarios": [{
+        "id": "s", "space": {"kind": "model", "K": 1.0, "n": 1},
+        "sampler": {"seed": 0, "count": 50},
+        "checks": [{"check": "psh", "id": "psh",
+                    "params": {"K": 1.0, "p": [[0.1, 0.05]]}}]}]}
+    path = _write(tmp_path, cfg)
+    verdicts = {}
+    for tol in ("0", "1e-6"):
+        res = _run(["run", path, "--tol", tol, "--out", str(tmp_path / tol)])
+        [row] = _read_csv(tmp_path / tol / "results.csv")
+        verdicts[tol] = (row["verdict"], res.exit_code)
+        assert -1e-6 < float(row["value"]) < 0.0
+    assert verdicts == {"0": ("FAIL", 1), "1e-6": ("PASS", 0)}
 
 
 @pytest.mark.parametrize("obstacle", [

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kahlerlab import models
-from kahlerlab.errors import DomainExceeded, Unsupported
+from kahlerlab.errors import DomainExceeded
 from kahlerlab.fields import metric_from_potential
 from kahlerlab.models import (ConeSurface, ModelSpace, QuotientData,
                               cone_distance, dK_transform,
                               link_quotient_distance, model_distance,
-                              orbifold_cone, quotient_potential)
+                              orbifold_cone)
 
 
 def test_dk_transform_closed_forms():
@@ -365,18 +365,6 @@ def test_quotient_distance_against_40_digits():
         assert abs(v - float(ref)) <= 1e-15 * float(ref), (a, b)
     assert np.array_equal(q.distance_field(w[0])(z[:, None]),
                           [link_quotient_distance(q, a, w[0]) for a in z])
-
-
-def test_quotient_potential_round():
-    q = QuotientData()
-    assert quotient_potential(q, 0.3 + 0.4j) == pytest.approx(
-        0.5 * math.log(1.25))
-
-
-def test_quotient_non_round_unsupported():
-    q = QuotientData(delta=0.7)
-    with pytest.raises(Unsupported):
-        link_quotient_distance(q, 0.1, 0.2)
 
 
 def _zs(rng, n, count=5000):

@@ -316,12 +316,6 @@ def test_quotient_perturbed_h_fails_consistency():
     assert v.min_laplacian > -1e-5
 
 
-def test_quotient_non_round_unsupported():
-    with pytest.raises(Unsupported):
-        quotient_bk2_check(QuotientData(delta=0.5), 0.0)
-
-
-
 def _perturb(z):
     return 1.0 + 0.5 * np.abs(z) ** 4
 
