@@ -40,8 +40,8 @@ from .errors import ConfigError, KahlerLabError
 from .fields import ComplexChart
 from .geodesy import DiskObstacle, PlanarDomain, RectObstacle
 from .models import ConeSurface, ModelSpace, QuotientData, orbifold_cone
-from .psh import (ComplexLine, check_bk_lower, check_bk_lower_set, k_threshold,
-                  quotient_bk2_check, radial_potential_check)
+from .psh import (RADIAL_SAMPLER, ComplexLine, check_bk_lower, check_bk_lower_set,
+                  k_threshold, quotient_bk2_check, radial_potential_check)
 
 log = logging.getLogger("kahlerlab")
 
@@ -147,13 +147,8 @@ CONFIG_SCHEMA = {
 
 def _as_point(spec, n: Optional[int] = None) -> np.ndarray:
     """[x, ...] or [[re, im], ...] -> complex vector."""
-    out = []
-    for c in spec:
-        if isinstance(c, (list, tuple)):
-            out.append(complex(c[0], c[1]))
-        else:
-            out.append(complex(c))
-    z = np.array(out, dtype=complex)
+    z = np.array([complex(*c) if isinstance(c, (list, tuple)) else complex(c) for c in spec],
+                 dtype=complex)
     if n is not None and z.size != n:
         raise ConfigError(f"point has dimension {z.size}, expected {n}")
     return z
@@ -208,16 +203,13 @@ def build_space(spec: dict):
             chart = ComplexChart(n=spec.get("n", 2), radii=spec.get("radius", 1.5))
             return TorsionSpace(T=np.array(spec["T"], dtype=float), chart=chart)
         if kind == "domain":
-            obstacles = []
-            for ob in spec.get("obstacles", ()):
-                if ob["type"] == "rect":
-                    obstacles.append(RectObstacle(center=np.array(ob["center"]),
-                                                  half_widths=np.array(ob["half_widths"])))
-                else:
-                    obstacles.append(DiskObstacle(center=np.array(ob["center"]),
-                                                  radius=ob["radius"]))
+            obstacles = tuple(
+                RectObstacle(center=np.array(ob["center"]), half_widths=np.array(ob["half_widths"]))
+                if ob["type"] == "rect" else
+                DiskObstacle(center=np.array(ob["center"]), radius=ob["radius"])
+                for ob in spec.get("obstacles", ()))
             chart = ComplexChart(n=1, radii=spec.get("radius", 2.0))
-            return PlanarDomain(chart=chart, obstacles=tuple(obstacles))
+            return PlanarDomain(chart=chart, obstacles=obstacles)
     except (KeyError, ValueError) as e:
         raise ConfigError(f"bad {kind} space: {e}") from e
     raise ConfigError(f"unknown space kind {kind!r}")
@@ -232,10 +224,22 @@ def build_sampler(spec: Optional[dict], seed_override: Optional[int]) -> DiskSam
     return DiskSampler(**spec)
 
 
+def _lower_bound_row(value: float, error_est: float, tol: float, witness: dict) -> dict:
+    """PASS when value >= -tol; only a FAIL row carries its witness."""
+    ok = value >= -tol
+    return dict(verdict="PASS" if ok else "FAIL", value=value, error_est=error_est,
+                witness=None if ok else witness)
+
+
+def _psh_row(v, **extra) -> dict:
+    """The row of a ``PshVerdict``, which decides its own verdict."""
+    return dict(verdict=v.verdict, value=v.min_laplacian, error_est=0.0,
+                witness=v.witness, **extra)
+
+
 def _run_curvature_match(space, params, sampler, tol):
-    if not isinstance(space, ModelSpace) or space.K == 0:
+    if space.K == 0:
         raise ConfigError("curvature-match needs a curved model space")
-    tol = params.get("tol", 1e-5 if tol is None else tol)
     count = params.get("points", 20)
     radius = params.get("radius", 0.5)
     rng = np.random.default_rng(sampler.seed)
@@ -257,45 +261,32 @@ def _run_curvature_match(space, params, sampler, tol):
 
 
 def _run_min_bk_defect(space, params, sampler, tol):
-    tol = params.get("tol", 1e-6 if tol is None else tol)
     n = space.chart.n
     z = _as_point(params.get("z", [0.0] * n), n)
     data = curvature_tensor(space.metric(), z)
     val, pair, err = min_bk_defect(data, params["K"], seed=sampler.seed,
                                    samples=params.get("samples", 1500))
-    verdict = "PASS" if val >= -tol else "FAIL"
-    witness = None
-    if verdict == "FAIL":
-        witness = {"z": _jsonify(z), "X": _jsonify(pair.X), "Y": _jsonify(pair.Y),
-                   "value": val}
-    return dict(verdict=verdict, value=val, error_est=err, witness=witness)
+    return _lower_bound_row(val, err, tol, {"z": z, "X": pair.X, "Y": pair.Y, "value": val})
 
 
 def _run_comparison_scan(space, params, sampler, tol):
-    tol = params.get("tol", 1e-6 if tol is None else tol)
     n = space.chart.n
     p = _as_point(params.get("p", [0.0] * n), n)
     if "count" in params:
         sampler = replace(sampler, count=params["count"])
     res = scan_disks(space, p, params["K"], sampler)
-    return _scan_row(res, tol, p=_jsonify(p), K=params["K"], directed=res.directed)
+    return _scan_row(res, tol, p=p, K=params["K"], directed=res.directed)
 
 
 def _scan_row(res, tol, **witness) -> dict:
     """The row of a disk scan; on FAIL the witness names the worst disk."""
     rep = res.report
-    if rep.defect >= -tol:
-        return dict(verdict="PASS", value=rep.defect, error_est=rep.error_estimate,
-                    witness=None)
-    witness.update(coeffs=_jsonify(res.disk.coeffs), defect=rep.defect)
-    return dict(verdict="FAIL", value=rep.defect, error_est=rep.error_estimate,
-                witness=witness)
+    return _lower_bound_row(rep.defect, rep.error_estimate, tol,
+                            dict(witness, coeffs=res.disk.coeffs, defect=rep.defect))
 
 
 def _run_violation_study(space, params, sampler, tol):
     """Defect over leading-order prediction along shrinking disk sizes."""
-    if not isinstance(space, ModelSpace):
-        raise ConfigError("violation-study needs a model space")
     K = params["K"]
     eps2_list = params.get("eps2_list", [5e-2, 2.5e-2, 1.25e-2])
     band = params.get("band", [0.8, 1.2])
@@ -312,7 +303,7 @@ def _run_violation_study(space, params, sampler, tol):
     curve = []
     for e2 in eps2_list:
         e1 = 5e-3 * (e2 / 5e-2) ** 1.5
-        disk = violation_disk(metric, p, K, pair, e1, e2)
+        disk = violation_disk(metric, p, pair, e1, e2)
         rep = comparison_defect(metric, disk, p, K, distance=dist)
         pred = asymptotic_defect(rp, e1, e2)
         curve.append({"eps1": e1, "eps2": e2, "defect": rep.defect,
@@ -328,68 +319,52 @@ def _run_violation_study(space, params, sampler, tol):
 
 
 def _run_annulus(space, params, sampler, tol):
-    tol = params.get("tol", 1e-6 if tol is None else tol)
     n = space.chart.n
     p = _as_point(params.get("p", [0.0] * n), n)
     metric = space.metric()
     dist = space.distance_field(p)
     disks = sample_disks(metric.chart, p, sampler, np.random.default_rng(sampler.seed))
-    scored = [(annulus_defect(metric, d, p, params["K"], eps, distance=dist), d, eps)
+    scored = [(annulus_defect(metric, d, params["K"], eps, dist), d, eps)
               for d in disks for eps in params.get("eps_list", [0.05, 0.02])]
     if not scored:
         raise KahlerLabError("no admissible disk in the scan")
     worst, d, eps = min(scored, key=lambda s: s[0])       # the first minimum
     # error estimate: the worst value's change under the doubled rule
-    err = abs(annulus_defect(metric, d, p, params["K"], eps, distance=dist,
+    err = abs(annulus_defect(metric, d, params["K"], eps, dist,
                              grid=QuadratureGrid().doubled()) - worst)
-    verdict = "PASS" if worst >= -tol else "FAIL"
-    wit = {"coeffs": _jsonify(d.coeffs), "eps": eps, "value": worst}
-    return dict(verdict=verdict, value=worst, error_est=err,
-                witness=wit if verdict == "FAIL" else None)
+    return _lower_bound_row(worst, err, tol, {"coeffs": d.coeffs, "eps": eps, "value": worst})
 
 
 def _run_psh(space, params, sampler, tol):
-    tol = params.get("tol", 1e-6 if tol is None else tol)
-    p = _as_point(params.get("p", [0.0] * space.chart.n), space.chart.n)
-    center = _as_point(params["center"]) if "center" in params else None
-    v = check_bk_lower(space, space.potential(), p, params["K"], sampler=sampler,
-                       tol=tol, crossing_tests=params.get("crossing", 0), center=center)
-    return dict(verdict=v.verdict, value=v.min_laplacian, error_est=0.0,
-                witness=_jsonify(v.witness))
+    n = space.chart.n
+    p = _as_point(params.get("p", [0.0] * n), n)
+    center = _as_point(params["center"], n) if "center" in params else None
+    return _psh_row(check_bk_lower(space, space.potential(), p, params["K"], sampler=sampler,
+                                   tol=tol, crossing_tests=params.get("crossing", 0),
+                                   center=center))
 
 
 def _run_psh_set(space, params, sampler, tol):
-    tol = params.get("tol", 1e-6 if tol is None else tol)
+    n = space.chart.n
     if "line" in params:
-        S = ComplexLine(a=_as_point(params["line"]["a"]),
-                        v=_as_point(params["line"]["v"]))
+        S = ComplexLine(a=_as_point(params["line"]["a"], n),
+                        v=_as_point(params["line"]["v"], n))
     else:
-        S = np.stack([_as_point(pt, space.chart.n) for pt in params["S"]])
-    v = check_bk_lower_set(space, space.potential(), S, params["K"],
-                           sampler=sampler, tol=tol)
-    return dict(verdict=v.verdict, value=v.min_laplacian, error_est=0.0,
-                witness=_jsonify(v.witness))
+        S = np.stack([_as_point(pt, n) for pt in params["S"]])
+    return _psh_row(check_bk_lower_set(space, space.potential(), S, params["K"],
+                                       sampler=sampler, tol=tol))
 
 
 def _run_radial_potential(space, params, sampler, tol):
-    if not isinstance(space, ConeSurface):
-        raise ConfigError("radial-potential needs a cone space")
-    r = radial_potential_check(space, tol=params.get("tol", 1e-4 if tol is None else tol))
-    return dict(verdict=r.verdict, value=r.max_mismatch, error_est=0.0,
-                witness=None)
+    r = radial_potential_check(space, replace(RADIAL_SAMPLER, seed=sampler.seed), tol)
+    return dict(verdict=r.verdict, value=r.max_mismatch, error_est=0.0, witness=None)
 
 
 def _run_quotient_bk2(space, params, sampler, tol):
-    if not isinstance(space, QuotientData):
-        raise ConfigError("quotient-bk2 needs a quotient space")
     zp = _as_point(params.get("zprime", [0.0]))
-    h_extra = None
-    if params.get("perturb", False):
-        h_extra = lambda z: 1.0 + 0.5 * np.abs(z) ** 4
+    h_extra = (lambda z: 1.0 + 0.5 * np.abs(z) ** 4) if params.get("perturb", False) else None
     v = quotient_bk2_check(space, zp, h_extra=h_extra, sampler=sampler)
-    return dict(verdict=v.verdict, value=v.min_laplacian, error_est=0.0,
-                witness=_jsonify(v.witness),
-                extra={"saturated": v.saturated, "notes": list(v.notes)})
+    return _psh_row(v, extra={"saturated": v.saturated, "notes": v.notes})
 
 
 def _run_k_threshold(space, params, sampler, tol):
@@ -409,8 +384,6 @@ def _run_k_threshold(space, params, sampler, tol):
 
 
 def _run_torsion_disk(space, params, sampler, tol):
-    if not isinstance(space, TorsionSpace):
-        raise ConfigError("torsion-disk needs a torsion space")
     a = _as_point(params["a"])
     b = _as_point(params["b"])
     e1, e2 = params.get("eps1", 5e-3), params.get("eps2", 5e-2)
@@ -426,13 +399,10 @@ def _run_torsion_disk(space, params, sampler, tol):
         ok = rep.defect >= -1e-6
     return dict(verdict="PASS" if ok else "FAIL", value=rep.defect,
                 error_est=rep.error_estimate,
-                witness={"coeffs": _jsonify(disk.coeffs), "expected": expected})
+                witness={"coeffs": disk.coeffs, "expected": expected})
 
 
 def _run_domain_compare(space, params, sampler, tol):
-    if not isinstance(space, PlanarDomain):
-        raise ConfigError("domain-compare needs a domain space")
-    tol = params.get("tol", 1e-6 if tol is None else tol)
     p = complex(params["p"][0], params["p"][1])
     q = complex(params["q"][0], params["q"][1])
     dist = space.distance_field(p)
@@ -477,21 +447,50 @@ CHECK_RUNNERS = {
 }
 
 
-def _jsonify(obj):
-    """Recursively convert numpy/complex values to JSON-safe structures."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
+_MODEL_OR_CONE = (ModelSpace, ConeSurface)
+_CLOSED_FORM = (ModelSpace, ConeSurface, PlanarDomain)   # with a metric and distance_field
+
+# the space classes each check runs on; the orbifold kind is a cone
+CHECK_SPACE = {
+    "curvature-match": (ModelSpace,),
+    "min-bk-defect": _CLOSED_FORM,
+    "comparison-scan": _CLOSED_FORM + (TorsionSpace,),
+    "violation-study": (ModelSpace,),
+    "annulus": _CLOSED_FORM,
+    "psh": _MODEL_OR_CONE,
+    "psh-set": _MODEL_OR_CONE,
+    "radial-potential": (ConeSurface,),
+    "quotient-bk2": (QuotientData,),
+    "k-threshold": _MODEL_OR_CONE,
+    "torsion-disk": (TorsionSpace,),
+    "domain-compare": (PlanarDomain,),
+}
+
+SPACE_NAMES = {ModelSpace: "model", ConeSurface: "cone", PlanarDomain: "domain",
+               TorsionSpace: "torsion", QuotientData: "quotient"}
+
+# the default tolerance of each check that takes --tol
+DEFAULT_TOL = {"curvature-match": 1e-5, "min-bk-defect": 1e-6, "comparison-scan": 1e-6,
+               "annulus": 1e-6, "psh": 1e-6, "psh-set": 1e-6, "radial-potential": 1e-4,
+               "domain-compare": 1e-6}
+
+
+def _check_space(name: str, space) -> None:
+    """ConfigError unless ``space`` is one of the classes of CHECK_SPACE[name]."""
+    if not isinstance(space, CHECK_SPACE[name]):
+        *rest, last = [SPACE_NAMES[c] for c in CHECK_SPACE[name]]
+        kinds = f"{', '.join(rest)} or {last}" if rest else last
+        raise ConfigError(f"{name} needs a {kinds} space")
+
+
+def _json_default(obj):
+    """json's hook for what it cannot encode: complex as [re, im], numpy
+    arrays as lists and numpy scalars as numbers."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, np.generic):
-        return _jsonify(obj.item())
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(x) for x in obj]
-    return repr(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def run_scenario(scenario: dict, seed_override: Optional[int],
@@ -506,10 +505,13 @@ def run_scenario(scenario: dict, seed_override: Optional[int],
         check_id = check.get("id", f"{name}-{idx}")
         sampler = build_sampler(scenario.get("sampler"), seed_override)
         expect = check.get("expect", "PASS")
+        params = check.get("params", {})
+        # the checks outside DEFAULT_TOL ignore it
+        tol = params.get("tol", DEFAULT_TOL.get(name) if tol_override is None else tol_override)
         t0 = time.perf_counter()
         try:
-            out = CHECK_RUNNERS[name](space, check.get("params", {}),
-                                      sampler, tol_override)
+            _check_space(name, space)
+            out = CHECK_RUNNERS[name](space, params, sampler, tol)
         except Exception as e:
             log.error("%s/%s: %s", scenario["id"], check_id, e,
                       exc_info=not isinstance(e, KahlerLabError))
@@ -548,8 +550,8 @@ def execute(cfg: dict, out_dir: Path, seed: Optional[int], jobs: int,
             wit_dir.mkdir(exist_ok=True)
             ref = f"witness/{r['scenario_id']}-{r['check_id']}.json"
             with open(out_dir / ref, "w", encoding="utf-8") as f:
-                json.dump(_jsonify({"seed": r["seed"], **(r["witness"] or {})}),
-                          f, indent=2, sort_keys=True)
+                json.dump({"seed": r["seed"], **r["witness"]}, f, indent=2, sort_keys=True,
+                          default=_json_default)
         csv_rows.append([r["scenario_id"], r["check_id"], r["verdict"],
                          repr(float(r["value"])), repr(float(r["error_est"])),
                          str(r["seed"]), ref, str(r["wall_ms"])])
@@ -562,8 +564,8 @@ def execute(cfg: dict, out_dir: Path, seed: Optional[int], jobs: int,
     errors = sum(r["verdict"] == "ERROR" for r in rows)
     mismatches = sum(r["verdict"] not in ("ERROR", r["expect"]) for r in rows)
     with open(out_dir / "summary.json", "w", encoding="utf-8") as f:
-        json.dump({"rows": [_jsonify(r) for r in rows], "errors": errors,
-                   "mismatches": mismatches}, f, indent=2, sort_keys=True)
+        json.dump({"rows": rows, "errors": errors, "mismatches": mismatches}, f,
+                  indent=2, sort_keys=True, default=_json_default)
 
     if errors:
         return 2

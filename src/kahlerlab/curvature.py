@@ -21,8 +21,7 @@ doubled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
@@ -81,7 +80,6 @@ class CurvatureData:
     R: np.ndarray
     G: np.ndarray
     error: float
-    _ricci: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -89,12 +87,9 @@ class CurvatureData:
 
     @property
     def ricci(self) -> np.ndarray:
-        """Trace of R over the first index pair with the inverse metric."""
-        if self._ricci is None:
-            Ginv = np.linalg.inv(self.G)
-            # g^{jbar i} R_{i jbar k lbar}
-            self._ricci = np.einsum("ji,ijkl->kl", Ginv, self.R)
-        return self._ricci
+        """Trace of R over the first index pair with the inverse metric:
+        g^{jbar i} R_{i jbar k lbar}."""
+        return np.einsum("ji,ijkl->kl", np.linalg.inv(self.G), self.R)
 
     @property
     def scalar(self) -> float:

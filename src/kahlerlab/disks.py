@@ -359,24 +359,14 @@ def log_moment(metric: HermitianMetricField, disk: DiskEmbedding,
     return (2.0 / math.pi) * _area_integral(metric, disk, grid, np.log)
 
 
-def _distance_values(metric, p, targets, strategy, solver_opts):
-    """Distances from p to an array of chart points under a strategy."""
-    p = np.asarray(p, dtype=complex).reshape(-1)
-    if strategy == "numeric":
-        opts = dict(N=24, gtol=1e-6, max_iters=60)
-        opts.update(solver_opts or {})
-        return geodesic_distance_many(metric, p, targets, **opts)
-    # a closed-form distance field or plain callable: zs -> distances
-    return np.asarray(strategy(targets), dtype=float), np.zeros(len(targets))
-
-
 def comparison_defect(metric: HermitianMetricField, disk: DiskEmbedding, p, K: float,
                       distance: DistanceStrategy = "numeric",
                       grid: Optional[QuadratureGrid] = None,
                       solver_opts: Optional[dict] = None) -> ComparisonReport:
     """Both sides of the disk comparison inequality and their difference.
 
-    ``distance`` is "numeric" (geodesy solver) or a closed-form distance
+    ``distance`` is "numeric" (the geodesic solver, ``solver_opts`` over
+    its defaults N=24, gtol=1e-6, max_iters=60) or a closed-form distance
     field d(p, .).  The report is that of the doubled grid.  Each level
     doubles its boundary rule once more when the disk comes within
     ``NEAR_DISK_CUTOFF`` of p, so the base rule is every s-th node of the
@@ -396,7 +386,11 @@ def comparison_defect(metric: HermitianMetricField, disk: DiskEmbedding, p, K: f
     if sizes[1] > levels[1].n_boundary:
         bpts = disk(QuadratureGrid(n_boundary=sizes[1]).boundary()[0])
     targets = np.vstack([disk(np.zeros(1)), bpts])
-    dvals, derr = _distance_values(metric, p, targets, distance, solver_opts)
+    if distance == "numeric":
+        dvals, derr = geodesic_distance_many(metric, p, targets, **{
+            "N": 24, "gtol": 1e-6, "max_iters": 60, **(solver_opts or {})})
+    else:
+        dvals, derr = np.asarray(distance(targets), dtype=float), np.zeros(len(targets))
     dk = dK_transform(dvals, K)
     lhs = float(dk[0])
     defects = []
@@ -417,28 +411,24 @@ def _f_eps(r: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
-def annulus_defect(metric: HermitianMetricField, disk: DiskEmbedding, p, K: float,
-                   eps: float, distance: DistanceStrategy = "numeric",
-                   grid: Optional[QuadratureGrid] = None,
-                   solver_opts: Optional[dict] = None) -> float:
+def annulus_defect(metric: HermitianMetricField, disk: DiskEmbedding, K: float,
+                   eps: float, distance: Callable,
+                   grid: Optional[QuadratureGrid] = None) -> float:
     """Mollified two-circle estimator of the comparison inequality.
 
     (1/4) int (d_K^2(eps, th) - d_K^2(e^{-eps}, th)) dth
       - iint f_eps dA over the disk image,
 
     which is >= 0 whenever the bisectional lower bound holds, and tends
-    to pi/2 times the comparison defect as eps -> 0.
+    to pi/2 times the comparison defect as eps -> 0.  ``distance`` is a
+    closed-form distance field d(p, .) from the base point p, or any
+    batched callable on chart points.
     """
     if not 0.0 < eps < 0.1:
         raise ValueError("eps must lie in (0, 1/10)")
-    grid = grid or QuadratureGrid()
-    p = np.asarray(p, dtype=complex).reshape(-1)
-    bw, th = grid.boundary()
-    inner = disk(eps * bw)
-    outer = disk(math.exp(-eps) * bw)
-    targets = np.vstack([inner, outer])
-    dvals, _ = _distance_values(metric, p, targets, distance, solver_opts)
-    dk = dK_transform(dvals, K)
+    bw = (grid or QuadratureGrid()).boundary()[0]
+    targets = np.vstack([disk(eps * bw), disk(math.exp(-eps) * bw)])
+    dk = dK_transform(np.asarray(distance(targets), dtype=float), K)
     nb = len(bw)
     ring = 0.25 * (2.0 * math.pi / nb) * float(np.sum(dk[:nb] - dk[nb:]))
     return ring - _area_integral(metric, disk, grid, lambda r: _f_eps(r, eps),
@@ -453,7 +443,7 @@ def annulus_tail(metric: HermitianMetricField, disk: DiskEmbedding, eps: float,
                           (eps, math.exp(-eps)))
 
 
-def violation_disk(metric: HermitianMetricField, p, K: float, pair: TangentPair,
+def violation_disk(metric: HermitianMetricField, p, pair: TangentPair,
                    eps1: float, eps2: float) -> DiskEmbedding:
     """The affine disk i(w) = p + eps2 Y + eps1 w X used to exhibit a
     negative defect when the bound fails at p."""
@@ -514,7 +504,7 @@ def scan_disks(space, p, K: float, sampler: DiskSampler) -> ScanResult:
     if data is not None:
         val, pair, err = min_bk_defect(data, K, samples=400, seed=sampler.seed)
         if val < -err:
-            directed = violation_disk(metric, p, K, pair, 0.06, 0.25)
+            directed = violation_disk(metric, p, pair, 0.06, 0.25)
     disks = sample_disks(metric.chart, p, sampler, np.random.default_rng(sampler.seed))
     return worst_defect(metric, p, K, distance, disks, directed=directed)
 

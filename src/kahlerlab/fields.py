@@ -148,28 +148,26 @@ def metric_from_potential(phi: ScalarField, z: np.ndarray) -> np.ndarray:
 class HermitianMetricField:
     """Hermitian matrix-valued field on a chart.
 
-    Either potential form (g = d dbar phi, supports curvature) or direct
-    form (an explicit Hermitian evaluator, e.g. the torsion metrics).  A
-    potential-form field may carry an ``exact_gram`` fast path used for
-    evaluation-heavy work (geodesic solves); tests pin it against the
-    finite-difference route.  Exact grams must be Hermitian by
-    construction: unlike direct-form ones they are not symmetrized.
-    Either form may carry ``exact_dgram``, the closed-form holomorphic
-    derivative returned by ``dgram``; without it ``dgram`` differentiates
-    ``gram`` by finite differences.
+    A field has a potential (g = d dbar phi, supports curvature), a
+    closed-form ``gram_fn``, or both: the models and cones carry both, the
+    torsion metrics only ``gram_fn``.  ``gram`` returns ``gram_fn``'s
+    matrices as they are, so they must be Hermitian by construction;
+    without it ``gram`` takes the finite-difference route of the
+    potential, which tests pin ``gram_fn`` against.  Either form may
+    carry ``exact_dgram``, the closed-form holomorphic derivative returned
+    by ``dgram``; without it ``dgram`` differentiates ``gram`` by finite
+    differences.
     """
 
     def __init__(self, chart: ComplexChart, potential: Optional[ScalarField] = None,
                  gram_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 exact_gram: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  exact_dgram: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  name: str = ""):
-        if (potential is None) == (gram_fn is None):
-            raise ValueError("provide exactly one of potential or gram_fn")
+        if potential is None and gram_fn is None:
+            raise ValueError("provide a potential or a gram_fn")
         self.chart = chart
         self.potential = potential
         self._gram_fn = gram_fn
-        self._exact = exact_gram
         self._exact_d = exact_dgram
         self.name = name or (potential.name if potential else "direct metric")
 
@@ -185,12 +183,9 @@ class HermitianMetricField:
     def gram(self, zs: np.ndarray, check: bool = True) -> np.ndarray:
         """(P, n, n) Hermitian positive matrices g_{i jbar}(z)."""
         zs = np.atleast_2d(np.asarray(zs, dtype=complex))
-        if self.is_potential_form and self._exact is None:
+        if self._gram_fn is None:
             return metric_from_potential(self.potential, zs)
-        if self._exact is not None:          # Hermitian by construction
-            G = np.asarray(self._exact(zs))
-        else:
-            G = hermitize(np.array(self._gram_fn(zs), dtype=complex))
+        G = np.asarray(self._gram_fn(zs))
         if check:
             _check_pd(G, zs)
         return G

@@ -35,23 +35,15 @@ class DiscretePath:
     """Nodes of a discrete path in complex chart coordinates, (N+1, n)."""
 
     points: np.ndarray
-    energy: float = math.nan
     grad_norm: float = math.nan
-
-    @property
-    def segments(self) -> int:
-        return self.points.shape[0] - 1
 
 
 @dataclass
 class DistanceSolution:
     distance: float
     path: DiscretePath
-    multistarts: int = 1
     converged: bool = True
     error_estimate: float = 0.0
-    start_energies: tuple = ()
-    chord_lower_bound: float = 0.0
 
 
 def _price(metric: HermitianMetricField, paths: np.ndarray):
@@ -180,8 +172,8 @@ def _refine(paths: np.ndarray) -> np.ndarray:
 
 def _solve_refined(metric, paths, max_iters, gtol):
     """Minimize, refine the mesh, minimize again.  Returns the Richardson
-    energies E, the refined energies E2 and paths, the larger of each path's
-    two final gradient norms, the distances sqrt(E) with their error
+    energies E, the refined paths, the larger of each path's two final
+    gradient norms, the distances sqrt(E) with their error
     estimates, and a per-path mask of the paths whose norm is <= gtol."""
     E1, gnorm1 = _minimize(metric, paths, max_iters, gtol)
     paths2 = _refine(paths)
@@ -192,7 +184,7 @@ def _solve_refined(metric, paths, max_iters, gtol):
     d = np.sqrt(E)
     derr = np.where(d > 0, err / np.maximum(2 * d, 1e-12), np.sqrt(err))
     converged = gnorm <= gtol
-    return E, E2, paths2, gnorm, d, derr, converged
+    return E, paths2, gnorm, d, derr, converged
 
 
 def geodesic_distance_many(metric: HermitianMetricField, p, qs,
@@ -245,18 +237,14 @@ def geodesic_distance(metric: HermitianMetricField, p, q,
     for _ in range(max(multistarts - 1, 0)):
         amp = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
         starts.append(starts[0] + bump * amp[None, :])
-    E, E2, paths2, gn, d, derr, converged = _solve_refined(metric, np.stack(starts),
-                                                           max_iters, gtol)
+    E, paths2, gn, d, derr, converged = _solve_refined(metric, np.stack(starts),
+                                                       max_iters, gtol)
     best = int(np.argmin(E))          # ties resolved by start index
     return DistanceSolution(
         distance=float(d[best]),
-        path=DiscretePath(points=paths2[best], energy=float(E2[best]),
-                          grad_norm=float(gn[best])),
-        multistarts=len(starts),
+        path=DiscretePath(points=paths2[best], grad_norm=float(gn[best])),
         converged=bool(converged[best]),
         error_estimate=float(derr[best]),
-        start_energies=tuple(float(x) for x in E),
-        chord_lower_bound=chord_lower_bound(metric, p, q),
     )
 
 

@@ -156,7 +156,7 @@ class ModelSpace:
         c = self.c
         return HermitianMetricField(
             self.chart, potential=self.potential(),
-            exact_gram=lambda zs: _model_gram(c, zs),
+            gram_fn=lambda zs: _model_gram(c, zs),
             exact_dgram=lambda zs: _model_dgram(c, zs),
             name=f"model metric, c = {c:g}")
 
@@ -265,7 +265,7 @@ class ConeSurface:
         def dgram(zs):                    # d_z |z|^(-2a) = -a |z|^(-2a) / z
             return (-a * gram(zs)[:, 0, 0] / zs[:, 0])[:, None, None, None]
 
-        return HermitianMetricField(chart, potential=self.potential(), exact_gram=gram,
+        return HermitianMetricField(chart, potential=self.potential(), gram_fn=gram,
                                     exact_dgram=dgram, name=f"cone metric, alpha = {a:g}")
 
     def distance_field(self, p) -> ScalarField:

@@ -27,6 +27,8 @@ from .models import ConeSurface, ModelSpace, QuotientData, dK_transform, model_d
 DEFAULT_TOL = 1e-6
 FD_STEP = 1e-3          # Laplacian stencil step of the sampled verdicts
 QUOTIENT_TOL = 1e-5     # pointwise tolerance of the link-quotient check
+# the disks of the radial-potential check: small, off the apex
+RADIAL_SAMPLER = DiskSampler(count=40, size_range=(0.01, 0.2), center_radius=0.3)
 
 
 @dataclass
@@ -242,7 +244,7 @@ class RadialPotentialReport:
     samples: int
 
 
-def radial_potential_check(cone: ConeSurface, sampler: Optional[DiskSampler] = None,
+def radial_potential_check(cone: ConeSurface, sampler: DiskSampler = RADIAL_SAMPLER,
                            tol: float = 1e-4) -> RadialPotentialReport:
     """Verify that the squared geodesic radius over two is a potential.
 
@@ -250,8 +252,6 @@ def radial_potential_check(cone: ConeSurface, sampler: Optional[DiskSampler] = N
     twice the Hausdorff area density of the cone metric.  Raises
     ``KahlerLabError`` when no disk is admissible.
     """
-    sampler = sampler or DiskSampler(count=40, size_range=(0.01, 0.2),
-                                     center_radius=0.3)
     metric = cone.metric()
     # a large step keeps round-off below truncation; the composed
     # potential is smooth at disk scale so truncation stays h^4 small

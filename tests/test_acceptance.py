@@ -121,7 +121,7 @@ def test_acceptance_05_violation_asymptotics():
     errs = []
     for e2 in (5e-2, 2.5e-2, 1.25e-2):
         e1 = 5e-3 * (e2 / 5e-2) ** 1.5
-        disk = violation_disk(metric, p, 1.0, pair, e1, e2)
+        disk = violation_disk(metric, p, pair, e1, e2)
         rep = comparison_defect(metric, disk, p, 1.0, distance=dist)
         pred = asymptotic_defect(rp, e1, e2)
         ratios.append(rep.defect / pred)

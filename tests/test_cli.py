@@ -175,6 +175,70 @@ def test_any_space_gives_a_row_or_a_config_error(tmp_path, space, check, outcome
         assert rows["t"] == "ERROR" and res.exit_code == 2
 
 
+_SPACES = {"model": {"kind": "model", "K": 1.0, "n": 2},
+           "cone": {"kind": "cone", "alpha": 0.5},
+           "orbifold": {"kind": "orbifold", "k": 3},
+           "quotient": {"kind": "quotient"},
+           "torsion": _TORSION,
+           "domain": {"kind": "domain", "radius": 2.0}}
+
+_SMALL_PARAMS = {
+    "curvature-match": {"points": 2},
+    "min-bk-defect": {"K": 0.0, "samples": 50},
+    "comparison-scan": {"K": 0.0, "count": 1},
+    "violation-study": {"K": 1.0},
+    "annulus": {"K": 0.0, "eps_list": [0.05]},
+    "psh": {"K": 0.0},
+    "psh-set": {"K": 0.0, "S": [[0.1, 0.0]]},
+    "radial-potential": {},
+    "quotient-bk2": {},
+    "k-threshold": {"lo": -0.5, "hi": 0.5, "resolution": 0.5},
+    "torsion-disk": {"a": [1, 1], "b": [1, 0]},
+    "domain-compare": {"p": [-1, 0], "q": [1, 0], "count": 1},
+}
+
+
+def test_every_space_and_check_gives_a_row_without_a_traceback(caplog):
+    assert set(_SMALL_PARAMS) == set(cli.CHECK_RUNNERS)
+    cases = [(kind, check, params) for kind in _SPACES
+             for check, params in _SMALL_PARAMS.items()]
+    # a line point of the wrong dimension
+    cases.append(("model", "psh-set", {"K": 0.0, "line": {"a": [0], "v": [1]}}))
+    for kind, check, params in cases:
+        scenario = {"id": kind, "space": _SPACES[kind],
+                    "sampler": {"seed": 1, "count": 3, "interior_points": 2},
+                    "checks": [{"check": check, "params": params}]}
+        caplog.clear()
+        [row] = cli.run_scenario(scenario, None, None)
+        assert not any(r.exc_info for r in caplog.records), (kind, check)
+        space = cli.build_space(_SPACES[kind])
+        if not isinstance(space, cli.CHECK_SPACE[check]):
+            assert row["verdict"] == "ERROR", (kind, check)
+            assert re.fullmatch(rf"{check} needs an? [a-z, ]+ space",
+                                row["witness"]["error"]), row["witness"]
+    assert row["witness"] == {"error": "point has dimension 1, expected 2"}   # the last case
+
+
+def test_check_tables_share_their_keys():
+    assert set(cli.CHECK_RUNNERS) == set(CHECK_PARAM_SCHEMAS) == set(cli.CHECK_SPACE)
+    for name in cli.DEFAULT_TOL:
+        assert "tol" in CHECK_PARAM_SCHEMAS[name]["properties"], name
+
+
+def test_radial_potential_takes_the_scenario_seed(tmp_path):
+    cfg = {"version": 1, "scenarios": [{
+        "id": "c", "space": {"kind": "cone", "alpha": 0.5},
+        "checks": [{"check": "radial-potential"}]}]}
+    path = _write(tmp_path, cfg)
+    values = []
+    for seed in ("1", "5"):
+        res = _run(["run", path, "--seed", seed, "--out", str(tmp_path / seed)])
+        assert res.exit_code == 0, res.output
+        [row] = _read_csv(tmp_path / seed / "results.csv")
+        values.append(float(row["value"]))
+    assert values[0] != values[1]
+
+
 @pytest.mark.parametrize("check", [
     {"check": "k-threshold", "params": {"resolution": 0}},
     {"check": "comparison-scan", "params": {"K": 0.0, "count": 0}},
@@ -481,12 +545,12 @@ def test_annulus_row_reports_the_change_under_the_doubled_rule(tmp_path):
     space = ModelSpace(K=1.0, n=2)
     p = np.array([0.05 + 0.02j, 0.0])
     sampler = DiskSampler(seed=3, count=4)
-    vals = [(disks.annulus_defect(space.metric(), d, p, 1.0, eps,
+    vals = [(disks.annulus_defect(space.metric(), d, 1.0, eps,
                                   distance=space.distance_field(p)), d, eps)
             for d in disks.sample_disks(space.chart, p, sampler, np.random.default_rng(3))
             for eps in (0.05, 0.02)]
     worst, d, eps = min(vals, key=lambda v: v[0])
-    doubled = disks.annulus_defect(space.metric(), d, p, 1.0, eps,
+    doubled = disks.annulus_defect(space.metric(), d, 1.0, eps,
                                    distance=space.distance_field(p),
                                    grid=disks.QuadratureGrid().doubled())
     assert float(row["value"]) == worst

@@ -151,7 +151,7 @@ def test_violation_disk_asymptotics():
     assert rp == pytest.approx(4.0, abs=1e-6)
     dist = space.distance_field(p)
     e1, e2 = 5e-3, 5e-2
-    disk = violation_disk(metric, p, 1.0, pair, e1, e2)
+    disk = violation_disk(metric, p, pair, e1, e2)
     rep = comparison_defect(metric, disk, p, 1.0, distance=dist)
     pred = asymptotic_defect(rp, e1, e2)
     assert rep.defect < 0
@@ -168,7 +168,7 @@ def test_violation_flat_quartic_exact():
                        G=data.G)
     dist = space.distance_field(p)
     e1, e2 = 2e-2, 1e-1
-    disk = violation_disk(metric, p, 1.0, pair, e1, e2)
+    disk = violation_disk(metric, p, pair, e1, e2)
     rep = comparison_defect(metric, disk, p, 1.0, distance=dist)
     exact = -(2.0 * e1 ** 2 * e2 ** 2 + e1 ** 4) / 3.0
     assert rep.defect == pytest.approx(exact, rel=2e-2)
@@ -181,7 +181,7 @@ def test_annulus_estimator_flat():
     dist = space.distance_field(p)
     disk = DiskEmbedding.affine(np.array([0.25, 0.0]),
                                 np.array([0.1, 0.02]), metric.chart)
-    vals = [annulus_defect(metric, disk, p, 0.0, eps, distance=dist)
+    vals = [annulus_defect(metric, disk, 0.0, eps, distance=dist)
             for eps in (0.08, 0.04, 0.02)]
     assert all(v >= -1e-9 for v in vals)
     tails = [annulus_tail(metric, disk, eps) for eps in (0.08, 0.04, 0.02)]
@@ -768,7 +768,7 @@ def test_annulus_rule_matches_a_dense_kink_aligned_reference(dense_cases):
             ring = 0.25 * (2.0 * math.pi / len(bw)) * float(np.sum(
                 dK_transform(dist(disk(eps * bw)), K)
                 - dK_transform(dist(disk(math.exp(-eps) * bw)), K)))
-            val = annulus_defect(metric, disk, p, K, eps, distance=dist)
+            val = annulus_defect(metric, disk, K, eps, distance=dist)
             assert abs(val - (ring - bulk)) <= 1e-12
             tail = _dense_area_integral(metric, disk, lambda r: _f_eps(r, eps) - np.log(r),
                                         kinks)

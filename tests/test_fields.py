@@ -54,7 +54,7 @@ def test_hermitian_metric_field_exact_matches_fd():
 
     phi = ScalarField(fn=lambda zs: 0.5 * np.abs(zs[:, 0]) ** 2
                       + 0.125 * np.abs(zs[:, 0]) ** 4, n=1)
-    m = HermitianMetricField(chart, potential=phi, exact_gram=gram)
+    m = HermitianMetricField(chart, potential=phi, gram_fn=gram)
     zs = np.array([[0.3 + 0.2j], [-0.1 + 0.4j]])
     assert np.max(np.abs(m.gram(zs) - m.gram_fd(zs))) < 1e-7
 
@@ -77,7 +77,7 @@ def _fd_route(m):
     """The same field without its closed-form derivative: dgram then
     differentiates gram by finite differences."""
     if m.is_potential_form:
-        return HermitianMetricField(m.chart, potential=m.potential, exact_gram=m.gram)
+        return HermitianMetricField(m.chart, potential=m.potential, gram_fn=m.gram)
     return HermitianMetricField(m.chart, gram_fn=m.gram)
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kahlerlab import models
+from kahlerlab.disks import torsion_metric
 from kahlerlab.errors import DomainExceeded
-from kahlerlab.fields import metric_from_potential
+from kahlerlab.fields import ComplexChart, metric_from_potential
 from kahlerlab.models import (ConeSurface, ModelSpace, QuotientData,
                               cone_distance, dK_transform,
                               link_quotient_distance, model_distance,
@@ -414,6 +415,11 @@ def test_exact_grams_are_hermitian_bit_for_bit():
     metrics = [(ModelSpace(K=K, n=n).metric(), n) for K in (1.0, -1.0, 2.0, 0.0)
                for n in (1, 2, 3)]
     metrics.append((ConeSurface(alpha=0.5).metric(), 1))
+    # gram returns a gram_fn's matrices as they are: the torsion one too
+    for n in (2, 3):
+        A = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+        T = A - A.transpose(0, 2, 1)
+        metrics.append((torsion_metric(T, ComplexChart(n=n, radii=1.5)), n))
     for metric, n in metrics:
         G = metric.gram(_zs(rng, n)[100:], check=False)
         assert np.array_equal(G, np.conj(np.swapaxes(G, 1, 2)))
