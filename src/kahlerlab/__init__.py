@@ -26,7 +26,7 @@ from .geodesy import (DiscretePath, DiskObstacle, DistanceSolution,
 from .disks import (ComparisonReport, DiskEmbedding, DiskSampler, QuadratureGrid,
                     ScanResult, TorsionSpace, annulus_defect, annulus_tail,
                     area_density, asymptotic_defect, comparison_defect,
-                    log_moment, rprime_value, sample_disks, scan_disks,
+                    comparison_defects, log_moment, rprime_value, sample_disks, scan_disks,
                     torsion_contraction, torsion_expected_defect,
                     torsion_metric, violation_disk, worst_defect)
 from .psh import (ComplexLine, PshVerdict, check_bk_lower, check_bk_lower_set,

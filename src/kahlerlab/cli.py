@@ -33,9 +33,9 @@ import numpy as np
 
 from .curvature import TangentPair, curvature_tensor, min_bk_defect
 from .disks import (DiskEmbedding, DiskSampler, QuadratureGrid, TorsionSpace,
-                    annulus_defect, asymptotic_defect, comparison_defect, rprime_value,
-                    sample_disks, scan_disks, torsion_expected_defect, violation_disk,
-                    worst_defect)
+                    annulus_defect, asymptotic_defect, comparison_defect,
+                    comparison_defects, rprime_value, sample_disks, scan_disks,
+                    torsion_expected_defect, violation_disk, worst_defect)
 from .errors import ConfigError, KahlerLabError
 from .fields import ComplexChart
 from .geodesy import DiskObstacle, PlanarDomain, RectObstacle
@@ -299,12 +299,12 @@ def _run_violation_study(space, params, sampler, tol):
     Y[-1] = 1.0
     pair = TangentPair(X=X, Y=Y, G=data.G)
     rp = rprime_value(data, K, pair)
-    dist = space.distance_field(p)
+    eps1_list = [5e-3 * (e2 / 5e-2) ** 1.5 for e2 in eps2_list]
+    reports = comparison_defects(metric, [violation_disk(metric, p, pair, e1, e2)
+                                          for e1, e2 in zip(eps1_list, eps2_list)],
+                                 p, K, distance=space.distance_field(p))
     curve = []
-    for e2 in eps2_list:
-        e1 = 5e-3 * (e2 / 5e-2) ** 1.5
-        disk = violation_disk(metric, p, pair, e1, e2)
-        rep = comparison_defect(metric, disk, p, K, distance=dist)
+    for e1, e2, rep in zip(eps1_list, eps2_list, reports):
         pred = asymptotic_defect(rp, e1, e2)
         curve.append({"eps1": e1, "eps2": e2, "defect": rep.defect,
                       "predicted": pred, "ratio": rep.defect / pred,

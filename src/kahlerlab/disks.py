@@ -10,8 +10,9 @@ with dA the two dimensional Hausdorff measure of Sigma.  The defect is
 LHS minus RHS; it is nonnegative for every disk exactly when the
 bisectional lower bound at level K holds, and the violation constructions
 below produce disks with negative defect when it fails.  ``sample_disks``
-draws the seeded disk families and ``worst_defect`` takes the worst defect
-over one, for ``scan_disks`` and the CLI's domain comparison.
+draws the seeded disk families, ``comparison_defects`` evaluates a stack
+of disks at once and ``worst_defect`` takes the worst defect over one, for
+``scan_disks`` and the CLI's domain comparison.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ from .models import dK_transform
 
 MAX_DEGREE = 2
 NEAR_DISK_CUTOFF = 0.05
-# rounding of the three terms that cancel in a defect, relative to their
-# magnitudes: numpy's pairwise sums over the 2,048 interior and at most
-# 512 boundary nodes lose a few ulps per level
+# rounding of the terms that cancel in a defect, relative to their
+# magnitudes: lhs, the log moment, the boundary average and, where the log
+# moment comes from the potential on the boundary, 2 |phi(i(0))|.  numpy's
+# pairwise means over at most 512 boundary nodes and the interior rules'
+# 512 or 2,048 nodes lose a few ulps per level
 ROUNDING_FLOOR = 32.0 * 2.0 ** -52
 
 log = logging.getLogger("kahlerlab")
@@ -47,21 +50,23 @@ def _powers(w: np.ndarray, degree: int) -> np.ndarray:
     return w[..., None] ** np.arange(degree + 1)
 
 
-def _horner(coeffs: np.ndarray, w: np.ndarray):
+def _horner(coeffs: np.ndarray, w: np.ndarray, deriv: bool = True):
     """(i(w), i'(w)) from one Horner pass, with no complex powers.
 
     ``coeffs`` is (..., M+1, n) and the points ``w`` (..., P) broadcast
     against its leading axes; both results are (..., n, P), the points on
-    the last axis.  Elementwise, so one disk's values are the same bits
-    alone and in a stack."""
+    the last axis.  With ``deriv`` false i'(w) is None and not built; i(w)
+    has the same bits either way.  Elementwise, so one disk's values are
+    the same bits alone and in a stack."""
     C = coeffs[..., None]
     w = np.atleast_1d(np.asarray(w, dtype=complex))[..., None, :]
     val = C[..., -1, :, :] * w
     val += C[..., -2, :, :]
-    der = np.broadcast_to(C[..., -1, :, :], val.shape).copy()
+    der = np.broadcast_to(C[..., -1, :, :], val.shape).copy() if deriv else None
     for m in range(C.shape[-3] - 3, -1, -1):
-        der *= w
-        der += val
+        if deriv:
+            der *= w
+            der += val
         val *= w
         val += C[..., m, :, :]
     return val, der
@@ -162,7 +167,7 @@ class DiskEmbedding:
         return self.coeffs.shape[0] - 1
 
     def __call__(self, w) -> np.ndarray:
-        return _horner(self.coeffs, w)[0].T
+        return _horner(self.coeffs, w, deriv=False)[0].T
 
     def deriv(self, w) -> np.ndarray:
         return _horner(self.coeffs, w)[1].T
@@ -193,7 +198,7 @@ def disk_images(disks, w, n: int) -> np.ndarray:
     w = np.asarray(w, dtype=complex)
     out = np.empty((len(disks), w.shape[-1], n), dtype=complex)
     for idx, C in _degree_stacks([d.coeffs for d in disks]):
-        out[idx] = np.swapaxes(_horner(C, w if w.ndim == 1 else w[idx])[0], 1, 2)
+        out[idx] = np.swapaxes(_horner(C, w if w.ndim == 1 else w[idx], deriv=False)[0], 1, 2)
     return out
 
 
@@ -359,6 +364,65 @@ def log_moment(metric: HermitianMetricField, disk: DiskEmbedding,
     return (2.0 / math.pi) * _area_integral(metric, disk, grid, np.log)
 
 
+def comparison_defects(metric: HermitianMetricField, disks, p, K: float,
+                       distance: DistanceStrategy = "numeric",
+                       grid: Optional[QuadratureGrid] = None,
+                       solver_opts: Optional[dict] = None) -> list:
+    """Comparison reports of a stack of disks, each with the bits of that
+    disk's ``comparison_defect``.
+
+    The centre and doubled-boundary images of every disk come from one
+    ``disk_images`` call.  Disks are grouped by the size of their doubled
+    boundary rule, and each group gets one distance call (with "numeric",
+    one ``geodesic_distance_many`` call per disk), one ``dK_transform``
+    call and, on a potential-form metric, one ``potential`` call.  A
+    ``KahlerLabError`` of any disk raises for the whole stack.
+    """
+    grid = grid or QuadratureGrid()
+    doubled = grid.doubled()
+    n = metric.chart.n
+    p = np.asarray(p, dtype=complex).reshape(-1)
+    imgs = disk_images(disks, np.concatenate([np.zeros(1), doubled.boundary()[0]]), n)
+    gap = np.linalg.norm(imgs[:, 1:] - p, axis=2)
+    # per level and disk, the boundary rule's size: doubled once more near p
+    sizes = [[2 * g.n_boundary if near and g.n_boundary < 4 * 64 else g.n_boundary
+              for near in np.min(pts, axis=1) < NEAR_DISK_CUTOFF]
+             for g, pts in ((grid, gap[:, ::2]), (doubled, gap))]
+    reports = [None] * len(disks)
+    for nb in sorted(set(sizes[1])):
+        idx = [i for i, s in enumerate(sizes[1]) if s == nb]
+        group = imgs[idx] if nb == doubled.n_boundary else disk_images(
+            [disks[i] for i in idx],
+            np.concatenate([np.zeros(1), QuadratureGrid(n_boundary=nb).boundary()[0]]), n)
+        targets = group.reshape(-1, n)
+        if distance == "numeric":
+            opts = {"N": 24, "gtol": 1e-6, "max_iters": 60, **(solver_opts or {})}
+            solved = [geodesic_distance_many(metric, p, t, **opts) for t in group]
+            dvals = np.concatenate([d for d, _ in solved])
+            derr = [float(np.max(e, initial=0.0)) for _, e in solved]
+        else:
+            dvals, derr = np.asarray(distance(targets), dtype=float), [0.0] * len(idx)
+        dk = dK_transform(dvals, K).reshape(len(idx), nb + 1)
+        phi = metric.potential(targets).reshape(len(idx), nb + 1) \
+            if metric.is_potential_form else None
+        for j, i in enumerate(idx):
+            lhs = float(dk[j, 0])
+            base = lhs - log_moment(metric, disks[i], grid) \
+                - float(np.mean(dk[j, 1::nb // sizes[0][i]]))
+            boundary_avg = float(np.mean(dk[j, 1:]))
+            if phi is None:          # no potential: the doubled interior rule
+                phi0, lm = 0.0, log_moment(metric, disks[i], doubled)
+            else:                    # Green's identity on the doubled boundary
+                phi0 = float(phi[j, 0])
+                lm = 2.0 * (phi0 - float(np.mean(phi[j, 1:])))
+            defect = lhs - lm - boundary_avg
+            err = abs(defect - base) + 4.0 * derr[j] + ROUNDING_FLOOR * (
+                abs(lhs) + abs(lm) + abs(boundary_avg) + 2.0 * abs(phi0))
+            reports[i] = ComparisonReport(lhs=lhs, log_moment=lm, boundary_avg=boundary_avg,
+                                          defect=defect, error_estimate=err)
+    return reports
+
+
 def comparison_defect(metric: HermitianMetricField, disk: DiskEmbedding, p, K: float,
                       distance: DistanceStrategy = "numeric",
                       grid: Optional[QuadratureGrid] = None,
@@ -371,37 +435,22 @@ def comparison_defect(metric: HermitianMetricField, disk: DiskEmbedding, p, K: f
     doubles its boundary rule once more when the disk comes within
     ``NEAR_DISK_CUTOFF`` of p, so the base rule is every s-th node of the
     doubled one (s = 1, 2 or 4) and one distance evaluation, at the centre
-    and on the doubled boundary, serves both.  The error estimate is the
-    change of the defect between the two rules plus 4x the distance error
-    plus ``ROUNDING_FLOOR`` times the sizes of the terms.
+    and on the doubled boundary, serves both.
+
+    The two levels take the log moment by independent rules.  The base
+    level integrates the area density on the interior rule of ``grid``
+    (``log_moment``).  On a potential-form metric, g = d dbar phi, the
+    doubled level reads it from the boundary by Green's identity,
+    2 (phi(i(0)) - mean_theta phi(i(e^{i theta}))), with phi at the
+    targets of the distance; the torsion metric, which has no potential,
+    takes the doubled interior rule.  The error estimate is the change of
+    the defect between the two levels plus 4x the distance error plus
+    ``ROUNDING_FLOOR`` times the sizes of the terms that cancel: lhs, the
+    log moment, the boundary average and 2 |phi(i(0))|.  This is
+    ``comparison_defects`` on a stack of one.
     """
-    grid = grid or QuadratureGrid()
-    levels = (grid, grid.doubled())
-    p = np.asarray(p, dtype=complex).reshape(-1)
-    bpts = disk(levels[1].boundary()[0])
-    sizes = []
-    for g, pts in zip(levels, (bpts[::2], bpts)):
-        near = np.min(np.linalg.norm(pts - p[None], axis=1)) < NEAR_DISK_CUTOFF
-        sizes.append(2 * g.n_boundary if near and g.n_boundary < 4 * 64 else g.n_boundary)
-    if sizes[1] > levels[1].n_boundary:
-        bpts = disk(QuadratureGrid(n_boundary=sizes[1]).boundary()[0])
-    targets = np.vstack([disk(np.zeros(1)), bpts])
-    if distance == "numeric":
-        dvals, derr = geodesic_distance_many(metric, p, targets, **{
-            "N": 24, "gtol": 1e-6, "max_iters": 60, **(solver_opts or {})})
-    else:
-        dvals, derr = np.asarray(distance(targets), dtype=float), np.zeros(len(targets))
-    dk = dK_transform(dvals, K)
-    lhs = float(dk[0])
-    defects = []
-    for g, nb in zip(levels, sizes):     # the doubled level last: the report keeps it
-        boundary_avg = float(np.mean(dk[1::sizes[1] // nb]))
-        lm = log_moment(metric, disk, g)
-        defects.append(lhs - lm - boundary_avg)
-    err = abs(defects[1] - defects[0]) + 4.0 * float(np.max(derr, initial=0.0)) \
-        + ROUNDING_FLOOR * (abs(lhs) + abs(lm) + abs(boundary_avg))
-    return ComparisonReport(lhs=lhs, log_moment=lm, boundary_avg=boundary_avg,
-                            defect=defects[1], error_estimate=err)
+    return comparison_defects(metric, [disk], p, K, distance=distance, grid=grid,
+                              solver_opts=solver_opts)[0]
 
 
 def _f_eps(r: np.ndarray, eps: float) -> np.ndarray:
@@ -467,16 +516,23 @@ def worst_defect(metric: HermitianMetricField, p, K: float, distance: DistanceSt
                  disks, directed: Optional[DiskEmbedding] = None) -> ScanResult:
     """Worst comparison report over ``disks``, the ``directed`` disk first.
 
-    Disks are evaluated one at a time, so a disk whose evaluation raises a
-    ``KahlerLabError`` (a distance beyond the d_K^2 cap, say) is skipped
-    without costing the others; the first minimum wins.
+    The disks are evaluated as one stack by ``comparison_defects``.  When
+    the stack raises a ``KahlerLabError`` (a distance beyond the d_K^2
+    cap, say), each disk is evaluated alone and a disk that raises is
+    skipped without costing the others; both ways give every disk the
+    same report bits.  The first minimum wins.
     """
-    scored = []
-    for d in ([] if directed is None else [directed]) + list(disks):
-        try:
-            scored.append((comparison_defect(metric, d, p, K, distance=distance), d))
-        except KahlerLabError:
-            continue
+    candidates = ([] if directed is None else [directed]) + list(disks)
+    try:
+        reports = comparison_defects(metric, candidates, p, K, distance=distance)
+    except KahlerLabError:
+        reports = []
+        for d in candidates:
+            try:
+                reports.append(comparison_defect(metric, d, p, K, distance=distance))
+            except KahlerLabError:
+                reports.append(None)
+    scored = [(r, d) for r, d in zip(reports, candidates) if r is not None]
     if not scored:
         raise KahlerLabError("no admissible disk in the scan")
     worst, disk = min(scored, key=lambda rd: rd[0].defect)

@@ -13,6 +13,7 @@ from jsonschema import Draft202012Validator
 from kahlerlab import cli, disks
 from kahlerlab.cli import (CHECK_PARAM_SCHEMAS, CONFIG_SCHEMA, CSV_COLUMNS,
                            bundled_scenario_path, execute, load_config, main)
+from kahlerlab.curvature import TangentPair, curvature_tensor
 from kahlerlab.disks import scan_disks
 from kahlerlab.errors import ConfigError
 from kahlerlab.models import ModelSpace
@@ -437,6 +438,25 @@ def test_plotdata_empty_dir_writes_headers(tmp_path):
     for name in ("ratio_curves.csv", "threshold_trace.csv", "defect_hist.csv"):
         lines = (tmp_path / name).read_text().strip().splitlines()
         assert len(lines) == 1
+
+
+@pytest.mark.parametrize("space_K, K", [(0.0, 1.0), (1.0, 2.0), (-1.0, 0.5)])
+def test_violation_study_stack_has_the_bits_of_one_disk_at_a_time(space_K, K):
+    space = ModelSpace(K=space_K, n=2)
+    params = {"K": K, "eps2_list": [0.05, 0.025, 0.0125]}
+    row = cli.CHECK_RUNNERS["violation-study"](space, params, DiskSampler(), 1e-6)
+    metric, p = space.metric(), np.zeros(2, dtype=complex)
+    pair = TangentPair(X=np.array([1.0, 0.0]), Y=np.array([0.0, 1.0]),
+                       G=curvature_tensor(metric, p).G)
+    curve = row["witness"]["curve"]
+    assert [c["eps2"] for c in curve] == params["eps2_list"]
+    for c in curve:
+        disk = disks.violation_disk(metric, p, pair, c["eps1"], c["eps2"])
+        rep = disks.comparison_defect(metric, disk, p, K, distance=space.distance_field(p))
+        assert (c["defect"], c["error_est"]) == (rep.defect, rep.error_estimate)
+        assert c["ratio"] == rep.defect / c["predicted"]
+    assert row["value"] == curve[-1]["ratio"]
+    assert row["error_est"] == max(c["error_est"] / abs(c["predicted"]) for c in curve)
 
 
 def test_scan_disks_flat_zero_is_clean():

@@ -11,10 +11,10 @@ from kahlerlab.curvature import TangentPair, curvature_tensor
 from kahlerlab.disks import (DISK_FAULTS, NEAR_DISK_CUTOFF, DiskEmbedding, DiskSampler,
                              QuadratureGrid, annulus_defect, annulus_tail,
                              area_density, asymptotic_defect, comparison_defect,
-                             disk_faults, log_moment, rprime_value, sample_disks,
-                             torsion_contraction, torsion_expected_defect,
+                             comparison_defects, disk_faults, log_moment, rprime_value,
+                             sample_disks, torsion_contraction, torsion_expected_defect,
                              torsion_metric, violation_disk, worst_defect)
-from kahlerlab.errors import KahlerLabError
+from kahlerlab.errors import DomainExceeded, KahlerLabError
 from kahlerlab.fields import ComplexChart, HermitianMetricField
 from kahlerlab.geodesy import geodesic_distance_many
 from kahlerlab.models import ConeSurface, ModelSpace, QuotientData, dK_transform
@@ -223,8 +223,10 @@ REPORT_FIELDS = ("lhs", "log_moment", "boundary_avg", "defect", "error_estimate"
 
 def _two_pass_rule(metric, disk, p, K, distance, grid=None, solver_opts=None):
     """The comparison defect with each grid level evaluating its own centre
-    and boundary distances; returns the report fields and the two boundary
-    sizes."""
+    and boundary distances; the base level takes the interior log moment
+    and the doubled level, on a potential-form metric, the boundary form
+    2 (phi(i(0)) - mean phi) on its own targets.  Returns the report fields
+    and the two boundary sizes."""
     grid = grid or QuadratureGrid()
     p = np.asarray(p, dtype=complex).reshape(-1)
 
@@ -235,22 +237,28 @@ def _two_pass_rule(metric, disk, p, K, distance, grid=None, solver_opts=None):
             return geodesic_distance_many(metric, p, targets, **opts)
         return np.asarray(distance(targets), dtype=float), np.zeros(len(targets))
 
-    def assemble(g):
+    def assemble(g, boundary_form):
         bpts = disk(g.boundary()[0])
         gap = np.min(np.linalg.norm(bpts - p[None], axis=1))
         if gap < NEAR_DISK_CUTOFF and g.n_boundary < 4 * 64:
             g = QuadratureGrid(g.n_r, g.n_theta, 2 * g.n_boundary)
             bpts = disk(g.boundary()[0])
-        dvals, derr = distances(np.vstack([disk(np.zeros(1)), bpts]))
+        targets = np.vstack([disk(np.zeros(1)), bpts])
+        dvals, derr = distances(targets)
         dk = dK_transform(dvals, K)
         lhs, ba = float(dk[0]), float(np.mean(dk[1:]))
-        lm = log_moment(metric, disk, g)
-        return lhs, lm, ba, lhs - lm - ba, float(np.max(derr, initial=0.0)), g.n_boundary
+        if boundary_form:
+            phi = metric.potential(targets)
+            phi0 = float(phi[0])
+            lm = 2.0 * (phi0 - float(np.mean(phi[1:])))
+        else:
+            phi0, lm = 0.0, log_moment(metric, disk, g)
+        return lhs, lm, ba, lhs - lm - ba, float(np.max(derr, initial=0.0)), g.n_boundary, phi0
 
-    lhs1, lm1, ba1, defect1, de1, nb1 = assemble(grid)
-    lhs2, lm2, ba2, defect2, de2, nb2 = assemble(grid.doubled())
+    lhs1, lm1, ba1, defect1, de1, nb1, _ = assemble(grid, False)
+    lhs2, lm2, ba2, defect2, de2, nb2, phi0 = assemble(grid.doubled(), metric.is_potential_form)
     err = abs(defect2 - defect1) + 4.0 * max(de1, de2) \
-        + disks.ROUNDING_FLOOR * (abs(lhs2) + abs(lm2) + abs(ba2))
+        + disks.ROUNDING_FLOOR * (abs(lhs2) + abs(lm2) + abs(ba2) + 2.0 * abs(phi0))
     return dict(lhs=lhs2, log_moment=lm2, boundary_avg=ba2, defect=defect2,
                 error_estimate=err), (nb1, nb2)
 
@@ -377,6 +385,65 @@ def test_worst_defect_skips_disks_that_raise():
     assert res.scanned == 2 and res.directed and res.disk is large
     with pytest.raises(KahlerLabError, match="no admissible disk"):
         worst_defect(metric, p, 1.0, distance, [bad, bad])
+
+
+def _stack_case():
+    """(metric, K, p, distance, disks): flat C^1 compared at K = 4, where the
+    d_K^2 cap is pi/sqrt(8) = 1.11, with affine and degree-2 disks around
+    p, the doubled-boundary-only disk among them."""
+    space = ModelSpace(K=0.0, n=1)
+    metric = space.metric()
+    near, p = _doubled_boundary_only_disk(metric)
+    sampler = DiskSampler(seed=9, count=24, size_range=(0.02, 0.3), center_radius=0.15,
+                          degree2_fraction=0.5)
+    stack = sample_disks(metric.chart, p, sampler, np.random.default_rng(9))
+    return metric, 4.0, p, space.distance_field(p), stack[:12] + [near] + stack[12:]
+
+
+def test_a_stack_has_the_bits_of_its_disks_alone():
+    metric, K, p, dist, stack = _stack_case()
+    assert {d.degree for d in stack} == {1, 2}
+    ratios = set()
+    for k in (64, 96, 128):
+        grid = QuadratureGrid(n_boundary=k)
+        alone = [comparison_defect(metric, d, p, K, distance=dist, grid=grid) for d in stack]
+        got = comparison_defects(metric, stack, p, K, distance=dist, grid=grid)
+        assert [_fields(r) for r in got] == [_fields(r) for r in alone]
+        ratios |= {nb2 // nb1 for nb1, nb2 in
+                   (_two_pass_rule(metric, d, p, K, dist, grid=grid)[1] for d in stack)}
+    assert ratios == {1, 2, 4}
+
+
+def test_a_stack_makes_one_distance_call_per_doubled_boundary_size():
+    metric, K, p, dist, stack = _stack_case()
+    calls = []
+
+    def counting(zs):
+        calls.append(len(zs))
+        return dist(zs)
+
+    comparison_defects(metric, stack, p, K, distance=counting)
+    sizes = [_two_pass_rule(metric, d, p, K, dist)[1][1] for d in stack]
+    assert set(sizes) == {128, 256}
+    assert calls == [sizes.count(nb) * (1 + nb) for nb in (128, 256)]
+
+
+def test_worst_defect_over_a_stack_skips_a_disk_past_the_cap():
+    metric, K, p, dist, stack = _stack_case()
+    far = DiskEmbedding.affine(np.array([-0.9 - 0.8j]), np.array([0.2]), metric.chart)
+    with pytest.raises(DomainExceeded):
+        comparison_defects(metric, stack + [far], p, K, distance=dist)
+    big = DiskEmbedding.affine(p + 0.3, np.array([0.45]), metric.chart)
+    for directed in (None, stack[3], big):
+        cands = ([] if directed is None else [directed]) + stack
+        alone = [(comparison_defect(metric, d, p, K, distance=dist), d) for d in cands]
+        worst, disk = min(alone, key=lambda rd: rd[0].defect)
+        for scan in (stack, stack[:7] + [far] + stack[7:]):     # the stack, the fallback
+            res = worst_defect(metric, p, K, dist, scan, directed=directed)
+            assert _fields(res.report) == _fields(worst)
+            assert res.disk is disk and res.scanned == len(cands)
+            assert res.directed == (directed is not None)
+    assert disk is big                     # the directed disk is the worst
 
 
 _TH = np.linspace(0, 2 * math.pi, 128, endpoint=False)
@@ -775,6 +842,16 @@ def test_annulus_rule_matches_a_dense_kink_aligned_reference(dense_cases):
             assert abs(annulus_tail(metric, disk, eps) - tail) <= 1e-12
 
 
+def test_boundary_form_matches_the_dyadic_reference(dense_cases):
+    # every case is potential-form, so the report's log moment is the
+    # boundary form 2 (phi(i(0)) - mean phi) of the doubled level
+    for space, metric, d, p, ref in dense_cases:
+        assert metric.is_potential_form
+        rep = comparison_defect(metric, d, p, getattr(space, "K", 0.0),
+                                distance=space.distance_field(p))
+        assert abs(rep.log_moment - ref) <= 1e-15, d.coeffs
+
+
 def test_error_estimate_bounds_the_distance_to_a_dense_rule(dense_cases):
     dense_bw, _ = QuadratureGrid(n_boundary=1024).boundary()
     for space, metric, d, p, dense_lm in dense_cases:
@@ -875,6 +952,9 @@ def test_disk_map_is_one_horner_pass():
                           DiskSampler(seed=n, count=60, degree2_fraction=0.5), rng)
         assert {d.degree for d in ds} == {1, 2}
         for d in ds:
+            # the values-only pass has the bits of the pass with i'
+            both, alone = disks._horner(d.coeffs, w), disks._horner(d.coeffs, w, deriv=False)
+            assert alone[1] is None and alone[0].tobytes() == both[0].tobytes()
             val, der, val_scale, der_scale = _power_sums(d, w)
             for got, ref, scale in ((d(w), val, val_scale), (d.deriv(w), der, der_scale)):
                 assert got.shape == (len(w), n)
