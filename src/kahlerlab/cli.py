@@ -324,8 +324,13 @@ def _run_annulus(space, params, sampler, tol):
     metric = space.metric()
     dist = space.distance_field(p)
     disks = sample_disks(metric.chart, p, sampler, np.random.default_rng(sampler.seed))
-    scored = [(annulus_defect(metric, d, params["K"], eps, dist), d, eps)
-              for d in disks for eps in params.get("eps_list", [0.05, 0.02])]
+    scored = []
+    for d in disks:
+        try:
+            scored += [(annulus_defect(metric, d, params["K"], eps, dist), d, eps)
+                       for eps in params.get("eps_list", [0.05, 0.02])]
+        except KahlerLabError:
+            pass                    # a disk that raises is skipped, as in a scan
     if not scored:
         raise KahlerLabError("no admissible disk in the scan")
     worst, d, eps = min(scored, key=lambda s: s[0])       # the first minimum

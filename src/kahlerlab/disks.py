@@ -214,21 +214,41 @@ class DiskSampler:
     interior_points: int = 12
 
 
-def _draw_coeffs(rng, center: np.ndarray, sampler: DiskSampler) -> np.ndarray:
-    """One attempt's coefficients: an affine disk, degree 2 with
-    probability ``sampler.degree2_fraction``."""
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """The rows of a (D, n) complex stack divided by their norms.  The norms
+    are the ``np.vecdot`` sums of ``np.linalg.norm``, so each row has the
+    bits of ``v[k] / np.linalg.norm(v[k])``."""
+    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
+
+
+def _draw_chunk(rng, center: np.ndarray, sampler: DiskSampler, count: int):
+    """``count`` attempts' coefficients as a (count, 3, n) stack, and each
+    attempt's degree: an affine disk, degree 2 with probability
+    ``sampler.degree2_fraction``; the c2 row of an affine attempt is 0.
+
+    Each attempt makes its generator calls in turn: the log size, 4n
+    normals, the degree-2 coin and, on degree 2, 2n normals and the c2
+    scale.  The arithmetic then runs once on the stack; it is elementwise,
+    so every row has the bits of its attempt computed alone.
+    """
     n = center.size
-    lo, hi = sampler.size_range
-    size = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-    g = rng.standard_normal(4 * n)
-    a = center + (g[:n] + 1j * g[n:2 * n]) * sampler.center_radius / math.sqrt(2 * n)
-    b = g[2 * n:3 * n] + 1j * g[3 * n:]
-    coeffs = [a, b / np.linalg.norm(b) * size]
-    if rng.random() < sampler.degree2_fraction:       # the doubles of uniform(0, 1)
-        g = rng.standard_normal(2 * n)
-        c2 = g[:n] + 1j * g[n:]
-        coeffs.append(c2 / np.linalg.norm(c2) * size * rng.uniform(0.1, 0.4))
-    return np.array(coeffs)
+    log_lo, log_hi = (math.log(s) for s in sampler.size_range)
+    size, scale2 = np.empty(count), np.empty(count)
+    g, g2 = np.empty((count, 4 * n)), np.empty((count, 2 * n))
+    deg2 = np.zeros(count, dtype=bool)
+    for k in range(count):
+        size[k] = math.exp(rng.uniform(log_lo, log_hi))
+        rng.standard_normal(out=g[k])
+        if rng.random() < sampler.degree2_fraction:   # the doubles of uniform(0, 1)
+            deg2[k] = True
+            rng.standard_normal(out=g2[k])
+            scale2[k] = rng.uniform(0.1, 0.4)
+    C = np.zeros((count, 3, n), dtype=complex)
+    C[:, 0] = center + (g[:, :n] + 1j * g[:, n:2 * n]) * sampler.center_radius / math.sqrt(2 * n)
+    C[:, 1] = _unit_rows(g[:, 2 * n:3 * n] + 1j * g[:, 3 * n:]) * size[:, None]
+    k2 = np.flatnonzero(deg2)
+    C[k2, 2] = _unit_rows(g2[k2, :n] + 1j * g2[k2, n:]) * size[k2, None] * scale2[k2, None]
+    return C, 1 + deg2
 
 
 def sample_disks(chart: ComplexChart, center, sampler: DiskSampler, rng,
@@ -239,20 +259,24 @@ def sample_disks(chart: ComplexChart, center, sampler: DiskSampler, rng,
     ``min_singular`` > 0, rejects disks whose image comes closer than
     that to ``singular_at``; with 0 no rejection happens.  Draws at most
     ``50 * sampler.count`` attempts, in chunks of as many as are still
-    missing, each chunk validated by one ``disk_faults`` call per degree;
-    logs at INFO when fewer disks than requested come out.
+    missing, each chunk drawn by ``_draw_chunk`` and validated by one
+    ``disk_faults`` call per degree; logs at INFO when fewer disks than
+    requested come out.
     """
     center = np.asarray(center, dtype=complex).reshape(chart.n)
     cap = 50 * sampler.count
     disks, attempts = [], 0
     while len(disks) < sampler.count and attempts < cap:
-        chunk = [_draw_coeffs(rng, center, sampler)
-                 for _ in range(min(sampler.count - len(disks), cap - attempts))]
-        attempts += len(chunk)
-        ok = np.empty(len(chunk), dtype=bool)
-        for idx, C in _degree_stacks(chunk):
-            ok[idx] = disk_faults(C, chart, min_singular, singular_at) == 0
-        disks += [DiskEmbedding._valid(c, chart) for c, good in zip(chunk, ok) if good]
+        count = min(sampler.count - len(disks), cap - attempts)
+        C, degree = _draw_chunk(rng, center, sampler, count)
+        attempts += count
+        ok = np.zeros(count, dtype=bool)
+        for M in (1, 2):
+            idx = np.flatnonzero(degree == M)
+            if idx.size:
+                ok[idx] = disk_faults(C[idx, :M + 1], chart, min_singular, singular_at) == 0
+        disks += [DiskEmbedding._valid(C[k, :degree[k] + 1].copy(), chart)
+                  for k in np.flatnonzero(ok)]
     if len(disks) < sampler.count:
         log.info("sampled %d of %d disks in %d attempts, %d rejected", len(disks),
                  sampler.count, attempts, attempts - len(disks))

@@ -169,7 +169,7 @@ class ModelSpace:
         call, so the two agree bit for bit."""
         p = np.asarray(p, dtype=complex).reshape(self.n)
         return ScalarField(fn=lambda zs: model_distance(self.K, p, zs), n=self.n,
-                           name=f"model distance from {p}")
+                           name=f"model distance from {p.tolist()}")
 
 
 def _sq(z: np.ndarray) -> np.ndarray:
@@ -340,7 +340,7 @@ class QuotientData:
             return np.arctan2(np.abs(v[1] - z * v[0]),
                               np.abs(np.conj(v[0]) + z * np.conj(v[1])))
 
-        return ScalarField(fn=fn, n=1, name=f"link quotient distance from {v}")
+        return ScalarField(fn=fn, n=1, name=f"link quotient distance from {v.tolist()}")
 
 
 def link_quotient_distance(q: QuotientData, z, zp) -> float:

@@ -15,7 +15,7 @@ from kahlerlab.cli import (CHECK_PARAM_SCHEMAS, CONFIG_SCHEMA, CSV_COLUMNS,
                            bundled_scenario_path, execute, load_config, main)
 from kahlerlab.curvature import TangentPair, curvature_tensor
 from kahlerlab.disks import scan_disks
-from kahlerlab.errors import ConfigError
+from kahlerlab.errors import ConfigError, KahlerLabError
 from kahlerlab.models import ModelSpace
 from kahlerlab.psh import DiskSampler
 
@@ -552,6 +552,39 @@ def test_domain_compare_with_q_in_an_obstacle_is_an_error_row(tmp_path, caplog):
     errors = [r for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and not errors[0].exc_info
     assert "Traceback" not in caplog.text + res.output
+
+
+def test_annulus_skips_a_disk_that_enters_an_obstacle(tmp_path, monkeypatch):
+    # the sampler knows only the chart box: under seed 3 the first disk is
+    # centred at 0.187+0.133i, inside the obstacle, and its distance raises
+    cfg = {"version": 1, "scenarios": [{
+        "id": "ring",
+        "space": {"kind": "domain", "radius": 2.0,
+                  "obstacles": [{"type": "disk", "center": [0, 0], "radius": 0.3}]},
+        "sampler": {"count": 4},
+        "checks": [{"check": "annulus", "params": {"p": [1.0], "K": 0.0}}]}]}
+    path = _write(tmp_path, cfg)
+    outcomes = []
+
+    def spy(*args, **kwargs):
+        try:
+            value = annulus_defect(*args, **kwargs)
+        except KahlerLabError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return value
+
+    annulus_defect = cli.annulus_defect
+    monkeypatch.setattr(cli, "annulus_defect", spy)
+    for seed in (0, 1, 3):
+        outcomes.clear()
+        res = _run(["run", path, "--seed", str(seed), "--out", str(tmp_path / str(seed))])
+        assert res.exit_code == 0, res.output
+        [row] = _read_csv(tmp_path / str(seed) / "results.csv")
+        assert row["verdict"] == "PASS"
+        assert outcomes.count(False) == (1 if seed == 3 else 0)
+        assert outcomes.count(True) >= 2 * 3 + 1       # both eps, and the doubled rule
 
 
 def test_annulus_row_reports_the_change_under_the_doubled_rule(tmp_path):

@@ -668,6 +668,12 @@ SAMPLER_CASES = {
                         0.3, 0.1),
     "box-1-short": (ComplexChart(n=1, radii=1.0), DiskSampler(count=2, size_range=(1.2, 1.4)),
                     0.0, 1.0),
+    # every chunk with one degree only
+    "box-2-affine": (ComplexChart(n=2, radii=1.0), DiskSampler(count=12, degree2_fraction=0.0),
+                     0.0, 0.0),
+    "ball-1-degree2": (ComplexChart(n=1, radii=1.0, kind="ball"),
+                       DiskSampler(count=10, center_radius=0.8, degree2_fraction=1.0), 0.0, 0.1),
+    "box-3": (ComplexChart(n=3, radii=1.0), DiskSampler(count=10, degree2_fraction=0.5), 0.0, 0.0),
 }
 
 
