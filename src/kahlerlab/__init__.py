@@ -32,6 +32,5 @@ from .disks import (ComparisonReport, DiskEmbedding, DiskSampler, QuadratureGrid
 from .psh import (ComplexLine, PshVerdict, check_bk_lower, check_bk_lower_set,
                   disk_laplacian, k_threshold, quotient_bk2_check,
                   radial_potential_check)
-from .cli import emit_plot_data
 
 __version__ = "0.1.0"

@@ -1,0 +1,6 @@
+"""``python -m kahlerlab``: the scenario-runner CLI."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

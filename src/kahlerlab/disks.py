@@ -313,23 +313,15 @@ class QuadratureGrid:
             raise ValueError("grid below minimum resolution")
 
     @functools.lru_cache(maxsize=32)
-    def interior(self, breaks=()):
+    def interior(self):
         """(nodes, weights): complex nodes in D^2, weights for flat dA.
 
-        Gauss-Legendre in t on the radial panels between 0, ``breaks`` and
-        1: graded, r = b t^4, on the first, where log r r dr becomes
-        t^7 log t dt, and log-uniform, r = lo (hi/lo)^t, on the others, so
-        integrands kinked only at the breaks are smooth on every panel.
-        ``breaks`` is a tuple.
+        Gauss-Legendre in t on one graded radial panel, r = t^4, where
+        log r r dr becomes t^7 log t dt.
         """
         t, wgl = _gauss_legendre01(self.n_r)
-        edges = (0.0, *breaks, 1.0)
-        rs, ws = [edges[1] * t ** 4], [edges[1] * 4.0 * t ** 3 * wgl]
-        for lo, hi in zip(edges[1:-1], edges[2:]):
-            rs.append(lo * (hi / lo) ** t)
-            ws.append(rs[-1] * math.log(hi / lo) * wgl)
-        r = np.concatenate(rs)
-        wr = np.concatenate(ws) * r * (2.0 * math.pi / self.n_theta)
+        r = t ** 4
+        wr = 4.0 * t ** 3 * wgl * r * (2.0 * math.pi / self.n_theta)
         th = np.linspace(0.0, 2.0 * math.pi, self.n_theta, endpoint=False)
         return _read_only((r[:, None] * np.exp(1j * th)[None, :]).ravel(),
                           np.repeat(wr, self.n_theta))
@@ -373,19 +365,13 @@ def area_density(metric: HermitianMetricField, disk: DiskEmbedding, w) -> np.nda
     return 2.0 * q
 
 
-def _area_integral(metric: HermitianMetricField, disk: DiskEmbedding,
-                   grid: Optional[QuadratureGrid], f: Callable, breaks=()) -> float:
-    """iint f(|w|) dA over the disk image on the interior rule of ``grid``,
-    its radial panels broken at the kinks ``breaks`` of f."""
-    nodes, weights = (grid or QuadratureGrid()).interior(breaks)
-    dens = area_density(metric, disk, nodes)
-    return float(np.sum(weights * f(np.abs(nodes)) * dens))
-
-
 def log_moment(metric: HermitianMetricField, disk: DiskEmbedding,
                grid: Optional[QuadratureGrid] = None) -> float:
-    """(2/pi) iint log|w| dA over the disk image; always <= 0."""
-    return (2.0 / math.pi) * _area_integral(metric, disk, grid, np.log)
+    """(2/pi) iint log|w| dA over the disk image on the interior rule of
+    ``grid``; always <= 0."""
+    nodes, weights = (grid or QuadratureGrid()).interior()
+    dens = area_density(metric, disk, nodes)
+    return (2.0 / math.pi) * float(np.sum(weights * np.log(np.abs(nodes)) * dens))
 
 
 def comparison_defects(metric: HermitianMetricField, disks, p, K: float,
@@ -477,11 +463,16 @@ def comparison_defect(metric: HermitianMetricField, disk: DiskEmbedding, p, K: f
                               solver_opts=solver_opts)[0]
 
 
-def _f_eps(r: np.ndarray, eps: float) -> np.ndarray:
-    """The mollifier cutoff of log r: flat inner cap, log ramp, outer zero."""
-    out = np.where(r <= eps, math.log(eps) + eps,
-                   np.where(r <= math.exp(-eps), np.log(np.maximum(r, 1e-300)) + eps, 0.0))
-    return out
+def _circle_images(metric: HermitianMetricField, disk: DiskEmbedding, radii,
+                   grid: Optional[QuadratureGrid]):
+    """The images of the circles |w| = r, r in ``radii``, at the boundary
+    nodes of ``grid``, as (len(radii) * nb, n) targets, and the potential
+    there, one row per circle."""
+    if not metric.is_potential_form:
+        raise ValueError("the annulus estimator needs a metric with a potential")
+    bw = (grid or QuadratureGrid()).boundary()[0]
+    targets = disk(np.concatenate([r * bw for r in radii]))
+    return targets, metric.potential(targets).reshape(len(radii), len(bw))
 
 
 def annulus_defect(metric: HermitianMetricField, disk: DiskEmbedding, K: float,
@@ -492,28 +483,41 @@ def annulus_defect(metric: HermitianMetricField, disk: DiskEmbedding, K: float,
     (1/4) int (d_K^2(eps, th) - d_K^2(e^{-eps}, th)) dth
       - iint f_eps dA over the disk image,
 
-    which is >= 0 whenever the bisectional lower bound holds, and tends
-    to pi/2 times the comparison defect as eps -> 0.  ``distance`` is a
-    closed-form distance field d(p, .) from the base point p, or any
-    batched callable on chart points.
+    with f_eps(r) = log eps + eps inside |w| = eps, log r + eps out to
+    |w| = e^{-eps} and 0 beyond; it is >= 0 whenever the bisectional
+    lower bound holds, and tends to pi/2 times the comparison defect as
+    eps -> 0.  f_eps is harmonic between its kinks, where its radial
+    derivative jumps by +1/eps and -e^{eps}, and dA = (1/2) Laplacian of
+    phi(i(w)) on g = d dbar phi, so by Green's identity the estimator is
+
+        pi (mean_theta u(i(e^{-eps} e^{i theta})) - mean_theta u(i(eps e^{i theta}))),
+
+    u = phi - d_K^2/2, taken on the boundary rule of ``grid`` with one
+    potential and one distance call.  ``distance`` is a closed-form
+    distance field d(p, .) from the base point p, or any batched callable
+    on chart points.  A metric without a potential raises ``ValueError``.
     """
     if not 0.0 < eps < 0.1:
         raise ValueError("eps must lie in (0, 1/10)")
-    bw = (grid or QuadratureGrid()).boundary()[0]
-    targets = np.vstack([disk(eps * bw), disk(math.exp(-eps) * bw)])
-    dk = dK_transform(np.asarray(distance(targets), dtype=float), K)
-    nb = len(bw)
-    ring = 0.25 * (2.0 * math.pi / nb) * float(np.sum(dk[:nb] - dk[nb:]))
-    return ring - _area_integral(metric, disk, grid, lambda r: _f_eps(r, eps),
-                                 (eps, math.exp(-eps)))
+    targets, phi = _circle_images(metric, disk, (eps, math.exp(-eps)), grid)
+    dk = dK_transform(np.asarray(distance(targets), dtype=float), K).reshape(phi.shape)
+    u = phi - 0.5 * dk
+    return math.pi * float(np.mean(u[1]) - np.mean(u[0]))
 
 
 def annulus_tail(metric: HermitianMetricField, disk: DiskEmbedding, eps: float,
                  grid: Optional[QuadratureGrid] = None) -> float:
     """iint (f_eps - log|w|) dA; the gap between the estimator's bulk term
-    and the log moment, vanishing as eps -> 0."""
-    return _area_integral(metric, disk, grid, lambda r: _f_eps(r, eps) - np.log(r),
-                          (eps, math.exp(-eps)))
+    and the log moment, vanishing as eps -> 0.
+
+    By Green's identity, as in ``annulus_defect``, the bulk term is
+    pi (mean phi(i(eps e^{i theta})) - mean phi(i(e^{-eps} e^{i theta})))
+    and the log term pi (phi(i(0)) - mean phi(i(e^{i theta}))), all on
+    the boundary rule of ``grid`` with one potential call.
+    """
+    _, phi = _circle_images(metric, disk, (eps, math.exp(-eps), 1.0, 0.0), grid)
+    m = np.mean(phi, axis=1)
+    return math.pi * float(m[0] - m[1] + m[2] - phi[3, 0])
 
 
 def violation_disk(metric: HermitianMetricField, p, pair: TangentPair,

@@ -99,21 +99,6 @@ def flat_potential(n: int) -> ScalarField:
                        name="flat |z|^2/2")
 
 
-def hermitize(G: np.ndarray) -> np.ndarray:
-    """0.5 (G + G^H) over the last two axes, written into G and returned.
-
-    Entry for entry the sums of the out-of-place form, so the two agree
-    bit for bit; the diagonal keeps its real part.
-    """
-    n = G.shape[-1]
-    for i in range(n):
-        G[..., i, i].imag = 0.0
-        for j in range(i + 1, n):
-            gij, gji = G[..., i, j], G[..., j, i]
-            G[..., i, j], G[..., j, i] = 0.5 * (gij + np.conj(gji)), 0.5 * (gji + np.conj(gij))
-    return G
-
-
 def _check_pd(G: np.ndarray, zs: np.ndarray) -> None:
     ev = np.linalg.eigvalsh(G)
     bad = ev[:, 0] <= EIGENVALUE_FLOOR
@@ -133,14 +118,14 @@ def metric_from_potential(phi: ScalarField, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
     zs = np.atleast_2d(z)
-    guard = np.minimum(phi.singular_distance(zs), np.inf)
+    guard = phi.singular_distance(zs)
     if np.any(guard < phi.smoothness_radius):
         i = int(np.argmax(guard < phi.smoothness_radius))
         raise SingularityTooClose(
             f"z={zs[i]} at distance {guard[i]:.3e} < smoothness radius "
             f"{phi.smoothness_radius:.3e} of field {phi.name!r}")
     G = fd.wirtinger_dd(lambda xs: phi(real_to_z(xs)), z_to_real(zs), GRAM_STEP, phi.n)
-    G = hermitize(G)
+    G = 0.5 * (G + np.conj(np.swapaxes(G, -1, -2)))
     _check_pd(G, zs)
     return G[0] if single else G
 
@@ -189,12 +174,6 @@ class HermitianMetricField:
         if check:
             _check_pd(G, zs)
         return G
-
-    def gram_fd(self, zs: np.ndarray) -> np.ndarray:
-        """Always take the finite-difference route (potential form only)."""
-        if not self.is_potential_form:
-            raise ValueError("no potential to differentiate")
-        return metric_from_potential(self.potential, np.atleast_2d(np.asarray(zs, dtype=complex)))
 
     def dgram(self, zs: np.ndarray) -> np.ndarray:
         """(P, n, n, n) holomorphic derivatives, [p, k, i, j] = d_k g_{i jbar}.

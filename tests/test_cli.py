@@ -2,7 +2,10 @@ import csv
 import inspect
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -151,8 +154,10 @@ _TORSION = {"kind": "torsion", "T": [[[0.0, -0.5], [0.5, 0.0]], [[0.0, 0.0], [0.
     (_TORSION, {"check": "torsion-disk", "params": {"a": [1, 1], "b": [30, 0]}}, "ERROR"),
     (_TORSION, {"check": "psh", "params": {"K": 0.0}}, "ERROR"),
     ({"kind": "quotient"}, {"check": "psh", "params": {"K": 0.0}}, "ERROR"),
-    ({"kind": "cone", "alpha": 0.5}, {"check": "min-bk-defect", "params": {"K": 0.0}}, "row"),
-    ({"kind": "cone", "alpha": 0.5}, {"check": "annulus", "params": {"K": 0.0}}, "row"),
+    # the default base point is the apex: no curvature there, and u = 0 on every disk
+    ({"kind": "cone", "alpha": 0.5}, {"check": "min-bk-defect", "params": {"K": 0.0}},
+     ("ERROR", "singular point")),
+    ({"kind": "cone", "alpha": 0.5}, {"check": "annulus", "params": {"K": 0.0}}, "PASS"),
     ({"kind": "cone", "alpha": 1.5}, {"check": "psh", "params": {"K": 0.0}}, 3),
     ({"kind": "quotient", "delta": -1}, {"check": "quotient-bk2"}, 3),
     ({"kind": "quotient", "delta": 0.5}, {"check": "quotient-bk2"}, 3),
@@ -172,8 +177,14 @@ def test_any_space_gives_a_row_or_a_config_error(tmp_path, space, check, outcome
     rows = {r["check_id"]: r["verdict"]
             for r in _read_csv(tmp_path / "o" / "results.csv")}
     assert rows["ok"] == "PASS" and "t" in rows
-    if outcome == "ERROR":
-        assert rows["t"] == "ERROR" and res.exit_code == 2
+    if outcome == "row":
+        return
+    verdict, message = outcome if isinstance(outcome, tuple) else (outcome, "")
+    assert rows["t"] == verdict
+    if verdict == "ERROR":
+        [row] = [r for r in json.loads((tmp_path / "o" / "summary.json").read_text())["rows"]
+                 if r["check_id"] == "t"]
+        assert res.exit_code == 2 and message in row["witness"]["error"]
 
 
 _SPACES = {"model": {"kind": "model", "K": 1.0, "n": 2},
@@ -587,6 +598,17 @@ def test_annulus_skips_a_disk_that_enters_an_obstacle(tmp_path, monkeypatch):
         assert outcomes.count(True) >= 2 * 3 + 1       # both eps, and the doubled rule
 
 
+def test_annulus_at_the_apex_passes_on_every_seed():
+    # the default base point is the apex, where phi = d^2/2: u = 0 on every disk
+    for space in ({"kind": "cone", "alpha": 1 / 3}, {"kind": "cone", "alpha": 0.5},
+                  {"kind": "cone", "alpha": 2 / 3}, {"kind": "orbifold", "k": 3}):
+        for seed in range(32):
+            scenario = {"id": "apex", "space": space, "sampler": {"seed": seed, "count": 20},
+                        "checks": [{"check": "annulus", "params": {"K": 0.0}}]}
+            [row] = cli.run_scenario(scenario, None, None)
+            assert row["verdict"] == "PASS" and abs(row["value"]) <= 1e-14, (space, seed, row)
+
+
 def test_annulus_row_reports_the_change_under_the_doubled_rule(tmp_path):
     cfg = {"version": 1, "scenarios": [{
         "id": "a", "space": {"kind": "model", "K": 1.0, "n": 2},
@@ -629,3 +651,13 @@ def test_each_row_is_logged_before_the_next_check_runs(monkeypatch, caplog):
     assert [r["check_id"] for r in rows] == ["one", "two"]
     assert logged_before_second == ["s/one: PASS (expected PASS) value=0 [ok]"]
     assert caplog.messages[-1] == "s/two: PASS (expected PASS) value=0 [ok]"
+
+
+def test_the_package_runs_as_a_module(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    scenario = str(bundled_scenario_path("flat-K1-violation.json"))
+    for args in (["kahlerlab", "run", scenario, "--out", str(tmp_path / "o")],
+                 ["kahlerlab.cli", "--help"]):
+        res = subprocess.run([sys.executable, "-W", "error", "-m", *args], cwd=tmp_path,
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr

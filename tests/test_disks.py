@@ -811,15 +811,11 @@ def test_log_moment_matches_the_dyadic_reference(dense_cases):
 
 
 def test_interior_rule_counts_and_weights():
-    for grid, breaks, rows in [(QuadratureGrid(), (), 16), (QuadratureGrid().doubled(), (), 32),
-                               (QuadratureGrid(), (0.05, math.exp(-0.05)), 48)]:
-        nodes, w = grid.interior(breaks)
+    for grid, rows in [(QuadratureGrid(), 16), (QuadratureGrid().doubled(), 32)]:
+        nodes, w = grid.interior()
         assert len(nodes) == len(w) == rows * grid.n_theta
         assert np.all(np.abs(nodes) < 1.0) and np.all(w > 0)
         assert np.sum(w) == pytest.approx(math.pi, rel=1e-14)          # area of D^2
-        r = np.abs(nodes)
-        for b in breaks:                   # every panel lies on one side of a break
-            assert np.min(np.abs(r - b)) > 0 and np.sum(r < b) % (16 * grid.n_theta) == 0
 
 
 def _f_eps(r, eps):
@@ -846,6 +842,26 @@ def test_annulus_rule_matches_a_dense_kink_aligned_reference(dense_cases):
             tail = _dense_area_integral(metric, disk, lambda r: _f_eps(r, eps) - np.log(r),
                                         kinks)
             assert abs(annulus_tail(metric, disk, eps) - tail) <= 1e-12
+
+
+def test_annulus_vanishes_on_a_cone_disk_clear_of_the_apex():
+    # clear of the apex and of the cut locus of p the cone is flat, so
+    # u = phi - d^2/2 is harmonic on the disk: both circle means are u(i(0))
+    for alpha in (0.5, 1 / 3):
+        cone = ConeSurface(alpha=alpha)
+        disk = DiskEmbedding.affine([0.3 + 0.1j], [0.25], cone.chart)
+        dist = cone.distance_field(np.array([0.6 + 0.0j]))
+        for eps in (0.05, 0.02):
+            val = annulus_defect(cone.metric(), disk, 0.0, eps, distance=dist)
+            assert abs(val) <= 1e-11, (alpha, eps, val)
+
+
+def test_annulus_needs_a_potential():
+    metric, disk = _acceptance06_torsion_disk()
+    with pytest.raises(ValueError, match="potential"):
+        annulus_defect(metric, disk, 0.0, 0.05, distance=lambda zs: np.abs(zs[:, 0]))
+    with pytest.raises(ValueError, match="potential"):
+        annulus_tail(metric, disk, 0.05)
 
 
 def test_boundary_form_matches_the_dyadic_reference(dense_cases):
@@ -975,8 +991,7 @@ def test_disk_map_is_one_horner_pass():
 
 def test_quadrature_rules_are_cached_and_read_only():
     grid = QuadratureGrid()
-    for rule in (grid.interior, grid.doubled().interior, grid.boundary,
-                 lambda: grid.interior((0.05, math.exp(-0.05)))):
+    for rule in (grid.interior, grid.doubled().interior, grid.boundary):
         arrays = rule()
         assert all(a is b for a, b in zip(arrays, rule()))
         for a in arrays:
