@@ -22,10 +22,10 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import click
 import jsonschema
@@ -48,101 +48,37 @@ log = logging.getLogger("kahlerlab")
 CSV_COLUMNS = ["scenario_id", "check_id", "verdict", "value", "error_est",
                "seed", "witness_ref", "wall_ms"]
 
-_POINT = {"type": "array",
-          "items": {"anyOf": [{"type": "number"},
-                              {"type": "array", "items": {"type": "number"},
-                               "minItems": 2, "maxItems": 2}]}}
-_NUMLIST = {"type": "array", "items": {"type": "number"}}
-_COUNT = {"type": "integer", "minimum": 1}
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-_PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
-
-_SAMPLER = {"type": "object", "additionalProperties": False,
-            "properties": {"seed": {"type": "integer"},
-                           "count": _COUNT,
-                           "size_range": {"type": "array", "minItems": 2, "maxItems": 2,
-                                          "items": {"type": "number",
-                                                    "exclusiveMinimum": 0}},
-                           "center_radius": {"type": "number", "minimum": 0},
-                           "degree2_fraction": {"type": "number", "minimum": 0,
-                                                "maximum": 1},
-                           "interior_points": {"type": "integer", "minimum": 1}}}
-
-_OBSTACLE = {"type": "object", "additionalProperties": False,
-             "properties": {"type": {"enum": ["rect", "disk"]},
-                            "center": _PAIR,
-                            "half_widths": dict(_PAIR, items=_POSITIVE),
-                            "radius": _POSITIVE},
-             "required": ["type", "center"]}
-
-_SPACE = {"type": "object", "additionalProperties": False,
-          "properties": {"kind": {"enum": ["model", "cone", "orbifold",
-                                           "quotient", "torsion", "domain"]},
-                         "K": {"type": "number"},
-                         "n": {"type": "integer", "minimum": 1},
-                         "alpha": {"type": "number"},
-                         "k": {"type": "integer", "minimum": 2},
-                         "T": {"type": "array"},
-                         "radius": {"type": "number"},
-                         "obstacles": {"type": "array", "items": _OBSTACLE}},
-          "required": ["kind"]}
-
 _NUM = {"type": "number"}
 _INT = {"type": "integer"}
+_COUNT = {"type": "integer", "minimum": 1}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NUMLIST = {"type": "array", "items": _NUM}
+_PAIR = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
+_POINT = {"type": "array", "items": {"anyOf": [_NUM, _PAIR]}}   # [x, ...] or [[re, im], ...]
 
 
 def _params(*required: str, **props) -> dict:
-    """The schema of a check's params: the keys ``props`` and no others,
-    with ``required`` among them."""
+    """The schema of an object with the keys ``props`` and no others,
+    ``required`` among them."""
     return {"type": "object", "additionalProperties": False, "properties": props,
             "required": list(required)}
 
 
-CHECK_PARAM_SCHEMAS = {
-    "curvature-match": _params(points=_INT, radius=_NUM, tol=_NUM),
-    "min-bk-defect": _params("K", K=_NUM, z=_POINT, tol=_NUM, samples=_INT),
-    "comparison-scan": _params("K", K=_NUM, p=_POINT, count=_COUNT, tol=_NUM),
-    "violation-study": _params("K", K=_NUM, eps2_list=_NUMLIST, band=_NUMLIST),
-    "annulus": _params("K", K=_NUM, p=_POINT, tol=_NUM, eps_list={
-        "type": "array", "items": dict(_POSITIVE, exclusiveMaximum=0.1)}),
-    "psh": _params("K", K=_NUM, p=_POINT, tol=_NUM, crossing=_INT, center=_POINT),
-    # exactly one of a point set S and a complex line {a + t v}
-    "psh-set": dict(_params("K", K=_NUM, tol=_NUM,
-                            S={"type": "array", "items": _POINT, "minItems": 1},
-                            line=_params("a", "v", a=_POINT, v=_POINT)),
-                    oneOf=[{"required": ["S"]}, {"required": ["line"]}]),
-    "radial-potential": _params(tol=_NUM),
-    "quotient-bk2": _params(zprime=dict(_POINT, minItems=1, maxItems=2),
-                            perturb={"type": "boolean"}),
-    "k-threshold": _params(p=_POINT, lo=_NUM, hi=_NUM, resolution=_POSITIVE,
-                           expected=_NUM, band=_NUM, tol=_NUM),
-    "torsion-disk": _params("a", "b", a=_POINT, b=_POINT, eps1=_NUM, eps2=_NUM,
-                            factor=_NUM),
-    "domain-compare": _params("p", "q", p=_PAIR, q=_PAIR, eps=_POSITIVE, count=_COUNT,
-                              tol=_NUM, min_ratio=_NUM),
-}
+_SAMPLER = _params(seed=_INT, count=_COUNT, size_range=dict(_PAIR, items=_POSITIVE),
+                   center_radius={"type": "number", "minimum": 0},
+                   degree2_fraction={"type": "number", "minimum": 0, "maximum": 1},
+                   interior_points=_COUNT)
 
-_CHECK = {"type": "object", "additionalProperties": False,
-          "properties": {"check": {"enum": sorted(CHECK_PARAM_SCHEMAS)},
-                         "id": {"type": "string"},
-                         "expect": {"enum": ["PASS", "FAIL"]},
-                         "params": {"type": "object"}},
-          "required": ["check"]}
 
-CONFIG_SCHEMA = {
-    "type": "object", "additionalProperties": False,
-    "properties": {
-        "version": {"const": 1},
-        "scenarios": {"type": "array", "items": {
-            "type": "object", "additionalProperties": False,
-            "properties": {"id": {"type": "string"},
-                           "space": _SPACE,
-                           "sampler": _SAMPLER,
-                           "checks": {"type": "array", "items": _CHECK}},
-            "required": ["id", "space", "checks"]}},
-    },
-    "required": ["version", "scenarios"],
-}
+# one branch per obstacle type: a rect has half_widths, a disk a radius
+_OBSTACLE = {"type": "object", "required": ["type"],
+             "properties": {"type": {"enum": ["rect", "disk"]}},
+             "allOf": [{"if": {"properties": {"type": {"const": "rect"}}},
+                        "then": _params("center", "half_widths", type=True, center=_PAIR,
+                                        half_widths=dict(_PAIR, items=_POSITIVE))},
+                       {"if": {"properties": {"type": {"const": "disk"}}},
+                        "then": _params("center", "radius", type=True, center=_PAIR,
+                                        radius=_POSITIVE)}]}
 
 
 def _as_point(spec, n: Optional[int] = None) -> np.ndarray:
@@ -154,65 +90,51 @@ def _as_point(spec, n: Optional[int] = None) -> np.ndarray:
     return z
 
 
-_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-_PARAM_VALIDATORS = {kind: jsonschema.Draft202012Validator(schema)
-                     for kind, schema in CHECK_PARAM_SCHEMAS.items()}
+@dataclass(frozen=True)
+class SpaceKind:
+    """A space kind: its builder, and the schema of the keys its spec holds."""
+    build: Callable[[dict], object]
+    spec: dict
 
 
-def load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            cfg = json.load(f)
-    except FileNotFoundError as e:
-        raise ConfigError(str(e)) from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    e = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
-    if e is not None:
-        path_str = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: at {path_str}: {e.message}") from e
-    for i, sc in enumerate(cfg["scenarios"]):
-        size_range = sc.get("sampler", {}).get("size_range")
-        if size_range and size_range[0] >= size_range[1]:
-            raise ConfigError(f"{path}: at scenarios/{i}/sampler/size_range: lower end "
-                              f"{size_range[0]!r} is not below upper end {size_range[1]!r}")
-        for ch in sc["checks"]:
-            e = jsonschema.exceptions.best_match(
-                _PARAM_VALIDATORS[ch["check"]].iter_errors(ch.get("params", {})))
-            if e is not None:
-                raise ConfigError(
-                    f"{path}: scenario {sc['id']!r} check {ch['check']!r}: "
-                    f"{e.message}") from e
-    return cfg
+def _kind(build, *required: str, **props) -> SpaceKind:
+    return SpaceKind(build, _params(*required, kind=True, **props))
+
+
+def _domain(spec: dict) -> PlanarDomain:
+    obstacles = tuple(
+        RectObstacle(center=np.array(ob["center"]), half_widths=np.array(ob["half_widths"]))
+        if ob["type"] == "rect" else
+        DiskObstacle(center=np.array(ob["center"]), radius=ob["radius"])
+        for ob in spec.get("obstacles", ()))
+    return PlanarDomain(chart=ComplexChart(n=1, radii=spec.get("radius", 2.0)),
+                        obstacles=obstacles)
+
+
+# every kind has a ``chart``, and ``metric()``, ``potential()`` and
+# ``distance_field(p)`` where it has them
+SPACES = {
+    "model": _kind(lambda s: ModelSpace(K=s.get("K", 0.0), n=s.get("n", 1)), K=_NUM, n=_COUNT),
+    "cone": _kind(lambda s: ConeSurface(alpha=s["alpha"]), "alpha", alpha=_NUM),
+    "orbifold": _kind(lambda s: orbifold_cone(s["k"]), "k", k=dict(_INT, minimum=2)),
+    "quotient": _kind(lambda s: QuotientData()),
+    "torsion": _kind(lambda s: TorsionSpace(
+        T=np.array(s["T"], dtype=float),
+        chart=ComplexChart(n=s.get("n", 2), radii=s.get("radius", 1.5))),
+        "T", T={"type": "array"}, n=_COUNT, radius=_NUM),
+    "domain": _kind(_domain, radius=_NUM, obstacles={"type": "array", "items": _OBSTACLE}),
+}
+
+SPACE_NAMES = {ModelSpace: "model", ConeSurface: "cone", PlanarDomain: "domain",
+               TorsionSpace: "torsion", QuotientData: "quotient"}
 
 
 def build_space(spec: dict):
-    """The space a config declares; every kind has a ``chart``, and
-    ``metric()``, ``potential()`` and ``distance_field(p)`` where it has them."""
-    kind = spec["kind"]
+    """The space of a spec that meets its kind's schema."""
     try:
-        if kind == "model":
-            return ModelSpace(K=spec.get("K", 0.0), n=spec.get("n", 1))
-        if kind == "cone":
-            return ConeSurface(alpha=spec["alpha"])
-        if kind == "orbifold":
-            return orbifold_cone(spec["k"])
-        if kind == "quotient":
-            return QuotientData()
-        if kind == "torsion":
-            chart = ComplexChart(n=spec.get("n", 2), radii=spec.get("radius", 1.5))
-            return TorsionSpace(T=np.array(spec["T"], dtype=float), chart=chart)
-        if kind == "domain":
-            obstacles = tuple(
-                RectObstacle(center=np.array(ob["center"]), half_widths=np.array(ob["half_widths"]))
-                if ob["type"] == "rect" else
-                DiskObstacle(center=np.array(ob["center"]), radius=ob["radius"])
-                for ob in spec.get("obstacles", ()))
-            chart = ComplexChart(n=1, radii=spec.get("radius", 2.0))
-            return PlanarDomain(chart=chart, obstacles=obstacles)
-    except (KeyError, ValueError) as e:
-        raise ConfigError(f"bad {kind} space: {e}") from e
-    raise ConfigError(f"unknown space kind {kind!r}")
+        return SPACES[spec["kind"]].build(spec)
+    except ValueError as e:
+        raise ConfigError(f"bad {spec['kind']} space: {e}") from e
 
 
 def build_sampler(spec: Optional[dict], seed_override: Optional[int]) -> DiskSampler:
@@ -388,11 +310,19 @@ def _run_k_threshold(space, params, sampler, tol):
                 witness=None, extra={"trace": trace})
 
 
+def _fixed_disk(center, direction, chart) -> DiskEmbedding:
+    """The affine disk a check's params fix; an invalid one is a KahlerLabError."""
+    try:
+        return DiskEmbedding.affine(center, direction, chart)
+    except ValueError as e:
+        raise KahlerLabError(str(e)) from e
+
+
 def _run_torsion_disk(space, params, sampler, tol):
-    a = _as_point(params["a"])
-    b = _as_point(params["b"])
+    a = _as_point(params["a"], space.chart.n)
+    b = _as_point(params["b"], space.chart.n)
     e1, e2 = params.get("eps1", 5e-3), params.get("eps2", 5e-2)
-    disk = DiskEmbedding.affine(e2 * b, e1 * a, space.chart)
+    disk = _fixed_disk(e2 * b, e1 * a, space.chart)
     p = np.zeros(space.chart.n, dtype=complex)
     rep = comparison_defect(space.metric(), disk, p, 0.0, distance="numeric",
                             solver_opts=dict(N=24, gtol=1e-8, max_iters=120))
@@ -417,8 +347,7 @@ def _run_domain_compare(space, params, sampler, tol):
         raise KahlerLabError(f"length ratio {ratio:.6g} is below min_ratio {min_ratio:g}")
     metric = space.metric()
     eps = params.get("eps", 0.15)
-    # built first, so that a fixed disk leaving the chart is an ERROR row
-    fixed = DiskEmbedding.affine(np.array([q]), np.array([eps]), space.chart)
+    fixed = _fixed_disk(np.array([q]), np.array([eps]), space.chart)
     candidates = [fixed] if space.disk_free(q, eps) else []
     rng = np.random.default_rng(sampler.seed)
     for _ in range(params.get("count", 10)):
@@ -436,54 +365,122 @@ def _run_domain_compare(space, params, sampler, tol):
                 extra={"length_ratio": ratio})
 
 
-CHECK_RUNNERS = {
-    "curvature-match": _run_curvature_match,
-    "min-bk-defect": _run_min_bk_defect,
-    "comparison-scan": _run_comparison_scan,
-    "violation-study": _run_violation_study,
-    "annulus": _run_annulus,
-    "psh": _run_psh,
-    "psh-set": _run_psh_set,
-    "radial-potential": _run_radial_potential,
-    "quotient-bk2": _run_quotient_bk2,
-    "k-threshold": _run_k_threshold,
-    "torsion-disk": _run_torsion_disk,
-    "domain-compare": _run_domain_compare,
-}
+@dataclass(frozen=True)
+class Check:
+    """A check kind: its runner, the space classes it runs on (an orbifold
+    is a cone), its params schema, and its default tol if it takes --tol."""
+    run: Callable
+    spaces: tuple
+    params: dict
+    tol: Optional[float]
 
 
 _MODEL_OR_CONE = (ModelSpace, ConeSurface)
 _CLOSED_FORM = (ModelSpace, ConeSurface, PlanarDomain)   # with a metric and distance_field
 
-# the space classes each check runs on; the orbifold kind is a cone
-CHECK_SPACE = {
-    "curvature-match": (ModelSpace,),
-    "min-bk-defect": _CLOSED_FORM,
-    "comparison-scan": _CLOSED_FORM + (TorsionSpace,),
-    "violation-study": (ModelSpace,),
-    "annulus": _CLOSED_FORM,
-    "psh": _MODEL_OR_CONE,
-    "psh-set": _MODEL_OR_CONE,
-    "radial-potential": (ConeSurface,),
-    "quotient-bk2": (QuotientData,),
-    "k-threshold": _MODEL_OR_CONE,
-    "torsion-disk": (TorsionSpace,),
-    "domain-compare": (PlanarDomain,),
+CHECKS = {
+    "curvature-match": Check(_run_curvature_match, (ModelSpace,),
+                             _params(points=_INT, radius=_NUM, tol=_NUM), 1e-5),
+    "min-bk-defect": Check(_run_min_bk_defect, _CLOSED_FORM,
+                           _params("K", K=_NUM, z=_POINT, tol=_NUM, samples=_INT), 1e-6),
+    "comparison-scan": Check(_run_comparison_scan, _CLOSED_FORM + (TorsionSpace,),
+                             _params("K", K=_NUM, p=_POINT, count=_COUNT, tol=_NUM), 1e-6),
+    "violation-study": Check(_run_violation_study, (ModelSpace,),
+                             _params("K", K=_NUM, eps2_list=_NUMLIST, band=_NUMLIST), None),
+    "annulus": Check(_run_annulus, _CLOSED_FORM, _params(
+        "K", K=_NUM, p=_POINT, tol=_NUM,
+        eps_list={"type": "array", "items": dict(_POSITIVE, exclusiveMaximum=0.1)}), 1e-6),
+    "psh": Check(_run_psh, _MODEL_OR_CONE, _params(
+        "K", K=_NUM, p=_POINT, tol=_NUM, crossing=_INT, center=_POINT), 1e-6),
+    # exactly one of a point set S and a complex line {a + t v}
+    "psh-set": Check(_run_psh_set, _MODEL_OR_CONE, dict(
+        _params("K", K=_NUM, tol=_NUM, S={"type": "array", "items": _POINT, "minItems": 1},
+                line=_params("a", "v", a=_POINT, v=_POINT)),
+        oneOf=[{"required": ["S"]}, {"required": ["line"]}]), 1e-6),
+    "radial-potential": Check(_run_radial_potential, (ConeSurface,), _params(tol=_NUM), 1e-4),
+    "quotient-bk2": Check(_run_quotient_bk2, (QuotientData,), _params(
+        zprime=dict(_POINT, minItems=1, maxItems=2), perturb={"type": "boolean"}), None),
+    "k-threshold": Check(_run_k_threshold, _MODEL_OR_CONE, _params(
+        p=_POINT, lo=_NUM, hi=_NUM, resolution=_POSITIVE, expected=_NUM, band=_NUM,
+        tol=_NUM), None),
+    "torsion-disk": Check(_run_torsion_disk, (TorsionSpace,), _params(
+        "a", "b", a=_POINT, b=_POINT, eps1=_NUM, eps2=_NUM, factor=_NUM), None),
+    "domain-compare": Check(_run_domain_compare, (PlanarDomain,), _params(
+        "p", "q", p=_PAIR, q=_PAIR, eps=_POSITIVE, count=_COUNT, tol=_NUM, min_ratio=_NUM),
+        1e-6),
 }
 
-SPACE_NAMES = {ModelSpace: "model", ConeSurface: "cone", PlanarDomain: "domain",
-               TorsionSpace: "torsion", QuotientData: "quotient"}
+CONFIG_SCHEMA = _params(
+    "version", "scenarios", version={"const": 1}, scenarios={"type": "array", "items": _params(
+        "id", "space", "checks", id={"type": "string"},
+        space={"type": "object", "required": ["kind"],
+               "properties": {"kind": {"enum": list(SPACES)}}},
+        sampler=_SAMPLER,
+        checks={"type": "array", "items": _params(
+            "check", check={"enum": sorted(CHECKS)}, id={"type": "string"},
+            expect={"enum": ["PASS", "FAIL"]}, params={"type": "object"})})})
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+_SPACE_VALIDATORS = {k: jsonschema.Draft202012Validator(s.spec) for k, s in SPACES.items()}
+_PARAM_VALIDATORS = {k: jsonschema.Draft202012Validator(c.params) for k, c in CHECKS.items()}
 
-# the default tolerance of each check that takes --tol
-DEFAULT_TOL = {"curvature-match": 1e-5, "min-bk-defect": 1e-6, "comparison-scan": 1e-6,
-               "annulus": 1e-6, "psh": 1e-6, "psh-set": 1e-6, "radial-potential": 1e-4,
-               "domain-compare": 1e-6}
+
+def _points(schema, value) -> list:
+    """The values in ``value`` that ``schema`` declares a _POINT, not a zprime or a _PAIR."""
+    if schema is _POINT:
+        return [value]
+    if schema.get("type") == "object":
+        return [pt for k, v in value.items() for pt in _points(schema["properties"][k], v)]
+    if schema.get("type") == "array":
+        return [pt for v in value for pt in _points(schema["items"], v)]
+    return []
+
+
+def load_config(path: str) -> dict:
+    """The config at ``path``.  ConfigError unless it meets the schema, each
+    scenario's space builds, and each point of a check that runs on that
+    space has the space's dimension."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            cfg = json.load(f)
+    except FileNotFoundError as e:
+        raise ConfigError(str(e)) from e
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    e = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    if e is not None:
+        path_str = "/".join(str(p) for p in e.absolute_path) or "<root>"
+        raise ConfigError(f"{path}: at {path_str}: {e.message}") from e
+    for i, sc in enumerate(cfg["scenarios"]):
+        size_range = sc.get("sampler", {}).get("size_range")
+        if size_range and size_range[0] >= size_range[1]:
+            raise ConfigError(f"{path}: at scenarios/{i}/sampler/size_range: lower end "
+                              f"{size_range[0]!r} is not below upper end {size_range[1]!r}")
+        spec = sc["space"]
+        e = jsonschema.exceptions.best_match(_SPACE_VALIDATORS[spec["kind"]].iter_errors(spec))
+        if e is not None:
+            at = "/".join(["scenarios", str(i), "space", *map(str, e.absolute_path)])
+            raise ConfigError(f"{path}: at {at}: {e.message}") from e
+        space = build_space(spec)
+        for ch in sc["checks"]:
+            name, check, params = ch["check"], CHECKS[ch["check"]], ch.get("params", {})
+            where = f"{path}: scenario {sc['id']!r} check {name!r}"
+            e = jsonschema.exceptions.best_match(_PARAM_VALIDATORS[name].iter_errors(params))
+            if e is not None:
+                raise ConfigError(f"{where}: {e.message}") from e
+            if not isinstance(space, check.spaces):
+                continue                     # an ERROR row when it runs
+            for pt in _points(check.params, params):
+                if len(pt) != space.chart.n:
+                    raise ConfigError(f"{where}: point has dimension {len(pt)}, "
+                                      f"expected {space.chart.n}")
+    return cfg
 
 
 def _check_space(name: str, space) -> None:
-    """ConfigError unless ``space`` is one of the classes of CHECK_SPACE[name]."""
-    if not isinstance(space, CHECK_SPACE[name]):
-        *rest, last = [SPACE_NAMES[c] for c in CHECK_SPACE[name]]
+    """ConfigError unless ``space`` is one of the classes CHECKS[name] runs on."""
+    spaces = CHECKS[name].spaces
+    if not isinstance(space, spaces):
+        *rest, last = [SPACE_NAMES[c] for c in spaces]
         kinds = f"{', '.join(rest)} or {last}" if rest else last
         raise ConfigError(f"{name} needs a {kinds} space")
 
@@ -511,12 +508,12 @@ def run_scenario(scenario: dict, seed_override: Optional[int],
         sampler = build_sampler(scenario.get("sampler"), seed_override)
         expect = check.get("expect", "PASS")
         params = check.get("params", {})
-        # the checks outside DEFAULT_TOL ignore it
-        tol = params.get("tol", DEFAULT_TOL.get(name) if tol_override is None else tol_override)
+        # the checks without a default tol ignore it
+        tol = params.get("tol", CHECKS[name].tol if tol_override is None else tol_override)
         t0 = time.perf_counter()
         try:
             _check_space(name, space)
-            out = CHECK_RUNNERS[name](space, params, sampler, tol)
+            out = CHECKS[name].run(space, params, sampler, tol)
         except Exception as e:
             log.error("%s/%s: %s", scenario["id"], check_id, e,
                       exc_info=not isinstance(e, KahlerLabError))

@@ -37,35 +37,32 @@ def real_to_z(xs: np.ndarray) -> np.ndarray:
 class ComplexChart:
     """Axis-aligned box or ball in C^n, both convex.
 
-    The box bounds Re and Im of each coordinate by its radius, the ball
-    bounds |z - center| by the first radius; radii are in chart units.
+    Both are centred at the origin.  The box bounds Re and Im of each
+    coordinate by its radius, the ball bounds |z| by the first radius;
+    radii are in chart units.
     """
 
     n: int
-    center: np.ndarray = None
     radii: np.ndarray = None
     kind: str = "box"
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("complex dimension must be >= 1")
-        c = np.zeros(self.n, dtype=complex) if self.center is None else np.asarray(self.center, dtype=complex)
         r = np.ones(self.n) if self.radii is None else np.broadcast_to(np.asarray(self.radii, dtype=float), (self.n,)).copy()
         if np.any(r <= 0):
             raise ValueError("all radii must be positive")
-        object.__setattr__(self, "center", c)
         object.__setattr__(self, "radii", r)
         if self.kind not in ("box", "ball"):
             raise ValueError(f"unknown chart kind {self.kind!r}")
 
     def contains(self, zs: np.ndarray) -> np.ndarray:
         zs = np.atleast_2d(np.asarray(zs, dtype=complex))
-        d = zs - self.center
         if self.kind == "box":
-            ok = np.all(np.abs(d.real) <= self.radii, axis=1)
-            ok &= np.all(np.abs(d.imag) <= self.radii, axis=1)
+            ok = np.all(np.abs(zs.real) <= self.radii, axis=1)
+            ok &= np.all(np.abs(zs.imag) <= self.radii, axis=1)
             return ok
-        return np.linalg.norm(d, axis=1) <= self.radii[0]
+        return np.linalg.norm(zs, axis=1) <= self.radii[0]
 
 
 @dataclass(frozen=True)

@@ -206,11 +206,11 @@ def geodesic_distance_many(metric: HermitianMetricField, p, qs,
     return d, derr
 
 
-def chord_lower_bound(metric: HermitianMetricField, p, q, samples: int = 33) -> float:
-    """|q - p| scaled by the smallest metric eigenvalue along the chord."""
+def chord_lower_bound(metric: HermitianMetricField, p, q) -> float:
+    """|q - p| scaled by the smallest metric eigenvalue at 33 points of the chord."""
     p = np.asarray(p, dtype=complex).reshape(-1)
     q = np.asarray(q, dtype=complex).reshape(-1)
-    t = np.linspace(0, 1, samples)
+    t = np.linspace(0, 1, 33)
     pts = p[None] + t[:, None] * (q - p)[None]
     ev = np.linalg.eigvalsh(metric.gram(pts, check=False))
     lam = float(np.min(ev))
@@ -218,11 +218,11 @@ def chord_lower_bound(metric: HermitianMetricField, p, q, samples: int = 33) -> 
 
 
 def geodesic_distance(metric: HermitianMetricField, p, q,
-                      N: int = 48, multistarts: int = 4, seed: int = 0,
+                      N: int = 48, seed: int = 0,
                       max_iters: int = 500, gtol: float = 1e-9) -> DistanceSolution:
-    """Distance between two chart points with multistart descent.
+    """Distance between two chart points with descent from four starts.
 
-    Start 0 is the straight chord; the rest are seeded sinusoidal
+    Start 0 is the straight chord; the other three are seeded sinusoidal
     perturbations of it.  The reported error estimate is the Richardson
     correction from the mesh refinement.
     """
@@ -234,7 +234,7 @@ def geodesic_distance(metric: HermitianMetricField, p, q,
     starts = [_chords(p, q[None, :], N)[0]]
     bump = np.sin(math.pi * t)[:, None]
     scale = 0.25 * np.linalg.norm(q - p) + 1e-3
-    for _ in range(max(multistarts - 1, 0)):
+    for _ in range(3):
         amp = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
         starts.append(starts[0] + bump * amp[None, :])
     E, paths2, gn, d, derr, converged = _solve_refined(metric, np.stack(starts),
@@ -435,8 +435,8 @@ class PlanarDomain:
         rects = [ob for ob in self.obstacles if isinstance(ob, RectObstacle)]
         nodes = np.concatenate([nodes] + [ob.corners() for ob in rects])
         nodes = nodes[self._keep(nodes)]                     # p stays first
-        c0, h0 = self.chart.center[0], self.chart.radii[0]
-        boxes = [(np.array([c0.real - h0, c0.imag - h0]), np.array([c0.real + h0, c0.imag + h0]))]
+        h0 = self.chart.radii[0]
+        boxes = [(np.array([-h0, -h0]), np.array([h0, h0]))]
         boxes += [(np.asarray(ob.center) - ob.half_widths, np.asarray(ob.center) + ob.half_widths)
                   for ob in rects]
 

@@ -86,10 +86,11 @@ def _stencil_centres(w: np.ndarray, h: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _pairing_rule(n_r: int = 48, n_theta: int = 64):
-    """Polar Gauss rule on the unit disk: (nodes, weights, Laplacian of the
-    bump (1 - |w|^2)^3 at the nodes, bump mass).  The bump is C^2 with flat
-    boundary contact."""
+def _pairing_rule():
+    """Polar Gauss rule on the unit disk, 48 radial by 64 angular nodes:
+    (nodes, weights, Laplacian of the bump (1 - |w|^2)^3 at the nodes,
+    bump mass).  The bump is C^2 with flat boundary contact."""
+    n_r, n_theta = 48, 64
     x, wgl = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * wgl * r
@@ -102,13 +103,13 @@ def _pairing_rule(n_r: int = 48, n_theta: int = 64):
             float(np.sum(weights * (1.0 - r2) ** 3)))
 
 
-def distributional_pairing(u, disk, n_r: int = 48, n_theta: int = 64) -> float:
+def distributional_pairing(u, disk) -> float:
     """int u(i(w)) Lap bump dA normalized by int bump dA.
 
     Nonnegative whenever u restricts subharmonically to the disk in the
     distributional sense; u only needs to be continuous.
     """
-    nodes, weights, bump_lap, mass = _pairing_rule(n_r, n_theta)
+    nodes, weights, bump_lap, mass = _pairing_rule()
     vals = np.asarray(u(disk(nodes)), dtype=float)
     return float(np.sum(weights * vals * bump_lap)) / mass
 
@@ -268,13 +269,14 @@ def radial_potential_check(cone: ConeSurface, sampler: DiskSampler = RADIAL_SAMP
                                  tol=tol, samples=ws.size)
 
 
-def _round_density_from_distance(zs: np.ndarray, h: float = 1e-3) -> np.ndarray:
+def _round_density_from_distance(zs: np.ndarray) -> np.ndarray:
     """Metric matrix of the round link quotient reconstructed from d^2.
 
-    Half the Hessian of z -> d^2(z0, z)/2 at z = z0, by central FD of the
-    closed-form distance (one kernel call for every point and offset);
-    independent of the potential under test.
+    Half the Hessian of z -> d^2(z0, z)/2 at z = z0, by central FD of step
+    1e-3 of the closed-form distance (one kernel call for every point and
+    offset); independent of the potential under test.
     """
+    h = 1e-3
     step = np.array([h, -h, 1j * h, -1j * h])[:, None]
     dsq = model_distance(2.0, np.tile(zs, 4)[:, None],
                          (zs[None] + step).reshape(-1, 1)).reshape(4, -1) ** 2

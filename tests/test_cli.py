@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,8 @@ from click.testing import CliRunner
 from jsonschema import Draft202012Validator
 
 from kahlerlab import cli, disks
-from kahlerlab.cli import (CHECK_PARAM_SCHEMAS, CONFIG_SCHEMA, CSV_COLUMNS,
-                           bundled_scenario_path, execute, load_config, main)
+from kahlerlab.cli import (CHECKS, CONFIG_SCHEMA, CSV_COLUMNS, bundled_scenario_path,
+                           execute, load_config, main)
 from kahlerlab.curvature import TangentPair, curvature_tensor
 from kahlerlab.disks import scan_disks
 from kahlerlab.errors import ConfigError, KahlerLabError
@@ -88,8 +89,8 @@ def test_unknown_keys_rejected(tmp_path):
 
 def test_schemas_are_valid_draft_2020_12():
     Draft202012Validator.check_schema(CONFIG_SCHEMA)
-    for schema in CHECK_PARAM_SCHEMAS.values():
-        Draft202012Validator.check_schema(schema)
+    for check in CHECKS.values():
+        Draft202012Validator.check_schema(check.params)
 
 
 @pytest.mark.parametrize("size_range", [[0.1], [0.3, 0.05], [0.0, 0.1]])
@@ -147,39 +148,76 @@ def test_k_threshold_failing_lower_endpoint_is_an_error_row(tmp_path):
 
 # T[0, 1, 0] = 1/2, antisymmetric in the last two slots (acceptance 06)
 _TORSION = {"kind": "torsion", "T": [[[0.0, -0.5], [0.5, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+_MODEL2 = {"kind": "model", "K": 0.0, "n": 2}
+_SHORT = (3, "point has dimension 1, expected 2")
 
 
 @pytest.mark.parametrize("space, check, outcome", [
     (_TORSION, {"check": "comparison-scan", "params": {"K": 0.0, "count": 1}}, "row"),
-    (_TORSION, {"check": "torsion-disk", "params": {"a": [1, 1], "b": [30, 0]}}, "ERROR"),
+    (_TORSION, {"check": "torsion-disk", "params": {"a": [1, 1], "b": [30, 0]}},
+     ("ERROR", "disk image leaves the chart")),
     (_TORSION, {"check": "psh", "params": {"K": 0.0}}, "ERROR"),
     ({"kind": "quotient"}, {"check": "psh", "params": {"K": 0.0}}, "ERROR"),
     # the default base point is the apex: no curvature there, and u = 0 on every disk
     ({"kind": "cone", "alpha": 0.5}, {"check": "min-bk-defect", "params": {"K": 0.0}},
      ("ERROR", "singular point")),
     ({"kind": "cone", "alpha": 0.5}, {"check": "annulus", "params": {"K": 0.0}}, "PASS"),
-    ({"kind": "cone", "alpha": 1.5}, {"check": "psh", "params": {"K": 0.0}}, 3),
+    ({"kind": "cone", "alpha": 1.5}, {"check": "psh", "params": {"K": 0.0}},
+     (3, "cone exponent must be < 1")),
     ({"kind": "quotient", "delta": -1}, {"check": "quotient-bk2"}, 3),
     ({"kind": "quotient", "delta": 0.5}, {"check": "quotient-bk2"}, 3),
+    # a key that the space kind does not read
+    ({"kind": "cone", "alpha": 0.5, "n": 3}, {"check": "psh", "params": {"K": 0.0}},
+     (3, "'n' was unexpected")),
+    ({"kind": "model", "K": 0.0, "n": 2, "alpha": 0.5}, {"check": "psh", "params": {"K": 0.0}},
+     (3, "'alpha' was unexpected")),
+    ({"kind": "quotient", "T": [1]}, {"check": "quotient-bk2"}, (3, "'T' was unexpected")),
+    ({"kind": "torsion", "T": [1]}, {"check": "torsion-disk", "params": {"a": [1], "b": [1]}},
+     (3, "torsion tensor must be (n, n, n)")),
+    # a point whose dimension is not the space's
+    (_MODEL2, {"check": "psh", "params": {"K": 0.0, "p": [0.1]}}, _SHORT),
+    (_MODEL2, {"check": "psh", "params": {"K": 0.0, "center": [0.1]}}, _SHORT),
+    (_MODEL2, {"check": "min-bk-defect", "params": {"K": 0.0, "z": [0.1]}}, _SHORT),
+    (_MODEL2, {"check": "comparison-scan", "params": {"K": 0.0, "p": [0.1]}}, _SHORT),
+    (_MODEL2, {"check": "annulus", "params": {"K": 0.0, "p": [0.1]}}, _SHORT),
+    (_MODEL2, {"check": "k-threshold", "params": {"p": [0.1]}}, _SHORT),
+    (_MODEL2, {"check": "psh-set", "params": {"K": 0.0, "S": [[0, 0], [0.1]]}}, _SHORT),
+    (_MODEL2, {"check": "psh-set", "params": {"K": 0.0, "line": {"a": [0], "v": [1, 0]}}},
+     _SHORT),
+    (_MODEL2, {"check": "psh-set", "params": {"K": 0.0, "line": {"a": [0, 0], "v": [1]}}},
+     _SHORT),
+    (_TORSION, {"check": "torsion-disk", "params": {"a": [1], "b": [1, 0]}}, _SHORT),
+    (_TORSION, {"check": "torsion-disk", "params": {"a": [1, 1], "b": [1]}}, _SHORT),
+    # a check that does not run on the space is still an ERROR row, whatever its point
+    (_TORSION, {"check": "psh", "params": {"K": 0.0, "p": [0.1]}}, "ERROR"),
+    ({"kind": "domain", "radius": 2.0},
+     {"check": "domain-compare", "params": {"p": [-1, 0], "q": [1.95, 0]}},
+     ("ERROR", "disk image leaves the chart")),
 ], ids=["torsion-scan", "torsion-disk-off-chart", "torsion-psh", "quotient-psh",
         "cone-min-bk-defect", "cone-annulus", "cone-alpha", "quotient-delta",
-        "quotient-non-round"])
-def test_any_space_gives_a_row_or_a_config_error(tmp_path, space, check, outcome):
+        "quotient-non-round", "cone-n", "model-alpha", "quotient-T", "torsion-T",
+        "psh-p", "psh-center", "min-bk-defect-z", "scan-p", "annulus-p", "k-threshold-p",
+        "psh-set-S", "psh-set-line-a", "psh-set-line-v", "torsion-disk-a", "torsion-disk-b",
+        "torsion-psh-p", "domain-compare-fixed-disk-off-chart"])
+def test_any_space_gives_a_row_or_a_config_error(tmp_path, caplog, space, check, outcome):
     cfg = _minimal_cfg(check="psh", id="ok", params={"K": 0.0})
     cfg["scenarios"].append({"id": "t", "space": space,
                              "sampler": {"seed": 1, "count": 8, "interior_points": 4},
                              "checks": [dict(check, id="t")]})
     res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert res.exception is None or isinstance(res.exception, SystemExit), res.output
-    if outcome == 3:
-        assert res.exit_code == 3 and "config error" in res.output
+    assert not any(r.exc_info for r in caplog.records)
+    verdict, message = outcome if isinstance(outcome, tuple) else (outcome, "")
+    if verdict == 3:
+        # found at load, before any check runs
+        assert res.exit_code == 3 and "config error" in res.output and message in res.output
+        assert not (tmp_path / "o").exists()
         return
     rows = {r["check_id"]: r["verdict"]
             for r in _read_csv(tmp_path / "o" / "results.csv")}
     assert rows["ok"] == "PASS" and "t" in rows
     if outcome == "row":
         return
-    verdict, message = outcome if isinstance(outcome, tuple) else (outcome, "")
     assert rows["t"] == verdict
     if verdict == "ERROR":
         [row] = [r for r in json.loads((tmp_path / "o" / "summary.json").read_text())["rows"]
@@ -211,7 +249,7 @@ _SMALL_PARAMS = {
 
 
 def test_every_space_and_check_gives_a_row_without_a_traceback(caplog):
-    assert set(_SMALL_PARAMS) == set(cli.CHECK_RUNNERS)
+    assert set(_SMALL_PARAMS) == set(CHECKS)
     cases = [(kind, check, params) for kind in _SPACES
              for check, params in _SMALL_PARAMS.items()]
     # a line point of the wrong dimension
@@ -224,17 +262,17 @@ def test_every_space_and_check_gives_a_row_without_a_traceback(caplog):
         [row] = cli.run_scenario(scenario, None, None)
         assert not any(r.exc_info for r in caplog.records), (kind, check)
         space = cli.build_space(_SPACES[kind])
-        if not isinstance(space, cli.CHECK_SPACE[check]):
+        if not isinstance(space, CHECKS[check].spaces):
             assert row["verdict"] == "ERROR", (kind, check)
             assert re.fullmatch(rf"{check} needs an? [a-z, ]+ space",
                                 row["witness"]["error"]), row["witness"]
     assert row["witness"] == {"error": "point has dimension 1, expected 2"}   # the last case
 
 
-def test_check_tables_share_their_keys():
-    assert set(cli.CHECK_RUNNERS) == set(CHECK_PARAM_SCHEMAS) == set(cli.CHECK_SPACE)
-    for name in cli.DEFAULT_TOL:
-        assert "tol" in CHECK_PARAM_SCHEMAS[name]["properties"], name
+def test_a_check_with_a_default_tol_takes_a_tol_param():
+    for name, check in CHECKS.items():
+        if check.tol is not None:
+            assert "tol" in check.params["properties"], name
 
 
 def test_radial_potential_takes_the_scenario_seed(tmp_path):
@@ -290,9 +328,9 @@ def test_runners_read_only_required_or_tested_params():
     # a runner reads params["key"] only when its schema requires the key,
     # when it tests "key" in params first, or when the key is one of an
     # exactly-one-of group whose other keys it tests
-    for name, runner in cli.CHECK_RUNNERS.items():
-        src = inspect.getsource(runner)
-        schema = CHECK_PARAM_SCHEMAS[name]
+    for name, check in CHECKS.items():
+        src = inspect.getsource(check.run)
+        schema = check.params
         tested = set(re.findall(r"""["'](\w+)["'] in params""", src))
         safe = set(schema["required"]) | tested
         group = {branch["required"][0] for branch in schema.get("oneOf", ())}
@@ -318,18 +356,24 @@ def test_cli_tol_zero_is_a_tolerance(tmp_path):
     assert verdicts == {"0": ("FAIL", 1), "1e-6": ("PASS", 0)}
 
 
-@pytest.mark.parametrize("obstacle", [
-    {"type": "rect", "center": [0], "half_widths": [0.15, 1.2]},
-    {"type": "disk", "center": [0, 0], "radius": -0.3},
-    {"type": "rect", "center": [0, 0], "half_widths": [0.15, 0]},
-], ids=["short-center", "negative-radius", "zero-half-width"])
-def test_malformed_obstacles_exit_three(tmp_path, obstacle):
+@pytest.mark.parametrize("obstacle, message", [
+    ({"type": "rect", "center": [0], "half_widths": [0.15, 1.2]}, "is too short"),
+    ({"type": "disk", "center": [0, 0], "radius": -0.3}, "less than or equal to the minimum"),
+    ({"type": "rect", "center": [0, 0], "half_widths": [0.15, 0]},
+     "less than or equal to the minimum"),
+    ({"type": "rect", "center": [0, 0]}, "'half_widths' is a required property"),
+    ({"type": "disk", "center": [0, 0], "radius": 0.3, "half_widths": [0.1, 0.1]},
+     "'half_widths' was unexpected"),
+], ids=["short-center", "negative-radius", "zero-half-width", "rect-no-half-widths",
+        "disk-with-half-widths"])
+def test_malformed_obstacles_exit_three(tmp_path, obstacle, message):
     cfg = {"version": 1, "scenarios": [{
         "id": "d", "space": {"kind": "domain", "radius": 2.0, "obstacles": [obstacle]},
         "checks": [{"check": "domain-compare", "params": {"p": [-1.2, 0], "q": [1, 0]}}]}]}
     res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
-    assert "config error" in res.output and not (tmp_path / "o" / "results.csv").exists()
+    assert "at scenarios/0/space/obstacles/0" in res.output and message in res.output
+    assert not (tmp_path / "o").exists()
 
 
 def test_scan_count_keeps_the_scenario_sampler(tmp_path, monkeypatch):
@@ -455,7 +499,7 @@ def test_plotdata_empty_dir_writes_headers(tmp_path):
 def test_violation_study_stack_has_the_bits_of_one_disk_at_a_time(space_K, K):
     space = ModelSpace(K=space_K, n=2)
     params = {"K": K, "eps2_list": [0.05, 0.025, 0.0125]}
-    row = cli.CHECK_RUNNERS["violation-study"](space, params, DiskSampler(), 1e-6)
+    row = CHECKS["violation-study"].run(space, params, DiskSampler(), 1e-6)
     metric, p = space.metric(), np.zeros(2, dtype=complex)
     pair = TangentPair(X=np.array([1.0, 0.0]), Y=np.array([0.0, 1.0]),
                        G=curvature_tensor(metric, p).G)
@@ -642,8 +686,8 @@ def test_each_row_is_logged_before_the_next_check_runs(monkeypatch, caplog):
         logged_before_second.extend(r.getMessage() for r in caplog.records)
         return dict(verdict="PASS", value=0.0, error_est=0.0)
 
-    monkeypatch.setitem(cli.CHECK_RUNNERS, "curvature-match", first)
-    monkeypatch.setitem(cli.CHECK_RUNNERS, "min-bk-defect", second)
+    for name, run in (("curvature-match", first), ("min-bk-defect", second)):
+        monkeypatch.setitem(CHECKS, name, replace(CHECKS[name], run=run))
     scenario = _minimal_cfg(check="curvature-match", id="one")["scenarios"][0]
     scenario["checks"].append({"check": "min-bk-defect", "id": "two"})
     with caplog.at_level(logging.INFO, logger="kahlerlab"):

@@ -500,7 +500,7 @@ def _random_disks(chart, rng, count, max_ratio, degree2_fraction):
         v = gauss()
         return v / np.linalg.norm(v, axis=1, keepdims=True)
 
-    a = chart.center + gauss() * R * rng.uniform(0.0, 1.2, (count, 1)) / math.sqrt(2 * n)
+    a = gauss() * R * rng.uniform(0.0, 1.2, (count, 1)) / math.sqrt(2 * n)
     size = R * np.exp(rng.uniform(math.log(1e-3), math.log(0.5), (count, 1)))
     b = unit() * size
     c2 = unit() * size * rng.uniform(0.0, max_ratio, (count, 1))
@@ -581,10 +581,7 @@ def _edge_cases(chart):
         [0.4 * R * u, 0.5 * R * u, 0.1000001 * R * u],         # leaves at w = 1
         [0 * u, 2 * R * u], [0 * u, 0.3 * u, 0.01 * v],
     ]
-    out = [np.array(c) for c in cases]
-    for c in out:
-        c[0] += chart.center
-    return out
+    return [np.array(c) for c in cases]
 
 
 def test_batch_rule_matches_the_one_disk_rule():
