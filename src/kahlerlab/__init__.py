@@ -1,18 +1,18 @@
 """Numerical laboratory for bisectional-curvature comparison geometry.
 
-Potential-form Hermitian metrics on complex charts, curvature tensors by
-one finite-difference level of the closed-form metric derivative (two
-nested levels of the potential where a metric has none), closed-form
-model spaces and cones, geodesic distances by energy minimization,
-holomorphic-disk comparison reports, and subharmonicity certificates,
-with a scenario-runner CLI on top.
+Closed-form Hermitian metrics on complex charts (models, cones,
+orbifolds, planar domains, torsion deformations), curvature tensors by
+one finite-difference level of the closed-form metric derivative,
+geodesic distances by energy minimization, holomorphic-disk comparison
+reports, and subharmonicity certificates, with a scenario-runner CLI on
+top.
 """
 
 from .errors import (ConfigError, DomainExceeded, Disconnected, KahlerLabError,
                      NonConvergence, NonPositiveDefinite, SingularityTooClose,
                      Unsupported)
 from .fields import (ComplexChart, HermitianMetricField, ScalarField,
-                     flat_potential, metric_from_potential, real_to_z, z_to_real)
+                     flat_potential, real_to_z, z_to_real)
 from .curvature import (CurvatureData, TangentPair, bianchi_check, bisectional,
                         bk_defect, curvature_tensor, hermitian_inner,
                         min_bk_defect)

@@ -410,14 +410,17 @@ CHECKS = {
         1e-6),
 }
 
+# ids name witness files, so they stay inside witness/
+_ID = {"type": "string", "pattern": "^[A-Za-z0-9][A-Za-z0-9._-]*$"}
+
 CONFIG_SCHEMA = _params(
     "version", "scenarios", version={"const": 1}, scenarios={"type": "array", "items": _params(
-        "id", "space", "checks", id={"type": "string"},
+        "id", "space", "checks", id=_ID,
         space={"type": "object", "required": ["kind"],
                "properties": {"kind": {"enum": list(SPACES)}}},
         sampler=_SAMPLER,
         checks={"type": "array", "items": _params(
-            "check", check={"enum": sorted(CHECKS)}, id={"type": "string"},
+            "check", check={"enum": sorted(CHECKS)}, id=_ID,
             expect={"enum": ["PASS", "FAIL"]}, params={"type": "object"})})})
 _CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 _SPACE_VALIDATORS = {k: jsonschema.Draft202012Validator(s.spec) for k, s in SPACES.items()}
@@ -435,10 +438,14 @@ def _points(schema, value) -> list:
     return []
 
 
+def _check_id(check: dict, idx: int) -> str:
+    return check.get("id", f"{check['check']}-{idx}")
+
+
 def load_config(path: str) -> dict:
-    """The config at ``path``.  ConfigError unless it meets the schema, each
-    scenario's space builds, and each point of a check that runs on that
-    space has the space's dimension."""
+    """The config at ``path``.  ConfigError unless it meets the schema, no two
+    checks share a witness file name, each scenario's space builds, and each
+    point of a check that runs on that space has the space's dimension."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f)
@@ -450,6 +457,7 @@ def load_config(path: str) -> dict:
     if e is not None:
         path_str = "/".join(str(p) for p in e.absolute_path) or "<root>"
         raise ConfigError(f"{path}: at {path_str}: {e.message}") from e
+    stems = set()                # of witness/{scenario id}-{check id}.json
     for i, sc in enumerate(cfg["scenarios"]):
         size_range = sc.get("sampler", {}).get("size_range")
         if size_range and size_range[0] >= size_range[1]:
@@ -461,7 +469,12 @@ def load_config(path: str) -> dict:
             at = "/".join(["scenarios", str(i), "space", *map(str, e.absolute_path)])
             raise ConfigError(f"{path}: at {at}: {e.message}") from e
         space = build_space(spec)
-        for ch in sc["checks"]:
+        for j, ch in enumerate(sc["checks"]):
+            stem = f"{sc['id']}-{_check_id(ch, j)}"
+            if stem in stems:
+                raise ConfigError(f"{path}: at scenarios/{i}/checks/{j}: witness name "
+                                  f"{stem!r} is taken by an earlier check")
+            stems.add(stem)
             name, check, params = ch["check"], CHECKS[ch["check"]], ch.get("params", {})
             where = f"{path}: scenario {sc['id']!r} check {name!r}"
             e = jsonschema.exceptions.best_match(_PARAM_VALIDATORS[name].iter_errors(params))
@@ -504,7 +517,7 @@ def run_scenario(scenario: dict, seed_override: Optional[int],
         name = check["check"]
         if check_filter and name not in check_filter:
             continue
-        check_id = check.get("id", f"{name}-{idx}")
+        check_id = _check_id(check, idx)
         sampler = build_sampler(scenario.get("sampler"), seed_override)
         expect = check.get("expect", "PASS")
         params = check.get("params", {})

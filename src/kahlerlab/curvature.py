@@ -9,35 +9,25 @@ with the sign fixed so that the constant-curvature model potentials
 reproduce R = -(c/2)(g g + g g) entrywise.  Bisectional curvature of a
 unit pair (X, Y) is -R(X, Xbar, Y, Ybar); note the minus sign.
 
-When the field carries a closed-form ``dgram`` (the models, cones and
-orbifolds), the correction term uses the exact g and d g, and
-d_k dbar_l g is one fourth-order central difference of the exact d g.
-Otherwise g comes from the potential by finite differences, and
-d_k dbar_l g differentiates that a second time: two nested levels.
-Either way R carries a Richardson error, its change when every step is
-doubled.
+The correction term uses the closed-form g and d g, and d_k dbar_l g
+is one fourth-order central difference of the closed-form d g.  R
+carries a Richardson error, its change when the step is doubled.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
 
-from . import fd
 from .errors import NonConvergence, SingularityTooClose
 from .fields import HermitianMetricField, real_to_z, z_to_real
 
-# one-level step on an exact dgram, times min(1, distance to a singular point)
+# step on the closed-form dgram, times min(1, distance to a singular point)
 CURV_STEP = 1e-3
 # rounding of its difference quotients, per unit of max|dgram| / step
 CURV_ROUNDING = 32.0 * 2.0 ** -52
-# nested steps on a potential: the metric matrices come from FD with the
-# inner step, chosen to keep round-off below the outer stencil's truncation
-CURV_OUTER_H = 0.015
-CURV_INNER_H = 8e-3
 MAX_SWEEPS = 500
 
 
@@ -72,8 +62,8 @@ class CurvatureData:
     """R_{i jbar k lbar} at a point, indexed [i, j, k, l], plus the metric.
 
     ``error`` bounds the entrywise error of R: its largest entrywise change
-    when the finite-difference steps are doubled (plus the rounding of the
-    difference quotients on the one-level route).
+    when the finite-difference step is doubled, plus the rounding of the
+    difference quotients.
     """
 
     z: np.ndarray
@@ -108,31 +98,23 @@ class CurvatureData:
 def curvature_tensor(metric: HermitianMetricField, z: np.ndarray) -> CurvatureData:
     """Full curvature tensor of a potential-form metric at a chart point.
 
-    With a closed-form ``dgram`` the step is h = CURV_STEP min(1, distance
-    to the nearest singular point), and one batched ``dgram`` call at z and
-    at the nodes +-h/2, +-h, +-2h along each real axis gives R at steps h
-    and 2h.  Without one, the nested potential stencil is taken at its
-    steps and at twice them.  Raises SingularityTooClose if the stencil
-    comes within the smoothness radius of a singular point.
+    The step is h = CURV_STEP min(1, distance to the nearest singular
+    point), and one batched ``dgram`` call at z and at the nodes +-h/2,
+    +-h, +-2h along each real axis gives R at steps h and 2h.  Raises
+    SingularityTooClose if the stencil comes within the smoothness radius
+    of a singular point.
     """
     if not metric.is_potential_form:
         raise ValueError("curvature requires a potential-form metric")
     phi = metric.potential
     z = np.asarray(z, dtype=complex).reshape(phi.n)
     dist = phi.singular_distance(z[None])[0]
-    if metric.has_exact_dgram:
-        h = CURV_STEP * min(1.0, dist)
-        reach = 2.0 * h
-    else:
-        reach = 2.0 * math.sqrt(2.0) * (CURV_OUTER_H + CURV_INNER_H)
-    if not dist - reach >= phi.smoothness_radius:
+    h = CURV_STEP * min(1.0, dist)
+    if not dist - 2.0 * h >= phi.smoothness_radius:
         raise SingularityTooClose(f"curvature stencil at z={z} comes within "
-                                  f"{max(dist - reach, 0.0):.3e} of a singular point "
+                                  f"{max(dist - 2.0 * h, 0.0):.3e} of a singular point "
                                   f"of {phi.name!r}")
-    if metric.has_exact_dgram:
-        G, dG, second, error = _second_exact(metric, z, h)
-    else:
-        G, dG, second, error = _second_nested(phi, z)
+    G, dG, second, error = _second_derivatives(metric, z, h)
     Ginv = np.linalg.inv(G)
     # dbar_l g_{p jbar} = conj(d_l g_{j pbar})
     dbarG = np.conj(dG.transpose(0, 2, 1))               # [l, p, j]
@@ -140,9 +122,9 @@ def curvature_tensor(metric: HermitianMetricField, z: np.ndarray) -> CurvatureDa
     return CurvatureData(z=z, R=second - corr, G=G, error=error)
 
 
-def _second_exact(metric: HermitianMetricField, z: np.ndarray, h: float):
-    """Exact g and d g at z, and d_k dbar_l g_{i jbar} as [i, j, k, l] with
-    its Richardson error, from one ``dgram`` call.
+def _second_derivatives(metric: HermitianMetricField, z: np.ndarray, h: float):
+    """Closed-form g and d g at z, and d_k dbar_l g_{i jbar} as [i, j, k, l]
+    with its Richardson error, from one ``dgram`` call.
 
     dbar_l d_k g = (1/2)(d/dx_l + i d/dy_l) dgram[k]; the fourth-order
     central difference at step s is (4 D(s/2) - D(s)) / 3, so steps h and
@@ -161,24 +143,6 @@ def _second_exact(metric: HermitianMetricField, z: np.ndarray, h: float):
     error = float(np.max(np.abs(second[0] - second[1]))
                   + CURV_ROUNDING * np.max(np.abs(D)) / h)
     return metric.gram(z[None])[0], D[0], second[0], error
-
-
-def _second_nested(phi, z: np.ndarray):
-    """FD g and d g at z, and d_k dbar_l g_{i jbar} as [i, j, k, l] with its
-    change when both nested steps double."""
-    def level(outer, inner):
-        def gram_raw(xs):
-            return fd.wirtinger_dd(lambda u: phi(real_to_z(u)), xs, inner, phi.n)
-
-        x0 = z_to_real(z[None, :])
-        G0 = gram_raw(x0)[0]
-        DD = fd.wirtinger_dd(gram_raw, x0, outer, phi.n)[0]    # [k, l, i, j]
-        dG = fd.wirtinger_d(gram_raw, x0, outer, phi.n)[0]     # [k, i, j] = d_k g_{i jbar}
-        return 0.5 * (G0 + np.conj(G0.T)), dG, DD.transpose(2, 3, 0, 1)
-
-    G, dG, second = level(CURV_OUTER_H, CURV_INNER_H)
-    _, _, doubled = level(2.0 * CURV_OUTER_H, 2.0 * CURV_INNER_H)
-    return G, dG, second, float(np.max(np.abs(second - doubled)))
 
 
 def bisectional(data: CurvatureData, pair: TangentPair) -> float:

@@ -637,7 +637,7 @@ def torsion_metric(T: np.ndarray, chart: ComplexChart) -> HermitianMetricField:
     def dgram(zs):
         return np.broadcast_to(dG, (zs.shape[0], n, n, n))
 
-    return HermitianMetricField(chart, gram_fn=gram, exact_dgram=dgram, name="torsion metric")
+    return HermitianMetricField(chart, gram, dgram, name="torsion metric")
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "gradient",
     "hessian",
     "laplacian_2d",
     "laplacian_2d_combine",
     "laplacian_2d_nodes",
-    "wirtinger_dd",
-    "wirtinger_d",
 ]
 
 
@@ -31,26 +28,8 @@ def _eval_at_offsets(f, x, offsets):
     return vals.reshape((Q, P) + vals.shape[1:])
 
 
-def gradient(f, x, h):
-    """Fourth-order first derivatives along every axis; (P, m, ...)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    P, m = x.shape
-    offsets = []
-    for a in range(m):
-        for s in (h, -h, h / 2, -h / 2):
-            e = np.zeros(m)
-            e[a] = s
-            offsets.append(e)
-    vals = _eval_at_offsets(f, x, offsets)
-    out = []
-    for a in range(m):
-        vp, vm, vp2, vm2 = vals[4 * a], vals[4 * a + 1], vals[4 * a + 2], vals[4 * a + 3]
-        d_h = (vp - vm) / (2 * h)
-        d_h2 = (vp2 - vm2) / h
-        out.append((4 * d_h2 - d_h) / 3)
-    return np.stack(out, axis=1)
-
-
+# No library route takes the Hessian: it stays for perfbench's patch table,
+# until ROADMAP item 3 replaces that table, and for the tests' FD reference.
 def hessian(f, x, h):
     """Fourth-order full Hessian; (P, m, m, ...)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -128,27 +107,3 @@ def laplacian_2d(f, x, h):
     nodes = laplacian_2d_nodes(x, h)
     vals = np.asarray(f(nodes.reshape(-1, 2)))
     return laplacian_2d_combine(vals.reshape(nodes.shape[:2] + vals.shape[1:]), h)
-
-
-def _split_wirtinger(H, n):
-    """Contract a (P, 2n, 2n, ...) real-coordinate Hessian into d_i dbar_j.
-
-    Coordinate layout is (x_1..x_n, y_1..y_n).  Returns (P, n, n, ...) with
-    entry [i, j] = quarter * (H_xx + H_yy + i (H_xy - H_yx)).
-    """
-    Hxx = H[:, :n, :n]
-    Hyy = H[:, n:, n:]
-    Hxy = H[:, :n, n:]
-    Hyx = H[:, n:, :n]
-    return 0.25 * (Hxx + Hyy + 1j * (Hxy - Hyx))
-
-
-def wirtinger_dd(f, x, h, n):
-    """Mixed complex second derivatives d_i dbar_j of a real-coordinate field."""
-    return _split_wirtinger(hessian(f, x, h), n)
-
-
-def wirtinger_d(f, x, h, n):
-    """Holomorphic first derivatives d_k; (P, n, ...)."""
-    G = gradient(f, x, h)
-    return 0.5 * (G[:, :n] - 1j * G[:, n:])

@@ -14,11 +14,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import fd
-from .errors import NonPositiveDefinite, SingularityTooClose
+from .errors import NonPositiveDefinite
 
 EIGENVALUE_FLOOR = 1e-10
-GRAM_STEP = 1e-3        # FD step of grams from a potential and of dgrams from grams
 
 
 def z_to_real(zs: np.ndarray) -> np.ndarray:
@@ -105,83 +103,40 @@ def _check_pd(G: np.ndarray, zs: np.ndarray) -> None:
             f"metric eigenvalue {ev[i, 0]:.3e} at z={np.asarray(zs)[i]}")
 
 
-def metric_from_potential(phi: ScalarField, z: np.ndarray) -> np.ndarray:
-    """g_{i jbar}(z) = d_i dbar_j phi by Richardson-extrapolated central FD
-    at step ``GRAM_STEP``.
-
-    Accepts a single point (n,) or a batch (P, n); returns the matching
-    (n, n) or (P, n, n) Hermitian matrices.
-    """
-    z = np.asarray(z, dtype=complex)
-    single = z.ndim == 1
-    zs = np.atleast_2d(z)
-    guard = phi.singular_distance(zs)
-    if np.any(guard < phi.smoothness_radius):
-        i = int(np.argmax(guard < phi.smoothness_radius))
-        raise SingularityTooClose(
-            f"z={zs[i]} at distance {guard[i]:.3e} < smoothness radius "
-            f"{phi.smoothness_radius:.3e} of field {phi.name!r}")
-    G = fd.wirtinger_dd(lambda xs: phi(real_to_z(xs)), z_to_real(zs), GRAM_STEP, phi.n)
-    G = 0.5 * (G + np.conj(np.swapaxes(G, -1, -2)))
-    _check_pd(G, zs)
-    return G[0] if single else G
-
-
 class HermitianMetricField:
-    """Hermitian matrix-valued field on a chart.
+    """Hermitian matrix-valued field on a chart, in closed form.
 
-    A field has a potential (g = d dbar phi, supports curvature), a
-    closed-form ``gram_fn``, or both: the models and cones carry both, the
-    torsion metrics only ``gram_fn``.  ``gram`` returns ``gram_fn``'s
-    matrices as they are, so they must be Hermitian by construction;
-    without it ``gram`` takes the finite-difference route of the
-    potential, which tests pin ``gram_fn`` against.  Either form may
-    carry ``exact_dgram``, the closed-form holomorphic derivative returned
-    by ``dgram``; without it ``dgram`` differentiates ``gram`` by finite
-    differences.
+    ``gram_fn`` gives the matrices g_{i jbar} and ``dgram_fn`` their
+    holomorphic derivatives.  ``gram`` returns ``gram_fn``'s matrices as
+    they are, so they must be Hermitian by construction.  A field with a
+    ``potential`` (g = d dbar phi: the models and cones) supports
+    curvature; the torsion metrics have none.
     """
 
-    def __init__(self, chart: ComplexChart, potential: Optional[ScalarField] = None,
-                 gram_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 exact_dgram: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 name: str = ""):
-        if potential is None and gram_fn is None:
-            raise ValueError("provide a potential or a gram_fn")
+    def __init__(self, chart: ComplexChart, gram_fn: Callable[[np.ndarray], np.ndarray],
+                 dgram_fn: Callable[[np.ndarray], np.ndarray],
+                 potential: Optional[ScalarField] = None, name: str = ""):
         self.chart = chart
         self.potential = potential
         self._gram_fn = gram_fn
-        self._exact_d = exact_dgram
+        self._dgram_fn = dgram_fn
         self.name = name or (potential.name if potential else "direct metric")
 
     @property
     def is_potential_form(self) -> bool:
         return self.potential is not None
 
-    @property
-    def has_exact_dgram(self) -> bool:
-        """True when ``dgram`` is in closed form, not a finite difference."""
-        return self._exact_d is not None
-
     def gram(self, zs: np.ndarray, check: bool = True) -> np.ndarray:
         """(P, n, n) Hermitian positive matrices g_{i jbar}(z)."""
         zs = np.atleast_2d(np.asarray(zs, dtype=complex))
-        if self._gram_fn is None:
-            return metric_from_potential(self.potential, zs)
         G = np.asarray(self._gram_fn(zs))
         if check:
             _check_pd(G, zs)
         return G
 
     def dgram(self, zs: np.ndarray) -> np.ndarray:
-        """(P, n, n, n) holomorphic derivatives, [p, k, i, j] = d_k g_{i jbar}.
-
-        Closed form where the field carries one, else the fourth-order
-        central difference of ``gram`` at step ``GRAM_STEP``."""
-        zs = np.atleast_2d(np.asarray(zs, dtype=complex))
-        if self._exact_d is not None:
-            return np.asarray(self._exact_d(zs))
-        return fd.wirtinger_d(lambda xs: self.gram(real_to_z(xs), check=False),
-                              z_to_real(zs), GRAM_STEP, self.chart.n)
+        """(P, n, n, n) holomorphic derivatives, [p, k, i, j] = d_k g_{i jbar}."""
+        return np.asarray(self._dgram_fn(np.atleast_2d(np.asarray(zs, dtype=complex))))
 
     def kahler_symmetry_residual(self, z: np.ndarray) -> float:
         """max_| d_k g_{i jbar} - d_i g_{k jbar} | at z; 0 exactly when

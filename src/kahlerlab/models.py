@@ -155,10 +155,8 @@ class ModelSpace:
     def metric(self) -> HermitianMetricField:
         c = self.c
         return HermitianMetricField(
-            self.chart, potential=self.potential(),
-            gram_fn=lambda zs: _model_gram(c, zs),
-            exact_dgram=lambda zs: _model_dgram(c, zs),
-            name=f"model metric, c = {c:g}")
+            self.chart, lambda zs: _model_gram(c, zs), lambda zs: _model_dgram(c, zs),
+            potential=self.potential(), name=f"model metric, c = {c:g}")
 
     def distance(self, z1, z2) -> float:
         """Exact geodesic distance between chart points."""
@@ -265,8 +263,8 @@ class ConeSurface:
         def dgram(zs):                    # d_z |z|^(-2a) = -a |z|^(-2a) / z
             return (-a * gram(zs)[:, 0, 0] / zs[:, 0])[:, None, None, None]
 
-        return HermitianMetricField(chart, potential=self.potential(), gram_fn=gram,
-                                    exact_dgram=dgram, name=f"cone metric, alpha = {a:g}")
+        return HermitianMetricField(chart, gram, dgram, potential=self.potential(),
+                                    name=f"cone metric, alpha = {a:g}")
 
     def distance_field(self, p) -> ScalarField:
         """d(p, .) in the chart coordinate, p complex (apex allowed):

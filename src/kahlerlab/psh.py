@@ -63,7 +63,7 @@ class ComplexLine:
         return np.linalg.norm(d - proj[:, None] * v[None], axis=1)
 
 
-def disk_laplacian(f, disk, w, h: float = 1e-3):
+def disk_laplacian(f, disk, w, h: float = FD_STEP):
     """Laplacian of f composed with the disk map, at interior points w.
 
     ``f`` is a ScalarField or a batched callable on chart points; returns

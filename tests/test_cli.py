@@ -376,6 +376,30 @@ def test_malformed_obstacles_exit_three(tmp_path, obstacle, message):
     assert not (tmp_path / "o").exists()
 
 
+def _scan_scenario(sid, **check):
+    return {"id": sid, "space": {"kind": "model", "K": 0.0, "n": 2},
+            "sampler": {"seed": 1, "count": 2},
+            "checks": [dict(check="comparison-scan", params={"K": 1.5, "count": 1}, **check)]}
+
+
+@pytest.mark.parametrize("scenarios, message", [
+    ([_scan_scenario("flat", id="scan"), _scan_scenario("flat", id="scan")],
+     "at scenarios/1/checks/0: witness name 'flat-scan' is taken"),
+    # a default check id counts: the first check is comparison-scan-0
+    ([_scan_scenario("a"), _scan_scenario("a-comparison-scan", id="0")],
+     "at scenarios/1/checks/0: witness name 'a-comparison-scan-0' is taken"),
+    ([_scan_scenario("../escaped", id="scan")], "at scenarios/0/id: '../escaped' does not match"),
+    ([_scan_scenario("s", id="sub/scan")], "at scenarios/0/checks/0/id: 'sub/scan' does not match"),
+    ([_scan_scenario("s", id="")], "at scenarios/0/checks/0/id: '' does not match"),
+], ids=["repeated", "repeated-default-id", "escaping-scenario-id", "check-id-with-slash",
+        "empty-check-id"])
+def test_ids_that_share_or_escape_a_witness_file_exit_three(tmp_path, scenarios, message):
+    path = _write(tmp_path, {"version": 1, "scenarios": scenarios})
+    res = _run(["run", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3 and message in res.output, res.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_scan_count_keeps_the_scenario_sampler(tmp_path, monkeypatch):
     scanned = []
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fd_reference import fd_metric
 from kahlerlab import disks
 from kahlerlab.curvature import TangentPair, curvature_tensor
 from kahlerlab.disks import (DISK_FAULTS, NEAR_DISK_CUTOFF, DiskEmbedding, DiskSampler,
@@ -15,7 +16,7 @@ from kahlerlab.disks import (DISK_FAULTS, NEAR_DISK_CUTOFF, DiskEmbedding, DiskS
                              sample_disks, torsion_contraction, torsion_expected_defect,
                              torsion_metric, violation_disk, worst_defect)
 from kahlerlab.errors import DomainExceeded, KahlerLabError
-from kahlerlab.fields import ComplexChart, HermitianMetricField
+from kahlerlab.fields import ComplexChart
 from kahlerlab.geodesy import geodesic_distance_many
 from kahlerlab.models import ConeSurface, ModelSpace, QuotientData, dK_transform
 
@@ -903,7 +904,7 @@ def test_torsion_gram_is_hermitian_and_matches_the_einsum_form():
 def _density_cases():
     """(name, metric, disks) with degree-1 and degree-2 disks: models with
     n = 1, 2, 3, a cone clear of its apex, the torsion metric (direct form)
-    and a potential-form field without an exact gram (the FD route)."""
+    and a potential-form field with the FD reference's gram (the FD route)."""
     rng = np.random.default_rng(12)
     T = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
     model = ModelSpace(K=1.0, n=2)
@@ -913,8 +914,7 @@ def _density_cases():
     fields += [("cone", cone.metric(), np.array([0.7 + 0.1j])),
                ("torsion", torsion_metric(0.3 * (T - T.transpose(0, 2, 1)),
                                           ComplexChart(n=3, radii=1.0)), np.full(3, 0.1)),
-               ("fd", HermitianMetricField(model.chart, potential=model.potential()),
-                np.full(2, 0.1 + 0.05j))]
+               ("fd", fd_metric(model.chart, model.potential()), np.full(2, 0.1 + 0.05j))]
     sampler = DiskSampler(seed=1, count=10, degree2_fraction=0.5, size_range=(1e-3, 0.2),
                           center_radius=0.1)
     for name, metric, center in fields:

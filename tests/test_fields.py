@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fd_reference import dgram_from_gram, fd_metric, gram_from_potential
+from kahlerlab import cli
 from kahlerlab.disks import torsion_metric
-from kahlerlab.errors import NonPositiveDefinite, SingularityTooClose
+from kahlerlab.errors import NonPositiveDefinite
 from kahlerlab.fields import (ComplexChart, HermitianMetricField,
-                              ScalarField, flat_potential,
-                              metric_from_potential, real_to_z, z_to_real)
+                              ScalarField, flat_potential, real_to_z, z_to_real)
 from kahlerlab.models import ConeSurface, ModelSpace
 
 
@@ -28,22 +29,14 @@ def test_chart_contains_box_and_ball():
 def test_flat_potential_gram():
     phi = flat_potential(2)
     zs = np.array([[0.2 + 0.1j, -0.3j], [0.0, 0.0]])
-    G = metric_from_potential(phi, zs)
+    G = gram_from_potential(phi, zs)
     assert np.allclose(G, 0.5 * np.eye(2)[None], atol=1e-9)
 
 
-def test_metric_from_potential_rejects_singular_proximity():
-    phi = ScalarField(fn=lambda zs: np.abs(zs[:, 0]), n=1,
-                      smoothness_radius=0.1,
-                      singular_points=(np.zeros(1, dtype=complex),))
-    with pytest.raises(SingularityTooClose):
-        metric_from_potential(phi, np.array([[0.01 + 0j]]))
-
-
-def test_metric_from_potential_rejects_indefinite():
+def test_gram_check_rejects_indefinite():
     phi = ScalarField(fn=lambda zs: -np.sum(np.abs(zs) ** 2, axis=1), n=1)
     with pytest.raises(NonPositiveDefinite):
-        metric_from_potential(phi, np.array([[0.2 + 0j]]))
+        fd_metric(ComplexChart(n=1), phi).gram(np.array([[0.2 + 0j]]), check=True)
 
 
 def test_hermitian_metric_field_exact_matches_fd():
@@ -54,15 +47,16 @@ def test_hermitian_metric_field_exact_matches_fd():
 
     phi = ScalarField(fn=lambda zs: 0.5 * np.abs(zs[:, 0]) ** 2
                       + 0.125 * np.abs(zs[:, 0]) ** 4, n=1)
-    m = HermitianMetricField(chart, potential=phi, gram_fn=gram)
+    m = HermitianMetricField(chart, gram, lambda zs: 0.5 * np.conj(zs)[:, :, None, None],
+                             potential=phi)
     zs = np.array([[0.3 + 0.2j], [-0.1 + 0.4j]])
-    assert np.max(np.abs(m.gram(zs) - metric_from_potential(m.potential, zs))) < 1e-7
+    assert np.max(np.abs(m.gram(zs) - gram_from_potential(m.potential, zs))) < 1e-7
 
 
 def test_kahler_symmetry_residual_small_for_potential_metric():
     chart = ComplexChart(n=2, radii=1.0)
     phi = flat_potential(2)
-    m = HermitianMetricField(chart, potential=phi)
+    m = fd_metric(chart, phi)
     assert m.kahler_symmetry_residual(np.array([0.1 + 0.1j, 0.2])) < 1e-8
 
 
@@ -73,14 +67,6 @@ def _torsion():
     return T, torsion_metric(T, ComplexChart(n=2, radii=1.5))
 
 
-def _fd_route(m):
-    """The same field without its closed-form derivative: dgram then
-    differentiates gram by finite differences."""
-    if m.is_potential_form:
-        return HermitianMetricField(m.chart, potential=m.potential, gram_fn=m.gram)
-    return HermitianMetricField(m.chart, gram_fn=m.gram)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("K", [1.0, -1.0, 2.0, 0.0])
 def test_model_dgram_matches_the_fd_route(K, n):
@@ -89,7 +75,7 @@ def test_model_dgram_matches_the_fd_route(K, n):
     zs = 0.3 * (rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n)))
     dG = m.dgram(zs)
     assert dG.shape == (6, n, n, n)
-    assert np.max(np.abs(dG - _fd_route(m).dgram(zs))) < 1e-8
+    assert np.max(np.abs(dG - dgram_from_gram(m.gram, zs))) < 1e-8
 
 
 @pytest.mark.parametrize("alpha", [1 / 3, 0.5, 2 / 3, -0.5])
@@ -99,7 +85,7 @@ def test_cone_dgram_matches_the_fd_route(alpha):
     dG = m.dgram(zs)
     # at |z| = 0.1 the fourth-order FD of |z|^(-2 alpha) itself errs by up to
     # 3e-7 (alpha = 2/3), so the comparison is relative to the derivative
-    err = np.abs(dG - _fd_route(m).dgram(zs))[:, 0, 0, 0]
+    err = np.abs(dG - dgram_from_gram(m.gram, zs))[:, 0, 0, 0]
     assert np.all(err <= 1e-8 * np.maximum(np.abs(dG[:, 0, 0, 0]), 1.0))
 
 
@@ -107,7 +93,34 @@ def test_torsion_dgram_matches_the_fd_route():
     T, m = _torsion()
     rng = np.random.default_rng(3)
     zs = 0.3 * (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
-    assert np.max(np.abs(m.dgram(zs) - _fd_route(m).dgram(zs))) < 1e-8
+    assert np.max(np.abs(m.dgram(zs) - dgram_from_gram(m.gram, zs))) < 1e-8
+
+
+# one spec per space kind of the runner: a kind added without one fails here
+_SPECS = {"model": {"kind": "model", "K": 1.0, "n": 2},
+          "cone": {"kind": "cone", "alpha": 0.5},
+          "orbifold": {"kind": "orbifold", "k": 3},
+          "quotient": {"kind": "quotient"},
+          "torsion": {"kind": "torsion", "T": [[[0, 0.5], [-0.5, 0]], [[0, 0.3], [-0.3, 0]]]},
+          "domain": {"kind": "domain", "radius": 2.0}}
+
+
+@pytest.mark.parametrize("kind", [k for k in cli.SPACES
+                                  if hasattr(cli.build_space(_SPECS[k]), "metric")])
+def test_every_space_metric_matches_the_fd_reference(kind):
+    m = cli.build_space(_SPECS[kind]).metric()
+    n = m.chart.n
+    rng = np.random.default_rng(7)
+    zs = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+    zs *= rng.uniform(0.2, 0.6, (6, 1)) / np.linalg.norm(zs, axis=1, keepdims=True)
+    # relative to the entry where it exceeds 1, as a cone's near its apex
+    if m.is_potential_form:
+        G = m.gram(zs)
+        err = np.abs(G - gram_from_potential(m.potential, zs))
+        assert np.all(err <= 1e-7 * np.maximum(np.abs(G), 1.0))
+    dG = m.dgram(zs)
+    err = np.abs(dG - dgram_from_gram(m.gram, zs))
+    assert np.all(err <= 1e-8 * np.maximum(np.abs(dG), 1.0))
 
 
 def test_kahler_symmetry_residual_reads_the_closed_form():

@@ -104,7 +104,8 @@ def test_energy_gradient_matches_a_central_difference(metric):
 def test_constant_metric_takes_one_newton_step(monkeypatch, gram):
     n, N = 2, 24
     metric = HermitianMetricField(ComplexChart(n=n, radii=2.0),
-                                  gram_fn=lambda zs: np.broadcast_to(gram, (len(zs), n, n)))
+                                  lambda zs: np.broadcast_to(gram, (len(zs), n, n)),
+                                  lambda zs: np.zeros((len(zs), n, n, n), dtype=complex))
     p, q = np.array([0.1 + 0.2j, -0.3]), np.array([-0.4j, 0.5 + 0.1j])
     t = np.linspace(0.0, 1.0, N + 1)[:, None]
     paths = (p + t * (q - p) + 0.1 * np.sin(3 * np.pi * t) * np.array([1.0, 1j]))[None]
