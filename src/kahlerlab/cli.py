@@ -3,9 +3,13 @@ machine-readable reports, and plot-data emission.
 
 Configs are strict-schema JSON.  Each scenario names a space, a sampler,
 and a list of checks; every check may declare an expected verdict so
-violation studies (where FAIL is the success condition) exit 0.  Reports
-are RFC-4180 CSV plus a JSON summary; FAIL rows reference witness files
-sufficient to re-derive the negative value in isolation.
+violation studies (where FAIL is the success condition) exit 0.
+``load_config`` makes every config decision once: it returns the
+scenarios with their spaces and samplers built, each check's points as
+complex vectors of the space's dimension, and the ERROR message of each
+check that does not run on its space.  ``run_scenario`` only runs them.
+Reports are RFC-4180 CSV plus a JSON summary; FAIL rows reference witness
+files sufficient to re-derive the negative value in isolation.
 
 CSV columns (fixed): scenario_id, check_id, verdict, value, error_est,
 seed, witness_ref, wall_ms.  Identical config and seed produce identical
@@ -52,8 +56,8 @@ _NUM = {"type": "number"}
 _INT = {"type": "integer"}
 _COUNT = {"type": "integer", "minimum": 1}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-_NUMLIST = {"type": "array", "items": _NUM}
 _PAIR = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
+_LIST = {"type": "array", "minItems": 1}     # nonempty; each use sets its items
 _POINT = {"type": "array", "items": {"anyOf": [_NUM, _PAIR]}}   # [x, ...] or [[re, im], ...]
 
 
@@ -81,13 +85,10 @@ _OBSTACLE = {"type": "object", "required": ["type"],
                                         radius=_POSITIVE)}]}
 
 
-def _as_point(spec, n: Optional[int] = None) -> np.ndarray:
+def _as_point(spec) -> np.ndarray:
     """[x, ...] or [[re, im], ...] -> complex vector."""
-    z = np.array([complex(*c) if isinstance(c, (list, tuple)) else complex(c) for c in spec],
-                 dtype=complex)
-    if n is not None and z.size != n:
-        raise ConfigError(f"point has dimension {z.size}, expected {n}")
-    return z
+    return np.array([complex(*c) if isinstance(c, (list, tuple)) else complex(c) for c in spec],
+                    dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -125,9 +126,6 @@ SPACES = {
     "domain": _kind(_domain, radius=_NUM, obstacles={"type": "array", "items": _OBSTACLE}),
 }
 
-SPACE_NAMES = {ModelSpace: "model", ConeSurface: "cone", PlanarDomain: "domain",
-               TorsionSpace: "torsion", QuotientData: "quotient"}
-
 
 def build_space(spec: dict):
     """The space of a spec that meets its kind's schema."""
@@ -135,15 +133,6 @@ def build_space(spec: dict):
         return SPACES[spec["kind"]].build(spec)
     except ValueError as e:
         raise ConfigError(f"bad {spec['kind']} space: {e}") from e
-
-
-def build_sampler(spec: Optional[dict], seed_override: Optional[int]) -> DiskSampler:
-    spec = dict(spec or {})
-    if "size_range" in spec:
-        spec["size_range"] = tuple(spec["size_range"])
-    if seed_override is not None:
-        spec["seed"] = seed_override
-    return DiskSampler(**spec)
 
 
 def _lower_bound_row(value: float, error_est: float, tol: float, witness: dict) -> dict:
@@ -183,8 +172,7 @@ def _run_curvature_match(space, params, sampler, tol):
 
 
 def _run_min_bk_defect(space, params, sampler, tol):
-    n = space.chart.n
-    z = _as_point(params.get("z", [0.0] * n), n)
+    z = params.get("z", np.zeros(space.chart.n, dtype=complex))
     data = curvature_tensor(space.metric(), z)
     val, pair, err = min_bk_defect(data, params["K"], seed=sampler.seed,
                                    samples=params.get("samples", 1500))
@@ -192,8 +180,7 @@ def _run_min_bk_defect(space, params, sampler, tol):
 
 
 def _run_comparison_scan(space, params, sampler, tol):
-    n = space.chart.n
-    p = _as_point(params.get("p", [0.0] * n), n)
+    p = params.get("p", np.zeros(space.chart.n, dtype=complex))
     if "count" in params:
         sampler = replace(sampler, count=params["count"])
     res = scan_disks(space, p, params["K"], sampler)
@@ -241,8 +228,7 @@ def _run_violation_study(space, params, sampler, tol):
 
 
 def _run_annulus(space, params, sampler, tol):
-    n = space.chart.n
-    p = _as_point(params.get("p", [0.0] * n), n)
+    p = params.get("p", np.zeros(space.chart.n, dtype=complex))
     metric = space.metric()
     dist = space.distance_field(p)
     disks = sample_disks(metric.chart, p, sampler, np.random.default_rng(sampler.seed))
@@ -263,21 +249,14 @@ def _run_annulus(space, params, sampler, tol):
 
 
 def _run_psh(space, params, sampler, tol):
-    n = space.chart.n
-    p = _as_point(params.get("p", [0.0] * n), n)
-    center = _as_point(params["center"], n) if "center" in params else None
+    p = params.get("p", np.zeros(space.chart.n, dtype=complex))
     return _psh_row(check_bk_lower(space, space.potential(), p, params["K"], sampler=sampler,
                                    tol=tol, crossing_tests=params.get("crossing", 0),
-                                   center=center))
+                                   center=params.get("center")))
 
 
 def _run_psh_set(space, params, sampler, tol):
-    n = space.chart.n
-    if "line" in params:
-        S = ComplexLine(a=_as_point(params["line"]["a"], n),
-                        v=_as_point(params["line"]["v"], n))
-    else:
-        S = np.stack([_as_point(pt, n) for pt in params["S"]])
+    S = ComplexLine(**params["line"]) if "line" in params else np.stack(params["S"])
     return _psh_row(check_bk_lower_set(space, space.potential(), S, params["K"],
                                        sampler=sampler, tol=tol))
 
@@ -296,7 +275,7 @@ def _run_quotient_bk2(space, params, sampler, tol):
 
 def _run_k_threshold(space, params, sampler, tol):
     n = space.chart.n
-    p = _as_point(params.get("p", [0.1, 0.05][:n] + [0.0] * (n - 2)), n)
+    p = params.get("p", _as_point([0.1, 0.05][:n] + [0.0] * (n - 2)))
     trace = []
     thr = k_threshold(space, space.potential(), p,
                       params.get("lo", 0.5), params.get("hi", 2.0),
@@ -319,8 +298,7 @@ def _fixed_disk(center, direction, chart) -> DiskEmbedding:
 
 
 def _run_torsion_disk(space, params, sampler, tol):
-    a = _as_point(params["a"], space.chart.n)
-    b = _as_point(params["b"], space.chart.n)
+    a, b = params["a"], params["b"]
     e1, e2 = params.get("eps1", 5e-3), params.get("eps2", 5e-2)
     disk = _fixed_disk(e2 * b, e1 * a, space.chart)
     p = np.zeros(space.chart.n, dtype=complex)
@@ -367,45 +345,47 @@ def _run_domain_compare(space, params, sampler, tol):
 
 @dataclass(frozen=True)
 class Check:
-    """A check kind: its runner, the space classes it runs on (an orbifold
-    is a cone), its params schema, and its default tol if it takes --tol."""
+    """A check kind: its runner, the space kinds it runs on, its params
+    schema, and its default tol if it takes --tol."""
     run: Callable
     spaces: tuple
     params: dict
     tol: Optional[float]
 
 
-_MODEL_OR_CONE = (ModelSpace, ConeSurface)
-_CLOSED_FORM = (ModelSpace, ConeSurface, PlanarDomain)   # with a metric and distance_field
+_MODEL_OR_CONE = ("model", "cone", "orbifold")
+_CLOSED_FORM = ("model", "cone", "orbifold", "domain")   # with a metric and distance_field
 
 CHECKS = {
-    "curvature-match": Check(_run_curvature_match, (ModelSpace,),
-                             _params(points=_INT, radius=_NUM, tol=_NUM), 1e-5),
+    "curvature-match": Check(_run_curvature_match, ("model",),
+                             _params(points=_COUNT, radius=_NUM, tol=_NUM), 1e-5),
     "min-bk-defect": Check(_run_min_bk_defect, _CLOSED_FORM,
-                           _params("K", K=_NUM, z=_POINT, tol=_NUM, samples=_INT), 1e-6),
-    "comparison-scan": Check(_run_comparison_scan, _CLOSED_FORM + (TorsionSpace,),
+                           _params("K", K=_NUM, z=_POINT, tol=_NUM, samples=_COUNT), 1e-6),
+    "comparison-scan": Check(_run_comparison_scan, _CLOSED_FORM + ("torsion",),
                              _params("K", K=_NUM, p=_POINT, count=_COUNT, tol=_NUM), 1e-6),
-    "violation-study": Check(_run_violation_study, (ModelSpace,),
-                             _params("K", K=_NUM, eps2_list=_NUMLIST, band=_NUMLIST), None),
+    # eps2 below 1 keeps each eps1 = 5e-3 (eps2 / 5e-2)^1.5 below its eps2
+    "violation-study": Check(_run_violation_study, ("model",), _params(
+        "K", K=_NUM, band=_PAIR, eps2_list=dict(_LIST, items=dict(_POSITIVE, exclusiveMaximum=1))),
+        None),
     "annulus": Check(_run_annulus, _CLOSED_FORM, _params(
         "K", K=_NUM, p=_POINT, tol=_NUM,
-        eps_list={"type": "array", "items": dict(_POSITIVE, exclusiveMaximum=0.1)}), 1e-6),
+        eps_list=dict(_LIST, items=dict(_POSITIVE, exclusiveMaximum=0.1))), 1e-6),
     "psh": Check(_run_psh, _MODEL_OR_CONE, _params(
         "K", K=_NUM, p=_POINT, tol=_NUM, crossing=_INT, center=_POINT), 1e-6),
     # exactly one of a point set S and a complex line {a + t v}
     "psh-set": Check(_run_psh_set, _MODEL_OR_CONE, dict(
-        _params("K", K=_NUM, tol=_NUM, S={"type": "array", "items": _POINT, "minItems": 1},
+        _params("K", K=_NUM, tol=_NUM, S=dict(_LIST, items=_POINT),
                 line=_params("a", "v", a=_POINT, v=_POINT)),
         oneOf=[{"required": ["S"]}, {"required": ["line"]}]), 1e-6),
-    "radial-potential": Check(_run_radial_potential, (ConeSurface,), _params(tol=_NUM), 1e-4),
-    "quotient-bk2": Check(_run_quotient_bk2, (QuotientData,), _params(
+    "radial-potential": Check(_run_radial_potential, ("cone", "orbifold"), _params(tol=_NUM), 1e-4),
+    "quotient-bk2": Check(_run_quotient_bk2, ("quotient",), _params(
         zprime=dict(_POINT, minItems=1, maxItems=2), perturb={"type": "boolean"}), None),
     "k-threshold": Check(_run_k_threshold, _MODEL_OR_CONE, _params(
         p=_POINT, lo=_NUM, hi=_NUM, resolution=_POSITIVE, expected=_NUM, band=_NUM,
         tol=_NUM), None),
-    "torsion-disk": Check(_run_torsion_disk, (TorsionSpace,), _params(
+    "torsion-disk": Check(_run_torsion_disk, ("torsion",), _params(
         "a", "b", a=_POINT, b=_POINT, eps1=_NUM, eps2=_NUM, factor=_NUM), None),
-    "domain-compare": Check(_run_domain_compare, (PlanarDomain,), _params(
+    "domain-compare": Check(_run_domain_compare, ("domain",), _params(
         "p", "q", p=_PAIR, q=_PAIR, eps=_POSITIVE, count=_COUNT, tol=_NUM, min_ratio=_NUM),
         1e-6),
 }
@@ -427,25 +407,46 @@ _SPACE_VALIDATORS = {k: jsonschema.Draft202012Validator(s.spec) for k, s in SPAC
 _PARAM_VALIDATORS = {k: jsonschema.Draft202012Validator(c.params) for k, c in CHECKS.items()}
 
 
-def _points(schema, value) -> list:
-    """The values in ``value`` that ``schema`` declares a _POINT, not a zprime or a _PAIR."""
+def _points(schema, value, n: int, where: str):
+    """``value`` with each value that ``schema`` declares a _POINT (not a zprime
+    or a _PAIR) a complex vector; ConfigError, at ``where``, unless it has dimension ``n``."""
     if schema is _POINT:
-        return [value]
+        z = _as_point(value)
+        if z.size != n:
+            raise ConfigError(f"{where}: point has dimension {z.size}, expected {n}")
+        return z
     if schema.get("type") == "object":
-        return [pt for k, v in value.items() for pt in _points(schema["properties"][k], v)]
+        return {k: _points(schema["properties"][k], v, n, where) for k, v in value.items()}
     if schema.get("type") == "array":
-        return [pt for v in value for pt in _points(schema["items"], v)]
-    return []
+        return [_points(schema["items"], v, n, where) for v in value]
+    return value
 
 
-def _check_id(check: dict, idx: int) -> str:
-    return check.get("id", f"{check['check']}-{idx}")
+@dataclass(frozen=True)
+class ScenarioCheck:
+    """A loaded check: its kind, id, expected verdict, params with their
+    points converted, and the ERROR message when it does not run on its space."""
+    check: str
+    id: str
+    expect: str
+    params: dict
+    misfit: Optional[str]
 
 
-def load_config(path: str) -> dict:
-    """The config at ``path``.  ConfigError unless it meets the schema, no two
-    checks share a witness file name, each scenario's space builds, and each
-    point of a check that runs on that space has the space's dimension."""
+@dataclass(frozen=True)
+class Scenario:
+    """A loaded scenario: its id, built space and sampler, and its checks."""
+    id: str
+    space: object
+    sampler: DiskSampler
+    checks: tuple
+
+
+def load_config(path: str) -> list:
+    """The scenarios of the config at ``path``, built.  ConfigError unless it
+    meets the schema, no two checks share a witness file name, each scenario's
+    space builds, and each point of a check that runs on that space has the
+    space's dimension."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f)
@@ -457,45 +458,44 @@ def load_config(path: str) -> dict:
     if e is not None:
         path_str = "/".join(str(p) for p in e.absolute_path) or "<root>"
         raise ConfigError(f"{path}: at {path_str}: {e.message}") from e
-    stems = set()                # of witness/{scenario id}-{check id}.json
+    scenarios, stems = [], set()        # stems of witness/{scenario id}-{check id}.json
     for i, sc in enumerate(cfg["scenarios"]):
-        size_range = sc.get("sampler", {}).get("size_range")
-        if size_range and size_range[0] >= size_range[1]:
-            raise ConfigError(f"{path}: at scenarios/{i}/sampler/size_range: lower end "
-                              f"{size_range[0]!r} is not below upper end {size_range[1]!r}")
+        sampler = dict(sc.get("sampler", {}))
+        if "size_range" in sampler:
+            lo, hi = sampler["size_range"] = tuple(sampler["size_range"])
+            if lo >= hi:
+                raise ConfigError(f"{path}: at scenarios/{i}/sampler/size_range: lower end "
+                                  f"{lo!r} is not below upper end {hi!r}")
         spec = sc["space"]
         e = jsonschema.exceptions.best_match(_SPACE_VALIDATORS[spec["kind"]].iter_errors(spec))
         if e is not None:
             at = "/".join(["scenarios", str(i), "space", *map(str, e.absolute_path)])
             raise ConfigError(f"{path}: at {at}: {e.message}") from e
         space = build_space(spec)
+        checks = []
         for j, ch in enumerate(sc["checks"]):
-            stem = f"{sc['id']}-{_check_id(ch, j)}"
+            name, check, params = ch["check"], CHECKS[ch["check"]], ch.get("params", {})
+            check_id = ch.get("id", f"{name}-{j}")
+            stem = f"{sc['id']}-{check_id}"
             if stem in stems:
                 raise ConfigError(f"{path}: at scenarios/{i}/checks/{j}: witness name "
                                   f"{stem!r} is taken by an earlier check")
             stems.add(stem)
-            name, check, params = ch["check"], CHECKS[ch["check"]], ch.get("params", {})
             where = f"{path}: scenario {sc['id']!r} check {name!r}"
             e = jsonschema.exceptions.best_match(_PARAM_VALIDATORS[name].iter_errors(params))
             if e is not None:
                 raise ConfigError(f"{where}: {e.message}") from e
-            if not isinstance(space, check.spaces):
-                continue                     # an ERROR row when it runs
-            for pt in _points(check.params, params):
-                if len(pt) != space.chart.n:
-                    raise ConfigError(f"{where}: point has dimension {len(pt)}, "
-                                      f"expected {space.chart.n}")
-    return cfg
-
-
-def _check_space(name: str, space) -> None:
-    """ConfigError unless ``space`` is one of the classes CHECKS[name] runs on."""
-    spaces = CHECKS[name].spaces
-    if not isinstance(space, spaces):
-        *rest, last = [SPACE_NAMES[c] for c in spaces]
-        kinds = f"{', '.join(rest)} or {last}" if rest else last
-        raise ConfigError(f"{name} needs a {kinds} space")
+            misfit = None
+            if spec["kind"] in check.spaces:
+                params = _points(check.params, params, space.chart.n, where)
+            else:                            # an ERROR row when it runs
+                *rest, last = check.spaces
+                kinds = f"{', '.join(rest)} or {last}" if rest else last
+                misfit = f"{name} needs a {kinds} space"
+            checks.append(ScenarioCheck(name, check_id, ch.get("expect", "PASS"), params,
+                                        misfit))
+        scenarios.append(Scenario(sc["id"], space, DiskSampler(**sampler), tuple(checks)))
+    return scenarios
 
 
 def _json_default(obj):
@@ -508,53 +508,47 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def run_scenario(scenario: dict, seed_override: Optional[int],
-                 tol_override: Optional[float], check_filter=None) -> list:
-    """Execute one scenario; returns a list of result-row dicts."""
+def run_scenario(scenario: Scenario, seed_override: Optional[int],
+                 tol_override: Optional[float]) -> list:
+    """Run one loaded scenario; returns a list of result-row dicts."""
+    sampler = (scenario.sampler if seed_override is None
+               else replace(scenario.sampler, seed=seed_override))
     rows = []
-    space = build_space(scenario["space"])
-    for idx, check in enumerate(scenario["checks"]):
-        name = check["check"]
-        if check_filter and name not in check_filter:
-            continue
-        check_id = _check_id(check, idx)
-        sampler = build_sampler(scenario.get("sampler"), seed_override)
-        expect = check.get("expect", "PASS")
-        params = check.get("params", {})
+    for ch in scenario.checks:
         # the checks without a default tol ignore it
-        tol = params.get("tol", CHECKS[name].tol if tol_override is None else tol_override)
+        tol = ch.params.get("tol", CHECKS[ch.check].tol if tol_override is None
+                            else tol_override)
         t0 = time.perf_counter()
         try:
-            _check_space(name, space)
-            out = CHECKS[name].run(space, params, sampler, tol)
+            if ch.misfit:
+                raise ConfigError(ch.misfit)
+            out = CHECKS[ch.check].run(scenario.space, ch.params, sampler, tol)
         except Exception as e:
-            log.error("%s/%s: %s", scenario["id"], check_id, e,
+            log.error("%s/%s: %s", scenario.id, ch.id, e,
                       exc_info=not isinstance(e, KahlerLabError))
             out = dict(verdict="ERROR", value=math.nan, error_est=math.nan,
                        witness={"error": str(e)})
         wall_ms = int(1000 * (time.perf_counter() - t0))
-        rows.append(dict(scenario_id=scenario["id"], check_id=check_id,
+        rows.append(dict(scenario_id=scenario.id, check_id=ch.id,
                          verdict=out["verdict"], value=out["value"],
                          error_est=out["error_est"], seed=sampler.seed,
                          witness=out.get("witness"), extra=out.get("extra"),
-                         expect=expect, wall_ms=wall_ms, check=name))
-        log.info("%s/%s: %s (expected %s) value=%g [%s]", scenario["id"], check_id,
-                 out["verdict"], expect, out["value"],
-                 "ok" if out["verdict"] == expect else "UNEXPECTED")
+                         expect=ch.expect, wall_ms=wall_ms, check=ch.check))
+        log.info("%s/%s: %s (expected %s) value=%g [%s]", scenario.id, ch.id,
+                 out["verdict"], ch.expect, out["value"],
+                 "ok" if out["verdict"] == ch.expect else "UNEXPECTED")
     return rows
 
 
-def execute(cfg: dict, out_dir: Path, seed: Optional[int], jobs: int,
-            tol: Optional[float], check_filter=None) -> int:
+def execute(scenarios: list, out_dir: Path, seed: Optional[int], jobs: int,
+            tol: Optional[float]) -> int:
+    """Run loaded scenarios and write their reports to ``out_dir``; the exit code."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    scenarios = cfg["scenarios"]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
-            futs = [ex.submit(run_scenario, sc, seed, tol, check_filter)
-                    for sc in scenarios]
-            results = [f.result() for f in futs]
+            results = list(ex.map(lambda sc: run_scenario(sc, seed, tol), scenarios))
     else:
-        results = [run_scenario(sc, seed, tol, check_filter) for sc in scenarios]
+        results = [run_scenario(sc, seed, tol) for sc in scenarios]
     rows = [r for rs in results for r in rs]
 
     wit_dir = out_dir / "witness"
@@ -648,10 +642,14 @@ def _common(f):
     return f
 
 
-def _execute_cmd(config, seed, jobs, tol, out, check_filter=None):
+def _execute_cmd(config, seed, jobs, tol, out, kinds=None):
+    """Run CONFIG's checks, or only those of the check kinds in ``kinds``."""
     try:
-        cfg = load_config(config)
-        code = execute(cfg, Path(out), seed, jobs, tol, check_filter)
+        scenarios = load_config(config)
+        if kinds:
+            scenarios = [replace(sc, checks=tuple(ch for ch in sc.checks if ch.check in kinds))
+                         for sc in scenarios]
+        code = execute(scenarios, Path(out), seed, jobs, tol)
     except ConfigError as e:
         click.echo(f"config error: {e}", err=True)
         sys.exit(3)
@@ -672,7 +670,7 @@ def run(config, seed, jobs, tol, out):
 def scan(config, seed, jobs, tol, out):
     """Run only the disk-scan checks of CONFIG."""
     _execute_cmd(config, seed, jobs, tol, out,
-                 check_filter={"comparison-scan", "domain-compare"})
+                 kinds={"comparison-scan", "domain-compare"})
 
 
 @main.command()
@@ -680,7 +678,7 @@ def scan(config, seed, jobs, tol, out):
 @_common
 def threshold(config, seed, jobs, tol, out):
     """Run only the K-threshold bisection checks of CONFIG."""
-    _execute_cmd(config, seed, jobs, tol, out, check_filter={"k-threshold"})
+    _execute_cmd(config, seed, jobs, tol, out, kinds={"k-threshold"})
 
 
 @main.command()

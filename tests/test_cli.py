@@ -239,7 +239,7 @@ _SMALL_PARAMS = {
     "violation-study": {"K": 1.0},
     "annulus": {"K": 0.0, "eps_list": [0.05]},
     "psh": {"K": 0.0},
-    "psh-set": {"K": 0.0, "S": [[0.1, 0.0]]},
+    "psh-set": {"K": 0.0, "S": [[0.1]]},      # padded with zeros to the space's dimension
     "radial-potential": {},
     "quotient-bk2": {},
     "k-threshold": {"lo": -0.5, "hi": 0.5, "resolution": 0.5},
@@ -248,31 +248,74 @@ _SMALL_PARAMS = {
 }
 
 
-def test_every_space_and_check_gives_a_row_without_a_traceback(caplog):
+def test_every_space_and_check_gives_a_row_without_a_traceback(tmp_path, caplog):
     assert set(_SMALL_PARAMS) == set(CHECKS)
-    cases = [(kind, check, params) for kind in _SPACES
-             for check, params in _SMALL_PARAMS.items()]
-    # a line point of the wrong dimension
-    cases.append(("model", "psh-set", {"K": 0.0, "line": {"a": [0], "v": [1]}}))
-    for kind, check, params in cases:
-        scenario = {"id": kind, "space": _SPACES[kind],
-                    "sampler": {"seed": 1, "count": 3, "interior_points": 2},
-                    "checks": [{"check": check, "params": params}]}
+    scenarios = []
+    for kind, spec in _SPACES.items():
+        pad = [0.0] * (cli.build_space(spec).chart.n - 1)
+        params = dict(_SMALL_PARAMS, **{"psh-set": {"K": 0.0, "S": [[0.1] + pad]}})
+        scenarios.append({"id": kind, "space": spec,
+                          "sampler": {"seed": 1, "count": 3, "interior_points": 2},
+                          "checks": [{"check": check, "params": params[check]}
+                                     for check in _SMALL_PARAMS]})
+    for sc in load_config(_write(tmp_path, {"version": 1, "scenarios": scenarios})):
         caplog.clear()
-        [row] = cli.run_scenario(scenario, None, None)
-        assert not any(r.exc_info for r in caplog.records), (kind, check)
-        space = cli.build_space(_SPACES[kind])
-        if not isinstance(space, CHECKS[check].spaces):
-            assert row["verdict"] == "ERROR", (kind, check)
-            assert re.fullmatch(rf"{check} needs an? [a-z, ]+ space",
-                                row["witness"]["error"]), row["witness"]
-    assert row["witness"] == {"error": "point has dimension 1, expected 2"}   # the last case
+        rows = cli.run_scenario(sc, None, None)
+        assert not any(r.exc_info for r in caplog.records), sc.id
+        assert [r["check"] for r in rows] == list(_SMALL_PARAMS)
+        for row in rows:
+            if sc.id not in CHECKS[row["check"]].spaces:       # the id is the space kind
+                assert row["verdict"] == "ERROR", (sc.id, row["check"])
+                assert re.fullmatch(rf"{row['check']} needs an? [a-z, ]+ space",
+                                    row["witness"]["error"]), row["witness"]
+
+
+def test_a_check_that_does_not_run_on_its_space_names_the_kinds_it_runs_on(tmp_path):
+    cfg = {"version": 1, "scenarios": [{
+        "id": "t", "space": _TORSION,
+        "checks": [{"check": "psh", "params": {"K": 0.0}},
+                   {"check": "radial-potential"}, {"check": "domain-compare",
+                                                   "params": {"p": [-1, 0], "q": [1, 0]}}]}]}
+    [sc] = load_config(_write(tmp_path, cfg))
+    assert [ch.misfit for ch in sc.checks] == [
+        "psh needs a model, cone or orbifold space",
+        "radial-potential needs a cone or orbifold space",
+        "domain-compare needs a domain space"]
+    rows = cli.run_scenario(sc, None, None)
+    assert [r["witness"]["error"] for r in rows] == [ch.misfit for ch in sc.checks]
+
+
+def test_a_run_builds_each_space_once(tmp_path, monkeypatch):
+    built = []
+    kind = cli.SPACES["model"]
+    monkeypatch.setitem(cli.SPACES, "model",
+                        replace(kind, build=lambda spec: built.append(spec) or kind.build(spec)))
+    path = bundled_scenario_path("models.json")
+    for jobs in ("1", "2"):
+        built.clear()
+        res = _run(["run", str(path), "--jobs", jobs, "--out", str(tmp_path / jobs)])
+        assert res.exit_code == 0, res.output
+        assert built == [sc["space"] for sc in json.loads(path.read_text())["scenarios"]]
 
 
 def test_a_check_with_a_default_tol_takes_a_tol_param():
     for name, check in CHECKS.items():
         if check.tol is not None:
             assert "tol" in check.params["properties"], name
+
+
+def test_readme_check_table_matches_the_records():
+    # a row is | `name` | kind, kind (note) | tol (note) |, and "—" is no default tol
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    header = "| Check | Space kinds | Default `tol` |\n| --- | --- | --- |\n"
+    assert readme.count(header) == 1
+    table = {}
+    for line in readme.split(header)[1].split("\n\n")[0].splitlines():
+        name, kinds, tol = (re.sub(r"\(.*?\)", "", cell).strip()
+                            for cell in line.strip().strip("|").split("|"))
+        table[name.strip("`")] = (tuple(k.strip() for k in kinds.split(",")),
+                                  None if tol == "—" else float(tol))
+    assert table == {name: (check.spaces, check.tol) for name, check in CHECKS.items()}
 
 
 def test_radial_potential_takes_the_scenario_seed(tmp_path):
@@ -313,11 +356,21 @@ def test_radial_potential_takes_the_scenario_seed(tmp_path):
     {"check": "psh-set", "params": {"K": 0.0, "S": [0, 0]}},
     {"check": "torsion-disk", "params": {"a": [1, 0]}},
     {"check": "domain-compare", "params": {"p": [-1, 0]}},
+    # params that would give a vacuous PASS or a traceback
+    {"check": "curvature-match", "params": {"points": 0, "tol": 0}},
+    {"check": "curvature-match", "params": {"points": -3}},
+    {"check": "min-bk-defect", "params": {"K": 0.0, "samples": 0}},
+    {"check": "violation-study", "params": {"K": 1.0, "eps2_list": []}},
+    {"check": "violation-study", "params": {"K": 1.0, "eps2_list": [1.5]}},
+    {"check": "violation-study", "params": {"K": 1.0, "band": [0.8]}},
+    {"check": "annulus", "params": {"K": 0.0, "eps_list": []}},
 ], ids=["resolution", "scan-count", "domain-count", "domain-eps", "domain-short-p",
         "annulus-eps", "quotient-zprime", "scan-no-K", "min-bk-defect-no-K",
         "violation-no-K", "annulus-no-K", "psh-no-K", "psh-set-no-K", "line-no-v",
         "line-no-a", "psh-set-no-set", "psh-set-both", "psh-set-empty-S",
-        "psh-set-S-of-numbers", "torsion-no-b", "domain-no-q"])
+        "psh-set-S-of-numbers", "torsion-no-b", "domain-no-q", "curvature-points-0",
+        "curvature-points-negative", "min-bk-defect-samples-0", "violation-empty-eps2",
+        "violation-eps2-above-1", "violation-short-band", "annulus-empty-eps"])
 def test_out_of_range_params_exit_three(tmp_path, check):
     res = _run(["run", _write(tmp_path, _minimal_cfg(**check)), "--out", str(tmp_path / "o")])
     assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
@@ -428,6 +481,18 @@ def test_k_threshold_default_point_fits_the_dimension(tmp_path):
     assert res.exit_code == 0, res.output
     rows = _read_csv(tmp_path / "o" / "results.csv")
     assert [r["verdict"] for r in rows] == ["PASS"]
+
+
+def test_psh_set_across_a_bisector_passes(tmp_path):
+    # u = max_j (Re<z, p_j> - |p_j|^2 / 2) is psh; under seed 5 a stencil point
+    # lies 1.3e-4 from the bisector of S, and Richardson's step once read -12.5 there
+    cfg = {"version": 1, "scenarios": [{
+        "id": "flat", "space": {"kind": "model", "K": 0, "n": 1},
+        "checks": [{"check": "psh-set", "params": {"K": 0, "S": [[0.15], [[-0.15, 0.05]]]}}]}]}
+    res = _run(["run", _write(tmp_path, cfg), "--seed", "5", "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    [row] = _read_csv(tmp_path / "o" / "results.csv")
+    assert row["verdict"] == "PASS" and row["seed"] == "5"
 
 
 def test_unexpected_verdict_exits_one(tmp_path):
@@ -666,15 +731,18 @@ def test_annulus_skips_a_disk_that_enters_an_obstacle(tmp_path, monkeypatch):
         assert outcomes.count(True) >= 2 * 3 + 1       # both eps, and the doubled rule
 
 
-def test_annulus_at_the_apex_passes_on_every_seed():
+def test_annulus_at_the_apex_passes_on_every_seed(tmp_path):
     # the default base point is the apex, where phi = d^2/2: u = 0 on every disk
-    for space in ({"kind": "cone", "alpha": 1 / 3}, {"kind": "cone", "alpha": 0.5},
-                  {"kind": "cone", "alpha": 2 / 3}, {"kind": "orbifold", "k": 3}):
+    spaces = ({"kind": "cone", "alpha": 1 / 3}, {"kind": "cone", "alpha": 0.5},
+              {"kind": "cone", "alpha": 2 / 3}, {"kind": "orbifold", "k": 3})
+    cfg = {"version": 1, "scenarios": [
+        {"id": f"apex{i}", "space": space, "sampler": {"count": 20},
+         "checks": [{"check": "annulus", "params": {"K": 0.0}}]}
+        for i, space in enumerate(spaces)]}
+    for sc in load_config(_write(tmp_path, cfg)):
         for seed in range(32):
-            scenario = {"id": "apex", "space": space, "sampler": {"seed": seed, "count": 20},
-                        "checks": [{"check": "annulus", "params": {"K": 0.0}}]}
-            [row] = cli.run_scenario(scenario, None, None)
-            assert row["verdict"] == "PASS" and abs(row["value"]) <= 1e-14, (space, seed, row)
+            [row] = cli.run_scenario(sc, seed, None)
+            assert row["verdict"] == "PASS" and abs(row["value"]) <= 1e-14, (sc.id, seed, row)
 
 
 def test_annulus_row_reports_the_change_under_the_doubled_rule(tmp_path):
@@ -700,7 +768,7 @@ def test_annulus_row_reports_the_change_under_the_doubled_rule(tmp_path):
     assert float(row["error_est"]) == abs(doubled - worst) < 1e-12
 
 
-def test_each_row_is_logged_before_the_next_check_runs(monkeypatch, caplog):
+def test_each_row_is_logged_before_the_next_check_runs(tmp_path, monkeypatch, caplog):
     logged_before_second = []
 
     def first(space, params, sampler, tol):
@@ -712,8 +780,10 @@ def test_each_row_is_logged_before_the_next_check_runs(monkeypatch, caplog):
 
     for name, run in (("curvature-match", first), ("min-bk-defect", second)):
         monkeypatch.setitem(CHECKS, name, replace(CHECKS[name], run=run))
-    scenario = _minimal_cfg(check="curvature-match", id="one")["scenarios"][0]
-    scenario["checks"].append({"check": "min-bk-defect", "id": "two"})
+    cfg = _minimal_cfg(check="curvature-match", id="one")
+    cfg["scenarios"][0]["checks"].append({"check": "min-bk-defect", "id": "two",
+                                          "params": {"K": 0.0}})
+    [scenario] = load_config(_write(tmp_path, cfg))
     with caplog.at_level(logging.INFO, logger="kahlerlab"):
         rows = cli.run_scenario(scenario, None, None)
     assert [r["check_id"] for r in rows] == ["one", "two"]

@@ -419,3 +419,16 @@ def test_batched_disk_checks_match_a_per_disk_replay(seed):
             assert (v.witness["kind"], v.witness["value"]) == ("consistency", consistency)
         if isinstance(zprime, np.ndarray):
             assert count < sampler.count * sampler.interior_points   # disks skipped
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_finite_set_passes_flat_across_the_bisector(n):
+    # u = |z|^2/2 - min_j |z - p_j|^2/2 = max_j (Re<z, p_j> - |p_j|^2/2) is psh, and its
+    # kink on the bisector of the two points carries positive mass only
+    flat = ModelSpace(K=0.0, n=n)
+    S = np.zeros((2, n), dtype=complex)
+    S[:, 0] = [0.15, -0.15 + 0.05j]
+    for seed in range(16):
+        for K, verdict in ((0.0, "PASS"), (0.5, "FAIL")):
+            v = check_bk_lower_set(flat, flat.potential(), S, K, sampler=DiskSampler(seed=seed))
+            assert v.verdict == verdict, (seed, K, v.min_laplacian)
