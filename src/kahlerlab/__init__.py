@@ -8,9 +8,9 @@ reports, and subharmonicity certificates, with a scenario-runner CLI on
 top.
 """
 
-from .errors import (ConfigError, DomainExceeded, Disconnected, KahlerLabError,
-                     NonConvergence, NonPositiveDefinite, SingularityTooClose,
-                     Unsupported)
+from .errors import (ConfigError, DomainExceeded, Disconnected, InvalidDisk,
+                     KahlerLabError, NonConvergence, NonPositiveDefinite,
+                     SingularityTooClose, Unsupported)
 from .fields import (ComplexChart, HermitianMetricField, ScalarField,
                      flat_potential, real_to_z, z_to_real)
 from .curvature import (CurvatureData, TangentPair, bianchi_check, bisectional,
@@ -29,8 +29,7 @@ from .disks import (ComparisonReport, DiskEmbedding, DiskSampler, QuadratureGrid
                     comparison_defects, log_moment, rprime_value, sample_disks, scan_disks,
                     torsion_contraction, torsion_expected_defect,
                     torsion_metric, violation_disk, worst_defect)
-from .psh import (ComplexLine, PshVerdict, check_bk_lower, check_bk_lower_set,
-                  disk_laplacian, k_threshold, quotient_bk2_check,
-                  radial_potential_check)
+from .psh import (ComplexLine, PshVerdict, check_bk_lower, disk_laplacian,
+                  k_threshold, quotient_bk2_check, radial_potential_check)
 
 __version__ = "0.1.0"

@@ -40,12 +40,12 @@ from .disks import (DiskEmbedding, DiskSampler, QuadratureGrid, TorsionSpace,
                     annulus_defect, asymptotic_defect, comparison_defect,
                     comparison_defects, rprime_value, sample_disks, scan_disks,
                     torsion_expected_defect, violation_disk, worst_defect)
-from .errors import ConfigError, KahlerLabError
+from .errors import ConfigError, InvalidDisk, KahlerLabError
 from .fields import ComplexChart
 from .geodesy import DiskObstacle, PlanarDomain, RectObstacle
 from .models import ConeSurface, ModelSpace, QuotientData, orbifold_cone
-from .psh import (RADIAL_SAMPLER, ComplexLine, check_bk_lower, check_bk_lower_set,
-                  k_threshold, quotient_bk2_check, radial_potential_check)
+from .psh import (RADIAL_SAMPLER, ComplexLine, check_bk_lower, k_threshold,
+                  quotient_bk2_check, radial_potential_check)
 
 log = logging.getLogger("kahlerlab")
 
@@ -68,10 +68,10 @@ def _params(*required: str, **props) -> dict:
             "required": list(required)}
 
 
-_SAMPLER = _params(seed=_INT, count=_COUNT, size_range=dict(_PAIR, items=_POSITIVE),
+_SAMPLER = _params(seed=dict(_INT, minimum=0), count=_COUNT, interior_points=_COUNT,
+                   size_range=dict(_PAIR, items=_POSITIVE),
                    center_radius={"type": "number", "minimum": 0},
-                   degree2_fraction={"type": "number", "minimum": 0, "maximum": 1},
-                   interior_points=_COUNT)
+                   degree2_fraction={"type": "number", "minimum": 0, "maximum": 1})
 
 
 # one branch per obstacle type: a rect has half_widths, a disk a radius
@@ -202,10 +202,7 @@ def _run_violation_study(space, params, sampler, tol):
     metric = space.metric()
     p = np.zeros(space.n, dtype=complex)
     data = curvature_tensor(metric, p)
-    X = np.zeros(space.n, dtype=complex)
-    Y = np.zeros(space.n, dtype=complex)
-    X[0] = 1.0
-    Y[-1] = 1.0
+    X, Y = np.eye(space.n, dtype=complex)[[0, -1]]
     pair = TangentPair(X=X, Y=Y, G=data.G)
     rp = rprime_value(data, K, pair)
     eps1_list = [5e-3 * (e2 / 5e-2) ** 1.5 for e2 in eps2_list]
@@ -249,16 +246,12 @@ def _run_annulus(space, params, sampler, tol):
 
 
 def _run_psh(space, params, sampler, tol):
-    p = params.get("p", np.zeros(space.chart.n, dtype=complex))
-    return _psh_row(check_bk_lower(space, space.potential(), p, params["K"], sampler=sampler,
+    """psh about a point p (default: the origin), psh-set about a set S or a line."""
+    base = (ComplexLine(**params["line"]) if "line" in params else params["S"] if "S" in params
+            else params.get("p", np.zeros(space.chart.n, dtype=complex)))
+    return _psh_row(check_bk_lower(space, space.potential(), base, params["K"], sampler=sampler,
                                    tol=tol, crossing_tests=params.get("crossing", 0),
                                    center=params.get("center")))
-
-
-def _run_psh_set(space, params, sampler, tol):
-    S = ComplexLine(**params["line"]) if "line" in params else np.stack(params["S"])
-    return _psh_row(check_bk_lower_set(space, space.potential(), S, params["K"],
-                                       sampler=sampler, tol=tol))
 
 
 def _run_radial_potential(space, params, sampler, tol):
@@ -266,41 +259,55 @@ def _run_radial_potential(space, params, sampler, tol):
     return dict(verdict=r.verdict, value=r.max_mismatch, error_est=0.0, witness=None)
 
 
+def _zprime(params) -> np.ndarray:
+    """A quotient-bk2 base point: a chart point (default: 0) or a homogeneous 2-vector."""
+    return _as_point(params.get("zprime", [0.0]))
+
+
+def _check_zprime(space, params, where: str) -> None:
+    """ConfigError unless the quotient's distance field takes the zprime."""
+    try:
+        space.distance_field(_zprime(params))
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
 def _run_quotient_bk2(space, params, sampler, tol):
-    zp = _as_point(params.get("zprime", [0.0]))
+    zp = _zprime(params)
     h_extra = (lambda z: 1.0 + 0.5 * np.abs(z) ** 4) if params.get("perturb", False) else None
     v = quotient_bk2_check(space, zp, h_extra=h_extra, sampler=sampler)
     return _psh_row(v, extra={"saturated": v.saturated, "notes": v.notes})
+
+
+def _bracket(params) -> tuple:
+    """The K bracket (lo, hi) of a k-threshold check, by default (0.5, 2.0)."""
+    return params.get("lo", 0.5), params.get("hi", 2.0)
+
+
+def _ordered(lo, hi, where: str) -> None:
+    """ConfigError, at ``where``, unless lo is below hi."""
+    if lo >= hi:
+        raise ConfigError(f"{where}: lower end {lo!r} is not below upper end {hi!r}")
 
 
 def _run_k_threshold(space, params, sampler, tol):
     n = space.chart.n
     p = params.get("p", _as_point([0.1, 0.05][:n] + [0.0] * (n - 2)))
     trace = []
-    thr = k_threshold(space, space.potential(), p,
-                      params.get("lo", 0.5), params.get("hi", 2.0),
+    thr = k_threshold(space, space.potential(), p, *_bracket(params),
                       resolution=params.get("resolution", 1e-3),
                       sampler=sampler, tol=params.get("tol", 1e-7), trace=trace)
     expected = params.get("expected")
-    band = params.get("band", 1e-3)
-    ok = expected is None or abs(thr - expected) <= band
+    ok = expected is None or abs(thr - expected) <= params.get("band", 1e-3)
     return dict(verdict="PASS" if ok else "FAIL", value=thr,
                 error_est=params.get("resolution", 1e-3),
                 witness=None, extra={"trace": trace})
 
 
-def _fixed_disk(center, direction, chart) -> DiskEmbedding:
-    """The affine disk a check's params fix; an invalid one is a KahlerLabError."""
-    try:
-        return DiskEmbedding.affine(center, direction, chart)
-    except ValueError as e:
-        raise KahlerLabError(str(e)) from e
-
-
 def _run_torsion_disk(space, params, sampler, tol):
     a, b = params["a"], params["b"]
     e1, e2 = params.get("eps1", 5e-3), params.get("eps2", 5e-2)
-    disk = _fixed_disk(e2 * b, e1 * a, space.chart)
+    disk = DiskEmbedding.affine(e2 * b, e1 * a, space.chart)
     p = np.zeros(space.chart.n, dtype=complex)
     rep = comparison_defect(space.metric(), disk, p, 0.0, distance="numeric",
                             solver_opts=dict(N=24, gtol=1e-8, max_iters=120))
@@ -316,16 +323,14 @@ def _run_torsion_disk(space, params, sampler, tol):
 
 
 def _run_domain_compare(space, params, sampler, tol):
-    p = complex(params["p"][0], params["p"][1])
-    q = complex(params["q"][0], params["q"][1])
+    p, q = complex(*params["p"]), complex(*params["q"])
     dist = space.distance_field(p)
     ratio = float(dist(np.array([[q]]))[0]) / abs(q - p)
     min_ratio = params.get("min_ratio", -math.inf)
     if ratio < min_ratio:
         raise KahlerLabError(f"length ratio {ratio:.6g} is below min_ratio {min_ratio:g}")
-    metric = space.metric()
     eps = params.get("eps", 0.15)
-    fixed = _fixed_disk(np.array([q]), np.array([eps]), space.chart)
+    fixed = DiskEmbedding.affine(np.array([q]), np.array([eps]), space.chart)
     candidates = [fixed] if space.disk_free(q, eps) else []
     rng = np.random.default_rng(sampler.seed)
     for _ in range(params.get("count", 10)):
@@ -334,11 +339,10 @@ def _run_domain_compare(space, params, sampler, tol):
         if not space.disk_free(c, r):
             continue
         try:
-            candidates.append(DiskEmbedding.affine(np.array([c]), np.array([r]),
-                                                   space.chart))
-        except ValueError:
+            candidates.append(DiskEmbedding.affine(np.array([c]), np.array([r]), space.chart))
+        except InvalidDisk:
             continue
-    res = worst_defect(metric, np.array([p]), 0.0, dist, candidates)
+    res = worst_defect(space.metric(), np.array([p]), 0.0, dist, candidates)
     return dict(_scan_row(res, tol, p=[p.real, p.imag], ratio=ratio),
                 extra={"length_ratio": ratio})
 
@@ -346,11 +350,13 @@ def _run_domain_compare(space, params, sampler, tol):
 @dataclass(frozen=True)
 class Check:
     """A check kind: its runner, the space kinds it runs on, its params
-    schema, and its default tol if it takes --tol."""
+    schema, its default tol if it takes --tol, and the load-time check
+    ``validate(space, params, where)`` of what the schema cannot say."""
     run: Callable
     spaces: tuple
     params: dict
     tol: Optional[float]
+    validate: Callable = lambda space, params, where: None
 
 
 _MODEL_OR_CONE = ("model", "cone", "orbifold")
@@ -373,16 +379,17 @@ CHECKS = {
     "psh": Check(_run_psh, _MODEL_OR_CONE, _params(
         "K", K=_NUM, p=_POINT, tol=_NUM, crossing=_INT, center=_POINT), 1e-6),
     # exactly one of a point set S and a complex line {a + t v}
-    "psh-set": Check(_run_psh_set, _MODEL_OR_CONE, dict(
+    "psh-set": Check(_run_psh, _MODEL_OR_CONE, dict(
         _params("K", K=_NUM, tol=_NUM, S=dict(_LIST, items=_POINT),
                 line=_params("a", "v", a=_POINT, v=_POINT)),
         oneOf=[{"required": ["S"]}, {"required": ["line"]}]), 1e-6),
     "radial-potential": Check(_run_radial_potential, ("cone", "orbifold"), _params(tol=_NUM), 1e-4),
     "quotient-bk2": Check(_run_quotient_bk2, ("quotient",), _params(
-        zprime=dict(_POINT, minItems=1, maxItems=2), perturb={"type": "boolean"}), None),
+        zprime=dict(_POINT, minItems=1, maxItems=2), perturb={"type": "boolean"}), None,
+        _check_zprime),
     "k-threshold": Check(_run_k_threshold, _MODEL_OR_CONE, _params(
         p=_POINT, lo=_NUM, hi=_NUM, resolution=_POSITIVE, expected=_NUM, band=_NUM,
-        tol=_NUM), None),
+        tol=_NUM), None, lambda space, params, where: _ordered(*_bracket(params), where)),
     "torsion-disk": Check(_run_torsion_disk, ("torsion",), _params(
         "a", "b", a=_POINT, b=_POINT, eps1=_NUM, eps2=_NUM, factor=_NUM), None),
     "domain-compare": Check(_run_domain_compare, ("domain",), _params(
@@ -462,10 +469,8 @@ def load_config(path: str) -> list:
     for i, sc in enumerate(cfg["scenarios"]):
         sampler = dict(sc.get("sampler", {}))
         if "size_range" in sampler:
-            lo, hi = sampler["size_range"] = tuple(sampler["size_range"])
-            if lo >= hi:
-                raise ConfigError(f"{path}: at scenarios/{i}/sampler/size_range: lower end "
-                                  f"{lo!r} is not below upper end {hi!r}")
+            sampler["size_range"] = tuple(sampler["size_range"])
+            _ordered(*sampler["size_range"], f"{path}: at scenarios/{i}/sampler/size_range")
         spec = sc["space"]
         e = jsonschema.exceptions.best_match(_SPACE_VALIDATORS[spec["kind"]].iter_errors(spec))
         if e is not None:
@@ -488,6 +493,7 @@ def load_config(path: str) -> list:
             misfit = None
             if spec["kind"] in check.spaces:
                 params = _points(check.params, params, space.chart.n, where)
+                check.validate(space, params, where)
             else:                            # an ERROR row when it runs
                 *rest, last = check.spaces
                 kinds = f"{', '.join(rest)} or {last}" if rest else last
@@ -542,7 +548,9 @@ def run_scenario(scenario: Scenario, seed_override: Optional[int],
 
 def execute(scenarios: list, out_dir: Path, seed: Optional[int], jobs: int,
             tol: Optional[float]) -> int:
-    """Run loaded scenarios and write their reports to ``out_dir``; the exit code."""
+    """Run loaded scenarios (seed >= 0) and write their reports to ``out_dir``; the exit code."""
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed {seed} is negative")
     out_dir.mkdir(parents=True, exist_ok=True)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:

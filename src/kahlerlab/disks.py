@@ -28,7 +28,7 @@ import numpy as np
 
 from .curvature import (CurvatureData, TangentPair, bk_defect, curvature_tensor,
                         min_bk_defect)
-from .errors import KahlerLabError, SingularityTooClose
+from .errors import InvalidDisk, KahlerLabError, SingularityTooClose
 from .fields import ComplexChart, HermitianMetricField, ScalarField
 from .geodesy import geodesic_distance_many
 from .models import dK_transform
@@ -137,7 +137,7 @@ class DiskEmbedding:
     i(w) = c0 + c1 w + c2 w^2 with coeffs of shape (M+1, n), M = 1 or 2.
     Validity is decided exactly at construction, by ``disk_faults`` on a
     stack of one: the rule ``sample_disks`` applies to a batch of draws at
-    once.
+    once.  A disk that breaks it raises ``InvalidDisk``.
     """
 
     coeffs: np.ndarray
@@ -152,7 +152,7 @@ class DiskEmbedding:
             raise ValueError("coefficient dimension does not match the chart")
         fault = disk_faults(c[None], self.chart)[0]
         if fault:
-            raise ValueError(DISK_FAULTS[fault])
+            raise InvalidDisk(DISK_FAULTS[fault])
 
     @classmethod
     def _valid(cls, coeffs: np.ndarray, chart: ComplexChart) -> "DiskEmbedding":

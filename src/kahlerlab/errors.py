@@ -22,6 +22,10 @@ class DomainExceeded(KahlerLabError):
     positive-curvature cap, outside a model chart, or inside an obstacle."""
 
 
+class InvalidDisk(KahlerLabError, ValueError):
+    """A disk map that breaks a rule of ``disks.disk_faults``."""
+
+
 class Disconnected(KahlerLabError):
     """No path exists between the endpoints inside the domain."""
 

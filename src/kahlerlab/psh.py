@@ -199,42 +199,30 @@ def disk_evaluator(chart: ComplexChart, potential: ScalarField, distance, center
 def check_bk_lower(space, potential: ScalarField, p, K: float,
                    sampler: Optional[DiskSampler] = None, tol: float = DEFAULT_TOL,
                    crossing_tests: int = 0, center=None) -> PshVerdict:
-    """Sampled subharmonicity verdict for potential - d_K^2(p, .)/2.
+    """Sampled subharmonicity verdict for potential - d_K^2(S, .)/2.
 
-    Pointwise finite differences run on disks that keep clear of singular
-    loci; ``crossing_tests`` additional disks straddling the singular
+    The base set S is ``p``: a point, an (m, n) array of points (d_S is
+    the least of their distance fields) or a ComplexLine (flat model
+    only).  Pointwise finite differences run on disks that keep clear of
+    singular loci; ``crossing_tests`` more disks straddling the singular
     point are paired distributionally.  ``center`` moves the sampling
-    region away from the base point (default: around p itself).  The
+    region (default: around S's first point, or the line's ``a``).  The
     witness is given on FAIL only.
     """
-    return disk_evaluator(space.chart, potential, space.distance_field(p),
-                          p if center is None else center, sampler or DiskSampler(),
-                          crossing_tests)(K, tol)
-
-
-def check_bk_lower_set(space, potential: ScalarField, S, K: float,
-                       sampler: Optional[DiskSampler] = None,
-                       tol: float = DEFAULT_TOL) -> PshVerdict:
-    """Same test with the set distance d_S = inf over p in S of d_p.
-
-    S is a finite point array (m, n) or a ComplexLine (flat spaces only
-    for the closed-form line distance).
-    """
-    if isinstance(S, ComplexLine):
+    if isinstance(p, ComplexLine):
         if not (isinstance(space, ModelSpace) and space.K == 0):
             raise Unsupported("closed-form line distance requires the flat model")
-        d_S = S.euclid_distance
-        center = S.a
+        d_S, first = p.euclid_distance, p.a
     else:
-        S = np.atleast_2d(np.asarray(S, dtype=complex))
-        fields = [space.distance_field(pt) for pt in S]
+        points = np.asarray(p, dtype=complex).reshape(-1, space.chart.n)
+        fields = [space.distance_field(pt) for pt in points]
 
         def d_S(zs):
             return np.min(np.stack([f(zs) for f in fields]), axis=0)
 
-        center = S[0]
-    return disk_evaluator(space.chart, potential, d_S, center,
-                          sampler or DiskSampler())(K, tol)
+        first = points[0]
+    return disk_evaluator(space.chart, potential, d_S, first if center is None else center,
+                          sampler or DiskSampler(), crossing_tests)(K, tol)
 
 
 @dataclass

@@ -104,7 +104,7 @@ def test_bad_size_range_exits_three(tmp_path, size_range):
 
 
 @pytest.mark.parametrize("key, value", [("degree2_fraction", 5), ("degree2_fraction", -1),
-                                        ("center_radius", -2)])
+                                        ("center_radius", -2), ("seed", -1)])
 def test_out_of_range_sampler_exits_three(tmp_path, key, value):
     cfg = _minimal_cfg(check="psh", params={"K": 0.0})
     cfg["scenarios"][0]["sampler"][key] = value
@@ -193,12 +193,20 @@ _SHORT = (3, "point has dimension 1, expected 2")
     ({"kind": "domain", "radius": 2.0},
      {"check": "domain-compare", "params": {"p": [-1, 0], "q": [1.95, 0]}},
      ("ERROR", "disk image leaves the chart")),
+    # a disk that the check builds itself and the chart rejects
+    ({"kind": "model", "K": -1.0, "n": 2},
+     {"check": "violation-study", "params": {"K": -1.0, "eps2_list": [0.9, 0.5]}},
+     ("ERROR", "disk image leaves the chart")),
+    ({"kind": "model", "K": 0.0, "n": 2},
+     {"check": "comparison-scan", "params": {"K": 1.0, "p": [1.4, 0]}},
+     ("ERROR", "disk image leaves the chart")),
 ], ids=["torsion-scan", "torsion-disk-off-chart", "torsion-psh", "quotient-psh",
         "cone-min-bk-defect", "cone-annulus", "cone-alpha", "quotient-delta",
         "quotient-non-round", "cone-n", "model-alpha", "quotient-T", "torsion-T",
         "psh-p", "psh-center", "min-bk-defect-z", "scan-p", "annulus-p", "k-threshold-p",
         "psh-set-S", "psh-set-line-a", "psh-set-line-v", "torsion-disk-a", "torsion-disk-b",
-        "torsion-psh-p", "domain-compare-fixed-disk-off-chart"])
+        "torsion-psh-p", "domain-compare-fixed-disk-off-chart",
+        "violation-study-disk-off-chart", "scan-directed-disk-off-chart"])
 def test_any_space_gives_a_row_or_a_config_error(tmp_path, caplog, space, check, outcome):
     cfg = _minimal_cfg(check="psh", id="ok", params={"K": 0.0})
     cfg["scenarios"].append({"id": "t", "space": space,
@@ -340,6 +348,10 @@ def test_radial_potential_takes_the_scenario_seed(tmp_path):
     {"check": "domain-compare", "params": {"p": [-1.2], "q": [1, 0]}},
     {"check": "annulus", "params": {"K": 0.0, "eps_list": [0.05, 0]}},
     {"check": "quotient-bk2", "params": {"zprime": [0.1, 0.2, 0.3]}},
+    {"check": "quotient-bk2", "params": {"zprime": [0, 0]}},
+    {"check": "quotient-bk2", "params": {"zprime": [[0, 0], [0, 0]]}},
+    {"check": "k-threshold", "params": {"lo": 0.5, "hi": 0.4}},
+    {"check": "k-threshold", "params": {"hi": 0.4}},
     # params a runner cannot run without
     {"check": "comparison-scan", "params": {}},
     {"check": "min-bk-defect", "params": {"z": [0, 0]}},
@@ -365,16 +377,27 @@ def test_radial_potential_takes_the_scenario_seed(tmp_path):
     {"check": "violation-study", "params": {"K": 1.0, "band": [0.8]}},
     {"check": "annulus", "params": {"K": 0.0, "eps_list": []}},
 ], ids=["resolution", "scan-count", "domain-count", "domain-eps", "domain-short-p",
-        "annulus-eps", "quotient-zprime", "scan-no-K", "min-bk-defect-no-K",
+        "annulus-eps", "quotient-zprime", "quotient-zprime-zero", "quotient-zprime-zero-pairs",
+        "k-threshold-reversed", "k-threshold-hi-below-default-lo", "scan-no-K", "min-bk-defect-no-K",
         "violation-no-K", "annulus-no-K", "psh-no-K", "psh-set-no-K", "line-no-v",
         "line-no-a", "psh-set-no-set", "psh-set-both", "psh-set-empty-S",
         "psh-set-S-of-numbers", "torsion-no-b", "domain-no-q", "curvature-points-0",
         "curvature-points-negative", "min-bk-defect-samples-0", "violation-empty-eps2",
         "violation-eps2-above-1", "violation-short-band", "annulus-empty-eps"])
 def test_out_of_range_params_exit_three(tmp_path, check):
-    res = _run(["run", _write(tmp_path, _minimal_cfg(**check)), "--out", str(tmp_path / "o")])
+    cfg = _minimal_cfg(**check)
+    if check["check"] == "quotient-bk2":        # its params are checked on its own space
+        cfg["scenarios"][0]["space"] = {"kind": "quotient"}
+    res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
     assert "config error" in res.output
+
+
+def test_negative_seed_option_exits_three(tmp_path):
+    cfg = _minimal_cfg(check="psh", params={"K": 0.0})
+    res = _run(["run", _write(tmp_path, cfg), "--seed", "-1", "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+    assert "config error" in res.output and not (tmp_path / "o").exists()
 
 
 def test_runners_read_only_required_or_tested_params():

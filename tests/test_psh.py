@@ -8,8 +8,7 @@ from kahlerlab.disks import DiskEmbedding, area_density, disk_images, sample_dis
 from kahlerlab.errors import KahlerLabError, Unsupported
 from kahlerlab.fields import ComplexChart, ScalarField
 from kahlerlab.models import ConeSurface, ModelSpace, QuotientData, model_distance
-from kahlerlab.psh import (ComplexLine, DiskSampler, check_bk_lower,
-                           check_bk_lower_set, disk_laplacian,
+from kahlerlab.psh import (ComplexLine, DiskSampler, check_bk_lower, disk_laplacian,
                            distributional_pairing, k_threshold,
                            quotient_bk2_check, radial_potential_check)
 
@@ -238,23 +237,23 @@ def test_singleton_set_matches_single_point():
     p = np.array([0.1 + 0j, 0.05j])
     s = DiskSampler(count=15, interior_points=4)
     a = check_bk_lower(flat, flat.potential(), p, 0.0, sampler=s)
-    b = check_bk_lower_set(flat, flat.potential(), p[None], 0.0, sampler=s)
+    b = check_bk_lower(flat, flat.potential(), p[None], 0.0, sampler=s)
     assert abs(a.min_laplacian - b.min_laplacian) < 1e-12
 
 
 def test_finite_set_passes_flat():
     flat = ModelSpace(K=0.0, n=2)
     S = np.array([[0.1, 0.0], [-0.1 + 0.05j, 0.2]], dtype=complex)
-    v = check_bk_lower_set(flat, flat.potential(), S, 0.0,
-                           sampler=DiskSampler(count=20, interior_points=4))
+    v = check_bk_lower(flat, flat.potential(), S, 0.0,
+                       sampler=DiskSampler(count=20, interior_points=4))
     assert v.passed
 
 
 def test_complex_line_set_passes_flat():
     flat = ModelSpace(K=0.0, n=2)
     line = ComplexLine(a=np.zeros(2), v=np.array([1.0, 1.0]))
-    v = check_bk_lower_set(flat, flat.potential(), line, 0.0,
-                           sampler=DiskSampler(count=20, interior_points=4))
+    v = check_bk_lower(flat, flat.potential(), line, 0.0,
+                       sampler=DiskSampler(count=20, interior_points=4))
     assert v.passed
 
 
@@ -274,7 +273,7 @@ def test_complex_line_requires_flat_model():
     m = ModelSpace(K=1.0, n=2)
     line = ComplexLine(a=np.zeros(2), v=np.array([1.0, 0.0]))
     with pytest.raises(Unsupported):
-        check_bk_lower_set(m, m.potential(), line, 1.0)
+        check_bk_lower(m, m.potential(), line, 1.0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0 / 3.0])
@@ -430,5 +429,5 @@ def test_finite_set_passes_flat_across_the_bisector(n):
     S[:, 0] = [0.15, -0.15 + 0.05j]
     for seed in range(16):
         for K, verdict in ((0.0, "PASS"), (0.5, "FAIL")):
-            v = check_bk_lower_set(flat, flat.potential(), S, K, sampler=DiskSampler(seed=seed))
+            v = check_bk_lower(flat, flat.potential(), S, K, sampler=DiskSampler(seed=seed))
             assert v.verdict == verdict, (seed, K, v.min_laplacian)

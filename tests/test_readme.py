@@ -1,0 +1,15 @@
+"""The README's python examples run as written, so the API cannot drift
+from its documentation."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.M | re.S)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, str(README), "exec"), {"__name__": "readme"})
