@@ -19,6 +19,7 @@ CSV bytes except for the wall_ms column.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import math
@@ -32,7 +33,6 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import click
-import jsonschema
 import numpy as np
 
 from .curvature import TangentPair, curvature_tensor, min_bk_defect
@@ -409,9 +409,21 @@ CONFIG_SCHEMA = _params(
         checks={"type": "array", "items": _params(
             "check", check={"enum": sorted(CHECKS)}, id=_ID,
             expect={"enum": ["PASS", "FAIL"]}, params={"type": "object"})})})
-_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-_SPACE_VALIDATORS = {k: jsonschema.Draft202012Validator(s.spec) for k, s in SPACES.items()}
-_PARAM_VALIDATORS = {k: jsonschema.Draft202012Validator(c.params) for k, c in CHECKS.items()}
+
+
+@functools.cache
+def _validators():
+    """The schema checks of a config, of each space kind's spec and of each
+    check kind's params; each maps an instance to its best-matching error or
+    None.  Built on first use, so only a run that loads a config imports jsonschema."""
+    import jsonschema
+
+    def check(schema):
+        validator = jsonschema.Draft202012Validator(schema)
+        return lambda instance: jsonschema.exceptions.best_match(validator.iter_errors(instance))
+
+    return (check(CONFIG_SCHEMA), {k: check(s.spec) for k, s in SPACES.items()},
+            {k: check(c.params) for k, c in CHECKS.items()})
 
 
 def _points(schema, value, n: int, where: str):
@@ -461,7 +473,8 @@ def load_config(path: str) -> list:
         raise ConfigError(str(e)) from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    e = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    config_error, space_error, params_error = _validators()
+    e = config_error(cfg)
     if e is not None:
         path_str = "/".join(str(p) for p in e.absolute_path) or "<root>"
         raise ConfigError(f"{path}: at {path_str}: {e.message}") from e
@@ -472,7 +485,7 @@ def load_config(path: str) -> list:
             sampler["size_range"] = tuple(sampler["size_range"])
             _ordered(*sampler["size_range"], f"{path}: at scenarios/{i}/sampler/size_range")
         spec = sc["space"]
-        e = jsonschema.exceptions.best_match(_SPACE_VALIDATORS[spec["kind"]].iter_errors(spec))
+        e = space_error[spec["kind"]](spec)
         if e is not None:
             at = "/".join(["scenarios", str(i), "space", *map(str, e.absolute_path)])
             raise ConfigError(f"{path}: at {at}: {e.message}") from e
@@ -487,7 +500,7 @@ def load_config(path: str) -> list:
                                   f"{stem!r} is taken by an earlier check")
             stems.add(stem)
             where = f"{path}: scenario {sc['id']!r} check {name!r}"
-            e = jsonschema.exceptions.best_match(_PARAM_VALIDATORS[name].iter_errors(params))
+            e = params_error[name](params)
             if e is not None:
                 raise ConfigError(f"{where}: {e.message}") from e
             misfit = None
@@ -548,9 +561,12 @@ def run_scenario(scenario: Scenario, seed_override: Optional[int],
 
 def execute(scenarios: list, out_dir: Path, seed: Optional[int], jobs: int,
             tol: Optional[float]) -> int:
-    """Run loaded scenarios (seed >= 0) and write their reports to ``out_dir``; the exit code."""
+    """Run loaded scenarios (seed >= 0, jobs >= 1) and write their reports to
+    ``out_dir``; the exit code."""
     if seed is not None and seed < 0:
         raise ConfigError(f"--seed {seed} is negative")
+    if jobs < 1:
+        raise ConfigError(f"--jobs {jobs} is below 1")
     out_dir.mkdir(parents=True, exist_ok=True)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
@@ -593,12 +609,21 @@ def execute(scenarios: list, out_dir: Path, seed: Optional[int], jobs: int,
 
 def emit_plot_data(out_dir: Path) -> None:
     """Columnar plot files from a summary: ratio curves, bisection traces,
-    defect histograms.  Missing data yields header-only files."""
+    defect histograms.  Missing data yields header-only files; ConfigError
+    unless ``out_dir`` is a directory and its summary, if any, a JSON object."""
+    if not out_dir.is_dir():
+        raise ConfigError(f"{out_dir}: not a directory")
     summary_path = out_dir / "summary.json"
     rows = []
     if summary_path.exists():
-        with open(summary_path, "r", encoding="utf-8") as f:
-            rows = json.load(f).get("rows", [])
+        try:
+            with open(summary_path, "r", encoding="utf-8") as f:
+                summary = json.load(f)
+        except (OSError, ValueError) as e:     # ValueError: bad JSON or bad UTF-8
+            raise ConfigError(f"{summary_path}: unreadable: {e}") from e
+        if not isinstance(summary, dict):
+            raise ConfigError(f"{summary_path}: not a JSON object")
+        rows = summary.get("rows", [])
 
     with open(out_dir / "ratio_curves.csv", "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
@@ -642,7 +667,7 @@ def _common(f):
     f = click.option("--seed", type=int, default=None,
                      help="Override every sampler seed.")(f)
     f = click.option("--jobs", type=int, default=1,
-                     help="Scenario-level worker count.")(f)
+                     help="Scenario-level worker count, at least 1.")(f)
     f = click.option("--tol", type=float, default=None,
                      help="Default tolerance for checks that do not set one.")(f)
     f = click.option("--out", type=click.Path(), default="lab-out",
@@ -693,7 +718,11 @@ def threshold(config, seed, jobs, tol, out):
 @click.argument("directory", type=click.Path())
 def plotdata(directory):
     """Emit columnar plot files from reports in DIRECTORY."""
-    emit_plot_data(Path(directory))
+    try:
+        emit_plot_data(Path(directory))
+    except ConfigError as e:
+        click.echo(f"config error: {e}", err=True)
+        sys.exit(3)
     sys.exit(0)
 
 

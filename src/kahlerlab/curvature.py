@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import NonConvergence, SingularityTooClose
 from .fields import HermitianMetricField, real_to_z, z_to_real
@@ -179,6 +178,8 @@ def _eigen_step(R: np.ndarray, G: np.ndarray, K: float, Y: np.ndarray):
     w = conj(G Ybar), so the minimum over X^H Gbar X = 1 is the smallest
     eigenpair of the pencil (A, Gbar).
     """
+    from scipy.linalg import eigh      # here: scipy loads only when a defect is minimised
+
     Gbar = np.conj(G)
     B = np.einsum("ijkl,k,l->ji", R, Y, np.conj(Y))
     w = np.conj(G @ np.conj(Y))

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solveh_banded
-from scipy.sparse.csgraph import csgraph_from_dense, dijkstra
 
 from .errors import Disconnected, DomainExceeded
 from .fields import ComplexChart, HermitianMetricField, ScalarField
@@ -103,6 +101,8 @@ def _precondition(grad: np.ndarray, Gavg: np.ndarray) -> np.ndarray:
     4N L u = grad_x + i grad_y, L the Dirichlet path Laplacian of n x n
     blocks conj(Gavg_k): 4N L_w for grams w_k I, the exact Hessian on a
     constant metric.  The paths do not couple: one banded Hermitian solve."""
+    from scipy.linalg import solveh_banded    # here: scipy loads only for numeric distances
+
     Q, Ni, n = grad.shape[0], grad.shape[1], Gavg.shape[-1]
     W = 4.0 * (Ni + 1) * np.conj(Gavg)
     ab = np.zeros((2 * n, Q, Ni, n), dtype=complex)   # ab[2n - 1 + i - j, j] = 4N L[i, j]
@@ -468,6 +468,7 @@ class PlanarDomain:
                 span = np.diff(th, append=th[0] + 2 * math.pi)
                 ok = _arcs_free(th, span, cross)
                 np.minimum.at(W, (ids[ok], np.roll(ids, -1)[ok]), r * span[ok])
+        from scipy.sparse.csgraph import csgraph_from_dense, dijkstra
         dist = dijkstra(csgraph_from_dense(W, null_value=np.inf), directed=False, indices=0)
 
         def fn(zs):

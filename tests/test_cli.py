@@ -400,6 +400,14 @@ def test_negative_seed_option_exits_three(tmp_path):
     assert "config error" in res.output and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exits_three(tmp_path, jobs):
+    cfg = _minimal_cfg(check="psh", params={"K": 0.0})
+    res = _run(["run", _write(tmp_path, cfg), "--jobs", jobs, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+    assert "config error" in res.output and not (tmp_path / "o").exists()
+
+
 def test_runners_read_only_required_or_tested_params():
     # a runner reads params["key"] only when its schema requires the key,
     # when it tests "key" in params first, or when the key is one of an
@@ -605,6 +613,21 @@ def test_plotdata_empty_dir_writes_headers(tmp_path):
     for name in ("ratio_curves.csv", "threshold_trace.csv", "defect_hist.csv"):
         lines = (tmp_path / name).read_text().strip().splitlines()
         assert len(lines) == 1
+
+
+def test_plotdata_missing_directory_exits_three(tmp_path):
+    res = _run(["plotdata", str(tmp_path / "none")])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+    assert "config error" in res.output and "not a directory" in res.output
+
+
+@pytest.mark.parametrize("summary", [b"{not json", b"\xff\xfe", b"[]"],
+                         ids=["bad-json", "bad-utf8", "not-an-object"])
+def test_plotdata_unreadable_summary_exits_three(tmp_path, summary):
+    (tmp_path / "summary.json").write_bytes(summary)
+    res = _run(["plotdata", str(tmp_path)])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+    assert "config error" in res.output and "summary.json" in res.output
 
 
 @pytest.mark.parametrize("space_K, K", [(0.0, 1.0), (1.0, 2.0), (-1.0, 0.5)])
@@ -822,3 +845,34 @@ def test_the_package_runs_as_a_module(tmp_path):
         res = subprocess.run([sys.executable, "-W", "error", "-m", *args], cwd=tmp_path,
                              env=env, capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
+
+
+_LAZY_IMPORTS = """
+import sys
+import numpy as np
+import kahlerlab, kahlerlab.cli
+from kahlerlab import ConeSurface, DiskSampler, ModelSpace, check_bk_lower, k_threshold
+
+cone = ConeSurface(0.5)
+v = check_bk_lower(cone, cone.potential(), np.array([0.3 + 0.1j]), 0.0,
+                   sampler=DiskSampler(seed=0, count=20))
+m = ModelSpace(1.0, 1)
+K = k_threshold(m, m.potential(), np.array([0.1 + 0.05j]), 0.5, 2.0,
+                sampler=DiskSampler(seed=0, count=20, size_range=(0.05, 0.3)))
+assert v.passed and abs(K - 1.0) < 1e-2, (v.passed, K)
+loaded = sorted({"scipy", "jsonschema"} & {name.split(".")[0] for name in sys.modules})
+assert loaded == [], loaded
+
+scenarios = kahlerlab.cli.load_config(str(kahlerlab.cli.bundled_scenario_path("models.json")))
+val, _, err = kahlerlab.min_bk_defect(
+    kahlerlab.curvature_tensor(m.metric(), np.array([0.1 + 0.05j])), 1.0)
+assert scenarios and abs(val) <= 1e-6 and err < 1e-6, (len(scenarios), val, err)
+assert {"scipy", "jsonschema"} <= set(sys.modules)
+"""
+
+
+def test_psh_checks_load_neither_scipy_nor_jsonschema():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    res = subprocess.run([sys.executable, "-W", "error", "-c", _LAZY_IMPORTS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from kahlerlab import geodesy
 from kahlerlab.disks import DiskEmbedding, comparison_defect, torsion_metric
@@ -422,8 +423,8 @@ def test_domain_field_runs_one_dijkstra_per_base_point(monkeypatch):
         calls.append(1)
         return dijkstra(*args, **kwargs)
 
-    dijkstra = geodesy.dijkstra
-    monkeypatch.setattr(geodesy, "dijkstra", counting)
+    dijkstra = csgraph.dijkstra
+    monkeypatch.setattr(csgraph, "dijkstra", counting)
     dom = _square_domain(obstacles=[
         RectObstacle(center=np.array([0.0, 0.8]), half_widths=np.array([0.2, 0.5])),
         DiskObstacle(center=np.array([0.0, -0.5]), radius=0.4)])
