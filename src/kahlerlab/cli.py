@@ -609,8 +609,10 @@ def execute(scenarios: list, out_dir: Path, seed: Optional[int], jobs: int,
 
 def emit_plot_data(out_dir: Path) -> None:
     """Columnar plot files from a summary: ratio curves, bisection traces,
-    defect histograms.  Missing data yields header-only files; ConfigError
-    unless ``out_dir`` is a directory and its summary, if any, a JSON object."""
+    defect histograms; ERROR rows carry no curve or trace.  Missing data
+    yields header-only files.  ConfigError, before any file is written,
+    unless ``out_dir`` is a directory and its summary, if any, a JSON object
+    whose rows have the shape ``execute`` writes."""
     if not out_dir.is_dir():
         raise ConfigError(f"{out_dir}: not a directory")
     summary_path = out_dir / "summary.json"
@@ -624,32 +626,36 @@ def emit_plot_data(out_dir: Path) -> None:
         if not isinstance(summary, dict):
             raise ConfigError(f"{summary_path}: not a JSON object")
         rows = summary.get("rows", [])
+        if not isinstance(rows, list):
+            raise ConfigError(f"{summary_path}: rows is not a list")
 
-    with open(out_dir / "ratio_curves.csv", "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["scenario_id", "check_id", "eps1", "eps2", "defect",
-                    "predicted", "ratio"])
-        for r in rows:
-            if r.get("check") == "violation-study" and r.get("witness"):
-                for c in r["witness"]["curve"]:
-                    w.writerow([r["scenario_id"], r["check_id"], c["eps1"],
-                                c["eps2"], c["defect"], c["predicted"], c["ratio"]])
+    curves, traces, hist = [], [], []
+    for i, r in enumerate(rows):
+        try:
+            check, ok = r.get("check"), r.get("verdict") != "ERROR"
+            if check == "violation-study" and ok and r.get("witness"):
+                curves += [[r["scenario_id"], r["check_id"], c["eps1"], c["eps2"],
+                            c["defect"], c["predicted"], c["ratio"]]
+                           for c in r["witness"]["curve"]]
+            elif check == "k-threshold" and ok and r.get("extra"):
+                traces += [[r["scenario_id"], r["check_id"], step, K, ml, v]
+                           for step, (K, ml, v) in enumerate(r["extra"]["trace"])]
+            elif check in ("comparison-scan", "annulus", "domain-compare"):
+                hist.append([r["scenario_id"], r["check_id"], r["value"]])
+        except (AttributeError, LookupError, TypeError, ValueError) as e:
+            raise ConfigError(f"{summary_path}: rows/{i} does not have the shape "
+                              f"`run` writes ({type(e).__name__}: {e})") from e
 
-    with open(out_dir / "threshold_trace.csv", "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["scenario_id", "check_id", "step", "K", "min_laplacian",
-                    "verdict"])
-        for r in rows:
-            if r.get("check") == "k-threshold" and r.get("extra"):
-                for i, (K, ml, v) in enumerate(r["extra"]["trace"]):
-                    w.writerow([r["scenario_id"], r["check_id"], i, K, ml, v])
-
-    with open(out_dir / "defect_hist.csv", "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["scenario_id", "check_id", "value"])
-        for r in rows:
-            if r.get("check") in ("comparison-scan", "annulus", "domain-compare"):
-                w.writerow([r["scenario_id"], r["check_id"], r["value"]])
+    for name, header, body in (
+            ("ratio_curves.csv", ["scenario_id", "check_id", "eps1", "eps2", "defect",
+                                  "predicted", "ratio"], curves),
+            ("threshold_trace.csv", ["scenario_id", "check_id", "step", "K",
+                                     "min_laplacian", "verdict"], traces),
+            ("defect_hist.csv", ["scenario_id", "check_id", "value"], hist)):
+        with open(out_dir / name, "w", encoding="utf-8", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            w.writerows(body)
 
 
 def bundled_scenario_path(name: str) -> Path:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import Disconnected, DomainExceeded
+from .errors import Disconnected, DomainExceeded, NonPositiveDefinite
 from .fields import ComplexChart, HermitianMetricField, ScalarField
 from .models import ModelSpace
 
@@ -94,27 +94,54 @@ def _energy_gradient(metric: HermitianMetricField, paths: np.ndarray,
                            2.0 * (dEdzbar.imag - A.imag)], axis=2)
 
 
+def _invert_blocks(M: np.ndarray) -> np.ndarray:
+    """Inverses of Hermitian positive definite n x n blocks stored with the
+    block axes first, M[i, j, ...], by Gauss-Jordan elimination in place.
+    Each row operation covers every block at once; positive definite blocks
+    need no pivoting, and a pivot that is not positive (or NaN) raises
+    ``NonPositiveDefinite``."""
+    n = M.shape[0]
+    for k in range(n):
+        if not np.all(M[k, k].real > 0):
+            raise NonPositiveDefinite("Newton step: a segment gram is not positive definite")
+        r = 1.0 / M[k, k]
+        M[k, k] = 1.0
+        M[k] *= r
+        for i in range(n):
+            if i != k:
+                f = M[i, k].copy()
+                M[i, k] = 0.0
+                M[i] -= f * M[k]
+    return M
+
+
 def _precondition(grad: np.ndarray, Gavg: np.ndarray) -> np.ndarray:
     """Complex Newton step of the energy's velocity part with the grams frozen.
 
-    That part is 2N sum_k dz_k^H conj(G_k) dz_k, so the step solves
-    4N L u = grad_x + i grad_y, L the Dirichlet path Laplacian of n x n
-    blocks conj(Gavg_k): 4N L_w for grams w_k I, the exact Hessian on a
-    constant metric.  The paths do not couple: one banded Hermitian solve."""
-    from scipy.linalg import solveh_banded    # here: scipy loads only for numeric distances
-
-    Q, Ni, n = grad.shape[0], grad.shape[1], Gavg.shape[-1]
-    W = 4.0 * (Ni + 1) * np.conj(Gavg)
-    ab = np.zeros((2 * n, Q, Ni, n), dtype=complex)   # ab[2n - 1 + i - j, j] = 4N L[i, j]
-    r, c = np.triu_indices(n)
-    ab[2 * n - 1 + r - c, :, :, c] = np.moveaxis(W[:, :-1, r, c] + W[:, 1:, r, c], 2, 0)
-    r, c = np.indices((n, n)).reshape(2, -1)
-    ab[n - 1 + r - c, :, 1:, c] = -np.moveaxis(W[:, 1:-1, r, c], 2, 0)
-    u = solveh_banded(ab.reshape(2 * n, -1), (grad[..., :n] + 1j * grad[..., n:]).reshape(-1))
-    return u.reshape(Q, Ni, n)
+    That part is 2N sum_k dz_k^H conj(G_k) dz_k, so the step u solves
+    4N L u = b = grad_x + i grad_y, L the Dirichlet path Laplacian of n x n
+    blocks W_k = conj(Gavg_k): 4N L_w for grams w_k I, the exact Hessian on
+    a constant metric.  The paths do not couple, and each one is solved in
+    closed form.  With the segment fluxes q_k = 4N W_k (u_{k+1} - u_k), row
+    m reads q_{m-1} - q_m = b_m, so q_k = q_0 - F_k with F the prefix sum
+    of b (F_0 = 0).  The end conditions u_0 = u_N = 0 fix q_0 through
+    sum_k V_k (q_0 - F_k) = 0, V_k = (4N W_k)^-1, and u is the prefix sum
+    of V_k q_k.  A gram that is not positive definite raises
+    ``NonPositiveDefinite``."""
+    Q, N, n = Gavg.shape[:3]
+    V = _invert_blocks(np.moveaxis(4.0 * N * np.conj(Gavg), (2, 3), (0, 1)).copy())  # [i, j, q, k]
+    F = np.zeros((n, Q, N), dtype=complex)
+    np.cumsum(np.moveaxis(grad[..., :n] + 1j * grad[..., n:], 2, 0), axis=2, out=F[:, :, 1:])
+    VF = (V * F).sum(axis=1)
+    q0 = (_invert_blocks(V.sum(axis=3)) * VF.sum(axis=2)).sum(axis=1)
+    Vq = (V[..., :-1] * q0[:, :, None]).sum(axis=1) - VF[..., :-1]
+    return np.moveaxis(np.cumsum(Vq, axis=2), 0, 2)
 
 
 def _chords(p: np.ndarray, qs: np.ndarray, N: int) -> np.ndarray:
+    """Straight N-segment paths from p to each target; N < 1 raises ValueError."""
+    if N < 1:
+        raise ValueError(f"a geodesic mesh needs at least one segment, got N={N}")
     t = np.linspace(0.0, 1.0, N + 1)
     return p[None, None, :] + t[None, :, None] * (qs[:, None, :] - p[None, None, :])
 

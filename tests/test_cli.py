@@ -630,6 +630,31 @@ def test_plotdata_unreadable_summary_exits_three(tmp_path, summary):
     assert "config error" in res.output and "summary.json" in res.output
 
 
+@pytest.mark.parametrize("row", [
+    {"check": "violation-study", "scenario_id": "s", "check_id": "c", "witness": {"x": 1}},
+    {"check": "k-threshold", "scenario_id": "s", "check_id": "c", "extra": {"x": 1}},
+    {"check": "annulus", "scenario_id": "s", "check_id": "c"},
+    ["not", "a", "row"]], ids=["violation-study-no-curve", "k-threshold-no-trace",
+                               "annulus-no-value", "not-an-object"])
+def test_plotdata_row_of_another_shape_exits_three(tmp_path, row):
+    (tmp_path / "summary.json").write_text(json.dumps({"rows": [{}, row]}))
+    res = _run(["plotdata", str(tmp_path)])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+    assert "config error" in res.output and "rows/1" in res.output
+    assert len(res.output.strip().splitlines()) == 1
+    assert not (tmp_path / "ratio_curves.csv").exists()
+
+
+def test_plotdata_skips_error_rows(tmp_path):
+    cfg = {"version": 1, "scenarios": [{
+        "id": "c", "space": {"kind": "cone", "alpha": 0.5},
+        "checks": [{"check": "violation-study", "params": {"K": 1.0, "eps2_list": [0.05]}}]}]}
+    out = tmp_path / "o"
+    assert _run(["run", _write(tmp_path, cfg), "--out", str(out)]).exit_code == 2
+    assert _run(["plotdata", str(out)]).exit_code == 0
+    assert _read_csv(out / "ratio_curves.csv") == []
+
+
 @pytest.mark.parametrize("space_K, K", [(0.0, 1.0), (1.0, 2.0), (-1.0, 0.5)])
 def test_violation_study_stack_has_the_bits_of_one_disk_at_a_time(space_K, K):
     space = ModelSpace(K=space_K, n=2)
@@ -874,5 +899,36 @@ assert {"scipy", "jsonschema"} <= set(sys.modules)
 def test_psh_checks_load_neither_scipy_nor_jsonschema():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     res = subprocess.run([sys.executable, "-W", "error", "-c", _LAZY_IMPORTS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+_NUMERIC_IMPORTS = """
+import sys
+import numpy as np
+from kahlerlab import ComplexChart, DiskEmbedding, ModelSpace, comparison_defect, torsion_metric
+
+space = ModelSpace(1.0, 2)
+metric, p = space.metric(), np.array([0.05, 0.02j])
+disk = DiskEmbedding.affine(np.array([0.1, 0.05j]), np.array([0.1, 0.05]), metric.chart)
+rep = comparison_defect(metric, disk, p, 1.0, distance="numeric")
+exact = comparison_defect(metric, disk, p, 1.0, distance=space.distance_field(p))
+assert abs(rep.defect - exact.defect) <= rep.error_estimate, (rep.defect, exact.defect)
+
+T = np.zeros((2, 2, 2))
+T[0, 0, 1], T[0, 1, 0] = -0.5, 0.5
+chart = ComplexChart(n=2, radii=1.5)
+disk = DiskEmbedding.affine(np.array([5e-2, 0]), np.array([5e-3, 5e-3]), chart)
+rep = comparison_defect(torsion_metric(T, chart), disk, np.zeros(2), 0.0, distance="numeric",
+                        solver_opts=dict(N=24, gtol=1e-8, max_iters=120))
+assert rep.defect < 0, rep.defect
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert loaded == [], loaded
+"""
+
+
+def test_numeric_distances_do_not_load_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    res = subprocess.run([sys.executable, "-W", "error", "-c", _NUMERIC_IMPORTS], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr

@@ -8,7 +8,7 @@ from scipy.sparse import csgraph
 
 from kahlerlab import geodesy
 from kahlerlab.disks import DiskEmbedding, comparison_defect, torsion_metric
-from kahlerlab.errors import Disconnected, DomainExceeded
+from kahlerlab.errors import Disconnected, DomainExceeded, NonPositiveDefinite
 from kahlerlab.geodesy import (DiscretePath, DiskObstacle, PlanarDomain,
                                RectObstacle, chord_lower_bound,
                                domain_length_metric, geodesic_distance,
@@ -163,6 +163,47 @@ def test_precondition_is_a_dense_solve_per_path():
     for k in range(Q):
         exact = np.linalg.solve(_dense_hessian(Gavg[k]), grad[k].reshape(-1))
         assert np.allclose(u[k].reshape(-1), exact, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_precondition_is_a_dense_solve_in_one_and_three_dimensions(n):
+    rng = np.random.default_rng(6)
+    Q, N = 2, 7
+    grad = rng.standard_normal((Q, N - 1, 2 * n))
+    w = np.stack([rng.uniform(0.5, 2.0, N), rng.uniform(5.0, 50.0, N)])
+    u = geodesy._precondition(grad, w[:, :, None, None] * np.eye(n))
+    u = np.concatenate([u.real, u.imag], axis=2)
+    for k in range(Q):
+        L = np.diag(w[k, :-1] + w[k, 1:]) - np.diag(w[k, 1:-1], 1) - np.diag(w[k, 1:-1], -1)
+        assert np.allclose(u[k], np.linalg.solve(4.0 * N * L, grad[k]), rtol=1e-12, atol=0)
+    A = rng.standard_normal((Q, N, n, n)) + 1j * rng.standard_normal((Q, N, n, n))
+    A[1] *= 10.0
+    Gavg = A @ np.conj(np.swapaxes(A, 2, 3)) + 0.1 * np.eye(n)
+    u = geodesy._precondition(grad, Gavg)
+    u = np.concatenate([u.real, u.imag], axis=2)
+    for k in range(Q):
+        exact = np.linalg.solve(_dense_hessian(Gavg[k]), grad[k].reshape(-1))
+        assert np.allclose(u[k].reshape(-1), exact, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("block", [np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]]),
+                                   np.zeros((2, 2)), np.full((2, 2), np.nan)],
+                         ids=["negative", "indefinite", "zero", "nan"])
+def test_precondition_rejects_a_gram_that_is_not_positive_definite(block):
+    Gavg = np.broadcast_to(np.eye(2, dtype=complex), (3, 8, 2, 2)).copy()
+    Gavg[1, 4] = block
+    with pytest.raises(NonPositiveDefinite):
+        geodesy._precondition(np.ones((3, 7, 4)), Gavg)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_a_mesh_below_one_segment_is_rejected(N):
+    metric = ModelSpace(K=1.0, n=1).metric()
+    p, q = np.array([0.0]), np.array([0.1 + 0.05j])
+    with pytest.raises(ValueError, match="at least one segment"):
+        geodesic_distance_many(metric, p, q[None], N=N)
+    with pytest.raises(ValueError, match="at least one segment"):
+        geodesic_distance(metric, p, q, N=N)
 
 
 def test_cone_distance_within_its_error_estimate():
