@@ -13,16 +13,12 @@ from .errors import (ConfigError, DomainExceeded, Disconnected, InvalidDisk,
                      SingularityTooClose, Unsupported)
 from .fields import (ComplexChart, HermitianMetricField, ScalarField,
                      flat_potential, real_to_z, z_to_real)
-from .curvature import (CurvatureData, TangentPair, bianchi_check, bisectional,
-                        bk_defect, curvature_tensor, hermitian_inner,
-                        min_bk_defect)
+from .curvature import (CurvatureData, TangentPair, bianchi_check, bk_defect,
+                        curvature_tensor, hermitian_inner, min_bk_defect)
 from .models import (ConeSurface, ModelSpace, QuotientData, cone_distance,
-                     dK_transform, link_quotient_distance, model_distance,
-                     orbifold_cone)
-from .geodesy import (DiscretePath, DiskObstacle, DistanceSolution,
-                      PlanarDomain, RectObstacle, chord_lower_bound,
-                      domain_length_metric, geodesic_distance,
-                      geodesic_distance_many, path_energy)
+                     dK_transform, model_distance, orbifold_cone)
+from .geodesy import (DiskObstacle, PlanarDomain, RectObstacle,
+                      geodesic_distance_many)
 from .disks import (ComparisonReport, DiskEmbedding, DiskSampler, QuadratureGrid,
                     ScanResult, TorsionSpace, annulus_defect, annulus_tail,
                     area_density, asymptotic_defect, comparison_defect,

@@ -59,6 +59,7 @@ _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _PAIR = {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2}
 _LIST = {"type": "array", "minItems": 1}     # nonempty; each use sets its items
 _POINT = {"type": "array", "items": {"anyOf": [_NUM, _PAIR]}}   # [x, ...] or [[re, im], ...]
+_TENSOR = {"type": "array", "items": {"type": "array", "items": {"type": "array", "items": _NUM}}}
 
 
 def _params(*required: str, **props) -> dict:
@@ -122,7 +123,7 @@ SPACES = {
     "torsion": _kind(lambda s: TorsionSpace(
         T=np.array(s["T"], dtype=float),
         chart=ComplexChart(n=s.get("n", 2), radii=s.get("radius", 1.5))),
-        "T", T={"type": "array"}, n=_COUNT, radius=_NUM),
+        "T", T=_TENSOR, n=_COUNT, radius=_NUM),
     "domain": _kind(_domain, radius=_NUM, obstacles={"type": "array", "items": _OBSTACLE}),
 }
 
@@ -194,11 +195,16 @@ def _scan_row(res, tol, **witness) -> dict:
                             dict(witness, coeffs=res.disk.coeffs, defect=rep.defect))
 
 
+def _band(params) -> tuple:
+    """The ratio band (lo, hi) of a violation-study check, by default (0.8, 1.2)."""
+    return tuple(params.get("band", (0.8, 1.2)))
+
+
 def _run_violation_study(space, params, sampler, tol):
     """Defect over leading-order prediction along shrinking disk sizes."""
     K = params["K"]
     eps2_list = params.get("eps2_list", [5e-2, 2.5e-2, 1.25e-2])
-    band = params.get("band", [0.8, 1.2])
+    lo, hi = _band(params)
     metric = space.metric()
     p = np.zeros(space.n, dtype=complex)
     data = curvature_tensor(metric, p)
@@ -217,7 +223,7 @@ def _run_violation_study(space, params, sampler, tol):
                       "error_est": rep.error_estimate})
     ratios = [c["ratio"] for c in curve]
     gaps = [abs(r - 1.0) for r in ratios]
-    ok = band[0] <= ratios[0] <= band[1] and all(
+    ok = lo <= ratios[0] <= hi and all(
         b <= a + 1e-3 for a, b in zip(gaps, gaps[1:]))
     return dict(verdict="PASS" if ok else "FAIL", value=ratios[-1],
                 error_est=max(c["error_est"] / abs(c["predicted"]) for c in curve),
@@ -372,12 +378,12 @@ CHECKS = {
     # eps2 below 1 keeps each eps1 = 5e-3 (eps2 / 5e-2)^1.5 below its eps2
     "violation-study": Check(_run_violation_study, ("model",), _params(
         "K", K=_NUM, band=_PAIR, eps2_list=dict(_LIST, items=dict(_POSITIVE, exclusiveMaximum=1))),
-        None),
+        None, lambda space, params, where: _ordered(*_band(params), where)),
     "annulus": Check(_run_annulus, _CLOSED_FORM, _params(
         "K", K=_NUM, p=_POINT, tol=_NUM,
         eps_list=dict(_LIST, items=dict(_POSITIVE, exclusiveMaximum=0.1))), 1e-6),
     "psh": Check(_run_psh, _MODEL_OR_CONE, _params(
-        "K", K=_NUM, p=_POINT, tol=_NUM, crossing=_INT, center=_POINT), 1e-6),
+        "K", K=_NUM, p=_POINT, tol=_NUM, crossing=dict(_INT, minimum=0), center=_POINT), 1e-6),
     # exactly one of a point set S and a complex line {a + t v}
     "psh-set": Check(_run_psh, _MODEL_OR_CONE, dict(
         _params("K", K=_NUM, tol=_NUM, S=dict(_LIST, items=_POINT),
@@ -609,7 +615,7 @@ def execute(scenarios: list, out_dir: Path, seed: Optional[int], jobs: int,
 
 def emit_plot_data(out_dir: Path) -> None:
     """Columnar plot files from a summary: ratio curves, bisection traces,
-    defect histograms; ERROR rows carry no curve or trace.  Missing data
+    defect histograms; ERROR rows carry no curve, trace or defect.  Missing data
     yields header-only files.  ConfigError, before any file is written,
     unless ``out_dir`` is a directory and its summary, if any, a JSON object
     whose rows have the shape ``execute`` writes."""
@@ -640,7 +646,7 @@ def emit_plot_data(out_dir: Path) -> None:
             elif check == "k-threshold" and ok and r.get("extra"):
                 traces += [[r["scenario_id"], r["check_id"], step, K, ml, v]
                            for step, (K, ml, v) in enumerate(r["extra"]["trace"])]
-            elif check in ("comparison-scan", "annulus", "domain-compare"):
+            elif check in ("comparison-scan", "annulus", "domain-compare") and ok:
                 hist.append([r["scenario_id"], r["check_id"], r["value"]])
         except (AttributeError, LookupError, TypeError, ValueError) as e:
             raise ConfigError(f"{summary_path}: rows/{i} does not have the shape "

@@ -144,11 +144,6 @@ def _second_derivatives(metric: HermitianMetricField, z: np.ndarray, h: float):
     return metric.gram(z[None])[0], D[0], second[0], error
 
 
-def bisectional(data: CurvatureData, pair: TangentPair) -> float:
-    """-R(X, Xbar, Y, Ybar) for a normalized pair: the defect at level 0."""
-    return bk_defect(data, 0.0, pair)
-
-
 def bk_defect(data: CurvatureData, K: float, pair: TangentPair) -> float:
     """-R(X,Xbar,Y,Ybar) - K(<X,Xbar><Y,Ybar> + |<X,Ybar>|^2).
 

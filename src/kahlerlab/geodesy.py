@@ -28,22 +28,6 @@ from .models import ModelSpace
 log = logging.getLogger("kahlerlab")
 
 
-@dataclass
-class DiscretePath:
-    """Nodes of a discrete path in complex chart coordinates, (N+1, n)."""
-
-    points: np.ndarray
-    grad_norm: float = math.nan
-
-
-@dataclass
-class DistanceSolution:
-    distance: float
-    path: DiscretePath
-    converged: bool = True
-    error_estimate: float = 0.0
-
-
 def _price(metric: HermitianMetricField, paths: np.ndarray):
     """(Q,) energies of (Q, N+1, n) node arrays, trapezoid in the metric,
     and the (Q, N, n, n) segment-averaged grams they were priced with."""
@@ -53,11 +37,6 @@ def _price(metric: HermitianMetricField, paths: np.ndarray):
     dz = paths[:, 1:] - paths[:, :-1]
     e = np.einsum("qkij,qki,qkj->qk", Gavg, dz, np.conj(dz)).real
     return 2.0 * (M - 1) * np.sum(e, axis=1), Gavg
-
-
-def path_energy(metric: HermitianMetricField, path: DiscretePath) -> float:
-    """Discrete energy of a single path."""
-    return float(_price(metric, path.points[None])[0][0])
 
 
 def _energy_gradient(metric: HermitianMetricField, paths: np.ndarray,
@@ -197,82 +176,34 @@ def _refine(paths: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_refined(metric, paths, max_iters, gtol):
-    """Minimize, refine the mesh, minimize again.  Returns the Richardson
-    energies E, the refined paths, the larger of each path's two final
-    gradient norms, the distances sqrt(E) with their error
-    estimates, and a per-path mask of the paths whose norm is <= gtol."""
+def geodesic_distance_many(metric: HermitianMetricField, p, qs,
+                           N: int = 48, max_iters: int = 300, gtol: float = 1e-9):
+    """Distances from one base point to many targets, solved in batch.
+
+    Starts every path on the straight chord; suitable when chords are
+    feasible initializers (convex charts, moderate curvature).  Minimizes,
+    refines the mesh, minimizes again, and returns (distances,
+    error_estimates) from the Richardson energies.  Logs at INFO how many
+    paths stopped above gtol, a path's norm being the larger of its two
+    solves' final norms, with the largest such norm.
+    """
+    p = np.asarray(p, dtype=complex).reshape(-1)
+    qs = np.atleast_2d(np.asarray(qs, dtype=complex))
+    paths = _chords(p, qs, N)
     E1, gnorm1 = _minimize(metric, paths, max_iters, gtol)
-    paths2 = _refine(paths)
-    E2, gnorm2 = _minimize(metric, paths2, max_iters, gtol)
+    paths = _refine(paths)
+    E2, gnorm2 = _minimize(metric, paths, max_iters, gtol)
     gnorm = np.maximum(gnorm1, gnorm2)
     E = np.maximum(E2 + (E2 - E1) / 3.0, 0.0)
     err = np.abs(E2 - E1) / 3.0
     d = np.sqrt(E)
     derr = np.where(d > 0, err / np.maximum(2 * d, 1e-12), np.sqrt(err))
     converged = gnorm <= gtol
-    return E, paths2, gnorm, d, derr, converged
-
-
-def geodesic_distance_many(metric: HermitianMetricField, p, qs,
-                           N: int = 48, max_iters: int = 300, gtol: float = 1e-9):
-    """Distances from one base point to many targets, solved in batch.
-
-    Starts every path on the straight chord; suitable when chords are
-    feasible initializers (convex charts, moderate curvature).  Returns
-    (distances, error_estimates) and logs at INFO how many paths stopped
-    above gtol, with the largest final gradient norm among them.
-    """
-    p = np.asarray(p, dtype=complex).reshape(-1)
-    qs = np.atleast_2d(np.asarray(qs, dtype=complex))
-    *_, gnorm, d, derr, converged = _solve_refined(metric, _chords(p, qs, N), max_iters, gtol)
     if not converged.all():
         log.info("geodesic solve: %d of %d paths stopped above gtol %.1e, "
                  "largest final gradient norm %.1e", int(np.count_nonzero(~converged)),
                  converged.size, gtol, float(np.max(gnorm[~converged])))
     return d, derr
-
-
-def chord_lower_bound(metric: HermitianMetricField, p, q) -> float:
-    """|q - p| scaled by the smallest metric eigenvalue at 33 points of the chord."""
-    p = np.asarray(p, dtype=complex).reshape(-1)
-    q = np.asarray(q, dtype=complex).reshape(-1)
-    t = np.linspace(0, 1, 33)
-    pts = p[None] + t[:, None] * (q - p)[None]
-    ev = np.linalg.eigvalsh(metric.gram(pts, check=False))
-    lam = float(np.min(ev))
-    return float(np.linalg.norm(q - p) * math.sqrt(max(2.0 * lam, 0.0)))
-
-
-def geodesic_distance(metric: HermitianMetricField, p, q,
-                      N: int = 48, seed: int = 0,
-                      max_iters: int = 500, gtol: float = 1e-9) -> DistanceSolution:
-    """Distance between two chart points with descent from four starts.
-
-    Start 0 is the straight chord; the other three are seeded sinusoidal
-    perturbations of it.  The reported error estimate is the Richardson
-    correction from the mesh refinement.
-    """
-    p = np.asarray(p, dtype=complex).reshape(-1)
-    q = np.asarray(q, dtype=complex).reshape(-1)
-    n = p.size
-    rng = np.random.default_rng(seed)
-    t = np.linspace(0.0, 1.0, N + 1)
-    starts = [_chords(p, q[None, :], N)[0]]
-    bump = np.sin(math.pi * t)[:, None]
-    scale = 0.25 * np.linalg.norm(q - p) + 1e-3
-    for _ in range(3):
-        amp = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
-        starts.append(starts[0] + bump * amp[None, :])
-    E, paths2, gn, d, derr, converged = _solve_refined(metric, np.stack(starts),
-                                                       max_iters, gtol)
-    best = int(np.argmin(E))          # ties resolved by start index
-    return DistanceSolution(
-        distance=float(d[best]),
-        path=DiscretePath(points=paths2[best], grad_norm=float(gn[best])),
-        converged=bool(converged[best]),
-        error_estimate=float(derr[best]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +456,3 @@ class PlanarDomain:
             return best
 
         return ScalarField(fn=fn, n=1, name="domain length metric")
-
-
-def domain_length_metric(domain: PlanarDomain, p, q) -> float:
-    """Length-metric distance between two points of a planar domain: the
-    one-target call of ``PlanarDomain.distance_field``."""
-    p = np.asarray(p, dtype=float).reshape(2)
-    q = np.asarray(q, dtype=float).reshape(2)
-    field = domain.distance_field(complex(p[0], p[1]))
-    return float(field(np.array([[complex(q[0], q[1])]]))[0])

@@ -14,9 +14,8 @@ Each geometry writes its distance once, as one batched kernel:
 points and next to the K > 0 cap), ``cone_distance`` (the law of
 cosines on polar coordinates, in a sin^2 form that keeps close points
 accurate) and ``QuotientData.distance_field`` (the round link quotient
-in homogeneous coordinates).  The scalar entry points are one-row calls
-of these kernels and the ``distance_field`` methods call them on stacks,
-so scalar and field values agree bit for bit.
+in homogeneous coordinates).  The ``distance_field`` methods call them
+on stacks; a one-row call is a point's distance.
 """
 
 from __future__ import annotations
@@ -158,13 +157,8 @@ class ModelSpace:
             self.chart, lambda zs: _model_gram(c, zs), lambda zs: _model_dgram(c, zs),
             potential=self.potential(), name=f"model metric, c = {c:g}")
 
-    def distance(self, z1, z2) -> float:
-        """Exact geodesic distance between chart points."""
-        return model_distance(self.K, np.reshape(z1, self.n), np.reshape(z2, self.n))
-
     def distance_field(self, p) -> ScalarField:
-        """d(p, .) as a batched scalar field; ``distance`` is its one-row
-        call, so the two agree bit for bit."""
+        """d(p, .) as a batched scalar field of ``model_distance``."""
         p = np.asarray(p, dtype=complex).reshape(self.n)
         return ScalarField(fn=lambda zs: model_distance(self.K, p, zs), n=self.n,
                            name=f"model distance from {p.tolist()}")
@@ -339,11 +333,3 @@ class QuotientData:
                               np.abs(np.conj(v[0]) + z * np.conj(v[1])))
 
         return ScalarField(fn=fn, n=1, name=f"link quotient distance from {v.tolist()}")
-
-
-def link_quotient_distance(q: QuotientData, z, zp) -> float:
-    """Fubini-Study distance between an affine chart point z and zp, an
-    affine chart point or a homogeneous 2-vector: the one-point value of
-    ``QuotientData.distance_field``."""
-    return float(q.distance_field(zp)(np.reshape(z, (1, 1)))[0])
-

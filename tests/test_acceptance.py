@@ -18,7 +18,7 @@ from kahlerlab.disks import (DiskEmbedding, asymptotic_defect,
                              torsion_expected_defect, torsion_metric,
                              violation_disk)
 from kahlerlab.fields import ComplexChart
-from kahlerlab.geodesy import PlanarDomain, RectObstacle, domain_length_metric
+from kahlerlab.geodesy import PlanarDomain, RectObstacle
 from kahlerlab.models import ConeSurface, ModelSpace, QuotientData, dK_transform
 from kahlerlab.psh import (DiskSampler, check_bk_lower, disk_laplacian,
                            k_threshold, quotient_bk2_check,
@@ -157,10 +157,10 @@ def test_acceptance_07_domain_criterion():
                         half_widths=np.array([0.15, 1.2]))
     dom = PlanarDomain(chart=chart, obstacles=(slab,))
     p, q = -1.2 + 0.0j, 1.2 + 0.0j
-    L = domain_length_metric(dom, [p.real, p.imag], [q.real, q.imag])
+    dist = dom.distance_field(p)
+    L = dist(q)[0]
     ratio = L / abs(q - p)
     metric = dom.metric()
-    dist = dom.distance_field(p)
     # off the symmetry axis the shadow-region distance is corner-centered
     # and the comparison fails; on the axis the cut locus masks it
     disk = DiskEmbedding.affine(np.array([q + 0.4j]), np.array([0.15]), chart)
@@ -275,8 +275,8 @@ def test_acceptance_11_invariant_suites():
         pts = 0.3 * (rng.standard_normal((60, 3, 2))
                      + 1j * rng.standard_normal((60, 3, 2)))
         for tri in pts:
-            ok &= sp.distance(tri[0], tri[2]) <= \
-                sp.distance(tri[0], tri[1]) + sp.distance(tri[1], tri[2]) + 1e-12
+            d01, d02 = sp.distance_field(tri[0])(tri[1:])
+            ok &= d02 <= d01 + sp.distance_field(tri[1])(tri[2])[0] + 1e-12
 
     # determinism of seeded searches
     v1, _, _ = min_bk_defect(data, 1.0, seed=3)

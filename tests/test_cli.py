@@ -172,8 +172,15 @@ _SHORT = (3, "point has dimension 1, expected 2")
     ({"kind": "model", "K": 0.0, "n": 2, "alpha": 0.5}, {"check": "psh", "params": {"K": 0.0}},
      (3, "'alpha' was unexpected")),
     ({"kind": "quotient", "T": [1]}, {"check": "quotient-bk2"}, (3, "'T' was unexpected")),
-    ({"kind": "torsion", "T": [1]}, {"check": "torsion-disk", "params": {"a": [1], "b": [1]}},
+    ({"kind": "torsion", "T": [[[1]]]},
+     {"check": "torsion-disk", "params": {"a": [1], "b": [1]}},
      (3, "torsion tensor must be (n, n, n)")),
+    # a T that is not a nested numeric array fails the schema, not the builder
+    ({"kind": "torsion", "T": [{}]}, {"check": "torsion-disk", "params": {"a": [1], "b": [1]}},
+     (3, "at scenarios/1/space/T/0: {} is not of type 'array'")),
+    ({"kind": "torsion", "T": [[["x"]]]},
+     {"check": "torsion-disk", "params": {"a": [1], "b": [1]}},
+     (3, "'x' is not of type 'number'")),
     # a point whose dimension is not the space's
     (_MODEL2, {"check": "psh", "params": {"K": 0.0, "p": [0.1]}}, _SHORT),
     (_MODEL2, {"check": "psh", "params": {"K": 0.0, "center": [0.1]}}, _SHORT),
@@ -203,6 +210,7 @@ _SHORT = (3, "point has dimension 1, expected 2")
 ], ids=["torsion-scan", "torsion-disk-off-chart", "torsion-psh", "quotient-psh",
         "cone-min-bk-defect", "cone-annulus", "cone-alpha", "quotient-delta",
         "quotient-non-round", "cone-n", "model-alpha", "quotient-T", "torsion-T",
+        "torsion-T-object", "torsion-T-string",
         "psh-p", "psh-center", "min-bk-defect-z", "scan-p", "annulus-p", "k-threshold-p",
         "psh-set-S", "psh-set-line-a", "psh-set-line-v", "torsion-disk-a", "torsion-disk-b",
         "torsion-psh-p", "domain-compare-fixed-disk-off-chart",
@@ -376,6 +384,9 @@ def test_radial_potential_takes_the_scenario_seed(tmp_path):
     {"check": "violation-study", "params": {"K": 1.0, "eps2_list": [1.5]}},
     {"check": "violation-study", "params": {"K": 1.0, "band": [0.8]}},
     {"check": "annulus", "params": {"K": 0.0, "eps_list": []}},
+    # a reversed band that no ratio can meet, and a negative crossing count
+    {"check": "violation-study", "params": {"K": 1.0, "band": [1.2, 0.8]}},
+    {"check": "psh", "params": {"K": 0.0, "crossing": -5}},
 ], ids=["resolution", "scan-count", "domain-count", "domain-eps", "domain-short-p",
         "annulus-eps", "quotient-zprime", "quotient-zprime-zero", "quotient-zprime-zero-pairs",
         "k-threshold-reversed", "k-threshold-hi-below-default-lo", "scan-no-K", "min-bk-defect-no-K",
@@ -383,7 +394,8 @@ def test_radial_potential_takes_the_scenario_seed(tmp_path):
         "line-no-a", "psh-set-no-set", "psh-set-both", "psh-set-empty-S",
         "psh-set-S-of-numbers", "torsion-no-b", "domain-no-q", "curvature-points-0",
         "curvature-points-negative", "min-bk-defect-samples-0", "violation-empty-eps2",
-        "violation-eps2-above-1", "violation-short-band", "annulus-empty-eps"])
+        "violation-eps2-above-1", "violation-short-band", "annulus-empty-eps",
+        "violation-reversed-band", "psh-negative-crossing"])
 def test_out_of_range_params_exit_three(tmp_path, check):
     cfg = _minimal_cfg(**check)
     if check["check"] == "quotient-bk2":        # its params are checked on its own space
@@ -653,6 +665,17 @@ def test_plotdata_skips_error_rows(tmp_path):
     assert _run(["run", _write(tmp_path, cfg), "--out", str(out)]).exit_code == 2
     assert _run(["plotdata", str(out)]).exit_code == 0
     assert _read_csv(out / "ratio_curves.csv") == []
+
+
+def test_plotdata_histogram_skips_error_rows(tmp_path):
+    # an annulus check does not run on a torsion space: an ERROR row with value nan
+    cfg = _minimal_cfg(check="annulus", id="a", params={"K": 0.0, "eps_list": [0.05]})
+    cfg["scenarios"].append({"id": "t", "space": _TORSION,
+                             "checks": [{"check": "annulus", "id": "a", "params": {"K": 0.0}}]})
+    out = tmp_path / "o"
+    assert _run(["run", _write(tmp_path, cfg), "--out", str(out)]).exit_code == 2
+    assert _run(["plotdata", str(out)]).exit_code == 0
+    assert [r["scenario_id"] for r in _read_csv(out / "defect_hist.csv")] == ["s"]
 
 
 @pytest.mark.parametrize("space_K, K", [(0.0, 1.0), (1.0, 2.0), (-1.0, 0.5)])

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from fd_reference import nested_curvature
-from kahlerlab.curvature import (TangentPair, bianchi_check, bisectional,
-                                 bk_defect, curvature_tensor, hermitian_inner,
-                                 min_bk_defect)
+from kahlerlab.curvature import (TangentPair, bianchi_check, bk_defect,
+                                 curvature_tensor, hermitian_inner, min_bk_defect)
 from kahlerlab.errors import SingularityTooClose
 from kahlerlab.fields import ScalarField
 from kahlerlab.models import ConeSurface, ModelSpace
@@ -63,14 +62,15 @@ def test_curvature_symmetries():
 
 def test_bisectional_examples():
     # holomorphic sectional curvature is 2K; an orthogonal pair sees K
+    # (the bisectional curvature is the defect at level 0)
     space = ModelSpace(K=1.0, n=2)
     data = curvature_tensor(space.metric(), np.zeros(2, dtype=complex))
     X = np.array([1.0, 0.0], dtype=complex)
     Y = np.array([0.0, 1.0], dtype=complex)
     same = TangentPair(X=X, Y=X, G=data.G)
     orth = TangentPair(X=X, Y=Y, G=data.G)
-    assert bisectional(data, same) == pytest.approx(2.0, abs=1e-5)
-    assert bisectional(data, orth) == pytest.approx(1.0, abs=1e-5)
+    assert bk_defect(data, 0.0, same) == pytest.approx(2.0, abs=1e-5)
+    assert bk_defect(data, 0.0, orth) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_bk_defect_flat():

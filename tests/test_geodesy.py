@@ -9,21 +9,20 @@ from scipy.sparse import csgraph
 from kahlerlab import geodesy
 from kahlerlab.disks import DiskEmbedding, comparison_defect, torsion_metric
 from kahlerlab.errors import Disconnected, DomainExceeded, NonPositiveDefinite
-from kahlerlab.geodesy import (DiscretePath, DiskObstacle, PlanarDomain,
-                               RectObstacle, chord_lower_bound,
-                               domain_length_metric, geodesic_distance,
-                               geodesic_distance_many, path_energy)
+from kahlerlab.geodesy import (DiskObstacle, PlanarDomain, RectObstacle,
+                               geodesic_distance_many)
 from kahlerlab.fields import ComplexChart, HermitianMetricField
 from kahlerlab.models import ConeSurface, ModelSpace
 
 
-def test_flat_geodesic_is_straight():
+def test_flat_geodesic_is_straight(caplog):
     metric = ModelSpace(K=0.0, n=2).metric()
     p = np.array([0.1 + 0.1j, 0.0])
     q = np.array([-0.2, 0.3j])
-    sol = geodesic_distance(metric, p, q)
-    assert sol.converged
-    assert sol.distance == pytest.approx(np.linalg.norm(q - p), abs=1e-9)
+    with caplog.at_level(logging.INFO, logger="kahlerlab"):
+        d, _ = geodesic_distance_many(metric, p, q)
+    assert caplog.records == []                 # the path converged
+    assert d[0] == pytest.approx(np.linalg.norm(q - p), abs=1e-9)
 
 
 @pytest.mark.parametrize("K", [1.0, -1.0])
@@ -34,8 +33,8 @@ def test_model_geodesics_match_closed_form(K):
     p = np.array([0.1 + 0.05j, -0.05])
     for _ in range(3):
         q = 0.35 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        sol = geodesic_distance(metric, p, q)
-        assert sol.distance == pytest.approx(space.distance(p, q), abs=1e-7)
+        d, _ = geodesic_distance_many(metric, p, q)
+        assert d[0] == pytest.approx(space.distance_field(p)(q)[0], abs=1e-7)
 
 
 def test_batched_solver_agrees_with_closed_form():
@@ -44,17 +43,28 @@ def test_batched_solver_agrees_with_closed_form():
     p = np.array([0.05 + 0.02j])
     qs = np.array([[0.3], [0.2j], [-0.25 + 0.1j], [0.4 + 0.4j]])
     d, err = geodesic_distance_many(metric, p, qs)
-    exact = [space.distance(p, q) for q in qs]
+    exact = space.distance_field(p)(qs)
     assert np.max(np.abs(d - exact)) < 1e-7
     assert np.all(err >= 0)
+
+
+def _chord_lower_bound(metric: HermitianMetricField, p, q) -> float:
+    """|q - p| scaled by the smallest metric eigenvalue at 33 points of the chord."""
+    p = np.asarray(p, dtype=complex).reshape(-1)
+    q = np.asarray(q, dtype=complex).reshape(-1)
+    t = np.linspace(0, 1, 33)
+    pts = p[None] + t[:, None] * (q - p)[None]
+    ev = np.linalg.eigvalsh(metric.gram(pts, check=False))
+    lam = float(np.min(ev))
+    return float(np.linalg.norm(q - p) * math.sqrt(max(2.0 * lam, 0.0)))
 
 
 def test_distance_at_least_chord_lower_bound():
     metric = ModelSpace(K=-1.0, n=1).metric()
     p = np.array([0.1])
     q = np.array([0.5 + 0.3j])
-    sol = geodesic_distance(metric, p, q)
-    assert sol.distance >= chord_lower_bound(metric, p, q) - 1e-9
+    d, _ = geodesic_distance_many(metric, p, q)
+    assert d[0] >= _chord_lower_bound(metric, p, q) - 1e-9
 
 
 def test_path_energy_of_straight_flat_path():
@@ -62,15 +72,7 @@ def test_path_energy_of_straight_flat_path():
     t = np.linspace(0, 1, 17)[:, None]
     pts = t * np.array([[1.0 + 0j]])
     # energy of a unit-speed straight segment equals its squared length
-    assert path_energy(metric, DiscretePath(points=pts)) == pytest.approx(1.0)
-
-
-def test_multistart_determinism():
-    metric = ModelSpace(K=1.0, n=1).metric()
-    p, q = np.array([0.1]), np.array([-0.3 + 0.2j])
-    s1 = geodesic_distance(metric, p, q, seed=7)
-    s2 = geodesic_distance(metric, p, q, seed=7)
-    assert s1.distance == s2.distance
+    assert geodesy._price(metric, pts[None])[0][0] == pytest.approx(1.0)
 
 
 def _torsion_metric():
@@ -202,13 +204,11 @@ def test_a_mesh_below_one_segment_is_rejected(N):
     p, q = np.array([0.0]), np.array([0.1 + 0.05j])
     with pytest.raises(ValueError, match="at least one segment"):
         geodesic_distance_many(metric, p, q[None], N=N)
-    with pytest.raises(ValueError, match="at least one segment"):
-        geodesic_distance(metric, p, q, N=N)
 
 
 def test_cone_distance_within_its_error_estimate():
-    sol = geodesic_distance(ConeSurface(0.5).metric(), 0.3, 0.05 + 0.6j)
-    assert abs(sol.distance - 1.0518206263593044) <= sol.error_estimate
+    d, err = geodesic_distance_many(ConeSurface(0.5).metric(), 0.3, 0.05 + 0.6j)
+    assert abs(d[0] - 1.0518206263593044) <= err[0]
 
 
 def _acceptance_06_defect(monkeypatch, gtol=1e-8):
@@ -250,21 +250,40 @@ def test_stalled_paths_are_reported(monkeypatch, caplog):
     assert caplog.records == []
 
 
-def test_converged_reads_the_solver_mask():
+def test_converged_reads_the_solver_mask(caplog):
     metric = _torsion_metric()
     p, q = np.zeros(2, dtype=complex), np.array([0.05, 0.004 + 0.004j])
     # gtol 1e-13 is below what the energy test resolves on this path
-    loose = geodesic_distance(metric, p, q, N=24, gtol=1e-13, max_iters=120)
-    assert not loose.converged and loose.path.grad_norm > 1e-13
-    tight = geodesic_distance(metric, p, q, N=24, gtol=1e-6, max_iters=120)
-    assert tight.converged and tight.path.grad_norm <= 1e-6
+    with caplog.at_level(logging.INFO, logger="kahlerlab"):
+        geodesic_distance_many(metric, p, q, N=24, gtol=1e-13, max_iters=120)
+    assert any("1 of 1 paths stopped above gtol 1.0e-13" in r.getMessage()
+               for r in caplog.records)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="kahlerlab"):
+        geodesic_distance_many(metric, p, q, N=24, gtol=1e-6, max_iters=120)
+    assert caplog.records == []
 
 
-def test_grad_norm_agrees_with_the_converged_mask():
-    # the refined solve of this path ends at 2.6e-10, the coarse one above gtol
-    sol = geodesic_distance(_torsion_metric(), np.zeros(2, dtype=complex),
-                            np.array([0.05, 0.004 + 0.004j]), N=24, gtol=1e-8, max_iters=120)
-    assert not sol.converged and sol.path.grad_norm > 1e-8
+def test_grad_norm_agrees_with_the_converged_mask(monkeypatch, caplog):
+    # a path's norm is the larger of its coarse and refined norms: on this
+    # chord the coarse solve stops at 2.3e-8, above gtol, the refined one at 3.4e-10
+    norms = []
+    minimize = geodesy._minimize
+
+    def recording(*args):
+        E, gnorm = minimize(*args)
+        norms.append(gnorm.copy())
+        return E, gnorm
+
+    monkeypatch.setattr(geodesy, "_minimize", recording)
+    with caplog.at_level(logging.INFO, logger="kahlerlab"):
+        geodesic_distance_many(ModelSpace(K=1.0, n=1).metric(), np.array([0.1]),
+                               np.array([0.4 + 0.2j]), gtol=1e-8)
+    [coarse], [refined] = norms
+    assert refined <= 1e-8 < coarse
+    assert [r.getMessage() for r in caplog.records] == [
+        "geodesic solve: 1 of 1 paths stopped above gtol 1.0e-08, "
+        f"largest final gradient norm {coarse:.1e}"]
 
 
 def _square_domain(radius=2.0, obstacles=()):
@@ -272,9 +291,14 @@ def _square_domain(radius=2.0, obstacles=()):
                         obstacles=tuple(obstacles))
 
 
+def _domain_distance(domain, p, q) -> float:
+    """d(p, q) between [x, y] pairs: the one-target call of ``distance_field(p)``."""
+    return float(domain.distance_field(complex(*p))([complex(*q)])[0])
+
+
 def test_domain_length_metric_free_space():
     dom = _square_domain()
-    d = domain_length_metric(dom, [-1.0, 0.0], [1.0, 0.5])
+    d = _domain_distance(dom, [-1.0, 0.0], [1.0, 0.5])
     assert d == pytest.approx(math.hypot(2.0, 0.5), abs=1e-9)
 
 
@@ -282,7 +306,7 @@ def test_domain_length_metric_slab_detour():
     slab = RectObstacle(center=np.array([0.0, 0.0]),
                         half_widths=np.array([0.15, 1.0]))
     dom = _square_domain(obstacles=[slab])
-    d = domain_length_metric(dom, [-1.0, 0.0], [1.0, 0.0])
+    d = _domain_distance(dom, [-1.0, 0.0], [1.0, 0.0])
     # taut path over a slab corner, exactly two mirrored segments
     exact = 2.0 * math.hypot(0.85, 1.0) + 0.3
     assert d == pytest.approx(exact, abs=1e-9)
@@ -293,7 +317,7 @@ def test_domain_length_metric_l_shape():
     a = RectObstacle(center=np.array([0.0, -0.5]), half_widths=np.array([0.1, 1.0]))
     b = RectObstacle(center=np.array([0.5, 0.4]), half_widths=np.array([0.6, 0.1]))
     dom = _square_domain(obstacles=[a, b])
-    d = domain_length_metric(dom, [-0.5, -0.5], [1.0, -0.2])
+    d = _domain_distance(dom, [-0.5, -0.5], [1.0, -0.2])
     straight = math.hypot(1.5, 0.3)
     assert d > straight
 
@@ -303,13 +327,13 @@ def test_domain_disconnected_raises():
                         half_widths=np.array([0.1, 2.5]))
     dom = _square_domain(obstacles=[wall])
     with pytest.raises(Disconnected):
-        domain_length_metric(dom, [-1.0, 0.0], [1.0, 0.0])
+        _domain_distance(dom, [-1.0, 0.0], [1.0, 0.0])
 
 
 def test_domain_disk_obstacle_upper_bound():
     disk = DiskObstacle(center=np.array([0.0, 0.0]), radius=0.5)
     dom = _square_domain(obstacles=[disk])
-    d = domain_length_metric(dom, [-1.0, 0.0], [1.0, 0.0])
+    d = _domain_distance(dom, [-1.0, 0.0], [1.0, 0.0])
     # exact: two tangents plus the wrapped arc
     exact = 2.0 * math.sqrt(1.0 - 0.25) + 0.5 * (math.pi - 2.0 * math.acos(0.5))
     assert d >= exact - 1e-9
@@ -324,7 +348,7 @@ def test_domain_path_along_an_outer_common_tangent():
     a = DiskObstacle(center=np.array([-0.5, 0.0]), radius=0.3)
     b = DiskObstacle(center=np.array([0.5, 0.0]), radius=0.2)
     dom = _square_domain(obstacles=[a, b])
-    d = domain_length_metric(dom, [-1.2, 0.0], [1.1, 0.0])
+    d = _domain_distance(dom, [-1.2, 0.0], [1.1, 0.0])
     n = math.acos(0.1)
     exact = (math.sqrt(0.7 ** 2 - 0.3 ** 2) + 0.3 * (math.pi - math.acos(0.3 / 0.7) - n)
              + math.sqrt(1.0 - 0.1 ** 2)
@@ -339,7 +363,7 @@ def test_domain_path_along_an_inner_common_tangent():
     a = DiskObstacle(center=np.array([-0.5, 0.0]), radius=0.4)
     b = DiskObstacle(center=np.array([0.5, 0.0]), radius=0.4)
     dom = _square_domain(obstacles=[a, b])
-    d = domain_length_metric(dom, [-0.5, -0.5], [0.5, 0.5])
+    d = _domain_distance(dom, [-0.5, -0.5], [0.5, 0.5])
     exact = 2.0 * (0.3 + 0.4 * (0.5 * math.pi - 2.0 * math.acos(0.8))) + 0.6
     assert abs(d - exact) <= 1e-12
 
@@ -359,7 +383,7 @@ def test_domain_arcs_stop_at_crossings(obstacles, y, h):
     # chart edge, or by the edge itself, while both top tangent points stay
     # free, so the path goes round the bottom
     dom = _square_domain(obstacles=obstacles)
-    d = domain_length_metric(dom, [-1.0, y + h], [1.0, y + h])
+    d = _domain_distance(dom, [-1.0, y + h], [1.0, y + h])
     alpha = math.acos(0.5 / math.sqrt(1.0 + h * h))
     exact = 2.0 * math.sqrt(0.75 + h * h) + 0.5 * (math.pi + 2.0 * math.atan(h) - 2.0 * alpha)
     assert abs(d - exact) <= 1e-12
@@ -372,16 +396,16 @@ def test_domain_graph_arcs_stop_at_crossings():
     dom = _square_domain(obstacles=[
         _DISK, RectObstacle(center=np.array([0.0, 1.25]), half_widths=np.array([0.1, 0.85])),
         DiskObstacle(center=np.array([1.3, 0.0]), radius=0.3)])
-    d = domain_length_metric(dom, [-1.0, 0.2], [1.9, 0.2])
+    d = _domain_distance(dom, [-1.0, 0.2], [1.9, 0.2])
     assert abs(d - 3.3607102383535707) <= 1e-12
-    assert abs(domain_length_metric(dom, [1.9, 0.2], [-1.0, 0.2]) - d) <= 1e-12
+    assert abs(_domain_distance(dom, [1.9, 0.2], [-1.0, 0.2]) - d) <= 1e-12
 
 
 def test_domain_single_rect_corner_path():
     # the taut path turns once, at the corner (0.575, 0.405)
     rect = RectObstacle(center=np.array([0.765, -0.045]), half_widths=np.array([0.19, 0.45]))
     dom = _square_domain(obstacles=[rect])
-    d = domain_length_metric(dom, [-0.89, -1.88], [0.84, 0.67])
+    d = _domain_distance(dom, [-0.89, -1.88], [0.84, 0.67])
     assert d == pytest.approx(3.0890712932105964, abs=1e-15)
 
 
@@ -447,13 +471,13 @@ def test_domain_random_domains_are_symmetric():
         pts = rng.uniform(-2.0, 2.0, (40, 2))
         p, q = pts[dom.free(pts)][:2]
         try:
-            d = domain_length_metric(dom, p, q)
+            d = _domain_distance(dom, p, q)
         except Disconnected:
             with pytest.raises(Disconnected):
-                domain_length_metric(dom, q, p)
+                _domain_distance(dom, q, p)
             continue
         paths += 1
-        assert abs(domain_length_metric(dom, q, p) - d) <= 1e-12 * d
+        assert abs(_domain_distance(dom, q, p) - d) <= 1e-12 * d
     assert paths >= 100 and overlaps >= 20 and crossings >= 20
 
 
@@ -479,4 +503,4 @@ def test_domain_endpoints_must_be_free():
     disk = DiskObstacle(center=np.array([0.0, 0.0]), radius=0.5)
     dom = _square_domain(obstacles=[disk])
     with pytest.raises(DomainExceeded, match="open domain"):
-        domain_length_metric(dom, [0.0, 0.0], [1.0, 0.0])
+        _domain_distance(dom, [0.0, 0.0], [1.0, 0.0])

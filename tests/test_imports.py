@@ -20,3 +20,39 @@ def test_no_module_imports_a_private_name_of_another():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) > 1
     assert [hit for path in modules for hit in _private_imports(path)] == []
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+# public names that only tests reach today; ROADMAP item 12 moves them into
+# tests/ reference modules, and the list shrinks with each move
+TEST_ONLY = {"bianchi_check", "annulus_tail", "bundled_scenario_path"}
+
+
+def _references(path: Path, strings: bool = False) -> set:
+    """The names a module reads or imports, and with ``strings`` its string
+    constants (perfbench patches functions by name)."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_public_name_has_a_caller_in_src_or_perfbench():
+    # the package's re-exports are not callers
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    refs = set().union(*map(_references, modules),
+                       *(_references(p, strings=True) for p in PERFBENCH.glob("*.py")))
+    unreached = [f"{path.name}: {node.name}" for path in modules
+                 for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and not node.decorator_list and not node.name.startswith("_")
+                 and node.name not in refs | TEST_ONLY]
+    assert unreached == []

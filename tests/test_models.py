@@ -10,8 +10,7 @@ from kahlerlab.disks import torsion_metric
 from kahlerlab.errors import DomainExceeded
 from kahlerlab.fields import ComplexChart
 from kahlerlab.models import (ConeSurface, ModelSpace, QuotientData,
-                              cone_distance, dK_transform,
-                              link_quotient_distance, model_distance,
+                              cone_distance, dK_transform, model_distance,
                               orbifold_cone)
 
 
@@ -116,8 +115,8 @@ def test_model_distance_symmetry_and_zero():
     space = ModelSpace(K=1.0, n=2)
     z1 = np.array([0.2 + 0.1j, 0.0])
     z2 = np.array([-0.1, 0.3j])
-    assert space.distance(z1, z1) == pytest.approx(0.0, abs=1e-12)
-    assert space.distance(z1, z2) == pytest.approx(space.distance(z2, z1))
+    assert space.distance_field(z1)(z1)[0] == pytest.approx(0.0, abs=1e-12)
+    assert space.distance_field(z1)(z2)[0] == pytest.approx(space.distance_field(z2)(z1)[0])
 
 
 def _mp_distance(c, s, v):
@@ -164,7 +163,7 @@ def test_model_distance_against_40_digits(K, n):
     for a, b, v in zip(z, w, vals):
         ref = _mp_distance(space.c, np.r_[1.0, a], np.r_[1.0, b])
         assert abs(v - float(ref)) <= 1e-15 * float(ref), (a, b)
-        assert v == space.distance(a, b)
+        assert v == space.distance_field(a)(b)[0]
     if K > 0:
         assert np.all(vals[-100:] >= space.diameter - 1e-2)
 
@@ -172,13 +171,13 @@ def test_model_distance_against_40_digits(K, n):
 def test_model_distance_small_chords_are_flat():
     for K in (1.0, -1.0):
         space = ModelSpace(K=K, n=1)
-        d = space.distance(np.array([1e-5]), np.array([-1e-5]))
+        d = space.distance_field(np.array([1e-5]))(np.array([-1e-5]))[0]
         assert d == pytest.approx(2e-5, rel=1e-6)
 
 
 def test_positive_model_diameter():
     space = ModelSpace(K=0.5, n=1)
-    far = space.distance(np.array([0.0]), np.array([1e8]))
+    far = space.distance_field(np.array([0.0]))(np.array([1e8]))[0]
     assert far == pytest.approx(space.diameter, rel=1e-6)
     assert space.diameter == pytest.approx(math.pi / math.sqrt(1.0))
 
@@ -190,9 +189,9 @@ def test_model_triangle_inequality():
         for _ in range(50):
             pts = 0.3 * (rng.standard_normal((3, 2))
                          + 1j * rng.standard_normal((3, 2)))
-            a = space.distance(pts[0], pts[1])
-            b = space.distance(pts[1], pts[2])
-            c = space.distance(pts[0], pts[2])
+            a = space.distance_field(pts[0])(pts[1])[0]
+            b = space.distance_field(pts[1])(pts[2])[0]
+            c = space.distance_field(pts[0])(pts[2])[0]
             assert c <= a + b + 1e-12
 
 
@@ -303,7 +302,8 @@ def test_model_distance_field_is_bitwise_distance(K, n):
         zs += [edge * (1 - t) * u / np.linalg.norm(u) for t in (1e-3, 1e-6)]
     zs = np.array(zs)
     field = space.distance_field(p)(zs)
-    assert np.array_equal(field, [space.distance(p, z) for z in zs])
+    # one-row calls have the bits of the stacked call
+    assert np.array_equal(field, [space.distance_field(p)(z)[0] for z in zs])
     if K > 0:
         assert field[-2] == pytest.approx(space.diameter)
 
@@ -312,7 +312,7 @@ def test_model_distance_field_outside_ball_raises():
     space = ModelSpace(K=-1.0, n=1)
     outside = np.array([[2.0 / math.sqrt(2.0) * 1.01]], dtype=complex)
     with pytest.raises(DomainExceeded):
-        space.distance(np.zeros(1), outside[0])
+        model_distance(space.K, np.zeros(1), outside[0])
     with pytest.raises(DomainExceeded):
         space.distance_field(np.zeros(1))(outside)
 
@@ -341,15 +341,14 @@ def test_cone_distance_field_apex_and_through_apex():
 
 def test_quotient_round_distances():
     q = QuotientData()
-    assert link_quotient_distance(q, 0.0, 0.0) == pytest.approx(0.0)
+    assert q.distance_field(0.0)(0.0)[0] == pytest.approx(0.0)
     # orthogonal projective points are at distance pi/2
-    assert link_quotient_distance(q, 0.0, np.array([0.0, 1.0])) \
-        == pytest.approx(math.pi / 2)
+    assert q.distance_field(np.array([0.0, 1.0]))(0.0)[0] == pytest.approx(math.pi / 2)
     # the round quotient is the constant-curvature model with c = 4
     rng = np.random.default_rng(2)
     for _ in range(20):
         z1, z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert link_quotient_distance(q, z1, z2) == pytest.approx(
+        assert q.distance_field(z2)(z1)[0] == pytest.approx(
             model_distance(2.0, np.array([z1]), np.array([z2])), abs=1e-10)
 
 
@@ -362,11 +361,12 @@ def test_quotient_distance_against_40_digits():
     cut = np.stack([-np.conj(zc), np.ones(100)], axis=1) + 1e-2 * rng.random((100, 1)) \
         * (rng.standard_normal((100, 2)) + 1j * rng.standard_normal((100, 2)))
     for a, b in zip(np.concatenate([z, zc]), list(w) + list(cut)):
-        v = link_quotient_distance(q, a, b)
+        v = q.distance_field(b)(a)[0]
         ref = _mp_distance(4.0, [1.0, a], b if np.size(b) == 2 else [1.0, b])
         assert abs(v - float(ref)) <= 1e-15 * float(ref), (a, b)
+    # one-row calls have the bits of the stacked call
     assert np.array_equal(q.distance_field(w[0])(z[:, None]),
-                          [link_quotient_distance(q, a, w[0]) for a in z])
+                          [q.distance_field(w[0])(a)[0] for a in z])
 
 
 def _zs(rng, n, count=5000):
