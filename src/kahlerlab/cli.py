@@ -23,14 +23,16 @@ import functools
 import json
 import logging
 import math
+import operator
 import os
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import click
 import numpy as np
@@ -417,19 +419,136 @@ CONFIG_SCHEMA = _params(
             expect={"enum": ["PASS", "FAIL"]}, params={"type": "object"})})})
 
 
-@functools.cache
-def _validators():
-    """The schema checks of a config, of each space kind's spec and of each
-    check kind's params; each maps an instance to its best-matching error or
-    None.  Built on first use, so only a run that loads a config imports jsonschema."""
-    import jsonschema
+# the schema walker: the Draft 2020-12 keywords that the schemas above use
 
-    def check(schema):
-        validator = jsonschema.Draft202012Validator(schema)
-        return lambda instance: jsonschema.exceptions.best_match(validator.iter_errors(instance))
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "number": (int, float), "integer": int}
+# keyword: (the comparison that fails, its words, the end it bounds)
+_BOUNDS = {"minimum": (operator.lt, "less than", "minimum"),
+           "maximum": (operator.gt, "greater than", "maximum"),
+           "exclusiveMinimum": (operator.le, "less than or equal to", "minimum"),
+           "exclusiveMaximum": (operator.ge, "greater than or equal to", "maximum")}
 
-    return (check(CONFIG_SCHEMA), {k: check(s.spec) for k, s in SPACES.items()},
-            {k: check(c.params) for k, c in CHECKS.items()})
+
+def _is_type(x, name: str) -> bool:
+    """JSON Schema's type test: a bool is not a number, and 1.0 is an integer."""
+    if name == "integer" and isinstance(x, float):
+        return x.is_integer()
+    return isinstance(x, _TYPES[name]) and isinstance(x, bool) == (name == "boolean")
+
+
+def _same(x, value) -> bool:
+    """JSON equality with a scalar enum or const value: true is not 1."""
+    return x == value and isinstance(x, bool) == isinstance(value, bool)
+
+
+class _Miss(NamedTuple):
+    """A schema error: the instance path, the keyword that failed, its
+    message, whether the instance has the type its schema declares, and
+    for anyOf and oneOf the errors of the branches (paths relative to it)."""
+    path: tuple
+    keyword: Optional[str]
+    message: str
+    typed: bool
+    context: tuple = ()
+
+
+def _schema_errors(schema, x, path: tuple = ()):
+    """Every error of the instance ``x`` under ``schema``, with the messages
+    and in the order of the jsonschema package's Draft 2020-12 validator,
+    which tests/test_schema.py holds it to.  Knows boolean schemas and the keywords type, properties, required,
+    additionalProperties (false), items, minItems, maxItems, minimum,
+    maximum, exclusiveMinimum, exclusiveMaximum, enum, const, pattern,
+    anyOf, oneOf, allOf and if/then; any other keyword raises ValueError."""
+    if schema is True:
+        return
+    if schema is False:
+        yield _Miss(path, None, f"False schema does not allow {x!r}", False)
+        return
+    typed = "type" in schema and _is_type(x, schema["type"])
+    obj, arr = isinstance(x, dict), isinstance(x, list)
+    for key, v in schema.items():
+        miss = functools.partial(_Miss, path, key, typed=typed)
+        if key == "type":
+            if not _is_type(x, v):
+                yield miss(f"{x!r} is not of type {v!r}")
+        elif key == "properties":
+            for k, sub in v.items() if obj else ():
+                if k in x:
+                    yield from _schema_errors(sub, x[k], path + (k,))
+        elif key == "additionalProperties" and v is False:
+            extra = sorted(set(x) - set(schema.get("properties", ())), key=str) if obj else ()
+            if extra:
+                yield miss(f"Additional properties are not allowed "
+                           f"({', '.join(map(repr, extra))} {'was' if len(extra) == 1 else 'were'}"
+                           f" unexpected)")
+        elif key == "required":
+            for k in v if obj else ():
+                if k not in x:
+                    yield miss(f"{k!r} is a required property")
+        elif key == "items":
+            for i, item in enumerate(x if arr else ()):
+                yield from _schema_errors(v, item, path + (i,))
+        elif key == "minItems":
+            if arr and len(x) < v:
+                yield miss(f"{x!r} {'should be non-empty' if v == 1 else 'is too short'}")
+        elif key == "maxItems":
+            if arr and len(x) > v:
+                yield miss(f"{x!r} {'is expected to be empty' if v == 0 else 'is too long'}")
+        elif key in _BOUNDS:
+            fails, words, end = _BOUNDS[key]
+            if _is_type(x, "number") and fails(x, v):
+                yield miss(f"{x!r} is {words} the {end} of {v!r}")
+        elif key == "enum":
+            if not any(_same(x, e) for e in v):
+                yield miss(f"{x!r} is not one of {v!r}")
+        elif key == "const":
+            if not _same(x, v):
+                yield miss(f"{v!r} was expected")
+        elif key == "pattern":
+            if isinstance(x, str) and not re.search(v, x):
+                yield miss(f"{x!r} does not match {v!r}")
+        elif key in ("anyOf", "oneOf"):
+            branches = [tuple(_schema_errors(sub, x)) for sub in v]
+            valid = [sub for sub, errors in zip(v, branches) if not errors]
+            if not valid:
+                yield miss(f"{x!r} is not valid under any of the given schemas",
+                           context=sum(branches, ()))
+            elif key == "oneOf" and len(valid) > 1:
+                yield miss(f"{x!r} is valid under each of "
+                           f"{', '.join(map(repr, valid[1:] + valid[:1]))}")
+        elif key == "allOf":
+            for sub in v:
+                yield from _schema_errors(sub, x, path)
+        elif key == "if":
+            if "then" in schema and not any(_schema_errors(v, x)):
+                yield from _schema_errors(schema["then"], x, path)
+        elif key != "then":
+            raise ValueError(f"unsupported schema keyword {key!r}: {v!r}")
+
+
+def _relevance(e: _Miss) -> tuple:
+    """The reference's ``relevance`` key, the larger the more relevant:
+    shallow first, then the later path, then not an anyOf or oneOf, then an
+    instance not of its schema's type."""
+    return -len(e.path), e.path, e.keyword not in ("anyOf", "oneOf"), not e.typed
+
+
+def _schema_error(schema, instance):
+    """The error of ``instance`` under ``schema`` that the reference's
+    ``best_match`` picks, as (path, message), or None when it is valid: the
+    most relevant error, then, while it is an anyOf or oneOf whose branch
+    errors have one least relevant (deepest) error, that error."""
+    best = max(_schema_errors(schema, instance), key=_relevance, default=None)
+    if best is None:
+        return None
+    path = best.path
+    while best.context:
+        first, *second = sorted(best.context, key=_relevance)[:2]
+        if second and _relevance(first) == _relevance(second[0]):
+            break
+        path, best = path + first.path, first
+    return path, best.message
 
 
 def _points(schema, value, n: int, where: str):
@@ -479,11 +598,9 @@ def load_config(path: str) -> list:
         raise ConfigError(str(e)) from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    config_error, space_error, params_error = _validators()
-    e = config_error(cfg)
+    e = _schema_error(CONFIG_SCHEMA, cfg)
     if e is not None:
-        path_str = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: at {path_str}: {e.message}") from e
+        raise ConfigError(f"{path}: at {'/'.join(map(str, e[0])) or '<root>'}: {e[1]}")
     scenarios, stems = [], set()        # stems of witness/{scenario id}-{check id}.json
     for i, sc in enumerate(cfg["scenarios"]):
         sampler = dict(sc.get("sampler", {}))
@@ -491,10 +608,10 @@ def load_config(path: str) -> list:
             sampler["size_range"] = tuple(sampler["size_range"])
             _ordered(*sampler["size_range"], f"{path}: at scenarios/{i}/sampler/size_range")
         spec = sc["space"]
-        e = space_error[spec["kind"]](spec)
+        e = _schema_error(SPACES[spec["kind"]].spec, spec)
         if e is not None:
-            at = "/".join(["scenarios", str(i), "space", *map(str, e.absolute_path)])
-            raise ConfigError(f"{path}: at {at}: {e.message}") from e
+            at = "/".join(map(str, ("scenarios", i, "space") + e[0]))
+            raise ConfigError(f"{path}: at {at}: {e[1]}")
         space = build_space(spec)
         checks = []
         for j, ch in enumerate(sc["checks"]):
@@ -506,9 +623,9 @@ def load_config(path: str) -> list:
                                   f"{stem!r} is taken by an earlier check")
             stems.add(stem)
             where = f"{path}: scenario {sc['id']!r} check {name!r}"
-            e = params_error[name](params)
+            e = _schema_error(check.params, params)
             if e is not None:
-                raise ConfigError(f"{where}: {e.message}") from e
+                raise ConfigError(f"{where}: {e[1]}")
             misfit = None
             if spec["kind"] in check.spaces:
                 params = _points(check.params, params, space.chart.n, where)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence, SingularityTooClose
+from .errors import NonConvergence, NonPositiveDefinite, SingularityTooClose
 from .fields import HermitianMetricField, real_to_z, z_to_real
 
 # step on the closed-form dgram, times min(1, distance to a singular point)
@@ -171,16 +171,21 @@ def _eigen_step(R: np.ndarray, G: np.ndarray, K: float, Y: np.ndarray):
     The defect is the Hermitian form X^H A X with
     A = -B - K Gbar - K w w^H, B_{ji} = sum_kl R_ijkl Y^k Ybar^l and
     w = conj(G Ybar), so the minimum over X^H Gbar X = 1 is the smallest
-    eigenpair of the pencil (A, Gbar).
+    eigenpair of the pencil (A, Gbar).  With Gbar = L L^H that is the
+    smallest eigenpair (lambda, v) of L^-1 A L^-H, and X = L^-H v.  A Gbar
+    that is not positive definite raises ``NonPositiveDefinite``.
     """
-    from scipy.linalg import eigh      # here: scipy loads only when a defect is minimised
-
     Gbar = np.conj(G)
     B = np.einsum("ijkl,k,l->ji", R, Y, np.conj(Y))
     w = np.conj(G @ np.conj(Y))
     A = -0.5 * (B + np.conj(B.T)) - K * Gbar - K * np.outer(w, np.conj(w))
-    val, vec = eigh(A, Gbar, subset_by_index=[0, 0])
-    return float(val[0]), vec[:, 0]
+    try:
+        Linv = np.linalg.inv(np.linalg.cholesky(Gbar))
+    except np.linalg.LinAlgError as e:
+        raise NonPositiveDefinite("bk-defect step: the metric is not positive definite") from e
+    C = Linv @ A @ np.conj(Linv.T)
+    val, vec = np.linalg.eigh(0.5 * (C + np.conj(C.T)))
+    return float(val[0]), np.conj(Linv.T) @ vec[:, 0]
 
 
 def min_bk_defect(data: CurvatureData, K: float, samples: int = 1500, seed: int = 0):
@@ -219,30 +224,3 @@ def min_bk_defect(data: CurvatureData, K: float, samples: int = 1500, seed: int 
             return bk_defect(data, K, pair), pair, float(error)
         f = f_new
     raise NonConvergence(f"bk-defect minimisation still descending after {MAX_SWEEPS} sweeps")
-
-
-def _q(data: CurvatureData, a, b, c, d) -> complex:
-    return complex(np.einsum("ijkl,i,j,k,l->", data.R, a, np.conj(b), c, np.conj(d)))
-
-
-def _r_real(data: CurvatureData, x, y, z, w) -> float:
-    """Real curvature R(X,Y,Z,W) reconstructed from the complex tensor.
-
-    Arguments are the (1,0) components of real tangent vectors; the overall
-    scale convention cancels in identity checks.
-    """
-    val = _q(data, x, y, z, w) - _q(data, x, y, w, z) \
-        - _q(data, y, x, z, w) + _q(data, y, x, w, z)
-    return float(val.real)
-
-
-def bianchi_check(data: CurvatureData, v1: np.ndarray, v2: np.ndarray) -> float:
-    """|R(X,JX,Y,JY) - R(X,Y,X,Y) - R(X,JY,X,JY)| for real vectors v1, v2."""
-    n = data.n
-    v1 = np.asarray(v1, dtype=float).reshape(2 * n)
-    v2 = np.asarray(v2, dtype=float).reshape(2 * n)
-    x = v1[:n] + 1j * v1[n:]
-    y = v2[:n] + 1j * v2[n:]
-    lhs = _r_real(data, x, 1j * x, y, 1j * y)
-    rhs = _r_real(data, x, y, x, y) + _r_real(data, x, 1j * y, x, 1j * y)
-    return abs(lhs - rhs)

@@ -505,20 +505,6 @@ def annulus_defect(metric: HermitianMetricField, disk: DiskEmbedding, K: float,
     return math.pi * float(np.mean(u[1]) - np.mean(u[0]))
 
 
-def annulus_tail(metric: HermitianMetricField, disk: DiskEmbedding, eps: float) -> float:
-    """iint (f_eps - log|w|) dA; the gap between the estimator's bulk term
-    and the log moment, vanishing as eps -> 0.
-
-    By Green's identity, as in ``annulus_defect``, the bulk term is
-    pi (mean phi(i(eps e^{i theta})) - mean phi(i(e^{-eps} e^{i theta})))
-    and the log term pi (phi(i(0)) - mean phi(i(e^{i theta}))), all on
-    the base boundary rule with one potential call.
-    """
-    _, phi = _circle_images(metric, disk, (eps, math.exp(-eps), 1.0, 0.0), QuadratureGrid())
-    m = np.mean(phi, axis=1)
-    return math.pi * float(m[0] - m[1] + m[2] - phi[3, 0])
-
-
 def violation_disk(metric: HermitianMetricField, p, pair: TangentPair,
                    eps1: float, eps2: float) -> DiskEmbedding:
     """The affine disk i(w) = p + eps2 Y + eps1 w X used to exhibit a

@@ -340,6 +340,24 @@ def _arcs_free(start: np.ndarray, span: np.ndarray, cross: np.ndarray) -> np.nda
     return ~np.any(m < span[..., None], axis=-1)
 
 
+def _dijkstra(W: np.ndarray) -> np.ndarray:
+    """Shortest path lengths from node 0 of the undirected graph with edge
+    lengths min(W, W^T), inf where there is no edge.  Dense Dijkstra: each
+    step settles the nearest unsettled node and relaxes its row, so a node's
+    length is the least dist(u) + w(u, v) over its settled neighbours u."""
+    W = np.minimum(W, W.T)
+    dist = np.full(len(W), np.inf)
+    dist[0] = 0.0
+    todo = np.ones(len(W), dtype=bool)
+    while todo.any():
+        k = np.flatnonzero(todo)[np.argmin(dist[todo])]
+        if dist[k] == np.inf:
+            break                   # the rest is unreachable
+        todo[k] = False
+        np.minimum(dist, dist[k] + W[k], out=dist)
+    return dist
+
+
 @dataclass(frozen=True)
 class PlanarDomain:
     """A chart box in C (real dimension 2) minus closed obstacles."""
@@ -426,8 +444,7 @@ class PlanarDomain:
                 span = np.diff(th, append=th[0] + 2 * math.pi)
                 ok = _arcs_free(th, span, cross)
                 np.minimum.at(W, (ids[ok], np.roll(ids, -1)[ok]), r * span[ok])
-        from scipy.sparse.csgraph import csgraph_from_dense, dijkstra
-        dist = dijkstra(csgraph_from_dense(W, null_value=np.inf), directed=False, indices=0)
+        dist = _dijkstra(W)
 
         def fn(zs):
             q = np.stack([zs[:, 0].real, zs[:, 0].imag], axis=1)

@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from kahlerlab.curvature import (TangentPair, bianchi_check, curvature_tensor,
-                                 min_bk_defect)
+from curvature_reference import bianchi_check
+from kahlerlab.curvature import TangentPair, curvature_tensor, min_bk_defect
 from kahlerlab.disks import (DiskEmbedding, asymptotic_defect,
                              comparison_defect, rprime_value,
                              torsion_expected_defect, torsion_metric,

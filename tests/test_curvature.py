@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
+from curvature_reference import bianchi_check
 from fd_reference import nested_curvature
-from kahlerlab.curvature import (TangentPair, bianchi_check, bk_defect,
-                                 curvature_tensor, hermitian_inner, min_bk_defect)
-from kahlerlab.errors import SingularityTooClose
+from kahlerlab.curvature import (TangentPair, _eigen_step, bk_defect, curvature_tensor,
+                                 hermitian_inner, min_bk_defect)
+from kahlerlab.errors import NonPositiveDefinite, SingularityTooClose
 from kahlerlab.fields import ScalarField
 from kahlerlab.models import ConeSurface, ModelSpace
 
@@ -213,6 +215,45 @@ def test_min_bk_defect_on_a_cone():
     data = curvature_tensor(ConeSurface(alpha=0.5).metric(), np.array([0.3 + 0j]))
     val, _, err = min_bk_defect(data, 0.0)
     assert abs(val) <= err < 1e-9
+
+
+def _random_gram(rng, n, cond):
+    """A Hermitian positive definite n x n matrix with condition number cond."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    G = (Q * np.geomspace(1.0, 1.0 / cond, n)) @ np.conj(Q.T)
+    return 0.5 * (G + np.conj(G.T))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eigen_step_matches_the_generalized_eigensolver(n):
+    # the pencil (A, Gbar) of _eigen_step's docstring against LAPACK's
+    # generalized solver, for a random and an ill-conditioned gram (1e4);
+    # eigenvalue errors scale with the pencil's spectral radius
+    rng = np.random.default_rng(n)
+    for cond in (1.0 + 9.0 * rng.uniform(), 1e4):
+        for _ in range(5):
+            R = rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
+            G = _random_gram(rng, n, cond)
+            Y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            K = rng.uniform(-2.0, 2.0)
+            Gbar = np.conj(G)
+            B = np.einsum("ijkl,k,l->ji", R, Y, np.conj(Y))
+            w = np.conj(G @ np.conj(Y))
+            A = -0.5 * (B + np.conj(B.T)) - K * Gbar - K * np.outer(w, np.conj(w))
+            scale = np.max(np.abs(eigh(A, Gbar, eigvals_only=True)))
+            [ref], V = eigh(A, Gbar, subset_by_index=[0, 0])
+            val, x = _eigen_step(R, G, K, Y)
+            assert abs(val - ref) <= 1e-12 * scale
+            phase = np.vdot(V[:, 0], Gbar @ x)
+            d = x - phase / abs(phase) * V[:, 0]
+            assert np.sqrt(np.vdot(d, Gbar @ d).real) <= 1e-10
+            assert abs(np.vdot(x, Gbar @ x).real - 1.0) <= 1e-11
+
+
+def test_eigen_step_rejects_an_indefinite_gram():
+    R = np.zeros((2,) * 4, dtype=complex)
+    with pytest.raises(NonPositiveDefinite, match="not positive definite"):
+        _eigen_step(R, np.diag([1.0, -1.0]).astype(complex), 1.0, np.array([1.0, 0j]))
 
 
 @pytest.mark.parametrize("K", [0.0, 1.0, -1.0])

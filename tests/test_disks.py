@@ -6,12 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from annulus_reference import annulus_tail
 from fd_reference import fd_metric
 from kahlerlab import disks
 from kahlerlab.curvature import TangentPair, curvature_tensor
 from kahlerlab.disks import (DISK_FAULTS, NEAR_DISK_CUTOFF, DiskEmbedding, DiskSampler,
-                             QuadratureGrid, annulus_defect, annulus_tail,
-                             area_density, asymptotic_defect, comparison_defect,
+                             QuadratureGrid, annulus_defect, area_density,
+                             asymptotic_defect, comparison_defect,
                              comparison_defects, disk_faults, log_moment, rprime_value,
                              sample_disks, torsion_contraction, torsion_expected_defect,
                              torsion_metric, violation_disk, worst_defect)

@@ -488,8 +488,8 @@ def test_domain_field_runs_one_dijkstra_per_base_point(monkeypatch):
         calls.append(1)
         return dijkstra(*args, **kwargs)
 
-    dijkstra = csgraph.dijkstra
-    monkeypatch.setattr(csgraph, "dijkstra", counting)
+    dijkstra = geodesy._dijkstra
+    monkeypatch.setattr(geodesy, "_dijkstra", counting)
     dom = _square_domain(obstacles=[
         RectObstacle(center=np.array([0.0, 0.8]), half_widths=np.array([0.2, 0.5])),
         DiskObstacle(center=np.array([0.0, -0.5]), radius=0.4)])
@@ -497,6 +497,27 @@ def test_domain_field_runs_one_dijkstra_per_base_point(monkeypatch):
     t = np.linspace(-1.0, 1.0, 257)
     d = field((1.2 + 0.3j * t)[:, None])
     assert len(calls) == 1 and d.shape == (257,) and np.all(d >= 2.4)
+
+
+def test_dijkstra_matches_the_sparse_graph_solver_bit_for_bit():
+    # random graphs with one-way entries (read both ways), tied lengths and
+    # unreachable nodes, against the undirected sparse-graph Dijkstra
+    rng = np.random.default_rng(5)
+    unreachable = 0
+    for _ in range(200):
+        V = int(rng.integers(1, 40))
+        W = np.where(rng.uniform(size=(V, V)) < rng.uniform(0.02, 0.3),
+                     rng.uniform(0.0, 2.0, (V, V)), np.inf)
+        W[rng.uniform(size=(V, V)) < 0.1] = 0.5                  # ties
+        W[np.tril_indices(V)] = np.where(rng.uniform(size=V * (V + 1) // 2) < 0.5,
+                                         np.inf, W[np.tril_indices(V)])
+        np.fill_diagonal(W, np.inf)
+        ref = csgraph.dijkstra(csgraph.csgraph_from_dense(W, null_value=np.inf),
+                               directed=False, indices=0)
+        dist = geodesy._dijkstra(W)
+        assert dist.tobytes() == ref.tobytes()
+        unreachable += int(np.isinf(dist).any())
+    assert unreachable >= 20
 
 
 def test_domain_endpoints_must_be_free():

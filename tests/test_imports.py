@@ -24,9 +24,8 @@ def test_no_module_imports_a_private_name_of_another():
 
 PERFBENCH = SRC.parents[1] / "perfbench"
 
-# public names that only tests reach today; ROADMAP item 12 moves them into
-# tests/ reference modules, and the list shrinks with each move
-TEST_ONLY = {"bianchi_check", "annulus_tail", "bundled_scenario_path"}
+# public names that only tests reach; test-only references live in tests/
+TEST_ONLY = {"bundled_scenario_path"}
 
 
 def _references(path: Path, strings: bool = False) -> set:
