@@ -895,16 +895,20 @@ def test_the_package_runs_as_a_module(tmp_path):
         assert res.returncode == 0, res.stderr
 
 
-_NO_SCIPY_OR_JSONSCHEMA = """
+_NEITHER_LOADED = """
+loaded = sorted({"scipy", "jsonschema"} & {name.split(".")[0] for name in sys.modules})
+assert loaded == [], loaded
+"""
+
+_LAZY_IMPORTS = """
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from kahlerlab import (ComplexChart, ConeSurface, DiskEmbedding, DiskObstacle, DiskSampler,
-                       ModelSpace, PlanarDomain, RectObstacle, check_bk_lower,
-                       comparison_defect, curvature_tensor, k_threshold, min_bk_defect,
-                       torsion_metric)
+from kahlerlab import (ComplexChart, ConeSurface, DiskObstacle, DiskSampler, ModelSpace,
+                       PlanarDomain, RectObstacle, check_bk_lower, curvature_tensor,
+                       k_threshold, min_bk_defect)
 from kahlerlab.cli import bundled_scenario_path, execute, load_config
 
 # the psh checks
@@ -915,21 +919,6 @@ m = ModelSpace(1.0, 1)
 K = k_threshold(m, m.potential(), np.array([0.1 + 0.05j]), 0.5, 2.0,
                 sampler=DiskSampler(seed=0, count=20, size_range=(0.05, 0.3)))
 assert v.passed and abs(K - 1.0) < 1e-2, (v.passed, K)
-
-# numeric distances on a model and on the torsion metric
-space = ModelSpace(1.0, 2)
-metric, p = space.metric(), np.array([0.05, 0.02j])
-disk = DiskEmbedding.affine(np.array([0.1, 0.05j]), np.array([0.1, 0.05]), metric.chart)
-rep = comparison_defect(metric, disk, p, 1.0, distance="numeric")
-exact = comparison_defect(metric, disk, p, 1.0, distance=space.distance_field(p))
-assert abs(rep.defect - exact.defect) <= rep.error_estimate, (rep.defect, exact.defect)
-T = np.zeros((2, 2, 2))
-T[0, 0, 1], T[0, 1, 0] = -0.5, 0.5
-chart = ComplexChart(n=2, radii=1.5)
-disk = DiskEmbedding.affine(np.array([5e-2, 0]), np.array([5e-3, 5e-3]), chart)
-rep = comparison_defect(torsion_metric(T, chart), disk, np.zeros(2), 0.0, distance="numeric",
-                        solver_opts=dict(N=24, gtol=1e-8, max_iters=120))
-assert rep.defect < 0, rep.defect
 
 # min_bk_defect and a planar domain's distance field
 val, _, err = min_bk_defect(curvature_tensor(m.metric(), np.array([0.1 + 0.05j])), 1.0)
@@ -945,14 +934,40 @@ with tempfile.TemporaryDirectory() as out:
     codes = [execute(load_config(str(bundled_scenario_path(name))), Path(out) / name,
                      None, 1, None) for name in ("models.json", "flat-K1-violation.json")]
 assert codes == [0, 0], codes
-
-loaded = sorted({"scipy", "jsonschema"} & {name.split(".")[0] for name in sys.modules})
-assert loaded == [], loaded
-"""
+""" + _NEITHER_LOADED
 
 
-def test_the_package_loads_neither_scipy_nor_jsonschema():
+def test_psh_checks_load_neither_scipy_nor_jsonschema():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    res = subprocess.run([sys.executable, "-W", "error", "-c", _NO_SCIPY_OR_JSONSCHEMA],
-                         env=env, capture_output=True, text=True, timeout=120)
+    res = subprocess.run([sys.executable, "-W", "error", "-c", _LAZY_IMPORTS], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+
+
+_NUMERIC_IMPORTS = """
+import sys
+import numpy as np
+from kahlerlab import ComplexChart, DiskEmbedding, ModelSpace, comparison_defect, torsion_metric
+
+space = ModelSpace(1.0, 2)
+metric, p = space.metric(), np.array([0.05, 0.02j])
+disk = DiskEmbedding.affine(np.array([0.1, 0.05j]), np.array([0.1, 0.05]), metric.chart)
+rep = comparison_defect(metric, disk, p, 1.0, distance="numeric")
+exact = comparison_defect(metric, disk, p, 1.0, distance=space.distance_field(p))
+assert abs(rep.defect - exact.defect) <= rep.error_estimate, (rep.defect, exact.defect)
+
+T = np.zeros((2, 2, 2))
+T[0, 0, 1], T[0, 1, 0] = -0.5, 0.5
+chart = ComplexChart(n=2, radii=1.5)
+disk = DiskEmbedding.affine(np.array([5e-2, 0]), np.array([5e-3, 5e-3]), chart)
+rep = comparison_defect(torsion_metric(T, chart), disk, np.zeros(2), 0.0, distance="numeric",
+                        solver_opts=dict(N=24, gtol=1e-8, max_iters=120))
+assert rep.defect < 0, rep.defect
+""" + _NEITHER_LOADED
+
+
+def test_numeric_distances_do_not_load_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    res = subprocess.run([sys.executable, "-W", "error", "-c", _NUMERIC_IMPORTS], env=env,
+                         capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
