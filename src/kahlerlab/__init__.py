@@ -14,13 +14,13 @@ from .errors import (ConfigError, DomainExceeded, Disconnected, InvalidDisk,
 from .fields import (ComplexChart, HermitianMetricField, ScalarField,
                      flat_potential, real_to_z, z_to_real)
 from .curvature import (CurvatureData, TangentPair, bk_defect, curvature_tensor,
-                        hermitian_inner, min_bk_defect)
+                        curvature_tensors, hermitian_inner, min_bk_defect)
 from .models import (ConeSurface, ModelSpace, QuotientData, cone_distance,
                      dK_transform, model_distance, orbifold_cone)
 from .geodesy import (DiskObstacle, PlanarDomain, RectObstacle,
                       geodesic_distance_many)
 from .disks import (ComparisonReport, DiskEmbedding, DiskSampler, QuadratureGrid,
-                    ScanResult, TorsionSpace, annulus_defect, area_density,
+                    ScanResult, TorsionSpace, annulus_defect, annulus_defects, area_density,
                     asymptotic_defect, comparison_defect, comparison_defects,
                     log_moment, rprime_value, sample_disks, scan_disks,
                     torsion_contraction, torsion_expected_defect,

@@ -37,11 +37,11 @@ from typing import Callable, NamedTuple, Optional
 import click
 import numpy as np
 
-from .curvature import TangentPair, curvature_tensor, min_bk_defect
+from .curvature import TangentPair, curvature_tensor, curvature_tensors, min_bk_defect
 from .disks import (DiskEmbedding, DiskSampler, QuadratureGrid, TorsionSpace,
-                    annulus_defect, asymptotic_defect, comparison_defect,
+                    annulus_defect, annulus_defects, asymptotic_defect, comparison_defect,
                     comparison_defects, rprime_value, sample_disks, scan_disks,
-                    torsion_expected_defect, violation_disk, worst_defect)
+                    stack_or_each, torsion_expected_defect, violation_disk, worst_defect)
 from .errors import ConfigError, InvalidDisk, KahlerLabError
 from .fields import ComplexChart
 from .geodesy import DiskObstacle, PlanarDomain, RectObstacle
@@ -154,22 +154,18 @@ def _psh_row(v, **extra) -> dict:
 def _run_curvature_match(space, params, sampler, tol):
     if space.K == 0:
         raise ConfigError("curvature-match needs a curved model space")
-    count = params.get("points", 20)
     radius = params.get("radius", 0.5)
     rng = np.random.default_rng(sampler.seed)
-    metric = space.metric()
-    c = space.c
-    worst = err = 0.0
-    for _ in range(count):
+    zs = []
+    for _ in range(params.get("points", 20)):
         z = rng.standard_normal(space.n) + 1j * rng.standard_normal(space.n)
-        z = z * radius * rng.uniform() / np.linalg.norm(z)
-        data = curvature_tensor(metric, z)
-        G = data.G
-        closed = -(c / 2.0) * (np.einsum("ij,kl->ijkl", G, G)
-                               + np.einsum("il,kj->ijkl", G, G))
-        scale = np.max(np.abs(closed))
-        worst = max(worst, float(np.max(np.abs(data.R - closed)) / scale))
-        err = max(err, data.error / float(scale))
+        zs.append(z * radius * rng.uniform() / np.linalg.norm(z))
+    R, G, error = curvature_tensors(space.metric(), np.array(zs))
+    closed = -(space.c / 2.0) * (np.einsum("pij,pkl->pijkl", G, G)
+                                 + np.einsum("pil,pkj->pijkl", G, G))
+    scale = np.max(np.abs(closed), axis=(1, 2, 3, 4))
+    worst = float(np.max(np.max(np.abs(R - closed), axis=(1, 2, 3, 4)) / scale))
+    err = float(np.max(error / scale))
     verdict = "PASS" if worst <= tol else "FAIL"
     return dict(verdict=verdict, value=worst, error_est=err, witness=None)
 
@@ -236,14 +232,13 @@ def _run_annulus(space, params, sampler, tol):
     p = params.get("p", np.zeros(space.chart.n, dtype=complex))
     metric = space.metric()
     dist = space.distance_field(p)
+    eps_list = params.get("eps_list", [0.05, 0.02])
     disks = sample_disks(metric.chart, p, sampler, np.random.default_rng(sampler.seed))
-    scored = []
-    for d in disks:
-        try:
-            scored += [(annulus_defect(metric, d, params["K"], eps, dist), d, eps)
-                       for eps in params.get("eps_list", [0.05, 0.02])]
-        except KahlerLabError:
-            pass                    # a disk that raises is skipped, as in a scan
+    # a disk that raises at any eps is skipped, as in a scan
+    values = stack_or_each(
+        lambda ds: annulus_defects(metric, ds, params["K"], eps_list, dist), disks)
+    scored = [(float(v), d, eps) for row, d in zip(values, disks) if row is not None
+              for v, eps in zip(row, eps_list)]
     if not scored:
         raise KahlerLabError("no admissible disk in the scan")
     worst, d, eps = min(scored, key=lambda s: s[0])       # the first minimum
@@ -566,6 +561,23 @@ def _points(schema, value, n: int, where: str):
     return value
 
 
+def _integers(schema, value):
+    """``value`` with each float at a position that ``schema`` types an
+    integer made an int.  The schema counts 2.0 as an integer, so once a
+    value has passed it, that float is integral, and the spaces, samplers
+    and checks take it as the count or size its int spelling gives."""
+    if not isinstance(schema, dict):
+        return value
+    if schema.get("type") == "integer" and isinstance(value, float):
+        return int(value)
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        return {k: _integers(props.get(k), v) for k, v in value.items()}
+    if isinstance(value, list) and "items" in schema:
+        return [_integers(schema["items"], v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
 class ScenarioCheck:
     """A loaded check: its kind, id, expected verdict, params with their
@@ -590,7 +602,8 @@ def load_config(path: str) -> list:
     """The scenarios of the config at ``path``, built.  ConfigError unless it
     meets the schema, no two checks share a witness file name, each scenario's
     space builds, and each point of a check that runs on that space has the
-    space's dimension."""
+    space's dimension.  An integral float where the schema says integer is
+    read as that int."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f)
@@ -601,6 +614,7 @@ def load_config(path: str) -> list:
     e = _schema_error(CONFIG_SCHEMA, cfg)
     if e is not None:
         raise ConfigError(f"{path}: at {'/'.join(map(str, e[0])) or '<root>'}: {e[1]}")
+    cfg = _integers(CONFIG_SCHEMA, cfg)
     scenarios, stems = [], set()        # stems of witness/{scenario id}-{check id}.json
     for i, sc in enumerate(cfg["scenarios"]):
         sampler = dict(sc.get("sampler", {}))
@@ -608,11 +622,12 @@ def load_config(path: str) -> list:
             sampler["size_range"] = tuple(sampler["size_range"])
             _ordered(*sampler["size_range"], f"{path}: at scenarios/{i}/sampler/size_range")
         spec = sc["space"]
-        e = _schema_error(SPACES[spec["kind"]].spec, spec)
+        schema = SPACES[spec["kind"]].spec
+        e = _schema_error(schema, spec)
         if e is not None:
             at = "/".join(map(str, ("scenarios", i, "space") + e[0]))
             raise ConfigError(f"{path}: at {at}: {e[1]}")
-        space = build_space(spec)
+        space = build_space(_integers(schema, spec))
         checks = []
         for j, ch in enumerate(sc["checks"]):
             name, check, params = ch["check"], CHECKS[ch["check"]], ch.get("params", {})
@@ -626,6 +641,7 @@ def load_config(path: str) -> list:
             e = _schema_error(check.params, params)
             if e is not None:
                 raise ConfigError(f"{where}: {e[1]}")
+            params = _integers(check.params, params)
             misfit = None
             if spec["kind"] in check.spaces:
                 params = _points(check.params, params, space.chart.n, where)

@@ -95,53 +95,69 @@ class CurvatureData:
 
 
 def curvature_tensor(metric: HermitianMetricField, z: np.ndarray) -> CurvatureData:
-    """Full curvature tensor of a potential-form metric at a chart point.
+    """Full curvature tensor of a potential-form metric at a chart point:
+    ``curvature_tensors`` on a stack of one."""
+    z = np.asarray(z, dtype=complex).reshape(metric.chart.n)
+    R, G, error = curvature_tensors(metric, z[None])
+    return CurvatureData(z=z, R=R[0], G=G[0], error=float(error[0]))
 
-    The step is h = CURV_STEP min(1, distance to the nearest singular
-    point), and one batched ``dgram`` call at z and at the nodes +-h/2,
-    +-h, +-2h along each real axis gives R at steps h and 2h.  Raises
-    SingularityTooClose if the stencil comes within the smoothness radius
-    of a singular point.
+
+def curvature_tensors(metric: HermitianMetricField, zs: np.ndarray):
+    """R, g and R's error bound at every row of a (P, n) point set, as
+    (P, n, n, n, n), (P, n, n) and (P,) arrays; each row has the bits of
+    that point alone.
+
+    The step at a point is h = CURV_STEP min(1, distance to the nearest
+    singular point).  One batched ``dgram`` call at every point and at its
+    nodes +-h/2, +-h, +-2h along each real axis gives R at steps h and 2h,
+    and one ``gram`` call, one batched inverse and one contraction give the
+    correction term.  Raises SingularityTooClose, naming the first such
+    point, if a stencil comes within the smoothness radius of a singular
+    point.
     """
     if not metric.is_potential_form:
         raise ValueError("curvature requires a potential-form metric")
     phi = metric.potential
-    z = np.asarray(z, dtype=complex).reshape(phi.n)
-    dist = phi.singular_distance(z[None])[0]
-    h = CURV_STEP * min(1.0, dist)
-    if not dist - 2.0 * h >= phi.smoothness_radius:
-        raise SingularityTooClose(f"curvature stencil at z={z} comes within "
-                                  f"{max(dist - 2.0 * h, 0.0):.3e} of a singular point "
+    zs = np.asarray(zs, dtype=complex).reshape(-1, phi.n)
+    dist = phi.singular_distance(zs)
+    h = CURV_STEP * np.minimum(1.0, dist)
+    near = ~(dist - 2.0 * h >= phi.smoothness_radius)
+    if np.any(near):
+        i = int(np.argmax(near))
+        raise SingularityTooClose(f"curvature stencil at z={zs[i]} comes within "
+                                  f"{max(dist[i] - 2.0 * h[i], 0.0):.3e} of a singular point "
                                   f"of {phi.name!r}")
-    G, dG, second, error = _second_derivatives(metric, z, h)
+    G, dG, second, error = _second_derivatives(metric, zs, h)
     Ginv = np.linalg.inv(G)
     # dbar_l g_{p jbar} = conj(d_l g_{j pbar})
-    dbarG = np.conj(dG.transpose(0, 2, 1))               # [l, p, j]
-    corr = np.einsum("kiq,qp,lpj->ijkl", dG, Ginv, dbarG)
-    return CurvatureData(z=z, R=second - corr, G=G, error=error)
+    dbarG = np.conj(dG.transpose(0, 1, 3, 2))            # [P, l, p, j]
+    corr = np.einsum("xkiq,xqp,xlpj->xijkl", dG, Ginv, dbarG)
+    return second - corr, G, error
 
 
-def _second_derivatives(metric: HermitianMetricField, z: np.ndarray, h: float):
-    """Closed-form g and d g at z, and d_k dbar_l g_{i jbar} as [i, j, k, l]
-    with its Richardson error, from one ``dgram`` call.
+def _second_derivatives(metric: HermitianMetricField, zs: np.ndarray, h: np.ndarray):
+    """Closed-form g and d g at each row of zs, and d_k dbar_l g_{i jbar}
+    as [P, i, j, k, l] with its Richardson error, from one ``dgram`` call;
+    ``h`` holds each point's step.
 
     dbar_l d_k g = (1/2)(d/dx_l + i d/dy_l) dgram[k]; the fourth-order
     central difference at step s is (4 D(s/2) - D(s)) / 3, so steps h and
     2h share the +-h nodes.
     """
-    n = z.size
-    steps = np.array([h / 2, -h / 2, h, -h, 2 * h, -2 * h])
-    offsets = np.eye(2 * n)[:, None, :] * steps[:, None]  # [axis, step, coordinate]
-    nodes = z_to_real(z[None]) + offsets.reshape(-1, 2 * n)
-    D = metric.dgram(np.concatenate([z[None], real_to_z(nodes)]))
-    Ds = D[1:].reshape(2 * n, 3, 2, n, n, n)             # [axis, step, sign, k, i, j]
-    central = (Ds[:, :, 0] - Ds[:, :, 1]) / (2.0 * steps[::2, None, None, None])
-    grad = (4.0 * central[:, :2] - central[:, 1:]) / 3.0  # [axis, (h, 2h), k, i, j]
-    dd = 0.5 * (grad[:n] + 1j * grad[n:])                # [l, (h, 2h), k, i, j]
-    second = dd.transpose(1, 3, 4, 2, 0)                 # [(h, 2h), i, j, k, l]
-    error = float(np.max(np.abs(second[0] - second[1]))
-                  + CURV_ROUNDING * np.max(np.abs(D)) / h)
-    return metric.gram(z[None])[0], D[0], second[0], error
+    P, n = zs.shape
+    steps = np.stack([h / 2, -h / 2, h, -h, 2 * h, -2 * h], axis=1)    # [P, step]
+    offsets = np.eye(2 * n)[:, None, :] * steps[:, None, :, None]     # [P, axis, step, coord]
+    nodes = real_to_z((z_to_real(zs)[:, None] + offsets.reshape(P, -1, 2 * n)).reshape(-1, 2 * n))
+    D = metric.dgram(np.concatenate([zs[:, None], nodes.reshape(P, -1, n)], axis=1)
+                     .reshape(-1, n)).reshape(P, -1, n, n, n)
+    Ds = D[:, 1:].reshape(P, 2 * n, 3, 2, n, n, n)       # [P, axis, step, sign, k, i, j]
+    central = (Ds[:, :, :, 0] - Ds[:, :, :, 1]) / (2.0 * steps[:, None, ::2, None, None, None])
+    grad = (4.0 * central[:, :, :2] - central[:, :, 1:]) / 3.0   # [P, axis, (h, 2h), k, i, j]
+    dd = 0.5 * (grad[:, :n] + 1j * grad[:, n:])          # [P, l, (h, 2h), k, i, j]
+    second = dd.transpose(0, 2, 4, 5, 3, 1)              # [P, (h, 2h), i, j, k, l]
+    error = (np.max(np.abs(second[:, 0] - second[:, 1]), axis=(1, 2, 3, 4))
+             + CURV_ROUNDING * np.max(np.abs(D), axis=(1, 2, 3, 4)) / h)
+    return metric.gram(zs), D[:, 0], second[:, 0], error
 
 
 def bk_defect(data: CurvatureData, K: float, pair: TangentPair) -> float:

@@ -350,28 +350,39 @@ class ComparisonReport:
 DistanceStrategy = Union[str, ScalarField, Callable]
 
 
-def area_density(metric: HermitianMetricField, disk: DiskEmbedding, w) -> np.ndarray:
-    """Hausdorff area density of the disk image wrt flat dA on D^2.
+def area_density(metric: HermitianMetricField, disks, w) -> np.ndarray:
+    """Hausdorff area density of each disk's image wrt flat dA on D^2.
 
-    2 g(i(w))(i'(w), conj i'(w)) with i and i' from one Horner pass.  Every
-    gram route returns Hermitian matrices, so the form is contracted as
+    2 g(i(w))(i'(w), conj i'(w)) at points w, (P,) shared by all disks or
+    (D, P) one row per disk, as in ``disk_images``; returns (D, P).  i and
+    i' come from one Horner pass and g from one gram call per degree, and
+    each row has the bits of that disk alone.  Every gram route returns
+    Hermitian matrices, so the form is contracted as
     sum_i G_ii |v_i|^2 + 2 sum_{i<j} Re(G_ij v_i conj v_j), v = i'(w).
     """
-    pts, dv = _horner(disk.coeffs, w)
-    G = metric.gram(pts.T, check=False)
-    q = sum(G[:, i, i].real * (v.real ** 2 + v.imag ** 2) for i, v in enumerate(dv))
-    for i, j in itertools.combinations(range(len(dv)), 2):
-        q += 2.0 * (G[:, i, j] * (dv[i] * np.conj(dv[j]))).real
-    return 2.0 * q
+    w = np.asarray(w, dtype=complex)
+    n = metric.chart.n
+    out = np.empty((len(disks), w.shape[-1]))
+    for idx, C in _degree_stacks([d.coeffs for d in disks]):
+        pts, dv = _horner(C, w if w.ndim == 1 else w[idx])        # [d, i, P]
+        pts = np.swapaxes(pts, 1, 2).reshape(-1, n)     # rebinding frees the [d, i, P] copy
+        G = metric.gram(pts, check=False).reshape(len(idx), -1, n, n)
+        dv = np.swapaxes(dv, 0, 1)                                # [i, d, P]
+        q = sum(G[..., i, i].real * (v.real ** 2 + v.imag ** 2) for i, v in enumerate(dv))
+        for i, j in itertools.combinations(range(n), 2):
+            q += 2.0 * (G[..., i, j] * (dv[i] * np.conj(dv[j]))).real
+        out[idx] = 2.0 * q
+    return out
 
 
-def log_moment(metric: HermitianMetricField, disk: DiskEmbedding,
-               grid: Optional[QuadratureGrid] = None) -> float:
-    """(2/pi) iint log|w| dA over the disk image on the interior rule of
-    ``grid``; always <= 0."""
+def log_moment(metric: HermitianMetricField, disks,
+               grid: Optional[QuadratureGrid] = None) -> np.ndarray:
+    """(2/pi) iint log|w| dA over each disk's image, (D,), from one
+    ``area_density`` call on the interior rule of ``grid``; each entry has
+    the bits of that disk alone, and is always <= 0."""
     nodes, weights = (grid or QuadratureGrid()).interior()
-    dens = area_density(metric, disk, nodes)
-    return (2.0 / math.pi) * float(np.sum(weights * np.log(np.abs(nodes)) * dens))
+    dens = area_density(metric, disks, nodes)
+    return (2.0 / math.pi) * np.sum(weights * np.log(np.abs(nodes)) * dens, axis=1)
 
 
 def comparison_defects(metric: HermitianMetricField, disks, p, K: float,
@@ -382,11 +393,14 @@ def comparison_defects(metric: HermitianMetricField, disks, p, K: float,
     disk's ``comparison_defect``.
 
     The centre and doubled-boundary images of every disk come from one
-    ``disk_images`` call.  Disks are grouped by the size of their doubled
-    boundary rule, and each group gets one distance call (with "numeric",
-    one ``geodesic_distance_many`` call per disk), one ``dK_transform``
-    call and, on a potential-form metric, one ``potential`` call.  A
-    ``KahlerLabError`` of any disk raises for the whole stack.
+    ``disk_images`` call, and the log moments of every disk from one
+    ``log_moment`` call per level that integrates it: the base level and,
+    on the torsion metric, the doubled one.  Disks are grouped by the size
+    of their doubled boundary rule, and each group gets one distance call
+    (with "numeric", one ``geodesic_distance_many`` call per disk), one
+    ``dK_transform`` call, on a potential-form metric one ``potential``
+    call, and one axis-1 mean per boundary average.  A ``KahlerLabError``
+    of any disk raises for the whole stack.
     """
     grid = grid or QuadratureGrid()
     doubled = grid.doubled()
@@ -398,6 +412,8 @@ def comparison_defects(metric: HermitianMetricField, disks, p, K: float,
     sizes = [[2 * g.n_boundary if near and g.n_boundary < 4 * 64 else g.n_boundary
               for near in np.min(pts, axis=1) < NEAR_DISK_CUTOFF]
              for g, pts in ((grid, gap[:, ::2]), (doubled, gap))]
+    base_lm = log_moment(metric, disks, grid)
+    doubled_lm = None if metric.is_potential_form else log_moment(metric, disks, doubled)
     reports = [None] * len(disks)
     for nb in sorted(set(sizes[1])):
         idx = [i for i, s in enumerate(sizes[1]) if s == nb]
@@ -409,27 +425,31 @@ def comparison_defects(metric: HermitianMetricField, disks, p, K: float,
             opts = {"N": 24, "gtol": 1e-6, "max_iters": 60, **(solver_opts or {})}
             solved = [geodesic_distance_many(metric, p, t, **opts) for t in group]
             dvals = np.concatenate([d for d, _ in solved])
-            derr = [float(np.max(e, initial=0.0)) for _, e in solved]
+            derr = np.array([float(np.max(e, initial=0.0)) for _, e in solved])
         else:
-            dvals, derr = np.asarray(distance(targets), dtype=float), [0.0] * len(idx)
+            dvals, derr = np.asarray(distance(targets), dtype=float), np.zeros(len(idx))
         dk = dK_transform(dvals, K).reshape(len(idx), nb + 1)
-        phi = metric.potential(targets).reshape(len(idx), nb + 1) \
-            if metric.is_potential_form else None
+        # the base boundary rule is every s-th node of the doubled one
+        strides, base_avg = [nb // sizes[0][i] for i in idx], np.empty(len(idx))
+        for s in sorted(set(strides)):
+            rows = [j for j, t in enumerate(strides) if t == s]
+            base_avg[rows] = np.mean(dk[rows, 1::s], axis=1)
+        lhs = dk[:, 0]
+        base = lhs - base_lm[idx] - base_avg
+        boundary_avg = np.mean(dk[:, 1:], axis=1)
+        if metric.is_potential_form:     # Green's identity on the doubled boundary
+            phi = metric.potential(targets).reshape(len(idx), nb + 1)
+            phi0 = phi[:, 0]
+            lm = 2.0 * (phi0 - np.mean(phi[:, 1:], axis=1))
+        else:                            # no potential: the doubled interior rule
+            phi0, lm = np.zeros(len(idx)), doubled_lm[idx]
+        defect = lhs - lm - boundary_avg
+        err = np.abs(defect - base) + 4.0 * derr + ROUNDING_FLOOR * (
+            np.abs(lhs) + np.abs(lm) + np.abs(boundary_avg) + 2.0 * np.abs(phi0))
         for j, i in enumerate(idx):
-            lhs = float(dk[j, 0])
-            base = lhs - log_moment(metric, disks[i], grid) \
-                - float(np.mean(dk[j, 1::nb // sizes[0][i]]))
-            boundary_avg = float(np.mean(dk[j, 1:]))
-            if phi is None:          # no potential: the doubled interior rule
-                phi0, lm = 0.0, log_moment(metric, disks[i], doubled)
-            else:                    # Green's identity on the doubled boundary
-                phi0 = float(phi[j, 0])
-                lm = 2.0 * (phi0 - float(np.mean(phi[j, 1:])))
-            defect = lhs - lm - boundary_avg
-            err = abs(defect - base) + 4.0 * derr[j] + ROUNDING_FLOOR * (
-                abs(lhs) + abs(lm) + abs(boundary_avg) + 2.0 * abs(phi0))
-            reports[i] = ComparisonReport(lhs=lhs, log_moment=lm, boundary_avg=boundary_avg,
-                                          defect=defect, error_estimate=err)
+            reports[i] = ComparisonReport(
+                lhs=float(lhs[j]), log_moment=float(lm[j]), boundary_avg=float(boundary_avg[j]),
+                defect=float(defect[j]), error_estimate=float(err[j]))
     return reports
 
 
@@ -463,16 +483,35 @@ def comparison_defect(metric: HermitianMetricField, disk: DiskEmbedding, p, K: f
                               solver_opts=solver_opts)[0]
 
 
-def _circle_images(metric: HermitianMetricField, disk: DiskEmbedding, radii,
+def _circle_images(metric: HermitianMetricField, disks, radii,
                    grid: Optional[QuadratureGrid]):
-    """The images of the circles |w| = r, r in ``radii``, at the boundary
-    nodes of ``grid``, as (len(radii) * nb, n) targets, and the potential
-    there, one row per circle."""
+    """The images of the circles |w| = r, r in ``radii``, under every disk
+    at the boundary nodes of ``grid``, as (D * len(radii) * nb, n) targets
+    from one ``disk_images`` call, and the potential there, one
+    (len(radii), nb) block per disk, from one ``potential`` call."""
     if not metric.is_potential_form:
         raise ValueError("the annulus estimator needs a metric with a potential")
     bw = (grid or QuadratureGrid()).boundary()[0]
-    targets = disk(np.concatenate([r * bw for r in radii]))
-    return targets, metric.potential(targets).reshape(len(radii), len(bw))
+    n = metric.chart.n
+    targets = disk_images(disks, np.concatenate([r * bw for r in radii]), n).reshape(-1, n)
+    return targets, metric.potential(targets).reshape(len(disks), len(radii), len(bw))
+
+
+def annulus_defects(metric: HermitianMetricField, disks, K: float, eps_list,
+                    distance: Callable, grid: Optional[QuadratureGrid] = None) -> np.ndarray:
+    """``annulus_defect`` of every disk at every eps in ``eps_list``, as a
+    (D, len(eps_list)) array whose entries have the bits of that disk and
+    eps alone: the circle images of every disk and eps from one
+    ``disk_images`` call, with one potential, one distance and one
+    ``dK_transform`` call.  A ``KahlerLabError`` of any disk raises for
+    the whole stack."""
+    if not all(0.0 < eps < 0.1 for eps in eps_list):
+        raise ValueError("eps must lie in (0, 1/10)")
+    radii = [r for eps in eps_list for r in (eps, math.exp(-eps))]
+    targets, phi = _circle_images(metric, disks, radii, grid)
+    dk = dK_transform(np.asarray(distance(targets), dtype=float), K).reshape(phi.shape)
+    u = np.mean(phi - 0.5 * dk, axis=2).reshape(len(disks), len(eps_list), 2)
+    return math.pi * (u[:, :, 1] - u[:, :, 0])
 
 
 def annulus_defect(metric: HermitianMetricField, disk: DiskEmbedding, K: float,
@@ -492,17 +531,13 @@ def annulus_defect(metric: HermitianMetricField, disk: DiskEmbedding, K: float,
 
         pi (mean_theta u(i(e^{-eps} e^{i theta})) - mean_theta u(i(eps e^{i theta}))),
 
-    u = phi - d_K^2/2, taken on the boundary rule of ``grid`` with one
-    potential and one distance call.  ``distance`` is a closed-form
-    distance field d(p, .) from the base point p, or any batched callable
-    on chart points.  A metric without a potential raises ``ValueError``.
+    u = phi - d_K^2/2, taken on the boundary rule of ``grid``.
+    ``distance`` is a closed-form distance field d(p, .) from the base
+    point p, or any batched callable on chart points.  A metric without a
+    potential raises ``ValueError``.  This is ``annulus_defects`` on a
+    stack of one.
     """
-    if not 0.0 < eps < 0.1:
-        raise ValueError("eps must lie in (0, 1/10)")
-    targets, phi = _circle_images(metric, disk, (eps, math.exp(-eps)), grid)
-    dk = dK_transform(np.asarray(distance(targets), dtype=float), K).reshape(phi.shape)
-    u = phi - 0.5 * dk
-    return math.pi * float(np.mean(u[1]) - np.mean(u[0]))
+    return float(annulus_defects(metric, [disk], K, [eps], distance, grid)[0, 0])
 
 
 def violation_disk(metric: HermitianMetricField, p, pair: TangentPair,
@@ -525,26 +560,37 @@ class ScanResult:
     directed: bool
 
 
+def stack_or_each(evaluate: Callable, items: list) -> list:
+    """``evaluate(items)``, one result per item, evaluated as one stack.
+
+    When the stack raises a ``KahlerLabError`` (a distance beyond the d_K^2
+    cap, say), each item is evaluated alone, as a stack of one, and an item
+    that raises gets None without costing the others; both ways give every
+    item the same result bits.
+    """
+    try:
+        return list(evaluate(items))
+    except KahlerLabError:
+        results = []
+        for item in items:
+            try:
+                results.append(evaluate([item])[0])
+            except KahlerLabError:
+                results.append(None)
+        return results
+
+
 def worst_defect(metric: HermitianMetricField, p, K: float, distance: DistanceStrategy,
                  disks, directed: Optional[DiskEmbedding] = None) -> ScanResult:
     """Worst comparison report over ``disks``, the ``directed`` disk first.
 
-    The disks are evaluated as one stack by ``comparison_defects``.  When
-    the stack raises a ``KahlerLabError`` (a distance beyond the d_K^2
-    cap, say), each disk is evaluated alone and a disk that raises is
-    skipped without costing the others; both ways give every disk the
-    same report bits.  The first minimum wins.
+    The disks are evaluated by ``comparison_defects`` under
+    ``stack_or_each``: as one stack, or each alone when the stack raises,
+    and a disk that raises is skipped.  The first minimum wins.
     """
     candidates = ([] if directed is None else [directed]) + list(disks)
-    try:
-        reports = comparison_defects(metric, candidates, p, K, distance=distance)
-    except KahlerLabError:
-        reports = []
-        for d in candidates:
-            try:
-                reports.append(comparison_defect(metric, d, p, K, distance=distance))
-            except KahlerLabError:
-                reports.append(None)
+    reports = stack_or_each(
+        lambda ds: comparison_defects(metric, ds, p, K, distance=distance), candidates)
     scored = [(r, d) for r, d in zip(reports, candidates) if r is not None]
     if not scored:
         raise KahlerLabError("no admissible disk in the scan")

@@ -250,7 +250,7 @@ def radial_potential_check(cone: ConeSurface, sampler: DiskSampler = RADIAL_SAMP
                                     min_singular=0.05, singular_at=np.zeros(1, dtype=complex))
     _require_samples(ws.size, sampler)
     lap = fd.laplacian_2d_combine(cone.potential()(pts).reshape(9, -1), h).reshape(ws.shape)
-    dens = np.reshape([area_density(metric, d, w) for d, w in zip(disks, ws)], ws.shape)
+    dens = area_density(metric, disks, ws)
     worst = float(np.max(np.abs(lap - 2.0 * dens) / np.maximum(2.0 * dens, 1e-12)))
     return RadialPotentialReport(max_mismatch=worst,
                                  verdict="PASS" if worst <= tol else "FAIL",

@@ -19,6 +19,6 @@ def annulus_tail(metric: HermitianMetricField, disk: DiskEmbedding, eps: float) 
     and the log term pi (phi(i(0)) - mean phi(i(e^{i theta}))), all on
     the base boundary rule with one potential call.
     """
-    _, phi = _circle_images(metric, disk, (eps, math.exp(-eps), 1.0, 0.0), QuadratureGrid())
+    _, [phi] = _circle_images(metric, [disk], (eps, math.exp(-eps), 1.0, 0.0), QuadratureGrid())
     m = np.mean(phi, axis=1)
     return math.pi * float(m[0] - m[1] + m[2] - phi[3, 0])

@@ -544,6 +544,46 @@ def test_unexpected_verdict_exits_one(tmp_path):
     assert res.exit_code == 1
 
 
+def _integer_spellings(number):
+    """A config with ``number`` at every integer position: the model's n,
+    the sampler's seed, count and interior_points, and the counts of
+    curvature-match, min-bk-defect, comparison-scan and psh."""
+    return {"version": 1, "scenarios": [{
+        "id": "s", "space": {"kind": "model", "K": 1.0, "n": number(2)},
+        "sampler": {"seed": number(1), "count": number(4), "interior_points": number(3)},
+        "checks": [
+            {"check": "curvature-match", "params": {"points": number(3)}},
+            {"check": "min-bk-defect", "params": {"K": 1.0, "samples": number(10)}},
+            {"check": "comparison-scan", "params": {"K": 1.0, "count": number(3)}},
+            {"check": "psh", "params": {"K": 1.0, "crossing": number(1)}}]},
+        {"id": "o", "space": {"kind": "orbifold", "k": number(3)},
+         "sampler": {"count": number(4)},
+         "checks": [{"check": "radial-potential"}]}]}
+
+
+def test_an_integral_float_at_an_integer_position_reads_as_its_int(tmp_path):
+    reports = []
+    for number in (int, float):
+        out = tmp_path / number.__name__
+        res = _run(["run", _write(tmp_path, _integer_spellings(number)), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        reports.append([r[:-1] for r in _read_csv(out / "results.csv", csv.reader)])
+    assert reports[0] == reports[1]
+    assert [r[2] for r in reports[0][1:]] == ["PASS"] * 5
+
+
+@pytest.mark.parametrize("scenario, key", [(0, "space"), (0, "sampler"), (1, "space")])
+def test_a_fractional_float_at_an_integer_position_exits_three(tmp_path, scenario, key):
+    cfg = _integer_spellings(int)
+    part = cfg["scenarios"][scenario][key]
+    name = next(k for k, v in part.items() if isinstance(v, int) and k != "seed")
+    part[name] = 2.5
+    res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+    assert "config error" in res.output and "2.5 is not of type 'integer'" in res.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_csv_determinism_excluding_wall_ms(tmp_path):
     cfg = _minimal_cfg(check="psh", params={"K": 0.0})
     path = _write(tmp_path, cfg)
@@ -802,27 +842,30 @@ def test_annulus_skips_a_disk_that_enters_an_obstacle(tmp_path, monkeypatch):
         "sampler": {"count": 4},
         "checks": [{"check": "annulus", "params": {"p": [1.0], "K": 0.0}}]}]}
     path = _write(tmp_path, cfg)
-    outcomes = []
+    calls = []                  # (disks in the stack, whether it returned)
 
-    def spy(*args, **kwargs):
+    def spy(metric, ds, *args, **kwargs):
         try:
-            value = annulus_defect(*args, **kwargs)
+            value = annulus_defects(metric, ds, *args, **kwargs)
         except KahlerLabError:
-            outcomes.append(False)
+            calls.append((len(ds), False))
             raise
-        outcomes.append(True)
+        calls.append((len(ds), True))
         return value
 
-    annulus_defect = cli.annulus_defect
-    monkeypatch.setattr(cli, "annulus_defect", spy)
+    annulus_defects = cli.annulus_defects
+    monkeypatch.setattr(cli, "annulus_defects", spy)
     for seed in (0, 1, 3):
-        outcomes.clear()
+        calls.clear()
         res = _run(["run", path, "--seed", str(seed), "--out", str(tmp_path / str(seed))])
         assert res.exit_code == 0, res.output
         [row] = _read_csv(tmp_path / str(seed) / "results.csv")
         assert row["verdict"] == "PASS"
-        assert outcomes.count(False) == (1 if seed == 3 else 0)
-        assert outcomes.count(True) >= 2 * 3 + 1       # both eps, and the doubled rule
+        # the stack of all four disks raises under seed 3 only; then each
+        # disk runs alone, at both eps, and only the first raises
+        stack, *alone = calls
+        assert stack == (4, seed != 3)
+        assert alone == ([(1, False)] + [(1, True)] * 3 if seed == 3 else [])
 
 
 def test_annulus_at_the_apex_passes_on_every_seed(tmp_path):

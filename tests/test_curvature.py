@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -5,10 +7,10 @@ from scipy.linalg import eigh
 from curvature_reference import bianchi_check
 from fd_reference import nested_curvature
 from kahlerlab.curvature import (TangentPair, _eigen_step, bk_defect, curvature_tensor,
-                                 hermitian_inner, min_bk_defect)
+                                 curvature_tensors, hermitian_inner, min_bk_defect)
 from kahlerlab.errors import NonPositiveDefinite, SingularityTooClose
 from kahlerlab.fields import ScalarField
-from kahlerlab.models import ConeSurface, ModelSpace
+from kahlerlab.models import ConeSurface, ModelSpace, orbifold_cone
 
 
 def _model_curvature_closed_form(c, G):
@@ -295,3 +297,32 @@ def test_curvature_away_from_singular_points_is_computed():
     for K in (-1.0, 0.0, 1.0):
         for n in (1, 2):
             curvature_tensor(ModelSpace(K=K, n=n).metric(), np.zeros(n, dtype=complex))
+
+
+@pytest.mark.parametrize("space", [ModelSpace(K=1.0, n=2), ModelSpace(K=-1.0, n=2),
+                                   ConeSurface(alpha=0.5), ConeSurface(alpha=-0.5),
+                                   orbifold_cone(3)],
+                         ids=["model+1", "model-1", "cone", "wide-cone", "orbifold"])
+def test_a_stack_of_points_has_the_bits_of_each_point_alone(space):
+    # cone points at 0.05 to 1.4 from the apex, so the step h = 1e-3 min(1, |z|)
+    # differs from point to point
+    rng = np.random.default_rng(8)
+    n = space.chart.n
+    zs = rng.standard_normal((9, n)) + 1j * rng.standard_normal((9, n))
+    zs *= rng.uniform(0.05, 1.4, (9, 1)) / np.linalg.norm(zs, axis=1, keepdims=True)
+    if n > 1:
+        zs *= 0.5
+    R, G, error = curvature_tensors(space.metric(), zs)
+    assert R.shape == (9, n, n, n, n) and G.shape == (9, n, n) and error.shape == (9,)
+    for k, z in enumerate(zs):
+        data = curvature_tensor(space.metric(), z)
+        assert np.array_equal(R[k], data.R) and np.array_equal(G[k], data.G)
+        assert error[k] == data.error
+
+
+def test_a_stack_names_its_first_point_too_near_the_apex():
+    # |z| = 5e-7 leaves 5e-7 - 2 h = 4.99999e-7 below the smoothness radius 1e-6
+    zs = np.array([[0.3 + 0.1j], [5e-7j], [0.5 + 0j], [1e-7 + 0j]])
+    with pytest.raises(SingularityTooClose, match=re.escape(f"at z={zs[1]} ")):
+        curvature_tensors(ConeSurface(alpha=0.5).metric(), zs)
+    curvature_tensors(ConeSurface(alpha=0.5).metric(), zs[[0, 2]])

@@ -11,7 +11,7 @@ from fd_reference import fd_metric
 from kahlerlab import disks
 from kahlerlab.curvature import TangentPair, curvature_tensor
 from kahlerlab.disks import (DISK_FAULTS, NEAR_DISK_CUTOFF, DiskEmbedding, DiskSampler,
-                             QuadratureGrid, annulus_defect, area_density,
+                             QuadratureGrid, annulus_defect, annulus_defects, area_density,
                              asymptotic_defect, comparison_defect,
                              comparison_defects, disk_faults, log_moment, rprime_value,
                              sample_disks, torsion_contraction, torsion_expected_defect,
@@ -19,7 +19,8 @@ from kahlerlab.disks import (DISK_FAULTS, NEAR_DISK_CUTOFF, DiskEmbedding, DiskS
 from kahlerlab.errors import DomainExceeded, KahlerLabError
 from kahlerlab.fields import ComplexChart
 from kahlerlab.geodesy import geodesic_distance_many
-from kahlerlab.models import ConeSurface, ModelSpace, QuotientData, dK_transform
+from kahlerlab.models import (ConeSurface, ModelSpace, QuotientData, dK_transform,
+                              orbifold_cone)
 
 
 def _flat(n=2):
@@ -54,7 +55,7 @@ def test_area_density_flat_affine():
     metric = _flat(1).metric()
     chart = metric.chart
     d = DiskEmbedding.affine(np.array([0.0]), np.array([0.4]), chart)
-    dens = area_density(metric, d, np.array([0.0, 0.3 + 0.2j]))
+    [dens] = area_density(metric, [d], np.array([0.0, 0.3 + 0.2j]))
     assert np.allclose(dens, 0.16)
 
 
@@ -62,7 +63,7 @@ def test_log_moment_flat_equals_minus_b_squared():
     metric = _flat(1).metric()
     b = 0.35
     d = DiskEmbedding.affine(np.array([0.1]), np.array([b]), metric.chart)
-    assert log_moment(metric, d) == pytest.approx(-b * b, abs=1e-12)
+    assert log_moment(metric, [d])[0] == pytest.approx(-b * b, abs=1e-12)
 
 
 def test_flat_equality_case():
@@ -137,8 +138,8 @@ def test_quadrature_grid_refinement_is_stable():
     metric = _flat(1).metric()
     d = DiskEmbedding(coeffs=np.array([[0.1], [0.3], [0.05]]),
                       chart=metric.chart)
-    lm1 = log_moment(metric, d, QuadratureGrid())
-    lm2 = log_moment(metric, d, QuadratureGrid().doubled())
+    [lm1] = log_moment(metric, [d], QuadratureGrid())
+    [lm2] = log_moment(metric, [d], QuadratureGrid().doubled())
     assert lm1 == pytest.approx(lm2, abs=1e-10)
 
 
@@ -254,7 +255,7 @@ def _two_pass_rule(metric, disk, p, K, distance, grid=None, solver_opts=None):
             phi0 = float(phi[0])
             lm = 2.0 * (phi0 - float(np.mean(phi[1:])))
         else:
-            phi0, lm = 0.0, log_moment(metric, disk, g)
+            phi0, lm = 0.0, log_moment(metric, [disk], g)[0]
         return lhs, lm, ba, lhs - lm - ba, float(np.max(derr, initial=0.0)), g.n_boundary, phi0
 
     lhs1, lm1, ba1, defect1, de1, nb1, _ = assemble(grid, False)
@@ -737,13 +738,13 @@ def _dense_area_integral(metric, disk, f, kinks=()):
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         nodes, w = _dyadic_interior(64, 128, lo, hi)
-        total += float(np.sum(w * f(np.abs(nodes)) * area_density(metric, disk, nodes)))
+        total += float(np.sum(w * f(np.abs(nodes)) * area_density(metric, [disk], nodes)[0]))
     return total
 
 
 def _dense_log_moment(metric, disk):
     c = 2.0 ** -24               # rho(0) times 2 pi int_0^c r log r dr
-    core = area_density(metric, disk, np.zeros(1))[0] * math.pi * c * c * (math.log(c) - 0.5)
+    core = area_density(metric, [disk], np.zeros(1))[0, 0] * math.pi * c * c * (math.log(c) - 0.5)
     return (2.0 / math.pi) * (_dense_area_integral(metric, disk, np.log) + core)
 
 
@@ -805,8 +806,8 @@ def test_log_moment_matches_the_dyadic_reference(dense_cases):
     cases.append((metric, d, _dense_log_moment(metric, d)))
     assert len(cases) >= 60
     for metric, d, ref in cases:
-        assert abs(log_moment(metric, d) - ref) <= 1e-13
-        assert abs(log_moment(metric, d, QuadratureGrid().doubled()) - ref) <= 1e-13
+        assert abs(log_moment(metric, [d])[0] - ref) <= 1e-13
+        assert abs(log_moment(metric, [d], QuadratureGrid().doubled())[0] - ref) <= 1e-13
 
 
 def test_interior_rule_counts_and_weights():
@@ -925,6 +926,42 @@ def _density_cases():
         yield name, metric, ds
 
 
+def test_a_stack_has_the_density_and_log_moment_bits_of_each_disk_alone():
+    rng = np.random.default_rng(6)
+    orbifold = orbifold_cone(3)
+    cases = list(_density_cases()) + [("orbifold", orbifold.metric(), sample_disks(
+        orbifold.chart, np.array([0.7 + 0.1j]),
+        DiskSampler(seed=2, count=10, degree2_fraction=0.5), rng,
+        min_singular=0.05, singular_at=np.zeros(1)))]
+    for name, metric, ds in cases:
+        assert {d.degree for d in ds} == {1, 2}, name
+        u = rng.random((2, len(ds), 7))
+        per_disk = np.sqrt(0.49 * u[0]) * np.exp(2j * math.pi * u[1])
+        for w in (QuadratureGrid().interior()[0], per_disk):
+            dens = area_density(metric, ds, w)
+            assert dens.shape == (len(ds), w.shape[-1]), name
+            alone = [area_density(metric, [d], w if w.ndim == 1 else w[k])[0]
+                     for k, d in enumerate(ds)]
+            assert np.array_equal(dens, alone), name
+        for grid in (QuadratureGrid(), QuadratureGrid().doubled()):
+            lm = log_moment(metric, ds, grid)
+            assert np.array_equal(lm, [log_moment(metric, [d], grid)[0] for d in ds]), name
+
+
+def test_an_annulus_stack_has_the_bits_of_each_disk_and_eps_alone():
+    eps_list = (0.05, 0.02, 0.01)
+    for space, p, K in ((ConeSurface(alpha=0.5), np.array([0.6]), 0.0),
+                        (orbifold_cone(3), np.array([0.1 + 0.05j]), 0.0),
+                        (ModelSpace(K=1.0, n=2), np.array([0.05 + 0.02j, 0.0]), 1.0)):
+        metric, dist = space.metric(), space.distance_field(p)
+        ds = sample_disks(metric.chart, p, DiskSampler(seed=5, count=12), np.random.default_rng(5))
+        for grid in (None, QuadratureGrid().doubled()):
+            vals = annulus_defects(metric, ds, K, eps_list, dist, grid)
+            assert vals.shape == (len(ds), len(eps_list))
+            assert np.array_equal(vals, [[annulus_defect(metric, d, K, eps, dist, grid)
+                                          for eps in eps_list] for d in ds])
+
+
 def _exact_contraction(G, v) -> np.ndarray:
     """2 sum_ij Re(G_ij v_i conj v_j) of float G and v, rounded once from
     exact rational arithmetic."""
@@ -942,7 +979,7 @@ def test_area_density_matches_the_einsum_form():
     w = QuadratureGrid().interior()[0]
     for name, metric, ds in _density_cases():
         for d in ds:
-            dens = area_density(metric, d, w)
+            [dens] = area_density(metric, [d], w)
             pts, dv = d(w), d.deriv(w)
             G = metric.gram(pts, check=False)
             ref = 2.0 * np.einsum("pij,pi,pj->p", G, dv, np.conj(dv)).real

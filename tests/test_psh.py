@@ -350,7 +350,7 @@ def _replay_radial(cone, sampler):
     for d in disks:
         ws = sample_interior_points(sampler, rng)
         lap = np.atleast_1d(disk_laplacian(cone.potential(), d, ws, h=1e-2))
-        dens = area_density(metric, d, ws)
+        [dens] = area_density(metric, [d], ws)
         worst = max(worst, float(np.max(np.abs(lap - 2.0 * dens)
                                         / np.maximum(2.0 * dens, 1e-12))))
         count += ws.size
