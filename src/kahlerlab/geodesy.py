@@ -10,10 +10,15 @@ metric is ds^2 = 2 g_{i jbar} dz^i dzbar^j).  The minimizer takes Newton
 steps on the energy's velocity part with the grams frozen, a metric-weighted
 path Laplacian, trying the unit step first; each priced trial evaluates the
 metric once.  One mesh refinement with Richardson extrapolation follows.
+The segment forms and fluxes are contracted in Hermitian form, one term per
+gram entry over the whole batch, and each target of a batch gets the bits
+of its own one-target solve.  Endpoints whose shapes do not fit the chart
+raise ValueError.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -30,12 +35,19 @@ log = logging.getLogger("kahlerlab")
 
 def _price(metric: HermitianMetricField, paths: np.ndarray):
     """(Q,) energies of (Q, N+1, n) node arrays, trapezoid in the metric,
-    and the (Q, N, n, n) segment-averaged grams they were priced with."""
+    and the (Q, N, n, n) segment-averaged grams they were priced with.
+
+    Every gram route returns Hermitian matrices, so each segment's form is
+    contracted as sum_i Re G_ii |dz_i|^2 + 2 sum_{i<j} Re(G_ij dz_i conj dz_j);
+    each path's energy has the bits of that path priced alone."""
     Q, M, n = paths.shape
     G = metric.gram(paths.reshape(Q * M, n), check=False).reshape(Q, M, n, n)
     Gavg = 0.5 * (G[:, :-1] + G[:, 1:])
     dz = paths[:, 1:] - paths[:, :-1]
-    e = np.einsum("qkij,qki,qkj->qk", Gavg, dz, np.conj(dz)).real
+    e = sum(Gavg[..., i, i].real * (dz[..., i].real ** 2 + dz[..., i].imag ** 2)
+            for i in range(n))
+    for i, j in itertools.combinations(range(n), 2):
+        e += 2.0 * (Gavg[..., i, j] * (dz[..., i] * np.conj(dz[..., j]))).real
     return 2.0 * (M - 1) * np.sum(e, axis=1), Gavg
 
 
@@ -56,8 +68,9 @@ def _energy_gradient(metric: HermitianMetricField, paths: np.ndarray,
         Gavg = _price(metric, paths)[1]          # (Q, N, n, n)
     dz = paths[:, 1:] - paths[:, :-1]            # (Q, N, n)
 
-    # dE/dzbar_m^j through the two adjacent velocity terms
-    flux = np.einsum("qkij,qki->qkj", Gavg, dz)  # (Q, N, n)
+    # dE/dzbar_m^j through the two adjacent velocity terms, from the segment
+    # fluxes sum_i Gavg_ij dz_i taken one gram row at a time
+    flux = sum(Gavg[..., i, :] * dz[..., i, None] for i in range(n))   # (Q, N, n)
     dEdzbar = 2.0 * N * (flux[:, :-1] - flux[:, 1:])
 
     # metric variation at the interior nodes, summed with the nodes on the
@@ -125,15 +138,23 @@ def _chords(p: np.ndarray, qs: np.ndarray, N: int) -> np.ndarray:
     return p[None, None, :] + t[None, :, None] * (qs[:, None, :] - p[None, None, :])
 
 
+def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """a[idx] for sorted distinct row indices, read in place when idx takes
+    every row, so a batch whose paths are all active copies nothing."""
+    return a if len(idx) == len(a) else a[idx]
+
+
 def _minimize(metric, paths, max_iters, gtol):
     """Newton descent with per-path backtracking; in-place safe.
 
     Each iteration tries the unit step of ``_precondition`` and halves it
     while the energy does not fall.  Only the paths still descending are
     priced, with one gram evaluation per trial; the accepted trial's grams
-    serve the next gradient.  A path stops at gradient norm gtol, or when a
-    full backtrack (25 halvings) finds no lower energy.  Returns the
-    energies and each path's last gradient norm."""
+    serve the next gradient.  While every path is active the gradient and
+    the step read the arrays in place; only a trial is a copy.  A path
+    stops at gradient norm gtol, or when a full backtrack (25 halvings)
+    finds no lower energy.  Returns the energies and each path's last
+    gradient norm."""
     Q, M, n = paths.shape
     E, Gavg = _price(metric, paths)
     active = np.ones(Q, dtype=bool)
@@ -142,22 +163,22 @@ def _minimize(metric, paths, max_iters, gtol):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        grad = _energy_gradient(metric, paths[idx], Gavg[idx])
+        grad = _energy_gradient(metric, _rows(paths, idx), _rows(Gavg, idx))
         gnorm[idx] = np.sqrt(np.sum(grad * grad, axis=(1, 2)))
         keep = gnorm[idx] > gtol
         active[idx[~keep]] = False
         idx = idx[keep]
         if idx.size == 0:
             break
-        du = _precondition(grad[keep], Gavg[idx])
+        du = _precondition(_rows(grad, np.flatnonzero(keep)), _rows(Gavg, idx))
         step = 1.0
         for _bt in range(25):
             trial = paths[idx]
             trial[:, 1:-1] -= step * du
             Et, Gt = _price(metric, trial)
             better = Et < E[idx] - 1e-15
-            acc = idx[better]
-            paths[acc], E[acc], Gavg[acc] = trial[better], Et[better], Gt[better]
+            acc, won = idx[better], np.flatnonzero(better)
+            paths[acc], E[acc], Gavg[acc] = _rows(trial, won), Et[better], _rows(Gt, won)
             idx, du = idx[~better], du[~better]
             if idx.size == 0:
                 break
@@ -183,13 +204,20 @@ def geodesic_distance_many(metric: HermitianMetricField, p, qs,
     Starts every path on the straight chord; suitable when chords are
     feasible initializers (convex charts, moderate curvature).  Minimizes,
     refines the mesh, minimizes again, and returns (distances,
-    error_estimates) from the Richardson energies.  Logs at INFO how many
-    paths stopped above gtol, a path's norm being the larger of its two
-    solves' final norms, with the largest such norm.
+    error_estimates) from the Richardson energies; each target's distance
+    and error have the bits of that target solved alone.  p needs the
+    chart's n entries and qs the shape (Q, n), or (n,) for one target;
+    other shapes raise ValueError naming both.  Logs at INFO how many paths
+    stopped above gtol, a path's norm being the larger of its two solves'
+    final norms, with the largest such norm.
     """
-    p = np.asarray(p, dtype=complex).reshape(-1)
+    p = np.asarray(p, dtype=complex)
     qs = np.atleast_2d(np.asarray(qs, dtype=complex))
-    paths = _chords(p, qs, N)
+    n = metric.chart.n
+    if p.size != n or qs.ndim != 2 or qs.shape[1] != n:
+        raise ValueError(f"geodesic endpoints in C^{n} need p with {n} entries and qs "
+                         f"of shape (Q, {n}), got p of shape {p.shape} and qs of shape {qs.shape}")
+    paths = _chords(p.reshape(-1), qs, N)
     E1, gnorm1 = _minimize(metric, paths, max_iters, gtol)
     paths = _refine(paths)
     E2, gnorm2 = _minimize(metric, paths, max_iters, gtol)

@@ -1,11 +1,13 @@
 import itertools
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.sparse import csgraph
 
+import geodesy_reference
 from kahlerlab import geodesy
 from kahlerlab.disks import DiskEmbedding, comparison_defect, torsion_metric
 from kahlerlab.errors import Disconnected, DomainExceeded, NonPositiveDefinite
@@ -101,14 +103,90 @@ def test_energy_gradient_matches_a_central_difference(metric):
     assert np.max(np.abs(grad - fd)) < 1e-7 * np.max(np.abs(grad))
 
 
+def _constant_metric(gram):
+    n = len(gram)
+    return HermitianMetricField(ComplexChart(n=n, radii=2.0),
+                                lambda zs: np.broadcast_to(gram, (len(zs), n, n)),
+                                lambda zs: np.zeros((len(zs), n, n, n), dtype=complex))
+
+
+def _random_hermitian(n, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return A @ np.conj(A.T) + 0.5 * np.eye(n)
+
+
+_KERNEL_CASES = {f"model{K:+.0f}-n{n}": (ModelSpace(K=K, n=n).metric, n)
+                 for K in (1.0, -1.0) for n in (1, 2, 3)}
+_KERNEL_CASES["torsion"] = (_torsion_metric, 2)
+_KERNEL_CASES["constant-n3"] = (lambda: _constant_metric(_random_hermitian(3, 8)), 3)
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_hermitian_form_kernels_match_the_einsum_reference(case):
+    make, n = _KERNEL_CASES[case]
+    metric = make()
+    rng = np.random.default_rng(3)
+    Q, N = 3, 9
+    paths = 0.15 * (rng.standard_normal((Q, N + 1, n)) + 1j * rng.standard_normal((Q, N + 1, n)))
+    E, Gavg = geodesy._price(metric, paths)
+    ref = geodesy_reference.energies(metric, paths)
+    assert np.all(np.abs(E - ref) <= 1e-14 * np.abs(ref))
+    assert np.array_equal(Gavg, geodesy_reference.segment_grams(metric, paths))
+    grad = geodesy._energy_gradient(metric, paths, Gavg)
+    ref = geodesy_reference.energy_gradient(metric, paths)
+    assert np.max(np.abs(grad - ref)) <= 1e-14 * np.max(np.abs(grad))
+
+
+def _batch_case(name):
+    """A space's metric, a base point and 9 targets, the first within 1e-3 of p."""
+    rng = np.random.default_rng(7)
+    if name == "cone":
+        metric, p = ConeSurface(0.5).metric(), np.array([0.3 + 0.1j])
+        qs = p + 0.25 * np.exp(2j * np.pi * rng.uniform(size=(8, 1))) * rng.uniform(0.3, 1.0, (8, 1))
+    else:
+        metric = ModelSpace(K=float(name), n=2).metric() if name != "torsion" else _torsion_metric()
+        p = np.array([0.05 - 0.02j, 0.1j])
+        qs = p + 0.3 * (rng.uniform(-1, 1, (8, 2)) + 1j * rng.uniform(-1, 1, (8, 2)))
+    return metric, p, np.concatenate([[p + 6e-4 * np.exp(0.7j)], qs])
+
+
+@pytest.mark.parametrize("name", ["1", "-1", "cone", "torsion"])
+def test_each_path_of_a_batch_keeps_its_own_bits(monkeypatch, name):
+    metric, p, qs = _batch_case(name)
+    opts = dict(N=16, gtol=1e-8, max_iters=60)
+    sizes = []
+    gradient = geodesy._energy_gradient
+
+    def recording(metric, paths, Gavg=None):
+        sizes.append(len(paths))
+        return gradient(metric, paths, Gavg)
+
+    monkeypatch.setattr(geodesy, "_energy_gradient", recording)
+    d, err = geodesic_distance_many(metric, p, qs, **opts)
+    # the batch runs with every path active and with the near target dropped
+    assert sizes[0] == len(qs) and any(0 < s < len(qs) for s in sizes)
+    for k, q in enumerate(qs):
+        dk, ek = geodesic_distance_many(metric, p, q, **opts)
+        assert d[k].tobytes() == dk[0].tobytes() and err[k].tobytes() == ek[0].tobytes()
+
+
+@pytest.mark.parametrize("p, qs", [(np.zeros(2), [[0.3]]), (np.zeros(1), [[0.3, 0.3]]),
+                                   (np.zeros(3), np.full((2, 3), 0.1))],
+                         ids=["short-target", "short-base", "three-vectors"])
+def test_endpoints_of_the_wrong_dimension_are_rejected(p, qs):
+    metric = ModelSpace(K=1.0, n=2).metric()
+    shapes = f"p of shape {np.shape(p)} and qs of shape {np.atleast_2d(qs).shape}"
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        geodesic_distance_many(metric, p, qs)
+
+
 @pytest.mark.parametrize("gram", [0.5 * np.eye(2), 50.0 * np.eye(2),
                                   np.array([[1.0, 0.4 + 0.3j], [0.4 - 0.3j, 0.5]])],
                          ids=["lam=1", "lam=100", "anisotropic"])
 def test_constant_metric_takes_one_newton_step(monkeypatch, gram):
-    n, N = 2, 24
-    metric = HermitianMetricField(ComplexChart(n=n, radii=2.0),
-                                  lambda zs: np.broadcast_to(gram, (len(zs), n, n)),
-                                  lambda zs: np.zeros((len(zs), n, n, n), dtype=complex))
+    N = 24
+    metric = _constant_metric(gram)
     p, q = np.array([0.1 + 0.2j, -0.3]), np.array([-0.4j, 0.5 + 0.1j])
     t = np.linspace(0.0, 1.0, N + 1)[:, None]
     paths = (p + t * (q - p) + 0.1 * np.sin(3 * np.pi * t) * np.array([1.0, 1j]))[None]
@@ -235,6 +313,23 @@ def test_stall_rule_prices_fewer_trials_and_keeps_the_defect(monkeypatch):
     # the defect below; flat-Laplacian steps that start at 0.5 and grow
     # by 1.6 took 116
     assert 0 < len(calls) <= 58
+    assert abs(rep.defect - -1.2241075950480788e-06) <= rep.error_estimate
+
+
+def test_the_torsion_disk_takes_six_prices_and_six_gradients(monkeypatch):
+    # the coarse and the refined solve of the disk's 257 paths;
+    # pinning the count keeps a faster kernel from hiding a change in
+    # how many iterations the solver takes
+    gradients = []
+    gradient = geodesy._energy_gradient
+
+    def counting(metric, paths, Gavg=None):
+        gradients.append(len(paths))
+        return gradient(metric, paths, Gavg)
+
+    monkeypatch.setattr(geodesy, "_energy_gradient", counting)
+    rep, calls = _acceptance_06_defect(monkeypatch)
+    assert calls == [257] * 6 and gradients == [257] * 6
     assert abs(rep.defect - -1.2241075950480788e-06) <= rep.error_estimate
 
 
