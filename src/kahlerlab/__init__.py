@@ -20,7 +20,7 @@ from .models import (ConeSurface, ModelSpace, QuotientData, cone_distance,
 from .geodesy import (DiskObstacle, PlanarDomain, RectObstacle,
                       geodesic_distance_many)
 from .disks import (ComparisonReport, DiskEmbedding, DiskSampler, QuadratureGrid,
-                    ScanResult, TorsionSpace, annulus_defect, annulus_defects, area_density,
+                    ScanResult, TorsionSpace, annulus_defects, area_density,
                     asymptotic_defect, comparison_defect, comparison_defects,
                     log_moment, rprime_value, sample_disks, scan_disks,
                     torsion_contraction, torsion_expected_defect,

@@ -38,10 +38,10 @@ import click
 import numpy as np
 
 from .curvature import TangentPair, curvature_tensor, curvature_tensors, min_bk_defect
-from .disks import (DiskEmbedding, DiskSampler, QuadratureGrid, TorsionSpace,
-                    annulus_defect, annulus_defects, asymptotic_defect, comparison_defect,
-                    comparison_defects, rprime_value, sample_disks, scan_disks,
-                    stack_or_each, torsion_expected_defect, violation_disk, worst_defect)
+from .disks import (DiskEmbedding, DiskSampler, TorsionSpace, annulus_defects,
+                    asymptotic_defect, comparison_defect, comparison_defects, rprime_value,
+                    sample_disks, scan_disks, stack_or_each, torsion_expected_defect,
+                    violation_disk, worst_defect)
 from .errors import ConfigError, InvalidDisk, KahlerLabError
 from .fields import ComplexChart
 from .geodesy import DiskObstacle, PlanarDomain, RectObstacle
@@ -210,9 +210,13 @@ def _run_violation_study(space, params, sampler, tol):
     pair = TangentPair(X=X, Y=Y, G=data.G)
     rp = rprime_value(data, K, pair)
     eps1_list = [5e-3 * (e2 / 5e-2) ** 1.5 for e2 in eps2_list]
-    reports = comparison_defects(metric, [violation_disk(metric, p, pair, e1, e2)
-                                          for e1, e2 in zip(eps1_list, eps2_list)],
-                                 p, K, distance=space.distance_field(p))
+    disks = [violation_disk(metric, p, pair, e1, e2) for e1, e2 in zip(eps1_list, eps2_list)]
+    # 4x min_bk_defect's bound for an entrywise error of R
+    bound = 4.0 * space.n ** 2 * data.error / np.linalg.eigvalsh(data.G)[0] ** 2
+    if abs(rp) <= bound:
+        raise KahlerLabError(f"rprime {rp:.3g} is within its error bound {bound:.3g}: "
+                             f"no leading-order prediction at K = {K:g}")
+    reports = comparison_defects(metric, disks, p, K, distance=space.distance_field(p))
     curve = []
     for e1, e2, rep in zip(eps1_list, eps2_list, reports):
         pred = asymptotic_defect(rp, e1, e2)
@@ -234,17 +238,14 @@ def _run_annulus(space, params, sampler, tol):
     dist = space.distance_field(p)
     eps_list = params.get("eps_list", [0.05, 0.02])
     disks = sample_disks(metric.chart, p, sampler, np.random.default_rng(sampler.seed))
-    # a disk that raises at any eps is skipped, as in a scan
-    values = stack_or_each(
-        lambda ds: annulus_defects(metric, ds, params["K"], eps_list, dist), disks)
-    scored = [(float(v), d, eps) for row, d in zip(values, disks) if row is not None
-              for v, eps in zip(row, eps_list)]
+    # a disk that raises at any eps or node is skipped, as in a scan
+    results = stack_or_each(lambda ds: list(zip(*annulus_defects(
+        metric, ds, params["K"], eps_list, dist))), disks)
+    scored = [(float(v), float(e), d, eps) for res, d in zip(results, disks) if res is not None
+              for v, e, eps in zip(*res, eps_list)]
     if not scored:
         raise KahlerLabError("no admissible disk in the scan")
-    worst, d, eps = min(scored, key=lambda s: s[0])       # the first minimum
-    # error estimate: the worst value's change under the doubled rule
-    err = abs(annulus_defect(metric, d, params["K"], eps, dist,
-                             grid=QuadratureGrid().doubled()) - worst)
+    worst, err, d, eps = min(scored, key=lambda s: s[0])       # the first minimum
     return _lower_bound_row(worst, err, tol, {"coeffs": d.coeffs, "eps": eps, "value": worst})
 
 
@@ -305,6 +306,12 @@ def _run_k_threshold(space, params, sampler, tol):
     return dict(verdict="PASS" if ok else "FAIL", value=thr,
                 error_est=params.get("resolution", 1e-3),
                 witness=None, extra={"trace": trace})
+
+
+def _distinct(p, q, where: str) -> None:
+    """ConfigError, at ``where``, when the points p and q coincide."""
+    if p == q:
+        raise ConfigError(f"{where}: p and q coincide")
 
 
 def _run_torsion_disk(space, params, sampler, tol):
@@ -397,7 +404,7 @@ CHECKS = {
         "a", "b", a=_POINT, b=_POINT, eps1=_NUM, eps2=_NUM, factor=_NUM), None),
     "domain-compare": Check(_run_domain_compare, ("domain",), _params(
         "p", "q", p=_PAIR, q=_PAIR, eps=_POSITIVE, count=_COUNT, tol=_NUM, min_ratio=_NUM),
-        1e-6),
+        1e-6, lambda space, params, where: _distinct(params["p"], params["q"], where)),
 }
 
 # ids name witness files, so they stay inside witness/

@@ -483,41 +483,10 @@ def comparison_defect(metric: HermitianMetricField, disk: DiskEmbedding, p, K: f
                               solver_opts=solver_opts)[0]
 
 
-def _circle_images(metric: HermitianMetricField, disks, radii,
-                   grid: Optional[QuadratureGrid]):
-    """The images of the circles |w| = r, r in ``radii``, under every disk
-    at the boundary nodes of ``grid``, as (D * len(radii) * nb, n) targets
-    from one ``disk_images`` call, and the potential there, one
-    (len(radii), nb) block per disk, from one ``potential`` call."""
-    if not metric.is_potential_form:
-        raise ValueError("the annulus estimator needs a metric with a potential")
-    bw = (grid or QuadratureGrid()).boundary()[0]
-    n = metric.chart.n
-    targets = disk_images(disks, np.concatenate([r * bw for r in radii]), n).reshape(-1, n)
-    return targets, metric.potential(targets).reshape(len(disks), len(radii), len(bw))
-
-
 def annulus_defects(metric: HermitianMetricField, disks, K: float, eps_list,
-                    distance: Callable, grid: Optional[QuadratureGrid] = None) -> np.ndarray:
-    """``annulus_defect`` of every disk at every eps in ``eps_list``, as a
-    (D, len(eps_list)) array whose entries have the bits of that disk and
-    eps alone: the circle images of every disk and eps from one
-    ``disk_images`` call, with one potential, one distance and one
-    ``dK_transform`` call.  A ``KahlerLabError`` of any disk raises for
-    the whole stack."""
-    if not all(0.0 < eps < 0.1 for eps in eps_list):
-        raise ValueError("eps must lie in (0, 1/10)")
-    radii = [r for eps in eps_list for r in (eps, math.exp(-eps))]
-    targets, phi = _circle_images(metric, disks, radii, grid)
-    dk = dK_transform(np.asarray(distance(targets), dtype=float), K).reshape(phi.shape)
-    u = np.mean(phi - 0.5 * dk, axis=2).reshape(len(disks), len(eps_list), 2)
-    return math.pi * (u[:, :, 1] - u[:, :, 0])
-
-
-def annulus_defect(metric: HermitianMetricField, disk: DiskEmbedding, K: float,
-                   eps: float, distance: Callable,
-                   grid: Optional[QuadratureGrid] = None) -> float:
-    """Mollified two-circle estimator of the comparison inequality.
+                    distance: Callable, grid: Optional[QuadratureGrid] = None) -> tuple:
+    """Mollified two-circle estimator of the comparison inequality, of
+    every disk at every eps in ``eps_list``, with its error estimate.
 
     (1/4) int (d_K^2(eps, th) - d_K^2(e^{-eps}, th)) dth
       - iint f_eps dA over the disk image,
@@ -531,13 +500,32 @@ def annulus_defect(metric: HermitianMetricField, disk: DiskEmbedding, K: float,
 
         pi (mean_theta u(i(e^{-eps} e^{i theta})) - mean_theta u(i(eps e^{i theta}))),
 
-    u = phi - d_K^2/2, taken on the boundary rule of ``grid``.
-    ``distance`` is a closed-form distance field d(p, .) from the base
-    point p, or any batched callable on chart points.  A metric without a
-    potential raises ``ValueError``.  This is ``annulus_defects`` on a
-    stack of one.
+    u = phi - d_K^2/2.  ``distance`` is a closed-form distance field
+    d(p, .) from the base point p, or any batched callable on chart points.
+    u is evaluated once, on the circles of the boundary rule of
+    ``grid.doubled()``: the circle images of every disk and eps from one
+    ``disk_images`` call, with one potential, one distance and one
+    ``dK_transform`` call.  Returns ``(values, errors)``, each
+    (D, len(eps_list)): ``values`` take the means over every second node,
+    the boundary rule of ``grid``, and ``errors`` are |doubled-rule value
+    - value|.  Every entry has the bits of that disk and eps alone.  A
+    metric without a potential raises ``ValueError``; a
+    ``KahlerLabError`` of any disk raises for the whole stack.
     """
-    return float(annulus_defects(metric, [disk], K, [eps], distance, grid)[0, 0])
+    if not all(0.0 < eps < 0.1 for eps in eps_list):
+        raise ValueError("eps must lie in (0, 1/10)")
+    if not metric.is_potential_form:
+        raise ValueError("the annulus estimator needs a metric with a potential")
+    bw = (grid or QuadratureGrid()).doubled().boundary()[0]
+    n = metric.chart.n
+    radii = [r for eps in eps_list for r in (eps, math.exp(-eps))]
+    targets = disk_images(disks, np.concatenate([r * bw for r in radii]), n).reshape(-1, n)
+    phi = metric.potential(targets).reshape(len(disks), len(radii), len(bw))
+    u = phi - 0.5 * dK_transform(np.asarray(distance(targets), dtype=float), K).reshape(phi.shape)
+    # the circle means of u over every second node, then over every node
+    means = (np.mean(v, axis=2).reshape(len(disks), len(eps_list), 2) for v in (u[:, :, ::2], u))
+    values, doubled = (math.pi * (m[:, :, 1] - m[:, :, 0]) for m in means)
+    return values, np.abs(doubled - values)
 
 
 def violation_disk(metric: HermitianMetricField, p, pair: TangentPair,

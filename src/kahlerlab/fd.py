@@ -32,7 +32,7 @@ def _eval_at_offsets(f, x, offsets):
 
 
 # No library route takes the Hessian: it stays for perfbench's patch table,
-# until ROADMAP item 3 replaces that table, and for the tests' FD reference.
+# until that table is replaced, and for the tests' FD reference.
 def hessian(f, x, h):
     """Fourth-order full Hessian; (P, m, m, ...)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))

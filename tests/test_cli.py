@@ -354,6 +354,7 @@ def test_radial_potential_takes_the_scenario_seed(tmp_path):
     {"check": "domain-compare", "params": {"p": [-1, 0], "q": [1, 0], "count": 0}},
     {"check": "domain-compare", "params": {"p": [-1, 0], "q": [1, 0], "eps": 0}},
     {"check": "domain-compare", "params": {"p": [-1.2], "q": [1, 0]}},
+    {"check": "domain-compare", "params": {"p": [0.5, 0.0], "q": [0.5, 0.0]}},
     {"check": "annulus", "params": {"K": 0.0, "eps_list": [0.05, 0]}},
     {"check": "quotient-bk2", "params": {"zprime": [0.1, 0.2, 0.3]}},
     {"check": "quotient-bk2", "params": {"zprime": [0, 0]}},
@@ -388,7 +389,8 @@ def test_radial_potential_takes_the_scenario_seed(tmp_path):
     {"check": "violation-study", "params": {"K": 1.0, "band": [1.2, 0.8]}},
     {"check": "psh", "params": {"K": 0.0, "crossing": -5}},
 ], ids=["resolution", "scan-count", "domain-count", "domain-eps", "domain-short-p",
-        "annulus-eps", "quotient-zprime", "quotient-zprime-zero", "quotient-zprime-zero-pairs",
+        "domain-p-is-q", "annulus-eps", "quotient-zprime", "quotient-zprime-zero",
+        "quotient-zprime-zero-pairs",
         "k-threshold-reversed", "k-threshold-hi-below-default-lo", "scan-no-K", "min-bk-defect-no-K",
         "violation-no-K", "annulus-no-K", "psh-no-K", "psh-set-no-K", "line-no-v",
         "line-no-a", "psh-set-no-set", "psh-set-both", "psh-set-empty-S",
@@ -398,8 +400,9 @@ def test_radial_potential_takes_the_scenario_seed(tmp_path):
         "violation-reversed-band", "psh-negative-crossing"])
 def test_out_of_range_params_exit_three(tmp_path, check):
     cfg = _minimal_cfg(**check)
-    if check["check"] == "quotient-bk2":        # its params are checked on its own space
-        cfg["scenarios"][0]["space"] = {"kind": "quotient"}
+    own = {"quotient-bk2": {"kind": "quotient"}, "domain-compare": {"kind": "domain"}}
+    if check["check"] in own:       # their params are checked on their own space
+        cfg["scenarios"][0]["space"] = own[check["check"]]
     res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
     assert "config error" in res.output
@@ -832,6 +835,24 @@ def test_domain_compare_with_q_in_an_obstacle_is_an_error_row(tmp_path, caplog):
     assert "Traceback" not in caplog.text + res.output
 
 
+@pytest.mark.parametrize("K", [0.0, 1.0], ids=["flat-K0", "sphere-K1"])
+def test_violation_study_without_a_leading_term_is_an_error_row(tmp_path, caplog, K):
+    # rprime is 0 on the flat model at K = 0, and within its curvature error
+    # of 0 on the K = 1 model at K = 1: no prediction to take a ratio with
+    cfg = {"version": 1, "scenarios": [{
+        "id": "v", "space": {"kind": "model", "K": K, "n": 2},
+        "checks": [{"check": "violation-study", "params": {"K": K}}]}]}
+    res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+    rows = _read_csv(tmp_path / "o" / "results.csv")
+    assert [r["verdict"] for r in rows] == ["ERROR"]
+    wit = json.loads((tmp_path / "o" / rows[0]["witness_ref"]).read_text())
+    assert "within its error bound" in wit["error"]
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and not errors[0].exc_info
+    assert "Traceback" not in caplog.text + res.output
+
+
 def test_annulus_skips_a_disk_that_enters_an_obstacle(tmp_path, monkeypatch):
     # the sampler knows only the chart box: under seed 3 the first disk is
     # centred at 0.187+0.133i, inside the obstacle, and its distance raises
@@ -893,14 +914,14 @@ def test_annulus_row_reports_the_change_under_the_doubled_rule(tmp_path):
     space = ModelSpace(K=1.0, n=2)
     p = np.array([0.05 + 0.02j, 0.0])
     sampler = DiskSampler(seed=3, count=4)
-    vals = [(disks.annulus_defect(space.metric(), d, 1.0, eps,
-                                  distance=space.distance_field(p)), d, eps)
+    vals = [(disks.annulus_defects(space.metric(), [d], 1.0, [eps],
+                                   distance=space.distance_field(p))[0][0, 0], d, eps)
             for d in disks.sample_disks(space.chart, p, sampler, np.random.default_rng(3))
             for eps in (0.05, 0.02)]
     worst, d, eps = min(vals, key=lambda v: v[0])
-    doubled = disks.annulus_defect(space.metric(), d, 1.0, eps,
-                                   distance=space.distance_field(p),
-                                   grid=disks.QuadratureGrid().doubled())
+    doubled = disks.annulus_defects(space.metric(), [d], 1.0, [eps],
+                                    distance=space.distance_field(p),
+                                    grid=disks.QuadratureGrid().doubled())[0][0, 0]
     assert float(row["value"]) == worst
     assert float(row["error_est"]) == abs(doubled - worst) < 1e-12
 

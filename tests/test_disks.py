@@ -11,7 +11,7 @@ from fd_reference import fd_metric
 from kahlerlab import disks
 from kahlerlab.curvature import TangentPair, curvature_tensor
 from kahlerlab.disks import (DISK_FAULTS, NEAR_DISK_CUTOFF, DiskEmbedding, DiskSampler,
-                             QuadratureGrid, annulus_defect, annulus_defects, area_density,
+                             QuadratureGrid, annulus_defects, area_density,
                              asymptotic_defect, comparison_defect,
                              comparison_defects, disk_faults, log_moment, rprime_value,
                              sample_disks, torsion_contraction, torsion_expected_defect,
@@ -184,7 +184,7 @@ def test_annulus_estimator_flat():
     dist = space.distance_field(p)
     disk = DiskEmbedding.affine(np.array([0.25, 0.0]),
                                 np.array([0.1, 0.02]), metric.chart)
-    vals = [annulus_defect(metric, disk, 0.0, eps, distance=dist)
+    vals = [annulus_defects(metric, [disk], 0.0, [eps], distance=dist)[0][0, 0]
             for eps in (0.08, 0.04, 0.02)]
     assert all(v >= -1e-9 for v in vals)
     tails = [annulus_tail(metric, disk, eps) for eps in (0.08, 0.04, 0.02)]
@@ -837,7 +837,7 @@ def test_annulus_rule_matches_a_dense_kink_aligned_reference(dense_cases):
             ring = 0.25 * (2.0 * math.pi / len(bw)) * float(np.sum(
                 dK_transform(dist(disk(eps * bw)), K)
                 - dK_transform(dist(disk(math.exp(-eps) * bw)), K)))
-            val = annulus_defect(metric, disk, K, eps, distance=dist)
+            val = annulus_defects(metric, [disk], K, [eps], distance=dist)[0][0, 0]
             assert abs(val - (ring - bulk)) <= 1e-12
             tail = _dense_area_integral(metric, disk, lambda r: _f_eps(r, eps) - np.log(r),
                                         kinks)
@@ -852,14 +852,14 @@ def test_annulus_vanishes_on_a_cone_disk_clear_of_the_apex():
         disk = DiskEmbedding.affine([0.3 + 0.1j], [0.25], cone.chart)
         dist = cone.distance_field(np.array([0.6 + 0.0j]))
         for eps in (0.05, 0.02):
-            val = annulus_defect(cone.metric(), disk, 0.0, eps, distance=dist)
+            val = annulus_defects(cone.metric(), [disk], 0.0, [eps], distance=dist)[0][0, 0]
             assert abs(val) <= 1e-11, (alpha, eps, val)
 
 
 def test_annulus_needs_a_potential():
     metric, disk = _acceptance06_torsion_disk()
     with pytest.raises(ValueError, match="potential"):
-        annulus_defect(metric, disk, 0.0, 0.05, distance=lambda zs: np.abs(zs[:, 0]))
+        annulus_defects(metric, [disk], 0.0, [0.05], distance=lambda zs: np.abs(zs[:, 0]))
     with pytest.raises(ValueError, match="potential"):
         annulus_tail(metric, disk, 0.05)
 
@@ -956,10 +956,14 @@ def test_an_annulus_stack_has_the_bits_of_each_disk_and_eps_alone():
         metric, dist = space.metric(), space.distance_field(p)
         ds = sample_disks(metric.chart, p, DiskSampler(seed=5, count=12), np.random.default_rng(5))
         for grid in (None, QuadratureGrid().doubled()):
-            vals = annulus_defects(metric, ds, K, eps_list, dist, grid)
+            vals, errors = annulus_defects(metric, ds, K, eps_list, dist, grid)
             assert vals.shape == (len(ds), len(eps_list))
-            assert np.array_equal(vals, [[annulus_defect(metric, d, K, eps, dist, grid)
+            assert np.array_equal(vals, [[annulus_defects(metric, [d], K, [eps], dist,
+                                                          grid)[0][0, 0]
                                           for eps in eps_list] for d in ds])
+            doubled = annulus_defects(metric, ds, K, eps_list, dist,
+                                      (grid or QuadratureGrid()).doubled())[0]
+            assert np.array_equal(errors, np.abs(doubled - vals))
 
 
 def _exact_contraction(G, v) -> np.ndarray:
