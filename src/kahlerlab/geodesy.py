@@ -10,10 +10,18 @@ metric is ds^2 = 2 g_{i jbar} dz^i dzbar^j).  The minimizer takes Newton
 steps on the energy's velocity part with the grams frozen, a metric-weighted
 path Laplacian, trying the unit step first; each priced trial evaluates the
 metric once.  One mesh refinement with Richardson extrapolation follows.
-The segment forms and fluxes are contracted in Hermitian form, one term per
-gram entry over the whole batch, and each target of a batch gets the bits
-of its own one-target solve.  Endpoints whose shapes do not fit the chart
-raise ValueError.
+
+The solver holds its state with the components first and the paths last:
+Q paths of N segments are (n, N+1, Q) node planes, their segment grams
+(n, n, N, Q) planes, and the gradient and the Newton step one complex
+(n, N-1, Q) array grad_x + i grad_y.  So every component slice, node
+difference and Hermitian-form term (one per gram entry) is one contiguous
+loop over the batch.  ``gram`` and ``dgram`` read the (P, n) transpose view
+of the node planes, and their (P, ...) results are moved back as views.
+Sums over a path's nodes or segments are taken over a contiguous (Q, N)
+copy, in the order of that path alone, so each target of a batch gets the
+bits of its own one-target solve.  Endpoints whose shapes do not fit the
+chart raise ValueError, and endpoints outside it ``DomainExceeded``.
 """
 
 from __future__ import annotations
@@ -33,57 +41,81 @@ from .models import ModelSpace
 log = logging.getLogger("kahlerlab")
 
 
-def _price(metric: HermitianMetricField, paths: np.ndarray):
-    """(Q,) energies of (Q, N+1, n) node arrays, trapezoid in the metric,
-    and the (Q, N, n, n) segment-averaged grams they were priced with.
+def _path_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the second-last axis of (..., N, Q) planes, (..., Q), each
+    path's taken over a contiguous copy as for that path alone: numpy sums
+    a contiguous row pairwise but the rows of a plane one by one."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2)).sum(axis=-1)
 
-    Every gram route returns Hermitian matrices, so each segment's form is
-    contracted as sum_i Re G_ii |dz_i|^2 + 2 sum_{i<j} Re(G_ij dz_i conj dz_j);
-    each path's energy has the bits of that path priced alone."""
-    Q, M, n = paths.shape
-    G = metric.gram(paths.reshape(Q * M, n), check=False).reshape(Q, M, n, n)
-    Gavg = 0.5 * (G[:, :-1] + G[:, 1:])
+
+def _contract(pairs) -> np.ndarray:
+    """The sum of a * b over the (a, b) pairs of component planes, added in
+    place in their order onto 0, as ``sum`` and a short-axis ``np.sum`` add."""
+    out = 0
+    for a, b in pairs:
+        out += a * b
+    return out
+
+
+def _price(metric: HermitianMetricField, paths: np.ndarray):
+    """(Q,) energies of (n, N+1, Q) node planes, trapezoid in the metric,
+    and the (n, n, N, Q) segment-averaged grams they were priced with.
+
+    ``gram`` reads the (P, n) transpose view of the planes, and its
+    (P, n, n) result is moved back with the points last.  Every gram route
+    returns Hermitian matrices, so each segment's form is contracted as
+    sum_i Re G_ii |dz_i|^2 + 2 sum_{i<j} Re(G_ij dz_i conj dz_j); each
+    path's energy has the bits of that path priced alone."""
+    n, M, Q = paths.shape
+    G = np.moveaxis(metric.gram(paths.reshape(n, M * Q).T, check=False), 0, -1)
+    G = G.reshape(n, n, M, Q)
+    # C-contiguous planes whatever the layout of the metric's result
+    Gavg = np.add(G[:, :, :-1], G[:, :, 1:], out=np.empty((n, n, M - 1, Q), dtype=complex))
+    Gavg *= 0.5
     dz = paths[:, 1:] - paths[:, :-1]
-    e = sum(Gavg[..., i, i].real * (dz[..., i].real ** 2 + dz[..., i].imag ** 2)
-            for i in range(n))
+    e = sum(Gavg[i, i].real * (dz[i].real ** 2 + dz[i].imag ** 2) for i in range(n))
     for i, j in itertools.combinations(range(n), 2):
-        e += 2.0 * (Gavg[..., i, j] * (dz[..., i] * np.conj(dz[..., j]))).real
-    return 2.0 * (M - 1) * np.sum(e, axis=1), Gavg
+        e += 2.0 * (Gavg[i, j] * (dz[i] * np.conj(dz[j]))).real
+    return 2.0 * (M - 1) * _path_sums(e), Gavg
 
 
 def _energy_gradient(metric: HermitianMetricField, paths: np.ndarray,
                      Gavg: Optional[np.ndarray] = None) -> np.ndarray:
-    """Real gradient of the energy wrt interior nodes, (Q, N-1, 2n); the
-    segment grams ``Gavg`` of a priced path are reused when given.
+    """Gradient of the energy wrt the interior nodes of (n, N+1, Q) planes,
+    as one complex (n, N-1, Q) array b = grad_x + i grad_y; the segment
+    grams ``Gavg`` of a priced path are reused when given.
 
     Node z_m enters the two adjacent velocity terms and, with weight 1/2,
     the averaged metric of segments m-1 and m, so its metric part is the
     derivative of l(z) = N tr(G(z) M^T) with M = dm dm^H + dp dp^H.  With
     A_k = d_k l = N sum_ij dgram[k, i, j] M_ij and l real, the x-part is
-    2 Re A and the y-part -2 Im A.
+    2 Re A and the y-part -2 Im A, so b = 2 (dE/dzbar + conj(A)).
     """
-    Q, M, n = paths.shape
+    n, M, Q = paths.shape
     N = M - 1
     if Gavg is None:
-        Gavg = _price(metric, paths)[1]          # (Q, N, n, n)
-    dz = paths[:, 1:] - paths[:, :-1]            # (Q, N, n)
+        Gavg = _price(metric, paths)[1]          # (n, n, N, Q)
+    dz = paths[:, 1:] - paths[:, :-1]            # (n, N, Q)
 
     # dE/dzbar_m^j through the two adjacent velocity terms, from the segment
     # fluxes sum_i Gavg_ij dz_i taken one gram row at a time
-    flux = sum(Gavg[..., i, :] * dz[..., i, None] for i in range(n))   # (Q, N, n)
+    flux = _contract(zip(Gavg, dz))                                       # (n, N, Q)
     dEdzbar = 2.0 * N * (flux[:, :-1] - flux[:, 1:])
 
-    # metric variation at the interior nodes, summed with the nodes on the
-    # last axes so that every product runs over all of them at once
-    dG = metric.dgram(paths[:, 1:-1].reshape(-1, n)).reshape(Q, N - 1, n, n, n)
-    dG = np.moveaxis(dG, (0, 1), (3, 4))          # [k, i, j, q, m]
-    dzT = np.moveaxis(dz, 2, 0).copy()            # [i, q, segment]
-    dm, dp = dzT[..., :-1], dzT[..., 1:]
-    A = sum(dG[:, i, j] * (dm[i] * np.conj(dm[j]) + dp[i] * np.conj(dp[j]))
-            for i in range(n) for j in range(n))
-    A = N * np.moveaxis(A, 0, 2)                  # (Q, N-1, n)
-    return np.concatenate([2.0 * (dEdzbar.real + A.real),
-                           2.0 * (dEdzbar.imag - A.imag)], axis=2)
+    # metric variation at the interior nodes, from the transpose view of
+    # their planes; dG[k, i, j] is an (N-1, Q) plane
+    dG = np.moveaxis(metric.dgram(paths[:, 1:-1].reshape(n, -1).T), 0, -1)
+    dG = dG.reshape(n, n, n, N - 1, Q)
+    dzc = np.conj(dz)
+    A = 0
+    for i, j in itertools.product(range(n), repeat=2):
+        s = dz[i] * dzc[j]                       # segment products dz_i conj dz_j
+        A += dG[:, i, j] * (s[:-1] + s[1:])      # M_ij: segments m-1 and m at node m
+    A *= N
+    np.conj(A, out=A)
+    A += dEdzbar
+    A *= 2.0
+    return A
 
 
 def _invert_blocks(M: np.ndarray) -> np.ndarray:
@@ -111,51 +143,57 @@ def _precondition(grad: np.ndarray, Gavg: np.ndarray) -> np.ndarray:
     """Complex Newton step of the energy's velocity part with the grams frozen.
 
     That part is 2N sum_k dz_k^H conj(G_k) dz_k, so the step u solves
-    4N L u = b = grad_x + i grad_y, L the Dirichlet path Laplacian of n x n
-    blocks W_k = conj(Gavg_k): 4N L_w for grams w_k I, the exact Hessian on
-    a constant metric.  The paths do not couple, and each one is solved in
-    closed form.  With the segment fluxes q_k = 4N W_k (u_{k+1} - u_k), row
-    m reads q_{m-1} - q_m = b_m, so q_k = q_0 - F_k with F the prefix sum
-    of b (F_0 = 0).  The end conditions u_0 = u_N = 0 fix q_0 through
-    sum_k V_k (q_0 - F_k) = 0, V_k = (4N W_k)^-1, and u is the prefix sum
-    of V_k q_k.  A gram that is not positive definite raises
-    ``NonPositiveDefinite``."""
-    Q, N, n = Gavg.shape[:3]
-    V = _invert_blocks(np.moveaxis(4.0 * N * np.conj(Gavg), (2, 3), (0, 1)).copy())  # [i, j, q, k]
-    F = np.zeros((n, Q, N), dtype=complex)
-    np.cumsum(np.moveaxis(grad[..., :n] + 1j * grad[..., n:], 2, 0), axis=2, out=F[:, :, 1:])
-    VF = (V * F).sum(axis=1)
-    q0 = (_invert_blocks(V.sum(axis=3)) * VF.sum(axis=2)).sum(axis=1)
-    Vq = (V[..., :-1] * q0[:, :, None]).sum(axis=1) - VF[..., :-1]
-    return np.moveaxis(np.cumsum(Vq, axis=2), 0, 2)
+    4N L u = b, the (n, N-1, Q) gradient, L the Dirichlet path Laplacian of
+    n x n blocks W_k = conj(Gavg_k): 4N L_w for grams w_k I, the exact
+    Hessian on a constant metric.  The paths do not couple, and each one
+    is solved in closed form.  With the segment fluxes
+    q_k = 4N W_k (u_{k+1} - u_k), row m reads q_{m-1} - q_m = b_m, so
+    q_k = q_0 - F_k with F the prefix sum of b (F_0 = 0).  The end
+    conditions u_0 = u_N = 0 fix q_0 through sum_k V_k (q_0 - F_k) = 0,
+    V_k = (4N W_k)^-1, and u, (n, N-1, Q), is the prefix sum of V_k q_k.
+    A gram that is not positive definite raises ``NonPositiveDefinite``."""
+    n, _, N, Q = Gavg.shape
+    V = np.conj(Gavg)
+    V *= 4.0 * N
+    V = _invert_blocks(V)                                   # [i, j, k, q]
+    F = np.zeros((n, N, Q), dtype=complex)
+    np.cumsum(grad, axis=1, out=F[:, 1:])
+    VF = _contract(zip(np.swapaxes(V, 0, 1), F))            # [i, k, q]
+    q0 = _contract(zip(np.swapaxes(_invert_blocks(_path_sums(V)), 0, 1), _path_sums(VF)))
+    Vq = _contract(zip(np.swapaxes(V[:, :, :-1], 0, 1), q0[:, None]))
+    Vq -= VF[:, :-1]
+    return np.cumsum(Vq, axis=1)
 
 
 def _chords(p: np.ndarray, qs: np.ndarray, N: int) -> np.ndarray:
-    """Straight N-segment paths from p to each target; N < 1 raises ValueError."""
+    """Straight N-segment paths from p to each target, as (n, N+1, Q)
+    planes; N < 1 raises ValueError."""
     if N < 1:
         raise ValueError(f"a geodesic mesh needs at least one segment, got N={N}")
     t = np.linspace(0.0, 1.0, N + 1)
-    return p[None, None, :] + t[None, :, None] * (qs[:, None, :] - p[None, None, :])
+    return np.ascontiguousarray(p[:, None, None] + t[None, :, None] * (qs.T - p[:, None])[:, None])
 
 
-def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """a[idx] for sorted distinct row indices, read in place when idx takes
-    every row, so a batch whose paths are all active copies nothing."""
-    return a if len(idx) == len(a) else a[idx]
+def _cols(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """a[..., idx] for sorted distinct path indices, as a C-contiguous
+    gather, and a itself when idx takes every path, so a batch whose paths
+    are all active copies nothing."""
+    return a if len(idx) == a.shape[-1] else np.take(a, idx, axis=-1)
 
 
 def _minimize(metric, paths, max_iters, gtol):
-    """Newton descent with per-path backtracking; in-place safe.
+    """Newton descent on (n, N+1, Q) planes with per-path backtracking;
+    in-place safe.
 
     Each iteration tries the unit step of ``_precondition`` and halves it
     while the energy does not fall.  Only the paths still descending are
     priced, with one gram evaluation per trial; the accepted trial's grams
     serve the next gradient.  While every path is active the gradient and
-    the step read the arrays in place; only a trial is a copy.  A path
-    stops at gradient norm gtol, or when a full backtrack (25 halvings)
-    finds no lower energy.  Returns the energies and each path's last
-    gradient norm."""
-    Q, M, n = paths.shape
+    the step read the arrays as they are; a partial active set gathers
+    along the path axis, and a trial is a copy.  A path stops at gradient
+    norm gtol, or when a full backtrack (25 halvings) finds no lower
+    energy.  Returns the energies and each path's last gradient norm."""
+    n, M, Q = paths.shape
     E, Gavg = _price(metric, paths)
     active = np.ones(Q, dtype=bool)
     gnorm = np.full(Q, np.inf)
@@ -163,23 +201,32 @@ def _minimize(metric, paths, max_iters, gtol):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        grad = _energy_gradient(metric, _rows(paths, idx), _rows(Gavg, idx))
-        gnorm[idx] = np.sqrt(np.sum(grad * grad, axis=(1, 2)))
+        grad = _energy_gradient(metric, _cols(paths, idx), _cols(Gavg, idx))
+        # each path's squared norm over the components of a node, then over
+        # its nodes in the order of that path alone
+        sq = grad.real ** 2
+        sq += grad.imag ** 2
+        gnorm[idx] = np.sqrt(_path_sums(sq.sum(axis=0)))
         keep = gnorm[idx] > gtol
         active[idx[~keep]] = False
         idx = idx[keep]
         if idx.size == 0:
             break
-        du = _precondition(_rows(grad, np.flatnonzero(keep)), _rows(Gavg, idx))
+        du = _precondition(_cols(grad, np.flatnonzero(keep)), _cols(Gavg, idx))
         step = 1.0
         for _bt in range(25):
-            trial = paths[idx]
+            trial = np.take(paths, idx, axis=-1)
             trial[:, 1:-1] -= step * du
             Et, Gt = _price(metric, trial)
             better = Et < E[idx] - 1e-15
             acc, won = idx[better], np.flatnonzero(better)
-            paths[acc], E[acc], Gavg[acc] = _rows(trial, won), Et[better], _rows(Gt, won)
-            idx, du = idx[~better], du[~better]
+            if len(acc) == Q:                    # every path took the step
+                paths[...], Gavg = trial, Gt
+            else:
+                paths[..., acc], Gavg[..., acc] = _cols(trial, won), _cols(Gt, won)
+            E[acc] = Et[better]
+            rest = np.flatnonzero(~better)
+            idx, du = idx[rest], _cols(du, rest)
             if idx.size == 0:
                 break
             step *= 0.5
@@ -188,12 +235,11 @@ def _minimize(metric, paths, max_iters, gtol):
 
 
 def _refine(paths: np.ndarray) -> np.ndarray:
-    """Insert segment midpoints, doubling the resolution."""
-    mids = 0.5 * (paths[:, :-1] + paths[:, 1:])
-    Q, M, n = paths.shape
-    out = np.empty((Q, 2 * M - 1, n), dtype=complex)
+    """Insert segment midpoints into (n, N+1, Q) planes, doubling the resolution."""
+    n, M, Q = paths.shape
+    out = np.empty((n, 2 * M - 1, Q), dtype=complex)
     out[:, ::2] = paths
-    out[:, 1::2] = mids
+    out[:, 1::2] = 0.5 * (paths[:, :-1] + paths[:, 1:])
     return out
 
 
@@ -207,9 +253,10 @@ def geodesic_distance_many(metric: HermitianMetricField, p, qs,
     error_estimates) from the Richardson energies; each target's distance
     and error have the bits of that target solved alone.  p needs the
     chart's n entries and qs the shape (Q, n), or (n,) for one target;
-    other shapes raise ValueError naming both.  Logs at INFO how many paths
-    stopped above gtol, a path's norm being the larger of its two solves'
-    final norms, with the largest such norm.
+    other shapes raise ValueError naming both, and an endpoint outside
+    ``metric.chart`` raises ``DomainExceeded`` naming the first one.  Logs
+    at INFO how many paths stopped above gtol, a path's norm being the
+    larger of its two solves' final norms, with the largest such norm.
     """
     p = np.asarray(p, dtype=complex)
     qs = np.atleast_2d(np.asarray(qs, dtype=complex))
@@ -217,7 +264,13 @@ def geodesic_distance_many(metric: HermitianMetricField, p, qs,
     if p.size != n or qs.ndim != 2 or qs.shape[1] != n:
         raise ValueError(f"geodesic endpoints in C^{n} need p with {n} entries and qs "
                          f"of shape (Q, {n}), got p of shape {p.shape} and qs of shape {qs.shape}")
-    paths = _chords(p.reshape(-1), qs, N)
+    p = p.reshape(-1)
+    ends = np.concatenate([p[None], qs])
+    outside = np.flatnonzero(~metric.chart.contains(ends))
+    if outside.size:
+        raise DomainExceeded(f"geodesic endpoint {ends[outside[0]].tolist()} lies outside the "
+                             f"{metric.chart.kind} chart of radii {metric.chart.radii.round(6).tolist()}")
+    paths = _chords(p, qs, N)
     E1, gnorm1 = _minimize(metric, paths, max_iters, gtol)
     paths = _refine(paths)
     E2, gnorm2 = _minimize(metric, paths, max_iters, gtol)

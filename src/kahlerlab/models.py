@@ -103,7 +103,7 @@ def _model_dgram(c: float, zs: np.ndarray) -> np.ndarray:
     n = zs.shape[1]
     zt = np.ascontiguousarray(zs.T)                          # (n, P)
     zb = np.conj(zt)
-    u = 1.0 + (c / 4.0) * np.sum(np.abs(zs) ** 2, axis=1)
+    u = 1.0 + (c / 4.0) * np.sum(np.abs(zt) ** 2, axis=0)
     a = (c / 8.0) / u ** 2
     X = zb[:, None] * (((c * c / 16.0) / u ** 3) * zt)[None]   # [i, j]
     for i in range(n):
@@ -184,8 +184,10 @@ def model_distance(K: float, z, w):
         c = 0:  d = |z - w|.
 
     No step divides a nearly equal pair, so d keeps its relative accuracy
-    for close points and next to the K > 0 cap.  A point outside the
-    negative-curvature chart raises ``DomainExceeded``.
+    for close points and next to the K > 0 cap.  For c < 0 the closed form
+    holds on the whole ball |z| < 2/sqrt(-c), where 1 + a|z|^2 > 0; that
+    ball is larger than ``ModelSpace.chart``, which stops at 3/4 of its
+    radius, and a point outside it raises ``DomainExceeded``.
     """
     z, w = (np.atleast_1d(np.asarray(x, dtype=complex)) for x in (z, w))
     single = z.ndim == 1 and w.ndim == 1
@@ -209,7 +211,8 @@ def model_distance(K: float, z, w):
         else:
             den = (1.0 + a * _sq(z)) * (1.0 + a * _sq(w))
             if np.any(den <= 0):
-                raise DomainExceeded("point outside the negative-curvature chart")
+                raise DomainExceeded(f"point outside the ball |z| < 2/sqrt(-c) = "
+                                     f"{2.0 / math.sqrt(-c):.6g} of the c = {c:g} model")
             out = (2.0 / math.sqrt(-c)) * np.arcsinh(np.sqrt(-N / den))
     return float(out[0]) if single else out
 

@@ -69,12 +69,35 @@ def test_distance_at_least_chord_lower_bound():
     assert d[0] >= _chord_lower_bound(metric, p, q) - 1e-9
 
 
+def _planes(paths):
+    """(Q, N+1, n) paths as the solver's C-contiguous (n, N+1, Q) node planes."""
+    return np.ascontiguousarray(paths.T)
+
+
+def _gram_planes(Gavg):
+    """(Q, N, n, n) segment grams as the solver's (n, n, N, Q) planes."""
+    return np.ascontiguousarray(Gavg.transpose(2, 3, 1, 0))
+
+
+def _gradient_planes(grad):
+    """A real (Q, N-1, 2n) gradient, [x, y] per node, as the solver's
+    complex (n, N-1, Q) one."""
+    n = grad.shape[2] // 2
+    return np.ascontiguousarray((grad[..., :n] + 1j * grad[..., n:]).T)
+
+
+def _real_gradient(grad):
+    """The solver's complex (n, N-1, Q) gradient or step as a real
+    (Q, N-1, 2n) one, [x, y] per node."""
+    return np.concatenate([grad.real, grad.imag]).T
+
+
 def test_path_energy_of_straight_flat_path():
     metric = ModelSpace(K=0.0, n=1).metric()
     t = np.linspace(0, 1, 17)[:, None]
     pts = t * np.array([[1.0 + 0j]])
     # energy of a unit-speed straight segment equals its squared length
-    assert geodesy._price(metric, pts[None])[0][0] == pytest.approx(1.0)
+    assert geodesy._price(metric, _planes(pts[None]))[0][0] == pytest.approx(1.0)
 
 
 def _torsion_metric():
@@ -90,7 +113,7 @@ def test_energy_gradient_matches_a_central_difference(metric):
     rng = np.random.default_rng(2)
     Q, N, n, h = 2, 6, 2, 1e-6
     paths = 0.2 * (rng.standard_normal((Q, N + 1, n)) + 1j * rng.standard_normal((Q, N + 1, n)))
-    grad = geodesy._energy_gradient(metric, paths)
+    grad = _real_gradient(geodesy._energy_gradient(metric, _planes(paths)))
     # every interior real coordinate moved by +h and by -h, in one batch
     trials = np.repeat(paths[:, None, None], 2 * (N - 1) * 2 * n, axis=1).reshape(Q, N - 1, 2 * n, 2, N + 1, n)
     for m in range(N - 1):
@@ -98,7 +121,7 @@ def test_energy_gradient_matches_a_central_difference(metric):
             e = h if a < n else 1j * h
             trials[:, m, a, 0, m + 1, a % n] += e
             trials[:, m, a, 1, m + 1, a % n] -= e
-    E = geodesy._price(metric, trials.reshape(-1, N + 1, n))[0].reshape(Q, N - 1, 2 * n, 2)
+    E = geodesy._price(metric, _planes(trials.reshape(-1, N + 1, n)))[0].reshape(Q, N - 1, 2 * n, 2)
     fd = (E[..., 0] - E[..., 1]) / (2 * h)
     assert np.max(np.abs(grad - fd)) < 1e-7 * np.max(np.abs(grad))
 
@@ -129,11 +152,11 @@ def test_hermitian_form_kernels_match_the_einsum_reference(case):
     rng = np.random.default_rng(3)
     Q, N = 3, 9
     paths = 0.15 * (rng.standard_normal((Q, N + 1, n)) + 1j * rng.standard_normal((Q, N + 1, n)))
-    E, Gavg = geodesy._price(metric, paths)
+    E, Gavg = geodesy._price(metric, _planes(paths))
     ref = geodesy_reference.energies(metric, paths)
     assert np.all(np.abs(E - ref) <= 1e-14 * np.abs(ref))
-    assert np.array_equal(Gavg, geodesy_reference.segment_grams(metric, paths))
-    grad = geodesy._energy_gradient(metric, paths, Gavg)
+    assert np.array_equal(Gavg, _gram_planes(geodesy_reference.segment_grams(metric, paths)))
+    grad = _real_gradient(geodesy._energy_gradient(metric, _planes(paths), Gavg))
     ref = geodesy_reference.energy_gradient(metric, paths)
     assert np.max(np.abs(grad - ref)) <= 1e-14 * np.max(np.abs(grad))
 
@@ -145,13 +168,14 @@ def _batch_case(name):
         metric, p = ConeSurface(0.5).metric(), np.array([0.3 + 0.1j])
         qs = p + 0.25 * np.exp(2j * np.pi * rng.uniform(size=(8, 1))) * rng.uniform(0.3, 1.0, (8, 1))
     else:
-        metric = ModelSpace(K=float(name), n=2).metric() if name != "torsion" else _torsion_metric()
-        p = np.array([0.05 - 0.02j, 0.1j])
-        qs = p + 0.3 * (rng.uniform(-1, 1, (8, 2)) + 1j * rng.uniform(-1, 1, (8, 2)))
+        make, n = _KERNEL_CASES.get(name, (lambda: ModelSpace(K=float(name), n=2).metric(), 2))
+        metric = make()
+        p = np.array([0.05 - 0.02j, 0.1j, -0.04 + 0.03j])[:n]
+        qs = p + 0.3 * (rng.uniform(-1, 1, (8, n)) + 1j * rng.uniform(-1, 1, (8, n)))
     return metric, p, np.concatenate([[p + 6e-4 * np.exp(0.7j)], qs])
 
 
-@pytest.mark.parametrize("name", ["1", "-1", "cone", "torsion"])
+@pytest.mark.parametrize("name", ["1", "-1", "cone", "torsion", "model+1-n3", "model-1-n1"])
 def test_each_path_of_a_batch_keeps_its_own_bits(monkeypatch, name):
     metric, p, qs = _batch_case(name)
     opts = dict(N=16, gtol=1e-8, max_iters=60)
@@ -159,7 +183,7 @@ def test_each_path_of_a_batch_keeps_its_own_bits(monkeypatch, name):
     gradient = geodesy._energy_gradient
 
     def recording(metric, paths, Gavg=None):
-        sizes.append(len(paths))
+        sizes.append(paths.shape[-1])
         return gradient(metric, paths, Gavg)
 
     monkeypatch.setattr(geodesy, "_energy_gradient", recording)
@@ -171,6 +195,61 @@ def test_each_path_of_a_batch_keeps_its_own_bits(monkeypatch, name):
         assert d[k].tobytes() == dk[0].tobytes() and err[k].tobytes() == ek[0].tobytes()
 
 
+@pytest.mark.parametrize("case", ["model+1-n2", "torsion"])
+def test_an_all_active_iteration_reads_contiguous_planes(monkeypatch, case):
+    # the first iteration of each solve has every path active: its kernels
+    # read C-contiguous arrays with the path axis last, the gradient reads
+    # the solver's own node planes and the metric reads their transpose
+    make, n = _KERNEL_CASES[case]
+    metric = make()
+    Q, N = 5, 8
+    seen = []
+    gradient, precondition, minimize = (geodesy._energy_gradient, geodesy._precondition,
+                                        geodesy._minimize)
+    gram, dgram = metric.gram, metric.dgram
+
+    def recording_minimize(metric, paths, *args):
+        seen.append(("minimize", paths))
+        return minimize(metric, paths, *args)
+
+    def recording_gradient(metric, paths, Gavg=None):
+        grad = gradient(metric, paths, Gavg)
+        seen.append(("gradient", paths, Gavg, grad))
+        return grad
+
+    def recording_precondition(grad, Gavg):
+        seen.append(("precondition", grad, Gavg))
+        return precondition(grad, Gavg)
+
+    def recording_points(kernel):
+        def call(zs, *args, **kwargs):
+            seen.append(("metric", zs.T))
+            return kernel(zs, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(geodesy, "_minimize", recording_minimize)
+    monkeypatch.setattr(geodesy, "_energy_gradient", recording_gradient)
+    monkeypatch.setattr(geodesy, "_precondition", recording_precondition)
+    monkeypatch.setattr(metric, "gram", recording_points(gram))
+    monkeypatch.setattr(metric, "dgram", recording_points(dgram))
+    p = np.full(n, 0.05 + 0.02j)
+    qs = p + 0.2 * np.exp(1j * np.arange(Q * n)).reshape(Q, n)
+    geodesic_distance_many(metric, p, qs, N=N, gtol=1e-12, max_iters=3)
+    starts = [k for k, call in enumerate(seen) if call[0] == "minimize"]
+    assert len(starts) == 2
+    for k in starts:
+        paths, first = seen[k][1], {}
+        for call in seen[k + 1:]:
+            first.setdefault(call[0], call[1:])
+        (nodes, grams, grad), (step_grad, step_grams) = first["gradient"], first["precondition"]
+        assert nodes is paths
+        M = paths.shape[1]
+        for a, shape in [(paths, (n, M, Q)), (grams, (n, n, M - 1, Q)), (grad, (n, M - 2, Q)),
+                         (step_grad, (n, M - 2, Q)), (step_grams, (n, n, M - 1, Q)),
+                         (first["metric"][0], (n, M * Q))]:
+            assert a.shape == shape and a.flags.c_contiguous
+
+
 @pytest.mark.parametrize("p, qs", [(np.zeros(2), [[0.3]]), (np.zeros(1), [[0.3, 0.3]]),
                                    (np.zeros(3), np.full((2, 3), 0.1))],
                          ids=["short-target", "short-base", "three-vectors"])
@@ -179,6 +258,23 @@ def test_endpoints_of_the_wrong_dimension_are_rejected(p, qs):
     shapes = f"p of shape {np.shape(p)} and qs of shape {np.atleast_2d(qs).shape}"
     with pytest.raises(ValueError, match=re.escape(shapes)):
         geodesic_distance_many(metric, p, qs)
+
+
+def test_endpoints_outside_the_chart_raise_before_solving(monkeypatch):
+    # the chart of ModelSpace(-1, 2) is the ball of radius 0.75 sqrt(2); the
+    # solver used to return 1.769 at (1.2, 0) and 3.739 at (1.4, 0), and to
+    # fail in the Newton step at (1.5, 0)
+    metric = ModelSpace(K=-1.0, n=2).metric()
+    prices = []
+    monkeypatch.setattr(geodesy, "_price", lambda *args: prices.append(1))
+    for x in (1.2, 1.4, 1.5):
+        with pytest.raises(DomainExceeded, match=re.escape(f"endpoint [({x}+0j), 0j]")):
+            geodesic_distance_many(metric, np.zeros(2), np.array([x, 0.0]))
+    with pytest.raises(DomainExceeded, match=re.escape("endpoint [(1.4+0j), 0j]")):
+        geodesic_distance_many(metric, np.zeros(2), np.array([[0.5, 0.0], [1.4, 0.0], [1.5, 0.0]]))
+    with pytest.raises(DomainExceeded, match=re.escape("endpoint [(1.2+0j), 0j]")):
+        geodesic_distance_many(metric, np.array([1.2, 0.0]), np.array([0.5, 0.0]))
+    assert prices == []
 
 
 @pytest.mark.parametrize("gram", [0.5 * np.eye(2), 50.0 * np.eye(2),
@@ -198,7 +294,7 @@ def test_constant_metric_takes_one_newton_step(monkeypatch, gram):
         return gradient(*args)
 
     monkeypatch.setattr(geodesy, "_energy_gradient", counting)
-    E, gnorm = geodesy._minimize(metric, paths, 300, 1e-9)
+    E, gnorm = geodesy._minimize(metric, _planes(paths), 300, 1e-9)
     # the preconditioner is the exact Hessian here: one step, one check
     assert gnorm[0] <= 1e-9 and len(calls) <= 2
     assert E[0] == pytest.approx(2.0 * (q - p) @ gram @ np.conj(q - p), rel=1e-12)
@@ -229,8 +325,8 @@ def test_precondition_is_a_dense_solve_per_path():
     grad = rng.standard_normal((Q, N - 1, 2 * n))
     # isotropic grams w_k I: the weighted path Laplacian 4N L_w, per path
     w = np.stack([rng.uniform(0.5, 2.0, N), rng.uniform(5.0, 50.0, N)])
-    u = geodesy._precondition(grad, w[:, :, None, None] * np.eye(n))
-    u = np.concatenate([u.real, u.imag], axis=2)
+    u = _real_gradient(geodesy._precondition(_gradient_planes(grad),
+                                                _gram_planes(w[:, :, None, None] * np.eye(n))))
     for k in range(Q):
         L = np.diag(w[k, :-1] + w[k, 1:]) - np.diag(w[k, 1:-1], 1) - np.diag(w[k, 1:-1], -1)
         assert np.allclose(u[k], np.linalg.solve(4.0 * N * L, grad[k]), rtol=1e-12, atol=0)
@@ -238,8 +334,7 @@ def test_precondition_is_a_dense_solve_per_path():
     A = rng.standard_normal((Q, N, n, n)) + 1j * rng.standard_normal((Q, N, n, n))
     A[1] *= 10.0
     Gavg = A @ np.conj(np.swapaxes(A, 2, 3)) + 0.1 * np.eye(n)
-    u = geodesy._precondition(grad, Gavg)
-    u = np.concatenate([u.real, u.imag], axis=2)
+    u = _real_gradient(geodesy._precondition(_gradient_planes(grad), _gram_planes(Gavg)))
     for k in range(Q):
         exact = np.linalg.solve(_dense_hessian(Gavg[k]), grad[k].reshape(-1))
         assert np.allclose(u[k].reshape(-1), exact, rtol=1e-9, atol=0)
@@ -251,16 +346,15 @@ def test_precondition_is_a_dense_solve_in_one_and_three_dimensions(n):
     Q, N = 2, 7
     grad = rng.standard_normal((Q, N - 1, 2 * n))
     w = np.stack([rng.uniform(0.5, 2.0, N), rng.uniform(5.0, 50.0, N)])
-    u = geodesy._precondition(grad, w[:, :, None, None] * np.eye(n))
-    u = np.concatenate([u.real, u.imag], axis=2)
+    u = _real_gradient(geodesy._precondition(_gradient_planes(grad),
+                                                _gram_planes(w[:, :, None, None] * np.eye(n))))
     for k in range(Q):
         L = np.diag(w[k, :-1] + w[k, 1:]) - np.diag(w[k, 1:-1], 1) - np.diag(w[k, 1:-1], -1)
         assert np.allclose(u[k], np.linalg.solve(4.0 * N * L, grad[k]), rtol=1e-12, atol=0)
     A = rng.standard_normal((Q, N, n, n)) + 1j * rng.standard_normal((Q, N, n, n))
     A[1] *= 10.0
     Gavg = A @ np.conj(np.swapaxes(A, 2, 3)) + 0.1 * np.eye(n)
-    u = geodesy._precondition(grad, Gavg)
-    u = np.concatenate([u.real, u.imag], axis=2)
+    u = _real_gradient(geodesy._precondition(_gradient_planes(grad), _gram_planes(Gavg)))
     for k in range(Q):
         exact = np.linalg.solve(_dense_hessian(Gavg[k]), grad[k].reshape(-1))
         assert np.allclose(u[k].reshape(-1), exact, rtol=1e-9, atol=0)
@@ -273,7 +367,7 @@ def test_precondition_rejects_a_gram_that_is_not_positive_definite(block):
     Gavg = np.broadcast_to(np.eye(2, dtype=complex), (3, 8, 2, 2)).copy()
     Gavg[1, 4] = block
     with pytest.raises(NonPositiveDefinite):
-        geodesy._precondition(np.ones((3, 7, 4)), Gavg)
+        geodesy._precondition(_gradient_planes(np.ones((3, 7, 4))), _gram_planes(Gavg))
 
 
 @pytest.mark.parametrize("N", [0, -1])
@@ -294,7 +388,7 @@ def _acceptance_06_defect(monkeypatch, gtol=1e-8):
     price = geodesy._price                     # every priced trial goes through it
 
     def counting(metric, paths):
-        calls.append(len(paths))
+        calls.append(paths.shape[-1])
         return price(metric, paths)
 
     monkeypatch.setattr(geodesy, "_price", counting)
@@ -324,13 +418,40 @@ def test_the_torsion_disk_takes_six_prices_and_six_gradients(monkeypatch):
     gradient = geodesy._energy_gradient
 
     def counting(metric, paths, Gavg=None):
-        gradients.append(len(paths))
+        gradients.append(paths.shape[-1])
         return gradient(metric, paths, Gavg)
 
     monkeypatch.setattr(geodesy, "_energy_gradient", counting)
     rep, calls = _acceptance_06_defect(monkeypatch)
     assert calls == [257] * 6 and gradients == [257] * 6
     assert abs(rep.defect - -1.2241075950480788e-06) <= rep.error_estimate
+
+
+def test_the_model_disk_takes_five_prices_and_five_gradients(monkeypatch):
+    # the coarse and the refined solve of a disk's 129 paths with the
+    # default options; in the coarse one, 15 paths converge an iteration
+    # before the rest
+    sizes = {"price": [], "gradient": []}
+    price, gradient = geodesy._price, geodesy._energy_gradient
+
+    def pricing(metric, paths):
+        sizes["price"].append(paths.shape[-1])
+        return price(metric, paths)
+
+    def differentiating(metric, paths, Gavg=None):
+        sizes["gradient"].append(paths.shape[-1])
+        return gradient(metric, paths, Gavg)
+
+    monkeypatch.setattr(geodesy, "_price", pricing)
+    monkeypatch.setattr(geodesy, "_energy_gradient", differentiating)
+    space = ModelSpace(K=1.0, n=2)
+    metric = space.metric()
+    p = np.array([0.1 + 0.05j, -0.05])
+    disk = DiskEmbedding.affine(np.array([0.2, 0.1j]), np.array([0.1, 0.05 + 0.05j]), metric.chart)
+    rep = comparison_defect(metric, disk, p, 1.0, distance="numeric")
+    assert sizes == {"price": [129, 129, 114, 129, 129], "gradient": [129, 129, 114, 129, 129]}
+    closed = comparison_defect(metric, disk, p, 1.0, distance=space.distance_field(p))
+    assert abs(rep.defect - closed.defect) <= rep.error_estimate
 
 
 def test_stalled_paths_are_reported(monkeypatch, caplog):

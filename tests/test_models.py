@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,20 @@ def test_model_distance_field_outside_ball_raises():
         model_distance(space.K, np.zeros(1), outside[0])
     with pytest.raises(DomainExceeded):
         space.distance_field(np.zeros(1))(outside)
+
+
+def test_model_distance_holds_on_the_ball_beyond_the_chart():
+    # c = -2: the closed form holds for |z| < 2/sqrt(2), where the radial
+    # distance is sqrt(2) artanh(r / sqrt(2)), and the chart stops at 3/4 of
+    # that radius
+    space = ModelSpace(K=-1.0, n=2)
+    edge = 2.0 / math.sqrt(2.0)
+    beyond = np.array([0.9 * edge, 0.0], dtype=complex)
+    assert not space.chart.contains(beyond)[0]
+    exact = math.sqrt(2.0) * math.atanh(0.9 * edge / math.sqrt(2.0))
+    assert model_distance(space.K, np.zeros(2), beyond) == pytest.approx(exact, rel=1e-14)
+    with pytest.raises(DomainExceeded, match=re.escape(f"|z| < 2/sqrt(-c) = {edge:.6g} of the c = -2")):
+        model_distance(space.K, np.zeros(2), np.array([1.01 * edge, 0.0]))
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 2.0 / 3.0])
