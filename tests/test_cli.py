@@ -423,6 +423,35 @@ def test_jobs_below_one_exits_three(tmp_path, jobs):
     assert "config error" in res.output and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("args, code", [
+    (["run", "CFG", "--seed", "abc"], 2),
+    (["run", "CFG", "--se", "3"], 2),
+    (["run", "CFG", "--verbose"], 2),
+    (["run"], 2),
+    ([], 2),
+    (["--help"], 0),
+    (["run", "--help"], 0),
+    (["scan", "--help"], 0),
+    (["threshold", "--help"], 0),
+    (["plotdata", "--help"], 0),
+    (["run", "CFG", "--seed", "-1"], 3),
+    (["run", "CFG", "--jobs", "0"], 3),
+], ids=["seed-not-an-int", "abbreviated-option", "unknown-option", "no-config",
+        "no-command", "help", "run-help", "scan-help", "threshold-help", "plotdata-help",
+        "negative-seed", "no-jobs"])
+def test_the_command_line_surface(tmp_path, args, code):
+    # usage errors exit 2, help exits 0, and option values the runner rejects exit 3
+    cfg = _write(tmp_path, _minimal_cfg(check="psh", params={"K": 0.0}))
+    out = ["--out", str(tmp_path / "o")] if "CFG" in args else []
+    res = _run([cfg if a == "CFG" else a for a in args] + out)
+    assert res.exit_code == code, res.output
+    assert not (tmp_path / "o").exists()
+    if code == 0:
+        names = {"--help": ("run", "scan", "threshold", "plotdata"), "plotdata": ("DIRECTORY",)}
+        expected = names.get(args[0], ("CONFIG", "--seed", "--jobs", "--tol", "--out"))
+        assert all(name in res.output for name in expected), res.output
+
+
 def test_runners_read_only_required_or_tested_params():
     # a runner reads params["key"] only when its schema requires the key,
     # when it tests "key" in params first, or when the key is one of an
