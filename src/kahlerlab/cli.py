@@ -18,6 +18,7 @@ CSV bytes except for the wall_ms column.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import functools
 import json
@@ -34,7 +35,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-import click
 import numpy as np
 
 from .curvature import TangentPair, curvature_tensor, curvature_tensors, min_bk_defect
@@ -614,10 +614,12 @@ def load_config(path: str) -> list:
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f)
-    except FileNotFoundError as e:
+    except OSError as e:                    # missing, a directory, not permitted
         raise ConfigError(str(e)) from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8: {e}") from e
     e = _schema_error(CONFIG_SCHEMA, cfg)
     if e is not None:
         raise ConfigError(f"{path}: at {'/'.join(map(str, e[0])) or '<root>'}: {e[1]}")
@@ -708,12 +710,16 @@ def run_scenario(scenario: Scenario, seed_override: Optional[int],
 def execute(scenarios: list, out_dir: Path, seed: Optional[int], jobs: int,
             tol: Optional[float]) -> int:
     """Run loaded scenarios (seed >= 0, jobs >= 1) and write their reports to
-    ``out_dir``; the exit code."""
+    ``out_dir``; the exit code.  ConfigError, before any check runs, for a
+    negative seed, jobs below 1 or an ``out_dir`` that cannot be made."""
     if seed is not None and seed < 0:
         raise ConfigError(f"--seed {seed} is negative")
     if jobs < 1:
         raise ConfigError(f"--jobs {jobs} is below 1")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:                    # a file, or a path below one
+        raise ConfigError(f"--out {out_dir}: cannot make the directory: {e.strerror}") from e
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(lambda sc: run_scenario(sc, seed, tol), scenarios))
@@ -808,74 +814,51 @@ def bundled_scenario_path(name: str) -> Path:
     return Path(str(resources.files("kahlerlab") / "scenarios" / name))
 
 
-@click.group()
-def main():
+# (name, the check kinds it keeps or None for all, help) of each command that runs a CONFIG
+_COMMANDS = (("run", None, "Run every check of every scenario in CONFIG."),
+             ("scan", {"comparison-scan", "domain-compare"},
+              "Run only the disk-scan checks of CONFIG."),
+             ("threshold", {"k-threshold"}, "Run only the K-threshold bisection checks of CONFIG."))
+
+
+def main(argv=None) -> None:
     """Numerical laboratory scenario runner."""
-    logging.basicConfig(level=os.environ.get("LAB_LOG", "WARNING").upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
-
-
-def _common(f):
-    f = click.option("--seed", type=int, default=None,
-                     help="Override every sampler seed.")(f)
-    f = click.option("--jobs", type=int, default=1,
-                     help="Scenario-level worker count, at least 1.")(f)
-    f = click.option("--tol", type=float, default=None,
-                     help="Default tolerance for checks that do not set one.")(f)
-    f = click.option("--out", type=click.Path(), default="lab-out",
-                     help="Output directory.")(f)
-    return f
-
-
-def _execute_cmd(config, seed, jobs, tol, out, kinds=None):
-    """Run CONFIG's checks, or only those of the check kinds in ``kinds``."""
+    parser = argparse.ArgumentParser(prog="kahlerlab", description=main.__doc__,
+                                     allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, kinds, text in _COMMANDS:
+        cmd = commands.add_parser(name, help=text, description=text, allow_abbrev=False)
+        cmd.set_defaults(kinds=kinds)
+        cmd.add_argument("config", metavar="CONFIG")
+        cmd.add_argument("--seed", type=int, default=None, help="Override every sampler seed.")
+        cmd.add_argument("--jobs", type=int, default=1,
+                         help="Scenario-level worker count, at least 1.")
+        cmd.add_argument("--tol", type=float, default=None,
+                         help="Default tolerance for checks that do not set one.")
+        cmd.add_argument("--out", default="lab-out", help="Output directory.")
+    text = "Emit columnar plot files from reports in DIRECTORY."
+    commands.add_parser("plotdata", help=text, description=text,
+                        allow_abbrev=False).add_argument("directory", metavar="DIRECTORY")
+    args = parser.parse_args(argv)
     try:
-        scenarios = load_config(config)
-        if kinds:
-            scenarios = [replace(sc, checks=tuple(ch for ch in sc.checks if ch.check in kinds))
-                         for sc in scenarios]
-        code = execute(scenarios, Path(out), seed, jobs, tol)
+        level = os.environ.get("LAB_LOG", "WARNING")
+        if not isinstance(logging.getLevelName(level.upper()), int):     # the level's number
+            raise ConfigError(f"LAB_LOG={level!r}: use DEBUG, INFO, WARNING, ERROR or CRITICAL")
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
+        if args.command == "plotdata":
+            emit_plot_data(Path(args.directory))
+            code = 0
+        else:
+            scenarios = load_config(args.config)
+            if args.kinds:
+                scenarios = [replace(sc, checks=tuple(ch for ch in sc.checks
+                                                      if ch.check in args.kinds))
+                             for sc in scenarios]
+            code = execute(scenarios, Path(args.out), args.seed, args.jobs, args.tol)
     except ConfigError as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(3)
+        print(f"config error: {e}", file=sys.stderr)
+        code = 3
     sys.exit(code)
-
-
-@main.command()
-@click.argument("config", type=click.Path())
-@_common
-def run(config, seed, jobs, tol, out):
-    """Run every check of every scenario in CONFIG."""
-    _execute_cmd(config, seed, jobs, tol, out)
-
-
-@main.command()
-@click.argument("config", type=click.Path())
-@_common
-def scan(config, seed, jobs, tol, out):
-    """Run only the disk-scan checks of CONFIG."""
-    _execute_cmd(config, seed, jobs, tol, out,
-                 kinds={"comparison-scan", "domain-compare"})
-
-
-@main.command()
-@click.argument("config", type=click.Path())
-@_common
-def threshold(config, seed, jobs, tol, out):
-    """Run only the K-threshold bisection checks of CONFIG."""
-    _execute_cmd(config, seed, jobs, tol, out, kinds={"k-threshold"})
-
-
-@main.command()
-@click.argument("directory", type=click.Path())
-def plotdata(directory):
-    """Emit columnar plot files from reports in DIRECTORY."""
-    try:
-        emit_plot_data(Path(directory))
-    except ConfigError as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(3)
-    sys.exit(0)
 
 
 if __name__ == "__main__":

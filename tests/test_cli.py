@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import inspect
+import io
 import json
 import logging
 import os
@@ -8,10 +10,10 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from jsonschema import Draft202012Validator
 
 from kahlerlab import cli, disks
@@ -30,7 +32,19 @@ def _read_csv(path, reader=csv.DictReader) -> list:
 
 
 def _run(args):
-    return CliRunner().invoke(main, args)
+    """``main(args)`` in process: its exit code, its stdout and stderr together,
+    and its exception: None on exit 0, the SystemExit of any other exit, and
+    any other exception, with exit code 1."""
+    output, exit_code, exception = io.StringIO(), 0, None
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+        try:
+            main(args)
+        except SystemExit as e:
+            exit_code = e.code if isinstance(e.code, int) else int(e.code is not None)
+            exception = e if exit_code else None
+        except Exception as e:
+            exit_code, exception = 1, e
+    return SimpleNamespace(exit_code=exit_code, output=output.getvalue(), exception=exception)
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -75,6 +89,42 @@ def test_malformed_config_exits_three(tmp_path):
     assert _run(["run", str(p), "--out", str(tmp_path)]).exit_code == 3
     p.write_text("{not json")
     assert _run(["run", str(p), "--out", str(tmp_path)]).exit_code == 3
+
+
+@pytest.mark.parametrize("config", ["directory", "utf-16"])
+def test_an_unreadable_config_exits_three(tmp_path, config):
+    path = tmp_path / config
+    if config == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(json.dumps(_minimal_cfg(check="psh")).encode("utf-16"))  # \xff\xfe...
+    res = _run(["run", str(path), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit), res.output
+    assert res.output.startswith("config error: ") and res.output.count("\n") == 1
+    assert str(path) in res.output and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/below"])
+def test_an_out_that_cannot_be_a_directory_exits_three(tmp_path, monkeypatch, out):
+    ran = []
+    monkeypatch.setitem(CHECKS, "psh", replace(CHECKS["psh"], run=lambda *a: ran.append(a)))
+    (tmp_path / "file").write_text("kept")
+    cfg = _write(tmp_path, _minimal_cfg(check="psh", params={"K": 0.0}))
+    res = _run(["run", cfg, "--out", str(tmp_path / out)])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit), res.output
+    assert res.output.startswith("config error: --out ") and res.output.count("\n") == 1
+    assert ran == [] and (tmp_path / "file").read_text() == "kept"
+
+
+@pytest.mark.parametrize("level", ["verbose", "10"])
+def test_an_unknown_log_level_exits_three(tmp_path, monkeypatch, level):
+    monkeypatch.setenv("LAB_LOG", level)
+    cfg = _write(tmp_path, _minimal_cfg(check="psh", params={"K": 0.0}))
+    res = _run(["run", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit), res.output
+    assert res.output.startswith("config error: LAB_LOG") and res.output.count("\n") == 1
+    assert all(name in res.output for name in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"))
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -988,8 +1038,8 @@ def test_the_package_runs_as_a_module(tmp_path):
         assert res.returncode == 0, res.stderr
 
 
-_NEITHER_LOADED = """
-loaded = sorted({"scipy", "jsonschema"} & {name.split(".")[0] for name in sys.modules})
+_NONE_LOADED = """
+loaded = sorted({"scipy", "jsonschema", "click"} & {name.split(".")[0] for name in sys.modules})
 assert loaded == [], loaded
 """
 
@@ -1027,10 +1077,10 @@ with tempfile.TemporaryDirectory() as out:
     codes = [execute(load_config(str(bundled_scenario_path(name))), Path(out) / name,
                      None, 1, None) for name in ("models.json", "flat-K1-violation.json")]
 assert codes == [0, 0], codes
-""" + _NEITHER_LOADED
+""" + _NONE_LOADED
 
 
-def test_psh_checks_load_neither_scipy_nor_jsonschema():
+def test_checks_and_the_runner_load_none_of_scipy_jsonschema_or_click():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     res = subprocess.run([sys.executable, "-W", "error", "-c", _LAZY_IMPORTS], env=env,
                          capture_output=True, text=True, timeout=120)
@@ -1056,7 +1106,7 @@ disk = DiskEmbedding.affine(np.array([5e-2, 0]), np.array([5e-3, 5e-3]), chart)
 rep = comparison_defect(torsion_metric(T, chart), disk, np.zeros(2), 0.0, distance="numeric",
                         solver_opts=dict(N=24, gtol=1e-8, max_iters=120))
 assert rep.defect < 0, rep.defect
-""" + _NEITHER_LOADED
+""" + _NONE_LOADED
 
 
 def test_numeric_distances_do_not_load_scipy():

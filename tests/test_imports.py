@@ -1,7 +1,15 @@
-"""The package modules use one another's public names only."""
+"""The package modules use one another's public names only, and
+``pyproject.toml`` declares what they import and the console script."""
 
 import ast
+import importlib
+import re
+import sys
 from pathlib import Path
+
+import pytest
+
+from kahlerlab import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kahlerlab"
 
@@ -55,3 +63,25 @@ def test_every_public_name_has_a_caller_in_src_or_perfbench():
                  and not node.decorator_list and not node.name.startswith("_")
                  and node.name not in refs | TEST_ONLY]
     assert unreached == []
+
+
+def _imported_packages(path: Path) -> set:
+    """The top-level packages a module imports absolutely, at any depth."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.partition(".")[0])
+    return out
+
+
+def test_pyproject_names_what_src_imports_and_the_console_script():
+    tomllib = pytest.importorskip("tomllib")        # Python 3.11 and later
+    with open(SRC.parents[1] / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    imported = set().union(*map(_imported_packages, SRC.glob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - {"kahlerlab"}
+    assert {re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]} == third_party
+    module, _, name = project["scripts"]["kahlerlab"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main
