@@ -138,16 +138,24 @@ def build_space(spec: dict):
         raise ConfigError(f"bad {spec['kind']} space: {e}") from e
 
 
+def _finite(value: float) -> float:
+    """``value``, or KahlerLabError, which the runner writes as an ERROR row:
+    a non-finite value is never a PASS or a FAIL."""
+    if not math.isfinite(value):
+        raise KahlerLabError("non-finite value")
+    return value
+
+
 def _lower_bound_row(value: float, error_est: float, tol: float, witness: dict) -> dict:
     """PASS when value >= -tol; only a FAIL row carries its witness."""
-    ok = value >= -tol
+    ok = _finite(value) >= -tol
     return dict(verdict="PASS" if ok else "FAIL", value=value, error_est=error_est,
                 witness=None if ok else witness)
 
 
 def _psh_row(v, **extra) -> dict:
     """The row of a ``PshVerdict``, which decides its own verdict."""
-    return dict(verdict=v.verdict, value=v.min_laplacian, error_est=0.0,
+    return dict(verdict=v.verdict, value=_finite(v.min_laplacian), error_est=0.0,
                 witness=v.witness, **extra)
 
 
@@ -707,26 +715,9 @@ def run_scenario(scenario: Scenario, seed_override: Optional[int],
     return rows
 
 
-def execute(scenarios: list, out_dir: Path, seed: Optional[int], jobs: int,
-            tol: Optional[float]) -> int:
-    """Run loaded scenarios (seed >= 0, jobs >= 1) and write their reports to
-    ``out_dir``; the exit code.  ConfigError, before any check runs, for a
-    negative seed, jobs below 1 or an ``out_dir`` that cannot be made."""
-    if seed is not None and seed < 0:
-        raise ConfigError(f"--seed {seed} is negative")
-    if jobs < 1:
-        raise ConfigError(f"--jobs {jobs} is below 1")
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:                    # a file, or a path below one
-        raise ConfigError(f"--out {out_dir}: cannot make the directory: {e.strerror}") from e
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(lambda sc: run_scenario(sc, seed, tol), scenarios))
-    else:
-        results = [run_scenario(sc, seed, tol) for sc in scenarios]
-    rows = [r for rs in results for r in rs]
-
+def _write_reports(rows: list, out_dir: Path) -> tuple:
+    """Write the witness files, ``results.csv`` and ``summary.json`` of
+    ``rows``; (ERROR rows, rows whose verdict is not the expected one)."""
     wit_dir = out_dir / "witness"
     csv_rows = []
     for r in rows:
@@ -740,7 +731,6 @@ def execute(scenarios: list, out_dir: Path, seed: Optional[int], jobs: int,
         csv_rows.append([r["scenario_id"], r["check_id"], r["verdict"],
                          repr(float(r["value"])), repr(float(r["error_est"])),
                          str(r["seed"]), ref, str(r["wall_ms"])])
-
     with open(out_dir / "results.csv", "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f, quoting=csv.QUOTE_MINIMAL)
         w.writerow(CSV_COLUMNS)
@@ -751,7 +741,36 @@ def execute(scenarios: list, out_dir: Path, seed: Optional[int], jobs: int,
     with open(out_dir / "summary.json", "w", encoding="utf-8") as f:
         json.dump({"rows": rows, "errors": errors, "mismatches": mismatches}, f,
                   indent=2, sort_keys=True, default=_json_default)
+    return errors, mismatches
 
+
+def execute(scenarios: list, out_dir: Path, seed: Optional[int], jobs: int,
+            tol: Optional[float]) -> int:
+    """Run loaded scenarios (seed >= 0, jobs >= 1) and write their reports to
+    ``out_dir``; the exit code.  ConfigError, before any check runs, for a
+    negative seed, jobs below 1, an ``out_dir`` that cannot be made or whose
+    ``witness`` is not a directory; ConfigError too when the reports cannot
+    be written."""
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed {seed} is negative")
+    if jobs < 1:
+        raise ConfigError(f"--jobs {jobs} is below 1")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:                    # a file, or a path below one
+        raise ConfigError(f"--out {out_dir}: cannot make the directory: {e.strerror}") from e
+    if (out_dir / "witness").exists() and not (out_dir / "witness").is_dir():
+        raise ConfigError(f"--out {out_dir}: {out_dir / 'witness'} is not a directory")
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as ex:
+            results = list(ex.map(lambda sc: run_scenario(sc, seed, tol), scenarios))
+    else:
+        results = [run_scenario(sc, seed, tol) for sc in scenarios]
+    rows = [r for rs in results for r in rs]
+    try:
+        errors, mismatches = _write_reports(rows, out_dir)
+    except OSError as e:                    # a report path taken by a directory, a full disk
+        raise ConfigError(f"--out {out_dir}: cannot write the reports: {e}") from e
     if errors:
         return 2
     if mismatches:

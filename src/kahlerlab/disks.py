@@ -104,6 +104,10 @@ def disk_faults(coeffs: np.ndarray, chart: ComplexChart, min_singular: float = 0
     - with ``min_singular`` > 0 and a ``singular_at`` point, the image
       keeps that distance from it at 193 nodes (three circles and the
       centre).
+
+    An affine row of a degree-2 stack, c2 = 0, gets its affine verdict:
+    its zero terms leave the boundary and clearance nodes as they are, and
+    |c1 + s c2| = |c1| > 1e-9 max|c1| unless c1 = 0, a constant map.
     """
     C = np.asarray(coeffs, dtype=complex)
     M = C.shape[1] - 1
@@ -136,8 +140,8 @@ class DiskEmbedding:
 
     i(w) = c0 + c1 w + c2 w^2 with coeffs of shape (M+1, n), M = 1 or 2.
     Validity is decided exactly at construction, by ``disk_faults`` on a
-    stack of one: the rule ``sample_disks`` applies to a batch of draws at
-    once.  A disk that breaks it raises ``InvalidDisk``.
+    stack of one: the rule ``sample_disk_stack`` applies to a batch of
+    draws at once.  A disk that breaks it raises ``InvalidDisk``.
     """
 
     coeffs: np.ndarray
@@ -183,9 +187,15 @@ class DiskEmbedding:
                                     np.asarray(b, dtype=complex)]), chart=chart)
 
 
-def _degree_stacks(coeffs: list):
-    """(indices, (D, M+1, n) stack) for each degree M among a list of
-    coefficient arrays."""
+def _degree_stacks(disks):
+    """(rows, (D, M+1, n) stack) for each degree M among a list of disks.
+    A padded (D, 3, n) coefficient stack, as ``sample_disk_stack`` returns,
+    is one stack of all its rows: the c2 row of an affine disk is 0, which
+    gives the bits of its affine map in a Horner pass."""
+    if isinstance(disks, np.ndarray):
+        yield slice(None), disks
+        return
+    coeffs = [d.coeffs for d in disks]
     for M in sorted({len(c) - 1 for c in coeffs}):
         idx = [i for i, c in enumerate(coeffs) if len(c) == M + 1]
         yield idx, np.stack([coeffs[i] for i in idx])
@@ -193,11 +203,12 @@ def _degree_stacks(coeffs: list):
 
 def disk_images(disks, w, n: int) -> np.ndarray:
     """Images of points w under every disk, shape (D, P, n), with one
-    Horner pass per degree: w is (P,), shared by all disks, or (D, P), one
-    row per disk.  Each row has the bits of that disk's own map."""
+    Horner pass per degree, or one in all on a padded coefficient stack: w
+    is (P,), shared by all disks, or (D, P), one row per disk.  Each row has
+    the bits of that disk's own map."""
     w = np.asarray(w, dtype=complex)
     out = np.empty((len(disks), w.shape[-1], n), dtype=complex)
-    for idx, C in _degree_stacks([d.coeffs for d in disks]):
+    for idx, C in _degree_stacks(disks):
         out[idx] = np.swapaxes(_horner(C, w if w.ndim == 1 else w[idx], deriv=False)[0], 1, 2)
     return out
 
@@ -228,21 +239,25 @@ def _draw_chunk(rng, center: np.ndarray, sampler: DiskSampler, count: int):
 
     Each attempt makes its generator calls in turn: the log size, 4n
     normals, the degree-2 coin and, on degree 2, 2n normals and the c2
-    scale.  The arithmetic then runs once on the stack; it is elementwise,
-    so every row has the bits of its attempt computed alone.
+    scale.  ``uniform(lo, hi)`` is drawn as ``lo + (hi - lo) * random()``,
+    numpy's own formula and so the same doubles.  The arithmetic then runs
+    once on the stack; it is elementwise, so every row has the bits of its
+    attempt computed alone.
     """
     n = center.size
     log_lo, log_hi = (math.log(s) for s in sampler.size_range)
+    log_span, p2 = log_hi - log_lo, sampler.degree2_fraction
+    random, normal, exp = rng.random, rng.standard_normal, math.exp
     size, scale2 = np.empty(count), np.empty(count)
     g, g2 = np.empty((count, 4 * n)), np.empty((count, 2 * n))
     deg2 = np.zeros(count, dtype=bool)
     for k in range(count):
-        size[k] = math.exp(rng.uniform(log_lo, log_hi))
-        rng.standard_normal(out=g[k])
-        if rng.random() < sampler.degree2_fraction:   # the doubles of uniform(0, 1)
+        size[k] = exp(log_lo + log_span * random())
+        normal(out=g[k])
+        if random() < p2:
             deg2[k] = True
-            rng.standard_normal(out=g2[k])
-            scale2[k] = rng.uniform(0.1, 0.4)
+            normal(out=g2[k])
+            scale2[k] = 0.1 + (0.4 - 0.1) * random()
     C = np.zeros((count, 3, n), dtype=complex)
     C[:, 0] = center + (g[:, :n] + 1j * g[:, n:2 * n]) * sampler.center_radius / math.sqrt(2 * n)
     C[:, 1] = _unit_rows(g[:, 2 * n:3 * n] + 1j * g[:, 3 * n:]) * size[:, None]
@@ -251,36 +266,46 @@ def _draw_chunk(rng, center: np.ndarray, sampler: DiskSampler, count: int):
     return C, 1 + deg2
 
 
-def sample_disks(chart: ComplexChart, center, sampler: DiskSampler, rng,
-                 min_singular: float = 0.0, singular_at=None) -> list:
-    """Random affine and degree-2 disks near a center point.
+def sample_disk_stack(chart: ComplexChart, center, sampler: DiskSampler, rng,
+                      min_singular: float = 0.0, singular_at=None):
+    """Random affine and degree-2 disks near a center point, as one padded
+    coefficient stack.
 
+    Returns (C, degree): the accepted disks' coefficients as a (D, 3, n)
+    stack, whose c2 row is 0 for an affine disk, and each disk's degree.
     Disk sizes are log-uniform in the sampler's range.  With
-    ``min_singular`` > 0, rejects disks whose image comes closer than
-    that to ``singular_at``; with 0 no rejection happens.  Draws at most
+    ``min_singular`` > 0, rejects disks whose image comes closer than that
+    to ``singular_at``; with 0 no rejection happens.  Draws at most
     ``50 * sampler.count`` attempts, in chunks of as many as are still
     missing, each chunk drawn by ``_draw_chunk`` and validated by one
-    ``disk_faults`` call per degree; logs at INFO when fewer disks than
+    ``disk_faults`` call on its padded stack, which gives an affine row
+    the verdict of its affine map; logs at INFO when fewer disks than
     requested come out.
     """
     center = np.asarray(center, dtype=complex).reshape(chart.n)
     cap = 50 * sampler.count
-    disks, attempts = [], 0
-    while len(disks) < sampler.count and attempts < cap:
-        count = min(sampler.count - len(disks), cap - attempts)
+    stacks, degrees = [np.zeros((0, 3, chart.n), dtype=complex)], [np.zeros(0, dtype=int)]
+    found = attempts = 0
+    while found < sampler.count and attempts < cap:
+        count = min(sampler.count - found, cap - attempts)
         C, degree = _draw_chunk(rng, center, sampler, count)
         attempts += count
-        ok = np.zeros(count, dtype=bool)
-        for M in (1, 2):
-            idx = np.flatnonzero(degree == M)
-            if idx.size:
-                ok[idx] = disk_faults(C[idx, :M + 1], chart, min_singular, singular_at) == 0
-        disks += [DiskEmbedding._valid(C[k, :degree[k] + 1].copy(), chart)
-                  for k in np.flatnonzero(ok)]
-    if len(disks) < sampler.count:
-        log.info("sampled %d of %d disks in %d attempts, %d rejected", len(disks),
-                 sampler.count, attempts, attempts - len(disks))
-    return disks
+        ok = disk_faults(C, chart, min_singular, singular_at) == 0
+        stacks.append(C[ok])
+        degrees.append(degree[ok])
+        found += len(stacks[-1])
+    if found < sampler.count:
+        log.info("sampled %d of %d disks in %d attempts, %d rejected", found,
+                 sampler.count, attempts, attempts - found)
+    return np.concatenate(stacks), np.concatenate(degrees)
+
+
+def sample_disks(chart: ComplexChart, center, sampler: DiskSampler, rng,
+                 min_singular: float = 0.0, singular_at=None) -> list:
+    """The disks of ``sample_disk_stack`` as a list of ``DiskEmbedding``s,
+    each with its own (M+1, n) coefficients."""
+    C, degree = sample_disk_stack(chart, center, sampler, rng, min_singular, singular_at)
+    return [DiskEmbedding._valid(c[:m + 1].copy(), chart) for c, m in zip(C, degree.tolist())]
 
 
 def _read_only(*arrays) -> tuple:
@@ -354,19 +379,20 @@ def area_density(metric: HermitianMetricField, disks, w) -> np.ndarray:
     """Hausdorff area density of each disk's image wrt flat dA on D^2.
 
     2 g(i(w))(i'(w), conj i'(w)) at points w, (P,) shared by all disks or
-    (D, P) one row per disk, as in ``disk_images``; returns (D, P).  i and
-    i' come from one Horner pass and g from one gram call per degree, and
-    each row has the bits of that disk alone.  Every gram route returns
+    (D, P) one row per disk, as in ``disk_images``, whose disk lists and
+    padded stacks it takes too; returns (D, P).  i and i' come from one
+    Horner pass and g from one gram call per degree, and each row has the
+    bits of that disk alone.  Every gram route returns
     Hermitian matrices, so the form is contracted as
     sum_i G_ii |v_i|^2 + 2 sum_{i<j} Re(G_ij v_i conj v_j), v = i'(w).
     """
     w = np.asarray(w, dtype=complex)
     n = metric.chart.n
     out = np.empty((len(disks), w.shape[-1]))
-    for idx, C in _degree_stacks([d.coeffs for d in disks]):
+    for idx, C in _degree_stacks(disks):
         pts, dv = _horner(C, w if w.ndim == 1 else w[idx])        # [d, i, P]
         pts = np.swapaxes(pts, 1, 2).reshape(-1, n)     # rebinding frees the [d, i, P] copy
-        G = metric.gram(pts, check=False).reshape(len(idx), -1, n, n)
+        G = metric.gram(pts, check=False).reshape(len(C), -1, n, n)
         dv = np.swapaxes(dv, 0, 1)                                # [i, d, P]
         q = sum(G[..., i, i].real * (v.real ** 2 + v.imag ** 2) for i, v in enumerate(dv))
         for i, j in itertools.combinations(range(n), 2):

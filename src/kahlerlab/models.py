@@ -38,9 +38,13 @@ def dK_transform(d, K: float):
     d_K^2 = -(4/K) log cos(d sqrt(K/2)) for K > 0 (domain d < pi/sqrt(2K)),
     d^2 for K = 0, and (4/|K|) log cosh(d sqrt(|K|/2)) for K < 0.  Small
     |K| d^2 is routed through the shared Taylor series, which makes the
-    map continuous in K at 0.  With x = d sqrt(|K|/2), log1p(2 sinh^2(x/2))
-    and, while cos x >= 1/2, log1p(-2 sin^2(x/2)) keep the small-x digits
-    that log(cos x) loses; nearer the cap log(cos x) is the more accurate.
+    map continuous in K at 0; at K = 0 the series is d^2 exactly.  With
+    x = d sqrt(|K|/2), log1p(2 sinh^2(x/2)) and, while cos x >= 1/2,
+    log1p(-2 sin^2(x/2)) keep the small-x digits that log(cos x) loses;
+    nearer the cap log(cos x) is the more accurate.  As cos x = 1 -
+    2 sin^2(x/2), cos x is evaluated only where sin^2(x/2) >= 1/4 - 1e-6:
+    below that the computed cos x would be above 1/2 too.  When every
+    node falls on one branch no mask is built.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d < 0):
@@ -50,23 +54,43 @@ def dK_transform(d, K: float):
         if np.any(d > cap - DK_MARGIN):
             raise DomainExceeded(
                 f"d={float(np.max(d)):.6g} exceeds cap {cap:.6g} for K={K}")
+    if K == 0:
+        out = d * d
+        return out if out.ndim else float(out)
+    scalar = d.ndim == 0
+    d = np.atleast_1d(d)
     small = np.abs(K) * d * d < _SERIES_CUT
-    out = np.empty_like(d)
+    if small.all():
+        out = _dK_series(d, K)
+    elif not small.any():
+        out = _dK_closed(d, K)
+    else:
+        out = np.empty_like(d)
+        out[small] = _dK_series(d[small], K)
+        big = ~small
+        out[big] = _dK_closed(d[big], K)
+    return float(out[0]) if scalar else out
+
+
+def _dK_series(d: np.ndarray, K: float) -> np.ndarray:
+    """The shared expansion d^2 (1 + y/12 + y^2/90 + 17 y^3/10080), y = K d^2."""
     d2 = d * d
-    # shared expansion d^2 (1 + y/12 + y^2/90 + 17 y^3/10080), y = K d^2
-    y = K * d2[small]
-    out[small] = d2[small] * (1.0 + y * (1.0 / 12.0
-                                         + y * (1.0 / 90.0 + y * (17.0 / 10080.0))))
-    big = ~small
-    if np.any(big):
-        x = d[big] * math.sqrt(abs(K) / 2.0)
-        if K > 0:
-            cos = np.cos(x)
-            out[big] = -(4.0 / K) * np.where(
-                cos >= 0.5, np.log1p(-2.0 * np.sin(x / 2.0) ** 2), np.log(cos))
-        else:
-            out[big] = (4.0 / -K) * np.log1p(2.0 * np.sinh(x / 2.0) ** 2)
-    return out if out.ndim else float(out)
+    y = K * d2
+    return d2 * (1.0 + y * (1.0 / 12.0 + y * (1.0 / 90.0 + y * (17.0 / 10080.0))))
+
+
+def _dK_closed(d: np.ndarray, K: float) -> np.ndarray:
+    """d_K^2 in closed form at K != 0, on an array of at least one dimension."""
+    x = d * math.sqrt(abs(K) / 2.0)
+    if K < 0:
+        return (4.0 / -K) * np.log1p(2.0 * np.sinh(x / 2.0) ** 2)
+    s2 = np.sin(x / 2.0) ** 2
+    val = np.log1p(-2.0 * s2)
+    near = s2 >= 0.25 - 1e-6             # the band around cos x = 1/2, and beyond it
+    if near.any():
+        cos = np.cos(x[near])
+        val[near] = np.where(cos >= 0.5, val[near], np.log(cos))
+    return -(4.0 / K) * val
 
 
 def _model_gram(c: float, zs: np.ndarray) -> np.ndarray:

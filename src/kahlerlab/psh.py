@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fd
-from .disks import DiskSampler, area_density, disk_images, sample_disks
+from .disks import DiskSampler, area_density, disk_images, sample_disk_stack
 from .errors import KahlerLabError, Unsupported
 from .fields import ComplexChart, ScalarField
 from .models import ConeSurface, ModelSpace, QuotientData, dK_transform, model_distance
@@ -122,19 +122,25 @@ def _disk_stencils(chart: ComplexChart, center, sampler: DiskSampler, rng, h: fl
     |w| < 0.7 for each disk in disk order, from ``rng``: one
     ``random((D, 2, k))`` call, the same doubles as D draws of
     (uniform(0, 0.49, k), uniform(0, 2 pi, k)) for the squared radii and
-    the angles.  Returns (disks, ws, pts): ws is (D, k) and pts the chart
-    images of the 9-point Laplacian stencil nodes, ordered so that values
-    at pts reshape to (9, ws.size) for ``fd.laplacian_2d_combine``.
+    the angles.  Returns (C, degree, ws, pts): the disks as
+    ``sample_disk_stack``'s padded stack and degrees, ws (D, k) and pts
+    the chart images of the 9-point Laplacian stencil nodes, from one
+    Horner pass on the stack, ordered so that values at pts reshape to
+    (9, ws.size) for ``fd.laplacian_2d_combine``.
     """
-    disks = sample_disks(chart, center, sampler, rng, min_singular=min_singular,
-                         singular_at=singular_at)
-    u = rng.random((len(disks), 2, sampler.interior_points))
+    C, degree = sample_disk_stack(chart, center, sampler, rng, min_singular, singular_at)
+    u = rng.random((len(C), 2, sampler.interior_points))
     ws = np.sqrt(0.49 * u[:, 0]) * np.exp(1j * (2 * math.pi * u[:, 1]))
     x = fd.laplacian_2d_nodes(_stencil_centres(ws.ravel(), h), h)
     D, k = ws.shape
     nodes = (x[..., 0] + 1j * x[..., 1]).reshape(9, D, k).transpose(1, 0, 2)
-    pts = disk_images(disks, nodes.reshape(D, 9 * k), chart.n).reshape(D, 9, k, chart.n)
-    return disks, ws, pts.transpose(1, 0, 2, 3).reshape(-1, chart.n)
+    pts = disk_images(C, nodes.reshape(D, 9 * k), chart.n).reshape(D, 9, k, chart.n)
+    return C, degree, ws, pts.transpose(1, 0, 2, 3).reshape(-1, chart.n)
+
+
+def _coeffs(C: np.ndarray, degree: np.ndarray, i: int) -> list:
+    """The witness coefficients of disk i of a padded stack, (M+1, n)."""
+    return C[i, :degree[i] + 1].tolist()
 
 
 def _require_samples(count: int, sampler: DiskSampler):
@@ -161,33 +167,35 @@ def disk_evaluator(chart: ComplexChart, potential: ScalarField, distance, center
     rng = np.random.default_rng(sampler.seed)
     singular = potential.singular_points[0] if potential.singular_points else None
     margin = max(potential.smoothness_radius * 4.0, 0.02) if singular is not None else 0.0
-    disks, ws, pts = _disk_stencils(chart, center, sampler, rng, FD_STEP, margin, singular)
-    cross, notes = [], ()
+    C, degree, ws, pts = _disk_stencils(chart, center, sampler, rng, FD_STEP, margin, singular)
+    cross, cross_degree, notes = C[:0], degree[:0], ()
     if crossing_tests > 0 and singular is not None:
-        cross = sample_disks(chart, singular, DiskSampler(
+        cross, cross_degree = sample_disk_stack(chart, singular, DiskSampler(
             count=crossing_tests, size_range=(0.05, 0.3), center_radius=0.05), rng)
         notes = (f"distributional pairings: {len(cross)}",)
     _require_samples(ws.size + len(cross), sampler)
     pair_nodes, weights, bump_lap, mass = _pairing_rule()
-    pts = np.concatenate([pts, disk_images(cross, pair_nodes, chart.n).reshape(-1, chart.n)])
+    if len(cross):
+        pts = np.concatenate([pts, disk_images(cross, pair_nodes, chart.n).reshape(-1, chart.n)])
     phi = potential(pts)
     dist = np.asarray(distance(pts), dtype=float)
     P = ws.size
 
     def verdict(K: float, tol: float) -> PshVerdict:
         u = phi - 0.5 * dK_transform(dist, K)
-        lap = fd.laplacian_2d_combine(u[:9 * P].reshape(9, P), FD_STEP)
-        pair = np.sum(weights * u[9 * P:].reshape(len(cross), weights.size) * bump_lap,
-                      axis=1)
-        vals = np.concatenate([lap, pair / mass])
+        vals = fd.laplacian_2d_combine(u[:9 * P].reshape(9, P), FD_STEP)
+        if len(cross):
+            pair = np.sum(weights * u[9 * P:].reshape(len(cross), weights.size) * bump_lap,
+                          axis=1)
+            vals = np.concatenate([vals, pair / mass])
         i = int(np.argmin(vals))
         best = float(vals[i])
         witness = None
         if best < -tol and i < P:
-            witness = {"coeffs": disks[i // ws.shape[1]].coeffs.tolist(),
+            witness = {"coeffs": _coeffs(C, degree, i // ws.shape[1]),
                        "w": complex(ws.flat[i]), "kind": "pointwise", "value": best}
         elif best < -tol:
-            witness = {"coeffs": cross[i - P].coeffs.tolist(),
+            witness = {"coeffs": _coeffs(cross, cross_degree, i - P),
                        "kind": "distributional", "value": best}
         return PshVerdict(min_laplacian=best, verdict="PASS" if best >= -tol else "FAIL",
                           tol=tol, samples=vals.size, seed=sampler.seed,
@@ -216,10 +224,8 @@ def check_bk_lower(space, potential: ScalarField, p, K: float,
     else:
         points = np.asarray(p, dtype=complex).reshape(-1, space.chart.n)
         fields = [space.distance_field(pt) for pt in points]
-
-        def d_S(zs):
-            return np.min(np.stack([f(zs) for f in fields]), axis=0)
-
+        d_S = fields[0] if len(fields) == 1 else \
+            (lambda zs: np.min(np.stack([f(zs) for f in fields]), axis=0))
         first = points[0]
     return disk_evaluator(space.chart, potential, d_S, first if center is None else center,
                           sampler or DiskSampler(), crossing_tests)(K, tol)
@@ -245,12 +251,12 @@ def radial_potential_check(cone: ConeSurface, sampler: DiskSampler = RADIAL_SAMP
     # a large step keeps round-off below truncation; the composed
     # potential is smooth at disk scale so truncation stays h^4 small
     h = 1e-2
-    disks, ws, pts = _disk_stencils(metric.chart, np.array([0.7 + 0.1j]), sampler,
-                                    np.random.default_rng(sampler.seed), h,
-                                    min_singular=0.05, singular_at=np.zeros(1, dtype=complex))
+    C, _, ws, pts = _disk_stencils(metric.chart, np.array([0.7 + 0.1j]), sampler,
+                                   np.random.default_rng(sampler.seed), h,
+                                   min_singular=0.05, singular_at=np.zeros(1, dtype=complex))
     _require_samples(ws.size, sampler)
     lap = fd.laplacian_2d_combine(cone.potential()(pts).reshape(9, -1), h).reshape(ws.shape)
-    dens = area_density(metric, disks, ws)
+    dens = area_density(metric, C, ws)
     worst = float(np.max(np.abs(lap - 2.0 * dens) / np.maximum(2.0 * dens, 1e-12)))
     return RadialPotentialReport(max_mismatch=worst,
                                  verdict="PASS" if worst <= tol else "FAIL",
@@ -301,12 +307,12 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
         return base
 
     h = 5e-4
-    disks, ws, pts = _disk_stencils(q.chart, np.zeros(1), sampler,
-                                    np.random.default_rng(sampler.seed), h)
-    imgs = disk_images(disks, ws, 1)
+    C, degree, ws, pts = _disk_stencils(q.chart, np.zeros(1), sampler,
+                                        np.random.default_rng(sampler.seed), h)
+    imgs = disk_images(C, ws, 1)
     # keep clear of the zero of cos d (the cut point of zprime)
     keep = np.min(np.cos(dist(imgs.reshape(-1, 1))).reshape(ws.shape), axis=1) >= 0.2
-    kept = [d for d, k in zip(disks, keep) if k]
+    kept, kept_degree = C[keep], degree[keep]
     pts = pts.reshape((9,) + ws.shape + (1,))[:, keep].reshape(-1, 1)
     _require_samples(pts.size, sampler)
     u = pot(pts) + np.log(np.cos(dist(pts)))
@@ -321,10 +327,10 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
     witness = None
     if best < -QUOTIENT_TOL:
         i = int(np.argmin(vals))
-        witness = {"coeffs": kept[i // ws.shape[1]].coeffs.tolist(),
+        witness = {"coeffs": _coeffs(kept, kept_degree, i // ws.shape[1]),
                    "w": complex(ws[keep].flat[i]), "kind": "pointwise", "value": best}
     elif consistency > 1e-3:
-        witness = {"coeffs": kept[int(np.argmax(mism))].coeffs.tolist(),
+        witness = {"coeffs": _coeffs(kept, kept_degree, int(np.argmax(mism))),
                    "kind": "consistency", "value": consistency}
     return PshVerdict(min_laplacian=best, verdict="FAIL" if witness else "PASS",
                       tol=QUOTIENT_TOL, samples=vals.size, seed=sampler.seed, witness=witness,

@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -22,6 +23,7 @@ from kahlerlab.cli import (CHECKS, CONFIG_SCHEMA, CSV_COLUMNS, bundled_scenario_
 from kahlerlab.curvature import TangentPair, curvature_tensor
 from kahlerlab.disks import scan_disks
 from kahlerlab.errors import ConfigError, KahlerLabError
+from kahlerlab.fields import ScalarField
 from kahlerlab.models import ModelSpace
 from kahlerlab.psh import DiskSampler
 
@@ -116,6 +118,38 @@ def test_an_out_that_cannot_be_a_directory_exits_three(tmp_path, monkeypatch, ou
     assert ran == [] and (tmp_path / "file").read_text() == "kept"
 
 
+def test_a_witness_path_that_is_a_file_exits_three_before_any_check(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setitem(CHECKS, "psh", replace(CHECKS["psh"], run=lambda *a: ran.append(a)))
+    (tmp_path / "o").mkdir()
+    (tmp_path / "o" / "witness").write_text("kept")
+    cfg = _write(tmp_path, _minimal_cfg(check="psh", params={"K": 0.0}))
+    res = _run(["run", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit), res.output
+    assert res.output.startswith("config error: --out ") and res.output.count("\n") == 1
+    assert "witness" in res.output and ran == []
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["witness"]
+    assert (tmp_path / "o" / "witness").read_text() == "kept"
+
+
+@pytest.mark.parametrize("taken", ["results.csv", "summary.json", "witness/s-psh.json"])
+def test_a_report_that_cannot_be_written_exits_three(tmp_path, monkeypatch, taken):
+    ran = []
+
+    def run(*a):
+        ran.append(a)
+        return dict(verdict="FAIL", value=-1.0, error_est=0.0, witness={"value": -1.0})
+
+    monkeypatch.setitem(CHECKS, "psh", replace(CHECKS["psh"], run=run))
+    (tmp_path / "o" / taken).mkdir(parents=True)          # a directory where a report goes
+    cfg = _write(tmp_path, _minimal_cfg(check="psh", id="psh", params={"K": 0.0}))
+    res = _run(["run", cfg, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit), res.output
+    assert res.output.startswith("config error: --out ") and res.output.count("\n") == 1
+    assert "cannot write the reports" in res.output and taken in res.output
+    assert len(ran) == 1
+
+
 @pytest.mark.parametrize("level", ["verbose", "10"])
 def test_an_unknown_log_level_exits_three(tmp_path, monkeypatch, level):
     monkeypatch.setenv("LAB_LOG", level)
@@ -177,6 +211,48 @@ def test_psh_without_an_admissible_disk_is_an_error_row(tmp_path):
     for r in rows:
         wit = json.loads((tmp_path / "o" / r["witness_ref"]).read_text())
         assert wit["error"] == "no admissible disk among 20 requested"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_lower_bound_is_an_error_row(tmp_path, monkeypatch, value):
+    # the row of a lower-bound check: min-bk-defect, comparison-scan, annulus
+    monkeypatch.setattr(cli, "min_bk_defect",
+                        lambda *a, **k: (value, SimpleNamespace(X=np.ones(2), Y=np.ones(2)), 0.0))
+    with pytest.raises(KahlerLabError, match="non-finite value"):
+        cli._lower_bound_row(value, 0.0, 1e-6, {})
+    cfg = {"version": 1, "scenarios": [{
+        "id": "s", "space": {"kind": "model", "K": 1.0, "n": 2},
+        "checks": [{"check": "min-bk-defect", "id": "bk", "params": {"K": 1.0}}]}]}
+    res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    [row] = _read_csv(tmp_path / "o" / "results.csv")
+    assert row["verdict"] == "ERROR"
+    assert json.loads((tmp_path / "o" / row["witness_ref"]).read_text()) \
+        == {"seed": 0, "error": "non-finite value"}
+
+
+def test_a_non_finite_psh_verdict_is_an_error_row(tmp_path, monkeypatch):
+    # at the parent, check_bk_lower on a NaN potential returned FAIL nan, a FAIL row
+    nan_potential = ScalarField(lambda zs: np.full(len(zs), np.nan), n=1)
+    check_bk_lower = cli.check_bk_lower
+    v = check_bk_lower(ModelSpace(K=0.0, n=1), nan_potential, [0.0], 0.0,
+                       sampler=DiskSampler(count=4, interior_points=2))
+    assert math.isnan(v.min_laplacian)
+    with pytest.raises(KahlerLabError, match="non-finite value"):
+        cli._psh_row(v)
+    monkeypatch.setattr(cli, "check_bk_lower",
+                        lambda space, potential, *a, **k: check_bk_lower(
+                            space, nan_potential, *a, **k))
+    cfg = {"version": 1, "scenarios": [{
+        "id": "s", "space": {"kind": "model", "K": 0.0, "n": 1},
+        "sampler": {"seed": 2, "count": 4, "interior_points": 2},
+        "checks": [{"check": "psh", "id": "psh", "params": {"K": 0.0}}]}]}
+    res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    [row] = _read_csv(tmp_path / "o" / "results.csv")
+    assert (row["verdict"], row["value"]) == ("ERROR", "nan")
+    assert json.loads((tmp_path / "o" / row["witness_ref"]).read_text()) \
+        == {"seed": 2, "error": "non-finite value"}
 
 
 def test_k_threshold_failing_lower_endpoint_is_an_error_row(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from annulus_reference import annulus_tail
 from fd_reference import fd_metric
-from kahlerlab import disks
+from kahlerlab import disks, psh
 from kahlerlab.curvature import TangentPair, curvature_tensor
 from kahlerlab.disks import (DISK_FAULTS, NEAR_DISK_CUTOFF, DiskEmbedding, DiskSampler,
                              QuadratureGrid, annulus_defects, area_density,
@@ -695,6 +695,98 @@ def test_chunked_sampler_matches_the_one_disk_loop(case):
         assert all(d.chart is chart for d in got)
         accepted, attempted = accepted + len(ref), attempted + attempts
     assert 1.0 - accepted / attempted >= rejected_share
+
+
+def _sample_per_degree(chart, center, sampler, rng, min_singular=0.0, singular_at=None):
+    """The sampler before the padded stack: each chunk validated by one
+    ``disk_faults`` call per degree, on (M+1, n) coefficients.  Returns the
+    accepted coefficient arrays."""
+    center = np.asarray(center, dtype=complex).reshape(chart.n)
+    cap = 50 * sampler.count
+    out, attempts = [], 0
+    while len(out) < sampler.count and attempts < cap:
+        count = min(sampler.count - len(out), cap - attempts)
+        C, degree = disks._draw_chunk(rng, center, sampler, count)
+        attempts += count
+        ok = np.zeros(count, dtype=bool)
+        for M in (1, 2):
+            idx = np.flatnonzero(degree == M)
+            if idx.size:
+                ok[idx] = disk_faults(C[idx, :M + 1], chart, min_singular, singular_at) == 0
+        out += [C[k, :degree[k] + 1].copy() for k in np.flatnonzero(ok)]
+    return out
+
+
+def _cone_clearance_case(alpha, center, count):
+    """The psh checks' cone sampling: disks kept clear of the apex by the
+    potential's margin."""
+    cone = ConeSurface(alpha=alpha)
+    margin = max(cone.potential().smoothness_radius * 4.0, 0.02)
+    return (cone.chart, DiskSampler(count=count, interior_points=5), margin,
+            np.array([center]), np.zeros(1))
+
+
+# (chart, sampler, min_singular, center, singular point)
+STACK_CASES = {
+    **{case: (chart, sampler, min_singular, np.full(chart.n, 0.05 + 0.02j),
+              np.full(chart.n, 0.1j) if min_singular else None)
+       for case, (chart, sampler, min_singular, _) in SAMPLER_CASES.items()},
+    "cone-1/3": _cone_clearance_case(1.0 / 3.0, 0.7 + 0.1j, 100),
+    "cone-2/3": _cone_clearance_case(2.0 / 3.0, 0.7 + 0.1j, 100),
+    "wide-cone": _cone_clearance_case(-0.5, -0.5 + 0.2j, 50),
+    "radial": (ConeSurface(alpha=0.5).chart, psh.RADIAL_SAMPLER, 0.05, np.array([0.7 + 0.1j]),
+               np.zeros(1)),
+    "crossing": (ConeSurface(alpha=0.5).chart,
+                 DiskSampler(count=10, size_range=(0.05, 0.3), center_radius=0.05), 0.0,
+                 np.zeros(1), None),
+}
+
+
+@pytest.mark.parametrize("case", STACK_CASES)
+def test_stack_sampler_matches_the_per_degree_validation(case):
+    chart, sampler, min_singular, center, singular = STACK_CASES[case]
+    for seed in range(30):
+        smp = dataclasses.replace(sampler, seed=seed)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref = _sample_per_degree(chart, center, smp, ref_rng, min_singular, singular)
+        C, degree = disks.sample_disk_stack(chart, center, smp, rng, min_singular, singular)
+        assert C.shape == (len(ref), 3, chart.n) and C.dtype == complex
+        assert [(c[:m + 1].tobytes(), m) for c, m in zip(C, degree)] \
+            == [(c.tobytes(), len(c) - 1) for c in ref]
+        assert not np.any(C[degree == 1, 2])              # an affine row's c2 is 0
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("case", ["box-2-rejecting", "ball-1-rejecting", "box-1-singular",
+                                  "cone-2/3", "wide-cone"])
+def test_padded_faults_match_the_per_degree_faults(case):
+    # rule for rule, on chunks of 400 attempts: the padded stack gives each
+    # affine row the fault index of its affine map
+    chart, sampler, min_singular, center, singular = STACK_CASES[case]
+    seen = set()
+    for seed in range(10):
+        C, degree = disks._draw_chunk(np.random.default_rng(seed), center,
+                                      dataclasses.replace(sampler, degree2_fraction=0.5), 400)
+        ref = np.zeros(len(C), dtype=int)
+        for M in (1, 2):
+            idx = np.flatnonzero(degree == M)
+            ref[idx] = disk_faults(C[idx, :M + 1], chart, min_singular, singular)
+        faults = disk_faults(C, chart, min_singular, singular)
+        assert faults.tolist() == ref.tolist()
+        seen |= {(int(m), bool(f)) for m, f in zip(degree, faults)}
+    assert seen == {(1, False), (1, True), (2, False), (2, True)}   # kept and rejected
+
+
+@pytest.mark.parametrize("lo, hi", [(math.log(lo), math.log(hi)) for lo, hi in
+                                    ((1e-3, 0.3), (0.05, 0.3), (0.01, 0.2), (0.01, 0.25),
+                                     (0.02, 0.25), (0.3, 0.7), (1.2, 1.4))] + [(0.1, 0.4)])
+def test_uniform_draws_are_lo_plus_span_times_random(lo, hi):
+    # the sampler draws uniform(lo, hi) as lo + (hi - lo) * random(): numpy's
+    # formula for Generator.uniform, and so the same doubles and the same stream
+    a, b = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(20_000):
+        assert a.uniform(lo, hi) == lo + (hi - lo) * b.random()
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_short_sample_is_logged(caplog):

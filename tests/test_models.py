@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dk_reference import dK_transform_masked
 from fd_reference import gram_from_potential
 from kahlerlab import models
 from kahlerlab.disks import torsion_metric
 from kahlerlab.errors import DomainExceeded
 from kahlerlab.fields import ComplexChart
-from kahlerlab.models import (ConeSurface, ModelSpace, QuotientData,
+from kahlerlab.models import (DK_MARGIN, ConeSurface, ModelSpace, QuotientData,
                               cone_distance, dK_transform, model_distance,
                               orbifold_cone)
 
@@ -77,6 +78,57 @@ def test_dk_transform_cap():
 def test_dk_transform_rejects_negative_distance():
     with pytest.raises(ValueError):
         dK_transform(-0.1, 1.0)
+
+
+DK_LEVELS = [-2.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+
+
+def _dk_cases(K: float) -> dict:
+    """Distance arrays for the fast paths of ``dK_transform`` at level K."""
+    rng = np.random.default_rng(7)
+    cut = 0.01 / math.sqrt(abs(K)) if K else 0.01       # |K| d^2 = 1e-4
+    top = 0.99 * math.pi / math.sqrt(2.0 * K) if K > 0 else 3.0
+    cases = {"series": cut * rng.random(50), "closed": rng.uniform(cut, top, 50),
+             "mixed": np.sort(np.concatenate([[0.0, cut, np.nextafter(cut, 0.0)],
+                                              cut * rng.random(30),
+                                              rng.uniform(cut, top, 30)])),
+             "grid": rng.uniform(0.0, top, (6, 9))}
+    if K > 0:
+        # x = d sqrt(K/2) within 1e-6 of pi/3, where cos x = 1/2, on both sides
+        d3 = (math.pi / 3.0) / math.sqrt(K / 2.0)
+        steps = np.concatenate([np.arange(-60, 61) * 5e-8, rng.uniform(-1e-6, 1e-6, 200)])
+        ulps = [d3]
+        for _ in range(20):
+            ulps = [np.nextafter(ulps[0], 0.0)] + ulps + [np.nextafter(ulps[-1], 4.0)]
+        cases["cos-half"] = np.concatenate([d3 + steps / math.sqrt(K / 2.0), ulps])
+        cases["cos-half-mixed"] = np.concatenate([cases["cos-half"], cases["mixed"]])
+    return cases
+
+
+@pytest.mark.parametrize("K", DK_LEVELS)
+def test_dk_transform_matches_the_masked_transform_bit_for_bit(K):
+    for name, d in _dk_cases(K).items():
+        got, ref = dK_transform(d, K), dK_transform_masked(d, K)
+        assert type(got) is type(ref) and got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+        for x in (float(d.flat[-1]), np.float64(d.flat[-1]), np.asarray(d.flat[-1])):
+            got, ref = dK_transform(x, K), dK_transform_masked(x, K)
+            assert type(got) is float and got.hex() == ref.hex(), (name, x)
+
+
+@pytest.mark.parametrize("K", DK_LEVELS)
+def test_dk_transform_raises_as_the_masked_transform(K):
+    bad = [np.array([0.1, -1e-300, 0.2]), -0.5]
+    if K > 0:
+        cap = math.pi / math.sqrt(2.0 * K)
+        bad += [np.array([0.1, cap - DK_MARGIN / 2]), cap]
+    for d in bad:
+        errors = []
+        for fn in (dK_transform, dK_transform_masked):
+            with pytest.raises((ValueError, DomainExceeded)) as e:
+                fn(d, K)
+            errors.append((type(e.value), str(e.value)))
+        assert errors[0] == errors[1]
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))

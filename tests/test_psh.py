@@ -183,8 +183,9 @@ def test_no_admissible_disk_is_a_lab_error():
 def test_stencil_nodes_match_the_per_disk_maps(n):
     chart = _chart(n)
     sampler = DiskSampler(seed=4, count=30, interior_points=5, degree2_fraction=0.5)
-    disks, ws, pts = psh._disk_stencils(chart, np.full(n, 0.1 + 0.05j), sampler,
-                                        np.random.default_rng(4), 1e-3)
+    C, degree, ws, pts = psh._disk_stencils(chart, np.full(n, 0.1 + 0.05j), sampler,
+                                            np.random.default_rng(4), 1e-3)
+    disks = [DiskEmbedding(c[:m + 1], chart) for c, m in zip(C, degree)]
     rng = np.random.default_rng(4)
     ref = sample_disks(chart, np.full(n, 0.1 + 0.05j), sampler, rng)
     assert {d.degree for d in disks} == {1, 2}
