@@ -22,7 +22,7 @@ from .geodesy import (DiskObstacle, PlanarDomain, RectObstacle,
 from .disks import (ComparisonReport, DiskEmbedding, DiskSampler, QuadratureGrid,
                     ScanResult, TorsionSpace, annulus_defects, area_density,
                     asymptotic_defect, comparison_defect, comparison_defects,
-                    log_moment, rprime_value, sample_disks, scan_disks,
+                    log_moment, rprime_value, sample_disk_stack, scan_disks,
                     torsion_contraction, torsion_expected_defect,
                     torsion_metric, violation_disk, worst_defect)
 from .psh import (ComplexLine, PshVerdict, check_bk_lower, disk_laplacian,

@@ -38,11 +38,11 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .curvature import TangentPair, curvature_tensor, curvature_tensors, min_bk_defect
-from .disks import (DiskEmbedding, DiskSampler, TorsionSpace, annulus_defects,
-                    asymptotic_defect, comparison_defect, comparison_defects, rprime_value,
-                    sample_disks, scan_disks, stack_or_each, torsion_expected_defect,
-                    violation_disk, worst_defect)
-from .errors import ConfigError, InvalidDisk, KahlerLabError
+from .disks import (DISK_FAULTS, DiskEmbedding, DiskSampler, TorsionSpace, annulus_defects,
+                    asymptotic_defect, comparison_defect, comparison_defects, disk_coeffs,
+                    disk_faults, rprime_value, sample_disk_stack, scan_disks, stack_or_each,
+                    torsion_expected_defect, violation_disk, worst_defect)
+from .errors import ConfigError, InvalidDisk, KahlerLabError, finite
 from .fields import ComplexChart
 from .geodesy import DiskObstacle, PlanarDomain, RectObstacle
 from .models import ConeSurface, ModelSpace, QuotientData, orbifold_cone
@@ -138,24 +138,16 @@ def build_space(spec: dict):
         raise ConfigError(f"bad {spec['kind']} space: {e}") from e
 
 
-def _finite(value: float) -> float:
-    """``value``, or KahlerLabError, which the runner writes as an ERROR row:
-    a non-finite value is never a PASS or a FAIL."""
-    if not math.isfinite(value):
-        raise KahlerLabError("non-finite value")
-    return value
-
-
 def _lower_bound_row(value: float, error_est: float, tol: float, witness: dict) -> dict:
     """PASS when value >= -tol; only a FAIL row carries its witness."""
-    ok = _finite(value) >= -tol
+    ok = finite(value) >= -tol
     return dict(verdict="PASS" if ok else "FAIL", value=value, error_est=error_est,
                 witness=None if ok else witness)
 
 
 def _psh_row(v, **extra) -> dict:
     """The row of a ``PshVerdict``, which decides its own verdict."""
-    return dict(verdict=v.verdict, value=_finite(v.min_laplacian), error_est=0.0,
+    return dict(verdict=v.verdict, value=finite(v.min_laplacian), error_est=0.0,
                 witness=v.witness, **extra)
 
 
@@ -198,7 +190,7 @@ def _scan_row(res, tol, **witness) -> dict:
     """The row of a disk scan; on FAIL the witness names the worst disk."""
     rep = res.report
     return _lower_bound_row(rep.defect, rep.error_estimate, tol,
-                            dict(witness, coeffs=res.disk.coeffs, defect=rep.defect))
+                            dict(witness, coeffs=res.coeffs, defect=rep.defect))
 
 
 def _band(params) -> tuple:
@@ -218,13 +210,14 @@ def _run_violation_study(space, params, sampler, tol):
     pair = TangentPair(X=X, Y=Y, G=data.G)
     rp = rprime_value(data, K, pair)
     eps1_list = [5e-3 * (e2 / 5e-2) ** 1.5 for e2 in eps2_list]
-    disks = [violation_disk(metric, p, pair, e1, e2) for e1, e2 in zip(eps1_list, eps2_list)]
+    C = np.stack([violation_disk(metric, p, pair, e1, e2).coeffs
+                  for e1, e2 in zip(eps1_list, eps2_list)])
     # 4x min_bk_defect's bound for an entrywise error of R
     bound = 4.0 * space.n ** 2 * data.error / np.linalg.eigvalsh(data.G)[0] ** 2
     if abs(rp) <= bound:
         raise KahlerLabError(f"rprime {rp:.3g} is within its error bound {bound:.3g}: "
                              f"no leading-order prediction at K = {K:g}")
-    reports = comparison_defects(metric, disks, p, K, distance=space.distance_field(p))
+    reports = comparison_defects(metric, C, p, K, distance=space.distance_field(p))
     curve = []
     for e1, e2, rep in zip(eps1_list, eps2_list, reports):
         pred = asymptotic_defect(rp, e1, e2)
@@ -245,16 +238,17 @@ def _run_annulus(space, params, sampler, tol):
     metric = space.metric()
     dist = space.distance_field(p)
     eps_list = params.get("eps_list", [0.05, 0.02])
-    disks = sample_disks(metric.chart, p, sampler, np.random.default_rng(sampler.seed))
+    C = sample_disk_stack(metric.chart, p, sampler, np.random.default_rng(sampler.seed))
     # a disk that raises at any eps or node is skipped, as in a scan
-    results = stack_or_each(lambda ds: list(zip(*annulus_defects(
-        metric, ds, params["K"], eps_list, dist))), disks)
-    scored = [(float(v), float(e), d, eps) for res, d in zip(results, disks) if res is not None
+    results = stack_or_each(lambda rows: list(zip(*annulus_defects(
+        metric, rows, params["K"], eps_list, dist))), C)
+    scored = [(float(v), float(e), k, eps) for k, res in enumerate(results) if res is not None
               for v, e, eps in zip(*res, eps_list)]
     if not scored:
         raise KahlerLabError("no admissible disk in the scan")
-    worst, err, d, eps = min(scored, key=lambda s: s[0])       # the first minimum
-    return _lower_bound_row(worst, err, tol, {"coeffs": d.coeffs, "eps": eps, "value": worst})
+    worst, err, k, eps = min(scored, key=lambda s: s[0])       # the first minimum
+    return _lower_bound_row(worst, err, tol,
+                            {"coeffs": disk_coeffs(C[k]), "eps": eps, "value": worst})
 
 
 def _run_psh(space, params, sampler, tol):
@@ -348,19 +342,18 @@ def _run_domain_compare(space, params, sampler, tol):
     if ratio < min_ratio:
         raise KahlerLabError(f"length ratio {ratio:.6g} is below min_ratio {min_ratio:g}")
     eps = params.get("eps", 0.15)
-    fixed = DiskEmbedding.affine(np.array([q]), np.array([eps]), space.chart)
-    candidates = [fixed] if space.disk_free(q, eps) else []
+    # (centre, radius) of the disk at q, then of the drawn disks
     rng = np.random.default_rng(sampler.seed)
+    draws = [(q, eps)]
     for _ in range(params.get("count", 10)):
         c = q + 0.3 * (rng.standard_normal() + 1j * rng.standard_normal())
-        r = eps * rng.uniform(0.5, 1.0)
-        if not space.disk_free(c, r):
-            continue
-        try:
-            candidates.append(DiskEmbedding.affine(np.array([c]), np.array([r]), space.chart))
-        except InvalidDisk:
-            continue
-    res = worst_defect(space.metric(), np.array([p]), 0.0, dist, candidates)
+        draws.append((c, eps * rng.uniform(0.5, 1.0)))
+    C = np.array(draws, dtype=complex)[:, :, None]
+    faults = disk_faults(C, space.chart)
+    if faults[0]:                        # the disk at q must be valid; a drawn one is skipped
+        raise InvalidDisk(DISK_FAULTS[faults[0]])
+    keep = [k for k, (c, r) in enumerate(draws) if faults[k] == 0 and space.disk_free(c, r)]
+    res = worst_defect(space.metric(), np.array([p]), 0.0, dist, C[keep])
     return dict(_scan_row(res, tol, p=[p.real, p.imag], ratio=ratio),
                 extra={"length_ratio": ratio})
 

@@ -9,10 +9,18 @@ level K, and an embedded holomorphic disk i with image Sigma,
 with dA the two dimensional Hausdorff measure of Sigma.  The defect is
 LHS minus RHS; it is nonnegative for every disk exactly when the
 bisectional lower bound at level K holds, and the violation constructions
-below produce disks with negative defect when it fails.  ``sample_disks``
-draws the seeded disk families, ``comparison_defects`` evaluates a stack
-of disks at once and ``worst_defect`` takes the worst defect over one, for
-``scan_disks`` and the CLI's domain comparison.
+below produce disks with negative defect when it fails.
+
+Every evaluation takes a stack of disks: a (D, M+1, n) array of
+coefficients, M <= 2, row k the map c0 + c1 w + c2 w^2 of disk k.  An
+affine row of a degree-2 stack has c2 = 0, which gives it the bits of its
+affine map in a Horner pass and its affine verdict in ``disk_faults``, so
+one stack holds disks of both degrees.  ``sample_disk_stack`` draws the
+seeded disk families as one such stack, ``comparison_defects`` evaluates a
+stack at once and ``worst_defect`` takes the worst defect over one, for
+``scan_disks`` and the CLI's domain comparison; ``disk_coeffs`` gives a
+witness the coefficients of its own degree.  ``DiskEmbedding`` is one
+validated disk, for the constructions that build a single map.
 """
 
 from __future__ import annotations
@@ -158,14 +166,6 @@ class DiskEmbedding:
         if fault:
             raise InvalidDisk(DISK_FAULTS[fault])
 
-    @classmethod
-    def _valid(cls, coeffs: np.ndarray, chart: ComplexChart) -> "DiskEmbedding":
-        """A disk from complex (M+1, n) coeffs that ``disk_faults`` passed."""
-        disk = object.__new__(cls)
-        object.__setattr__(disk, "coeffs", coeffs)
-        object.__setattr__(disk, "chart", chart)
-        return disk
-
     @property
     def degree(self) -> int:
         return self.coeffs.shape[0] - 1
@@ -187,30 +187,18 @@ class DiskEmbedding:
                                     np.asarray(b, dtype=complex)]), chart=chart)
 
 
-def _degree_stacks(disks):
-    """(rows, (D, M+1, n) stack) for each degree M among a list of disks.
-    A padded (D, 3, n) coefficient stack, as ``sample_disk_stack`` returns,
-    is one stack of all its rows: the c2 row of an affine disk is 0, which
-    gives the bits of its affine map in a Horner pass."""
-    if isinstance(disks, np.ndarray):
-        yield slice(None), disks
-        return
-    coeffs = [d.coeffs for d in disks]
-    for M in sorted({len(c) - 1 for c in coeffs}):
-        idx = [i for i, c in enumerate(coeffs) if len(c) == M + 1]
-        yield idx, np.stack([coeffs[i] for i in idx])
+def disk_coeffs(c: np.ndarray) -> np.ndarray:
+    """The (M+1, n) coefficients of one row of a stack, with an all-zero
+    c2 row, the padding of an affine disk, dropped."""
+    return c[:2] if len(c) == 3 and not c[2].any() else c
 
 
-def disk_images(disks, w, n: int) -> np.ndarray:
-    """Images of points w under every disk, shape (D, P, n), with one
-    Horner pass per degree, or one in all on a padded coefficient stack: w
-    is (P,), shared by all disks, or (D, P), one row per disk.  Each row has
-    the bits of that disk's own map."""
-    w = np.asarray(w, dtype=complex)
-    out = np.empty((len(disks), w.shape[-1], n), dtype=complex)
-    for idx, C in _degree_stacks(disks):
-        out[idx] = np.swapaxes(_horner(C, w if w.ndim == 1 else w[idx], deriv=False)[0], 1, 2)
-    return out
+def disk_images(C: np.ndarray, w) -> np.ndarray:
+    """Images of points w under every disk of the (D, M+1, n) stack C,
+    shape (D, P, n), from one Horner pass: w is (P,), shared by all disks,
+    or (D, P), one row per disk.  Each row has the bits of that disk's own
+    map."""
+    return np.ascontiguousarray(np.swapaxes(_horner(C, w, deriv=False)[0], 1, 2))
 
 
 @dataclass(frozen=True)
@@ -232,10 +220,10 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
 
 
-def _draw_chunk(rng, center: np.ndarray, sampler: DiskSampler, count: int):
-    """``count`` attempts' coefficients as a (count, 3, n) stack, and each
-    attempt's degree: an affine disk, degree 2 with probability
-    ``sampler.degree2_fraction``; the c2 row of an affine attempt is 0.
+def _draw_chunk(rng, center: np.ndarray, sampler: DiskSampler, count: int) -> np.ndarray:
+    """``count`` attempts' coefficients as a (count, 3, n) stack: an affine
+    disk, degree 2 with probability ``sampler.degree2_fraction``; the c2 row
+    of an affine attempt is 0.
 
     Each attempt makes its generator calls in turn: the log size, 4n
     normals, the degree-2 coin and, on degree 2, 2n normals and the c2
@@ -263,17 +251,16 @@ def _draw_chunk(rng, center: np.ndarray, sampler: DiskSampler, count: int):
     C[:, 1] = _unit_rows(g[:, 2 * n:3 * n] + 1j * g[:, 3 * n:]) * size[:, None]
     k2 = np.flatnonzero(deg2)
     C[k2, 2] = _unit_rows(g2[k2, :n] + 1j * g2[k2, n:]) * size[k2, None] * scale2[k2, None]
-    return C, 1 + deg2
+    return C
 
 
 def sample_disk_stack(chart: ComplexChart, center, sampler: DiskSampler, rng,
-                      min_singular: float = 0.0, singular_at=None):
+                      min_singular: float = 0.0, singular_at=None) -> np.ndarray:
     """Random affine and degree-2 disks near a center point, as one padded
     coefficient stack.
 
-    Returns (C, degree): the accepted disks' coefficients as a (D, 3, n)
-    stack, whose c2 row is 0 for an affine disk, and each disk's degree.
-    Disk sizes are log-uniform in the sampler's range.  With
+    Returns the accepted disks' coefficients as a (D, 3, n) stack, whose c2
+    row is 0 for an affine disk.  Disk sizes are log-uniform in the sampler's range.  With
     ``min_singular`` > 0, rejects disks whose image comes closer than that
     to ``singular_at``; with 0 no rejection happens.  Draws at most
     ``50 * sampler.count`` attempts, in chunks of as many as are still
@@ -284,28 +271,18 @@ def sample_disk_stack(chart: ComplexChart, center, sampler: DiskSampler, rng,
     """
     center = np.asarray(center, dtype=complex).reshape(chart.n)
     cap = 50 * sampler.count
-    stacks, degrees = [np.zeros((0, 3, chart.n), dtype=complex)], [np.zeros(0, dtype=int)]
+    stacks = [np.zeros((0, 3, chart.n), dtype=complex)]
     found = attempts = 0
     while found < sampler.count and attempts < cap:
         count = min(sampler.count - found, cap - attempts)
-        C, degree = _draw_chunk(rng, center, sampler, count)
+        C = _draw_chunk(rng, center, sampler, count)
         attempts += count
-        ok = disk_faults(C, chart, min_singular, singular_at) == 0
-        stacks.append(C[ok])
-        degrees.append(degree[ok])
+        stacks.append(C[disk_faults(C, chart, min_singular, singular_at) == 0])
         found += len(stacks[-1])
     if found < sampler.count:
         log.info("sampled %d of %d disks in %d attempts, %d rejected", found,
                  sampler.count, attempts, attempts - found)
-    return np.concatenate(stacks), np.concatenate(degrees)
-
-
-def sample_disks(chart: ComplexChart, center, sampler: DiskSampler, rng,
-                 min_singular: float = 0.0, singular_at=None) -> list:
-    """The disks of ``sample_disk_stack`` as a list of ``DiskEmbedding``s,
-    each with its own (M+1, n) coefficients."""
-    C, degree = sample_disk_stack(chart, center, sampler, rng, min_singular, singular_at)
-    return [DiskEmbedding._valid(c[:m + 1].copy(), chart) for c, m in zip(C, degree.tolist())]
+    return np.concatenate(stacks)
 
 
 def _read_only(*arrays) -> tuple:
@@ -375,77 +352,74 @@ class ComparisonReport:
 DistanceStrategy = Union[str, ScalarField, Callable]
 
 
-def area_density(metric: HermitianMetricField, disks, w) -> np.ndarray:
+def area_density(metric: HermitianMetricField, C: np.ndarray, w) -> np.ndarray:
     """Hausdorff area density of each disk's image wrt flat dA on D^2.
 
-    2 g(i(w))(i'(w), conj i'(w)) at points w, (P,) shared by all disks or
-    (D, P) one row per disk, as in ``disk_images``, whose disk lists and
-    padded stacks it takes too; returns (D, P).  i and i' come from one
-    Horner pass and g from one gram call per degree, and each row has the
-    bits of that disk alone.  Every gram route returns
-    Hermitian matrices, so the form is contracted as
-    sum_i G_ii |v_i|^2 + 2 sum_{i<j} Re(G_ij v_i conj v_j), v = i'(w).
+    2 g(i(w))(i'(w), conj i'(w)) for the disks of the (D, M+1, n) stack C,
+    at points w, (P,) shared by all disks or (D, P) one row per disk, as in
+    ``disk_images``; returns (D, P).  i and i' come from one Horner pass
+    and g from one gram call, and each row has the bits of that disk alone.
+    Every gram route returns Hermitian matrices, so the form is contracted
+    as sum_i G_ii |v_i|^2 + 2 sum_{i<j} Re(G_ij v_i conj v_j), v = i'(w).
     """
-    w = np.asarray(w, dtype=complex)
     n = metric.chart.n
-    out = np.empty((len(disks), w.shape[-1]))
-    for idx, C in _degree_stacks(disks):
-        pts, dv = _horner(C, w if w.ndim == 1 else w[idx])        # [d, i, P]
-        pts = np.swapaxes(pts, 1, 2).reshape(-1, n)     # rebinding frees the [d, i, P] copy
-        G = metric.gram(pts, check=False).reshape(len(C), -1, n, n)
-        dv = np.swapaxes(dv, 0, 1)                                # [i, d, P]
-        q = sum(G[..., i, i].real * (v.real ** 2 + v.imag ** 2) for i, v in enumerate(dv))
-        for i, j in itertools.combinations(range(n), 2):
-            q += 2.0 * (G[..., i, j] * (dv[i] * np.conj(dv[j]))).real
-        out[idx] = 2.0 * q
-    return out
+    pts, dv = _horner(C, w)                                       # [d, i, P]
+    pts = np.swapaxes(pts, 1, 2).reshape(-1, n)         # rebinding frees the [d, i, P] copy
+    G = metric.gram(pts, check=False).reshape(len(C), -1, n, n)
+    dv = np.swapaxes(dv, 0, 1)                                    # [i, d, P]
+    q = sum(G[..., i, i].real * (v.real ** 2 + v.imag ** 2) for i, v in enumerate(dv))
+    for i, j in itertools.combinations(range(n), 2):
+        q += 2.0 * (G[..., i, j] * (dv[i] * np.conj(dv[j]))).real
+    return 2.0 * q
 
 
-def log_moment(metric: HermitianMetricField, disks,
+def log_moment(metric: HermitianMetricField, C: np.ndarray,
                grid: Optional[QuadratureGrid] = None) -> np.ndarray:
-    """(2/pi) iint log|w| dA over each disk's image, (D,), from one
-    ``area_density`` call on the interior rule of ``grid``; each entry has
-    the bits of that disk alone, and is always <= 0."""
+    """(2/pi) iint log|w| dA over the image of each disk of the stack C,
+    (D,), from one ``area_density`` call on the interior rule of ``grid``;
+    each entry has the bits of that disk alone, and is always <= 0."""
     nodes, weights = (grid or QuadratureGrid()).interior()
-    dens = area_density(metric, disks, nodes)
+    dens = area_density(metric, C, nodes)
     return (2.0 / math.pi) * np.sum(weights * np.log(np.abs(nodes)) * dens, axis=1)
 
 
-def comparison_defects(metric: HermitianMetricField, disks, p, K: float,
+def comparison_defects(metric: HermitianMetricField, C: np.ndarray, p, K: float,
                        distance: DistanceStrategy = "numeric",
                        grid: Optional[QuadratureGrid] = None,
                        solver_opts: Optional[dict] = None) -> list:
-    """Comparison reports of a stack of disks, each with the bits of that
-    disk's ``comparison_defect``.
+    """Comparison reports of the disks of the (D, M+1, n) stack C, each
+    with the bits of that disk's ``comparison_defect``.
 
     The centre and doubled-boundary images of every disk come from one
     ``disk_images`` call, and the log moments of every disk from one
     ``log_moment`` call per level that integrates it: the base level and,
     on the torsion metric, the doubled one.  Disks are grouped by the size
-    of their doubled boundary rule, and each group gets one distance call
-    (with "numeric", one ``geodesic_distance_many`` call per disk), one
-    ``dK_transform`` call, on a potential-form metric one ``potential``
-    call, and one axis-1 mean per boundary average.  A ``KahlerLabError``
-    of any disk raises for the whole stack.
+    of their doubled boundary rule, and each group gets one distance call,
+    one ``dK_transform`` call, on a potential-form metric one ``potential``
+    call, and one axis-1 mean per boundary average.  With "numeric", each
+    disk gets its own ``geodesic_distance_many`` call, as a batch of its
+    targets alone: the solver does not give a target the bits of another
+    batch size, and one call per disk keeps each report's bits those of
+    that disk alone.  A ``KahlerLabError`` of any disk raises for the
+    whole stack.
     """
     grid = grid or QuadratureGrid()
     doubled = grid.doubled()
     n = metric.chart.n
     p = np.asarray(p, dtype=complex).reshape(-1)
-    imgs = disk_images(disks, np.concatenate([np.zeros(1), doubled.boundary()[0]]), n)
+    imgs = disk_images(C, np.concatenate([np.zeros(1), doubled.boundary()[0]]))
     gap = np.linalg.norm(imgs[:, 1:] - p, axis=2)
     # per level and disk, the boundary rule's size: doubled once more near p
     sizes = [[2 * g.n_boundary if near and g.n_boundary < 4 * 64 else g.n_boundary
               for near in np.min(pts, axis=1) < NEAR_DISK_CUTOFF]
              for g, pts in ((grid, gap[:, ::2]), (doubled, gap))]
-    base_lm = log_moment(metric, disks, grid)
-    doubled_lm = None if metric.is_potential_form else log_moment(metric, disks, doubled)
-    reports = [None] * len(disks)
+    base_lm = log_moment(metric, C, grid)
+    doubled_lm = None if metric.is_potential_form else log_moment(metric, C, doubled)
+    reports = [None] * len(C)
     for nb in sorted(set(sizes[1])):
         idx = [i for i, s in enumerate(sizes[1]) if s == nb]
         group = imgs[idx] if nb == doubled.n_boundary else disk_images(
-            [disks[i] for i in idx],
-            np.concatenate([np.zeros(1), QuadratureGrid(n_boundary=nb).boundary()[0]]), n)
+            C[idx], np.concatenate([np.zeros(1), QuadratureGrid(n_boundary=nb).boundary()[0]]))
         targets = group.reshape(-1, n)
         if distance == "numeric":
             opts = {"N": 24, "gtol": 1e-6, "max_iters": 60, **(solver_opts or {})}
@@ -505,14 +479,15 @@ def comparison_defect(metric: HermitianMetricField, disk: DiskEmbedding, p, K: f
     log moment, the boundary average and 2 |phi(i(0))|.  This is
     ``comparison_defects`` on a stack of one.
     """
-    return comparison_defects(metric, [disk], p, K, distance=distance, grid=grid,
+    return comparison_defects(metric, disk.coeffs[None], p, K, distance=distance, grid=grid,
                               solver_opts=solver_opts)[0]
 
 
-def annulus_defects(metric: HermitianMetricField, disks, K: float, eps_list,
+def annulus_defects(metric: HermitianMetricField, C: np.ndarray, K: float, eps_list,
                     distance: Callable, grid: Optional[QuadratureGrid] = None) -> tuple:
     """Mollified two-circle estimator of the comparison inequality, of
-    every disk at every eps in ``eps_list``, with its error estimate.
+    every disk of the stack C at every eps in ``eps_list``, with its error
+    estimate.
 
     (1/4) int (d_K^2(eps, th) - d_K^2(e^{-eps}, th)) dth
       - iint f_eps dA over the disk image,
@@ -545,11 +520,11 @@ def annulus_defects(metric: HermitianMetricField, disks, K: float, eps_list,
     bw = (grid or QuadratureGrid()).doubled().boundary()[0]
     n = metric.chart.n
     radii = [r for eps in eps_list for r in (eps, math.exp(-eps))]
-    targets = disk_images(disks, np.concatenate([r * bw for r in radii]), n).reshape(-1, n)
-    phi = metric.potential(targets).reshape(len(disks), len(radii), len(bw))
+    targets = disk_images(C, np.concatenate([r * bw for r in radii])).reshape(-1, n)
+    phi = metric.potential(targets).reshape(len(C), len(radii), len(bw))
     u = phi - 0.5 * dK_transform(np.asarray(distance(targets), dtype=float), K).reshape(phi.shape)
     # the circle means of u over every second node, then over every node
-    means = (np.mean(v, axis=2).reshape(len(disks), len(eps_list), 2) for v in (u[:, :, ::2], u))
+    means = (np.mean(v, axis=2).reshape(len(C), len(eps_list), 2) for v in (u[:, :, ::2], u))
     values, doubled = (math.pi * (m[:, :, 1] - m[:, :, 0]) for m in means)
     return values, np.abs(doubled - values)
 
@@ -566,51 +541,53 @@ def violation_disk(metric: HermitianMetricField, p, pair: TangentPair,
 
 @dataclass
 class ScanResult:
-    """Worst comparison report over a sampled disk family."""
+    """Worst comparison report over a sampled disk family, with the
+    coefficients of its disk (``disk_coeffs``)."""
 
     report: ComparisonReport
-    disk: DiskEmbedding
+    coeffs: np.ndarray
     scanned: int
     directed: bool
 
 
-def stack_or_each(evaluate: Callable, items: list) -> list:
-    """``evaluate(items)``, one result per item, evaluated as one stack.
+def stack_or_each(evaluate: Callable, C: np.ndarray) -> list:
+    """``evaluate(C)``, one result per disk of the stack C, evaluated as
+    one stack.
 
     When the stack raises a ``KahlerLabError`` (a distance beyond the d_K^2
-    cap, say), each item is evaluated alone, as a stack of one, and an item
+    cap, say), each disk is evaluated alone, as a stack of one, and a disk
     that raises gets None without costing the others; both ways give every
-    item the same result bits.
+    disk the same result bits.
     """
     try:
-        return list(evaluate(items))
+        return list(evaluate(C))
     except KahlerLabError:
         results = []
-        for item in items:
+        for k in range(len(C)):
             try:
-                results.append(evaluate([item])[0])
+                results.append(evaluate(C[k:k + 1])[0])
             except KahlerLabError:
                 results.append(None)
         return results
 
 
 def worst_defect(metric: HermitianMetricField, p, K: float, distance: DistanceStrategy,
-                 disks, directed: Optional[DiskEmbedding] = None) -> ScanResult:
-    """Worst comparison report over ``disks``, the ``directed`` disk first.
+                 C: np.ndarray, directed: bool = False) -> ScanResult:
+    """Worst comparison report over the disks of the stack C, whose first
+    row is the directed disk when ``directed``.
 
     The disks are evaluated by ``comparison_defects`` under
     ``stack_or_each``: as one stack, or each alone when the stack raises,
     and a disk that raises is skipped.  The first minimum wins.
     """
-    candidates = ([] if directed is None else [directed]) + list(disks)
     reports = stack_or_each(
-        lambda ds: comparison_defects(metric, ds, p, K, distance=distance), candidates)
-    scored = [(r, d) for r, d in zip(reports, candidates) if r is not None]
+        lambda rows: comparison_defects(metric, rows, p, K, distance=distance), C)
+    scored = [k for k, r in enumerate(reports) if r is not None]
     if not scored:
         raise KahlerLabError("no admissible disk in the scan")
-    worst, disk = min(scored, key=lambda rd: rd[0].defect)
-    return ScanResult(report=worst, disk=disk, scanned=len(scored),
-                      directed=scored[0][1] is directed)
+    worst = min(scored, key=lambda k: reports[k].defect)
+    return ScanResult(report=reports[worst], coeffs=disk_coeffs(C[worst]), scanned=len(scored),
+                      directed=directed and scored[0] == 0)
 
 
 def scan_disks(space, p, K: float, sampler: DiskSampler) -> ScanResult:
@@ -634,8 +611,10 @@ def scan_disks(space, p, K: float, sampler: DiskSampler) -> ScanResult:
         val, pair, err = min_bk_defect(data, K, samples=400, seed=sampler.seed)
         if val < -err:
             directed = violation_disk(metric, p, pair, 0.06, 0.25)
-    disks = sample_disks(metric.chart, p, sampler, np.random.default_rng(sampler.seed))
-    return worst_defect(metric, p, K, distance, disks, directed=directed)
+    C = sample_disk_stack(metric.chart, p, sampler, np.random.default_rng(sampler.seed))
+    if directed is not None:            # padded with c2 = 0 to the sampled stack
+        C = np.concatenate([np.pad(directed.coeffs, ((0, 1), (0, 0)))[None], C])
+    return worst_defect(metric, p, K, distance, C, directed=directed is not None)
 
 
 def rprime_value(data: CurvatureData, K: float, pair: TangentPair) -> float:

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the lab."""
 
+import math
+
 
 class KahlerLabError(Exception):
     """Base class for all package-specific errors."""
@@ -36,3 +38,11 @@ class Unsupported(KahlerLabError):
 
 class ConfigError(KahlerLabError):
     """Scenario configuration failed schema validation."""
+
+
+def finite(value: float) -> float:
+    """``value``, or KahlerLabError, which the runner writes as an ERROR row:
+    a non-finite value is never a PASS or a FAIL."""
+    if not math.isfinite(value):
+        raise KahlerLabError("non-finite value")
+    return value

@@ -250,8 +250,13 @@ def geodesic_distance_many(metric: HermitianMetricField, p, qs,
     Starts every path on the straight chord; suitable when chords are
     feasible initializers (convex charts, moderate curvature).  Minimizes,
     refines the mesh, minimizes again, and returns (distances,
-    error_estimates) from the Richardson energies; each target's distance
-    and error have the bits of that target solved alone.  p needs the
+    error_estimates) from the Richardson energies.  Every path descends and
+    stops on its own, and one batch gives the same bits each time it is
+    solved; but a target's bits can depend on the other targets of its
+    batch: its distance and error estimate can differ from those of its
+    one-target solve by a few ulps of the distance, far below the error
+    estimate.  A caller that needs a target's bits to be independent of
+    other targets solves the same batch for it every time.  p needs the
     chart's n entries and qs the shape (Q, n), or (n,) for one target;
     other shapes raise ValueError naming both, and an endpoint outside
     ``metric.chart`` raises ``DomainExceeded`` naming the first one.  Logs

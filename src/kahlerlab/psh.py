@@ -19,8 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fd
-from .disks import DiskSampler, area_density, disk_images, sample_disk_stack
-from .errors import KahlerLabError, Unsupported
+from .disks import DiskSampler, area_density, disk_coeffs, disk_images, sample_disk_stack
+from .errors import KahlerLabError, Unsupported, finite
 from .fields import ComplexChart, ScalarField
 from .models import ConeSurface, ModelSpace, QuotientData, dK_transform, model_distance
 
@@ -122,25 +122,20 @@ def _disk_stencils(chart: ComplexChart, center, sampler: DiskSampler, rng, h: fl
     |w| < 0.7 for each disk in disk order, from ``rng``: one
     ``random((D, 2, k))`` call, the same doubles as D draws of
     (uniform(0, 0.49, k), uniform(0, 2 pi, k)) for the squared radii and
-    the angles.  Returns (C, degree, ws, pts): the disks as
-    ``sample_disk_stack``'s padded stack and degrees, ws (D, k) and pts
-    the chart images of the 9-point Laplacian stencil nodes, from one
-    Horner pass on the stack, ordered so that values at pts reshape to
-    (9, ws.size) for ``fd.laplacian_2d_combine``.
+    the angles.  Returns (C, ws, pts): the disks as ``sample_disk_stack``'s
+    padded stack, ws (D, k) and pts the chart images of the 9-point
+    Laplacian stencil nodes, from one Horner pass on the stack, ordered so
+    that values at pts reshape to (9, ws.size) for
+    ``fd.laplacian_2d_combine``.
     """
-    C, degree = sample_disk_stack(chart, center, sampler, rng, min_singular, singular_at)
+    C = sample_disk_stack(chart, center, sampler, rng, min_singular, singular_at)
     u = rng.random((len(C), 2, sampler.interior_points))
     ws = np.sqrt(0.49 * u[:, 0]) * np.exp(1j * (2 * math.pi * u[:, 1]))
     x = fd.laplacian_2d_nodes(_stencil_centres(ws.ravel(), h), h)
     D, k = ws.shape
     nodes = (x[..., 0] + 1j * x[..., 1]).reshape(9, D, k).transpose(1, 0, 2)
-    pts = disk_images(C, nodes.reshape(D, 9 * k), chart.n).reshape(D, 9, k, chart.n)
-    return C, degree, ws, pts.transpose(1, 0, 2, 3).reshape(-1, chart.n)
-
-
-def _coeffs(C: np.ndarray, degree: np.ndarray, i: int) -> list:
-    """The witness coefficients of disk i of a padded stack, (M+1, n)."""
-    return C[i, :degree[i] + 1].tolist()
+    pts = disk_images(C, nodes.reshape(D, 9 * k)).reshape(D, 9, k, chart.n)
+    return C, ws, pts.transpose(1, 0, 2, 3).reshape(-1, chart.n)
 
 
 def _require_samples(count: int, sampler: DiskSampler):
@@ -162,21 +157,22 @@ def disk_evaluator(chart: ComplexChart, potential: ScalarField, distance, center
     dK_transform, the stencil combination and one argmin; the first
     minimum, pointwise before distributional, is the witness of a FAIL.
     Raises ``KahlerLabError`` when no disk is admissible, so that there
-    is no vacuous PASS.
+    is no vacuous PASS, and ``verdict`` raises it on a non-finite minimum,
+    which is neither a PASS nor a FAIL.
     """
     rng = np.random.default_rng(sampler.seed)
     singular = potential.singular_points[0] if potential.singular_points else None
     margin = max(potential.smoothness_radius * 4.0, 0.02) if singular is not None else 0.0
-    C, degree, ws, pts = _disk_stencils(chart, center, sampler, rng, FD_STEP, margin, singular)
-    cross, cross_degree, notes = C[:0], degree[:0], ()
+    C, ws, pts = _disk_stencils(chart, center, sampler, rng, FD_STEP, margin, singular)
+    cross, notes = C[:0], ()
     if crossing_tests > 0 and singular is not None:
-        cross, cross_degree = sample_disk_stack(chart, singular, DiskSampler(
+        cross = sample_disk_stack(chart, singular, DiskSampler(
             count=crossing_tests, size_range=(0.05, 0.3), center_radius=0.05), rng)
         notes = (f"distributional pairings: {len(cross)}",)
     _require_samples(ws.size + len(cross), sampler)
     pair_nodes, weights, bump_lap, mass = _pairing_rule()
     if len(cross):
-        pts = np.concatenate([pts, disk_images(cross, pair_nodes, chart.n).reshape(-1, chart.n)])
+        pts = np.concatenate([pts, disk_images(cross, pair_nodes).reshape(-1, chart.n)])
     phi = potential(pts)
     dist = np.asarray(distance(pts), dtype=float)
     P = ws.size
@@ -189,13 +185,13 @@ def disk_evaluator(chart: ComplexChart, potential: ScalarField, distance, center
                           axis=1)
             vals = np.concatenate([vals, pair / mass])
         i = int(np.argmin(vals))
-        best = float(vals[i])
+        best = finite(float(vals[i]))         # argmin takes the first NaN
         witness = None
         if best < -tol and i < P:
-            witness = {"coeffs": _coeffs(C, degree, i // ws.shape[1]),
+            witness = {"coeffs": disk_coeffs(C[i // ws.shape[1]]).tolist(),
                        "w": complex(ws.flat[i]), "kind": "pointwise", "value": best}
         elif best < -tol:
-            witness = {"coeffs": _coeffs(cross, cross_degree, i - P),
+            witness = {"coeffs": disk_coeffs(cross[i - P]).tolist(),
                        "kind": "distributional", "value": best}
         return PshVerdict(min_laplacian=best, verdict="PASS" if best >= -tol else "FAIL",
                           tol=tol, samples=vals.size, seed=sampler.seed,
@@ -251,9 +247,9 @@ def radial_potential_check(cone: ConeSurface, sampler: DiskSampler = RADIAL_SAMP
     # a large step keeps round-off below truncation; the composed
     # potential is smooth at disk scale so truncation stays h^4 small
     h = 1e-2
-    C, _, ws, pts = _disk_stencils(metric.chart, np.array([0.7 + 0.1j]), sampler,
-                                   np.random.default_rng(sampler.seed), h,
-                                   min_singular=0.05, singular_at=np.zeros(1, dtype=complex))
+    C, ws, pts = _disk_stencils(metric.chart, np.array([0.7 + 0.1j]), sampler,
+                                np.random.default_rng(sampler.seed), h,
+                                min_singular=0.05, singular_at=np.zeros(1, dtype=complex))
     _require_samples(ws.size, sampler)
     lap = fd.laplacian_2d_combine(cone.potential()(pts).reshape(9, -1), h).reshape(ws.shape)
     dens = area_density(metric, C, ws)
@@ -293,7 +289,7 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
     FAIL carries the worst pointwise witness if (a) fails, else the disk
     of the worst mismatch; a PASS carries none.  Raises
     ``KahlerLabError`` when no admissible disk keeps clear of the cut
-    point of zprime.
+    point of zprime, or when either obligation reads a non-finite value.
     """
     sampler = sampler or DiskSampler(count=60, size_range=(0.01, 0.25),
                                      center_radius=0.4)
@@ -307,12 +303,12 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
         return base
 
     h = 5e-4
-    C, degree, ws, pts = _disk_stencils(q.chart, np.zeros(1), sampler,
-                                        np.random.default_rng(sampler.seed), h)
-    imgs = disk_images(C, ws, 1)
+    C, ws, pts = _disk_stencils(q.chart, np.zeros(1), sampler,
+                                np.random.default_rng(sampler.seed), h)
+    imgs = disk_images(C, ws)
     # keep clear of the zero of cos d (the cut point of zprime)
     keep = np.min(np.cos(dist(imgs.reshape(-1, 1))).reshape(ws.shape), axis=1) >= 0.2
-    kept, kept_degree = C[keep], degree[keep]
+    kept = C[keep]
     pts = pts.reshape((9,) + ws.shape + (1,))[:, keep].reshape(-1, 1)
     _require_samples(pts.size, sampler)
     u = pot(pts) + np.log(np.cos(dist(pts)))
@@ -323,14 +319,14 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
     dens = 4.0 * _round_density_from_distance(zs)
     mism = np.max((np.abs(lap_pot - dens) / np.maximum(dens, 1e-12)).reshape(vals.shape),
                   axis=1)
-    best, consistency = float(np.min(vals)), float(np.max(mism))
+    best, consistency = finite(float(np.min(vals))), finite(float(np.max(mism)))
     witness = None
     if best < -QUOTIENT_TOL:
         i = int(np.argmin(vals))
-        witness = {"coeffs": _coeffs(kept, kept_degree, i // ws.shape[1]),
+        witness = {"coeffs": disk_coeffs(kept[i // ws.shape[1]]).tolist(),
                    "w": complex(ws[keep].flat[i]), "kind": "pointwise", "value": best}
     elif consistency > 1e-3:
-        witness = {"coeffs": _coeffs(kept, kept_degree, int(np.argmax(mism))),
+        witness = {"coeffs": disk_coeffs(kept[int(np.argmax(mism))]).tolist(),
                    "kind": "consistency", "value": consistency}
     return PshVerdict(min_laplacian=best, verdict="FAIL" if witness else "PASS",
                       tol=QUOTIENT_TOL, samples=vals.size, seed=sampler.seed, witness=witness,

@@ -25,7 +25,7 @@ from kahlerlab.disks import scan_disks
 from kahlerlab.errors import ConfigError, KahlerLabError
 from kahlerlab.fields import ScalarField
 from kahlerlab.models import ModelSpace
-from kahlerlab.psh import DiskSampler
+from kahlerlab.psh import DiskSampler, PshVerdict
 
 
 def _read_csv(path, reader=csv.DictReader) -> list:
@@ -232,12 +232,13 @@ def test_a_non_finite_lower_bound_is_an_error_row(tmp_path, monkeypatch, value):
 
 
 def test_a_non_finite_psh_verdict_is_an_error_row(tmp_path, monkeypatch):
-    # at the parent, check_bk_lower on a NaN potential returned FAIL nan, a FAIL row
+    # check_bk_lower on a NaN potential raises, and so does the row of a NaN verdict
     nan_potential = ScalarField(lambda zs: np.full(len(zs), np.nan), n=1)
     check_bk_lower = cli.check_bk_lower
-    v = check_bk_lower(ModelSpace(K=0.0, n=1), nan_potential, [0.0], 0.0,
+    with pytest.raises(KahlerLabError, match="non-finite value"):
+        check_bk_lower(ModelSpace(K=0.0, n=1), nan_potential, [0.0], 0.0,
                        sampler=DiskSampler(count=4, interior_points=2))
-    assert math.isnan(v.min_laplacian)
+    v = PshVerdict(min_laplacian=math.nan, verdict="FAIL", tol=1e-6, samples=8, seed=0)
     with pytest.raises(KahlerLabError, match="non-finite value"):
         cli._psh_row(v)
     monkeypatch.setattr(cli, "check_bk_lower",
@@ -658,17 +659,17 @@ def test_scan_count_keeps_the_scenario_sampler(tmp_path, monkeypatch):
     scanned = []
 
     def spy(*args, **kwargs):
-        out = sample_disks(*args, **kwargs)
+        out = sample_disk_stack(*args, **kwargs)
         scanned.extend(out)
         return out
 
-    sample_disks = disks.sample_disks
-    monkeypatch.setattr(disks, "sample_disks", spy)
+    sample_disk_stack = disks.sample_disk_stack
+    monkeypatch.setattr(disks, "sample_disk_stack", spy)
     cfg = _minimal_cfg(check="comparison-scan", params={"K": 0.0, "count": 10})
     cfg["scenarios"][0]["sampler"]["degree2_fraction"] = 0.0
     res = _run(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert res.exit_code == 0, res.output
-    assert len(scanned) == 10 and all(d.degree == 1 for d in scanned)
+    assert len(scanned) == 10 and all(len(disks.disk_coeffs(c)) == 2 for c in scanned)
 
 
 def test_k_threshold_default_point_fits_the_dimension(tmp_path):
@@ -965,10 +966,10 @@ def test_domain_compare_drops_candidates_that_cover_an_obstacle(tmp_path, monkey
     assert rows[0]["verdict"] == "PASS"
     assert 0 < len(scanned) < 10
     for d in scanned:
-        c, r = d.coeffs[0, 0], abs(d.coeffs[1, 0])
+        c, r = d[0, 0], abs(d[1, 0])
         gap = np.maximum(np.abs([c.real - 1.08, c.imag]) - 0.02, 0.0)
         assert np.linalg.norm(gap) > r
-    assert not any(d.coeffs[0, 0] == 1.0 for d in scanned)
+    assert not any(d[0, 0] == 1.0 for d in scanned)
 
 
 def test_domain_compare_with_q_in_an_obstacle_is_an_error_row(tmp_path, caplog):
@@ -1069,12 +1070,12 @@ def test_annulus_row_reports_the_change_under_the_doubled_rule(tmp_path):
     space = ModelSpace(K=1.0, n=2)
     p = np.array([0.05 + 0.02j, 0.0])
     sampler = DiskSampler(seed=3, count=4)
-    vals = [(disks.annulus_defects(space.metric(), [d], 1.0, [eps],
+    vals = [(disks.annulus_defects(space.metric(), d[None], 1.0, [eps],
                                    distance=space.distance_field(p))[0][0, 0], d, eps)
-            for d in disks.sample_disks(space.chart, p, sampler, np.random.default_rng(3))
+            for d in disks.sample_disk_stack(space.chart, p, sampler, np.random.default_rng(3))
             for eps in (0.05, 0.02)]
     worst, d, eps = min(vals, key=lambda v: v[0])
-    doubled = disks.annulus_defects(space.metric(), [d], 1.0, [eps],
+    doubled = disks.annulus_defects(space.metric(), d[None], 1.0, [eps],
                                     distance=space.distance_field(p),
                                     grid=disks.QuadratureGrid().doubled())[0][0, 0]
     assert float(row["value"]) == worst

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from annulus_reference import annulus_tail
+from disk_stacks import padded, sampled
 from fd_reference import fd_metric
 from kahlerlab import disks, psh
 from kahlerlab.curvature import TangentPair, curvature_tensor
@@ -14,7 +15,7 @@ from kahlerlab.disks import (DISK_FAULTS, NEAR_DISK_CUTOFF, DiskEmbedding, DiskS
                              QuadratureGrid, annulus_defects, area_density,
                              asymptotic_defect, comparison_defect,
                              comparison_defects, disk_faults, log_moment, rprime_value,
-                             sample_disks, torsion_contraction, torsion_expected_defect,
+                             TorsionSpace, torsion_contraction, torsion_expected_defect,
                              torsion_metric, violation_disk, worst_defect)
 from kahlerlab.errors import DomainExceeded, KahlerLabError
 from kahlerlab.fields import ComplexChart
@@ -55,7 +56,7 @@ def test_area_density_flat_affine():
     metric = _flat(1).metric()
     chart = metric.chart
     d = DiskEmbedding.affine(np.array([0.0]), np.array([0.4]), chart)
-    [dens] = area_density(metric, [d], np.array([0.0, 0.3 + 0.2j]))
+    [dens] = area_density(metric, d.coeffs[None], np.array([0.0, 0.3 + 0.2j]))
     assert np.allclose(dens, 0.16)
 
 
@@ -63,7 +64,7 @@ def test_log_moment_flat_equals_minus_b_squared():
     metric = _flat(1).metric()
     b = 0.35
     d = DiskEmbedding.affine(np.array([0.1]), np.array([b]), metric.chart)
-    assert log_moment(metric, [d])[0] == pytest.approx(-b * b, abs=1e-12)
+    assert log_moment(metric, d.coeffs[None])[0] == pytest.approx(-b * b, abs=1e-12)
 
 
 def test_flat_equality_case():
@@ -119,7 +120,7 @@ def test_model_equality_defect_within_its_error_estimate(K, n):
         p = 0.04 * rng.random() * np.exp(2j * math.pi * rng.random(n)) / math.sqrt(n)
         dist = space.distance_field(p)
         sampler = DiskSampler(seed=seed, count=10, size_range=(0.02, 0.25))
-        for disk in sample_disks(metric.chart, p, sampler, rng):
+        for disk in sampled(metric.chart, p, sampler, rng):
             rep = comparison_defect(metric, disk, p, K, distance=dist)
             assert abs(rep.defect) <= rep.error_estimate, (seed, disk.coeffs)
 
@@ -138,8 +139,8 @@ def test_quadrature_grid_refinement_is_stable():
     metric = _flat(1).metric()
     d = DiskEmbedding(coeffs=np.array([[0.1], [0.3], [0.05]]),
                       chart=metric.chart)
-    [lm1] = log_moment(metric, [d], QuadratureGrid())
-    [lm2] = log_moment(metric, [d], QuadratureGrid().doubled())
+    [lm1] = log_moment(metric, d.coeffs[None], QuadratureGrid())
+    [lm2] = log_moment(metric, d.coeffs[None], QuadratureGrid().doubled())
     assert lm1 == pytest.approx(lm2, abs=1e-10)
 
 
@@ -184,7 +185,7 @@ def test_annulus_estimator_flat():
     dist = space.distance_field(p)
     disk = DiskEmbedding.affine(np.array([0.25, 0.0]),
                                 np.array([0.1, 0.02]), metric.chart)
-    vals = [annulus_defects(metric, [disk], 0.0, [eps], distance=dist)[0][0, 0]
+    vals = [annulus_defects(metric, disk.coeffs[None], 0.0, [eps], distance=dist)[0][0, 0]
             for eps in (0.08, 0.04, 0.02)]
     assert all(v >= -1e-9 for v in vals)
     tails = [annulus_tail(metric, disk, eps) for eps in (0.08, 0.04, 0.02)]
@@ -255,7 +256,7 @@ def _two_pass_rule(metric, disk, p, K, distance, grid=None, solver_opts=None):
             phi0 = float(phi[0])
             lm = 2.0 * (phi0 - float(np.mean(phi[1:])))
         else:
-            phi0, lm = 0.0, log_moment(metric, [disk], g)[0]
+            phi0, lm = 0.0, log_moment(metric, disk.coeffs[None], g)[0]
         return lhs, lm, ba, lhs - lm - ba, float(np.max(derr, initial=0.0)), g.n_boundary, phi0
 
     lhs1, lm1, ba1, defect1, de1, nb1, _ = assemble(grid, False)
@@ -298,7 +299,7 @@ def test_comparison_defect_equals_two_pass_rule_closed_form():
         p = np.full(n, 0.05 + 0.02j)
         sampler = DiskSampler(seed=seed, count=20, size_range=(0.02, 0.3),
                               center_radius=0.2)
-        for d in sample_disks(metric.chart, p, sampler, np.random.default_rng(seed)):
+        for d in sampled(metric.chart, p, sampler, np.random.default_rng(seed)):
             cases.append((metric, d, p, K, space.distance_field(p), QuadratureGrid()))
     # on the cone the apex, 0.05 from the disk, keeps the boundary
     # average of the base rule off that of the doubled rule
@@ -379,15 +380,17 @@ def test_worst_defect_skips_disks_that_raise():
         return DiskEmbedding.affine(np.array([a]), np.array([b]), metric.chart)
 
     bad, small, large = disk(0.6, 0.2), disk(0.1, 0.05), disk(-0.1, 0.3)
-    res = worst_defect(metric, p, 1.0, distance, [small, bad, large], directed=bad)
+    res = worst_defect(metric, p, 1.0, distance, padded([bad, small, bad, large]),
+                       directed=True)
     assert res.scanned == 2 and not res.directed
-    assert res.disk is large
+    assert res.coeffs.tobytes() == large.coeffs.tobytes()
     ref = comparison_defect(metric, large, p, 1.0, distance=field)
     assert res.report.defect == ref.defect
-    res = worst_defect(metric, p, 1.0, distance, [small], directed=large)
-    assert res.scanned == 2 and res.directed and res.disk is large
+    res = worst_defect(metric, p, 1.0, distance, padded([large, small]), directed=True)
+    assert res.scanned == 2 and res.directed
+    assert res.coeffs.tobytes() == large.coeffs.tobytes()
     with pytest.raises(KahlerLabError, match="no admissible disk"):
-        worst_defect(metric, p, 1.0, distance, [bad, bad])
+        worst_defect(metric, p, 1.0, distance, padded([bad, bad]))
 
 
 def _stack_case():
@@ -399,7 +402,7 @@ def _stack_case():
     near, p = _doubled_boundary_only_disk(metric)
     sampler = DiskSampler(seed=9, count=24, size_range=(0.02, 0.3), center_radius=0.15,
                           degree2_fraction=0.5)
-    stack = sample_disks(metric.chart, p, sampler, np.random.default_rng(9))
+    stack = sampled(metric.chart, p, sampler, np.random.default_rng(9))
     return metric, 4.0, p, space.distance_field(p), stack[:12] + [near] + stack[12:]
 
 
@@ -410,7 +413,7 @@ def test_a_stack_has_the_bits_of_its_disks_alone():
     for k in (64, 96, 128):
         grid = QuadratureGrid(n_boundary=k)
         alone = [comparison_defect(metric, d, p, K, distance=dist, grid=grid) for d in stack]
-        got = comparison_defects(metric, stack, p, K, distance=dist, grid=grid)
+        got = comparison_defects(metric, padded(stack), p, K, distance=dist, grid=grid)
         assert [_fields(r) for r in got] == [_fields(r) for r in alone]
         ratios |= {nb2 // nb1 for nb1, nb2 in
                    (_two_pass_rule(metric, d, p, K, dist, grid=grid)[1] for d in stack)}
@@ -425,7 +428,7 @@ def test_a_stack_makes_one_distance_call_per_doubled_boundary_size():
         calls.append(len(zs))
         return dist(zs)
 
-    comparison_defects(metric, stack, p, K, distance=counting)
+    comparison_defects(metric, padded(stack), p, K, distance=counting)
     sizes = [_two_pass_rule(metric, d, p, K, dist)[1][1] for d in stack]
     assert set(sizes) == {128, 256}
     assert calls == [sizes.count(nb) * (1 + nb) for nb in (128, 256)]
@@ -435,16 +438,17 @@ def test_worst_defect_over_a_stack_skips_a_disk_past_the_cap():
     metric, K, p, dist, stack = _stack_case()
     far = DiskEmbedding.affine(np.array([-0.9 - 0.8j]), np.array([0.2]), metric.chart)
     with pytest.raises(DomainExceeded):
-        comparison_defects(metric, stack + [far], p, K, distance=dist)
+        comparison_defects(metric, padded(stack + [far]), p, K, distance=dist)
     big = DiskEmbedding.affine(p + 0.3, np.array([0.45]), metric.chart)
     for directed in (None, stack[3], big):
-        cands = ([] if directed is None else [directed]) + stack
+        lead = [] if directed is None else [directed]
+        cands = lead + stack
         alone = [(comparison_defect(metric, d, p, K, distance=dist), d) for d in cands]
         worst, disk = min(alone, key=lambda rd: rd[0].defect)
         for scan in (stack, stack[:7] + [far] + stack[7:]):     # the stack, the fallback
-            res = worst_defect(metric, p, K, dist, scan, directed=directed)
+            res = worst_defect(metric, p, K, dist, padded(lead + scan), directed=bool(lead))
             assert _fields(res.report) == _fields(worst)
-            assert res.disk is disk and res.scanned == len(cands)
+            assert res.coeffs.tobytes() == disk.coeffs.tobytes() and res.scanned == len(cands)
             assert res.directed == (directed is not None)
     assert disk is big                     # the directed disk is the worst
 
@@ -688,7 +692,7 @@ def test_chunked_sampler_matches_the_one_disk_loop(case):
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         ref, attempts = _sample_one_at_a_time(chart, center, smp, ref_rng, min_singular,
                                               singular)
-        got = sample_disks(chart, center, smp, rng, min_singular, singular)
+        got = sampled(chart, center, smp, rng, min_singular, singular)
         assert [(d.coeffs.shape, d.coeffs.tobytes()) for d in got] \
             == [(c.shape, c.tobytes()) for c in ref]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -706,7 +710,8 @@ def _sample_per_degree(chart, center, sampler, rng, min_singular=0.0, singular_a
     out, attempts = [], 0
     while len(out) < sampler.count and attempts < cap:
         count = min(sampler.count - len(out), cap - attempts)
-        C, degree = disks._draw_chunk(rng, center, sampler, count)
+        C = disks._draw_chunk(rng, center, sampler, count)
+        degree = 1 + np.any(C[:, 2], axis=1)          # a degree-2 attempt has c2 != 0
         attempts += count
         ok = np.zeros(count, dtype=bool)
         for M in (1, 2):
@@ -749,11 +754,12 @@ def test_stack_sampler_matches_the_per_degree_validation(case):
         smp = dataclasses.replace(sampler, seed=seed)
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         ref = _sample_per_degree(chart, center, smp, ref_rng, min_singular, singular)
-        C, degree = disks.sample_disk_stack(chart, center, smp, rng, min_singular, singular)
+        C = disks.sample_disk_stack(chart, center, smp, rng, min_singular, singular)
         assert C.shape == (len(ref), 3, chart.n) and C.dtype == complex
-        assert [(c[:m + 1].tobytes(), m) for c, m in zip(C, degree)] \
+        assert [(disks.disk_coeffs(c).tobytes(), len(disks.disk_coeffs(c)) - 1) for c in C] \
             == [(c.tobytes(), len(c) - 1) for c in ref]
-        assert not np.any(C[degree == 1, 2])              # an affine row's c2 is 0
+        affine = np.array([len(c) == 2 for c in ref], dtype=bool)
+        assert not np.any(C[affine, 2])                   # an affine row's c2 is 0
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -765,8 +771,9 @@ def test_padded_faults_match_the_per_degree_faults(case):
     chart, sampler, min_singular, center, singular = STACK_CASES[case]
     seen = set()
     for seed in range(10):
-        C, degree = disks._draw_chunk(np.random.default_rng(seed), center,
-                                      dataclasses.replace(sampler, degree2_fraction=0.5), 400)
+        C = disks._draw_chunk(np.random.default_rng(seed), center,
+                              dataclasses.replace(sampler, degree2_fraction=0.5), 400)
+        degree = 1 + np.any(C[:, 2], axis=1)
         ref = np.zeros(len(C), dtype=int)
         for M in (1, 2):
             idx = np.flatnonzero(degree == M)
@@ -792,9 +799,9 @@ def test_uniform_draws_are_lo_plus_span_times_random(lo, hi):
 def test_short_sample_is_logged(caplog):
     chart = ComplexChart(n=1, radii=1.0)
     with caplog.at_level(logging.INFO, logger="kahlerlab"):
-        assert sample_disks(chart, np.zeros(1), DiskSampler(count=4), np.random.default_rng(0))
+        assert sampled(chart, np.zeros(1), DiskSampler(count=4), np.random.default_rng(0))
         assert not caplog.records
-        short = sample_disks(chart, np.zeros(1), DiskSampler(count=4, size_range=(1.2, 1.4)),
+        short = sampled(chart, np.zeros(1), DiskSampler(count=4, size_range=(1.2, 1.4)),
                              np.random.default_rng(0))
     assert short == []
     assert [r.getMessage() for r in caplog.records] \
@@ -830,13 +837,13 @@ def _dense_area_integral(metric, disk, f, kinks=()):
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         nodes, w = _dyadic_interior(64, 128, lo, hi)
-        total += float(np.sum(w * f(np.abs(nodes)) * area_density(metric, [disk], nodes)[0]))
+        total += float(np.sum(w * f(np.abs(nodes)) * area_density(metric, disk.coeffs[None], nodes)[0]))
     return total
 
 
 def _dense_log_moment(metric, disk):
     c = 2.0 ** -24               # rho(0) times 2 pi int_0^c r log r dr
-    core = area_density(metric, [disk], np.zeros(1))[0, 0] * math.pi * c * c * (math.log(c) - 0.5)
+    core = area_density(metric, disk.coeffs[None], np.zeros(1))[0, 0] * math.pi * c * c * (math.log(c) - 0.5)
     return (2.0 / math.pi) * (_dense_area_integral(metric, disk, np.log) + core)
 
 
@@ -858,7 +865,7 @@ def _model_disks():
         metric = space.metric()
         p = np.full(n, 0.05 + 0.02j)
         seed = 30 + len(cases)
-        for d in sample_disks(metric.chart, p, DiskSampler(seed=seed, count=8),
+        for d in sampled(metric.chart, p, DiskSampler(seed=seed, count=8),
                               np.random.default_rng(seed)):
             cases.append((space, metric, d, p))
     return cases
@@ -898,8 +905,8 @@ def test_log_moment_matches_the_dyadic_reference(dense_cases):
     cases.append((metric, d, _dense_log_moment(metric, d)))
     assert len(cases) >= 60
     for metric, d, ref in cases:
-        assert abs(log_moment(metric, [d])[0] - ref) <= 1e-13
-        assert abs(log_moment(metric, [d], QuadratureGrid().doubled())[0] - ref) <= 1e-13
+        assert abs(log_moment(metric, d.coeffs[None])[0] - ref) <= 1e-13
+        assert abs(log_moment(metric, d.coeffs[None], QuadratureGrid().doubled())[0] - ref) <= 1e-13
 
 
 def test_interior_rule_counts_and_weights():
@@ -929,7 +936,7 @@ def test_annulus_rule_matches_a_dense_kink_aligned_reference(dense_cases):
             ring = 0.25 * (2.0 * math.pi / len(bw)) * float(np.sum(
                 dK_transform(dist(disk(eps * bw)), K)
                 - dK_transform(dist(disk(math.exp(-eps) * bw)), K)))
-            val = annulus_defects(metric, [disk], K, [eps], distance=dist)[0][0, 0]
+            val = annulus_defects(metric, disk.coeffs[None], K, [eps], distance=dist)[0][0, 0]
             assert abs(val - (ring - bulk)) <= 1e-12
             tail = _dense_area_integral(metric, disk, lambda r: _f_eps(r, eps) - np.log(r),
                                         kinks)
@@ -944,14 +951,14 @@ def test_annulus_vanishes_on_a_cone_disk_clear_of_the_apex():
         disk = DiskEmbedding.affine([0.3 + 0.1j], [0.25], cone.chart)
         dist = cone.distance_field(np.array([0.6 + 0.0j]))
         for eps in (0.05, 0.02):
-            val = annulus_defects(cone.metric(), [disk], 0.0, [eps], distance=dist)[0][0, 0]
+            val = annulus_defects(cone.metric(), disk.coeffs[None], 0.0, [eps], distance=dist)[0][0, 0]
             assert abs(val) <= 1e-11, (alpha, eps, val)
 
 
 def test_annulus_needs_a_potential():
     metric, disk = _acceptance06_torsion_disk()
     with pytest.raises(ValueError, match="potential"):
-        annulus_defects(metric, [disk], 0.0, [0.05], distance=lambda zs: np.abs(zs[:, 0]))
+        annulus_defects(metric, disk.coeffs[None], 0.0, [0.05], distance=lambda zs: np.abs(zs[:, 0]))
     with pytest.raises(ValueError, match="potential"):
         annulus_tail(metric, disk, 0.05)
 
@@ -1013,7 +1020,7 @@ def _density_cases():
                           center_radius=0.1)
     for name, metric, center in fields:
         clear = dict(min_singular=0.05, singular_at=np.zeros(1)) if name == "cone" else {}
-        ds = sample_disks(metric.chart, center, sampler, rng, **clear)
+        ds = sampled(metric.chart, center, sampler, rng, **clear)
         assert {d.degree for d in ds} == {1, 2}, name
         yield name, metric, ds
 
@@ -1021,7 +1028,7 @@ def _density_cases():
 def test_a_stack_has_the_density_and_log_moment_bits_of_each_disk_alone():
     rng = np.random.default_rng(6)
     orbifold = orbifold_cone(3)
-    cases = list(_density_cases()) + [("orbifold", orbifold.metric(), sample_disks(
+    cases = list(_density_cases()) + [("orbifold", orbifold.metric(), sampled(
         orbifold.chart, np.array([0.7 + 0.1j]),
         DiskSampler(seed=2, count=10, degree2_fraction=0.5), rng,
         min_singular=0.05, singular_at=np.zeros(1)))]
@@ -1030,14 +1037,14 @@ def test_a_stack_has_the_density_and_log_moment_bits_of_each_disk_alone():
         u = rng.random((2, len(ds), 7))
         per_disk = np.sqrt(0.49 * u[0]) * np.exp(2j * math.pi * u[1])
         for w in (QuadratureGrid().interior()[0], per_disk):
-            dens = area_density(metric, ds, w)
+            dens = area_density(metric, padded(ds), w)
             assert dens.shape == (len(ds), w.shape[-1]), name
-            alone = [area_density(metric, [d], w if w.ndim == 1 else w[k])[0]
+            alone = [area_density(metric, d.coeffs[None], w if w.ndim == 1 else w[k])[0]
                      for k, d in enumerate(ds)]
             assert np.array_equal(dens, alone), name
         for grid in (QuadratureGrid(), QuadratureGrid().doubled()):
-            lm = log_moment(metric, ds, grid)
-            assert np.array_equal(lm, [log_moment(metric, [d], grid)[0] for d in ds]), name
+            lm = log_moment(metric, padded(ds), grid)
+            assert np.array_equal(lm, [log_moment(metric, d.coeffs[None], grid)[0] for d in ds]), name
 
 
 def test_an_annulus_stack_has_the_bits_of_each_disk_and_eps_alone():
@@ -1046,16 +1053,65 @@ def test_an_annulus_stack_has_the_bits_of_each_disk_and_eps_alone():
                         (orbifold_cone(3), np.array([0.1 + 0.05j]), 0.0),
                         (ModelSpace(K=1.0, n=2), np.array([0.05 + 0.02j, 0.0]), 1.0)):
         metric, dist = space.metric(), space.distance_field(p)
-        ds = sample_disks(metric.chart, p, DiskSampler(seed=5, count=12), np.random.default_rng(5))
+        ds = sampled(metric.chart, p, DiskSampler(seed=5, count=12), np.random.default_rng(5))
         for grid in (None, QuadratureGrid().doubled()):
-            vals, errors = annulus_defects(metric, ds, K, eps_list, dist, grid)
+            vals, errors = annulus_defects(metric, padded(ds), K, eps_list, dist, grid)
             assert vals.shape == (len(ds), len(eps_list))
-            assert np.array_equal(vals, [[annulus_defects(metric, [d], K, [eps], dist,
+            assert np.array_equal(vals, [[annulus_defects(metric, d.coeffs[None], K, [eps], dist,
                                                           grid)[0][0, 0]
                                           for eps in eps_list] for d in ds])
-            doubled = annulus_defects(metric, ds, K, eps_list, dist,
+            doubled = annulus_defects(metric, padded(ds), K, eps_list, dist,
                                       (grid or QuadratureGrid()).doubled())[0]
             assert np.array_equal(errors, np.abs(doubled - vals))
+
+
+def _padding_cases():
+    """(name, metric, padded stack of both degrees, p, K, distances): models
+    at n = 1 and 2, a cone and an orbifold off the apex with closed-form
+    distances, and the torsion metric and the models with numeric ones."""
+    T = np.zeros((2, 2, 2))
+    T[0, 0, 1], T[0, 1, 0] = -0.5, 0.5
+    torsion = TorsionSpace(T=T, chart=ComplexChart(n=2, radii=1.5))
+    # (name, space, p, K, disks, distances)
+    cases = [("model n=1", ModelSpace(K=1.0, n=1), [0.05 + 0.02j], 1.0, 12, ("closed", "numeric")),
+             ("model n=2", ModelSpace(K=-1.0, n=2), [0.05 + 0.02j, 0.02], -1.0, 12, ("closed",)),
+             ("model n=2 numeric", ModelSpace(K=1.0, n=2), [0.0, 0.05j], 1.0, 4, ("numeric",)),
+             ("cone", ConeSurface(alpha=0.5), [0.7 + 0.1j], 0.0, 12, ("closed",)),
+             ("orbifold", orbifold_cone(3), [0.6 + 0.1j], 0.0, 12, ("closed",)),
+             ("torsion", torsion, [0.0, 0.0], 0.0, 4, ("numeric",))]
+    sampler = DiskSampler(degree2_fraction=0.5, size_range=(0.02, 0.2), center_radius=0.1)
+    for seed, (name, space, p, K, count, kinds) in enumerate(cases):
+        metric, p = space.metric(), np.array(p, dtype=complex)
+        C = disks.sample_disk_stack(metric.chart, p, dataclasses.replace(sampler, count=count),
+                                    np.random.default_rng(seed))
+        distances = [space.distance_field(p) if k == "closed" else k for k in kinds]
+        yield name, metric, C, p, K, distances
+
+
+def test_a_padded_stack_has_the_bits_of_each_disk_as_an_unpadded_stack():
+    # the padding guarantee: an affine row with c2 = 0 in a degree-2 stack
+    # has every bit of its disk evaluated alone, as a (1, 2, n) stack
+    w = QuadratureGrid().interior()[0]
+    for name, metric, C, p, K, distances in _padding_cases():
+        alone = [disks.disk_coeffs(c)[None] for c in C]
+        assert {a.shape[1] for a in alone} == {2, 3}, name
+        assert disks.disk_images(C, w).tobytes() == \
+            np.concatenate([disks.disk_images(a, w) for a in alone]).tobytes(), name
+        assert area_density(metric, C, w).tobytes() == \
+            np.concatenate([area_density(metric, a, w) for a in alone]).tobytes(), name
+        assert log_moment(metric, C).tobytes() == \
+            np.concatenate([log_moment(metric, a) for a in alone]).tobytes(), name
+        opts = dict(N=12, max_iters=30)
+        for distance in distances:
+            got = comparison_defects(metric, C, p, K, distance=distance, solver_opts=opts)
+            ref = [comparison_defects(metric, a, p, K, distance=distance, solver_opts=opts)[0]
+                   for a in alone]
+            assert [_fields(r) for r in got] == [_fields(r) for r in ref], (name, distance)
+        if metric.is_potential_form and callable(distances[0]):
+            vals = annulus_defects(metric, C, K, [0.05, 0.02], distances[0])
+            ref = [annulus_defects(metric, a, K, [0.05, 0.02], distances[0]) for a in alone]
+            for got, want in zip(vals, zip(*ref)):
+                assert got.tobytes() == np.concatenate(want).tobytes(), name
 
 
 def _exact_contraction(G, v) -> np.ndarray:
@@ -1075,7 +1131,7 @@ def test_area_density_matches_the_einsum_form():
     w = QuadratureGrid().interior()[0]
     for name, metric, ds in _density_cases():
         for d in ds:
-            [dens] = area_density(metric, [d], w)
+            [dens] = area_density(metric, d.coeffs[None], w)
             pts, dv = d(w), d.deriv(w)
             G = metric.gram(pts, check=False)
             ref = 2.0 * np.einsum("pij,pi,pj->p", G, dv, np.conj(dv)).real
@@ -1101,7 +1157,7 @@ def test_disk_map_is_one_horner_pass():
                         np.exp(2j * np.pi * np.arange(64) / 64), np.zeros(1)])
     for n in (1, 2, 3):
         chart = ComplexChart(n=n, radii=1.5)
-        ds = sample_disks(chart, np.full(n, 0.1 + 0.05j),
+        ds = sampled(chart, np.full(n, 0.1 + 0.05j),
                           DiskSampler(seed=n, count=60, degree2_fraction=0.5), rng)
         assert {d.degree for d in ds} == {1, 2}
         for d in ds:
@@ -1114,9 +1170,10 @@ def test_disk_map_is_one_horner_pass():
                 for part in (np.real, np.imag):
                     assert np.all(np.abs(part(got) - part(ref)) <= 4 * np.spacing(scale))
         # the batched images are each disk's own map, bit for bit
-        assert disks.disk_images(ds, w, n).tobytes() == np.stack([d(w) for d in ds]).tobytes()
+        assert disks.disk_images(padded(ds), w).tobytes() == \
+            np.stack([d(w) for d in ds]).tobytes()
         rows = w[rng.integers(0, len(w), (len(ds), 17))]
-        assert disks.disk_images(ds, rows, n).tobytes() == \
+        assert disks.disk_images(padded(ds), rows).tobytes() == \
             np.stack([d(r) for d, r in zip(ds, rows)]).tobytes()
 
 

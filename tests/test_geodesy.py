@@ -9,7 +9,8 @@ from scipy.sparse import csgraph
 
 import geodesy_reference
 from kahlerlab import geodesy
-from kahlerlab.disks import DiskEmbedding, comparison_defect, torsion_metric
+from kahlerlab.disks import (DiskEmbedding, DiskSampler, QuadratureGrid, comparison_defect,
+                             disk_images, sample_disk_stack, torsion_metric)
 from kahlerlab.errors import Disconnected, DomainExceeded, NonPositiveDefinite
 from kahlerlab.geodesy import (DiskObstacle, PlanarDomain, RectObstacle,
                                geodesic_distance_many)
@@ -741,3 +742,23 @@ def test_domain_endpoints_must_be_free():
     dom = _square_domain(obstacles=[disk])
     with pytest.raises(DomainExceeded, match="open domain"):
         _domain_distance(dom, [0.0, 0.0], [1.0, 0.0])
+
+
+def test_a_batch_keeps_its_bits_and_each_target_is_near_its_one_target_solve():
+    # the last two disks' centre and doubled-boundary targets of eight
+    # sampled disks: a target here (index 23, 797 of the full 1,032) moves
+    # by 10 ulps from its one-target solve, another's error estimate by 1e-17
+    metric = ModelSpace(K=1.0, n=2).metric()
+    p = np.array([0.05, 0.02j])
+    C = sample_disk_stack(metric.chart, p, DiskSampler(seed=2, count=8, size_range=(0.05, 0.3)),
+                          np.random.default_rng(2))
+    w = np.concatenate([np.zeros(1), QuadratureGrid().doubled().boundary()[0]])
+    qs = disk_images(C, w).reshape(-1, 2)[774:1032]
+    d, err = geodesy.geodesic_distance_many(metric, p, qs)
+    again = geodesy.geodesic_distance_many(metric, p, qs)
+    assert d.tobytes() == again[0].tobytes() and err.tobytes() == again[1].tobytes()
+    alone = [geodesy.geodesic_distance_many(metric, p, q[None]) for q in qs]
+    d1, err1 = (np.concatenate(a) for a in zip(*alone))
+    ulps = 16 * np.spacing(d1)
+    assert np.all(np.abs(d - d1) <= ulps) and np.all(np.abs(err - err1) <= ulps)
+    assert np.all(ulps < 1e-3 * err1)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from disk_stacks import padded, sampled
 from kahlerlab import fd, psh
-from kahlerlab.disks import DiskEmbedding, area_density, disk_images, sample_disks
+from kahlerlab.disks import DiskEmbedding, area_density, disk_coeffs, disk_images
 from kahlerlab.errors import KahlerLabError, Unsupported
 from kahlerlab.fields import ComplexChart, ScalarField
 from kahlerlab.models import ConeSurface, ModelSpace, QuotientData, model_distance
@@ -183,11 +184,11 @@ def test_no_admissible_disk_is_a_lab_error():
 def test_stencil_nodes_match_the_per_disk_maps(n):
     chart = _chart(n)
     sampler = DiskSampler(seed=4, count=30, interior_points=5, degree2_fraction=0.5)
-    C, degree, ws, pts = psh._disk_stencils(chart, np.full(n, 0.1 + 0.05j), sampler,
-                                            np.random.default_rng(4), 1e-3)
-    disks = [DiskEmbedding(c[:m + 1], chart) for c, m in zip(C, degree)]
+    C, ws, pts = psh._disk_stencils(chart, np.full(n, 0.1 + 0.05j), sampler,
+                                    np.random.default_rng(4), 1e-3)
+    disks = [DiskEmbedding(disk_coeffs(c), chart) for c in C]
     rng = np.random.default_rng(4)
-    ref = sample_disks(chart, np.full(n, 0.1 + 0.05j), sampler, rng)
+    ref = sampled(chart, np.full(n, 0.1 + 0.05j), sampler, rng)
     assert {d.degree for d in disks} == {1, 2}
     assert [d.coeffs.tobytes() for d in disks] == [d.coeffs.tobytes() for d in ref]
     ref_ws = np.array([sample_interior_points(sampler, rng) for _ in ref])
@@ -198,8 +199,8 @@ def test_stencil_nodes_match_the_per_disk_maps(n):
                               for j, d in enumerate(ref)], axis=1).reshape(-1, n)
     assert pts.tobytes() == ref_pts.tobytes()
     w = np.exp(0.3j) * np.linspace(0.0, 0.9, 17)
-    assert disk_images(ref, w, n).tobytes() == np.stack([d(w) for d in ref]).tobytes()
-    assert disk_images([], w, n).shape == (0, 17, n)
+    assert disk_images(padded(ref), w).tobytes() == np.stack([d(w) for d in ref]).tobytes()
+    assert disk_images(C[:0], w).shape == (0, 17, n)
 
 
 def test_cones_pass_and_wide_cone_fails():
@@ -345,13 +346,13 @@ def test_quotient_witness_names_the_failed_obligation():
 def _replay_radial(cone, sampler):
     rng = np.random.default_rng(sampler.seed)
     metric = cone.metric()
-    disks = sample_disks(metric.chart, np.array([0.7 + 0.1j]), sampler, rng,
-                         min_singular=0.05, singular_at=np.zeros(1, dtype=complex))
+    disks = sampled(metric.chart, np.array([0.7 + 0.1j]), sampler, rng,
+                    min_singular=0.05, singular_at=np.zeros(1, dtype=complex))
     worst, count = 0.0, 0
     for d in disks:
         ws = sample_interior_points(sampler, rng)
         lap = np.atleast_1d(disk_laplacian(cone.potential(), d, ws, h=1e-2))
-        [dens] = area_density(metric, [d], ws)
+        [dens] = area_density(metric, d.coeffs[None], ws)
         worst = max(worst, float(np.max(np.abs(lap - 2.0 * dens)
                                         / np.maximum(2.0 * dens, 1e-12))))
         count += ws.size
@@ -381,7 +382,7 @@ def _replay_quotient(q, zprime, h_extra, sampler):
         return pot(zs) + np.log(np.cos(dist(zs)))
 
     rng = np.random.default_rng(sampler.seed)
-    disks = sample_disks(q.chart, np.zeros(1), sampler, rng)
+    disks = sampled(q.chart, np.zeros(1), sampler, rng)
     best, consistency, count = math.inf, 0.0, 0
     for d in disks:
         ws = sample_interior_points(sampler, rng)
@@ -432,3 +433,23 @@ def test_finite_set_passes_flat_across_the_bisector(n):
         for K, verdict in ((0.0, "PASS"), (0.5, "FAIL")):
             v = check_bk_lower(flat, flat.potential(), S, K, sampler=DiskSampler(seed=seed))
             assert v.verdict == verdict, (seed, K, v.min_laplacian)
+
+
+def _nan_potential(n: int) -> ScalarField:
+    return ScalarField(lambda zs: np.full(len(zs), np.nan), n=n)
+
+
+def test_a_nan_potential_raises_in_check_bk_lower():
+    # a NaN compares false with everything: it is neither a PASS nor a FAIL
+    with pytest.raises(KahlerLabError, match="non-finite value"):
+        check_bk_lower(ModelSpace(K=0.0, n=1), _nan_potential(1), [0.0], 0.0)
+
+
+def test_a_nan_potential_raises_in_k_threshold_not_at_its_lower_endpoint():
+    with pytest.raises(KahlerLabError, match="^non-finite value$"):
+        k_threshold(ModelSpace(K=0.0, n=1), _nan_potential(1), np.zeros(1), -0.5, 0.5)
+
+
+def test_a_nan_quotient_datum_raises_and_is_not_a_pass():
+    with pytest.raises(KahlerLabError, match="non-finite value"):
+        quotient_bk2_check(QuotientData(), np.zeros(1), h_extra=lambda z: np.full(len(z), np.nan))
