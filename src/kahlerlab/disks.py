@@ -12,15 +12,16 @@ bisectional lower bound at level K holds, and the violation constructions
 below produce disks with negative defect when it fails.
 
 Every evaluation takes a stack of disks: a (D, M+1, n) array of
-coefficients, M <= 2, row k the map c0 + c1 w + c2 w^2 of disk k.  An
-affine row of a degree-2 stack has c2 = 0, which gives it the bits of its
-affine map in a Horner pass and its affine verdict in ``disk_faults``, so
-one stack holds disks of both degrees.  ``sample_disk_stack`` draws the
-seeded disk families as one such stack, ``comparison_defects`` evaluates a
-stack at once and ``worst_defect`` takes the worst defect over one, for
-``scan_disks`` and the CLI's domain comparison; ``disk_coeffs`` gives a
-witness the coefficients of its own degree.  ``DiskEmbedding`` is one
-validated disk, for the constructions that build a single map.
+coefficients, M <= 2, whose row k holds the c0 .. cM of the map
+sum_m cm w^m of disk k.  An affine row of a degree-2 stack has c2 = 0,
+which gives it the bits of its affine map in a Horner pass and its affine
+verdict in ``disk_faults``, so one stack holds disks of both degrees.
+``sample_disk_stack`` draws the seeded disk families as one such stack,
+``comparison_defects`` evaluates a stack at once and ``worst_defect``
+takes the worst defect over one, for ``scan_disks`` and the CLI's domain
+comparison; ``disk_coeffs`` gives a witness the coefficients of its own
+degree.  ``DiskEmbedding`` is one validated disk, for the constructions
+that build a single map.
 """
 
 from __future__ import annotations
