@@ -261,9 +261,10 @@ def sample_disk_stack(chart: ComplexChart, center, sampler: DiskSampler, rng,
     coefficient stack.
 
     Returns the accepted disks' coefficients as a (D, 3, n) stack, whose c2
-    row is 0 for an affine disk.  Disk sizes are log-uniform in the sampler's range.  With
-    ``min_singular`` > 0, rejects disks whose image comes closer than that
-    to ``singular_at``; with 0 no rejection happens.  Draws at most
+    row is 0 for an affine disk.  Disk sizes are log-uniform in the
+    sampler's range.  With ``min_singular`` > 0, rejects disks whose image
+    comes closer than that to ``singular_at``; with 0 no rejection happens.
+    Draws at most
     ``50 * sampler.count`` attempts, in chunks of as many as are still
     missing, each chunk drawn by ``_draw_chunk`` and validated by one
     ``disk_faults`` call on its padded stack, which gives an affine row
@@ -366,7 +367,7 @@ def area_density(metric: HermitianMetricField, C: np.ndarray, w) -> np.ndarray:
     n = metric.chart.n
     pts, dv = _horner(C, w)                                       # [d, i, P]
     pts = np.swapaxes(pts, 1, 2).reshape(-1, n)         # rebinding frees the [d, i, P] copy
-    G = metric.gram(pts, check=False).reshape(len(C), -1, n, n)
+    G = metric.gram(pts, check=False).reshape(dv.shape[0], dv.shape[2], n, n)
     dv = np.swapaxes(dv, 0, 1)                                    # [i, d, P]
     q = sum(G[..., i, i].real * (v.real ** 2 + v.imag ** 2) for i, v in enumerate(dv))
     for i, j in itertools.combinations(range(n), 2):

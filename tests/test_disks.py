@@ -1114,6 +1114,29 @@ def test_a_padded_stack_has_the_bits_of_each_disk_as_an_unpadded_stack():
                 assert got.tobytes() == np.concatenate(want).tobytes(), name
 
 
+def test_an_empty_stack_gives_empty_results_and_a_scan_of_none_raises():
+    # a sampler that admits no disk leaves an empty stack; the scan's
+    # error is the row's message, as with a list of no disks before
+    T = np.zeros((2, 2, 2))
+    T[0, 0, 1], T[0, 1, 0] = -0.5, 0.5
+    w = QuadratureGrid().interior()[0]
+    for space in (ModelSpace(K=1.0, n=1), ConeSurface(alpha=0.5),
+                  TorsionSpace(T=T, chart=ComplexChart(n=2, radii=1.5))):
+        metric = space.metric()
+        n = metric.chart.n
+        C, p = np.zeros((0, 3, n), dtype=complex), np.full(n, 0.1 + 0.05j)
+        assert disks.disk_images(C, w).shape == (0, w.size, n)
+        assert area_density(metric, C, w).shape == (0, w.size)
+        assert log_moment(metric, C).shape == (0,)
+        assert comparison_defects(metric, C, p, 0.0, distance="numeric") == []
+        if metric.is_potential_form:
+            dist = space.distance_field(p)
+            assert comparison_defects(metric, C, p, 0.0, distance=dist) == []
+            assert [a.shape for a in annulus_defects(metric, C, 0.0, [0.05], dist)] == [(0, 1)] * 2
+        with pytest.raises(KahlerLabError, match="no admissible disk in the scan"):
+            disks.scan_disks(space, p, 0.0, DiskSampler(count=3, size_range=(3.0, 4.0)))
+
+
 def _exact_contraction(G, v) -> np.ndarray:
     """2 sum_ij Re(G_ij v_i conj v_j) of float G and v, rounded once from
     exact rational arithmetic."""
