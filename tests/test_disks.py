@@ -1115,8 +1115,8 @@ def test_a_padded_stack_has_the_bits_of_each_disk_as_an_unpadded_stack():
 
 
 def test_an_empty_stack_gives_empty_results_and_a_scan_of_none_raises():
-    # a sampler that admits no disk leaves an empty stack; the scan's
-    # error is the row's message, as with a list of no disks before
+    # a sampler that admits no disk leaves an empty stack, and the scan
+    # raises the error that its row reports
     T = np.zeros((2, 2, 2))
     T[0, 0, 1], T[0, 1, 0] = -0.5, 0.5
     w = QuadratureGrid().interior()[0]

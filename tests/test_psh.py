@@ -435,19 +435,18 @@ def test_finite_set_passes_flat_across_the_bisector(n):
             assert v.verdict == verdict, (seed, K, v.min_laplacian)
 
 
-def _nan_potential(n: int) -> ScalarField:
-    return ScalarField(lambda zs: np.full(len(zs), np.nan), n=n)
+NAN_POTENTIAL = ScalarField(lambda zs: np.full(len(zs), np.nan), n=1)
 
 
 def test_a_nan_potential_raises_in_check_bk_lower():
     # a NaN compares false with everything: it is neither a PASS nor a FAIL
     with pytest.raises(KahlerLabError, match="non-finite value"):
-        check_bk_lower(ModelSpace(K=0.0, n=1), _nan_potential(1), [0.0], 0.0)
+        check_bk_lower(ModelSpace(K=0.0, n=1), NAN_POTENTIAL, [0.0], 0.0)
 
 
 def test_a_nan_potential_raises_in_k_threshold_not_at_its_lower_endpoint():
     with pytest.raises(KahlerLabError, match="^non-finite value$"):
-        k_threshold(ModelSpace(K=0.0, n=1), _nan_potential(1), np.zeros(1), -0.5, 0.5)
+        k_threshold(ModelSpace(K=0.0, n=1), NAN_POTENTIAL, np.zeros(1), -0.5, 0.5)
 
 
 def test_a_nan_quotient_datum_raises_and_is_not_a_pass():
