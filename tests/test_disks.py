@@ -837,13 +837,15 @@ def _dense_area_integral(metric, disk, f, kinks=()):
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         nodes, w = _dyadic_interior(64, 128, lo, hi)
-        total += float(np.sum(w * f(np.abs(nodes)) * area_density(metric, disk.coeffs[None], nodes)[0]))
+        dens = area_density(metric, disk.coeffs[None], nodes)[0]
+        total += float(np.sum(w * f(np.abs(nodes)) * dens))
     return total
 
 
 def _dense_log_moment(metric, disk):
     c = 2.0 ** -24               # rho(0) times 2 pi int_0^c r log r dr
-    core = area_density(metric, disk.coeffs[None], np.zeros(1))[0, 0] * math.pi * c * c * (math.log(c) - 0.5)
+    rho0 = area_density(metric, disk.coeffs[None], np.zeros(1))[0, 0]
+    core = rho0 * math.pi * c * c * (math.log(c) - 0.5)
     return (2.0 / math.pi) * (_dense_area_integral(metric, disk, np.log) + core)
 
 
@@ -906,7 +908,8 @@ def test_log_moment_matches_the_dyadic_reference(dense_cases):
     assert len(cases) >= 60
     for metric, d, ref in cases:
         assert abs(log_moment(metric, d.coeffs[None])[0] - ref) <= 1e-13
-        assert abs(log_moment(metric, d.coeffs[None], QuadratureGrid().doubled())[0] - ref) <= 1e-13
+        assert abs(log_moment(metric, d.coeffs[None], QuadratureGrid().doubled())[0] - ref) \
+            <= 1e-13
 
 
 def test_interior_rule_counts_and_weights():
@@ -951,14 +954,16 @@ def test_annulus_vanishes_on_a_cone_disk_clear_of_the_apex():
         disk = DiskEmbedding.affine([0.3 + 0.1j], [0.25], cone.chart)
         dist = cone.distance_field(np.array([0.6 + 0.0j]))
         for eps in (0.05, 0.02):
-            val = annulus_defects(cone.metric(), disk.coeffs[None], 0.0, [eps], distance=dist)[0][0, 0]
+            val = annulus_defects(cone.metric(), disk.coeffs[None], 0.0, [eps],
+                                  distance=dist)[0][0, 0]
             assert abs(val) <= 1e-11, (alpha, eps, val)
 
 
 def test_annulus_needs_a_potential():
     metric, disk = _acceptance06_torsion_disk()
     with pytest.raises(ValueError, match="potential"):
-        annulus_defects(metric, disk.coeffs[None], 0.0, [0.05], distance=lambda zs: np.abs(zs[:, 0]))
+        annulus_defects(metric, disk.coeffs[None], 0.0, [0.05],
+                        distance=lambda zs: np.abs(zs[:, 0]))
     with pytest.raises(ValueError, match="potential"):
         annulus_tail(metric, disk, 0.05)
 
@@ -1044,7 +1049,8 @@ def test_a_stack_has_the_density_and_log_moment_bits_of_each_disk_alone():
             assert np.array_equal(dens, alone), name
         for grid in (QuadratureGrid(), QuadratureGrid().doubled()):
             lm = log_moment(metric, padded(ds), grid)
-            assert np.array_equal(lm, [log_moment(metric, d.coeffs[None], grid)[0] for d in ds]), name
+            alone = [log_moment(metric, d.coeffs[None], grid)[0] for d in ds]
+            assert np.array_equal(lm, alone), name
 
 
 def test_an_annulus_stack_has_the_bits_of_each_disk_and_eps_alone():
