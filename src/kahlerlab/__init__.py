@@ -11,8 +11,7 @@ top.
 from .errors import (ConfigError, DomainExceeded, Disconnected, InvalidDisk,
                      KahlerLabError, NonConvergence, NonPositiveDefinite,
                      SingularityTooClose, Unsupported)
-from .fields import (ComplexChart, HermitianMetricField, ScalarField,
-                     flat_potential, real_to_z, z_to_real)
+from .fields import ComplexChart, HermitianMetricField, ScalarField, flat_potential
 from .curvature import (CurvatureData, TangentPair, bk_defect, curvature_tensor,
                         curvature_tensors, hermitian_inner, min_bk_defect)
 from .models import (ConeSurface, ModelSpace, QuotientData, cone_distance,

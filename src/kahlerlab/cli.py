@@ -554,35 +554,25 @@ def _schema_error(schema, instance):
     return path, best.message
 
 
-def _points(schema, value, n: int, where: str):
-    """``value`` with each value that ``schema`` declares a _POINT (not a zprime
-    or a _PAIR) a complex vector; ConfigError, at ``where``, unless it has dimension ``n``."""
-    if schema is _POINT:
+def _convert(schema, value, n: Optional[int] = None, where: str = ""):
+    """``value`` with each float that ``schema`` types an integer made an int
+    (the schema counts 2.0 as one, so a value that passed it is integral)
+    and, given ``n``, each value it declares a _POINT (not a zprime or a
+    _PAIR) a complex vector; ConfigError, at ``where``, unless of dimension ``n``."""
+    if not isinstance(schema, dict):
+        return value
+    if schema is _POINT and n is not None:
         z = _as_point(value)
         if z.size != n:
             raise ConfigError(f"{where}: point has dimension {z.size}, expected {n}")
         return z
-    if schema.get("type") == "object":
-        return {k: _points(schema["properties"][k], v, n, where) for k, v in value.items()}
-    if schema.get("type") == "array":
-        return [_points(schema["items"], v, n, where) for v in value]
-    return value
-
-
-def _integers(schema, value):
-    """``value`` with each float at a position that ``schema`` types an
-    integer made an int.  The schema counts 2.0 as an integer, so once a
-    value has passed it, that float is integral, and the spaces, samplers
-    and checks take it as the count or size its int spelling gives."""
-    if not isinstance(schema, dict):
-        return value
     if schema.get("type") == "integer" and isinstance(value, float):
         return int(value)
     if isinstance(value, dict):
         props = schema.get("properties", {})
-        return {k: _integers(props.get(k), v) for k, v in value.items()}
+        return {k: _convert(props.get(k), v, n, where) for k, v in value.items()}
     if isinstance(value, list) and "items" in schema:
-        return [_integers(schema["items"], v) for v in value]
+        return [_convert(schema["items"], v, n, where) for v in value]
     return value
 
 
@@ -624,7 +614,7 @@ def load_config(path: str) -> list:
     e = _schema_error(CONFIG_SCHEMA, cfg)
     if e is not None:
         raise ConfigError(f"{path}: at {'/'.join(map(str, e[0])) or '<root>'}: {e[1]}")
-    cfg = _integers(CONFIG_SCHEMA, cfg)
+    cfg = _convert(CONFIG_SCHEMA, cfg)
     scenarios, stems = [], set()        # stems of witness/{scenario id}-{check id}.json
     for i, sc in enumerate(cfg["scenarios"]):
         sampler = dict(sc.get("sampler", {}))
@@ -637,7 +627,7 @@ def load_config(path: str) -> list:
         if e is not None:
             at = "/".join(map(str, ("scenarios", i, "space") + e[0]))
             raise ConfigError(f"{path}: at {at}: {e[1]}")
-        space = build_space(_integers(schema, spec))
+        space = build_space(_convert(schema, spec))
         checks = []
         for j, ch in enumerate(sc["checks"]):
             name, check, params = ch["check"], CHECKS[ch["check"]], ch.get("params", {})
@@ -651,10 +641,10 @@ def load_config(path: str) -> list:
             e = _schema_error(check.params, params)
             if e is not None:
                 raise ConfigError(f"{where}: {e[1]}")
-            params = _integers(check.params, params)
+            runs = spec["kind"] in check.spaces
+            params = _convert(check.params, params, space.chart.n if runs else None, where)
             misfit = None
-            if spec["kind"] in check.spaces:
-                params = _points(check.params, params, space.chart.n, where)
+            if runs:
                 check.validate(space, params, where)
             else:                            # an ERROR row when it runs
                 *rest, last = check.spaces

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence, NonPositiveDefinite, SingularityTooClose
-from .fields import HermitianMetricField, real_to_z, z_to_real
+from .fields import HermitianMetricField
 
 # step on the closed-form dgram, times min(1, distance to a singular point)
 CURV_STEP = 1e-3
@@ -109,7 +109,7 @@ def curvature_tensors(metric: HermitianMetricField, zs: np.ndarray):
 
     The step at a point is h = CURV_STEP min(1, distance to the nearest
     singular point).  One batched ``dgram`` call at every point and at its
-    nodes +-h/2, +-h, +-2h along each real axis gives R at steps h and 2h,
+    nodes +-h/2, +-h, +-2h along each e_l and i e_l gives R at steps h and 2h,
     and one ``gram`` call, one batched inverse and one contraction give the
     correction term.  Raises SingularityTooClose, naming the first such
     point, if a stencil comes within the smoothness radius of a singular
@@ -146,8 +146,8 @@ def _second_derivatives(metric: HermitianMetricField, zs: np.ndarray, h: np.ndar
     """
     P, n = zs.shape
     steps = np.stack([h / 2, -h / 2, h, -h, 2 * h, -2 * h], axis=1)    # [P, step]
-    offsets = np.eye(2 * n)[:, None, :] * steps[:, None, :, None]     # [P, axis, step, coord]
-    nodes = real_to_z((z_to_real(zs)[:, None] + offsets.reshape(P, -1, 2 * n)).reshape(-1, 2 * n))
+    axes = np.concatenate([np.eye(n), 1j * np.eye(n)])                  # [axis, coord]: e_l, i e_l
+    nodes = zs[:, None, None] + axes[:, None] * steps[:, None, :, None]  # [P, axis, step, coord]
     D = metric.dgram(np.concatenate([zs[:, None], nodes.reshape(P, -1, n)], axis=1)
                      .reshape(-1, n)).reshape(P, -1, n, n, n)
     Ds = D[:, 1:].reshape(P, 2 * n, 3, 2, n, n, n)       # [P, axis, step, sign, k, i, j]

@@ -664,7 +664,7 @@ def torsion_metric(T: np.ndarray, chart: ComplexChart) -> HermitianMetricField:
     def dgram(zs):
         return np.broadcast_to(dG, (zs.shape[0], n, n, n))
 
-    return HermitianMetricField(chart, gram, dgram, name="torsion metric")
+    return HermitianMetricField(chart, gram, dgram)
 
 
 @dataclass(frozen=True)

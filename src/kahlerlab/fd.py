@@ -1,8 +1,9 @@
 """Finite differencing kernels: central stencils with one Richardson step.
 
-All evaluators are batched: ``f`` maps an ``(P, m)`` array of real
-coordinate points to an array whose leading axis is ``P`` (trailing shape
-arbitrary, e.g. scalar potentials or matrix-valued metric fields).  The
+All evaluators are batched: ``f`` maps P points (complex nodes w + h v for
+the Laplacian, an ``(P, m)`` array of real coordinate points for ``hessian``)
+to an array whose leading axis is ``P`` (trailing shape arbitrary, e.g.
+scalar potentials or matrix-valued metric fields).  The
 Richardson combination ``(4 D(h/2) - D(h)) / 3`` upgrades the second-order
 central stencils to fourth order.  ``laplacian_2d_combine`` keeps the plain
 h/2 level where the two levels disagree by more than truncation explains: at
@@ -81,16 +82,11 @@ def hessian(f, x, h):
     return np.moveaxis(H, 2, 0)
 
 
-def laplacian_2d_nodes(x, h):
-    """The 9 stencil nodes of ``laplacian_2d`` around each point; (9, P, 2)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    offsets = [np.zeros(2)]
-    for a in range(2):
-        for s in (h, -h, h / 2, -h / 2):
-            e = np.zeros(2)
-            e[a] = s
-            offsets.append(e)
-    return x[None, :, :] + np.asarray(offsets)[:, None, :]
+def laplacian_2d_nodes(w, h):
+    """The 9 stencil nodes of ``laplacian_2d`` around each complex point, in
+    the order ``laplacian_2d_combine`` reads; (9, P) complex."""
+    offsets = h * np.array([0, 1, -1, 0.5, -0.5, 1j, -1j, 0.5j, -0.5j])
+    return np.atleast_1d(np.asarray(w, dtype=complex))[None] + offsets[:, None]
 
 
 def laplacian_2d_combine(vals, h):
@@ -106,8 +102,9 @@ def laplacian_2d_combine(vals, h):
     return np.where(kinked, l_h2, (4 * l_h2 - l_h) / 3)
 
 
-def laplacian_2d(f, x, h):
-    """Fourth-order Laplacian of a function on R^2; (P, ...)."""
-    nodes = laplacian_2d_nodes(x, h)
-    vals = np.asarray(f(nodes.reshape(-1, 2)))
-    return laplacian_2d_combine(vals.reshape(nodes.shape[:2] + vals.shape[1:]), h)
+def laplacian_2d(f, w, h):
+    """Fourth-order Laplacian of a function of one complex variable at the
+    (P,) points w; ``f`` takes (9 P,) complex nodes.  Returns (P, ...)."""
+    nodes = laplacian_2d_nodes(w, h)
+    vals = np.asarray(f(nodes.ravel()))
+    return laplacian_2d_combine(vals.reshape(nodes.shape + vals.shape[1:]), h)

@@ -19,18 +19,6 @@ from .errors import NonPositiveDefinite
 EIGENVALUE_FLOOR = 1e-10
 
 
-def z_to_real(zs: np.ndarray) -> np.ndarray:
-    """(P, n) complex -> (P, 2n) real, layout (x_1..x_n, y_1..y_n)."""
-    zs = np.atleast_2d(np.asarray(zs, dtype=complex))
-    return np.concatenate([zs.real, zs.imag], axis=1)
-
-
-def real_to_z(xs: np.ndarray) -> np.ndarray:
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    n = xs.shape[1] // 2
-    return xs[:, :n] + 1j * xs[:, n:]
-
-
 @dataclass(frozen=True)
 class ComplexChart:
     """Axis-aligned box or ball in C^n, both convex.
@@ -115,12 +103,11 @@ class HermitianMetricField:
 
     def __init__(self, chart: ComplexChart, gram_fn: Callable[[np.ndarray], np.ndarray],
                  dgram_fn: Callable[[np.ndarray], np.ndarray],
-                 potential: Optional[ScalarField] = None, name: str = ""):
+                 potential: Optional[ScalarField] = None):
         self.chart = chart
         self.potential = potential
         self._gram_fn = gram_fn
         self._dgram_fn = dgram_fn
-        self.name = name or (potential.name if potential else "direct metric")
 
     @property
     def is_potential_form(self) -> bool:

@@ -19,9 +19,10 @@ difference and Hermitian-form term (one per gram entry) is one contiguous
 loop over the batch.  ``gram`` and ``dgram`` read the (P, n) transpose view
 of the node planes, and their (P, ...) results are moved back as views.
 Sums over a path's nodes or segments are taken over a contiguous (Q, N)
-copy, in the order of that path alone, so each target of a batch gets the
-bits of its own one-target solve.  Endpoints whose shapes do not fit the
-chart raise ValueError, and endpoints outside it ``DomainExceeded``.
+copy, in the order of that path alone; still, a target's distance and error
+estimate can differ from those of its one-target solve by a few ulps of the
+distance, far below the error estimate.  Endpoints whose shapes do not fit
+the chart raise ValueError, and endpoints outside it ``DomainExceeded``.
 """
 
 from __future__ import annotations
@@ -558,4 +559,4 @@ class PlanarDomain:
                 raise Disconnected("no path between the endpoints")
             return best
 
-        return ScalarField(fn=fn, n=1, name="domain length metric")
+        return ScalarField(fn=fn, n=1)

@@ -179,13 +179,12 @@ class ModelSpace:
         c = self.c
         return HermitianMetricField(
             self.chart, lambda zs: _model_gram(c, zs), lambda zs: _model_dgram(c, zs),
-            potential=self.potential(), name=f"model metric, c = {c:g}")
+            potential=self.potential())
 
     def distance_field(self, p) -> ScalarField:
         """d(p, .) as a batched scalar field of ``model_distance``."""
         p = np.asarray(p, dtype=complex).reshape(self.n)
-        return ScalarField(fn=lambda zs: model_distance(self.K, p, zs), n=self.n,
-                           name=f"model distance from {p.tolist()}")
+        return ScalarField(fn=lambda zs: model_distance(self.K, p, zs), n=self.n)
 
 
 def _sq(z: np.ndarray) -> np.ndarray:
@@ -284,8 +283,7 @@ class ConeSurface:
         def dgram(zs):                    # d_z |z|^(-2a) = -a |z|^(-2a) / z
             return (-a * gram(zs)[:, 0, 0] / zs[:, 0])[:, None, None, None]
 
-        return HermitianMetricField(chart, gram, dgram, potential=self.potential(),
-                                    name=f"cone metric, alpha = {a:g}")
+        return HermitianMetricField(chart, gram, dgram, potential=self.potential())
 
     def distance_field(self, p) -> ScalarField:
         """d(p, .) in the chart coordinate, p complex (apex allowed):
@@ -298,7 +296,7 @@ class ConeSurface:
             z = zs[:, 0]
             return cone_distance(self, polar_p, (np.abs(z), np.arctan2(z.imag, z.real)))
 
-        return ScalarField(fn=fn, n=1, name=f"cone distance from {p[0]}")
+        return ScalarField(fn=fn, n=1)
 
 
 def cone_distance(cone: ConeSurface, p1, p2):
@@ -359,4 +357,4 @@ class QuotientData:
             return np.arctan2(np.abs(v[1] - z * v[0]),
                               np.abs(np.conj(v[0]) + z * np.conj(v[1])))
 
-        return ScalarField(fn=fn, n=1, name=f"link quotient distance from {v.tolist()}")
+        return ScalarField(fn=fn, n=1)

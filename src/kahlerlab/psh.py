@@ -70,19 +70,16 @@ def disk_laplacian(f, disk, w, h: float = FD_STEP):
     a scalar for scalar w, else an array.
     """
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-
-    def g(xs):
-        return np.asarray(f(disk(xs[:, 0] + 1j * xs[:, 1])), dtype=float)
-
-    out = fd.laplacian_2d(g, _stencil_centres(w, h), h)
+    out = fd.laplacian_2d(lambda nodes: np.asarray(f(disk(nodes)), dtype=float),
+                          _stencil_centres(w, h), h)
     return float(out[0]) if out.size == 1 else out
 
 
 def _stencil_centres(w: np.ndarray, h: float) -> np.ndarray:
-    """Interior points w as (P, 2) real stencil centres."""
+    """Interior points w, once their stencils are known to stay in the unit disk."""
     if np.any(np.abs(w) + 2 * h >= 1.0):
         raise ValueError("stencil leaves the unit disk; reduce h or |w|")
-    return np.stack([w.real, w.imag], axis=1)
+    return w
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,10 +128,9 @@ def _disk_stencils(chart: ComplexChart, center, sampler: DiskSampler, rng, h: fl
     C = sample_disk_stack(chart, center, sampler, rng, min_singular, singular_at)
     u = rng.random((len(C), 2, sampler.interior_points))
     ws = np.sqrt(0.49 * u[:, 0]) * np.exp(1j * (2 * math.pi * u[:, 1]))
-    x = fd.laplacian_2d_nodes(_stencil_centres(ws.ravel(), h), h)
     D, k = ws.shape
-    nodes = (x[..., 0] + 1j * x[..., 1]).reshape(9, D, k).transpose(1, 0, 2)
-    pts = disk_images(C, nodes.reshape(D, 9 * k)).reshape(D, 9, k, chart.n)
+    nodes = fd.laplacian_2d_nodes(_stencil_centres(ws.ravel(), h), h).reshape(9, D, k)
+    pts = disk_images(C, nodes.transpose(1, 0, 2).reshape(D, 9 * k)).reshape(D, 9, k, chart.n)
     return C, ws, pts.transpose(1, 0, 2, 3).reshape(-1, chart.n)
 
 
@@ -314,8 +310,7 @@ def quotient_bk2_check(q: QuotientData, zprime, h_extra: Optional[Callable] = No
     u = pot(pts) + np.log(np.cos(dist(pts)))
     vals = fd.laplacian_2d_combine(u.reshape(9, -1), h).reshape(-1, ws.shape[1])
     zs = imgs[keep].ravel()
-    lap_pot = fd.laplacian_2d(lambda xs: pot((xs[:, 0] + 1j * xs[:, 1])[:, None]),
-                              np.stack([zs.real, zs.imag], axis=1), FD_STEP)
+    lap_pot = fd.laplacian_2d(lambda nodes: pot(nodes[:, None]), zs, FD_STEP)
     dens = 4.0 * _round_density_from_distance(zs)
     mism = np.max((np.abs(lap_pot - dens) / np.maximum(dens, 1e-12)).reshape(vals.shape),
                   axis=1)

@@ -4,20 +4,34 @@ The library takes g and d g in closed form.  These stencils take them
 from a potential instead, so tests can pin each closed form against an
 independent route: g = d dbar phi by the Richardson-extrapolated
 ``fd.hessian``, d g by fourth-order central differences of g, and the
-curvature tensor by two nested levels of both.
+curvature tensor by two nested levels of both.  The stencils run on real
+coordinates (x_1..x_n, y_1..y_n); ``z_to_real`` and ``real_to_z`` convert
+between those and chart points.
 """
 
 import numpy as np
 
 from kahlerlab import fd
 from kahlerlab.curvature import CurvatureData
-from kahlerlab.fields import HermitianMetricField, real_to_z, z_to_real
+from kahlerlab.fields import HermitianMetricField
 
 GRAM_STEP = 1e-3        # step of grams from a potential and of dgrams from grams
 # nested curvature steps: the metric matrices come from FD with the inner
 # step, chosen to keep round-off below the outer stencil's truncation
 CURV_OUTER_H = 0.015
 CURV_INNER_H = 8e-3
+
+
+def z_to_real(zs: np.ndarray) -> np.ndarray:
+    """(P, n) complex -> (P, 2n) real, layout (x_1..x_n, y_1..y_n)."""
+    zs = np.atleast_2d(np.asarray(zs, dtype=complex))
+    return np.concatenate([zs.real, zs.imag], axis=1)
+
+
+def real_to_z(xs: np.ndarray) -> np.ndarray:
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    n = xs.shape[1] // 2
+    return xs[:, :n] + 1j * xs[:, n:]
 
 
 def _gradient(f, x, h):

@@ -5,9 +5,10 @@ import pytest
 from scipy.linalg import eigh
 
 from curvature_reference import bianchi_check
-from fd_reference import nested_curvature
-from kahlerlab.curvature import (TangentPair, _eigen_step, bk_defect, curvature_tensor,
-                                 curvature_tensors, hermitian_inner, min_bk_defect)
+from fd_reference import nested_curvature, real_to_z, z_to_real
+from kahlerlab.curvature import (CURV_STEP, TangentPair, _eigen_step, bk_defect,
+                                 curvature_tensor, curvature_tensors, hermitian_inner,
+                                 min_bk_defect)
 from kahlerlab.errors import NonPositiveDefinite, SingularityTooClose
 from kahlerlab.fields import ScalarField
 from kahlerlab.models import ConeSurface, ModelSpace, orbifold_cone
@@ -318,6 +319,32 @@ def test_a_stack_of_points_has_the_bits_of_each_point_alone(space):
         data = curvature_tensor(space.metric(), z)
         assert np.array_equal(R[k], data.R) and np.array_equal(G[k], data.G)
         assert error[k] == data.error
+
+
+@pytest.mark.parametrize("space", [ModelSpace(K=1.0, n=1), ModelSpace(K=-1.0, n=2),
+                                   ConeSurface(alpha=0.5), orbifold_cone(3)],
+                         ids=["model-n1", "model-n2", "cone", "orbifold"])
+def test_the_stencil_nodes_have_the_bits_of_the_real_pair_construction(space, monkeypatch):
+    # the points dgram receives: each z, then z +- s e_l and z +- s i e_l,
+    # against the same offsets added to the real pairs (x, y) and turned back
+    # into chart points; on the cones the step shrinks with |z| near the apex
+    metric = space.metric()
+    n = metric.chart.n
+    rng = np.random.default_rng(9)
+    zs = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+    zs *= rng.uniform(0.05, 0.6, (6, 1)) / np.linalg.norm(zs, axis=1, keepdims=True)
+    if n == 1:
+        zs = np.concatenate([zs, [[2e-3 + 1e-3j], [-3e-3 - 1e-3j], [4e-3j]]])
+    seen, dgram = [], metric._dgram_fn
+    monkeypatch.setattr(metric, "_dgram_fn", lambda z: seen.append(z.copy()) or dgram(z))
+    curvature_tensors(metric, zs)
+    P = len(zs)
+    h = CURV_STEP * np.minimum(1.0, metric.potential.singular_distance(zs))
+    steps = np.stack([h / 2, -h / 2, h, -h, 2 * h, -2 * h], axis=1)
+    offsets = np.eye(2 * n)[:, None, :] * steps[:, None, :, None]
+    nodes = real_to_z((z_to_real(zs)[:, None] + offsets.reshape(P, -1, 2 * n)).reshape(-1, 2 * n))
+    ref = np.concatenate([zs[:, None], nodes.reshape(P, -1, n)], axis=1).reshape(-1, n)
+    assert len(seen) == 1 and seen[0].tobytes() == ref.tobytes()
 
 
 def test_a_stack_names_its_first_point_too_near_the_apex():

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fd_reference import dgram_from_gram, fd_metric, gram_from_potential
+from fd_reference import (dgram_from_gram, fd_metric, gram_from_potential, real_to_z,
+                          z_to_real)
 from kahlerlab import cli
 from kahlerlab.disks import torsion_metric
 from kahlerlab.errors import NonPositiveDefinite
-from kahlerlab.fields import (ComplexChart, HermitianMetricField,
-                              ScalarField, flat_potential, real_to_z, z_to_real)
+from kahlerlab.fields import ComplexChart, HermitianMetricField, ScalarField, flat_potential
 from kahlerlab.models import ConeSurface, ModelSpace
 
 

@@ -193,7 +193,11 @@ def test_stencil_nodes_match_the_per_disk_maps(n):
     assert [d.coeffs.tobytes() for d in disks] == [d.coeffs.tobytes() for d in ref]
     ref_ws = np.array([sample_interior_points(sampler, rng) for _ in ref])
     assert ws.tobytes() == ref_ws.tobytes()
-    x = fd.laplacian_2d_nodes(np.stack([ws.ravel().real, ws.ravel().imag], axis=1), 1e-3)
+    # the nodes from real pairs (x, y) + (dx, dy), in the combination's order
+    h = 1e-3
+    steps = [(0, 0), (h, 0), (-h, 0), (h / 2, 0), (-h / 2, 0),
+             (0, h), (0, -h), (0, h / 2), (0, -h / 2)]
+    x = np.stack([ws.ravel().real, ws.ravel().imag], axis=1)[None] + np.array(steps)[:, None]
     nodes = (x[..., 0] + 1j * x[..., 1]).reshape((9,) + ws.shape)
     ref_pts = np.concatenate([d(nodes[:, j].ravel()).reshape(9, -1, n)
                               for j, d in enumerate(ref)], axis=1).reshape(-1, n)
@@ -373,9 +377,6 @@ def _replay_quotient(q, zprime, h_extra, sampler):
             base = base + 0.5 * np.log(np.asarray(h_extra(zs[:, 0]), dtype=float))
         return base
 
-    def chart_pot(xs):
-        return pot((xs[:, 0] + 1j * xs[:, 1])[:, None])
-
     dist = q.distance_field(zprime)
 
     def u(zs):
@@ -393,8 +394,7 @@ def _replay_quotient(q, zprime, h_extra, sampler):
         best = min(best, float(np.min(vals)))
         count += vals.size
         # the measure obligation in chart units, at the image points
-        lap_pot = fd.laplacian_2d(chart_pot, np.stack([zs[:, 0].real, zs[:, 0].imag], axis=1),
-                                  1e-3)
+        lap_pot = fd.laplacian_2d(lambda z: pot(z[:, None]), zs[:, 0], 1e-3)
         dens = 4.0 * np.array([_round_density(z) for z in zs[:, 0]])
         consistency = max(consistency, float(np.max(np.abs(lap_pot - dens)
                                                     / np.maximum(dens, 1e-12))))
